@@ -6,8 +6,9 @@
 //! * `route_query` — single next-hop and full-answer (k = 4) latency on
 //!   the pristine Table-3 PS-IQ oracle, plus a 4096-query sharded batch;
 //!   `*_analytic_*` variants run the same storms against the table-free
-//!   §9.2 backend (slower per query — each answer is a template search —
-//!   in exchange for the O(1) epoch install below);
+//!   §9.2 backend (slower per query — each answer probes the distance
+//!   kernel per neighbor — in exchange for the O(1) epoch install
+//!   below);
 //! * `route_epoch` — the cost of one epoch swap: re-masking the PS-IQ
 //!   oracle for a 5% link burst and installing it (what the churn thread
 //!   pays per epoch while queries keep streaming). The recorded CSR

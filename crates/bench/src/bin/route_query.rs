@@ -15,13 +15,16 @@
 //!    table; the acceptance gate is p99(churn) ≤ 2× p99(pristine).
 //!
 //! `--oracle analytic` swaps the CSR route table for the table-free
-//! §9.2 analytic backend (PolarStar keys only). Queries then pay a
-//! per-hop template search — slower per query, so the storm shrinks —
-//! but an epoch install collapses from a full BFS sweep to a fault-mask
-//! swap; the analytic gates are a sub-19.6 ms install (≥10× under the
-//! recorded 196 ms CSR remask) and a zero backstop rate, not the 1M qps
-//! floor. Faulted queries that lose every minimal path escalate to one
-//! degraded BFS, so churn p99 is reported but ungated.
+//! §9.2 analytic backend (PolarStar keys only). Queries then pay
+//! distance-kernel probes per neighbor instead of an arena read —
+//! slower per query, so the storm shrinks — but an epoch install
+//! collapses from a full BFS sweep to a fault-mask swap; the analytic
+//! gates are a sub-19.6 ms install (≥10× under the recorded 196 ms CSR
+//! remask) and a zero backstop rate, not the 1M qps floor. Faulted
+//! queries that lose every minimal path escalate to one degraded BFS,
+//! so churn p99 is reported but ungated; the manifest says how many do
+//! (`analytic_escalated_share`, with the intact and unreachable shares
+//! beside it, over the storm's first pairs on the burst epoch).
 //!
 //! CSV `topology,routers,phase,queries,elapsed_ms,qps,p50_ns,p99_ns,epoch_swaps`.
 //! `--quick` shrinks the storm; `--only <key>` adds topologies beyond
@@ -35,7 +38,7 @@ use bench::{
     metrics_dir, only_filter, oracle_mode, quick_mode, table3_network, table3_polarstar,
     RunManifest, TABLE3_KEYS,
 };
-use polarstar_routed::{EpochSwapper, Oracle, QueryBatch};
+use polarstar_routed::{EpochSwapper, Oracle, QueryBatch, Regime};
 use polarstar_topo::fault::FaultSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -47,6 +50,9 @@ const QUERY_SEED: u64 = 0x60E5;
 const CHURN_SEED: u64 = 0xC4A7;
 /// Fraction of links the churn burst fails per odd epoch.
 const CHURN_FRACTION: f64 = 0.05;
+/// Pairs of the storm whose [`Regime`] on the burst epoch is sampled
+/// for the manifest.
+const REGIME_SAMPLE: usize = 32_768;
 /// The analytic epoch-install gate: ≥10× under the recorded 196 ms CSR
 /// remask (BENCH_routed.json `remask_install_ps_iq`).
 const ANALYTIC_INSTALL_GATE_NS: u64 = 19_600_000;
@@ -74,7 +80,7 @@ fn main() {
         None => vec!["PS-IQ"],
     };
     // The analytic backend trades per-query latency for O(1) installs;
-    // size the storm to its per-hop template search.
+    // size the storm to its per-query kernel probes.
     let storm_len = match (analytic, quick) {
         (false, false) => 4_000_000,
         (false, true) => 200_000,
@@ -118,6 +124,21 @@ fn main() {
         let t0 = std::time::Instant::now();
         let masked = oracle.remask(&burst, 1);
         let remask_ns = t0.elapsed().as_nanos() as u64;
+        // Which answer path the burst epoch forces on the storm's pairs:
+        // (intact, escalated, unreachable) shares.
+        let regime_shares = masked.analytic().map(|a| {
+            let sample = &pairs[..pairs.len().min(REGIME_SAMPLE)];
+            let mut hits = [0usize; 3];
+            for &(s, d) in sample {
+                match a.regime(s, d) {
+                    Regime::Pristine => {}
+                    Regime::MinimalDagIntact => hits[0] += 1,
+                    Regime::Escalated => hits[1] += 1,
+                    Regime::Unreachable => hits[2] += 1,
+                }
+            }
+            hits.map(|h| h as f64 / sample.len() as f64)
+        });
         drop(masked);
 
         // Phase 1: pristine single-hop storm.
@@ -231,6 +252,11 @@ fn main() {
             if let Some(a) = base.analytic() {
                 m.push_extra("analytic_fallbacks", a.router().fallbacks() as f64);
                 m.push_extra("analytic_fallback_rate", a.router().fallback_rate());
+            }
+            if let Some([intact, escalated, unreachable]) = regime_shares {
+                m.push_extra("analytic_intact_share", intact);
+                m.push_extra("analytic_escalated_share", escalated);
+                m.push_extra("analytic_unreachable_share", unreachable);
             }
             let stem = if analytic {
                 file_stem(&format!("route_query_analytic_{key}"))

@@ -2,26 +2,43 @@
 //!
 //! Routers store only factor-graph state — the structure graph's
 //! adjacency and 2-path middles, the supernode adjacency, and the
-//! bijection f — instead of a per-destination routing table. Paths are
-//! reconstructed from the Property-R / R* case analysis of Theorem 4:
+//! bijection f — instead of a per-destination routing table. Two things
+//! are computed from that state:
 //!
-//! * same supernode: a supernode-internal path (possibly via the quadric
-//!   self-loop edges);
-//! * adjacent supernodes: one of the four cases (a)–(d) of §9.2;
-//! * distance-2 supernodes: hop onto an alternating path through a
-//!   Property-R middle supernode, then an adjacent-supernode tail.
+//! * **the distance kernel**, [`AnalyticRouter::distance`]: 1 iff the
+//!   routers are product-adjacent, 2 iff a 2-hop template hits, 3
+//!   otherwise (Theorems 4/5 bound the diameter by 3). It walks the
+//!   templates without building anything — no `Vec`, no counter — and
+//!   is what a serving oracle probes per neighbor, per query;
+//! * **the path builder**, [`AnalyticRouter::route`]: the Property-R /
+//!   R* case analysis of Theorem 4, enumerated in increasing length so
+//!   the returned path is minimal:
+//!   - same supernode: a supernode-internal path (possibly via the
+//!     quadric self-loop edges);
+//!   - adjacent supernodes: one of the four cases (a)–(d) of §9.2;
+//!   - distance-2 supernodes: hop onto an alternating path through a
+//!     Property-R middle supernode, then an adjacent-supernode tail.
 //!
-//! The implementation enumerates the paper's path templates in increasing
-//! length, so the returned path is minimal (validated against BFS in the
-//! test suite). A bounded depth-3 local search backstops the rare Paley
-//! (non-involution) corner cases; `fallback_count` reports how often it
-//! fires so tests can pin the template coverage.
+//! Both read the 2-hop templates through one enumeration
+//! (`two_hop_middle`), which covers every 2-walk of the star product
+//! (intra–intra, intra–cross, cross–intra, cross–cross), so kernel and
+//! builder cannot drift; debug builds check each built path against the
+//! kernel, and the test suite checks both against BFS. A bounded
+//! depth-3 local search backstops the rare Paley (non-involution)
+//! 3-hop corner cases of the path builder.
 //!
-//! Storage: O(|V(G)|²) middle lists + O(|V(G')|²) supernode adjacency —
-//! for Table 3's PS-IQ that is ~18 K entries, versus ~1 M entries for a
+//! [`AnalyticRouter::routes_computed`] and [`AnalyticRouter::fallbacks`]
+//! count *materialized* routes only (`route` / `next_hop` calls);
+//! distance probes are not counted, so a serving workload that never
+//! asks for a template path reads 0 on both.
+//!
+//! Storage: one flat CSR of O(|V(G)|²) middles (Property R gives each
+//! ordered structure pair one middle) + O(|V(G')|) for f⁻¹ — for
+//! Table 3's PS-IQ that is ~18 K entries, versus ~1 M entries for a
 //! full per-destination next-hop table (§9.3's comparison with SF/BF).
 
 use crate::network::PolarStarNetwork;
+use polarstar_topo::er::ErGraph;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -40,12 +57,15 @@ use std::sync::Arc;
 /// let path = router.route(0, 100);
 /// assert!(path.len() <= 3);                 // diameter-3 guarantee
 /// assert_eq!(*path.last().unwrap(), 100);
+/// assert_eq!(router.distance(0, 100) as usize, path.len());
 /// ```
 pub struct AnalyticRouter {
     net: Arc<PolarStarNetwork>,
-    /// middles[x][y] = structure vertices w completing a ≤2-path x–w–y,
-    /// where w == x or w == y encodes a self-loop hop at a quadric vertex.
-    middles: Vec<Vec<Vec<u32>>>,
+    /// Flat CSR over ordered structure pairs: cell `x·n + y` lists the
+    /// structure vertices w completing a ≤2-path x–w–y, where w == x or
+    /// w == y encodes a self-loop hop at a quadric vertex.
+    middle_off: Vec<u32>,
+    middle: Vec<u32>,
     /// Inverse of the supernode bijection.
     finv: Vec<u32>,
     /// Number of routes that needed the bounded local-search backstop.
@@ -55,47 +75,54 @@ pub struct AnalyticRouter {
     route_count: AtomicU64,
 }
 
+/// The middle lists of every ordered structure pair as one CSR
+/// (`off`, `mid`). Per-cell order: common neighbors ascending, then the
+/// self-loop markers x, y (Theorem 1: if x is quadric and adjacent to
+/// y, the walk x–x–y exists; likewise at y).
+fn flat_middles(er: &ErGraph) -> (Vec<u32>, Vec<u32>) {
+    let g = &er.graph;
+    let n = g.n();
+    // Every (cell, middle) in per-cell order. Common neighbors come from
+    // the neighbor pairs of each w — Σ deg² visits instead of n² merges.
+    let for_each = |visit: &mut dyn FnMut(usize, u32)| {
+        for w in 0..n as u32 {
+            for &x in g.neighbors(w) {
+                for &y in g.neighbors(w) {
+                    if x != y {
+                        visit(x as usize * n + y as usize, w);
+                    }
+                }
+            }
+        }
+        for x in 0..n as u32 {
+            for &y in g.neighbors(x) {
+                for end in [x, y] {
+                    if er.quadric[end as usize] {
+                        visit(x as usize * n + y as usize, end);
+                    }
+                }
+            }
+        }
+    };
+    let mut off = vec![0u32; n * n + 1];
+    for_each(&mut |cell, _| off[cell + 1] += 1);
+    for cell in 0..n * n {
+        off[cell + 1] += off[cell];
+    }
+    let mut mid = vec![0u32; off[n * n] as usize];
+    let mut next = off.clone();
+    for_each(&mut |cell, w| {
+        mid[next[cell] as usize] = w;
+        next[cell] += 1;
+    });
+    (off, mid)
+}
+
 impl AnalyticRouter {
     /// Precompute middle lists and f⁻¹.
     pub fn new(net: impl Into<Arc<PolarStarNetwork>>) -> Self {
         let net = net.into();
-        let er = &net.er;
-        let n = er.graph.n();
-        let mut middles = vec![vec![Vec::new(); n]; n];
-        for x in 0..n as u32 {
-            for y in 0..n as u32 {
-                if x == y {
-                    continue;
-                }
-                let mut list = Vec::new();
-                // Ordinary middles: common neighbors.
-                let (nx, ny) = (er.graph.neighbors(x), er.graph.neighbors(y));
-                let mut i = 0;
-                let mut j = 0;
-                while i < nx.len() && j < ny.len() {
-                    match nx[i].cmp(&ny[j]) {
-                        std::cmp::Ordering::Less => i += 1,
-                        std::cmp::Ordering::Greater => j += 1,
-                        std::cmp::Ordering::Equal => {
-                            list.push(nx[i]);
-                            i += 1;
-                            j += 1;
-                        }
-                    }
-                }
-                // Self-loop middles (Theorem 1): if x is quadric and
-                // adjacent to y, the walk x–x–y exists; likewise at y.
-                if er.graph.has_edge(x, y) {
-                    if er.quadric[x as usize] {
-                        list.push(x);
-                    }
-                    if er.quadric[y as usize] {
-                        list.push(y);
-                    }
-                }
-                middles[x as usize][y as usize] = list;
-            }
-        }
+        let (middle_off, middle) = flat_middles(&net.er);
         let f = &net.supernode.f;
         let mut finv = vec![0u32; f.len()];
         for (a, &b) in f.iter().enumerate() {
@@ -103,7 +130,8 @@ impl AnalyticRouter {
         }
         AnalyticRouter {
             net,
-            middles,
+            middle_off,
+            middle,
             finv,
             fallback_count: AtomicU64::new(0),
             route_count: AtomicU64::new(0),
@@ -115,13 +143,14 @@ impl AnalyticRouter {
         &self.net
     }
 
-    /// How many routes used the local-search backstop instead of a §9.2
-    /// template.
+    /// How many materialized routes used the local-search backstop
+    /// instead of a §9.2 template.
     pub fn fallbacks(&self) -> u64 {
         self.fallback_count.load(Ordering::Relaxed)
     }
 
-    /// Total [`AnalyticRouter::route`] invocations so far.
+    /// Total routes materialized by [`AnalyticRouter::route`] so far
+    /// ([`AnalyticRouter::distance`] probes are not counted).
     pub fn routes_computed(&self) -> u64 {
         self.route_count.load(Ordering::Relaxed)
     }
@@ -138,19 +167,21 @@ impl AnalyticRouter {
         }
     }
 
-    /// Resident bytes of the factor-graph routing state (middle lists,
-    /// f⁻¹) — the whole per-router storage cost of analytic routing,
-    /// compared against `RouteTable::memory_bytes` in the scale benches.
+    /// Resident bytes of the factor-graph routing state (flat middle
+    /// lists, f⁻¹) — the whole per-router storage cost of analytic
+    /// routing, compared against `RouteTable::memory_bytes` in the scale
+    /// benches.
     pub fn memory_bytes(&self) -> usize {
-        let mut bytes = std::mem::size_of::<Self>();
-        bytes += self.middles.capacity() * std::mem::size_of::<Vec<Vec<u32>>>();
-        for row in &self.middles {
-            bytes += row.capacity() * std::mem::size_of::<Vec<u32>>();
-            for list in row {
-                bytes += list.capacity() * std::mem::size_of::<u32>();
-            }
-        }
-        bytes + self.finv.capacity() * std::mem::size_of::<u32>()
+        std::mem::size_of::<Self>()
+            + (self.middle_off.capacity() + self.middle.capacity() + self.finv.capacity())
+                * std::mem::size_of::<u32>()
+    }
+
+    /// Structure vertices completing a ≤2-path x–w–y (see `middle_off`).
+    #[inline]
+    fn middles(&self, x: u32, y: u32) -> &[u32] {
+        let cell = x as usize * self.net.er.graph.n() + y as usize;
+        &self.middle[self.middle_off[cell] as usize..self.middle_off[cell + 1] as usize]
     }
 
     /// Supernode coordinate after crossing the structure edge `x → y`
@@ -178,17 +209,21 @@ impl AnalyticRouter {
                 && (self.net.supernode.f[a as usize] == b || self.net.supernode.f[b as usize] == a))
     }
 
-    /// Neighbors of local coordinate `a` within copy `x`.
-    fn copy_neighbors(&self, x: u32, a: u32) -> Vec<u32> {
-        let mut out: Vec<u32> = self.net.supernode.graph.neighbors(a).to_vec();
+    /// Neighbors of local coordinate `a` within copy `x`: the supernode
+    /// neighbors, then the quadric self-loop partners f(a), f⁻¹(a) not
+    /// already among them.
+    fn copy_neighbors(&self, x: u32, a: u32) -> impl Iterator<Item = u32> + '_ {
+        let nbrs = self.net.supernode.graph.neighbors(a);
+        let mut loops = [None; 2];
         if self.net.er.quadric[x as usize] {
-            for cand in [self.net.supernode.f[a as usize], self.finv[a as usize]] {
-                if cand != a && !out.contains(&cand) {
-                    out.push(cand);
-                }
-            }
+            let fresh = |c: u32| c != a && nbrs.binary_search(&c).is_err();
+            let (fa, fia) = (self.net.supernode.f[a as usize], self.finv[a as usize]);
+            loops = [
+                fresh(fa).then_some(fa),
+                (fia != fa && fresh(fia)).then_some(fia),
+            ];
         }
-        out
+        nbrs.iter().copied().chain(loops.into_iter().flatten())
     }
 
     /// Destination-based incremental routing (§9.2): the next router on
@@ -204,6 +239,22 @@ impl AnalyticRouter {
         self.route(current, dst).first().copied()
     }
 
+    /// Hop distance from router `s` to router `t`, from factor state
+    /// alone and without materializing a path: 1 iff product-adjacent,
+    /// 2 iff a 2-hop template hits, else 3 — every PolarStar has
+    /// diameter ≤ 3 (Theorems 4/5). Allocation-free and uncounted.
+    pub fn distance(&self, s: u32, t: u32) -> u32 {
+        if s == t {
+            0
+        } else if self.product_adjacent(s, t) {
+            1
+        } else if self.two_hop_middle(s, t).is_some() {
+            2
+        } else {
+            3
+        }
+    }
+
     /// Compute a minimal path from router `s` to router `t`, returned as
     /// the sequence of routers after `s` (empty when `s == t`). Length is
     /// at most 3 (Theorems 4/5).
@@ -212,30 +263,36 @@ impl AnalyticRouter {
             return Vec::new();
         }
         self.route_count.fetch_add(1, Ordering::Relaxed);
-        if let Some(p) = self.try_one_hop(s, t) {
-            return p;
-        }
-        if let Some(p) = self.try_two_hops(s, t) {
-            return p;
-        }
-        if let Some(p) = self.try_three_hops(s, t) {
-            return p;
-        }
-        self.fallback_count.fetch_add(1, Ordering::Relaxed);
-        // Theorem 4's case analysis covers every pair whose supernodes
-        // coincide or are adjacent in the structure graph; only the
-        // distance-2 alternating-path cases have known Paley corner
-        // holes. A backstop on an adjacent-supernode pair would mean the
-        // (a)–(d) templates themselves are broken.
-        debug_assert!(
-            {
-                let (x, y) = (self.net.structure_of(s), self.net.structure_of(t));
-                x != y && !self.net.er.graph.has_edge(x, y)
-            },
-            "pristine template miss on an adjacent-supernode pair {s}→{t}"
+        let path = if self.product_adjacent(s, t) {
+            vec![t]
+        } else if let Some(mid) = self.two_hop_middle(s, t) {
+            vec![mid, t]
+        } else if let Some(p) = self.try_three_hops(s, t) {
+            p
+        } else {
+            self.fallback_count.fetch_add(1, Ordering::Relaxed);
+            // Theorem 4's case analysis covers every pair whose
+            // supernodes coincide or are adjacent in the structure
+            // graph; only the distance-2 alternating-path cases have
+            // known Paley corner holes. A backstop on an
+            // adjacent-supernode pair would mean the (a)–(d) templates
+            // themselves are broken.
+            debug_assert!(
+                {
+                    let (x, y) = (self.net.structure_of(s), self.net.structure_of(t));
+                    x != y && !self.net.er.graph.has_edge(x, y)
+                },
+                "pristine template miss on an adjacent-supernode pair {s}→{t}"
+            );
+            self.bounded_search(s, t)
+                .unwrap_or_else(|| panic!("no path of length ≤ 4 from {s} to {t}"))
+        };
+        debug_assert_eq!(
+            path.len() as u32,
+            self.distance(s, t),
+            "distance kernel disagrees with the built path {s}→{t}"
         );
-        self.bounded_search(s, t)
-            .unwrap_or_else(|| panic!("no path of length ≤ 4 from {s} to {t}"))
+        path
     }
 
     /// Product adjacency from factor state only.
@@ -249,65 +306,57 @@ impl AnalyticRouter {
         }
     }
 
-    fn try_one_hop(&self, s: u32, t: u32) -> Option<Vec<u32>> {
-        self.product_adjacent(s, t).then(|| vec![t])
-    }
-
     /// Local coordinates reachable by one structure-level hop of the walk
     /// `from → to`: a crossing when the vertices differ, or a quadric
     /// self-loop hop (both f and f⁻¹ directions) when they coincide.
-    fn hop_locals(&self, from: u32, to: u32, a: u32) -> Vec<u32> {
-        if from == to {
-            let fa = self.net.supernode.f[a as usize];
-            let fia = self.finv[a as usize];
-            if fa == fia {
-                vec![fa]
-            } else {
-                vec![fa, fia]
-            }
+    fn hop_locals(&self, from: u32, to: u32, a: u32) -> impl Iterator<Item = u32> {
+        let (first, second) = if from == to {
+            let (fa, fia) = (self.net.supernode.f[a as usize], self.finv[a as usize]);
+            (fa, (fia != fa).then_some(fia))
         } else {
-            vec![self.cross(from, to, a)]
-        }
+            (self.cross(from, to, a), None)
+        };
+        std::iter::once(first).chain(second)
     }
 
-    fn try_two_hops(&self, s: u32, t: u32) -> Option<Vec<u32>> {
+    /// The middle router of the first 2-hop template path `s → m → t`,
+    /// if any: the one enumeration behind both the distance kernel and
+    /// the path builder. Covers every 2-walk of the star product.
+    fn two_hop_middle(&self, s: u32, t: u32) -> Option<u32> {
         let net = &self.net;
         let (x, xp) = (net.structure_of(s), net.local_of(s));
         let (y, yp) = (net.structure_of(t), net.local_of(t));
         if x == y {
             // Intra-supernode 2-path through a copy-internal middle.
-            for m in self.copy_neighbors(x, xp) {
-                if self.copy_adjacent(x, m, yp) {
-                    return Some(vec![net.router_id(x, m), t]);
-                }
-            }
-            return None;
+            return self
+                .copy_neighbors(x, xp)
+                .find(|&m| self.copy_adjacent(x, m, yp))
+                .map(|m| net.router_id(x, m));
         }
         if net.er.graph.has_edge(x, y) {
             // §9.2 case (c): intra hop at x, then cross.
-            for m in self.copy_neighbors(x, xp) {
-                if self.cross(x, y, m) == yp {
-                    return Some(vec![net.router_id(x, m), t]);
-                }
+            if let Some(m) = self
+                .copy_neighbors(x, xp)
+                .find(|&m| self.cross(x, y, m) == yp)
+            {
+                return Some(net.router_id(x, m));
             }
             // §9.2 case (d): cross, then intra hop at y.
             let mid = self.cross(x, y, xp);
             if self.copy_adjacent(y, mid, yp) {
-                return Some(vec![net.router_id(y, mid), t]);
+                return Some(net.router_id(y, mid));
             }
         }
         // Alternating path through a middle supernode (case (a); also the
         // only way two non-adjacent supernodes can be 2 apart).
-        for &w in &self.middles[x as usize][y as usize] {
+        for &w in self.middles(x, y) {
             for h1 in self.hop_locals(x, w, xp) {
-                for h2 in self.hop_locals(w, y, h1) {
-                    if h2 == yp {
-                        // For a self-loop middle (w == x or w == y) the
-                        // intermediate router sits in the looping copy.
-                        let mid = net.router_id(w, h1);
-                        if mid != s && mid != t {
-                            return Some(vec![mid, t]);
-                        }
+                if self.hop_locals(w, y, h1).any(|h2| h2 == yp) {
+                    // For a self-loop middle (w == x or w == y) the
+                    // intermediate router sits in the looping copy.
+                    let mid = net.router_id(w, h1);
+                    if mid != s && mid != t {
+                        return Some(mid);
                     }
                 }
             }
@@ -322,24 +371,20 @@ impl AnalyticRouter {
         let (y, yp) = (net.structure_of(t), net.local_of(t));
 
         if x != y {
-            for &w in &self.middles[x as usize][y as usize] {
+            for &w in self.middles(x, y) {
                 // Intra hop at the source copy, then the 2-walk.
                 for m in self.copy_neighbors(x, xp) {
                     for h1 in self.hop_locals(x, w, m) {
-                        for h2 in self.hop_locals(w, y, h1) {
-                            if h2 == yp {
-                                return Some(vec![net.router_id(x, m), net.router_id(w, h1), t]);
-                            }
+                        if self.hop_locals(w, y, h1).any(|h2| h2 == yp) {
+                            return Some(vec![net.router_id(x, m), net.router_id(w, h1), t]);
                         }
                     }
                 }
                 for h1 in self.hop_locals(x, w, xp) {
                     // Intra hop at the middle copy.
                     for m in self.copy_neighbors(w, h1) {
-                        for h2 in self.hop_locals(w, y, m) {
-                            if h2 == yp {
-                                return Some(vec![net.router_id(w, h1), net.router_id(w, m), t]);
-                            }
+                        if self.hop_locals(w, y, m).any(|h2| h2 == yp) {
+                            return Some(vec![net.router_id(w, h1), net.router_id(w, m), t]);
                         }
                     }
                     // Intra hop at the destination copy.
@@ -374,28 +419,22 @@ impl AnalyticRouter {
         // neighbor, then ride a 2-hop alternating path; also covers the
         // same-supernode triangle excursion when y == x). The first hop
         // may be a quadric self-loop.
-        let mut firsts: Vec<(u32, u32)> = Vec::new();
-        for &a in er.neighbors(x) {
-            firsts.push((a, self.cross(x, a, xp)));
-        }
-        if net.er.quadric[x as usize] {
-            for h in self.hop_locals(x, x, xp) {
-                firsts.push((x, h));
-            }
-        }
-        for (a, h) in firsts {
+        let crossings = er.neighbors(x).iter().map(|&a| (a, self.cross(x, a, xp)));
+        let self_loops = net.er.quadric[x as usize]
+            .then(|| self.hop_locals(x, x, xp).map(move |h| (x, h)))
+            .into_iter()
+            .flatten();
+        for (a, h) in crossings.chain(self_loops) {
             if a == y {
                 continue; // would be an at-most-2-hop case, already tried
             }
-            for &w in &self.middles[a as usize][y as usize] {
+            for &w in self.middles(a, y) {
                 for h1 in self.hop_locals(a, w, h) {
-                    for h2 in self.hop_locals(w, y, h1) {
-                        if h2 == yp {
-                            let m1 = net.router_id(a, h);
-                            let m2 = net.router_id(w, h1);
-                            if m1 != s && m1 != t && m2 != s && m2 != t && m1 != m2 {
-                                return Some(vec![m1, m2, t]);
-                            }
+                    if self.hop_locals(w, y, h1).any(|h2| h2 == yp) {
+                        let m1 = net.router_id(a, h);
+                        let m2 = net.router_id(w, h1);
+                        if m1 != s && m1 != t && m2 != s && m2 != t && m1 != m2 {
+                            return Some(vec![m1, m2, t]);
                         }
                     }
                 }
@@ -448,7 +487,6 @@ impl AnalyticRouter {
         let (x, xp) = (net.structure_of(v), net.local_of(v));
         let mut out: Vec<u32> = self
             .copy_neighbors(x, xp)
-            .into_iter()
             .map(|m| net.router_id(x, m))
             .collect();
         for &y in net.er.graph.neighbors(x) {
@@ -477,26 +515,35 @@ mod tests {
         }
     }
 
-    fn check_all_pairs_minimal(net: &PolarStarNetwork) -> u64 {
+    /// Check, on every `s_step`-th source × `t_step`-th destination,
+    /// that the distance kernel equals the BFS distance and that the
+    /// built route is a valid path of exactly that length. Returns
+    /// (pairs at BFS distance 2, backstopped routes).
+    fn check_pairs_minimal(net: &PolarStarNetwork, s_step: usize, t_step: usize) -> (u64, u64) {
         let router = AnalyticRouter::new(net.clone());
         let n = net.spec.routers() as u32;
-        for s in 0..n {
+        let label = net.config.label();
+        let mut at_two = 0;
+        for s in (0..n).step_by(s_step) {
             let dist = traversal::bfs_distances(net.graph(), s);
-            for t in 0..n {
+            for t in (0..n).step_by(t_step) {
+                let want = dist[t as usize];
+                at_two += u64::from(want == 2);
+                assert_eq!(router.distance(s, t), want, "{label}: kernel {s}→{t}");
+                let fallbacks = router.fallbacks();
                 let path = router.route(s, t);
                 validate_path(net, s, &path);
                 assert_eq!(path.last().copied().unwrap_or(s), t);
-                assert_eq!(
-                    path.len() as u32,
-                    dist[t as usize],
-                    "{}: route {s}→{t} has length {} but BFS distance {}",
-                    net.config.label(),
-                    path.len(),
-                    dist[t as usize]
+                assert_eq!(path.len() as u32, want, "{label}: route {s}→{t}");
+                // The 2-hop template is complete: a distance-2 pair never
+                // needs the backstop search.
+                assert!(
+                    want != 2 || router.fallbacks() == fallbacks,
+                    "{label}: {s}→{t} at distance 2 left the templates"
                 );
             }
         }
-        router.fallbacks()
+        (at_two, router.fallbacks())
     }
 
     #[test]
@@ -520,7 +567,8 @@ mod tests {
             },
         ] {
             let net = PolarStarNetwork::build(cfg, 1).unwrap();
-            let fallbacks = check_all_pairs_minimal(&net);
+            let (at_two, fallbacks) = check_pairs_minimal(&net, 1, 1);
+            assert!(at_two > 0, "{}: no distance-2 pair checked", cfg.label());
             assert_eq!(
                 fallbacks,
                 0,
@@ -547,40 +595,71 @@ mod tests {
             },
         ] {
             let net = PolarStarNetwork::build(cfg, 1).unwrap();
-            let _fallbacks = check_all_pairs_minimal(&net);
+            // Backstopped 3-hop routes are allowed here; the kernel must
+            // still equal BFS on them (checked pair by pair).
+            let (at_two, _fallbacks) = check_pairs_minimal(&net, 1, 1);
+            assert!(at_two > 0, "{}: no distance-2 pair checked", cfg.label());
         }
     }
 
     #[test]
     fn table3_scale_sampled_pairs() {
         // PS-IQ at Table 3 scale: sample sources, verify minimality.
-        let cfg = best_config(15).unwrap();
-        let net = PolarStarNetwork::build(cfg, 1).unwrap();
-        let router = AnalyticRouter::new(net.clone());
-        let n = net.spec.routers() as u32;
-        for s in (0..n).step_by(97) {
-            let dist = traversal::bfs_distances(net.graph(), s);
-            for t in (0..n).step_by(13) {
-                let path = router.route(s, t);
-                validate_path(&net, s, &path);
-                assert_eq!(path.len() as u32, dist[t as usize], "{s}→{t}");
-            }
-        }
-        assert_eq!(router.fallbacks(), 0);
+        let net = PolarStarNetwork::build(best_config(15).unwrap(), 1).unwrap();
+        let (at_two, fallbacks) = check_pairs_minimal(&net, 97, 13);
+        assert!(at_two > 0);
+        assert_eq!(fallbacks, 0);
+    }
+
+    #[test]
+    fn radix32_scale_sampled_pairs() {
+        // The 9 954-router PolarStar the flow benchmarks run on.
+        let net = PolarStarNetwork::build(best_config(32).unwrap(), 1).unwrap();
+        let (at_two, fallbacks) = check_pairs_minimal(&net, 1999, 17);
+        assert!(at_two > 0);
+        assert_eq!(fallbacks, 0);
     }
 
     #[test]
     fn paley_variant_at_scale() {
-        let cfg = best_config_with(12, false).unwrap();
-        let net = PolarStarNetwork::build(cfg, 1).unwrap();
+        let net = PolarStarNetwork::build(best_config_with(12, false).unwrap(), 1).unwrap();
+        let (at_two, _fallbacks) = check_pairs_minimal(&net, 41, 7);
+        assert!(at_two > 0);
+    }
+
+    #[test]
+    fn distance_probes_are_not_counted_as_routes() {
+        let net = PolarStarNetwork::build(best_config(9).unwrap(), 1).unwrap();
         let router = AnalyticRouter::new(net.clone());
         let n = net.spec.routers() as u32;
-        for s in (0..n).step_by(41) {
-            let dist = traversal::bfs_distances(net.graph(), s);
-            for t in (0..n).step_by(7) {
-                let path = router.route(s, t);
-                validate_path(&net, s, &path);
-                assert_eq!(path.len() as u32, dist[t as usize], "{s}→{t}");
+        for t in 0..n {
+            assert!(router.distance(0, t) <= 3);
+        }
+        assert_eq!(router.routes_computed(), 0);
+        router.route(0, n - 1);
+        assert_eq!(router.routes_computed(), 1);
+    }
+
+    #[test]
+    fn flat_middles_keep_the_merge_order() {
+        // Reference: the per-cell sorted merge the CSR replaced.
+        for q in [2, 3, 4, 5, 7] {
+            let er = ErGraph::new(q).unwrap();
+            let (g, n) = (&er.graph, er.graph.n() as u32);
+            let (off, mid) = flat_middles(&er);
+            for x in 0..n {
+                for y in 0..n {
+                    let mut want: Vec<u32> = Vec::new();
+                    if x != y {
+                        want.extend(g.neighbors(x).iter().filter(|&&w| g.has_edge(w, y)));
+                        if g.has_edge(x, y) {
+                            want.extend([x, y].into_iter().filter(|&e| er.quadric[e as usize]));
+                        }
+                    }
+                    let cell = (x * n + y) as usize;
+                    let got = &mid[off[cell] as usize..off[cell + 1] as usize];
+                    assert_eq!(got, want, "ER_{q} cell ({x}, {y})");
+                }
             }
         }
     }

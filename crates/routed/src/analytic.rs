@@ -4,39 +4,64 @@
 //! A [`RouteTable`](polarstar_netsim::RouteTable) answers queries from a
 //! per-destination arena that costs O(n²) bytes to hold and one BFS per
 //! destination to rebuild on every fault epoch. The analytic backend
-//! keeps only factor-graph state (the [`AnalyticRouter`]'s middle lists
-//! and bijection) plus the current [`FaultSet`], and reconstructs
-//! answers per query:
+//! keeps only factor-graph state (the [`AnalyticRouter`]'s flat middle
+//! lists and bijection) plus the current [`FaultSet`], and resolves each
+//! query once, in one of three [`Regime`]s:
 //!
-//! * **pristine** (no faults): distance is the length of the §9.2
-//!   template path; minimal next hops are the neighbors whose template
-//!   distance is one less. O(1) memory per query.
-//! * **faulted, minimal path survives**: a depth-≤3 walk over the
-//!   pristine minimal-path DAG checks that some template-length path
-//!   avoids the fault mask; if so the pristine distance still holds and
-//!   next hops are filtered by the mask. Still O(1) memory.
-//! * **faulted, minimal DAG severed**: the query escalates to one exact
-//!   BFS over the degraded product graph (O(n) transient, nothing
-//!   cached), reproducing the masked table's answer bit for bit.
+//! * **pristine** (no faults): the distance is one probe of the
+//!   router's allocation-free distance kernel; the minimal next hops of
+//!   a router `r` hops out are its neighbors the kernel puts `r − 1`
+//!   hops out. The ≤ 3 levels of that *pristine-minimal DAG* are walked
+//!   depth-first, in ascending port order, only as deep and as wide as
+//!   the query asks (first hop, all first hops, or `k` paths).
+//! * **faulted, minimal DAG intact**: the same single walk, with every
+//!   edge tested against the mask. A router keeps its pristine distance
+//!   iff an undirected-live edge leads to a neighbor that keeps its
+//!   own; each visited router learns that from one scan of its neighbor
+//!   list, which also emits its paths (rolled back should the scan end
+//!   without a live edge). Every degraded path of pristine-minimal
+//!   length lies on this DAG, so a walk that finds the source alive has
+//!   the exact degraded distance, ports and paths.
+//! * **faulted, minimal DAG severed (escalated)**: the walk proved the
+//!   degraded distance exceeds the pristine one. The query runs exactly
+//!   one BFS over the degraded product graph from the destination and
+//!   reads distance, ports and paths off that one distance column.
 //!
-//! Because the fault mask is the *only* per-epoch state, an epoch switch
-//! is an `Arc` clone plus a `FaultSet` swap — no BFS sweep, which is
-//! what collapses the ~196 ms `RouteTable::remask` epoch-install cost
-//! (BENCH_routed.json) to microseconds.
+//! What is kept per query: the ≤ 4 routers of the path being extended
+//! and one survivability flag per level of the recursion — fixed stack
+//! state. Nothing more is needed for a single pass: the only neighbor
+//! lists a query scans are the source's and, three hops out, those of
+//! its level-2 neighbors, each exactly once (a level-1 router costs one
+//! edge probe), and every scan yields survivability and paths
+//! together. The only heap allocations of the first two regimes are
+//! the answer's own vectors. The BFS of the third borrows a
+//! thread-local distance column and queue, overwritten by the next
+//! escalated query on that thread.
+//!
+//! Nothing is kept per epoch or per oracle — no template cache, no
+//! distance table. The fault mask is the *only* per-epoch state, so an
+//! epoch switch is an `Arc` clone plus a `FaultSet` swap, no BFS sweep:
+//! that is what collapses the ~196 ms `RouteTable::remask`
+//! epoch-install cost (BENCH_routed.json) to microseconds, and what
+//! keeps the backend's memory at the router's factor-graph state. A
+//! per-epoch table of answers would trade both away — it is the thing
+//! this backend exists to show is unnecessary.
 //!
 //! Equivalence contract (pinned by `tests/analytic_vs_table.rs`):
-//! distances and the full minimal next-hop sets equal a freshly masked
-//! `RouteTable`'s on every config and fault mask. [`PathOracle::path`]
-//! is overridden on the pristine path to return the template route in
-//! one shot (it is still minimal and deterministic, but may pick a
-//! different tie among equally minimal paths than the hop-by-hop
-//! first-next-hop walk that [`PathOracle::k_paths`] enumerates).
+//! distances, the full ascending minimal next-hop sets, first next hops
+//! and lexicographic `k_paths` equal a freshly masked `RouteTable`'s —
+//! and the trait-provided generic walks over this oracle — on every
+//! config and fault mask. [`PathOracle::path`] is overridden on the
+//! pristine path to return the template route in one shot (it is still
+//! minimal and deterministic, but may pick a different tie among
+//! equally minimal paths than the first-next-hop walk that
+//! [`PathOracle::k_paths`] enumerates).
 
 use polarstar::network::PolarStarNetwork;
 use polarstar::routing::AnalyticRouter;
 use polarstar_topo::fault::FaultSet;
 use polarstar_topo::oracle::{PathOracle, RouteError};
-use std::collections::VecDeque;
+use std::cell::RefCell;
 use std::sync::Arc;
 
 /// A table-free [`PathOracle`] over a PolarStar network: §9.2 analytic
@@ -50,13 +75,49 @@ pub struct AnalyticOracle {
     faults: FaultSet,
 }
 
+/// How the analytic backend resolved (or would resolve) one query.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Regime {
+    /// No faults in the mask: kernel probes only.
+    Pristine,
+    /// Faulted, but a pristine-minimal path survives: the pristine
+    /// distance holds and one masked DAG walk answers.
+    MinimalDagIntact,
+    /// Every pristine-minimal path is cut: one degraded-graph BFS found
+    /// a longer route.
+    Escalated,
+    /// No answer: an id out of range, a failed endpoint, or no
+    /// surviving path at all.
+    Unreachable,
+}
+
+/// One resolved query.
+pub(crate) struct Resolved {
+    pub distance: u32,
+    /// First minimal next hop (`dst` itself for the self-pair).
+    pub next_hop: u32,
+    pub regime: Regime,
+    /// Up to the `k` asked-for minimal paths, lexicographic.
+    pub paths: Vec<Vec<u32>>,
+}
+
+/// BFS buffers of the escalation path, reused by every query a thread
+/// answers. Scratch only: each BFS overwrites them.
+#[derive(Default)]
+struct BfsScratch {
+    dist: Vec<u32>,
+    queue: Vec<u32>,
+}
+
+thread_local! {
+    static BFS_SCRATCH: RefCell<BfsScratch> = RefCell::default();
+}
+
 impl AnalyticOracle {
     /// Build the oracle for a network, honoring the static fault mask
     /// its spec already carries.
     pub fn new(net: impl Into<Arc<PolarStarNetwork>>) -> Self {
-        let router = Arc::new(AnalyticRouter::new(net));
-        let faults = router.network().spec.faults().clone();
-        AnalyticOracle { router, faults }
+        Self::from_router(Arc::new(AnalyticRouter::new(net)))
     }
 
     /// Wrap an already-built router (shares its middle lists).
@@ -99,6 +160,13 @@ impl AnalyticOracle {
             + std::mem::size_of_val(self.faults.failed_routers())
     }
 
+    /// Which regime answers `(src, dst)` under the current mask. Pure:
+    /// touches no counter (the self-pair is trivially intact).
+    pub fn regime(&self, src: u32, dst: u32) -> Regime {
+        self.resolve(src, dst, 0, None)
+            .map_or(Regime::Unreachable, |r| r.regime)
+    }
+
     fn check(&self, r: u32) -> Result<(), RouteError> {
         let n = self.num_routers() as u32;
         if r >= n {
@@ -107,66 +175,225 @@ impl AnalyticOracle {
         Ok(())
     }
 
-    /// Whether the undirected edge `u – v` is out of the *distance*
-    /// relation (`RouteTable` BFS runs on the degraded graph, where an
-    /// edge dies when either direction or either endpoint fails).
-    #[inline]
-    fn edge_dead(&self, u: u32, v: u32) -> bool {
-        self.faults.link_failed(u, v) || self.faults.link_failed(v, u)
-    }
-
-    #[inline]
-    fn pristine_distance(&self, src: u32, dst: u32) -> u32 {
-        self.router.route(src, dst).len() as u32
-    }
-
-    /// Whether some pristine-minimal path of length `r` from `v` to
-    /// `dst` survives the fault mask. Depth-bounded (diameter ≤ 3) walk
-    /// over the minimal-path DAG; every path of pristine-minimal length
-    /// in the degraded graph lies on this DAG, so a `false` here proves
-    /// the degraded distance strictly exceeds the pristine one.
-    fn survives(&self, v: u32, dst: u32, r: u32) -> bool {
-        if r == 0 {
-            return true;
+    /// Resolve one query in a single pass: distance, first minimal next
+    /// hop, up to `k` lexicographic minimal paths, and — appended to
+    /// `hops` when given — every minimal next hop out of `src`. At most
+    /// one BFS, and only when the mask severed the pristine-minimal DAG.
+    pub(crate) fn resolve(
+        &self,
+        src: u32,
+        dst: u32,
+        k: usize,
+        hops: Option<&mut Vec<u32>>,
+    ) -> Result<Resolved, RouteError> {
+        self.check(src)?;
+        self.check(dst)?;
+        let intact = if self.faults.is_empty() {
+            Regime::Pristine
+        } else {
+            Regime::MinimalDagIntact
+        };
+        if src == dst {
+            return Ok(Resolved {
+                distance: 0,
+                next_hop: dst,
+                regime: intact,
+                paths: if k > 0 { vec![vec![src]] } else { Vec::new() },
+            });
         }
-        for &nb in self.network().graph().neighbors(v) {
-            if self.edge_dead(v, nb) {
-                continue;
-            }
-            if self.pristine_distance(nb, dst) == r - 1 && self.survives(nb, dst, r - 1) {
-                return true;
-            }
+        let unreachable = RouteError::Unreachable { src, dst };
+        if self.faults.router_failed(src) || self.faults.router_failed(dst) {
+            return Err(unreachable);
         }
-        false
+
+        let distance = self.router.distance(src, dst);
+        let mut walk = DagWalk {
+            oracle: self,
+            dst,
+            prefix: [src; 4],
+            first_hop: None,
+            hops,
+            k,
+            paths: Vec::new(),
+        };
+        if let (true, Some(next_hop)) = (walk.descend(0, distance, k > 0), walk.first_hop) {
+            return Ok(Resolved {
+                distance,
+                next_hop,
+                regime: intact,
+                paths: walk.paths,
+            });
+        }
+
+        // Severed (the walk took back whatever hung off dead edges).
+        let hops = walk.hops;
+        BFS_SCRATCH.with_borrow_mut(|scratch| {
+            self.degraded_distances_into(dst, &mut scratch.dist, &mut scratch.queue);
+            let degraded = DegradedColumn {
+                oracle: self,
+                dst,
+                dist: &scratch.dist,
+            };
+            let distance = degraded.distance(src, dst)?;
+            // A finite degraded distance comes with a live edge toward
+            // dst, and a live edge is a usable port.
+            let mut ports = degraded.ports(src);
+            let next_hop = ports.next().ok_or(unreachable)?;
+            if let Some(out) = hops {
+                out.push(next_hop);
+                out.extend(ports);
+            }
+            Ok(Resolved {
+                distance,
+                next_hop,
+                regime: Regime::Escalated,
+                paths: degraded.k_paths(src, dst, k)?,
+            })
+        })
     }
 
-    /// Exact degraded-graph BFS distances from `dst` — the escalation
-    /// path for queries whose minimal DAG the mask severed. O(n)
-    /// transient, nothing cached.
-    fn degraded_distances_from(&self, dst: u32) -> Vec<u32> {
+    /// Exact BFS distances to `dst` over the degraded product graph,
+    /// into caller buffers (resized and reset here) — the escalation
+    /// path of queries whose minimal DAG the mask severed, and the
+    /// faulted [`PathOracle::distance_column`].
+    fn degraded_distances_into(&self, dst: u32, dist: &mut Vec<u32>, queue: &mut Vec<u32>) {
         let g = self.network().graph();
-        let mut dist = vec![u32::MAX; g.n()];
-        self.degraded_distances_into(dst, &mut dist);
-        dist
-    }
-
-    /// [`AnalyticOracle::degraded_distances_from`] into a caller buffer
-    /// (already sized `n` and filled with `u32::MAX`).
-    fn degraded_distances_into(&self, dst: u32, dist: &mut [u32]) {
-        let g = self.network().graph();
+        dist.clear();
+        dist.resize(g.n(), u32::MAX);
+        queue.clear();
         dist[dst as usize] = 0;
-        let mut queue = VecDeque::new();
-        queue.push_back(dst);
-        while let Some(v) = queue.pop_front() {
+        queue.push(dst);
+        let mut head = 0;
+        while let Some(&v) = queue.get(head) {
+            head += 1;
             let dv = dist[v as usize];
             for &nb in g.neighbors(v) {
-                if dist[nb as usize] != u32::MAX || self.edge_dead(v, nb) {
+                if dist[nb as usize] != u32::MAX || self.faults.edge_failed(v, nb) {
                     continue;
                 }
                 dist[nb as usize] = dv + 1;
-                queue.push_back(nb);
+                queue.push(nb);
             }
         }
+    }
+}
+
+/// One query's depth-first walk over the pristine-minimal DAG toward
+/// `dst`, masked by the oracle's faults.
+struct DagWalk<'a> {
+    oracle: &'a AnalyticOracle,
+    dst: u32,
+    /// Routers of the path being extended, `[src, …]`; a
+    /// pristine-minimal path holds at most 4.
+    prefix: [u32; 4],
+    /// First live minimal port out of `src`.
+    first_hop: Option<u32>,
+    /// Collects every live minimal port out of `src`, when asked for.
+    hops: Option<&'a mut Vec<u32>>,
+    /// Paths asked for, and the ones found so far.
+    k: usize,
+    paths: Vec<Vec<u32>>,
+}
+
+impl DagWalk<'_> {
+    /// Scan `v = prefix[depth]`, `r` pristine hops from `dst`, once.
+    /// Returns whether `v` keeps distance `r` under the mask, i.e. an
+    /// undirected-live edge leads to a neighbor that keeps `r − 1`.
+    /// With `emit`, live minimal paths through `v` are appended (up to
+    /// `k` in all); they and the ports reported for `src` are taken
+    /// back if `v` turns out cut off, since a directed-usable port
+    /// alone does not hold the distance.
+    fn descend(&mut self, depth: usize, r: u32, emit: bool) -> bool {
+        if r == 0 {
+            if emit {
+                self.paths.push(self.prefix[..=depth].to_vec());
+            }
+            return true;
+        }
+        let oracle = self.oracle;
+        let v = self.prefix[depth];
+        // One hop out, the only continuation is dst itself.
+        let last = [self.dst];
+        let candidates = if r == 1 {
+            &last[..]
+        } else {
+            oracle.network().graph().neighbors(v)
+        };
+        let mark = (self.paths.len(), self.hops.as_ref().map_or(0, |h| h.len()));
+        let mut alive = false;
+        for &nb in candidates {
+            let wanted = (emit && self.paths.len() < self.k) || (depth == 0 && self.hops.is_some());
+            if alive && !wanted {
+                break;
+            }
+            if r > 1 && oracle.router.distance(nb, self.dst) + 1 != r {
+                continue;
+            }
+            let edge_alive = !oracle.faults.edge_failed(v, nb);
+            // The table's directed port rule.
+            let usable = edge_alive || !oracle.faults.link_failed(v, nb);
+            self.prefix[depth + 1] = nb;
+            let emit_below = emit && usable && self.paths.len() < self.k;
+            if !self.descend(depth + 1, r - 1, emit_below) {
+                continue;
+            }
+            alive |= edge_alive;
+            if usable && depth == 0 {
+                self.first_hop.get_or_insert(nb);
+                if let Some(out) = self.hops.as_deref_mut() {
+                    out.push(nb);
+                }
+            }
+        }
+        if !alive {
+            self.paths.truncate(mark.0);
+            if let Some(out) = self.hops.as_deref_mut() {
+                out.truncate(mark.1);
+            }
+        }
+        alive
+    }
+}
+
+/// One destination's degraded distance column, served as a
+/// [`PathOracle`] so the escalated regime reads its `k_paths` off the
+/// trait's generic walk. Answers queries toward `dst` only.
+struct DegradedColumn<'a> {
+    oracle: &'a AnalyticOracle,
+    dst: u32,
+    dist: &'a [u32],
+}
+
+impl DegradedColumn<'_> {
+    /// Live minimal ports of `v` toward `dst`, ascending: the masked
+    /// table's rule read off the column.
+    fn ports(&self, v: u32) -> impl Iterator<Item = u32> + '_ {
+        let dv = self.dist[v as usize];
+        let nbrs = self.oracle.network().graph().neighbors(v);
+        nbrs.iter().copied().filter(move |&nb| {
+            let dn = self.dist[nb as usize];
+            dn != u32::MAX && dn + 1 == dv && !self.oracle.faults.link_failed(v, nb)
+        })
+    }
+}
+
+impl PathOracle for DegradedColumn<'_> {
+    fn num_routers(&self) -> usize {
+        self.dist.len()
+    }
+
+    fn distance(&self, src: u32, dst: u32) -> Result<u32, RouteError> {
+        debug_assert_eq!(dst, self.dst, "column of another destination");
+        match self.dist[src as usize] {
+            u32::MAX => Err(RouteError::Unreachable { src, dst }),
+            d => Ok(d),
+        }
+    }
+
+    fn min_next_hops(&self, src: u32, dst: u32, out: &mut Vec<u32>) -> Result<(), RouteError> {
+        self.distance(src, dst)?;
+        out.extend(self.ports(src));
+        Ok(())
     }
 }
 
@@ -176,75 +403,28 @@ impl PathOracle for AnalyticOracle {
     }
 
     fn distance(&self, src: u32, dst: u32) -> Result<u32, RouteError> {
-        self.check(src)?;
-        self.check(dst)?;
-        if src == dst {
-            return Ok(0);
-        }
-        let unreachable = RouteError::Unreachable { src, dst };
-        if self.faults.is_empty() {
-            return Ok(self.pristine_distance(src, dst));
-        }
-        if self.faults.router_failed(src) || self.faults.router_failed(dst) {
-            return Err(unreachable);
-        }
-        let d = self.pristine_distance(src, dst);
-        if self.survives(src, dst, d) {
-            return Ok(d);
-        }
-        match self.degraded_distances_from(dst)[src as usize] {
-            u32::MAX => Err(unreachable),
-            dd => Ok(dd),
-        }
+        Ok(self.resolve(src, dst, 0, None)?.distance)
     }
 
+    /// Pristine neighbor order is ascending router id — the same port
+    /// order `RouteTable` stores, so the sets match verbatim.
     fn min_next_hops(&self, src: u32, dst: u32, out: &mut Vec<u32>) -> Result<(), RouteError> {
-        let d = self.distance(src, dst)?;
-        if d == 0 {
-            return Ok(());
-        }
-        // Pristine neighbor order is ascending router id — the same
-        // port order `RouteTable` stores, so the sets match verbatim.
-        let nbrs = self.network().graph().neighbors(src);
-        if self.faults.is_empty() {
-            for &nb in nbrs {
-                if self.pristine_distance(nb, dst) + 1 == d {
-                    out.push(nb);
-                }
-            }
-            return Ok(());
-        }
-        if self.pristine_distance(src, dst) == d {
-            // The minimal DAG survives: a neighbor is a port iff its
-            // *directed* link is alive (the table's port rule) and a
-            // surviving minimal continuation exists.
-            for &nb in nbrs {
-                if !self.faults.link_failed(src, nb)
-                    && self.pristine_distance(nb, dst) + 1 == d
-                    && self.survives(nb, dst, d - 1)
-                {
-                    out.push(nb);
-                }
-            }
-        } else {
-            let dist = self.degraded_distances_from(dst);
-            for &nb in nbrs {
-                if !self.faults.link_failed(src, nb)
-                    && dist[nb as usize] != u32::MAX
-                    && dist[nb as usize] + 1 == dist[src as usize]
-                {
-                    out.push(nb);
-                }
-            }
-        }
-        Ok(())
+        self.resolve(src, dst, 0, Some(out)).map(|_| ())
+    }
+
+    fn next_hop(&self, src: u32, dst: u32) -> Result<u32, RouteError> {
+        Ok(self.resolve(src, dst, 0, None)?.next_hop)
+    }
+
+    fn k_paths(&self, src: u32, dst: u32, k: usize) -> Result<Vec<Vec<u32>>, RouteError> {
+        Ok(self.resolve(src, dst, k, None)?.paths)
     }
 
     /// Bulk per-destination distances for the class-batched flow build.
     ///
     /// Pristine columns exploit the diameter-≤3 guarantee (§4; the
-    /// routing tests pin template route lengths to BFS distances on
-    /// every config): a BFS that expands only depths 0 and 1 labels the
+    /// routing tests pin the distance kernel to BFS distances on every
+    /// config): a BFS that expands only depths 0 and 1 labels the
     /// whole column, because any router it never reaches sits at
     /// distance exactly 3. That is ~deg² work per destination instead
     /// of O(E), which is what turns per-flow template queries into
@@ -255,18 +435,20 @@ impl PathOracle for AnalyticOracle {
     fn distance_column(&self, dst: u32, out: &mut Vec<u32>) -> bool {
         let g = self.network().graph();
         let n = g.n();
-        out.clear();
         if dst as usize >= n {
             // Per-query answers are OutOfRange errors; the column
             // equivalent is an all-unreachable destination.
+            out.clear();
             out.resize(n, u32::MAX);
             return true;
         }
         if !self.faults.is_empty() {
-            out.resize(n, u32::MAX);
-            self.degraded_distances_into(dst, out);
+            BFS_SCRATCH.with_borrow_mut(|scratch| {
+                self.degraded_distances_into(dst, out, &mut scratch.queue)
+            });
             return true;
         }
+        out.clear();
         out.resize(n, 3);
         out[dst as usize] = 0;
         for &nb in g.neighbors(dst) {
@@ -305,8 +487,9 @@ impl PathOracle for AnalyticOracle {
     /// Pristine queries answer with the §9.2 template path directly —
     /// one template search instead of a min-next-hop scan per hop,
     /// which is what lets the flow simulator route a million flows
-    /// without a table. Faulted queries fall back to the standard
-    /// first-next-hop walk so the masked-table semantics hold exactly.
+    /// without a table. Faulted queries return the first lexicographic
+    /// minimal path (the first-next-hop walk), so the masked-table
+    /// semantics hold exactly.
     fn path(&self, src: u32, dst: u32) -> Result<Vec<u32>, RouteError> {
         if self.faults.is_empty() {
             self.check(src)?;
@@ -315,16 +498,8 @@ impl PathOracle for AnalyticOracle {
             path.extend(self.router.route(src, dst));
             return Ok(path);
         }
-        let mut path = vec![src];
-        let mut cur = src;
-        let mut hops = Vec::with_capacity(4);
-        while cur != dst {
-            hops.clear();
-            self.min_next_hops(cur, dst, &mut hops)?;
-            cur = *hops.first().ok_or(RouteError::Unreachable { src, dst })?;
-            path.push(cur);
-        }
-        Ok(path)
+        let first = self.resolve(src, dst, 1, None)?.paths.into_iter().next();
+        first.ok_or(RouteError::Unreachable { src, dst })
     }
 }
 
@@ -377,6 +552,39 @@ mod tests {
         assert_eq!(dead.distance(2, 2), Ok(0));
         assert!(dead.distance(2, 0).is_err());
         assert!(dead.distance(0, 2).is_err());
+    }
+
+    #[test]
+    fn regimes_name_the_answering_path_and_count_no_routes() {
+        let o = AnalyticOracle::new(small_net());
+        let nb = o.network().graph().neighbors(0)[0];
+        assert_eq!(o.regime(0, nb), Regime::Pristine);
+        assert_eq!(o.regime(0, 0), Regime::Pristine);
+        let n = o.num_routers() as u32;
+        assert_eq!(o.regime(0, n), Regime::Unreachable);
+
+        // Cutting the edge severs the one-hop DAG of its endpoints only.
+        let cut = o.remask(&FaultSet::from_links([(0, nb)]));
+        assert_eq!(cut.regime(0, nb), Regime::Escalated);
+        assert_eq!(cut.regime(nb, 0), Regime::Escalated);
+        assert_eq!(cut.regime(0, 0), Regime::MinimalDagIntact);
+        let other = o.network().graph().neighbors(0)[1];
+        assert_eq!(cut.regime(0, other), Regime::MinimalDagIntact);
+        assert_eq!(cut.distance(0, other), Ok(1));
+
+        let dead = o.remask(&FaultSet::from_routers([nb]));
+        assert_eq!(dead.regime(0, nb), Regime::Unreachable);
+
+        // Serving answers never materializes a template route.
+        for dst in 0..n {
+            cut.distance(0, dst).unwrap();
+            cut.next_hop(0, dst).unwrap();
+            cut.k_paths(0, dst, 4).unwrap();
+            o.k_paths(0, dst, 4).unwrap();
+        }
+        assert_eq!(o.router().routes_computed(), 0);
+        o.path(0, nb).unwrap();
+        assert_eq!(o.router().routes_computed(), 1);
     }
 
     #[test]

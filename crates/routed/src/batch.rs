@@ -117,16 +117,13 @@ impl Oracle {
             path: Vec::new(),
             alternatives: Vec::new(),
         };
-        match PathOracle::distance(self, q.src, q.dst) {
+        match self.resolve(q.src, q.dst, q.k as usize) {
             Err(e) => ans.error = Some(e),
-            Ok(d) => {
-                ans.distance = Some(d);
-                // Infallible now: the pair is in range and reachable.
-                ans.next_hop = self.next_hop(q.src, q.dst).ok();
-                if q.k > 0 {
-                    ans.alternatives = self.k_paths(q.src, q.dst, q.k as usize).unwrap_or_default();
-                    ans.path = ans.alternatives.first().cloned().unwrap_or_default();
-                }
+            Ok((distance, next_hop, paths)) => {
+                ans.distance = Some(distance);
+                ans.next_hop = Some(next_hop);
+                ans.path = paths.first().cloned().unwrap_or_default();
+                ans.alternatives = paths;
             }
         }
         ans

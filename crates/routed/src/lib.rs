@@ -33,7 +33,7 @@ pub mod batch;
 pub mod oracle;
 pub mod swap;
 
-pub use analytic::AnalyticOracle;
+pub use analytic::{AnalyticOracle, Regime};
 pub use batch::{Query, QueryBatch, RouteAnswer};
 pub use oracle::{ClassProfile, Oracle, PairCensus, SymmetryClasses};
 // Negotiated routing rides on the serving layer: `Oracle::negotiate`

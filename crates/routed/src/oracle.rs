@@ -261,6 +261,29 @@ impl Oracle {
         }
     }
 
+    /// Distance, first minimal next hop and up to `k` minimal paths of
+    /// one pair — what [`Oracle::answer`] reports. The analytic backend
+    /// resolves all three in one walk; on the table they are three
+    /// arena reads.
+    pub(crate) fn resolve(
+        &self,
+        src: u32,
+        dst: u32,
+        k: usize,
+    ) -> Result<(u32, u32, Vec<Vec<u32>>), RouteError> {
+        match &self.backend {
+            Backend::Table(t) => Ok((
+                PathOracle::distance(&**t, src, dst)?,
+                t.next_hop(src, dst)?,
+                t.k_paths(src, dst, k)?,
+            )),
+            Backend::Analytic(a) => {
+                let r = a.resolve(src, dst, k, None)?;
+                Ok((r.distance, r.next_hop, r.paths))
+            }
+        }
+    }
+
     /// The supernode symmetry classes.
     pub fn classes(&self) -> &SymmetryClasses {
         &self.classes
@@ -338,10 +361,24 @@ impl PathOracle for Oracle {
         }
     }
 
+    fn next_hop(&self, src: u32, dst: u32) -> Result<u32, RouteError> {
+        match &self.backend {
+            Backend::Table(t) => t.next_hop(src, dst),
+            Backend::Analytic(a) => a.next_hop(src, dst),
+        }
+    }
+
     fn path(&self, src: u32, dst: u32) -> Result<Vec<u32>, RouteError> {
         match &self.backend {
             Backend::Table(t) => t.path(src, dst),
             Backend::Analytic(a) => a.path(src, dst),
+        }
+    }
+
+    fn k_paths(&self, src: u32, dst: u32, k: usize) -> Result<Vec<Vec<u32>>, RouteError> {
+        match &self.backend {
+            Backend::Table(t) => t.k_paths(src, dst, k),
+            Backend::Analytic(a) => a.k_paths(src, dst, k),
         }
     }
 

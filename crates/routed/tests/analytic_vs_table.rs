@@ -1,15 +1,18 @@
 //! Equivalence pins for the table-free backend: [`AnalyticOracle`] must
 //! answer exactly like the CSR `RouteTable` backend — equal distances
-//! (or equally unreachable) and the same full ascending minimal
-//! next-hop sets — on the degenerate ER(5) PolarStar, the Table 3 PS-IQ
-//! config, and proptest-drawn fault masks. The batched query paths stay
-//! byte-identical between the sequential and rayon-sharded routes with
-//! the analytic backend, at any `RAYON_NUM_THREADS` (CI runs this file
-//! at 1 and 4).
+//! (or equally unreachable), the same full ascending minimal next-hop
+//! sets, the same first next hop and the same lexicographic `k_paths` —
+//! and exactly like the trait-provided generic walks over its own
+//! `distance` / `min_next_hops`, on the degenerate ER(5) PolarStar, the
+//! Table 3 PS-IQ config, and proptest-drawn link, directed-link and
+//! router fault masks on an Inductive-Quad and a Paley PolarStar. The
+//! batched query paths stay byte-identical between the sequential and
+//! rayon-sharded routes with the analytic backend, at any
+//! `RAYON_NUM_THREADS` (CI runs this file at 1 and 4).
 
 use polarstar::design::{best_config, PolarStarConfig, SupernodeKind};
 use polarstar::network::PolarStarNetwork;
-use polarstar_routed::{AnalyticOracle, Oracle, QueryBatch};
+use polarstar_routed::{AnalyticOracle, Oracle, QueryBatch, Regime};
 use polarstar_topo::fault::FaultSet;
 use polarstar_topo::oracle::{PathOracle, RouteError};
 use proptest::prelude::*;
@@ -24,28 +27,81 @@ fn small_config() -> PolarStarConfig {
     }
 }
 
+/// Paths per pair compared by [`check_pairs`].
+const K: usize = 4;
+
+/// The analytic oracle seen through [`PathOracle`]'s two required
+/// methods only, so `next_hop` and `k_paths` come from the trait's
+/// generic walks instead of the backend's single-pass resolver.
+struct GenericWalk<'a>(&'a AnalyticOracle);
+
+impl PathOracle for GenericWalk<'_> {
+    fn num_routers(&self) -> usize {
+        self.0.num_routers()
+    }
+    fn distance(&self, src: u32, dst: u32) -> Result<u32, RouteError> {
+        self.0.distance(src, dst)
+    }
+    fn min_next_hops(&self, src: u32, dst: u32, out: &mut Vec<u32>) -> Result<(), RouteError> {
+        self.0.min_next_hops(src, dst, out)
+    }
+}
+
+/// How many checked pairs each [`Regime`] answered.
+#[derive(Debug, Default)]
+struct RegimeCounts {
+    pristine: usize,
+    intact: usize,
+    escalated: usize,
+    unreachable: usize,
+}
+
+impl RegimeCounts {
+    fn reachable(&self) -> usize {
+        self.pristine + self.intact + self.escalated
+    }
+}
+
 /// Assert analytic and table answers match on the given pairs: equal
-/// distances (or both unreachable) and identical ascending next-hop
-/// sets. Returns how many pairs were reachable, so callers can assert
-/// the comparison wasn't vacuous.
+/// distances (or both unreachable), identical ascending next-hop sets,
+/// first next hops and `K` lexicographic paths — against the table and
+/// against the generic walk. Returns the regime census, so callers can
+/// assert the comparison wasn't vacuous.
 fn check_pairs(
     analytic: &AnalyticOracle,
     table: &Oracle,
     pairs: impl Iterator<Item = (u32, u32)>,
-) -> usize {
-    let mut reachable = 0;
+) -> RegimeCounts {
+    let mut counts = RegimeCounts::default();
+    let generic = GenericWalk(analytic);
     let (mut ah, mut th) = (Vec::new(), Vec::new());
     for (src, dst) in pairs {
         let want = PathOracle::distance(table, src, dst);
         let got = analytic.distance(src, dst);
+        let regime = analytic.regime(src, dst);
         match (&got, &want) {
             (Ok(a), Ok(b)) => assert_eq!(a, b, "distance {src}->{dst}"),
-            (Err(RouteError::Unreachable { .. }), Err(RouteError::Unreachable { .. })) => continue,
+            (Err(RouteError::Unreachable { .. }), Err(RouteError::Unreachable { .. })) => {
+                assert_eq!(got, want, "error {src}->{dst}");
+                assert_eq!(regime, Regime::Unreachable, "regime {src}->{dst}");
+                assert_eq!(analytic.next_hop(src, dst), want, "next hop {src}->{dst}");
+                assert_eq!(analytic.k_paths(src, dst, K), Err(want.unwrap_err()));
+                counts.unreachable += 1;
+                continue;
+            }
             _ => panic!("distance {src}->{dst}: analytic {got:?} vs table {want:?}"),
         }
-        reachable += 1;
-        if src == dst {
-            continue;
+        match regime {
+            Regime::Pristine => counts.pristine += 1,
+            Regime::MinimalDagIntact => counts.intact += 1,
+            Regime::Escalated => counts.escalated += 1,
+            Regime::Unreachable => panic!("regime of the reachable pair {src}->{dst}"),
+        }
+        // An escalated pair is exactly one the mask pushed off its
+        // pristine distance.
+        if src != dst {
+            let pristine = analytic.router().distance(src, dst);
+            assert_eq!(regime == Regime::Escalated, got.unwrap() > pristine);
         }
         ah.clear();
         th.clear();
@@ -53,6 +109,12 @@ fn check_pairs(
         table.min_next_hops(src, dst, &mut th).unwrap();
         assert_eq!(ah, th, "next hops {src}->{dst}");
         assert!(ah.windows(2).all(|w| w[0] < w[1]), "ascending {src}->{dst}");
+        let hop = analytic.next_hop(src, dst);
+        assert_eq!(hop, table.next_hop(src, dst), "next hop {src}->{dst}");
+        assert_eq!(hop, generic.next_hop(src, dst), "generic next hop");
+        let paths = analytic.k_paths(src, dst, K);
+        assert_eq!(paths, table.k_paths(src, dst, K), "k paths {src}->{dst}");
+        assert_eq!(paths, generic.k_paths(src, dst, K), "generic k paths");
         // The analytic path must be minimal and walk real edges; its
         // tie-break may differ from the table's, so no byte compare.
         let p = analytic.path(src, dst).unwrap();
@@ -68,7 +130,7 @@ fn check_pairs(
             );
         }
     }
-    reachable
+    counts
 }
 
 /// Deterministic pseudo-random pair sample (Weyl sequence over n²).
@@ -94,7 +156,10 @@ fn er5_degenerate_polarstar_matches_table_exhaustively() {
     let n = analytic.num_routers() as u32;
     assert_eq!(n, 31);
     let all = (0..n).flat_map(|s| (0..n).map(move |d| (s, d)));
-    assert_eq!(check_pairs(&analytic, &table, all), (n * n) as usize);
+    assert_eq!(
+        check_pairs(&analytic, &table, all).pristine,
+        (n * n) as usize
+    );
     assert_eq!(analytic.router().fallbacks(), 0, "pristine backstop");
 }
 
@@ -106,8 +171,37 @@ fn ps_iq_matches_table_on_sampled_pairs() {
     let n = analytic.num_routers() as u32;
     assert_eq!(n, 1064);
     let checked = check_pairs(&analytic, &table, sampled_pairs(n, 1500));
-    assert_eq!(checked, 1500, "pristine PS-IQ has no unreachable pairs");
+    assert_eq!(
+        checked.pristine, 1500,
+        "pristine PS-IQ has no unreachable pairs"
+    );
     assert_eq!(analytic.router().fallbacks(), 0, "pristine backstop");
+}
+
+/// q=5 Paley PolarStar (f is not an involution): 279 routers.
+fn paley_config() -> PolarStarConfig {
+    PolarStarConfig {
+        q: 5,
+        supernode: SupernodeKind::Paley { degree: 4 },
+    }
+}
+
+/// One seeded fault mask of the given kind over `net`: 0 = cut cables
+/// (both directions), 1 = one direction of each drawn cable, 2 = whole
+/// routers (a quarter of the fraction, at least one).
+fn fault_mask(net: &PolarStarNetwork, kind: u32, fraction: f64, seed: u64) -> FaultSet {
+    let g = &net.spec.graph;
+    match kind {
+        0 => FaultSet::random_links(g, fraction, seed),
+        1 => {
+            let cables = FaultSet::random_links(g, fraction, seed);
+            let one_way = cables.failed_links().iter().copied();
+            FaultSet::from_directed_links(
+                one_way.filter(|&(u, v)| (u < v) == ((u ^ v ^ seed as u32) & 1 == 0)),
+            )
+        }
+        _ => FaultSet::random_routers(g, (fraction / 4.0).max(1.0 / g.n() as f64), seed),
+    }
 }
 
 proptest! {
@@ -118,14 +212,33 @@ proptest! {
         seed in 0u64..1_000_000,
         frac_pct in 2u32..25,
     ) {
-        let net = PolarStarNetwork::build(small_config(), 1).unwrap();
-        let faults = FaultSet::random_links(&net.spec.graph, f64::from(frac_pct) / 100.0, seed);
-        let table = Oracle::new(Arc::new(net.spec.clone())).remask(&faults, 1);
-        let analytic = AnalyticOracle::new(net).remask(&faults);
-        let n = analytic.num_routers() as u32;
-        let all = (0..n).flat_map(|s| (0..n).map(move |d| (s, d)));
-        let reachable = check_pairs(&analytic, &table, all);
-        prop_assert!(reachable > 0);
+        for config in [small_config(), paley_config()] {
+            let net = PolarStarNetwork::build(config, 1).unwrap();
+            let n = net.spec.routers() as u32;
+            let base_table = Oracle::new(Arc::new(net.spec.clone()));
+            let base_analytic = AnalyticOracle::new(net.clone());
+            for kind in 0..3 {
+                let faults = fault_mask(&net, kind, f64::from(frac_pct) / 100.0, seed);
+                prop_assert!(!faults.is_empty());
+                let table = base_table.remask(&faults, 1);
+                let analytic = base_analytic.remask(&faults);
+                // Every pair under cut cables on the 104-router config
+                // (the original gate); a seeded sample elsewhere.
+                let stride = match (n > 200, kind) {
+                    (false, 0) => 1,
+                    (false, _) => 4,
+                    (true, _) => 48,
+                };
+                let all = (0..n).flat_map(|s| (0..n).map(move |d| (s, d)));
+                let pairs = all.skip((seed % stride) as usize).step_by(stride as usize);
+                let counts = check_pairs(&analytic, &table, pairs);
+                let case = format!("{} kind {kind}: {counts:?}", config.label());
+                prop_assert!(counts.reachable() > 0, "{}", case);
+                prop_assert!(counts.pristine == 0, "{}", case);
+                prop_assert!(counts.intact > 0, "{}", case);
+                prop_assert!(counts.escalated > 0, "{}", case);
+            }
+        }
     }
 }
 

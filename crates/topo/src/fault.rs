@@ -113,6 +113,21 @@ impl FaultSet {
         self.links.binary_search(&(u, v)).is_ok() || self.router_failed(u) || self.router_failed(v)
     }
 
+    /// Whether the undirected edge `u – v` is out of the *distance*
+    /// relation: either direction failed, or either endpoint router.
+    /// This is the rule [`FaultSet::degraded_graph`] drops edges by, as
+    /// one probe (two link searches, two router searches).
+    #[inline]
+    pub fn edge_failed(&self, u: u32, v: u32) -> bool {
+        if self.is_empty() {
+            return false;
+        }
+        self.links.binary_search(&(u, v)).is_ok()
+            || self.links.binary_search(&(v, u)).is_ok()
+            || self.router_failed(u)
+            || self.router_failed(v)
+    }
+
     /// Whether router `r` is failed.
     #[inline]
     pub fn router_failed(&self, r: u32) -> bool {
@@ -137,9 +152,7 @@ impl FaultSet {
         if self.is_empty() {
             return 0;
         }
-        g.edges()
-            .filter(|&(u, v)| self.link_failed(u, v) || self.link_failed(v, u))
-            .count()
+        g.edges().filter(|&(u, v)| self.edge_failed(u, v)).count()
     }
 
     /// The degraded router graph: `g` minus every edge with a failed
@@ -150,10 +163,7 @@ impl FaultSet {
         if self.is_empty() {
             return g.clone();
         }
-        let dead: Vec<(u32, u32)> = g
-            .edges()
-            .filter(|&(u, v)| self.link_failed(u, v) || self.link_failed(v, u))
-            .collect();
+        let dead: Vec<(u32, u32)> = g.edges().filter(|&(u, v)| self.edge_failed(u, v)).collect();
         g.without_edges(&dead)
     }
 
@@ -364,6 +374,7 @@ mod tests {
         let f = FaultSet::empty();
         assert!(f.is_empty());
         assert!(!f.link_failed(0, 1));
+        assert!(!f.edge_failed(0, 1));
         assert!(!f.router_failed(3));
         let g = Graph::complete(4);
         assert_eq!(f.degraded_graph(&g).m(), g.m());
@@ -384,6 +395,8 @@ mod tests {
         let f = FaultSet::from_directed_links([(2, 5)]);
         assert!(f.link_failed(2, 5));
         assert!(!f.link_failed(5, 2));
+        assert!(f.edge_failed(2, 5) && f.edge_failed(5, 2));
+        assert!(!f.edge_failed(2, 4));
         // The degraded graph still drops the whole edge.
         let g = Graph::complete(6);
         assert_eq!(f.degraded_graph(&g).m(), g.m() - 1);
@@ -398,6 +411,8 @@ mod tests {
         assert!(f.link_failed(2, 4));
         assert!(f.link_failed(0, 2));
         assert!(!f.link_failed(0, 1));
+        assert!(f.edge_failed(2, 4) && f.edge_failed(4, 2));
+        assert!(!f.edge_failed(0, 1));
         let d = f.degraded_graph(&g);
         assert_eq!(d.degree(2), 0);
         assert_eq!(d.m(), g.m() - 4);
