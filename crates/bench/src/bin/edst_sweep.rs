@@ -27,7 +27,10 @@
 //! `{group,bench,value,unit}` lines for CI tracking.
 
 use bench::manifest::file_stem;
-use bench::{metrics_dir, only_filter, quick_mode, sequential_mode, table3_network, RunManifest};
+use bench::{
+    metrics_dir, quick_mode, selected_keys, sequential_mode, table3_network, write_bench_json,
+    RunManifest,
+};
 use polarstar::design::best_config;
 use polarstar::network::PolarStarNetwork;
 use polarstar_motifs::collectives::{allreduce, AllreduceAlgo};
@@ -38,7 +41,6 @@ use polarstar_motifs::netmodel::{MotifConfig, NetModel, RoutingMode};
 use polarstar_topo::network::NetworkSpec;
 use polarstar_topo::FaultSet;
 use rayon::prelude::*;
-use std::io::Write as _;
 
 /// The star-product configs the acceptance criteria target, plus the
 /// small config that can afford a ring baseline.
@@ -196,23 +198,10 @@ fn sweep_one(key: &str, quick: bool, bytes: u64) -> Result<Sweep, String> {
     Ok((rows, spec, t, effective))
 }
 
-fn bench_json_path() -> Option<std::path::PathBuf> {
-    let args: Vec<String> = std::env::args().collect();
-    args.windows(2)
-        .find(|w| w[0] == "--bench-json")
-        .map(|w| std::path::PathBuf::from(&w[1]))
-}
-
 fn main() {
     let quick = quick_mode();
     let bytes: u64 = if quick { 1 << 20 } else { 8 << 20 };
-    let keys: Vec<&str> = match only_filter() {
-        Some(only) => DEFAULT_KEYS
-            .into_iter()
-            .filter(|k| only.iter().any(|o| k.contains(o.as_str())))
-            .collect(),
-        None => DEFAULT_KEYS.to_vec(),
-    };
+    let keys = selected_keys(&DEFAULT_KEYS, &DEFAULT_KEYS);
     println!("topology,routers,trees,motif,bytes_mb,lost,completion_us,slowdown,ideal_slowdown");
     let run = |&key: &&str| sweep_one(key, quick, bytes);
     let results: Vec<Result<Sweep, String>> = if sequential_mode() {
@@ -282,17 +271,9 @@ fn main() {
             }
         }
     }
-    if let Some(path) = bench_json_path() {
-        let write = std::fs::File::create(&path).and_then(|mut f| {
-            for line in &bench_lines {
-                writeln!(f, "{line}")?;
-            }
-            Ok(())
-        });
-        if let Err(e) = write {
-            eprintln!("edst_sweep: writing {}: {e}", path.display());
-            failed = true;
-        }
+    if let Err(e) = write_bench_json(&bench_lines) {
+        eprintln!("edst_sweep: {e}");
+        failed = true;
     }
     if failed {
         std::process::exit(1);

@@ -23,7 +23,8 @@
 
 use bench::manifest::file_stem;
 use bench::{
-    engine_threads, metrics_dir, only_filter, quick_mode, table3_network, RunManifest, TABLE3_KEYS,
+    engine_threads, metrics_dir, quick_mode, selected_keys, table3_network, RunManifest,
+    TABLE3_KEYS,
 };
 use polarstar_motifs::collectives::{allreduce, AllreduceAlgo};
 use polarstar_motifs::multitree::{striped_broadcast, FaultEpochs, RepairPolicy};
@@ -31,7 +32,7 @@ use polarstar_motifs::netmodel::{MotifConfig, MotifError, NetModel, RoutingMode}
 use polarstar_netsim::routing::{RouteTable, RoutingKind};
 use polarstar_netsim::stats::recovery_analysis;
 use polarstar_netsim::{
-    simulate_monitored, MetricsMonitor, PairMonitor, Pattern, SimConfig, TransientMonitor,
+    MetricsMonitor, PairMonitor, Pattern, SimConfig, Simulation, TransientMonitor,
 };
 use polarstar_topo::network::NetworkSpec;
 use polarstar_topo::FaultSchedule;
@@ -48,13 +49,7 @@ const FAULT_SEED: u64 = 0xFA17;
 
 fn main() {
     let quick = quick_mode();
-    let keys: Vec<&str> = match only_filter() {
-        Some(only) => TABLE3_KEYS
-            .into_iter()
-            .filter(|k| only.iter().any(|o| k.contains(o.as_str())))
-            .collect(),
-        None => DEFAULT_KEYS.to_vec(),
-    };
+    let keys = selected_keys(&TABLE3_KEYS, &DEFAULT_KEYS);
     let cfg = SimConfig {
         warmup_cycles: if quick { 300 } else { 1_500 },
         measure_cycles: if quick { 1_200 } else { 8_000 },
@@ -94,15 +89,8 @@ fn main() {
                 MetricsMonitor::new(if quick { 64 } else { 256 }),
                 TransientMonitor::new(bucket),
             );
-            let r = simulate_monitored(
-                &spec,
-                &table,
-                RoutingKind::MinMulti,
-                &Pattern::Uniform,
-                load,
-                &run_cfg,
-                &mut mon,
-            );
+            let r = Simulation::new(&spec, &table, RoutingKind::MinMulti, &Pattern::Uniform)
+                .run_monitored(load, &run_cfg, &mut mon);
             let a = recovery_analysis(&mon.1.series(), fail_cycle, recover_cycle, 1.2);
             let recovery = a.recovery_cycles.map(|c| c.to_string()).unwrap_or_default();
             // Motif-layer view of the same burst: a 64 KB recursive-

@@ -19,7 +19,8 @@
 
 use bench::manifest::file_stem;
 use bench::{
-    engine_threads, metrics_dir, only_filter, quick_mode, table3_network, RunManifest, TABLE3_KEYS,
+    engine_threads, metrics_dir, quick_mode, selected_keys, table3_network, RunManifest,
+    TABLE3_KEYS,
 };
 use polarstar_motifs::collectives::{allreduce, AllreduceAlgo};
 use polarstar_motifs::netmodel::{ns, MotifConfig, MotifError, NetModel, RoutingMode};
@@ -27,7 +28,7 @@ use polarstar_netsim::engine::SimConfig;
 use polarstar_netsim::monitor::MetricsMonitor;
 use polarstar_netsim::routing::{RouteTable, RoutingKind};
 use polarstar_netsim::stats::saturation_search;
-use polarstar_netsim::{simulate_monitored, Pattern};
+use polarstar_netsim::{Pattern, Simulation};
 use polarstar_topo::FaultSet;
 use rayon::prelude::*;
 
@@ -41,13 +42,7 @@ const FAULT_SEED: u64 = 0xFA17;
 
 fn main() {
     let quick = quick_mode();
-    let keys: Vec<&str> = match only_filter() {
-        Some(only) => TABLE3_KEYS
-            .into_iter()
-            .filter(|k| only.iter().any(|o| k.contains(o.as_str())))
-            .collect(),
-        None => DEFAULT_KEYS.to_vec(),
-    };
+    let keys = selected_keys(&TABLE3_KEYS, &DEFAULT_KEYS);
     let fractions: Vec<f64> = if quick {
         vec![0.0, 0.05]
     } else {
@@ -93,28 +88,14 @@ fn main() {
             let failed = faults.failed_edge_count(&pristine.graph);
             let spec = pristine.clone().with_faults(faults);
             let table = RouteTable::for_spec(&spec);
-            let sat = saturation_search(
-                &spec,
-                &table,
-                RoutingKind::MinMulti,
-                &Pattern::Uniform,
-                &cfg,
-                tol,
-            );
+            let sim = Simulation::new(&spec, &table, RoutingKind::MinMulti, &Pattern::Uniform);
+            let sat = saturation_search(&sim, &cfg, tol);
             // One monitored point at half the surviving saturation load:
             // stable enough to drain, loaded enough to exercise the
             // degraded paths and count unroutable drops.
             let load = (sat * 0.5).max(0.05);
             let mut mon = MetricsMonitor::new(if quick { 64 } else { 256 });
-            let r = simulate_monitored(
-                &spec,
-                &table,
-                RoutingKind::MinMulti,
-                &Pattern::Uniform,
-                load,
-                &cfg,
-                &mut mon,
-            );
+            let r = sim.run_monitored(load, &cfg, &mut mon);
             let (allreduce_us, hotlist) = {
                 let mut model = NetModel::new(spec.clone(), MotifConfig::default());
                 match allreduce(

@@ -12,20 +12,14 @@
 //! `RunManifest` JSON per key.
 
 use bench::sweep_driver::{run_sweep_csv, series_grid, write_manifests, MonitoredPoint};
-use bench::{engine_threads, metrics_dir, only_filter, quick_mode, TABLE3_KEYS};
+use bench::{engine_threads, metrics_dir, quick_mode, selected_keys, TABLE3_KEYS};
 use polarstar_netsim::engine::SimConfig;
 use polarstar_netsim::routing::RoutingKind;
 use polarstar_netsim::traffic::Pattern;
 
 fn main() {
     let quick = quick_mode();
-    let keys: Vec<&str> = match only_filter() {
-        Some(only) => TABLE3_KEYS
-            .into_iter()
-            .filter(|k| only.iter().any(|o| k.contains(o.as_str())))
-            .collect(),
-        None => TABLE3_KEYS.to_vec(),
-    };
+    let keys = selected_keys(&TABLE3_KEYS, &TABLE3_KEYS);
     let cfg = SimConfig {
         warmup_cycles: if quick { 300 } else { 1_500 },
         measure_cycles: if quick { 600 } else { 4_000 },

@@ -10,20 +10,14 @@
 //! for smoke tests; `--only <key>` restricts topologies.
 
 use bench::motif_sweep::{run_sweep, MotifSweep, SWEEP_HEADER};
-use bench::{only_filter, quick_mode, sequential_mode, table3_network, TABLE3_KEYS};
+use bench::{quick_mode, selected_keys, sequential_mode, table3_network, TABLE3_KEYS};
 use polarstar_motifs::netmodel::RoutingMode;
 
 /// Fig. 11's topology subset: PolarStar vs Dragonfly, HyperX, fat tree.
 const DEFAULT_KEYS: [&str; 4] = ["PS-IQ", "DF", "HX", "FT"];
 
 fn main() {
-    let keys: Vec<&str> = match only_filter() {
-        Some(only) => TABLE3_KEYS
-            .into_iter()
-            .filter(|k| only.iter().any(|o| k.contains(o.as_str())))
-            .collect(),
-        None => DEFAULT_KEYS.to_vec(),
-    };
+    let keys = selected_keys(&TABLE3_KEYS, &DEFAULT_KEYS);
     let mut nets = Vec::new();
     for key in keys {
         match table3_network(key) {

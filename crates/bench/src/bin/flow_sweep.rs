@@ -48,7 +48,7 @@
 //! (`{"group","bench","value","unit"}` per line; see EXPERIMENTS.md).
 
 use bench::manifest::file_stem;
-use bench::{metrics_dir, quick_mode, RunManifest};
+use bench::{flag_values, metrics_dir, quick_mode, write_bench_json, RunManifest};
 use polarstar::design::{best_config, PolarStarConfig, SupernodeKind};
 use polarstar::network::PolarStarNetwork;
 use polarstar_netsim::engine::simulate;
@@ -100,14 +100,6 @@ fn peak_rss_bytes() -> u64 {
         .unwrap_or(0)
 }
 
-/// `--bench-json <path>`: append BENCH_flow.json rows there.
-fn bench_json_path() -> Option<std::path::PathBuf> {
-    let args: Vec<String> = std::env::args().collect();
-    args.windows(2)
-        .find(|w| w[0] == "--bench-json")
-        .map(|w| std::path::PathBuf::from(&w[1]))
-}
-
 /// `--weighted`: add the weighted-demand overlay run to the scale phase.
 fn weighted_mode() -> bool {
     std::env::args().any(|a| a == "--weighted")
@@ -120,10 +112,9 @@ fn million_mode() -> bool {
 
 /// `--epochs <n>`: walk an n-epoch fault schedule through the plan.
 fn epochs_arg() -> Option<usize> {
-    let args: Vec<String> = std::env::args().collect();
-    args.windows(2)
-        .find(|w| w[0] == "--epochs")
-        .and_then(|w| w[1].parse().ok())
+    flag_values("--epochs")
+        .first()
+        .and_then(|n| n.parse().ok())
         .filter(|&n| n > 0)
 }
 
@@ -210,6 +201,8 @@ fn cycle_throughput_sat(
 
 fn main() {
     let quick = quick_mode();
+    // Read up front: a flag that forgot its value exits before the sweep.
+    let dir = metrics_dir();
     let mut failed = false;
     let mut bench_rows = String::new();
 
@@ -353,9 +346,9 @@ fn main() {
         }
         manifest.push_extra("xval_search_tol", tol);
         manifest.push_extra("xval_theta", THETA);
-        if let Some(dir) = metrics_dir() {
+        if let Some(dir) = &dir {
             let stem = file_stem(&format!("flow_sweep_{key}"));
-            match manifest.write(&dir, &stem) {
+            match manifest.write(dir, &stem) {
                 Ok(path) => eprintln!("wrote {}", path.display()),
                 Err(e) => {
                     eprintln!("flow_sweep: writing manifest for {key}: {e}");
@@ -692,7 +685,7 @@ fn main() {
                     "ms",
                 );
             }
-            if let Some(dir) = metrics_dir() {
+            if let Some(dir) = &dir {
                 let mut m = RunManifest::for_network(scale_key, &net.spec);
                 m.push_extra("flows", flows as f64);
                 m.push_extra("build_ms", build_s * 1e3);
@@ -712,7 +705,7 @@ fn main() {
                 m.push_extra("analytic_fallbacks", oracle.router().fallbacks() as f64);
                 m.push_extra("analytic_fallback_rate", oracle.router().fallback_rate());
                 let stem = file_stem(&format!("flow_sweep_scale_{scale_key}"));
-                match m.write(&dir, &stem) {
+                match m.write(dir, &stem) {
                     Ok(path) => eprintln!("wrote {}", path.display()),
                     Err(e) => {
                         eprintln!("flow_sweep: writing scale manifest: {e}");
@@ -723,13 +716,9 @@ fn main() {
         }
     }
 
-    if let Some(path) = bench_json_path() {
-        if let Err(e) = std::fs::write(&path, &bench_rows) {
-            eprintln!("flow_sweep: writing {}: {e}", path.display());
-            failed = true;
-        } else {
-            eprintln!("wrote {}", path.display());
-        }
+    if let Err(e) = write_bench_json(bench_rows.lines()) {
+        eprintln!("flow_sweep: {e}");
+        failed = true;
     }
     if failed {
         std::process::exit(1);

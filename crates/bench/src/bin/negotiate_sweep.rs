@@ -11,11 +11,10 @@
 //!    demand per directed link at unit offered load), the reduction,
 //!    the convergence-iterations curve, and both fluid saturation
 //!    onsets;
-//! 3. sweeps the cycle engine over ascending loads (early stop at the
+//! 3. sweeps the cycle engine over ascending loads (rows through the
 //!    first unstable point, fig09/fig10 harness conventions) under
-//!    MIN (multipath), UGAL, NEG ([`RoutingKind::Negotiated`] following
-//!    the negotiated paths) and UGAL-H (UGAL with the negotiation's
-//!    historic congestion costs priced into candidate scoring).
+//!    MIN (multipath), UGAL and NEG ([`RoutingKind::Negotiated`]
+//!    following the negotiated paths).
 //!
 //! CSV `pattern,topology,routing,offered,avg_latency,accepted,stable`
 //! (the shared figure header). Every number is deterministic: the
@@ -31,45 +30,21 @@
 //! `negotiate`) for CI tracking.
 
 use bench::manifest::file_stem;
-use bench::sweep_driver::CSV_HEADER;
+use bench::sweep_driver::{csv_row, CSV_HEADER};
 use bench::{
-    engine_threads, metrics_dir, only_filter, quick_mode, sequential_mode, table3_network,
-    RunManifest,
+    engine_threads, metrics_dir, quick_mode, selected_keys, sequential_mode, table3_network,
+    write_bench_json, RunManifest,
 };
-use polarstar_netsim::engine::{
-    simulate, simulate_negotiated, simulate_overlay, simulate_overlay_monitored, SimConfig,
-};
+use polarstar_netsim::engine::{SimConfig, Simulation};
 use polarstar_netsim::flow::{FlowPlan, FlowRouting, TrafficComponent};
 use polarstar_netsim::monitor::MetricsMonitor;
 use polarstar_netsim::negotiate::{NegotiateConfig, NegotiatedRoutes};
 use polarstar_netsim::routing::{RouteTable, RoutingKind};
+use polarstar_netsim::stats::{highest_stable_offered, sweep};
 use polarstar_netsim::traffic::{engine_resolve_seed, Pattern};
 use rayon::prelude::*;
-use std::io::Write as _;
 
 const DEFAULT_KEYS: [&str; 3] = ["PS-IQ", "SF", "DF"];
-
-/// The engine series swept per cell, in CSV order.
-#[derive(Clone, Copy)]
-enum Mode {
-    Min,
-    Ugal,
-    Neg,
-    UgalHist,
-}
-
-impl Mode {
-    const ALL: [Mode; 4] = [Mode::Min, Mode::Ugal, Mode::Neg, Mode::UgalHist];
-
-    fn label(self) -> &'static str {
-        match self {
-            Mode::Min => "MIN",
-            Mode::Ugal => "UGAL",
-            Mode::Neg => "NEG",
-            Mode::UgalHist => "UGAL-H",
-        }
-    }
-}
 
 /// One (topology, pattern) cell's output: CSV rows, bench-JSON lines,
 /// and the manifest (already holding the negotiation extras).
@@ -80,7 +55,6 @@ struct Cell {
     stem: String,
 }
 
-#[allow(clippy::too_many_arguments)]
 fn sweep_cell(
     key: &str,
     pattern: &Pattern,
@@ -175,60 +149,29 @@ fn sweep_cell(
         push(&mut manifest, &format!("curve_iter{i}"), ml, "load");
     }
 
-    // Engine sweep: the fig09/fig10 series convention — ascending loads,
-    // early stop at the first unstable point.
+    // Engine sweep, series in CSV order. The fig09/fig10 convention:
+    // ascending loads, rows through the first unstable point.
+    let neg_sim = Simulation::negotiated(&spec, &table, &neg, pattern);
     let mut rows = Vec::new();
-    for mode in Mode::ALL {
-        let mut sat = 0.0f64;
-        for &load in loads {
-            let r = match mode {
-                Mode::Min => simulate(&spec, &table, RoutingKind::MinMulti, pattern, load, cfg),
-                Mode::Ugal => simulate(&spec, &table, RoutingKind::ugal4(), pattern, load, cfg),
-                Mode::Neg => simulate_negotiated(&spec, &table, &neg, pattern, load, cfg),
-                Mode::UgalHist => simulate_overlay(
-                    &spec,
-                    &table,
-                    RoutingKind::ugal4(),
-                    &neg,
-                    pattern,
-                    load,
-                    cfg,
-                ),
-            };
-            rows.push(format!(
-                "{pat},{key},{},{:.3},{:.2},{:.4},{}",
-                mode.label(),
-                r.offered,
-                r.avg_latency,
-                r.accepted,
-                r.stable
-            ));
-            if r.stable {
-                sat = sat.max(r.offered);
-            } else {
-                break;
-            }
-        }
+    for sim in [
+        Simulation::new(&spec, &table, RoutingKind::MinMulti, pattern),
+        Simulation::new(&spec, &table, RoutingKind::ugal4(), pattern),
+        neg_sim,
+    ] {
+        let series = sweep(&sim, loads, cfg);
+        let shown = series.through_first_unstable();
+        rows.extend(shown.iter().map(|r| csv_row(pattern, key, sim.kind, r)));
         push(
             &mut manifest,
-            &format!("sat_engine_{}", mode.label()),
-            sat,
+            &format!("sat_engine_{}", sim.kind.label()),
+            highest_stable_offered(shown),
             "load",
         );
     }
 
     if want_metrics {
         let mut mon = MetricsMonitor::new(if quick { 64 } else { 256 });
-        simulate_overlay_monitored(
-            &spec,
-            &table,
-            RoutingKind::Negotiated,
-            Some(&neg),
-            pattern,
-            0.1,
-            cfg,
-            &mut mon,
-        );
+        neg_sim.run_monitored(0.1, cfg, &mut mon);
         manifest = manifest.with_sim("NEG", pat, 0.1, cfg, mon.report());
     }
 
@@ -240,22 +183,9 @@ fn sweep_cell(
     })
 }
 
-fn bench_json_path() -> Option<std::path::PathBuf> {
-    let args: Vec<String> = std::env::args().collect();
-    args.windows(2)
-        .find(|w| w[0] == "--bench-json")
-        .map(|w| std::path::PathBuf::from(&w[1]))
-}
-
 fn main() {
     let quick = quick_mode();
-    let keys: Vec<&str> = match only_filter() {
-        Some(only) => DEFAULT_KEYS
-            .into_iter()
-            .filter(|k| only.iter().any(|o| k.contains(o.as_str())))
-            .collect(),
-        None => DEFAULT_KEYS.to_vec(),
-    };
+    let keys = selected_keys(&DEFAULT_KEYS, &DEFAULT_KEYS);
     let patterns = [Pattern::AdversarialGroup, Pattern::Permutation];
     let cfg = SimConfig {
         warmup_cycles: if quick { 300 } else { 1_500 },
@@ -308,17 +238,9 @@ fn main() {
             }
         }
     }
-    if let Some(path) = bench_json_path() {
-        let write = std::fs::File::create(&path).and_then(|mut f| {
-            for line in &bench_lines {
-                writeln!(f, "{line}")?;
-            }
-            Ok(())
-        });
-        if let Err(e) = write {
-            eprintln!("negotiate_sweep: writing {}: {e}", path.display());
-            failed = true;
-        }
+    if let Err(e) = write_bench_json(&bench_lines) {
+        eprintln!("negotiate_sweep: {e}");
+        failed = true;
     }
     if failed {
         std::process::exit(1);

@@ -35,7 +35,7 @@
 use bench::manifest::file_stem;
 use bench::sweep_driver::{measure_query_latency, QueryLatencyStats};
 use bench::{
-    metrics_dir, only_filter, oracle_mode, quick_mode, table3_network, table3_polarstar,
+    metrics_dir, oracle_mode, quick_mode, selected_keys, table3_network, table3_polarstar,
     RunManifest, TABLE3_KEYS,
 };
 use polarstar_routed::{EpochSwapper, Oracle, QueryBatch, Regime};
@@ -72,13 +72,7 @@ fn main() {
     let quick = quick_mode();
     let mode = oracle_mode();
     let analytic = mode == "analytic";
-    let keys: Vec<&str> = match only_filter() {
-        Some(only) => TABLE3_KEYS
-            .into_iter()
-            .filter(|k| only.iter().any(|o| k.contains(o.as_str())))
-            .collect(),
-        None => vec!["PS-IQ"],
-    };
+    let keys = selected_keys(&TABLE3_KEYS, &["PS-IQ"]);
     // The analytic backend trades per-query latency for O(1) installs;
     // size the storm to its per-query kernel probes.
     let storm_len = match (analytic, quick) {

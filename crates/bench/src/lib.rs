@@ -132,14 +132,57 @@ pub fn table3_edst(key: &str, spec: &NetworkSpec) -> Vec<Vec<(u32, u32)>> {
     }
 }
 
+/// Every value passed as `<name> <value>` in `args`, in order. A flag
+/// that ends the command line or is directly followed by another
+/// `--flag` forgot its value: that is an error, not an absent flag.
+fn scan_flag(args: &[String], name: &str) -> Result<Vec<String>, String> {
+    let mut values = Vec::new();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        if arg == name {
+            match args.next() {
+                Some(v) if !v.starts_with("--") => values.push(v.clone()),
+                _ => return Err(format!("{name} expects a value: {name} <value>")),
+            }
+        }
+    }
+    Ok(values)
+}
+
+/// The value-taking flags of the bench binaries.
+const VALUE_FLAGS: [&str; 6] = [
+    "--oracle",
+    "--only",
+    "--engine-threads",
+    "--metrics-dir",
+    "--bench-json",
+    "--epochs",
+];
+
+/// Every value of the command-line flag `name` (`--only` is repeatable;
+/// the single-valued flags read the first). Any of [`VALUE_FLAGS`] given
+/// without its value prints a usage line and exits non-zero — on the
+/// first flag a binary reads, before the sweep runs — instead of being
+/// silently ignored.
+pub fn flag_values(name: &str) -> Vec<String> {
+    debug_assert!(VALUE_FLAGS.contains(&name));
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let scan = VALUE_FLAGS
+        .iter()
+        .try_for_each(|flag| scan_flag(&args, flag).map(drop))
+        .and_then(|()| scan_flag(&args, name));
+    scan.unwrap_or_else(|usage| {
+        eprintln!("error: {usage}");
+        std::process::exit(2)
+    })
+}
+
 /// Serving backend from `--oracle <table|analytic>` (default `table`):
 /// the CSR route table or the table-free §9.2 analytic router.
 pub fn oracle_mode() -> String {
-    let args: Vec<String> = std::env::args().collect();
-    let mode = args
-        .windows(2)
-        .find(|w| w[0] == "--oracle")
-        .map(|w| w[1].clone())
+    let mode = flag_values("--oracle")
+        .into_iter()
+        .next()
         .unwrap_or_else(|| "table".into());
     assert!(
         mode == "table" || mode == "analytic",
@@ -168,15 +211,16 @@ pub fn sequential_mode() -> bool {
     std::env::args().any(|a| a == "--sequential")
 }
 
-/// Topology filter from `--only <key>` (repeatable substring match).
-pub fn only_filter() -> Option<Vec<String>> {
-    let args: Vec<String> = std::env::args().collect();
-    let keys: Vec<String> = args
-        .windows(2)
-        .filter(|w| w[0] == "--only")
-        .map(|w| w[1].clone())
-        .collect();
-    (!keys.is_empty()).then_some(keys)
+/// The topology keys a binary runs: `defaults` unless `--only <substr>`
+/// (repeatable) was given, then every key of `universe` containing one
+/// of the substrings, in `universe` order.
+pub fn selected_keys(universe: &[&'static str], defaults: &[&'static str]) -> Vec<&'static str> {
+    let only = flag_values("--only");
+    if only.is_empty() {
+        return defaults.to_vec();
+    }
+    let matches = |k: &&str| only.iter().any(|o| k.contains(o.as_str()));
+    universe.iter().copied().filter(matches).collect()
 }
 
 /// Engine worker threads from `--engine-threads <n>` for the sharded
@@ -184,22 +228,32 @@ pub fn only_filter() -> Option<Vec<String>> {
 /// every value; this trades sweep-level for run-level parallelism (see
 /// EXPERIMENTS.md). Absent or `<= 1` means the sequential engine.
 pub fn engine_threads() -> Option<usize> {
-    let args: Vec<String> = std::env::args().collect();
-    args.windows(2)
-        .find(|w| w[0] == "--engine-threads")
-        .map(|w| {
-            w[1].parse::<usize>()
-                .unwrap_or_else(|_| panic!("--engine-threads expects a number, got {:?}", w[1]))
-        })
+    flag_values("--engine-threads").first().map(|v| {
+        v.parse::<usize>()
+            .unwrap_or_else(|_| panic!("--engine-threads expects a number, got {v:?}"))
+    })
 }
 
 /// Directory from `--metrics-dir <path>`: when present, binaries write a
 /// [`RunManifest`] JSON per topology next to their CSV output.
 pub fn metrics_dir() -> Option<std::path::PathBuf> {
-    let args: Vec<String> = std::env::args().collect();
-    args.windows(2)
-        .find(|w| w[0] == "--metrics-dir")
-        .map(|w| std::path::PathBuf::from(&w[1]))
+    flag_values("--metrics-dir").first().map(Into::into)
+}
+
+/// Write a sweep binary's `{group,bench,value,unit}` JSON lines to the
+/// file named by `--bench-json <path>`; a no-op without the flag. The
+/// error names the path.
+pub fn write_bench_json<S: AsRef<str>>(rows: impl IntoIterator<Item = S>) -> Result<(), String> {
+    let Some(path) = flag_values("--bench-json").into_iter().next() else {
+        return Ok(());
+    };
+    let text: String = rows
+        .into_iter()
+        .map(|r| format!("{}\n", r.as_ref()))
+        .collect();
+    std::fs::write(&path, text).map_err(|e| format!("writing {path}: {e}"))?;
+    eprintln!("wrote {path}");
+    Ok(())
 }
 
 #[cfg(test)]
@@ -254,6 +308,23 @@ mod tests {
                 "{key} manifest braces balance"
             );
         }
+    }
+
+    #[test]
+    fn flag_scanner_rejects_a_forgotten_value() {
+        let args = |s: &str| -> Vec<String> { s.split(' ').map(String::from).collect() };
+        let line = args("--quick --only PS-IQ --metrics-dir out/ --only DF");
+        assert_eq!(scan_flag(&line, "--only").unwrap(), ["PS-IQ", "DF"]);
+        assert_eq!(scan_flag(&line, "--metrics-dir").unwrap(), ["out/"]);
+        assert!(scan_flag(&line, "--bench-json").unwrap().is_empty());
+        // Last argument, or followed by another flag: a usage error.
+        assert!(scan_flag(&args("--quick --metrics-dir"), "--metrics-dir").is_err());
+        assert!(scan_flag(&args("--metrics-dir --quick"), "--metrics-dir").is_err());
+        // Another flag is never taken as the value.
+        assert_eq!(
+            scan_flag(&args("--only --only"), "--only"),
+            Err("--only expects a value: --only <value>".into())
+        );
     }
 
     #[test]

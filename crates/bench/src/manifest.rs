@@ -206,7 +206,7 @@ mod tests {
     use polarstar_graph::Graph;
     use polarstar_netsim::monitor::MetricsMonitor;
     use polarstar_netsim::routing::{RouteTable, RoutingKind};
-    use polarstar_netsim::{simulate_monitored, Pattern};
+    use polarstar_netsim::{Pattern, Simulation};
 
     #[test]
     fn topology_only_manifest_shape() {
@@ -235,15 +235,8 @@ mod tests {
             ..SimConfig::default()
         };
         let mut mon = MetricsMonitor::new(64);
-        simulate_monitored(
-            &spec,
-            &table,
-            RoutingKind::MinMulti,
-            &Pattern::Uniform,
-            0.3,
-            &cfg,
-            &mut mon,
-        );
+        Simulation::new(&spec, &table, RoutingKind::MinMulti, &Pattern::Uniform)
+            .run_monitored(0.3, &cfg, &mut mon);
         let m = RunManifest::for_network("K6", &spec).with_sim(
             "MIN",
             "uniform",

@@ -12,7 +12,7 @@
 //! run. See EXPERIMENTS.md for when to prefer which.
 
 use crate::{table3_network, RunManifest};
-use polarstar_netsim::engine::{simulate, simulate_monitored, SimConfig};
+use polarstar_netsim::engine::{simulate, SimConfig, SimResult, Simulation};
 use polarstar_netsim::monitor::MetricsMonitor;
 use polarstar_netsim::routing::{RouteTable, RoutingKind};
 use polarstar_netsim::traffic::Pattern;
@@ -49,6 +49,19 @@ pub fn series_grid(keys: &[&str], patterns: &[Pattern], routings: &[RoutingKind]
 /// The CSV header shared by the simulation figures.
 pub const CSV_HEADER: &str = "pattern,topology,routing,offered,avg_latency,accepted,stable";
 
+/// One [`CSV_HEADER`] row.
+pub fn csv_row(pattern: &Pattern, key: &str, kind: RoutingKind, r: &SimResult) -> String {
+    format!(
+        "{},{key},{},{:.3},{:.2},{:.4},{}",
+        pattern.label(),
+        kind.label(),
+        r.offered,
+        r.avg_latency,
+        r.accepted,
+        r.stable
+    )
+}
+
 /// Sweep every series over `loads` (ascending; each series stops after
 /// its first unstable point, as the paper plots up to the last stable
 /// rate) and print [`CSV_HEADER`] plus one row per simulated point.
@@ -63,16 +76,7 @@ pub fn run_sweep_csv(series: &[Series], loads: &[f64], cfg: &SimConfig) {
             let mut out = Vec::new();
             for &load in loads {
                 let r = simulate(&net, &table, s.kind, &s.pattern, load, cfg);
-                out.push(format!(
-                    "{},{},{},{:.3},{:.2},{:.4},{}",
-                    s.pattern.label(),
-                    s.key,
-                    s.kind.label(),
-                    r.offered,
-                    r.avg_latency,
-                    r.accepted,
-                    r.stable
-                ));
+                out.push(csv_row(&s.pattern, &s.key, s.kind, &r));
                 if !r.stable {
                     break;
                 }
@@ -202,15 +206,8 @@ pub fn write_manifests(
         let net = table3_network(key).expect("Table 3 config");
         let table = RouteTable::for_spec(&net);
         let mut mon = MetricsMonitor::new(sample_every);
-        simulate_monitored(
-            &net,
-            &table,
-            point.kind,
-            &point.pattern,
-            point.load,
-            cfg,
-            &mut mon,
-        );
+        Simulation::new(&net, &table, point.kind, &point.pattern)
+            .run_monitored(point.load, cfg, &mut mon);
         let manifest = RunManifest::for_network(key, &net).with_sim(
             point.routing_label,
             point.pattern.label(),

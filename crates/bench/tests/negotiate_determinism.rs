@@ -8,10 +8,10 @@
 
 use polarstar::design::best_config;
 use polarstar::network::PolarStarNetwork;
-use polarstar_netsim::engine::{simulate_negotiated, simulate_overlay, SimConfig};
+use polarstar_netsim::engine::{SimConfig, Simulation};
 use polarstar_netsim::flow::{FlowPlan, FlowRouting, TrafficComponent};
 use polarstar_netsim::negotiate::{NegotiateConfig, NegotiatedRoutes};
-use polarstar_netsim::routing::{RouteTable, RoutingKind};
+use polarstar_netsim::routing::RouteTable;
 use polarstar_netsim::traffic::{engine_resolve_seed, Pattern};
 use polarstar_topo::network::NetworkSpec;
 
@@ -100,8 +100,8 @@ fn converged_negotiation_has_zero_overused_links() {
     }
 }
 
-/// The engine following a negotiated table — and UGAL priced with its
-/// historic costs — is bit-identical at every thread count.
+/// The engine following a negotiated table is bit-identical at every
+/// thread count.
 #[test]
 fn negotiated_engine_identical_across_thread_counts() {
     let (spec, table, plan) = setup(Pattern::AdversarialGroup, 99);
@@ -122,44 +122,11 @@ fn negotiated_engine_identical_across_thread_counts() {
         threads,
         ..SimConfig::default()
     };
-    let neg_base = simulate_negotiated(
-        &spec,
-        &table,
-        &neg,
-        &Pattern::AdversarialGroup,
-        0.15,
-        &cfg(None),
-    );
+    let sim = Simulation::negotiated(&spec, &table, &neg, &Pattern::AdversarialGroup);
+    let neg_base = sim.run(0.15, &cfg(None));
     assert!(neg_base.measured_ejected > 0, "{neg_base:?}");
-    let hist_base = simulate_overlay(
-        &spec,
-        &table,
-        RoutingKind::ugal4(),
-        &neg,
-        &Pattern::AdversarialGroup,
-        0.15,
-        &cfg(None),
-    );
-    assert!(hist_base.measured_ejected > 0, "{hist_base:?}");
     for threads in [1usize, 4] {
-        let neg_t = simulate_negotiated(
-            &spec,
-            &table,
-            &neg,
-            &Pattern::AdversarialGroup,
-            0.15,
-            &cfg(Some(threads)),
-        );
+        let neg_t = sim.run(0.15, &cfg(Some(threads)));
         assert_eq!(neg_base, neg_t, "NEG diverges at threads={threads}");
-        let hist_t = simulate_overlay(
-            &spec,
-            &table,
-            RoutingKind::ugal4(),
-            &neg,
-            &Pattern::AdversarialGroup,
-            0.15,
-            &cfg(Some(threads)),
-        );
-        assert_eq!(hist_base, hist_t, "UGAL-H diverges at threads={threads}");
     }
 }

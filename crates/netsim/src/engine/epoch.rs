@@ -1,0 +1,423 @@
+//! Immutable per-run state: the per-epoch routing views and the flat
+//! index maps every shard shares.
+
+use super::config::{FaultResponse, SimConfig, SimResult};
+use super::packet::{ShardStats, NO_PAIR};
+use super::Simulation;
+use crate::negotiate::NegotiatedRoutes;
+use crate::routing::{RouteTable, RoutingKind};
+use crate::traffic::ResolvedPattern;
+use polarstar_topo::network::NetworkSpec;
+use polarstar_topo::oracle::PathOracle as _;
+use std::borrow::Cow;
+
+/// Precomputed per-run view of a [`NegotiatedRoutes`] table: the pair
+/// list for injection-time lookup and each pair's hop sequence flattened
+/// to (router, port) steps.
+pub(super) struct NegotiatedOverlay {
+    /// Sorted (src, dst) router pairs of the negotiated matrix.
+    pairs: Vec<(u32, u32)>,
+    /// CSR offsets into `hop_router`/`hop_port` per pair.
+    hop_off: Vec<u32>,
+    /// Router each hop leaves from.
+    hop_router: Vec<u32>,
+    /// Output port taken at that router.
+    hop_port: Vec<u8>,
+}
+
+impl NegotiatedOverlay {
+    fn build(spec: &NetworkSpec, neg: &NegotiatedRoutes) -> NegotiatedOverlay {
+        assert_eq!(
+            neg.num_routers(),
+            spec.graph.n(),
+            "negotiated routes built for a different graph"
+        );
+        let mut hop_off = Vec::with_capacity(neg.num_pairs() + 1);
+        hop_off.push(0u32);
+        let mut hop_router = Vec::new();
+        let mut hop_port = Vec::new();
+        for i in 0..neg.num_pairs() {
+            for w in neg.path_of(i).windows(2) {
+                let port = spec
+                    .graph
+                    .neighbors(w[0])
+                    .binary_search(&w[1])
+                    .expect("negotiated path hop is not a graph edge");
+                hop_router.push(w[0]);
+                hop_port.push(port as u8);
+            }
+            hop_off.push(hop_router.len() as u32);
+        }
+        NegotiatedOverlay {
+            pairs: neg.pairs().to_vec(),
+            hop_off,
+            hop_router,
+            hop_port,
+        }
+    }
+
+    /// Overlay pair index of (src, dst), or NO_PAIR.
+    #[inline]
+    pub(super) fn pair_index(&self, src: u32, dst: u32) -> u32 {
+        match self.pairs.binary_search(&(src, dst)) {
+            Ok(i) => i as u32,
+            Err(_) => NO_PAIR,
+        }
+    }
+
+    /// The negotiated output port at router `r` for overlay pair `pair`
+    /// (None when off-path — e.g. after a fault-epoch re-route).
+    #[inline]
+    pub(super) fn port_after(&self, pair: u32, r: u32) -> Option<u8> {
+        if pair == NO_PAIR {
+            return None;
+        }
+        let lo = self.hop_off[pair as usize] as usize;
+        let hi = self.hop_off[pair as usize + 1] as usize;
+        self.hop_router[lo..hi]
+            .iter()
+            .position(|&h| h == r)
+            .map(|i| self.hop_port[lo + i])
+    }
+}
+
+/// One fault epoch as a shard sees it: the routing state decisions read
+/// while it is the routing view, and the physical failure masks while it
+/// is in force. Every routing-state read of the engine goes through the
+/// methods below.
+pub(super) struct Epoch<'a> {
+    /// First cycle of the epoch.
+    start: u64,
+    /// The table routing decisions read: the caller's for epoch 0, a
+    /// [`RouteTable::remask`] the run owns for later epochs — pristine
+    /// CSR and port numbering retained, only the BFS distance and port
+    /// layers recomputed. [`FaultResponse::Stale`] builds none: its
+    /// routing view never leaves epoch 0.
+    table: Cow<'a, RouteTable>,
+    /// Per-router failed flag (all-false on a pristine network).
+    /// Packets touching a failed router at either end are dropped — as
+    /// unroutable at injection, as faulted in flight.
+    failed_router: Vec<bool>,
+    /// Dead flag per directed graph edge ([`Graph::edge_range`] order:
+    /// port `p` of router `r` is edge `edge_range(r).start + p`). Dead
+    /// ports carry no traffic in either response mode.
+    ///
+    /// [`Graph::edge_range`]: polarstar_graph::Graph::edge_range
+    dead_port: Vec<bool>,
+    graph: &'a polarstar_graph::Graph,
+}
+
+impl<'a> Epoch<'a> {
+    fn new(
+        spec: &'a NetworkSpec,
+        start: u64,
+        faults: &polarstar_topo::FaultSet,
+        table: Cow<'a, RouteTable>,
+    ) -> Self {
+        let g = &spec.graph;
+        let mut dead_port = vec![false; g.directed_edge_count()];
+        if !faults.is_empty() {
+            for r in 0..g.n() as u32 {
+                for (e, &nb) in g.edge_range(r).zip(g.neighbors(r)) {
+                    dead_port[e as usize] = faults.link_failed(r, nb);
+                }
+            }
+        }
+        Epoch {
+            start,
+            table,
+            failed_router: (0..g.n() as u32).map(|r| faults.router_failed(r)).collect(),
+            dead_port,
+            graph: g,
+        }
+    }
+
+    /// Minimal output ports at `r` toward `dst` (empty iff `r == dst`
+    /// or `dst` is unreachable in this epoch).
+    #[inline]
+    pub(super) fn min_ports(&self, r: u32, dst: u32) -> &[u8] {
+        self.table.min_ports(r, dst)
+    }
+
+    #[inline]
+    pub(super) fn distance(&self, r: u32, dst: u32) -> u16 {
+        self.table.distance(r, dst)
+    }
+
+    #[inline]
+    pub(super) fn is_reachable(&self, r: u32, dst: u32) -> bool {
+        self.table.is_reachable(r, dst)
+    }
+
+    #[inline]
+    pub(super) fn router_failed(&self, r: u32) -> bool {
+        self.failed_router[r as usize]
+    }
+
+    #[inline]
+    pub(super) fn port_dead(&self, r: u32, port: usize) -> bool {
+        self.dead_port[self.graph.edge_range(r).start as usize + port]
+    }
+}
+
+/// Immutable per-run state shared by every shard: the topology, routing
+/// state per fault epoch, resolved traffic, config, and the precomputed
+/// flat index maps (degree/endpoint prefix sums, reverse-port CSR, shard
+/// boundaries).
+pub(super) struct Ctx<'a> {
+    /// The caller's table — the neighbor CSR every epoch shares.
+    pub(super) table: &'a RouteTable,
+    pub(super) kind: RoutingKind,
+    /// Present exactly under [`RoutingKind::Negotiated`].
+    pub(super) negotiated: Option<NegotiatedOverlay>,
+    pub(super) pattern: ResolvedPattern,
+    /// Endpoints that transmit under the pattern (self-maps are idle).
+    pub(super) active_src: Vec<bool>,
+    pub(super) active_eps: usize,
+    pub(super) load: f64,
+    /// Per-endpoint per-cycle generation probability.
+    pub(super) p_gen: f64,
+    pub(super) cfg: SimConfig,
+    /// Prefix sums of router degrees (len n + 1): port-indexed arrays.
+    pub(super) deg_off: Vec<u32>,
+    /// Reverse port map CSR (deg_off offsets): port p of router r leads
+    /// to u; back_port[deg_off[r] + p] = the port of u back to r.
+    pub(super) back_port: Vec<u8>,
+    /// Global endpoint prefix sums per router (len n + 1).
+    pub(super) ep_off: Vec<u32>,
+    /// endpoint → (router, slot).
+    pub(super) ep_router: Vec<(u32, u16)>,
+    /// Fault epochs in start order: cumulative fault sets materialized
+    /// up front (epoch 0 = the spec's static mask, starting at cycle 0;
+    /// len 1 on a run without live faults), with their route tables
+    /// prebuilt so the per-cycle cost of a schedule is one
+    /// partition_point over a handful of entries. The epoch in force at
+    /// cycle `now` is a pure function of `now`, so every shard switches
+    /// at the same barrier with no extra synchronization.
+    pub(super) epochs: Vec<Epoch<'a>>,
+    /// Per-VC input buffer capacity, in packets.
+    pub(super) cap_pkts: u32,
+    pub(super) wheel_len: usize,
+    pub(super) end_measure: u64,
+    pub(super) hard_end: u64,
+    /// Contiguous shard boundaries (len shards + 1, starts ascending).
+    pub(super) shard_starts: Vec<u32>,
+}
+
+impl<'a> Ctx<'a> {
+    /// `sim` and `cfg` must have passed [`Simulation::check`].
+    pub(super) fn new(
+        sim: &Simulation<'a>,
+        pattern: ResolvedPattern,
+        load: f64,
+        cfg: SimConfig,
+    ) -> Self {
+        let Simulation {
+            spec, table, kind, ..
+        } = *sim;
+        let n = spec.graph.n();
+        assert_eq!(table.n(), n, "route table built for a different graph");
+        let negotiated = sim
+            .negotiated
+            .map(|routes| NegotiatedOverlay::build(spec, routes));
+        let mut deg_off = Vec::with_capacity(n + 1);
+        deg_off.push(0u32);
+        for r in 0..n as u32 {
+            deg_off.push(deg_off[r as usize] + spec.graph.degree(r) as u32);
+        }
+        let mut back_port = Vec::with_capacity(deg_off[n] as usize);
+        for r in 0..n as u32 {
+            for &u in spec.graph.neighbors(r) {
+                let bp = spec
+                    .graph
+                    .neighbors(u)
+                    .binary_search(&r)
+                    .expect("undirected edge");
+                back_port.push(bp as u8);
+            }
+        }
+        let ep_off: Vec<u32> = spec.endpoint_offsets().iter().map(|&o| o as u32).collect();
+        let total_eps = spec.total_endpoints();
+        let ep_router: Vec<(u32, u16)> = (0..total_eps)
+            .map(|e| {
+                let (r, s) = spec.endpoint_router(e);
+                (r, s as u16)
+            })
+            .collect();
+        let active_src: Vec<bool> = match &pattern.dest {
+            None => vec![true; total_eps],
+            Some(map) => map
+                .iter()
+                .enumerate()
+                .map(|(i, &d)| d != i as u32)
+                .collect(),
+        };
+        let active_eps = active_src.iter().filter(|&&a| a).count();
+        let schedule = cfg.fault_schedule.clone().unwrap_or_default();
+        if let Err(e) = schedule.validate(n) {
+            panic!("{e}");
+        }
+        let epochs: Vec<Epoch> = schedule
+            .epochs(spec.faults())
+            .iter()
+            .enumerate()
+            .map(|(i, (start, faults))| {
+                let routes_on = if i == 0 || cfg.fault_response == FaultResponse::Stale {
+                    Cow::Borrowed(table)
+                } else {
+                    Cow::Owned(table.remask(spec, faults))
+                };
+                Epoch::new(spec, *start, faults, routes_on)
+            })
+            .collect();
+        let threads = cfg.threads.unwrap_or(1).clamp(1, n);
+        // Contiguous partition balanced by per-router work weight
+        // (ports + endpoints + fixed overhead).
+        let weights: Vec<u64> = (0..n)
+            .map(|r| {
+                deg_off[r + 1] as u64 - deg_off[r] as u64 + ep_off[r + 1] as u64 - ep_off[r] as u64
+                    + 1
+            })
+            .collect();
+        let shard_starts = partition_starts(&weights, threads);
+        // Both validated above: the capacity fits the u16 queue/credit
+        // arena fields, the wheel length fits u32.
+        let cap_pkts = cfg.queue_capacity_pkts();
+        let wheel_len = (cfg.packet_flits + cfg.link_latency + 2) as usize;
+        // Saturating: `drain_cycles: u64::MAX` means "drain until empty".
+        let end_measure = cfg.warmup_cycles.saturating_add(cfg.measure_cycles);
+        Ctx {
+            table,
+            kind,
+            negotiated,
+            pattern,
+            active_src,
+            active_eps,
+            load,
+            p_gen: load / cfg.packet_flits as f64,
+            deg_off,
+            back_port,
+            ep_off,
+            ep_router,
+            epochs,
+            cap_pkts,
+            wheel_len,
+            end_measure,
+            hard_end: end_measure.saturating_add(cfg.drain_cycles),
+            shard_starts,
+            cfg,
+        }
+    }
+
+    pub(super) fn shards(&self) -> usize {
+        self.shard_starts.len() - 1
+    }
+
+    #[inline]
+    pub(super) fn degree(&self, r: u32) -> usize {
+        (self.deg_off[r as usize + 1] - self.deg_off[r as usize]) as usize
+    }
+
+    #[inline]
+    pub(super) fn endpoints(&self, r: u32) -> usize {
+        (self.ep_off[r as usize + 1] - self.ep_off[r as usize]) as usize
+    }
+
+    /// Which shard owns router `r` (shards are contiguous ranges).
+    #[inline]
+    pub(super) fn shard_of(&self, r: u32) -> usize {
+        self.shard_starts.partition_point(|&s| s <= r) - 1
+    }
+
+    /// Fault epoch in force at cycle `now` — a pure function of the
+    /// cycle, so every shard agrees without communicating.
+    #[inline]
+    pub(super) fn epoch_of(&self, now: u64) -> usize {
+        if self.epochs.len() == 1 {
+            return 0;
+        }
+        self.epochs.partition_point(|e| e.start <= now) - 1
+    }
+
+    /// Fold merged shard statistics into the run result (identical math
+    /// to the original single-threaded engine).
+    pub(super) fn finalize(&self, mut stats: ShardStats) -> SimResult {
+        let delivered = if stats.measured_generated == 0 {
+            1.0
+        } else {
+            stats.measured_ejected as f64 / stats.measured_generated as f64
+        };
+        let avg = if stats.measured_ejected == 0 {
+            f64::INFINITY
+        } else {
+            stats.latency_sum as f64 / stats.measured_ejected as f64
+        };
+        let p99 = if stats.latencies.is_empty() {
+            f64::INFINITY
+        } else {
+            let l = &mut stats.latencies;
+            l.sort_unstable();
+            l[(l.len() - 1) * 99 / 100] as f64
+        };
+        let active_eps = self.active_eps.max(1);
+        let accepted = stats.ejected_flits_measure as f64
+            / (active_eps as f64 * self.cfg.measure_cycles as f64);
+        // Steady state: the second half of the measurement window must
+        // not show materially higher latency than the first (saturated
+        // networks accumulate backlog, so latency grows with time).
+        let steady = if stats.half_counts[0] == 0 || stats.half_counts[1] == 0 {
+            stats.measured_generated == 0
+        } else {
+            let a0 = stats.half_sums[0] as f64 / stats.half_counts[0] as f64;
+            let a1 = stats.half_sums[1] as f64 / stats.half_counts[1] as f64;
+            a1 <= a0 * 1.5 + 4.0 * self.cfg.packet_flits as f64
+        };
+        // Throughput criterion: a stable network accepts what is offered
+        // (ejected flit rate within 10% of the injection rate).
+        let throughput_ok = self.load == 0.0 || accepted >= 0.9 * self.load;
+        SimResult {
+            offered: self.load,
+            accepted,
+            avg_latency: avg,
+            p99_latency: p99,
+            delivered_fraction: delivered,
+            stable: delivered >= 0.99 && steady && throughput_ok && !stats.watchdog_fired,
+            measured_ejected: stats.measured_ejected,
+            avg_hops: if stats.measured_ejected == 0 {
+                0.0
+            } else {
+                stats.hops_sum as f64 / stats.measured_ejected as f64
+            },
+            unroutable: stats.unroutable,
+            faulted_in_flight: stats.faulted_total,
+            rerouted: stats.rerouted,
+            watchdog_fired: stats.watchdog_fired,
+        }
+    }
+}
+
+/// Contiguous router partition: boundary i is the smallest prefix whose
+/// weight reaches `i/s` of the total, nudged so every shard is nonempty.
+pub(super) fn partition_starts(weights: &[u64], shards: usize) -> Vec<u32> {
+    let n = weights.len();
+    let shards = shards.clamp(1, n.max(1));
+    let total: u64 = weights.iter().sum::<u64>().max(1);
+    let mut starts = Vec::with_capacity(shards + 1);
+    starts.push(0u32);
+    let mut acc = 0u64;
+    let mut r = 0usize;
+    for i in 1..shards {
+        let target = total * i as u64 / shards as u64;
+        while acc < target && r < n {
+            acc += weights[r];
+            r += 1;
+        }
+        let prev = *starts.last().unwrap() as usize;
+        let start = r.max(prev + 1).min(n - (shards - i));
+        starts.push(start as u32);
+        r = start;
+        acc = weights[..r].iter().sum();
+    }
+    starts.push(n as u32);
+    starts
+}

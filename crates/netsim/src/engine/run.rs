@@ -1,5 +1,7 @@
-//! The sharded cycle driver: runs one simulation across worker threads,
-//! bit-identical to the sequential engine.
+//! The two cycle drivers and the stop verdict they share.
+//!
+//! The sharded driver runs one simulation across worker threads,
+//! bit-identical to the sequential one.
 //!
 //! Each thread owns a contiguous shard of routers ([`Shard`]). A
 //! simulated cycle is one compute phase per shard followed by a single
@@ -26,21 +28,114 @@
 //! written again until cycle `c + 2`, by which time the barrier at the
 //! end of cycle `c + 1` has ordered the drain before the write.
 
-use crate::engine::{Ctx, Ev, Shard, ShardStats};
-use crate::monitor::ShardableMonitor;
+use super::epoch::Ctx;
+use super::packet::{Ev, ShardStats};
+use super::shard::Shard;
+use crate::monitor::{ShardableMonitor, SimMonitor};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+/// Why a driver stops before `hard_end`.
+pub(super) enum Exit {
+    /// Everything measured has drained.
+    Drained,
+    /// The network sat wedged for this many consecutive cycles.
+    Wedged { stalled: u64 },
+}
+
+/// The per-cycle stop verdict both drivers share: the watchdog stall
+/// counter and the drain-exit test, fed network-wide totals — the one
+/// shard's own counters sequentially, the post-barrier `Progress` sums
+/// when sharded (identical inputs on every thread, so every shard
+/// reaches the same verdict at the same cycle).
+pub(super) struct RunWatch {
+    watchdog_cycles: Option<u64>,
+    end_measure: u64,
+    last_delivered: u64,
+    stalled: u64,
+}
+
+impl RunWatch {
+    pub(super) fn new(ctx: &Ctx) -> Self {
+        RunWatch {
+            watchdog_cycles: ctx.cfg.watchdog_cycles,
+            end_measure: ctx.end_measure,
+            last_delivered: 0,
+            stalled: 0,
+        }
+    }
+
+    /// Verdict after cycle `now`: `generated`/`ejected`/`faulted` count
+    /// measured packets, `delivered` every ejection, `any_active`
+    /// whether any router still buffers a packet.
+    pub(super) fn verdict(
+        &mut self,
+        now: u64,
+        generated: u64,
+        ejected: u64,
+        faulted: u64,
+        delivered: u64,
+        any_active: bool,
+    ) -> Option<Exit> {
+        // Watchdog: nothing is active whenever nothing is buffered, so a
+        // growing stall counter means packets sit while nothing moves.
+        if let Some(wd) = self.watchdog_cycles {
+            if delivered == self.last_delivered && any_active {
+                self.stalled += 1;
+                if self.stalled >= wd {
+                    return Some(Exit::Wedged {
+                        stalled: self.stalled,
+                    });
+                }
+            } else {
+                self.stalled = 0;
+                self.last_delivered = delivered;
+            }
+        }
+        // In-flight fault drops count as resolved.
+        (now + 1 >= self.end_measure && ejected + faulted == generated && !any_active)
+            .then_some(Exit::Drained)
+    }
+}
+
+/// The single-threaded driver: one whole-network shard, no barriers, no
+/// mailboxes — the same phase code the sharded driver runs.
+pub(super) fn run_single<M: SimMonitor>(
+    ctx: &Ctx,
+    sample_every: Option<u64>,
+    mon: &mut M,
+) -> (ShardStats, u64) {
+    let mut shard = Shard::new(ctx, 0);
+    let mut watch = RunWatch::new(ctx);
+    let mut cycles = ctx.hard_end;
+    for now in 0..ctx.hard_end {
+        shard.step(ctx, now, sample_every, mon);
+        let exit = watch.verdict(
+            now,
+            shard.stats.measured_generated,
+            shard.stats.measured_ejected,
+            shard.stats.measured_faulted,
+            shard.stats.delivered_total,
+            !shard.active.is_empty(),
+        );
+        if let Some(exit) = exit {
+            cycles = shard.stop(exit, now, mon);
+            break;
+        }
+    }
+    (shard.stats, cycles)
+}
+
 /// Sense-reversing spin barrier. Waiters spin briefly then yield — the
 /// engine must stay live even when threads exceed cores.
-pub(crate) struct SpinBarrier {
+pub(super) struct SpinBarrier {
     count: AtomicUsize,
     generation: AtomicUsize,
     total: usize,
 }
 
 impl SpinBarrier {
-    pub(crate) fn new(total: usize) -> Self {
+    pub(super) fn new(total: usize) -> Self {
         SpinBarrier {
             count: AtomicUsize::new(0),
             generation: AtomicUsize::new(0),
@@ -48,7 +143,7 @@ impl SpinBarrier {
         }
     }
 
-    pub(crate) fn wait(&self) {
+    pub(super) fn wait(&self) {
         let gen = self.generation.load(Ordering::Acquire);
         if self.count.fetch_add(1, Ordering::AcqRel) + 1 == self.total {
             // Last arriver: reset the count for the next round, then
@@ -87,7 +182,7 @@ type Mailbox = Mutex<Vec<(u64, Ev)>>;
 
 /// Run the simulation over `ctx.shards()` worker threads and return the
 /// merged statistics and the cycle count, exactly as `run_single` would.
-pub(crate) fn run<M: ShardableMonitor>(
+pub(super) fn run_sharded<M: ShardableMonitor>(
     ctx: &Ctx,
     sample_every: Option<u64>,
     monitor: &mut M,
@@ -118,14 +213,12 @@ pub(crate) fn run<M: ShardableMonitor>(
                     let id = s - 1 - id;
                     let mut shard = Shard::new(ctx, id);
                     let mut scratch: Vec<(u64, Ev)> = Vec::new();
-                    let mut now = 0u64;
                     let mut cycles = ctx.hard_end;
-                    // Watchdog state: every thread derives it from the
-                    // same post-barrier snapshot, so all shards reach
-                    // the same stall verdict at the same cycle.
-                    let mut last_delivered = 0u64;
-                    let mut stalled = 0u64;
-                    while now < ctx.hard_end {
+                    // Every thread feeds its watch the same post-barrier
+                    // snapshot, so all shards reach the same verdict at
+                    // the same cycle.
+                    let mut watch = RunWatch::new(ctx);
+                    for now in 0..ctx.hard_end {
                         let parity = (now & 1) as usize;
                         // 1. Drain events published last cycle.
                         for inbox in &mailboxes[parity ^ 1][id] {
@@ -154,62 +247,34 @@ pub(crate) fn run<M: ShardableMonitor>(
                         }
                         let p = &progress[parity * s + id];
                         p.generated
-                            .store(shard.stats.measured_generated(), Ordering::Relaxed);
+                            .store(shard.stats.measured_generated, Ordering::Relaxed);
                         p.ejected
-                            .store(shard.stats.measured_ejected(), Ordering::Relaxed);
+                            .store(shard.stats.measured_ejected, Ordering::Relaxed);
                         p.faulted
-                            .store(shard.stats.measured_faulted(), Ordering::Relaxed);
+                            .store(shard.stats.measured_faulted, Ordering::Relaxed);
                         p.delivered
-                            .store(shard.stats.delivered_total(), Ordering::Relaxed);
+                            .store(shard.stats.delivered_total, Ordering::Relaxed);
                         p.active.store(!shard.active.is_empty(), Ordering::Relaxed);
                         // 4. Everyone sees everyone's publishes.
                         barrier.wait();
-                        // Watchdog — network-wide deliveries and
-                        // occupancy from the shared snapshot; identical
-                        // inputs mean every shard fires the same cycle.
-                        if let Some(wd) = ctx.cfg.watchdog_cycles {
-                            let mut delivered = 0u64;
-                            let mut any_active = false;
-                            for sid in 0..s {
-                                let p = &progress[parity * s + sid];
-                                delivered += p.delivered.load(Ordering::Relaxed);
-                                any_active |= p.active.load(Ordering::Relaxed);
-                            }
-                            if delivered == last_delivered && any_active {
-                                stalled += 1;
-                                if stalled >= wd {
-                                    mon.on_watchdog(&shard.watchdog_diag(now + 1, stalled));
-                                    shard.stats.set_watchdog_fired();
-                                    cycles = now + 1;
-                                    break;
-                                }
-                            } else {
-                                stalled = 0;
-                                last_delivered = delivered;
-                            }
+                        let (mut generated, mut ejected, mut faulted) = (0u64, 0u64, 0u64);
+                        let mut delivered = 0u64;
+                        let mut any_active = false;
+                        for p in &progress[parity * s..(parity + 1) * s] {
+                            generated += p.generated.load(Ordering::Relaxed);
+                            ejected += p.ejected.load(Ordering::Relaxed);
+                            faulted += p.faulted.load(Ordering::Relaxed);
+                            delivered += p.delivered.load(Ordering::Relaxed);
+                            any_active |= p.active.load(Ordering::Relaxed);
                         }
-                        // Exit check — same snapshot on every shard, so
-                        // every shard breaks at the same cycle.
-                        if now + 1 >= ctx.end_measure {
-                            let mut gen = 0u64;
-                            let mut ej = 0u64;
-                            let mut faulted = 0u64;
-                            let mut any_active = false;
-                            for sid in 0..s {
-                                let p = &progress[parity * s + sid];
-                                gen += p.generated.load(Ordering::Relaxed);
-                                ej += p.ejected.load(Ordering::Relaxed);
-                                faulted += p.faulted.load(Ordering::Relaxed);
-                                any_active |= p.active.load(Ordering::Relaxed);
-                            }
-                            if gen == ej + faulted && !any_active {
-                                cycles = now + 1;
-                                break;
-                            }
+                        let exit =
+                            watch.verdict(now, generated, ejected, faulted, delivered, any_active);
+                        if let Some(exit) = exit {
+                            cycles = shard.stop(exit, now, &mut mon);
+                            break;
                         }
-                        now += 1;
                     }
-                    (id, shard.take_stats(), mon, cycles)
+                    (id, shard.stats, mon, cycles)
                 })
             })
             .collect();
@@ -229,36 +294,4 @@ pub(crate) fn run<M: ShardableMonitor>(
         cycles = c;
     }
     (merged, cycles)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn barrier_synchronizes_counter_phases() {
-        let threads = 4;
-        let rounds = 200;
-        let barrier = SpinBarrier::new(threads);
-        let counter = AtomicU64::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    for round in 0..rounds {
-                        counter.fetch_add(1, Ordering::Relaxed);
-                        barrier.wait();
-                        // Between barriers every thread observes the
-                        // full round's increments.
-                        let seen = counter.load(Ordering::Relaxed);
-                        assert!(
-                            seen >= (round + 1) * threads as u64,
-                            "round {round}: saw {seen}"
-                        );
-                        barrier.wait();
-                    }
-                });
-            }
-        });
-        assert_eq!(counter.load(Ordering::Relaxed), rounds * threads as u64);
-    }
 }

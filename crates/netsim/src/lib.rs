@@ -37,7 +37,8 @@
 //!   Valiant misrouting and UGAL adaptive selection (§9.3);
 //! * [`traffic`] — the synthetic patterns of §9.4 and the adversarial
 //!   pattern of §9.6;
-//! * [`engine`] — the cycle loop;
+//! * [`engine`] — the cycle loop: one [`Simulation`] run description in,
+//!   one [`SimResult`] out;
 //! * [`flow`] — the flow-level fast path: max-min fair rate sharing over
 //!   per-endpoint flows routed through any
 //!   [`PathOracle`](polarstar_topo::oracle::PathOracle), for 100k+
@@ -54,14 +55,10 @@ pub mod flow;
 pub mod monitor;
 pub mod negotiate;
 pub mod routing;
-mod sharded;
 pub mod stats;
 pub mod traffic;
 
-pub use engine::{
-    simulate, simulate_monitored, simulate_negotiated, simulate_overlay,
-    simulate_overlay_monitored, FaultResponse, SimConfig, SimConfigError, SimResult,
-};
+pub use engine::{simulate, FaultResponse, SimConfig, SimConfigError, SimResult, Simulation};
 pub use flow::{
     FlowDemand, FlowNetwork, FlowPlan, FlowResult, FlowRouting, PlannedFlow, TrafficComponent,
 };

@@ -32,9 +32,7 @@
 //! via [`FlowRouting::SinglePath`](crate::flow::FlowRouting), and the
 //! cycle engine follows it with
 //! [`RoutingKind::Negotiated`](crate::routing::RoutingKind) through
-//! [`simulate_negotiated`](crate::engine::simulate_negotiated) (which
-//! also feeds the accumulated historic costs into UGAL's candidate
-//! scoring — see [`simulate_overlay`](crate::engine::simulate_overlay)).
+//! [`Simulation::negotiated`](crate::engine::Simulation::negotiated).
 
 use crate::engine::splitmix64;
 use crate::flow::FlowPlan;
@@ -112,12 +110,6 @@ struct Cand {
 #[derive(Clone, Debug, PartialEq)]
 pub struct NegotiatedRoutes {
     n_routers: usize,
-    /// Directed router-router link count (graph CSR slots).
-    net_links: usize,
-    /// Prefix sums of router out-degrees (len `n_routers + 1`): edge id
-    /// `deg_off[r] + p` is port `p` of router `r`, exactly the engine's
-    /// directed-port indexing.
-    deg_off: Vec<u32>,
     /// The traffic matrix's unique router pairs, sorted
     /// lexicographically (copied from [`FlowPlan::pairs`]).
     pairs: Vec<(u32, u32)>,
@@ -151,12 +143,7 @@ impl NegotiatedRoutes {
         cfg: &NegotiateConfig,
     ) -> NegotiatedRoutes {
         let n = spec.graph.n();
-        let mut deg_off = Vec::with_capacity(n + 1);
-        deg_off.push(0u32);
-        for v in 0..n {
-            deg_off.push(deg_off[v] + spec.graph.neighbors(v as u32).len() as u32);
-        }
-        let m = deg_off[n] as usize;
+        let m = spec.graph.directed_edge_count();
 
         let pairs: Vec<(u32, u32)> = plan.pairs().to_vec();
         let mut weight = vec![0.0f64; pairs.len()];
@@ -336,8 +323,6 @@ impl NegotiatedRoutes {
 
         NegotiatedRoutes {
             n_routers: n,
-            net_links: m,
-            deg_off,
             pairs,
             weight,
             path_off,
@@ -378,20 +363,9 @@ impl NegotiatedRoutes {
         self.weight[i]
     }
 
-    /// Directed router-router links (graph CSR slots).
-    pub fn net_links(&self) -> usize {
-        self.net_links
-    }
-
     /// Final weighted demand on directed link `e`.
     pub fn link_load(&self, e: u32) -> f64 {
         self.load[e as usize]
-    }
-
-    /// Accumulated historic congestion cost of directed link `e` —
-    /// nonzero only on links that ended at least one iteration overused.
-    pub fn historic_cost(&self, e: u32) -> f64 {
-        self.historic[e as usize]
     }
 
     /// The capacity target the negotiation ended on (the escalated

@@ -35,7 +35,7 @@ pub enum RoutingKind {
     },
     /// Follow an offline congestion-negotiated per-pair assignment
     /// ([`crate::negotiate::NegotiatedRoutes`]). Requires the overlay —
-    /// use [`crate::engine::simulate_negotiated`]. Packets off the
+    /// use [`crate::engine::Simulation::negotiated`]. Packets off the
     /// negotiated path (or whose negotiated hop died in the current
     /// fault epoch) fall back to the first minimal port.
     Negotiated,
@@ -64,6 +64,7 @@ impl RoutingKind {
 /// CSR pair, and the (nbr_offsets, nbrs) neighbor CSR pair — so lookups
 /// on the simulator hot path are offset arithmetic into contiguous
 /// memory with no pointer chasing.
+#[derive(Clone)]
 pub struct RouteTable {
     n: usize,
     /// dist[dst * n + r] = hop distance from router r to dst.
@@ -77,6 +78,10 @@ pub struct RouteTable {
     nbr_offsets: Vec<u32>,
     nbrs: Vec<u32>,
 }
+
+/// One destination's distance columns `(near, far)` (see
+/// [`RouteTable::assemble`]); `far: None` means "same as `near`".
+type Columns = (Vec<u32>, Option<Vec<u32>>);
 
 /// Copy a graph's adjacency into one CSR pair (offsets are `n + 1`).
 fn neighbor_csr(g: &Graph) -> (Vec<u32>, Vec<u32>) {
@@ -108,8 +113,8 @@ impl RouteTable {
     /// let df = RouteTable::builder(&df.graph).group(&df.group).build();
     /// ```
     ///
-    /// [`RouteTable::for_spec`] / [`RouteTable::build`] are thin wrappers
-    /// over this builder for the spec-carrying hot call sites.
+    /// [`RouteTable::for_spec`] is a thin wrapper over this builder for
+    /// the spec-carrying hot call sites.
     pub fn builder(graph: &Graph) -> RouteTableBuilder<'_> {
         RouteTableBuilder {
             graph,
@@ -122,74 +127,15 @@ impl RouteTable {
     /// Build the table a spec asks for: its [`RoutingPolicy`] hint picks
     /// between flat and hierarchical minimal tables, and its
     /// [`FaultSet`] masks failed links/routers out of both distances and
-    /// minimal-port sets — so callers no longer match on display names or
-    /// special-case degraded networks.
-    pub fn for_spec(spec: &NetworkSpec) -> Self {
-        Self::build(spec, spec.routing_policy())
-    }
-
-    /// Build a table for `spec` under an explicit policy (e.g. to compare
-    /// flat vs hierarchical tables on the same topology). Honors the
-    /// spec's fault mask: distances come from the degraded graph, minimal
-    /// ports skip failed links, but the neighbor CSR keeps the *pristine*
+    /// minimal-port sets, while the neighbor CSR keeps the *pristine*
     /// port numbering so engine-side port indices stay aligned with the
     /// physical topology.
-    pub fn build(spec: &NetworkSpec, policy: RoutingPolicy) -> Self {
+    pub fn for_spec(spec: &NetworkSpec) -> Self {
         Self::builder(&spec.graph)
             .group(&spec.group)
-            .policy(policy)
+            .policy(spec.routing_policy())
             .faults(spec.faults())
             .build()
-    }
-
-    /// Build the table with one BFS per destination (rayon-parallel).
-    fn new(g: &Graph) -> Self {
-        let n = g.n();
-        assert!(n > 0);
-        assert!(g.max_degree() < 256, "ports are stored as u8");
-        let dists: Vec<Vec<u32>> = (0..n as u32)
-            .into_par_iter()
-            .map(|dst| polarstar_graph::traversal::bfs_distances(g, dst))
-            .collect();
-        Self::assemble(g, &dists, |_, _| true)
-    }
-
-    /// Fault-masked flat table: BFS distances over the degraded graph,
-    /// minimal ports exclude failed directed links, neighbor CSR (and
-    /// therefore port numbering) from the pristine graph. Pairs the fault
-    /// set disconnects keep [`RouteTable::UNREACHABLE`] distance and an
-    /// empty port set.
-    fn new_masked(g: &Graph, faults: &FaultSet) -> Self {
-        let n = g.n();
-        assert!(n > 0);
-        assert!(g.max_degree() < 256, "ports are stored as u8");
-        let degraded = faults.degraded_graph(g);
-        let dists: Vec<Vec<u32>> = (0..n as u32)
-            .into_par_iter()
-            .map(|dst| polarstar_graph::traversal::bfs_distances(&degraded, dst))
-            .collect();
-        Self::assemble(g, &dists, |r, nb| !faults.link_failed(r, nb))
-    }
-
-    /// Hierarchical routing for group topologies (Dragonfly, Megafly):
-    /// minimal paths restricted to at most one inter-group ("global")
-    /// link — BookSim's built-in Dragonfly/Megafly MIN discipline. UGAL
-    /// over this table composes two such segments, matching the standard
-    /// Dragonfly Valiant scheme.
-    ///
-    /// Port rule: a local port is minimal if it reduces the ≤1-global
-    /// distance d1; a global port is minimal only if the remainder from
-    /// its far end is purely local (so no path ever takes two globals).
-    fn hierarchical(g: &Graph, group: &[u32]) -> Self {
-        Self::hierarchical_with(g, g, group, |_, _| true)
-    }
-
-    /// Fault-masked hierarchical table: the ≤1-global BFS runs over the
-    /// degraded graph, the port rule skips failed directed links, and the
-    /// neighbor CSR keeps pristine port numbering.
-    fn hierarchical_masked(g: &Graph, group: &[u32], faults: &FaultSet) -> Self {
-        let degraded = faults.degraded_graph(g);
-        Self::hierarchical_with(g, &degraded, group, |r, nb| !faults.link_failed(r, nb))
     }
 
     /// Rebuild the distance and minimal-port layers for a new cumulative
@@ -202,64 +148,72 @@ impl RouteTable {
     /// switch. The policy and group structure come from `spec` (which
     /// must be the spec this table was built for).
     pub fn remask(&self, spec: &NetworkSpec, faults: &FaultSet) -> RouteTable {
-        let n = self.n;
-        assert_eq!(spec.graph.n(), n, "spec does not match this table");
-        let csr = (self.nbr_offsets.clone(), self.nbrs.clone());
-        let degraded = faults.degraded_graph(&spec.graph);
-        match spec.routing_policy() {
-            // A negotiated spec's base table is the flat minimal one —
-            // the negotiated overlay rides on top of it.
-            RoutingPolicy::FlatMinimal | RoutingPolicy::Negotiated => {
-                let dists: Vec<Vec<u32>> = (0..n as u32)
-                    .into_par_iter()
-                    .map(|dst| polarstar_graph::traversal::bfs_distances(&degraded, dst))
-                    .collect();
-                Self::assemble_from(csr, &dists, |r, nb| !faults.link_failed(r, nb))
-            }
-            RoutingPolicy::HierarchicalMinimal => {
-                Self::hierarchical_from(csr, &degraded, &spec.group, |r, nb| {
-                    !faults.link_failed(r, nb)
-                })
-            }
-        }
+        assert_eq!(spec.graph.n(), self.n, "spec does not match this table");
+        Self::assemble(
+            (self.nbr_offsets.clone(), self.nbrs.clone()),
+            &spec.graph,
+            spec.routing_policy(),
+            Some(&spec.group),
+            faults,
+        )
     }
 
-    /// Shared hierarchical assembly: distances over `routed` (the
-    /// possibly-degraded view), CSR and port numbering over the pristine
-    /// `g`, `alive` masking the minimal-port sets.
-    fn hierarchical_with<F: Fn(u32, u32) -> bool + Sync>(
-        g: &Graph,
-        routed: &Graph,
-        group: &[u32],
-        alive: F,
-    ) -> Self {
-        assert_eq!(routed.n(), g.n());
-        assert!(g.max_degree() < 256, "ports are stored as u8");
-        Self::hierarchical_from(neighbor_csr(g), routed, group, alive)
-    }
-
-    /// Hierarchical assembly over a pre-built (pristine) neighbor CSR —
-    /// the route-table-epoch path reuses an existing table's CSR here.
-    fn hierarchical_from<F: Fn(u32, u32) -> bool + Sync>(
+    /// The one table assembler: distances over `graph` minus `faults`,
+    /// minimal ports over the pristine neighbor CSR with failed directed
+    /// links masked out. Pairs the fault set disconnects keep
+    /// [`RouteTable::UNREACHABLE`] distance and an empty port set.
+    ///
+    /// Every policy is the same port rule over two per-destination
+    /// distance columns: a neighbor across a *local* link is judged on
+    /// `near` (the routed distance `dist` stores), one across a *global*
+    /// link on `far`. [`RoutingPolicy::HierarchicalMinimal`] — minimal
+    /// paths with at most one inter-group link, BookSim's built-in
+    /// Dragonfly/Megafly MIN discipline — sets `near` to the ≤1-global
+    /// distance and `far` to the pure-local one, so a global port is
+    /// minimal only if the remainder from its far end is purely local
+    /// and no path ever takes two globals. [`RoutingPolicy::FlatMinimal`]
+    /// has one BFS column and no link classes.
+    fn assemble(
         (nbr_offsets, nbrs): (Vec<u32>, Vec<u32>),
-        routed: &Graph,
-        group: &[u32],
-        alive: F,
+        graph: &Graph,
+        policy: RoutingPolicy,
+        group: Option<&[u32]>,
+        faults: &FaultSet,
     ) -> Self {
         let n = nbr_offsets.len() - 1;
-        assert_eq!(group.len(), n);
-        assert_eq!(routed.n(), n);
-        let per_dst: Vec<(Vec<u32>, Vec<u32>)> = (0..n as u32)
+        assert_eq!(graph.n(), n);
+        // The pristine table BFSes the caller's graph directly; only a
+        // real mask pays for the degraded copy.
+        let degraded;
+        let routed = if faults.is_empty() {
+            graph
+        } else {
+            degraded = faults.degraded_graph(graph);
+            &degraded
+        };
+        // The link classes of the port rule; flat tables have none.
+        let group: &[u32] = match policy {
+            RoutingPolicy::FlatMinimal => &[],
+            RoutingPolicy::HierarchicalMinimal => {
+                let group = group.expect("hierarchical routing requires .group(..) on the builder");
+                assert_eq!(group.len(), n);
+                group
+            }
+        };
+        let cols: Vec<Columns> = (0..n as u32)
             .into_par_iter()
             .map(|dst| {
-                let d0 = local_bfs(routed, group, dst);
-                let d1 = one_global_bfs(routed, group, dst, &d0);
-                (d0, d1)
+                if group.is_empty() {
+                    (polarstar_graph::traversal::bfs_distances(routed, dst), None)
+                } else {
+                    let d0 = local_bfs(routed, group, dst);
+                    (one_global_bfs(routed, group, dst, &d0), Some(d0))
+                }
             })
             .collect();
         let mut dist = vec![0u16; n * n];
-        for (dst, (_, d1)) in per_dst.iter().enumerate() {
-            for (r, &x) in d1.iter().enumerate() {
+        for (dst, (near, _)) in cols.iter().enumerate() {
+            for (r, &x) in near.iter().enumerate() {
                 dist[dst * n + r] = x.min(u16::MAX as u32) as u16;
             }
         }
@@ -268,77 +222,22 @@ impl RouteTable {
         // port, so n·(n−1) is a lower bound on the arena size.
         let mut ports = Vec::with_capacity(n * n.saturating_sub(1));
         port_offsets.push(0u32);
+        // Surviving (port, neighbor, crosses a global link) of one router.
+        let mut live: Vec<(u8, u32, bool)> = Vec::new();
         for r in 0..n {
             let row = &nbrs[nbr_offsets[r] as usize..nbr_offsets[r + 1] as usize];
-            for (dst, (d0, d1)) in per_dst.iter().enumerate() {
-                if r != dst && d1[r] != u32::MAX {
-                    let dr = d1[r];
-                    for (p, &nb) in row.iter().enumerate() {
-                        if !alive(r as u32, nb) {
-                            continue;
-                        }
-                        let local = group[r] == group[nb as usize];
-                        let ok = if local {
-                            d1[nb as usize].saturating_add(1) == dr
-                        } else {
-                            d0[nb as usize].saturating_add(1) == dr
-                        };
-                        if ok {
-                            ports.push(p as u8);
-                        }
-                    }
-                }
-                port_offsets.push(ports.len() as u32);
-            }
-        }
-        RouteTable {
-            n,
-            dist,
-            port_offsets,
-            ports,
-            nbr_offsets,
-            nbrs,
-        }
-    }
-
-    /// Assemble the flat arenas from per-destination u32 BFS distances
-    /// over the pristine neighbor CSR; `alive` masks failed directed
-    /// links out of the minimal-port sets.
-    fn assemble<F: Fn(u32, u32) -> bool>(g: &Graph, dists: &[Vec<u32>], alive: F) -> Self {
-        Self::assemble_from(neighbor_csr(g), dists, alive)
-    }
-
-    /// Flat assembly over a pre-built (pristine) neighbor CSR — the
-    /// route-table-epoch path reuses an existing table's CSR here.
-    fn assemble_from<F: Fn(u32, u32) -> bool>(
-        (nbr_offsets, nbrs): (Vec<u32>, Vec<u32>),
-        dists: &[Vec<u32>],
-        alive: F,
-    ) -> Self {
-        let n = nbr_offsets.len() - 1;
-        let mut dist = vec![0u16; n * n];
-        for (dst, d) in dists.iter().enumerate() {
-            for (r, &x) in d.iter().enumerate() {
-                dist[dst * n + r] = x.min(u16::MAX as u32) as u16;
-            }
-        }
-        // Minimal ports per (r, dst).
-        let mut port_offsets = Vec::with_capacity(n * n + 1);
-        // Every reachable ordered pair contributes at least one minimal
-        // port, so n·(n−1) is a lower bound on the arena size.
-        let mut ports = Vec::with_capacity(n * n.saturating_sub(1));
-        port_offsets.push(0u32);
-        for r in 0..n {
-            let row = &nbrs[nbr_offsets[r] as usize..nbr_offsets[r + 1] as usize];
-            for (dst, d) in dists.iter().enumerate() {
-                if r != dst && d[r] != u32::MAX {
-                    let dr = d[r];
-                    for (p, &nb) in row.iter().enumerate() {
-                        if d[nb as usize] != u32::MAX
-                            && d[nb as usize] + 1 == dr
-                            && alive(r as u32, nb)
-                        {
-                            ports.push(p as u8);
+            live.clear();
+            live.extend(row.iter().enumerate().filter_map(|(p, &nb)| {
+                let global = !group.is_empty() && group[r] != group[nb as usize];
+                (!faults.link_failed(r as u32, nb)).then_some((p as u8, nb, global))
+            }));
+            for (dst, (near, far)) in cols.iter().enumerate() {
+                if r != dst && near[r] != u32::MAX {
+                    let far = far.as_ref().unwrap_or(near);
+                    for &(p, nb, global) in &live {
+                        let judged = if global { far } else { near };
+                        if judged[nb as usize].saturating_add(1) == near[r] {
+                            ports.push(p);
                         }
                     }
                 }
@@ -421,9 +320,7 @@ impl RouteTable {
     }
 }
 
-/// Staged construction of a [`RouteTable`] — the one entry point that
-/// replaced the former `new` / `new_masked` / `hierarchical` /
-/// `hierarchical_masked` constructor family.
+/// Staged construction of a [`RouteTable`].
 ///
 /// Defaults: [`RoutingPolicy::FlatMinimal`], no group structure, no
 /// faults. Setting a group via [`RouteTableBuilder::group`] switches the
@@ -470,24 +367,16 @@ impl<'a> RouteTableBuilder<'a> {
     /// If the policy is hierarchical and no group was attached, or the
     /// group length does not match the graph.
     pub fn build(self) -> RouteTable {
-        let masked = self.faults.filter(|f| !f.is_empty());
-        match self.policy {
-            // The negotiated overlay consults a flat minimal base table
-            // (for fallback ports and reachability); build that.
-            RoutingPolicy::FlatMinimal | RoutingPolicy::Negotiated => match masked {
-                Some(f) => RouteTable::new_masked(self.graph, f),
-                None => RouteTable::new(self.graph),
-            },
-            RoutingPolicy::HierarchicalMinimal => {
-                let group = self
-                    .group
-                    .expect("hierarchical routing requires .group(..) on the builder");
-                match masked {
-                    Some(f) => RouteTable::hierarchical_masked(self.graph, group, f),
-                    None => RouteTable::hierarchical(self.graph, group),
-                }
-            }
-        }
+        assert!(self.graph.n() > 0);
+        assert!(self.graph.max_degree() < 256, "ports are stored as u8");
+        let pristine = FaultSet::empty();
+        RouteTable::assemble(
+            neighbor_csr(self.graph),
+            self.graph,
+            self.policy,
+            self.group,
+            self.faults.unwrap_or(&pristine),
+        )
     }
 }
 
@@ -903,35 +792,131 @@ mod tests {
         assert_tables_equal(&pristine.remask(&spec, &FaultSet::empty()), &pristine);
     }
 
+    /// Brute-force reference for the hierarchical discipline, sharing
+    /// nothing with `local_bfs`/`one_global_bfs`/`assemble`: a forward
+    /// BFS from `src` over (router, global links used) states of the
+    /// degraded graph, allowing at most `budget` global links. Returns
+    /// the distance from `src` to every router.
+    fn ref_distances(g: &Graph, group: &[u32], src: u32, budget: usize) -> Vec<u32> {
+        let n = g.n();
+        let mut dist = vec![[u32::MAX; 2]; n];
+        let mut queue = std::collections::VecDeque::from([(src, 0usize)]);
+        dist[src as usize][0] = 0;
+        while let Some((u, used)) = queue.pop_front() {
+            for &v in g.neighbors(u) {
+                let used_v = used + usize::from(group[u as usize] != group[v as usize]);
+                if used_v <= budget && dist[v as usize][used_v] == u32::MAX {
+                    dist[v as usize][used_v] = dist[u as usize][used] + 1;
+                    queue.push_back((v, used_v));
+                }
+            }
+        }
+        dist.iter().map(|d| d[0].min(d[1])).collect()
+    }
+
+    /// Check every (router, destination) entry of a hierarchical table
+    /// against [`ref_distances`]: the distance is the ≤ 1-global one, a
+    /// port is minimal iff its directed link survives and the remainder
+    /// from its far end fits the global budget left, and disconnected
+    /// pairs read `UNREACHABLE` with no ports.
+    fn assert_matches_hierarchical_reference(
+        t: &RouteTable,
+        spec: &NetworkSpec,
+        faults: &polarstar_topo::FaultSet,
+        what: &str,
+    ) {
+        let degraded = faults.degraded_graph(&spec.graph);
+        let n = spec.graph.n() as u32;
+        // from[budget][x][dst]
+        let from: Vec<Vec<Vec<u32>>> = (0..2)
+            .map(|b| {
+                (0..n)
+                    .map(|x| ref_distances(&degraded, &spec.group, x, b))
+                    .collect()
+            })
+            .collect();
+        for r in 0..n {
+            assert_eq!(
+                t.neighbors(r),
+                spec.graph.neighbors(r),
+                "{what}: CSR row {r}"
+            );
+            for dst in 0..n {
+                let d = from[1][r as usize][dst as usize];
+                let want = if d == u32::MAX {
+                    RouteTable::UNREACHABLE
+                } else {
+                    d as u16
+                };
+                assert_eq!(t.distance(r, dst), want, "{what}: distance {r}→{dst}");
+                let mut ports = Vec::new();
+                if r != dst && d != u32::MAX {
+                    for (p, &nb) in spec.graph.neighbors(r).iter().enumerate() {
+                        let global = spec.group[r as usize] != spec.group[nb as usize];
+                        let rest = from[usize::from(!global)][nb as usize][dst as usize];
+                        if !faults.link_failed(r, nb) && rest != u32::MAX && rest + 1 == d {
+                            ports.push(p as u8);
+                        }
+                    }
+                }
+                assert_eq!(t.min_ports(r, dst), ports, "{what}: ports {r}→{dst}");
+            }
+        }
+    }
+
     #[test]
-    fn remask_matches_fresh_hierarchical_build() {
-        use polarstar_topo::{FaultSet, RoutingPolicy};
+    fn hierarchical_tables_match_brute_force_reference() {
+        use polarstar_topo::FaultSet;
         let df = polarstar_topo::dragonfly::dragonfly(polarstar_topo::dragonfly::DragonflyParams {
             a: 4,
             h: 2,
             p: 1,
         });
-        let spec = polarstar_topo::NetworkSpec::new(
-            "df",
-            df.graph.clone(),
-            df.endpoints.clone(),
-            df.group.clone(),
-        )
-        .with_policy(RoutingPolicy::HierarchicalMinimal);
-        let pristine = RouteTable::for_spec(&spec);
-        let (u, v) = df
-            .graph
-            .edges()
-            .find(|&(u, v)| df.group[u as usize] != df.group[v as usize])
-            .unwrap();
-        let f = FaultSet::from_links([(u, v)]);
-        assert_tables_equal(
-            &pristine.remask(&spec, &f),
-            &RouteTable::builder(&df.graph)
-                .group(&df.group)
-                .faults(&f)
-                .build(),
-        );
+        let mf = polarstar_topo::megafly::megafly(polarstar_topo::megafly::MegaflyParams {
+            rho: 2,
+            a: 4,
+            p: 1,
+        });
+        for spec in [df, mf] {
+            assert_eq!(spec.routing_policy(), RoutingPolicy::HierarchicalMinimal);
+            let global = spec
+                .graph
+                .edges()
+                .find(|&(u, v)| spec.group[u as usize] != spec.group[v as usize])
+                .unwrap();
+            let masks = [
+                ("pristine", FaultSet::empty()),
+                ("one global link", FaultSet::from_links([global])),
+                ("10% links", FaultSet::random_links(&spec.graph, 0.1, 5)),
+                ("one-way link", FaultSet::from_directed_links([global])),
+                ("two routers", FaultSet::from_routers([1, global.1])),
+            ];
+            let pristine = RouteTable::for_spec(&spec);
+            for (label, f) in &masks {
+                let what = format!("{} / {label}", spec.name);
+                let fresh = RouteTable::builder(&spec.graph)
+                    .group(&spec.group)
+                    .faults(f)
+                    .build();
+                assert_matches_hierarchical_reference(&fresh, &spec, f, &what);
+                let remasked = pristine.remask(&spec, f);
+                assert_matches_hierarchical_reference(
+                    &remasked,
+                    &spec,
+                    f,
+                    &format!("{what} (remask)"),
+                );
+                // Chained remasks start from the retained pristine CSR,
+                // not from the previous mask.
+                assert_matches_hierarchical_reference(
+                    &remasked.remask(&spec, &FaultSet::empty()),
+                    &spec,
+                    &FaultSet::empty(),
+                    &format!("{what} (remask back to ∅)"),
+                );
+            }
+            assert_tables_equal(&pristine.remask(&spec, &FaultSet::empty()), &pristine);
+        }
     }
 
     #[test]

@@ -7,11 +7,8 @@
 //! `threads` for few large ones (EXPERIMENTS.md has the full guidance) —
 //! results are bit-identical either way.
 
-use crate::engine::{simulate, simulate_monitored, SimConfig, SimResult};
+use crate::engine::{SimConfig, SimResult, Simulation};
 use crate::monitor::{MetricsMonitor, MetricsReport};
-use crate::routing::{RouteTable, RoutingKind};
-use crate::traffic::Pattern;
-use polarstar_topo::network::NetworkSpec;
 use rayon::prelude::*;
 
 /// The repo's single saturation-onset contract — "the highest offered
@@ -66,28 +63,21 @@ impl LoadSweep {
         highest_stable_offered(&self.points)
     }
 
-    /// Points up to and including saturation (what Fig. 9 plots).
-    pub fn stable_prefix(&self) -> Vec<&SimResult> {
-        self.points.iter().filter(|p| p.stable).collect()
+    /// Points through the first unstable one — the rows the figure CSVs
+    /// print: the stable prefix Fig. 9 plots, plus the point that shows
+    /// where the series saturated.
+    pub fn through_first_unstable(&self) -> &[SimResult] {
+        let stable = self.points.iter().take_while(|p| p.stable).count();
+        &self.points[..self.points.len().min(stable + 1)]
     }
 }
 
 /// Run a load sweep, parallelized across load points.
-pub fn sweep(
-    spec: &NetworkSpec,
-    table: &RouteTable,
-    kind: RoutingKind,
-    pattern: &Pattern,
-    loads: &[f64],
-    cfg: &SimConfig,
-) -> LoadSweep {
-    let points: Vec<SimResult> = loads
-        .par_iter()
-        .map(|&l| simulate(spec, table, kind, pattern, l, cfg))
-        .collect();
+pub fn sweep(sim: &Simulation, loads: &[f64], cfg: &SimConfig) -> LoadSweep {
+    let points: Vec<SimResult> = loads.par_iter().map(|&l| sim.run(l, cfg)).collect();
     LoadSweep {
-        name: spec.name.clone(),
-        routing: kind.label(),
+        name: sim.spec.name.clone(),
+        routing: sim.kind.label(),
         points,
     }
 }
@@ -105,10 +95,7 @@ pub struct MetricsSweep {
 /// [`sweep`] with a [`MetricsMonitor`] per point (VC occupancy sampled
 /// every `sample_every` cycles), parallelized across load points.
 pub fn sweep_with_metrics(
-    spec: &NetworkSpec,
-    table: &RouteTable,
-    kind: RoutingKind,
-    pattern: &Pattern,
+    sim: &Simulation,
     loads: &[f64],
     cfg: &SimConfig,
     sample_every: u64,
@@ -117,15 +104,15 @@ pub fn sweep_with_metrics(
         .par_iter()
         .map(|&l| {
             let mut mon = MetricsMonitor::new(sample_every);
-            let r = simulate_monitored(spec, table, kind, pattern, l, cfg, &mut mon);
+            let r = sim.run_monitored(l, cfg, &mut mon);
             (r, mon.report())
         })
         .collect();
     let (points, metrics): (Vec<_>, Vec<_>) = runs.into_iter().unzip();
     MetricsSweep {
         sweep: LoadSweep {
-            name: spec.name.clone(),
-            routing: kind.label(),
+            name: sim.spec.name.clone(),
+            routing: sim.kind.label(),
             points,
         },
         metrics,
@@ -138,23 +125,16 @@ pub fn default_loads() -> Vec<f64> {
 }
 
 /// Binary-search the saturation throughput to `tol` resolution.
-pub fn saturation_search(
-    spec: &NetworkSpec,
-    table: &RouteTable,
-    kind: RoutingKind,
-    pattern: &Pattern,
-    cfg: &SimConfig,
-    tol: f64,
-) -> f64 {
+pub fn saturation_search(sim: &Simulation, cfg: &SimConfig, tol: f64) -> f64 {
     let mut lo = 0.0f64;
     let mut hi = 1.0f64;
     // Establish that `hi` is saturated; if not, the answer is 1.0.
-    if simulate(spec, table, kind, pattern, hi, cfg).stable {
+    if sim.run(hi, cfg).stable {
         return 1.0;
     }
     while hi - lo > tol {
         let mid = (lo + hi) / 2.0;
-        if simulate(spec, table, kind, pattern, mid, cfg).stable {
+        if sim.run(mid, cfg).stable {
             lo = mid;
         } else {
             hi = mid;
@@ -264,7 +244,10 @@ mod recovery_tests {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::routing::{RouteTable, RoutingKind};
+    use crate::traffic::Pattern;
     use polarstar_graph::Graph;
+    use polarstar_topo::network::NetworkSpec;
 
     fn cfg() -> SimConfig {
         SimConfig {
@@ -280,17 +263,11 @@ mod tests {
     fn sweep_shapes() {
         let spec = NetworkSpec::uniform("k6", Graph::complete(6), 2);
         let table = RouteTable::builder(&spec.graph).build();
-        let s = sweep(
-            &spec,
-            &table,
-            RoutingKind::MinMulti,
-            &Pattern::Uniform,
-            &[0.1, 0.3, 0.5],
-            &cfg(),
-        );
+        let sim = Simulation::new(&spec, &table, RoutingKind::MinMulti, &Pattern::Uniform);
+        let s = sweep(&sim, &[0.1, 0.3, 0.5], &cfg());
         assert_eq!(s.points.len(), 3);
         assert!(s.saturation_load() >= 0.3, "K6 sustains moderate load");
-        assert!(!s.stable_prefix().is_empty());
+        assert!(!s.through_first_unstable().is_empty());
     }
 
     #[test]
@@ -299,14 +276,8 @@ mod tests {
         // (bisection of 2 links serves ~16 endpoints × load/2 crossing).
         let spec = NetworkSpec::uniform("c8", Graph::cycle(8), 2);
         let table = RouteTable::builder(&spec.graph).build();
-        let sat = saturation_search(
-            &spec,
-            &table,
-            RoutingKind::MinMulti,
-            &Pattern::Uniform,
-            &cfg(),
-            0.05,
-        );
+        let sim = Simulation::new(&spec, &table, RoutingKind::MinMulti, &Pattern::Uniform);
+        let sat = saturation_search(&sim, &cfg(), 0.05);
         assert!(sat < 0.8, "ring saturation {sat} should be well below 1");
         assert!(sat > 0.01, "ring should sustain some load");
     }
@@ -315,14 +286,8 @@ mod tests {
     fn complete_graph_no_saturation() {
         let spec = NetworkSpec::uniform("k8", Graph::complete(8), 1);
         let table = RouteTable::builder(&spec.graph).build();
-        let sat = saturation_search(
-            &spec,
-            &table,
-            RoutingKind::MinMulti,
-            &Pattern::Uniform,
-            &cfg(),
-            0.1,
-        );
+        let sim = Simulation::new(&spec, &table, RoutingKind::MinMulti, &Pattern::Uniform);
+        let sat = saturation_search(&sim, &cfg(), 0.1);
         assert!(
             sat >= 0.9,
             "K8 with 1 ep/router sustains ~full load, got {sat}"

@@ -10,7 +10,7 @@ use polarstar::design::best_config;
 use polarstar::network::PolarStarNetwork;
 use polarstar_netsim::routing::{RouteTable, RoutingKind};
 use polarstar_netsim::traffic::Pattern;
-use polarstar_netsim::{simulate, simulate_monitored, FaultResponse, MetricsMonitor, SimConfig};
+use polarstar_netsim::{simulate, FaultResponse, MetricsMonitor, SimConfig, Simulation};
 use polarstar_topo::er::ErGraph;
 use polarstar_topo::network::NetworkSpec;
 use polarstar_topo::{FaultSchedule, FaultSet};
@@ -85,15 +85,12 @@ fn polarstar_ugal_identical_across_thread_counts() {
 
 /// Negotiated routing keeps the contract end to end: the offline
 /// negotiation is a pure function of (seed, iteration) and the engine
-/// following its table — plus UGAL priced with its historic costs —
-/// stays bit-identical at every thread count.
+/// following its table stays bit-identical at every thread count.
 #[test]
 fn er5_negotiated_identical_across_thread_counts() {
     use polarstar_netsim::flow::{FlowPlan, FlowRouting, TrafficComponent};
     use polarstar_netsim::traffic::engine_resolve_seed;
-    use polarstar_netsim::{
-        simulate_negotiated, simulate_overlay, NegotiateConfig, NegotiatedRoutes,
-    };
+    use polarstar_netsim::{NegotiateConfig, NegotiatedRoutes};
 
     let spec = er5_spec();
     let table = RouteTable::for_spec(&spec);
@@ -112,37 +109,12 @@ fn er5_negotiated_identical_across_thread_counts() {
         NegotiatedRoutes::negotiate(&spec, &table, &plan, &ncfg),
         "negotiation rebuild diverges"
     );
-    let neg_base = simulate_negotiated(&spec, &table, &neg, &Pattern::Permutation, 0.3, &cfg(None));
+    let sim = Simulation::negotiated(&spec, &table, &neg, &Pattern::Permutation);
+    let neg_base = sim.run(0.3, &cfg(None));
     assert!(neg_base.measured_ejected > 0, "{neg_base:?}");
-    let hist_base = simulate_overlay(
-        &spec,
-        &table,
-        RoutingKind::ugal4(),
-        &neg,
-        &Pattern::Permutation,
-        0.3,
-        &cfg(None),
-    );
     for threads in [1usize, 2, 4] {
-        let neg_t = simulate_negotiated(
-            &spec,
-            &table,
-            &neg,
-            &Pattern::Permutation,
-            0.3,
-            &cfg(Some(threads)),
-        );
+        let neg_t = sim.run(0.3, &cfg(Some(threads)));
         assert_eq!(neg_base, neg_t, "NEG diverges at threads={threads}");
-        let hist_t = simulate_overlay(
-            &spec,
-            &table,
-            RoutingKind::ugal4(),
-            &neg,
-            &Pattern::Permutation,
-            0.3,
-            &cfg(Some(threads)),
-        );
-        assert_eq!(hist_base, hist_t, "UGAL-H diverges at threads={threads}");
     }
 }
 
@@ -200,15 +172,8 @@ fn metrics_monitor_totals_identical_across_thread_counts() {
     let table = RouteTable::for_spec(&spec);
     let run = |threads: Option<usize>| {
         let mut mon = MetricsMonitor::new(64);
-        let r = simulate_monitored(
-            &spec,
-            &table,
-            RoutingKind::ugal4(),
-            &Pattern::Uniform,
-            0.3,
-            &cfg(threads),
-            &mut mon,
-        );
+        let r = Simulation::new(&spec, &table, RoutingKind::ugal4(), &Pattern::Uniform)
+            .run_monitored(0.3, &cfg(threads), &mut mon);
         (r, mon.report())
     };
     let (base_result, base_report) = run(None);
@@ -232,18 +197,15 @@ fn live_fault_schedule_identical_across_thread_counts() {
     let table = RouteTable::for_spec(&spec);
     let run = |threads: Option<usize>| {
         let mut mon = MetricsMonitor::new(64);
-        let r = simulate_monitored(
-            &spec,
-            &table,
-            RoutingKind::ugal4(),
-            &Pattern::Uniform,
-            0.4,
-            &SimConfig {
-                fault_schedule: Some(schedule.clone()),
-                ..cfg(threads)
-            },
-            &mut mon,
-        );
+        let r = Simulation::new(&spec, &table, RoutingKind::ugal4(), &Pattern::Uniform)
+            .run_monitored(
+                0.4,
+                &SimConfig {
+                    fault_schedule: Some(schedule.clone()),
+                    ..cfg(threads)
+                },
+                &mut mon,
+            );
         (r, mon.report())
     };
     let (base_result, base_report) = run(None);
@@ -277,20 +239,17 @@ fn watchdog_fire_identical_across_thread_counts() {
     let table = RouteTable::for_spec(&spec);
     let run = |threads: Option<usize>| {
         let mut mon = MetricsMonitor::new(64);
-        let r = simulate_monitored(
-            &spec,
-            &table,
-            RoutingKind::MinSingle,
-            &Pattern::Uniform,
-            0.4,
-            &SimConfig {
-                fault_schedule: Some(schedule.clone()),
-                fault_response: FaultResponse::Stale,
-                watchdog_cycles: Some(200),
-                ..cfg(threads)
-            },
-            &mut mon,
-        );
+        let r = Simulation::new(&spec, &table, RoutingKind::MinSingle, &Pattern::Uniform)
+            .run_monitored(
+                0.4,
+                &SimConfig {
+                    fault_schedule: Some(schedule.clone()),
+                    fault_response: FaultResponse::Stale,
+                    watchdog_cycles: Some(200),
+                    ..cfg(threads)
+                },
+                &mut mon,
+            );
         (r, mon.report())
     };
     let (base_result, base_report) = run(None);

@@ -17,13 +17,6 @@ pub enum RoutingPolicy {
     /// Shortest paths restricted to at most one inter-group ("global")
     /// link — BookSim's built-in Dragonfly/Megafly MIN discipline.
     HierarchicalMinimal,
-    /// Routes served from an offline congestion-negotiated assignment
-    /// (PathFinder-style rip-up and re-route over a traffic matrix).
-    /// Table construction treats this like [`RoutingPolicy::FlatMinimal`]
-    /// — the negotiated overlay rides on top of the flat minimal base
-    /// table and is consulted per (src, dst) pair by the flow and cycle
-    /// layers.
-    Negotiated,
 }
 
 impl RoutingPolicy {
@@ -32,7 +25,6 @@ impl RoutingPolicy {
         match self {
             RoutingPolicy::FlatMinimal => "flat-minimal",
             RoutingPolicy::HierarchicalMinimal => "hierarchical-minimal",
-            RoutingPolicy::Negotiated => "negotiated",
         }
     }
 }

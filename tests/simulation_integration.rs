@@ -2,14 +2,15 @@
 //! tables, traffic generation and the cycle engine — the Figure 9/10
 //! methodology on reduced-size networks.
 
-use polarstar::design::best_config;
+use polarstar::design::{best_config, PolarStarConfig, SupernodeKind};
 use polarstar::network::PolarStarNetwork;
-use polarstar_repro::netsim::engine::{simulate, SimConfig};
+use polarstar_repro::netsim::engine::{simulate, SimConfig, SimResult, Simulation};
 use polarstar_repro::netsim::routing::{RouteTable, RoutingKind};
 use polarstar_repro::netsim::stats::{saturation_search, sweep};
 use polarstar_repro::netsim::traffic::Pattern;
 use polarstar_repro::topo::dragonfly::{dragonfly, DragonflyParams};
 use polarstar_repro::topo::network::NetworkSpec;
+use polarstar_repro::topo::FaultSchedule;
 
 fn cfg(seed: u64) -> SimConfig {
     SimConfig {
@@ -59,22 +60,17 @@ fn adversarial_polarstar_beats_dragonfly() {
     let pst = RouteTable::builder(&ps.graph).build();
     // BookSim's Dragonfly MIN is hierarchical: local, one global, local.
     let dft = RouteTable::builder(&df.graph).group(&df.group).build();
-    let sat_ps = saturation_search(
-        &ps,
-        &pst,
-        RoutingKind::MinMulti,
-        &Pattern::AdversarialGroup,
-        &cfg(2),
-        0.05,
-    );
-    let sat_df = saturation_search(
-        &df,
-        &dft,
-        RoutingKind::MinMulti,
-        &Pattern::AdversarialGroup,
-        &cfg(2),
-        0.05,
-    );
+    let adversarial = |net, table| {
+        let sim = Simulation::new(
+            net,
+            table,
+            RoutingKind::MinMulti,
+            &Pattern::AdversarialGroup,
+        );
+        saturation_search(&sim, &cfg(2), 0.05)
+    };
+    let sat_ps = adversarial(&ps, &pst);
+    let sat_df = adversarial(&df, &dft);
     assert!(
         sat_ps > sat_df,
         "PolarStar adversarial saturation {sat_ps} must exceed Dragonfly {sat_df}"
@@ -86,14 +82,8 @@ fn adversarial_polarstar_beats_dragonfly() {
 fn ugal_reasonable_on_permutation() {
     let net = small_polarstar(3);
     let table = RouteTable::builder(&net.graph).build();
-    let s = sweep(
-        &net,
-        &table,
-        RoutingKind::ugal4(),
-        &Pattern::Permutation,
-        &[0.1, 0.3, 0.5],
-        &cfg(3),
-    );
+    let sim = Simulation::new(&net, &table, RoutingKind::ugal4(), &Pattern::Permutation);
+    let s = sweep(&sim, &[0.1, 0.3, 0.5], &cfg(3));
     assert!(
         s.saturation_load() >= 0.3,
         "UGAL permutation saturation {}",
@@ -119,24 +109,102 @@ fn bit_patterns_deliver() {
 fn sweeps_are_reproducible() {
     let net = small_polarstar(2);
     let table = RouteTable::builder(&net.graph).build();
-    let a = sweep(
-        &net,
-        &table,
-        RoutingKind::MinMulti,
-        &Pattern::Uniform,
-        &[0.2, 0.4],
-        &cfg(5),
-    );
-    let b = sweep(
-        &net,
-        &table,
-        RoutingKind::MinMulti,
-        &Pattern::Uniform,
-        &[0.2, 0.4],
-        &cfg(5),
-    );
+    let sim = Simulation::new(&net, &table, RoutingKind::MinMulti, &Pattern::Uniform);
+    let a = sweep(&sim, &[0.2, 0.4], &cfg(5));
+    let b = sweep(&sim, &[0.2, 0.4], &cfg(5));
     for (x, y) in a.points.iter().zip(&b.points) {
         assert_eq!(x.avg_latency, y.avg_latency);
         assert_eq!(x.measured_ejected, y.measured_ejected);
     }
+}
+
+/// Two cells of `crates/netsim/tests/engine_pin.rs` (same networks,
+/// seeds and literal goldens, recorded before the engine's routing
+/// surface was collapsed), mirrored so the tier-1 suite pins the engine
+/// against recorded numbers and not only against itself: one MIN point
+/// on a flat table, one live-fault point on a hierarchical table that
+/// re-routes, drops in flight and drops at injection. Never regenerate
+/// for a refactor.
+#[test]
+fn engine_matches_recorded_goldens() {
+    let pin_cfg = SimConfig {
+        warmup_cycles: 200,
+        measure_cycles: 400,
+        drain_cycles: 2_500,
+        seed: 0xE9,
+        ..SimConfig::default()
+    };
+    let ps = PolarStarNetwork::build(
+        PolarStarConfig {
+            q: 3,
+            supernode: SupernodeKind::InductiveQuad { degree: 3 },
+        },
+        2,
+    )
+    .unwrap()
+    .spec;
+    let table = RouteTable::for_spec(&ps);
+    assert_eq!(
+        simulate(
+            &ps,
+            &table,
+            RoutingKind::MinMulti,
+            &Pattern::Uniform,
+            0.3,
+            &pin_cfg
+        ),
+        SimResult {
+            offered: 0.3,
+            accepted: 0.2932692307692308,
+            avg_latency: 18.66655743077175,
+            p99_latency: 32.0,
+            delivered_fraction: 1.0,
+            stable: true,
+            measured_ejected: 6103,
+            avg_hops: 2.4943470424381453,
+            unroutable: 0,
+            faulted_in_flight: 0,
+            rerouted: 0,
+            watchdog_fired: false,
+        },
+        "ps/min_multi/pristine"
+    );
+
+    let df = dragonfly(DragonflyParams { a: 4, h: 2, p: 2 });
+    let table = RouteTable::for_spec(&df);
+    let burst_cfg = SimConfig {
+        fault_schedule: Some(FaultSchedule::random_burst(
+            &df.graph,
+            0.05,
+            0xFA17,
+            300,
+            Some(450),
+        )),
+        ..pin_cfg
+    };
+    assert_eq!(
+        simulate(
+            &df,
+            &table,
+            RoutingKind::Valiant,
+            &Pattern::Uniform,
+            0.3,
+            &burst_cfg
+        ),
+        SimResult {
+            offered: 0.3,
+            accepted: 0.26944444444444443,
+            avg_latency: 49.081862745098036,
+            p99_latency: 228.0,
+            delivered_fraction: 0.9951219512195122,
+            stable: false,
+            measured_ejected: 2040,
+            avg_hops: 4.708823529411765,
+            unroutable: 66,
+            faulted_in_flight: 10,
+            rerouted: 7,
+            watchdog_fired: false,
+        },
+        "df/valiant/burst_reroute"
+    );
 }
