@@ -13,12 +13,18 @@
 //!   oracle for a 5% link burst and installing it (what the churn thread
 //!   pays per epoch while queries keep streaming). The recorded CSR
 //!   remask is ~196 ms; `remask_install_analytic_ps_iq` pins the
-//!   fault-mask swap that replaces it.
+//!   fault-mask swap that replaces it;
+//! * `distance_column_faulted` — one faulted
+//!   `AnalyticOracle::distance_column` on PS-scale32 (9 954 routers,
+//!   degree 32) at 0.2 %, 5 %, 20 % and 50 % failed links, each next to
+//!   the degraded-graph BFS the column repair replaced
+//!   (`bfs_<mask>`: one `FaultSet::edge_failed` probe per edge), so
+//!   the light-mask gain and the heavy-mask bound are recorded numbers.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use polarstar::design::best_config;
 use polarstar::network::PolarStarNetwork;
-use polarstar_routed::{EpochSwapper, Oracle, Query, QueryBatch};
+use polarstar_routed::{AnalyticOracle, EpochSwapper, Oracle, Query, QueryBatch};
 use polarstar_topo::fault::FaultSet;
 use polarstar_topo::oracle::PathOracle;
 use std::sync::Arc;
@@ -129,11 +135,72 @@ fn bench_analytic_epoch_swap(c: &mut Criterion) {
     g.finish();
 }
 
+/// The per-destination BFS that served faulted columns before the
+/// repair: every edge crossed costs one fault-set probe.
+fn bfs_column(oracle: &AnalyticOracle, dst: u32, dist: &mut Vec<u32>, queue: &mut Vec<u32>) {
+    let g = oracle.network().graph();
+    dist.clear();
+    dist.resize(g.n(), u32::MAX);
+    queue.clear();
+    dist[dst as usize] = 0;
+    queue.push(dst);
+    let mut head = 0;
+    while let Some(&v) = queue.get(head) {
+        head += 1;
+        for &nb in g.neighbors(v) {
+            if dist[nb as usize] == u32::MAX && !oracle.faults().edge_failed(v, nb) {
+                dist[nb as usize] = dist[v as usize] + 1;
+                queue.push(nb);
+            }
+        }
+    }
+}
+
+fn bench_faulted_columns(c: &mut Criterion) {
+    let cfg = best_config(32).unwrap();
+    let h = 100_000usize.div_ceil(cfg.order()) as u32;
+    let pristine = AnalyticOracle::new(PolarStarNetwork::build(cfg, h).unwrap());
+    let n = pristine.num_routers() as u32;
+    let mut g = c.benchmark_group("distance_column_faulted");
+    g.sample_size(200);
+    for (label, fraction) in [
+        ("0.2pct", 0.002),
+        ("5pct", 0.05),
+        ("20pct", 0.2),
+        ("50pct", 0.5),
+    ] {
+        let faults = FaultSet::random_links(pristine.network().graph(), fraction, 0xC4A7);
+        let oracle = pristine.remask(&faults);
+        let (mut col, mut queue) = (Vec::new(), Vec::new());
+        // The same destination walk on both sides; the columns agree.
+        let mut dst = 0;
+        g.bench_function(format!("repair_{label}"), |b| {
+            b.iter(|| {
+                dst = (dst + 7919) % n;
+                oracle.distance_column(dst, &mut col);
+                criterion::black_box(col[0])
+            })
+        });
+        let repaired = col.clone();
+        dst = 0;
+        g.bench_function(format!("bfs_{label}"), |b| {
+            b.iter(|| {
+                dst = (dst + 7919) % n;
+                bfs_column(&oracle, dst, &mut col, &mut queue);
+                criterion::black_box(col[0])
+            })
+        });
+        assert_eq!(col, repaired, "{label}: repair and BFS disagree");
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_queries,
     bench_analytic_queries,
     bench_epoch_swap,
-    bench_analytic_epoch_swap
+    bench_analytic_epoch_swap,
+    bench_faulted_columns
 );
 criterion_main!(benches);

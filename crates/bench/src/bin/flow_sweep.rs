@@ -110,12 +110,17 @@ fn million_mode() -> bool {
     std::env::args().any(|a| a == "--million")
 }
 
-/// `--epochs <n>`: walk an n-epoch fault schedule through the plan.
+/// `--epochs <n>`: walk an n-epoch fault schedule through the plan. A
+/// count that does not parse, or zero, is a usage error (exit 2) like a
+/// forgotten value — never a silently skipped walk.
 fn epochs_arg() -> Option<usize> {
-    flag_values("--epochs")
-        .first()
-        .and_then(|n| n.parse().ok())
-        .filter(|&n| n > 0)
+    flag_values("--epochs").first().map(|v| match v.parse() {
+        Ok(n) if n > 0 => n,
+        _ => {
+            eprintln!("error: --epochs expects a positive count: --epochs <n>, got {v:?}");
+            std::process::exit(2)
+        }
+    })
 }
 
 /// One `BENCH_flow.json` line.
@@ -201,8 +206,10 @@ fn cycle_throughput_sat(
 
 fn main() {
     let quick = quick_mode();
-    // Read up front: a flag that forgot its value exits before the sweep.
+    // Read up front: a flag that forgot its value, or a bad epoch
+    // count, exits before the sweep.
     let dir = metrics_dir();
+    let n_epochs = epochs_arg();
     let mut failed = false;
     let mut bench_rows = String::new();
 
@@ -621,8 +628,11 @@ fn main() {
             // Fault-epoch sweep: nested link-failure bursts walked
             // through the mask-swap oracle; untouched pair DAGs are
             // reused, and the final epoch is pinned against a fresh
-            // batched build.
-            if let Some(n_epochs) = epochs_arg() {
+            // batched build. `epoch_extras` carries each epoch's
+            // `{failed_links, rerouted_pairs, walk_ms}` and the rebuild
+            // time to the manifest's `extra` block.
+            let mut epoch_extras: Vec<(String, f64)> = Vec::new();
+            if let Some(n_epochs) = n_epochs {
                 let mut sched = FaultSchedule::new();
                 for i in 1..=n_epochs as u64 {
                     // Same seed + growing fraction = shuffled-prefix
@@ -635,33 +645,33 @@ fn main() {
                 let epochs = sched.epochs(&FaultSet::empty());
                 let mut eplan = plan.clone();
                 let mut prev = FaultSet::empty();
-                let mut rerouted_total = 0usize;
-                let mut last: Option<(FaultSet, AnalyticOracle)> = None;
-                let t0 = Instant::now();
-                for (cycle, fs) in &epochs {
-                    let epoch_oracle = oracle.remask(fs);
-                    let rerouted = eplan.advance_epoch(&net.spec, &epoch_oracle, &prev, fs);
-                    eprintln!(
-                        "flow_sweep: {scale_key}: epoch @{cycle}: {} failed links, \
-                         rerouted {rerouted}/{} pairs",
-                        fs.failed_links().len(),
-                        eplan.num_pairs(),
-                    );
+                let (mut walk_ms, mut rerouted_total) = (0.0, 0usize);
+                for (i, (_, fs)) in epochs.iter().enumerate() {
+                    let t0 = Instant::now();
+                    let rerouted = eplan.advance_epoch(&net.spec, &oracle.remask(fs), &prev, fs);
+                    let ms = t0.elapsed().as_secs_f64() * 1e3;
+                    walk_ms += ms;
                     rerouted_total += rerouted;
+                    let links = fs.failed_links().len();
+                    epoch_extras.push((format!("epoch{i}_failed_links"), links as f64));
+                    epoch_extras.push((format!("epoch{i}_rerouted_pairs"), rerouted as f64));
+                    epoch_extras.push((format!("epoch{i}_walk_ms"), ms));
                     prev = fs.clone();
-                    last = Some((fs.clone(), epoch_oracle));
                 }
-                let epoch_walk_s = t0.elapsed().as_secs_f64();
-                if let Some((fs, final_oracle)) = last {
-                    let fresh = FlowPlan::build(&net.spec, &final_oracle, &comps, plan.routing());
-                    if eplan.network() != fresh.network() {
-                        eprintln!(
-                            "flow_sweep: {scale_key}: epoch walk diverged from a fresh \
-                             build at {} failed links",
-                            fs.failed_links().len()
-                        );
-                        failed = true;
-                    }
+                // What the walk must equal, and what it must beat: one
+                // fresh build at the last mask.
+                let t0 = Instant::now();
+                let fresh =
+                    FlowPlan::build(&net.spec, &oracle.remask(&prev), &comps, plan.routing());
+                let rebuild_ms = t0.elapsed().as_secs_f64() * 1e3;
+                epoch_extras.push(("epoch_rebuild_ms".into(), rebuild_ms));
+                if eplan.network() != fresh.network() {
+                    eprintln!(
+                        "flow_sweep: {scale_key}: epoch walk diverged from a fresh \
+                         build at {} failed links",
+                        prev.failed_links().len()
+                    );
+                    failed = true;
                 }
                 bench_row(
                     &mut bench_rows,
@@ -677,11 +687,12 @@ fn main() {
                     rerouted_total as f64,
                     "count",
                 );
+                bench_row(&mut bench_rows, "flow_epochs", "walk_ms", walk_ms, "ms");
                 bench_row(
                     &mut bench_rows,
                     "flow_epochs",
-                    "walk_ms",
-                    epoch_walk_s * 1e3,
+                    "rebuild_ms",
+                    rebuild_ms,
                     "ms",
                 );
             }
@@ -704,6 +715,9 @@ fn main() {
                 );
                 m.push_extra("analytic_fallbacks", oracle.router().fallbacks() as f64);
                 m.push_extra("analytic_fallback_rate", oracle.router().fallback_rate());
+                for (name, value) in epoch_extras {
+                    m.push_extra(name, value);
+                }
                 let stem = file_stem(&format!("flow_sweep_scale_{scale_key}"));
                 match m.write(dir, &stem) {
                     Ok(path) => eprintln!("wrote {}", path.display()),

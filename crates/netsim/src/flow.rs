@@ -259,6 +259,16 @@ impl FlowPlan {
     /// the pristine template even when the old path survives, and
     /// asymmetric faults let the DAG use edges outside the undirected
     /// degraded graph, which breaks the reuse lemma.
+    ///
+    /// Cost: one pass over every cached DAG to find the dirty pairs
+    /// (O(total DAG entries), ~5 ms for 109 k pairs), then per dirty
+    /// destination one [`PathOracle::distance_column`] and per dirty
+    /// pair one DAG walk. With the analytic backend a faulted column is
+    /// a local repair of the diameter-3 envelope, tens of microseconds
+    /// on a 9 954-router network — so an epoch that dirties 1 % of the
+    /// pairs costs about a tenth of a fresh faulted build, where a BFS
+    /// per destination used to make five epochs slower than five
+    /// rebuilds (`flow_sweep --epochs`, EXPERIMENTS.md).
     pub fn advance_epoch<O: PathOracle + Sync>(
         &mut self,
         spec: &NetworkSpec,
@@ -404,33 +414,25 @@ fn route_pairs<O: PathOracle + Sync>(
         }
     }
     type RoutedGroup = Vec<(u32, Option<Vec<(u32, f32)>>)>;
+    // One distance column and one walk scratch per worker, so neither
+    // allocates once a worker has seen its first group.
+    let per_worker = || (Vec::<u32>::new(), WalkScratch::default());
     let results: Vec<RoutedGroup> = groups
         .par_iter()
-        .map(|idxs: &&[u32]| {
-            // Scratch buffers live for the whole destination group, so
-            // the per-pair walk is allocation-free.
-            let mut col = Vec::<u32>::new();
-            let mut level = Vec::<(u32, f64)>::new();
-            let mut next = Vec::<(u32, f64)>::new();
-            let mut hops = Vec::<u32>::new();
+        .map_init(per_worker, |(col, walk), idxs: &&[u32]| {
             let rd = pairs[idxs[0] as usize].1;
             // The column fast path needs the oracle and the graph to
             // agree on the router id space; otherwise fall back to
             // per-pair queries (which bounds-check per query).
             let col_ok = routing == FlowRouting::EcmpSplit
                 && oracle.num_routers() == graph.n()
-                && oracle.distance_column(rd, &mut col)
+                && oracle.distance_column(rd, col)
                 && col.len() == graph.n();
-            let c: Option<&[u32]> = if col_ok { Some(&col) } else { None };
+            let c = col_ok.then_some(&col[..]);
             idxs.iter()
                 .map(|&i| {
                     let (rs, _) = pairs[i as usize];
-                    (
-                        i,
-                        route_one_pair(
-                            graph, oracle, rs, rd, routing, c, &mut level, &mut next, &mut hops,
-                        ),
-                    )
+                    (i, route_one_pair(graph, oracle, rs, rd, routing, c, walk))
                 })
                 .collect()
         })
@@ -442,6 +444,14 @@ fn route_pairs<O: PathOracle + Sync>(
     }
 }
 
+/// Work lists of the level-by-level ECMP walk, reused across pairs.
+#[derive(Default)]
+struct WalkScratch {
+    level: Vec<(u32, f64)>,
+    next: Vec<(u32, f64)>,
+    hops: Vec<u32>,
+}
+
 /// Route one router pair into its network-link DAG entries.
 ///
 /// `None` = unroutable (severed pair, or an oracle path crossing an
@@ -450,7 +460,6 @@ fn route_pairs<O: PathOracle + Sync>(
 /// With a distance column, minimal next hops come from the
 /// `distance_column` reconstruction contract; the walk itself is the
 /// exact per-flow walk, so the entries are bitwise identical either way.
-#[allow(clippy::too_many_arguments)]
 fn route_one_pair<O: PathOracle + ?Sized>(
     graph: &Graph,
     oracle: &O,
@@ -458,10 +467,9 @@ fn route_one_pair<O: PathOracle + ?Sized>(
     rd: u32,
     routing: FlowRouting,
     col: Option<&[u32]>,
-    level: &mut Vec<(u32, f64)>,
-    next: &mut Vec<(u32, f64)>,
-    hops: &mut Vec<u32>,
+    scratch: &mut WalkScratch,
 ) -> Option<Vec<(u32, f32)>> {
+    let WalkScratch { level, next, hops } = scratch;
     if rs == rd {
         // Same-router flows are delivered over NIC links alone; they
         // only sever when the oracle rejects the router outright.
@@ -750,13 +758,8 @@ impl FlowNetwork {
         let graph = &spec.graph;
         let routed: Vec<Option<Vec<(u32, f32)>>> = rpairs
             .par_iter()
-            .map(|&(rs, rd)| {
-                let mut level = Vec::<(u32, f64)>::new();
-                let mut next = Vec::<(u32, f64)>::new();
-                let mut hops = Vec::<u32>::new();
-                route_one_pair(
-                    graph, oracle, rs, rd, routing, None, &mut level, &mut next, &mut hops,
-                )
+            .map_init(WalkScratch::default, |scratch, &(rs, rd)| {
+                route_one_pair(graph, oracle, rs, rd, routing, None, scratch)
             })
             .collect();
         let uniform = flows.iter().all(|f| f.demand == 1.0);

@@ -23,9 +23,10 @@
 //!   length lies on this DAG, so a walk that finds the source alive has
 //!   the exact degraded distance, ports and paths.
 //! * **faulted, minimal DAG severed (escalated)**: the walk proved the
-//!   degraded distance exceeds the pristine one. The query runs exactly
-//!   one BFS over the degraded product graph from the destination and
-//!   reads distance, ports and paths off that one distance column.
+//!   degraded distance exceeds the pristine one. The query computes
+//!   the destination's degraded distance column once — by the column
+//!   repair below, not a graph sweep — and reads distance, ports and
+//!   paths off it.
 //!
 //! What is kept per query: the ≤ 4 routers of the path being extended
 //! and one survivability flag per level of the recursion — fixed stack
@@ -34,18 +35,47 @@
 //! its level-2 neighbors, each exactly once (a level-1 router costs one
 //! edge probe), and every scan yields survivability and paths
 //! together. The only heap allocations of the first two regimes are
-//! the answer's own vectors. The BFS of the third borrows a
-//! thread-local distance column and queue, overwritten by the next
+//! the answer's own vectors. The third borrows a thread-local distance
+//! column and the repair's work lists, overwritten by the next
 //! escalated query on that thread.
 //!
-//! Nothing is kept per epoch or per oracle — no template cache, no
-//! distance table. The fault mask is the *only* per-epoch state, so an
-//! epoch switch is an `Arc` clone plus a `FaultSet` swap, no BFS sweep:
-//! that is what collapses the ~196 ms `RouteTable::remask`
-//! epoch-install cost (BENCH_routed.json) to microseconds, and what
-//! keeps the backend's memory at the router's factor-graph state. A
-//! per-epoch table of answers would trade both away — it is the thing
-//! this backend exists to show is unnecessary.
+//! **Faulted distance columns** (the escalated query and
+//! [`PathOracle::distance_column`], which the class-batched flow build
+//! calls once per destination) start from the same fact the pristine
+//! column does: two BFS levels out of the destination label everything,
+//! because the rest sits at distance exactly 3 (§4). A mask can only
+//! push routers *out* of that envelope, and only routers that lose
+//! every live edge to a parent — a neighbor one level in that kept its
+//! own level. So the column is labelled 0/1/2/3 as if pristine, then
+//! repaired: the suspects (the far end of each dead edge out of the
+//! destination, a level-1 or a level-2 router, and the children of
+//! routers already lost) are checked level 1 → 2 → 3, and the routers
+//! found lost are re-settled breadth-first from the distances their
+//! surviving neighbors offer. Work is O(n) to label, one pass over the
+//! dead-edge bits of the ~deg² routers on levels 0–2 to find suspects,
+//! and O(degree) per suspect or lost router; the fault list is never
+//! read and the rest of the column never looked at again, so the cost
+//! follows the damage near the destination, not the size of the mask.
+//! At 0.2 % failed links on a 9 954-router PolarStar that is ~15 µs
+//! against ~0.75 ms for the degraded-graph BFS it replaced, and it
+//! stays ahead of that BFS through 50 % (`route_query` bench, group
+//! `distance_column_faulted`). Debug builds check every repaired
+//! column against that BFS.
+//!
+//! What is kept per epoch: the fault mask and, derived from it by
+//! [`AnalyticOracle::remask`], its dead-edge bits — one bit per
+//! directed link of the product graph (40 KB on the 9 954-router,
+//! degree-32 network, against 2.4 MB of factor-graph state), set when
+//! either direction of the link or either endpoint router failed. The
+//! repair finds dead edges and walks live ones through those bits;
+//! deriving them costs two neighbor-list searches per failed
+//! direction, tens of microseconds for a 0.2 % mask. There is no template cache and no
+//! distance table, so an epoch switch is still an `Arc` clone plus a
+//! mask, no BFS sweep: that is what collapses the ~196 ms
+//! `RouteTable::remask` epoch-install cost (BENCH_routed.json) to
+//! microseconds, and what keeps the backend's memory at the router's
+//! factor-graph state. A per-epoch table of answers would trade both
+//! away — it is the thing this backend exists to show is unnecessary.
 //!
 //! Equivalence contract (pinned by `tests/analytic_vs_table.rs`):
 //! distances, the full ascending minimal next-hop sets, first next hops
@@ -59,7 +89,8 @@
 
 use polarstar::network::PolarStarNetwork;
 use polarstar::routing::AnalyticRouter;
-use polarstar_topo::fault::FaultSet;
+use polarstar_graph::Graph;
+use polarstar_topo::fault::{DeadEdges, FaultSet};
 use polarstar_topo::oracle::{PathOracle, RouteError};
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -67,12 +98,15 @@ use std::sync::Arc;
 /// A table-free [`PathOracle`] over a PolarStar network: §9.2 analytic
 /// routing plus a fault mask.
 ///
-/// Cloning is O(1) (the router is shared behind an [`Arc`]); so is
-/// [`AnalyticOracle::remask`], which makes fault epochs nearly free.
+/// Cloning shares the router behind an [`Arc`] and copies the mask;
+/// [`AnalyticOracle::remask`] costs O(|faults|), which makes fault
+/// epochs nearly free.
 #[derive(Clone)]
 pub struct AnalyticOracle {
     router: Arc<AnalyticRouter>,
     faults: FaultSet,
+    /// `faults.edge_failed` per directed CSR slot, for the column repair.
+    dead: DeadEdges,
 }
 
 /// How the analytic backend resolved (or would resolve) one query.
@@ -83,8 +117,8 @@ pub enum Regime {
     /// Faulted, but a pristine-minimal path survives: the pristine
     /// distance holds and one masked DAG walk answers.
     MinimalDagIntact,
-    /// Every pristine-minimal path is cut: one degraded-graph BFS found
-    /// a longer route.
+    /// Every pristine-minimal path is cut: the destination's repaired
+    /// distance column found a longer route.
     Escalated,
     /// No answer: an id out of range, a failed endpoint, or no
     /// surviving path at all.
@@ -101,16 +135,62 @@ pub(crate) struct Resolved {
     pub paths: Vec<Vec<u32>>,
 }
 
-/// BFS buffers of the escalation path, reused by every query a thread
-/// answers. Scratch only: each BFS overwrites them.
+/// Work lists of one column repair, reused by every faulted column a
+/// thread computes. Scratch only: each repair clears what it reads.
 #[derive(Default)]
-struct BfsScratch {
+struct RepairScratch {
+    /// The pristine level-2 routers.
+    level2: Vec<u32>,
+    /// Routers of the level being settled that may have lost every
+    /// parent, each queued once.
+    suspects: Vec<u32>,
+    /// Routers that did lose every parent, level 1 first.
+    lost: Vec<u32>,
+    /// Lost routers by the distance their settled neighbors offer:
+    /// 2, 3 and 4.
+    seeds: [Vec<u32>; 3],
+    frontier: Vec<u32>,
+    next: Vec<u32>,
+}
+
+/// Per-thread buffers of the faulted paths: the distance column an
+/// escalated query reads its answer off (overwritten by the next one on
+/// that thread) and the repair work lists.
+#[derive(Default)]
+struct ColumnScratch {
     dist: Vec<u32>,
-    queue: Vec<u32>,
+    repair: RepairScratch,
 }
 
 thread_local! {
-    static BFS_SCRATCH: RefCell<BfsScratch> = RefCell::default();
+    static COLUMN_SCRATCH: RefCell<ColumnScratch> = RefCell::default();
+}
+
+/// Set on a suspect's pristine level while it waits in
+/// [`RepairScratch::suspects`], so no router is queued twice.
+const QUEUED: u32 = 4;
+
+/// Label `out` with the pristine distances to `dst`, handing each
+/// level-2 router to `on_level2` once. The diameter-≤3 guarantee (§4;
+/// the routing tests pin the distance kernel to BFS distances on every
+/// config) lets a BFS that expands only depths 0 and 1 label the whole
+/// column: any router it never reaches sits at distance exactly 3.
+/// That is ~deg² work instead of O(E).
+fn pristine_levels(g: &Graph, dst: u32, out: &mut Vec<u32>, mut on_level2: impl FnMut(u32)) {
+    out.clear();
+    out.resize(g.n(), 3);
+    out[dst as usize] = 0;
+    for &nb in g.neighbors(dst) {
+        out[nb as usize] = 1;
+    }
+    for &nb in g.neighbors(dst) {
+        for &nb2 in g.neighbors(nb) {
+            if out[nb2 as usize] == 3 {
+                out[nb2 as usize] = 2;
+                on_level2(nb2);
+            }
+        }
+    }
 }
 
 impl AnalyticOracle {
@@ -123,16 +203,23 @@ impl AnalyticOracle {
     /// Wrap an already-built router (shares its middle lists).
     pub fn from_router(router: Arc<AnalyticRouter>) -> Self {
         let faults = router.network().spec.faults().clone();
-        AnalyticOracle { router, faults }
+        let dead = faults.dead_edges(router.network().graph());
+        AnalyticOracle {
+            router,
+            faults,
+            dead,
+        }
     }
 
-    /// The oracle for a new cumulative fault set. O(1): clones the
-    /// shared router `Arc` and swaps the mask — the whole per-epoch
+    /// The oracle for a new cumulative fault set: clones the shared
+    /// router `Arc`, swaps the mask and marks its dead edges, one bit
+    /// per directed link — O(|faults|) and no BFS, the whole per-epoch
     /// cost of the table-free backend.
     pub fn remask(&self, faults: &FaultSet) -> AnalyticOracle {
         AnalyticOracle {
             router: Arc::clone(&self.router),
             faults: faults.clone(),
+            dead: faults.dead_edges(self.network().graph()),
         }
     }
 
@@ -151,13 +238,14 @@ impl AnalyticOracle {
         &self.faults
     }
 
-    /// Resident bytes of the routing state (factor-graph middles + the
-    /// fault mask) — the table-free counterpart of
-    /// `RouteTable::memory_bytes`.
+    /// Resident bytes of the routing state (factor-graph middles, the
+    /// fault mask and its dead-edge bits) — the table-free counterpart
+    /// of `RouteTable::memory_bytes`.
     pub fn memory_bytes(&self) -> usize {
         self.router.memory_bytes()
             + std::mem::size_of_val(self.faults.failed_links())
             + std::mem::size_of_val(self.faults.failed_routers())
+            + self.dead.memory_bytes()
     }
 
     /// Which regime answers `(src, dst)` under the current mask. Pure:
@@ -227,8 +315,8 @@ impl AnalyticOracle {
 
         // Severed (the walk took back whatever hung off dead edges).
         let hops = walk.hops;
-        BFS_SCRATCH.with_borrow_mut(|scratch| {
-            self.degraded_distances_into(dst, &mut scratch.dist, &mut scratch.queue);
+        COLUMN_SCRATCH.with_borrow_mut(|scratch| {
+            self.repaired_column_into(dst, &mut scratch.dist, &mut scratch.repair);
             let degraded = DegradedColumn {
                 oracle: self,
                 dst,
@@ -252,29 +340,164 @@ impl AnalyticOracle {
         })
     }
 
-    /// Exact BFS distances to `dst` over the degraded product graph,
-    /// into caller buffers (resized and reset here) — the escalation
-    /// path of queries whose minimal DAG the mask severed, and the
-    /// faulted [`PathOracle::distance_column`].
-    fn degraded_distances_into(&self, dst: u32, dist: &mut Vec<u32>, queue: &mut Vec<u32>) {
+    /// Exact distances to `dst` over the degraded product graph, into
+    /// `out` (resized and overwritten here): the pristine diameter-3
+    /// envelope, repaired where the mask broke it. Both faulted paths
+    /// run this — [`PathOracle::distance_column`] and the escalated
+    /// query.
+    ///
+    /// A router keeps its pristine level iff a live edge leads to a
+    /// *parent* (a neighbor one level in) that keeps its own. Levels
+    /// are settled 1 → 2 → 3, so the lost set of a level is final
+    /// before the next one reads it, and the only routers examined are
+    /// the suspects: the far end of each dead edge out of a level-0, -1
+    /// or -2 router (a failed router's edges are all dead), and the
+    /// children of lost routers. The lost routers are then re-settled
+    /// breadth-first from the distances their surviving neighbors
+    /// offer; nothing else in the column is touched after the
+    /// labelling. No step reads the fault list itself, so the cost
+    /// follows the damage near `dst`, not the size of the mask.
+    fn repaired_column_into(&self, dst: u32, out: &mut Vec<u32>, scratch: &mut RepairScratch) {
         let g = self.network().graph();
-        dist.clear();
-        dist.resize(g.n(), u32::MAX);
-        queue.clear();
+        if self.faults.router_failed(dst) {
+            out.clear();
+            out.resize(g.n(), u32::MAX);
+            out[dst as usize] = 0;
+        } else {
+            scratch.level2.clear();
+            pristine_levels(g, dst, out, |v| scratch.level2.push(v));
+            self.repair_levels(g, dst, out, scratch);
+        }
+        #[cfg(debug_assertions)]
+        {
+            // Debug builds verify every repaired column against the
+            // full degraded-graph BFS, as the pristine envelope is
+            // verified against `bfs_distances`.
+            let exact = self.degraded_distances(dst);
+            for (v, &d) in exact.iter().enumerate() {
+                debug_assert_eq!(out[v], d, "repaired distance column {dst}: router {v}");
+            }
+        }
+    }
+
+    /// The repair proper: `out` holds the pristine levels to a live
+    /// `dst` on entry, the degraded distances on return.
+    fn repair_levels(&self, g: &Graph, dst: u32, out: &mut [u32], scratch: &mut RepairScratch) {
+        let RepairScratch {
+            level2,
+            suspects,
+            lost,
+            seeds,
+            frontier,
+            next,
+        } = scratch;
+        let live_neighbors = |v: u32| {
+            let slots = self.dead.live(g.edge_range(v));
+            slots.map(|e| g.edge_target(e))
+        };
+
+        // Level 1 hangs off dst by one edge each.
+        lost.clear();
+        for (e, &v) in g.edge_range(dst).zip(g.neighbors(dst)) {
+            if self.dead.contains(e) {
+                out[v as usize] = u32::MAX;
+                lost.push(v);
+            }
+        }
+        // Levels 2 and 3. The suspects are the far ends of the dead
+        // edges out of the level above and of every edge out of its
+        // lost routers; each looks for a live edge to a parent still
+        // on its level.
+        let mut parents_lost = 0;
+        for (l, parents) in [(2, g.neighbors(dst)), (3, &level2[..])] {
+            suspects.clear();
+            let mut suspect = |child: u32| {
+                if out[child as usize] == l {
+                    out[child as usize] = l | QUEUED;
+                    suspects.push(child);
+                }
+            };
+            for &p in parents {
+                let dead = self.dead.dead(g.edge_range(p));
+                dead.for_each(|e| suspect(g.edge_target(e)));
+            }
+            for &p in &lost[parents_lost..] {
+                g.neighbors(p).iter().for_each(|&child| suspect(child));
+            }
+            parents_lost = lost.len();
+            for &v in suspects.iter() {
+                if live_neighbors(v).any(|p| out[p as usize] == l - 1) {
+                    out[v as usize] = l;
+                } else {
+                    out[v as usize] = u32::MAX;
+                    lost.push(v);
+                }
+            }
+        }
+        if lost.is_empty() {
+            return;
+        }
+
+        // Every lost router reads u32::MAX by now, so a finite neighbor
+        // is a settled one. A lost router's nearest sits at 1, 2 or 3
+        // and offers it one more: `seeds[i]` holds distance i + 2.
+        seeds.iter_mut().for_each(Vec::clear);
+        for &v in lost.iter() {
+            let settled = live_neighbors(v).map(|nb| out[nb as usize]);
+            if let Some(nearest) = settled.min().filter(|&d| d != u32::MAX) {
+                seeds[nearest as usize - 1].push(v);
+            }
+        }
+        // Breadth-first over the lost routers alone: distance d is
+        // reached from a settled neighbor (a seed) or from a lost
+        // router re-settled at d − 1. Failed routers have no live slot
+        // and stay unreachable, as does whatever the mask cut off.
+        frontier.clear();
+        let mut d = 2;
+        loop {
+            if let Some(seeds) = seeds.get(d as usize - 2) {
+                for &v in seeds {
+                    if out[v as usize] == u32::MAX {
+                        out[v as usize] = d;
+                        frontier.push(v);
+                    }
+                }
+            } else if frontier.is_empty() {
+                return;
+            }
+            next.clear();
+            for &v in frontier.iter() {
+                for nb in live_neighbors(v) {
+                    if out[nb as usize] == u32::MAX {
+                        out[nb as usize] = d + 1;
+                        next.push(nb);
+                    }
+                }
+            }
+            std::mem::swap(frontier, next);
+            d += 1;
+        }
+    }
+
+    /// The BFS the repair replaces, kept as its debug cross-check: it
+    /// probes the fault set itself, not the dead-edge bits.
+    #[cfg(debug_assertions)]
+    fn degraded_distances(&self, dst: u32) -> Vec<u32> {
+        let g = self.network().graph();
+        let mut dist = vec![u32::MAX; g.n()];
+        let mut queue = vec![dst];
         dist[dst as usize] = 0;
-        queue.push(dst);
         let mut head = 0;
         while let Some(&v) = queue.get(head) {
             head += 1;
-            let dv = dist[v as usize];
             for &nb in g.neighbors(v) {
-                if dist[nb as usize] != u32::MAX || self.faults.edge_failed(v, nb) {
-                    continue;
+                if dist[nb as usize] == u32::MAX && !self.faults.edge_failed(v, nb) {
+                    dist[nb as usize] = dist[v as usize] + 1;
+                    queue.push(nb);
                 }
-                dist[nb as usize] = dv + 1;
-                queue.push(nb);
             }
         }
+        dist
     }
 }
 
@@ -422,16 +645,13 @@ impl PathOracle for AnalyticOracle {
 
     /// Bulk per-destination distances for the class-batched flow build.
     ///
-    /// Pristine columns exploit the diameter-≤3 guarantee (§4; the
-    /// routing tests pin the distance kernel to BFS distances on every
-    /// config): a BFS that expands only depths 0 and 1 labels the
-    /// whole column, because any router it never reaches sits at
-    /// distance exactly 3. That is ~deg² work per destination instead
-    /// of O(E), which is what turns per-flow template queries into
-    /// per-destination array scans. Faulted columns run the exact
-    /// degraded-graph BFS the per-query escalation path uses, so the
-    /// column equals per-query [`AnalyticOracle::distance`] answers in
-    /// every epoch.
+    /// Pristine columns are the diameter-≤3 envelope of
+    /// `pristine_levels`: ~deg² work per destination instead of O(E),
+    /// which is what turns per-flow template queries into
+    /// per-destination array scans. Faulted columns repair that
+    /// envelope where the mask broke it — the column the per-query
+    /// escalation path reads, so it equals per-query
+    /// [`AnalyticOracle::distance`] answers in every epoch.
     fn distance_column(&self, dst: u32, out: &mut Vec<u32>) -> bool {
         let g = self.network().graph();
         let n = g.n();
@@ -443,24 +663,12 @@ impl PathOracle for AnalyticOracle {
             return true;
         }
         if !self.faults.is_empty() {
-            BFS_SCRATCH.with_borrow_mut(|scratch| {
-                self.degraded_distances_into(dst, out, &mut scratch.queue)
+            COLUMN_SCRATCH.with_borrow_mut(|scratch| {
+                self.repaired_column_into(dst, out, &mut scratch.repair)
             });
             return true;
         }
-        out.clear();
-        out.resize(n, 3);
-        out[dst as usize] = 0;
-        for &nb in g.neighbors(dst) {
-            out[nb as usize] = 1;
-        }
-        for &nb in g.neighbors(dst) {
-            for &nb2 in g.neighbors(nb) {
-                if out[nb2 as usize] == 3 {
-                    out[nb2 as usize] = 2;
-                }
-            }
-        }
+        pristine_levels(g, dst, out, |_| ());
         #[cfg(debug_assertions)]
         {
             // Debug builds verify the diameter-≤3 shortcut against the

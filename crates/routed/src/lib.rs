@@ -11,7 +11,7 @@
 //!   aggregates ([`ClassProfile`]) replace per-pair state. Two backends:
 //!   a (possibly fault-masked) CSR route table, or the table-free
 //!   [`AnalyticOracle`] that reconstructs §9.2 paths from factor-graph
-//!   state per query — O(1) memory per query and O(1) fault epochs
+//!   state per query — O(1) memory per query and O(|faults|) fault epochs
 //!   ([`AnalyticOracle::remask`] swaps a fault mask instead of rerunning
 //!   one BFS per destination);
 //! * [`QueryBatch`] / [`RouteAnswer`] — the batched query surface:

@@ -141,7 +141,7 @@ enum Backend {
     /// query, one BFS sweep per fault epoch.
     Table(Arc<RouteTable>),
     /// §9.2 analytic routing over factor-graph state: O(structure²)
-    /// memory, per-query path reconstruction, O(1) fault epochs.
+    /// memory, per-query path reconstruction, O(|faults|) fault epochs.
     Analytic(AnalyticOracle),
 }
 

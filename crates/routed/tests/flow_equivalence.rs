@@ -3,13 +3,14 @@
 //! rayon-sharded by destination group) must materialize a `FlowNetwork`
 //! **equal in every field** to the naive per-flow reference build, on
 //! both serving backends (table-free analytic and CSR route table),
-//! pristine and fault-masked, across every traffic pattern and routing
-//! mode. CI runs this file at `RAYON_NUM_THREADS=1` and `=4`: the
+//! pristine and fault-masked (cut cables, dead routers, one-way link
+//! faults), across every traffic pattern and routing mode. CI runs this file at `RAYON_NUM_THREADS=1` and `=4`: the
 //! batched build must not depend on the pool size.
 //!
 //! Also pins the fault-epoch sweep: walking `FlowPlan::advance_epoch`
 //! through nested fault epochs (reusing cached pair DAGs for untouched
-//! pairs) and a recovery must land on the same network as a fresh
+//! pairs), a router failure and a recovery must land on the same
+//! network as a fresh
 //! batched build against the re-masked oracle.
 
 use polarstar::design::{best_config, PolarStarConfig, SupernodeKind};
@@ -76,11 +77,20 @@ fn batched_build_matches_reference_on_analytic_oracle() {
     let spec = net.spec.clone();
     let analytic = AnalyticOracle::new(net);
     check_matrix(&spec, &analytic, "analytic pristine");
-    // Fault-masked: distance columns switch to degraded BFS and
-    // link_usable carries the mask.
-    let faults = FaultSet::random_links(&spec.graph, 0.08, 5);
-    let masked = analytic.remask(&faults);
-    check_matrix(&spec, &masked, "analytic faulted");
+    // Fault-masked: distance columns switch to the repaired envelope
+    // and link_usable carries the mask; the reference build asks per
+    // query and never sees a column. Cut cables, then dead routers,
+    // then one direction of each cable (where a port may stay usable
+    // on an edge the distance relation dropped).
+    let cables = FaultSet::random_links(&spec.graph, 0.08, 5);
+    check_matrix(&spec, &analytic.remask(&cables), "analytic faulted");
+    let routers = FaultSet::random_routers(&spec.graph, 0.04, 5);
+    assert!(!routers.is_empty());
+    check_matrix(&spec, &analytic.remask(&routers), "analytic dead routers");
+    let one_way = cables.failed_links().iter().copied();
+    let one_way = FaultSet::from_directed_links(one_way.filter(|&(u, v)| (u < v) == (u % 2 == 0)));
+    assert!(!one_way.is_empty());
+    check_matrix(&spec, &analytic.remask(&one_way), "analytic one-way");
 }
 
 #[test]
@@ -137,21 +147,25 @@ fn epoch_advance_matches_fresh_batched_build() {
     let pristine = AnalyticOracle::new(net);
     let comps = [TrafficComponent::new(Pattern::Permutation, 7)];
     // Shuffled-prefix sampling nests: f2 ⊇ f1, so f1 → f2 exercises the
-    // cached-DAG reuse path and f2 → f1 the recovery (full re-route).
+    // cached-DAG reuse path, f2 → f3 the same with a router dying (its
+    // links dirty the DAGs, none is named in the mask), and f3 → f1 the
+    // recovery (full re-route).
     let f1 = FaultSet::random_links(&spec.graph, 0.03, 11);
     let f2 = FaultSet::random_links(&spec.graph, 0.08, 11);
+    let f3 = f2.union(&FaultSet::from_routers([spec.routers() as u32 / 2]));
     for routing in [FlowRouting::EcmpSplit, FlowRouting::SinglePath] {
         let mut plan = FlowPlan::build(&spec, &pristine, &comps, routing);
         let mut prev = FaultSet::empty();
-        for fs in [f1.clone(), f2.clone(), f1.clone()] {
+        for fs in [f1.clone(), f2.clone(), f3.clone(), f1.clone()] {
             let oracle = pristine.remask(&fs);
             plan.advance_epoch(&spec, &oracle, &prev, &fs);
             let fresh = FlowPlan::build(&spec, &oracle, &comps, routing);
             assert!(
                 plan.network() == fresh.network(),
-                "{} diverged after epoch with {} failed links",
+                "{} diverged after epoch with {} failed links, {} failed routers",
                 routing.label(),
-                fs.failed_links().len()
+                fs.failed_links().len(),
+                fs.failed_routers().len()
             );
             prev = fs;
         }

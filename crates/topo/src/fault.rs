@@ -167,6 +167,35 @@ impl FaultSet {
         g.without_edges(&dead)
     }
 
+    /// The [`FaultSet::edge_failed`] relation over `g`, as one bit per
+    /// directed CSR slot: what a per-destination kernel that probes
+    /// every edge it crosses reads instead of four binary searches.
+    /// Costs one `edge_id` per failed direction and per link of a
+    /// failed router; entries that are not edges of `g` set nothing.
+    pub fn dead_edges(&self, g: &Graph) -> DeadEdges {
+        if self.is_empty() {
+            return DeadEdges::default();
+        }
+        let mut bits = vec![0u64; g.directed_edge_count().div_ceil(64)];
+        let n = g.n() as u32;
+        let mut kill = |u: u32, v: u32| {
+            if let Some(e) = g.edge_id(u, v) {
+                bits[(e >> 6) as usize] |= 1 << (e & 63);
+            }
+        };
+        for &(u, v) in self.links.iter().filter(|&&(u, v)| u < n && v < n) {
+            kill(u, v);
+            kill(v, u);
+        }
+        for &r in self.routers.iter().filter(|&&r| r < n) {
+            for &nb in g.neighbors(r) {
+                kill(r, nb);
+                kill(nb, r);
+            }
+        }
+        DeadEdges { bits }
+    }
+
     /// Merge another fault set into this one.
     pub fn union(&self, other: &FaultSet) -> FaultSet {
         let mut links = self.links.clone();
@@ -200,6 +229,67 @@ impl FaultSet {
                 .filter(|r| other.routers.binary_search(r).is_err())
                 .collect(),
         }
+    }
+}
+
+/// One fault epoch's dead undirected edges over one graph, a bit per
+/// directed CSR slot (both slots of a dead edge are set). Built by
+/// [`FaultSet::dead_edges`]; the mask of an empty fault set holds no
+/// bits at all.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct DeadEdges {
+    bits: Vec<u64>,
+}
+
+impl DeadEdges {
+    /// Whether the edge behind directed slot `e` (a [`Graph::edge_id`])
+    /// is out of the distance relation.
+    #[inline]
+    pub fn contains(&self, e: u32) -> bool {
+        let word = self.bits.get((e >> 6) as usize);
+        word.is_some_and(|w| w >> (e & 63) & 1 != 0)
+    }
+
+    /// The slots of `slots` whose edge is alive, ascending. Walks the
+    /// set bits of the complemented words, so a dead slot costs nothing
+    /// — not even the mispredicted branch a per-slot test pays once a
+    /// large share of the links is down.
+    pub fn live(&self, slots: std::ops::Range<u32>) -> impl Iterator<Item = u32> + '_ {
+        self.select(slots, false)
+    }
+
+    /// The slots of `slots` whose edge is dead, ascending; a live slot
+    /// costs nothing.
+    pub fn dead(&self, slots: std::ops::Range<u32>) -> impl Iterator<Item = u32> + '_ {
+        self.select(slots, true)
+    }
+
+    /// The slots of `slots` whose bit equals `dead`, ascending.
+    fn select(&self, slots: std::ops::Range<u32>, dead: bool) -> impl Iterator<Item = u32> + '_ {
+        let (start, end) = (slots.start, slots.end);
+        (start >> 6..end.div_ceil(64)).flat_map(move |w| {
+            let base = w << 6;
+            let word = self.bits.get(w as usize).copied().unwrap_or(0);
+            let mut picked = if dead { word } else { !word };
+            if base < start {
+                picked &= !0 << (start - base);
+            }
+            if end - base < 64 {
+                picked &= (1 << (end - base)) - 1;
+            }
+            std::iter::from_fn(move || {
+                (picked != 0).then(|| {
+                    let slot = base + picked.trailing_zeros();
+                    picked &= picked - 1;
+                    slot
+                })
+            })
+        })
+    }
+
+    /// Resident bytes: one bit per directed link, or none when pristine.
+    pub fn memory_bytes(&self) -> usize {
+        std::mem::size_of_val(&self.bits[..])
     }
 }
 
@@ -417,6 +507,45 @@ mod tests {
         assert_eq!(d.degree(2), 0);
         assert_eq!(d.m(), g.m() - 4);
         assert_eq!(f.failed_edge_count(&g), 4);
+    }
+
+    #[test]
+    fn dead_edges_mirror_edge_failed_on_every_slot() {
+        let g = Graph::cycle(9);
+        assert_eq!(FaultSet::empty().dead_edges(&g), DeadEdges::default());
+        assert!(!DeadEdges::default().contains(3));
+        // A cut cable, a one-way fault, a dead router, and entries that
+        // are no edge of `g` or name no router of it.
+        let f = FaultSet::from_links([(0, 1), (2, 6), (40, 41)])
+            .union(&FaultSet::from_directed_links([(4, 3), (7, 99)]))
+            .union(&FaultSet::from_routers([6, 77]));
+        let dead = f.dead_edges(&g);
+        assert_eq!(dead.memory_bytes(), 8, "18 directed slots: one word");
+        for u in 0..9 {
+            for (e, &v) in g.edge_range(u).zip(g.neighbors(u)) {
+                assert_eq!(dead.contains(e), f.edge_failed(u, v), "{u}-{v}");
+            }
+            let live: Vec<u32> = dead.live(g.edge_range(u)).collect();
+            let want = g.edge_range(u).filter(|&e| !dead.contains(e));
+            assert_eq!(live, want.collect::<Vec<u32>>(), "live slots of {u}");
+            let gone: Vec<u32> = dead.dead(g.edge_range(u)).collect();
+            let want = g.edge_range(u).filter(|&e| dead.contains(e));
+            assert_eq!(gone, want.collect::<Vec<u32>>(), "dead slots of {u}");
+        }
+        // Ranges that straddle, fill and fall past the mask's words.
+        let g = Graph::complete(13); // 156 directed slots
+        let dead = FaultSet::random_links(&g, 0.4, 3).dead_edges(&g);
+        for (start, end) in [(0, 156), (60, 70), (64, 128), (5, 5), (100, 156), (0, 200)] {
+            let live: Vec<u32> = dead.live(start..end).collect();
+            let want = (start..end).filter(|&e| !dead.contains(e));
+            assert_eq!(live, want.collect::<Vec<u32>>(), "{start}..{end}");
+            let gone: Vec<u32> = dead.dead(start..end).collect();
+            let want = (start..end).filter(|&e| dead.contains(e));
+            assert_eq!(gone, want.collect::<Vec<u32>>(), "{start}..{end}");
+        }
+        let all: Vec<u32> = DeadEdges::default().live(3..9).collect();
+        assert_eq!(all, [3, 4, 5, 6, 7, 8], "a pristine mask kills nothing");
+        assert_eq!(DeadEdges::default().dead(3..9).count(), 0);
     }
 
     #[test]

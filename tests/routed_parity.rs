@@ -3,12 +3,15 @@
 //! fault mask, whichever batch path serves them. The exhaustive pins
 //! live in `crates/routed/tests`; this one keeps the tier-1 suite
 //! honest about the serving stack (topology → route backend → fault
-//! mask → batched answers).
+//! mask → batched answers), and about the faulted distance columns the
+//! flow build reads off the same mask.
 
 use polarstar::design::{PolarStarConfig, SupernodeKind};
 use polarstar::network::PolarStarNetwork;
-use polarstar_repro::routed::{Oracle, QueryBatch, Regime};
+use polarstar_repro::graph::traversal::bfs_distances;
+use polarstar_repro::routed::{AnalyticOracle, Oracle, QueryBatch, Regime};
 use polarstar_repro::topo::fault::FaultSet;
+use polarstar_repro::topo::oracle::PathOracle;
 use std::sync::Arc;
 
 #[test]
@@ -45,4 +48,31 @@ fn analytic_and_table_backends_answer_alike_under_faults() {
     assert!(hit(Regime::Escalated) > 0);
     assert!(hit(Regime::Unreachable) > 0, "queries touching router 17");
     assert_eq!(backend.router().routes_computed(), 0);
+}
+
+#[test]
+fn analytic_faulted_columns_equal_the_degraded_bfs() {
+    // One case of `crates/routed/tests/column_repair.rs`: cut cables, a
+    // one-way fault and a dead router on the 104-router PolarStar, every
+    // destination — the dead router included.
+    let cfg = PolarStarConfig {
+        q: 3,
+        supernode: SupernodeKind::InductiveQuad { degree: 3 },
+    };
+    let net = PolarStarNetwork::build(cfg, 1).unwrap();
+    let g = net.spec.graph.clone();
+    let one_way = (0, g.neighbors(0)[0]);
+    let faults = FaultSet::random_links(&g, 0.15, 0x5EED)
+        .union(&FaultSet::from_directed_links([one_way]))
+        .union(&FaultSet::from_routers([17]));
+    let oracle = AnalyticOracle::new(net).remask(&faults);
+    let truth = faults.degraded_graph(&g);
+    let mut col = Vec::new();
+    let mut moved = 0;
+    for dst in 0..g.n() as u32 {
+        assert!(oracle.distance_column(dst, &mut col));
+        assert_eq!(col, bfs_distances(&truth, dst), "column {dst}");
+        moved += col.iter().filter(|&&d| d > 3 && d != u32::MAX).count();
+    }
+    assert!(moved > 0, "the mask re-settled no router past the diameter");
 }
