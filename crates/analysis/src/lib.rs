@@ -6,10 +6,8 @@ pub mod bisection;
 pub mod faults;
 pub mod linkload;
 pub mod pathdiversity;
-pub mod spanning;
 
 pub use bisection::normalized_bisection_fraction;
 pub use faults::{fault_trajectory, median_trajectory, FaultStep};
 pub use linkload::{channel_load, ChannelLoad};
 pub use pathdiversity::{path_diversity, PathDiversity};
-pub use spanning::edge_disjoint_spanning_trees;

@@ -1,9 +1,10 @@
 //! Message-level motif simulator cost: allreduce and sweep3d over a
 //! mid-size PolarStar and a 64-rank reference network.
 //!
-//! `CRITERION_JSON=BENCH_motifs.json cargo bench -p bench --bench
-//! motif_sim` appends one JSON line per bench — the motif-layer
-//! trajectory file mirrors `BENCH_sim.json` for the cycle engine.
+//! `CRITERION_JSON=<absolute path> cargo bench -p bench --bench
+//! motif_sim` appends one JSON line per bench (CI's `bench-smoke` job
+//! writes under `target/`); commit-tagged numbers for this layer are
+//! `benchmark/`'s `motif_psiq` workload.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use polarstar::design::best_config;

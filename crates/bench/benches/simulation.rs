@@ -2,8 +2,8 @@
 //! uniform traffic at moderate load, sequential and sharded.
 //!
 //! The `min`/`ugal` benches keep their historical names (sequential
-//! engine) so BENCH_sim.json entries stay comparable across commits;
-//! the `*_t2`/`*_t4` variants run the identical simulation through the
+//! engine), the ones EXPERIMENTS.md's recorded trajectory uses; the
+//! `*_t2`/`*_t4` variants run the identical simulation through the
 //! sharded engine at 2 and 4 worker threads.
 
 use criterion::{criterion_group, criterion_main, Criterion};

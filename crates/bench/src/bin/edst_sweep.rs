@@ -21,15 +21,13 @@
 //! `striped_bcast_repair` row instead patches the tree via
 //! [`RepairPolicy::Replace`]). Every row is exact-replay deterministic:
 //! no RNG, byte-identical at any rayon width. `--quick` shrinks the
-//! payload and the loss curve; `--only <key>` filters; `--sequential`
-//! disables the topology-level fan-out; `--metrics-dir <path>` writes a
-//! `RunManifest` per topology; `--bench-json <path>` appends
+//! payload and the loss curve; `--only <key>` filters;
+//! `--metrics-dir <path>` writes a `RunManifest` per topology; `--bench-json <path>` appends
 //! `{group,bench,value,unit}` lines for CI tracking.
 
 use bench::manifest::file_stem;
 use bench::{
-    metrics_dir, quick_mode, selected_keys, sequential_mode, table3_network, write_bench_json,
-    RunManifest,
+    metrics_dir, quick_mode, selected_keys, table3_network, write_bench_json, RunManifest,
 };
 use polarstar::design::best_config;
 use polarstar::network::PolarStarNetwork;
@@ -204,11 +202,7 @@ fn main() {
     let keys = selected_keys(&DEFAULT_KEYS, &DEFAULT_KEYS);
     println!("topology,routers,trees,motif,bytes_mb,lost,completion_us,slowdown,ideal_slowdown");
     let run = |&key: &&str| sweep_one(key, quick, bytes);
-    let results: Vec<Result<Sweep, String>> = if sequential_mode() {
-        keys.iter().map(run).collect()
-    } else {
-        keys.par_iter().map(run).collect()
-    };
+    let results: Vec<Result<Sweep, String>> = keys.par_iter().map(run).collect();
 
     let mut bench_lines: Vec<String> = Vec::new();
     let mut failed = false;

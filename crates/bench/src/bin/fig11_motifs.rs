@@ -4,13 +4,13 @@
 //! 4 GB/s links, linear rank mapping (§10.1). CSV
 //! `motif,topology,routing,bytes,time_us`.
 //!
-//! The grid fans out over rayon by default; `--sequential` runs it on
-//! one thread and produces a byte-identical CSV (each point is an
-//! independent seeded model). `--quick` shrinks sizes and iterations
-//! for smoke tests; `--only <key>` restricts topologies.
+//! The grid fans out over rayon; the CSV is byte-identical at any
+//! `RAYON_NUM_THREADS` (each point is an independent seeded model).
+//! `--quick` shrinks sizes and iterations for smoke tests;
+//! `--only <key>` restricts topologies.
 
 use bench::motif_sweep::{run_sweep, MotifSweep, SWEEP_HEADER};
-use bench::{quick_mode, selected_keys, sequential_mode, table3_network, TABLE3_KEYS};
+use bench::{quick_mode, selected_keys, table3_network, TABLE3_KEYS};
 use polarstar_motifs::netmodel::RoutingMode;
 
 /// Fig. 11's topology subset: PolarStar vs Dragonfly, HyperX, fat tree.
@@ -34,7 +34,7 @@ fn main() {
         MotifSweep::fig11()
     };
     let modes = [RoutingMode::Min, RoutingMode::Adaptive { candidates: 4 }];
-    let rows = match run_sweep(&nets, &modes, &sweep, !sequential_mode()) {
+    let rows = match run_sweep(&nets, &modes, &sweep) {
         Ok(rows) => rows,
         // Table 3 networks are pristine and host every grid point; any
         // motif error is a harness bug.

@@ -22,9 +22,8 @@
 //! is bit-identical at any thread count, so the CSV is byte-identical
 //! across `RAYON_NUM_THREADS` and `--engine-threads` settings — CI
 //! pins this. `--quick` shrinks engine windows and the load grid;
-//! `--only <key>` filters topologies; `--sequential` disables the
-//! cell-level rayon fan-out; `--engine-threads <n>` shards each engine
-//! run; `--metrics-dir <path>` writes one `RunManifest` per cell (with
+//! `--only <key>` filters topologies; `--engine-threads <n>` shards
+//! each engine run; `--metrics-dir <path>` writes one `RunManifest` per cell (with
 //! a monitored NEG point and the negotiation extras); `--bench-json
 //! <path>` appends `{group,bench,value,unit}` lines (group
 //! `negotiate`) for CI tracking.
@@ -32,8 +31,8 @@
 use bench::manifest::file_stem;
 use bench::sweep_driver::{csv_row, CSV_HEADER};
 use bench::{
-    engine_threads, metrics_dir, quick_mode, selected_keys, sequential_mode, table3_network,
-    write_bench_json, RunManifest,
+    engine_threads, metrics_dir, quick_mode, selected_keys, table3_network, write_bench_json,
+    RunManifest,
 };
 use polarstar_netsim::engine::{SimConfig, Simulation};
 use polarstar_netsim::flow::{FlowPlan, FlowRouting, TrafficComponent};
@@ -209,11 +208,7 @@ fn main() {
     let run = |(key, pattern): &(String, Pattern)| {
         sweep_cell(key, pattern, &loads, &cfg, quick, dir.is_some())
     };
-    let results: Vec<Result<Cell, String>> = if sequential_mode() {
-        cells.iter().map(run).collect()
-    } else {
-        cells.par_iter().map(run).collect()
-    };
+    let results: Vec<Result<Cell, String>> = cells.par_iter().map(run).collect();
 
     println!("{CSV_HEADER}");
     let mut bench_lines = Vec::new();

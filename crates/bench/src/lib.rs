@@ -1,6 +1,6 @@
 //! Shared harness for the per-figure benchmark binaries.
 //!
-//! [`table3_networks`] constructs the exact simulated configurations of
+//! [`table3_network`] constructs the exact simulated configurations of
 //! the paper's Table 3 (with the documented substitutions for PS-Pal's
 //! order and Spectralfly's LPS realization); the binaries in `src/bin/`
 //! regenerate each table and figure as CSV on stdout. [`manifest`]
@@ -191,24 +191,9 @@ pub fn oracle_mode() -> String {
     mode
 }
 
-/// All Table 3 networks (expensive: constructs every topology).
-pub fn table3_networks() -> Vec<NetworkSpec> {
-    TABLE3_KEYS
-        .iter()
-        .map(|k| table3_network(k).expect("Table 3 config"))
-        .collect()
-}
-
 /// Whether `--quick` was passed (smoke-test mode for the heavy figures).
 pub fn quick_mode() -> bool {
     std::env::args().any(|a| a == "--quick")
-}
-
-/// Whether `--sequential` was passed: run sweep grids on one thread
-/// instead of fanning out over rayon. Output is byte-identical either
-/// way; the flag exists for A/B determinism checks and for profiling.
-pub fn sequential_mode() -> bool {
-    std::env::args().any(|a| a == "--sequential")
 }
 
 /// The topology keys a binary runs: `defaults` unless `--only <substr>`

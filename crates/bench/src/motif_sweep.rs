@@ -4,9 +4,8 @@
 //!
 //! Every grid point builds its own freshly seeded [`NetModel`] from the
 //! point's spec, so points are independent and the produced rows are
-//! identical whether the grid runs sequentially or fanned out over
-//! rayon — the parallel sweep's CSV is byte-identical to the sequential
-//! one.
+//! identical at any rayon width (the shim runs inline at
+//! `RAYON_NUM_THREADS=1`; CI `cmp`s that CSV against width 4).
 
 use polarstar_motifs::collectives::{allreduce, sweep3d, AllreduceAlgo};
 use polarstar_motifs::netmodel::{MotifConfig, MotifError, NetModel, RoutingMode};
@@ -122,24 +121,18 @@ fn run_point(nets: &[NetworkSpec], sweep: &MotifSweep, p: &Point) -> Result<Stri
 }
 
 /// Run the full grid and return one CSV row per point, in grid order.
-/// `parallel` only changes execution, never the rows: each point is an
-/// independent seeded model, and rayon's ordered collect restores grid
+/// The rayon width never shows in the rows: each point is an
+/// independent seeded model, and the ordered collect restores grid
 /// order.
 pub fn run_sweep(
     nets: &[NetworkSpec],
     modes: &[RoutingMode],
     sweep: &MotifSweep,
-    parallel: bool,
 ) -> Result<Vec<String>, MotifError> {
-    let points = grid(nets, modes, sweep);
-    let rows: Vec<Result<String, MotifError>> = if parallel {
-        points
-            .par_iter()
-            .map(|p| run_point(nets, sweep, p))
-            .collect()
-    } else {
-        points.iter().map(|p| run_point(nets, sweep, p)).collect()
-    };
+    let rows: Vec<Result<String, MotifError>> = grid(nets, modes, sweep)
+        .par_iter()
+        .map(|p| run_point(nets, sweep, p))
+        .collect();
     rows.into_iter().collect()
 }
 

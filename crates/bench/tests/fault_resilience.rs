@@ -4,12 +4,15 @@
 //! must terminate cleanly instead of hanging or panicking.
 
 use bench::{table3_network, TABLE3_KEYS};
+use polarstar::design::{PolarStarConfig, SupernodeKind};
+use polarstar::network::PolarStarNetwork;
 use polarstar_motifs::netmodel::{MotifConfig, MotifError, NetModel, RoutingMode};
 use polarstar_netsim::routing::{RouteTable, RoutingKind};
 use polarstar_netsim::traffic::Pattern;
 use polarstar_netsim::{simulate, SimConfig};
 use polarstar_topo::network::{NetworkSpec, RoutingPolicy};
 use polarstar_topo::FaultSet;
+use proptest::prelude::*;
 
 fn cfg() -> SimConfig {
     SimConfig {
@@ -140,6 +143,63 @@ fn extreme_faults_never_panic() {
         for src in 0..12u32 {
             // Ok or Err are both fine; panicking is not.
             let _ = model.send_routers(src, (src + 5) % 12, 1024, 0, RoutingMode::Min);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Cross-model parity under mixed masks: the motif model routes a
+    /// network with one-directional faults exactly as a freshly masked
+    /// flat table does — distances drop a half-dead cable, ports need
+    /// only their own direction alive. Every `ecmp_path` hop is a
+    /// `min_ports` port, `min_path` takes the first one, and hop counts
+    /// are the table's distances.
+    #[test]
+    fn motif_paths_follow_the_masked_table(seed in 0u64..1_000_000, frac_pct in 2u32..20) {
+        let cfg = PolarStarConfig {
+            q: 3,
+            supernode: SupernodeKind::InductiveQuad { degree: 3 },
+        };
+        let pristine = PolarStarNetwork::build(cfg, 2).unwrap().spec;
+        // A random set of cables; about half of them lose one direction
+        // only (the `u > v` one, picked by a seed-keyed parity).
+        let cables = FaultSet::random_links(&pristine.graph, f64::from(frac_pct) / 100.0, seed);
+        let directed = cables
+            .failed_links()
+            .iter()
+            .copied()
+            .filter(|&(u, v)| u < v || (u ^ v ^ seed as u32) & 1 == 0);
+        let spec = pristine.with_faults(FaultSet::from_directed_links(directed));
+        let g = &spec.graph;
+        let table = RouteTable::for_spec(&spec);
+        let mut model = NetModel::new(spec.clone(), MotifConfig::default());
+        let n = g.n() as u32;
+        for src in 0..n {
+            for dst in (src % 3..n).step_by(3) {
+                let paths = [(model.min_path(src, dst), true), (model.ecmp_path(src, dst), false)];
+                for (path, first_port) in paths {
+                    let Some(path) = path else {
+                        prop_assert!(!table.is_reachable(src, dst), "{src}->{dst} lost");
+                        continue;
+                    };
+                    prop_assert_eq!(path.len(), table.distance(src, dst) as usize, "{}->{}", src, dst);
+                    let mut cur = src;
+                    for e in path {
+                        prop_assert_eq!(g.edge_source(e), cur);
+                        let port = (e - g.edge_range(cur).start) as u8;
+                        let ports = table.min_ports(cur, dst);
+                        if first_port {
+                            prop_assert_eq!(port, ports[0], "{}->{} at {}", src, dst, cur);
+                        } else {
+                            prop_assert!(ports.contains(&port), "{src}->{dst} at {cur}: port {port}");
+                        }
+                        cur = g.edge_target(e);
+                    }
+                    prop_assert_eq!(cur, dst);
+                }
+            }
         }
     }
 }

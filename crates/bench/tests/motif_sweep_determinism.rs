@@ -1,7 +1,7 @@
-//! The fig11 motif sweep must produce byte-identical rows whether the
-//! grid runs sequentially or fanned out over rayon: every point is an
-//! independent freshly seeded model, and ordered collect restores grid
-//! order.
+//! The fig11 motif sweep must produce the same rows on every run: every
+//! point is an independent freshly seeded model, and ordered collect
+//! restores grid order. (CI `cmp`s the `fig11_motifs` CSV across
+//! `RAYON_NUM_THREADS=1` — the shim's inline path — and `=4`.)
 
 use bench::motif_sweep::{run_sweep, MotifSweep};
 use polarstar_graph::Graph;
@@ -10,7 +10,7 @@ use polarstar_topo::network::NetworkSpec;
 use polarstar_topo::FaultSet;
 
 #[test]
-fn parallel_sweep_is_byte_identical_to_sequential() {
+fn sweep_rows_are_reproducible() {
     let nets = vec![
         NetworkSpec::uniform("c8", Graph::cycle(8), 2),
         NetworkSpec::uniform("k5", Graph::complete(5), 2),
@@ -25,11 +25,8 @@ fn parallel_sweep_is_byte_identical_to_sequential() {
         iters: 2,
     };
     let modes = [RoutingMode::Min, RoutingMode::Adaptive { candidates: 4 }];
-    let parallel = run_sweep(&nets, &modes, &sweep, true).unwrap();
-    let sequential = run_sweep(&nets, &modes, &sweep, false).unwrap();
-    assert_eq!(parallel, sequential, "rows depend on execution strategy");
+    let rows = run_sweep(&nets, &modes, &sweep).unwrap();
     // 3 nets × 2 modes × (2 allreduce sizes + 1 sweep3d size).
-    assert_eq!(parallel.len(), 18);
-    // Stable across repeated parallel runs too.
-    assert_eq!(parallel, run_sweep(&nets, &modes, &sweep, true).unwrap());
+    assert_eq!(rows.len(), 18);
+    assert_eq!(rows, run_sweep(&nets, &modes, &sweep).unwrap());
 }

@@ -562,9 +562,9 @@ mod extension_tests {
 
     #[test]
     fn multi_tree_broadcast_beats_single_tree() {
-        use polarstar_analysis::spanning::edge_disjoint_spanning_trees;
+        use polarstar_graph::edst::greedy_edst;
         let g = Graph::complete(10);
-        let trees = edge_disjoint_spanning_trees(&g);
+        let trees = greedy_edst(&g);
         assert!(trees.len() >= 2);
         let spec = NetworkSpec::uniform("k10", g, 1);
         let multi = tree_broadcast(
@@ -588,11 +588,11 @@ mod extension_tests {
     fn broadcast_on_polarstar_trees() {
         use polarstar::design::best_config;
         use polarstar::network::PolarStarNetwork;
-        use polarstar_analysis::spanning::edge_disjoint_spanning_trees;
+        use polarstar_graph::edst::greedy_edst;
         let net = PolarStarNetwork::build(best_config(9).unwrap(), 1)
             .unwrap()
             .spec;
-        let trees = edge_disjoint_spanning_trees(&net.graph);
+        let trees = greedy_edst(&net.graph);
         assert!(trees.len() >= 2, "PolarStar packs ≥ 2 trees");
         let t = tree_broadcast(
             &mut NetModel::new(net, MotifConfig::default()),

@@ -78,12 +78,6 @@ impl FaultEpochs {
         let i = self.starts.partition_point(|&s| s <= t);
         &self.masks[i - 1]
     }
-
-    /// Whether the undirected edge `{u, v}` is failed at time `t`.
-    pub fn edge_failed(&self, t: Time, u: u32, v: u32) -> bool {
-        let m = self.at(t);
-        m.link_failed(u, v) || m.link_failed(v, u)
-    }
 }
 
 /// What to do when a fault kills an edge of a striped tree.
@@ -117,10 +111,11 @@ pub struct StripedOutcome {
     pub delivered_bytes: Vec<u64>,
 }
 
-/// Outcome of flooding one chunk down (or up) one tree.
-enum FloodEnd {
-    Done(Time),
-    Dead { at: Time, edge: (u32, u32) },
+/// A tree edge found dead at time `at`, ending its chunk's flood.
+#[derive(Debug)]
+struct Dead {
+    at: Time,
+    edge: (u32, u32),
 }
 
 struct TreeState {
@@ -273,15 +268,7 @@ pub fn striped_broadcast(
     epochs: &FaultEpochs,
     repair: RepairPolicy,
 ) -> Result<StripedOutcome, MotifError> {
-    run_striped(
-        model,
-        trees,
-        bytes,
-        epochs,
-        repair,
-        false,
-        "striped_broadcast",
-    )
+    StripedRun::new(model, trees, epochs, false, "striped_broadcast")?.run(bytes, repair)
 }
 
 /// Striped multi-tree allreduce: per tree, the chunk reduces up to the
@@ -295,433 +282,331 @@ pub fn striped_allreduce(
     epochs: &FaultEpochs,
     repair: RepairPolicy,
 ) -> Result<StripedOutcome, MotifError> {
-    run_striped(
-        model,
-        trees,
-        bytes,
-        epochs,
-        repair,
-        true,
-        "striped_allreduce",
-    )
+    StripedRun::new(model, trees, epochs, true, "striped_allreduce")?.run(bytes, repair)
 }
 
-fn run_striped(
-    model: &mut NetModel,
-    trees: &[Vec<(u32, u32)>],
-    bytes: u64,
-    epochs: &FaultEpochs,
-    repair: RepairPolicy,
+/// One striped collective in flight: the model and fault timeline every
+/// send consults, the per-tree state, and the chunk queue re-striping
+/// feeds.
+struct StripedRun<'a> {
+    model: &'a mut NetModel,
+    epochs: &'a FaultEpochs,
+    /// Allreduce (reduce-up, then flood-down) rather than broadcast.
     reduce_first: bool,
     motif: &'static str,
-) -> Result<StripedOutcome, MotifError> {
-    let t_count = trees.len();
-    if t_count == 0 {
-        return Err(MotifError::invalid_config(format!(
-            "{motif} needs at least one spanning tree"
-        )));
-    }
-    let n = model.spec().graph.n();
-    let (root, _) = model.spec().endpoint_router(0);
-    let mut states = Vec::with_capacity(t_count);
-    let mut used: HashSet<(u32, u32)> = HashSet::new();
-    for (i, tree) in trees.iter().enumerate() {
-        let oriented = orient(n, tree, root).ok_or_else(|| {
-            MotifError::invalid_config(format!(
-                "{motif}: tree {i} does not span the {n}-router graph"
-            ))
-        })?;
-        for &(u, v) in tree {
-            used.insert(norm(u, v));
-        }
-        let depth = depth_of(n, &oriented);
-        states.push(TreeState {
-            edges: tree.clone(),
-            oriented,
-            depth,
-            sched: 0,
-            alive: true,
-            repairs: 0,
-        });
-    }
-
-    // Stripe: one chunk per tree, waterfilled so the per-tree pipelined
-    // completions (≈ ramp + chunk/bandwidth) line up. An allreduce
-    // traverses the tree twice, doubling the ramp.
-    let h = hop_time(model);
-    let ramp_mult: Time = if reduce_first { 2 } else { 1 };
-    let bytes_per_ps = model.config().bandwidth_bytes_per_ns / 1000.0;
-    let ramps: Vec<Time> = states
-        .iter()
-        .map(|s| s.depth as Time * h * ramp_mult)
-        .collect();
-    let shares = waterfill(bytes, &ramps, bytes_per_ps);
-    for (i, &b) in shares.iter().enumerate() {
-        states[i].sched = ramps[i] + (b as f64 / bytes_per_ps) as Time;
-    }
-    let mut queue: VecDeque<Chunk> = shares
-        .into_iter()
-        .enumerate()
-        .map(|(i, b)| Chunk {
-            bytes: b,
-            earliest: 0,
-            tree: i,
-        })
-        .filter(|c| c.bytes > 0)
-        .collect();
-
-    let mut completion: Time = 0;
-    let mut trees_lost = 0usize;
-    let mut trees_repaired = 0usize;
-    let mut restriped_bytes = 0u64;
-    let mut delivered = vec![0u64; t_count];
-    // The edge whose death stranded the most recent chunk — reported
-    // when the last tree dies.
-    let mut last_death = (root, root);
-
-    while let Some(chunk) = queue.pop_front() {
-        if !states[chunk.tree].alive {
-            restripe(
-                &mut states,
-                &mut queue,
-                chunk.bytes,
-                chunk.earliest,
-                h,
-                ramp_mult,
-                bytes_per_ps,
-                &mut restriped_bytes,
-            )
-            .map_err(|()| MotifError::Disconnected {
-                src: last_death.0,
-                dst: last_death.1,
-                motif: Some(motif),
-            })?;
-            continue;
-        }
-        // Fault notification: a link already dead when the chunk is
-        // scheduled is known up front (keepalive/LLR), not discovered
-        // by pouring a ramp's worth of traffic into the tree. Faults
-        // that strike later are still caught lazily, send by send.
-        let known_dead = {
-            let base = model.faults();
-            states[chunk.tree].oriented.iter().copied().find(|&(u, v)| {
-                epochs.edge_failed(chunk.earliest, u, v)
-                    || base.link_failed(u, v)
-                    || base.link_failed(v, u)
-            })
-        };
-        let end = if let Some(edge) = known_dead {
-            FloodEnd::Dead {
-                at: chunk.earliest,
-                edge,
-            }
-        } else if reduce_first {
-            flood_allreduce(
-                model,
-                n,
-                root,
-                &states[chunk.tree].oriented,
-                chunk.bytes,
-                chunk.earliest,
-                epochs,
-            )
-        } else {
-            flood_broadcast(
-                model,
-                n,
-                root,
-                &states[chunk.tree].oriented,
-                chunk.bytes,
-                chunk.earliest,
-                epochs,
-            )
-        };
-        match end {
-            FloodEnd::Done(finish) => {
-                delivered[chunk.tree] += chunk.bytes;
-                completion = completion.max(finish);
-                // Refine the schedule estimate with the actual finish.
-                let s = &mut states[chunk.tree];
-                s.sched = s.sched.max(finish);
-            }
-            FloodEnd::Dead { at, edge } => {
-                last_death = edge;
-                let repaired = repair == RepairPolicy::Replace
-                    && try_repair(
-                        model,
-                        &mut states,
-                        chunk.tree,
-                        edge,
-                        at,
-                        &mut used,
-                        epochs,
-                        root,
-                    );
-                if repaired {
-                    trees_repaired += 1;
-                } else {
-                    states[chunk.tree].alive = false;
-                    trees_lost += 1;
-                }
-                // Re-stripe the whole failed chunk across whatever is
-                // alive now (including the tree itself if repaired).
-                restripe(
-                    &mut states,
-                    &mut queue,
-                    chunk.bytes,
-                    at,
-                    h,
-                    ramp_mult,
-                    bytes_per_ps,
-                    &mut restriped_bytes,
-                )
-                .map_err(|()| MotifError::Disconnected {
-                    src: edge.0,
-                    dst: edge.1,
-                    motif: Some(motif),
-                })?;
-            }
-        }
-    }
-
-    Ok(StripedOutcome {
-        completion_ns: completion as f64 / 1000.0,
-        trees: t_count,
-        trees_lost,
-        trees_repaired,
-        restriped_bytes,
-        delivered_bytes: delivered,
-    })
+    n: usize,
+    root: u32,
+    states: Vec<TreeState>,
+    /// Normalized edges of every tree — a repair may take none of them.
+    used: HashSet<(u32, u32)>,
+    queue: VecDeque<Chunk>,
+    /// Per-segment hop time (ps).
+    hop: Time,
+    bytes_per_ps: f64,
+    restriped_bytes: u64,
 }
 
-/// Waterfill `bytes` over the live trees, startable from `at`. A
-/// re-striped chunk trails whatever each tree already carries, so the
-/// split equalizes `max(sched, at + ramp) + share/bandwidth` — the
-/// effective completion of the trailing pipeline (ramps re-derived from
-/// the current depths; a repair can change them). `Err(())` when no
-/// tree survives.
-#[allow(clippy::too_many_arguments)]
-fn restripe(
-    states: &mut [TreeState],
-    queue: &mut VecDeque<Chunk>,
-    bytes: u64,
-    at: Time,
-    h: Time,
-    ramp_mult: Time,
-    bytes_per_ps: f64,
-    restriped_bytes: &mut u64,
-) -> Result<(), ()> {
-    let alive: Vec<usize> = states
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| s.alive)
-        .map(|(i, _)| i)
-        .collect();
-    if alive.is_empty() {
-        return Err(());
-    }
-    *restriped_bytes += bytes;
-    let offsets: Vec<Time> = alive
-        .iter()
-        .map(|&i| {
-            // A still-draining tree carries the new chunk right behind
-            // its train (done at ≈ sched + share/bw); an idle tree has
-            // to ramp its pipeline from scratch.
-            let ramp = states[i].depth as Time * h * ramp_mult;
-            if states[i].sched > at {
-                states[i].sched
-            } else {
-                at + ramp
+impl<'a> StripedRun<'a> {
+    fn new(
+        model: &'a mut NetModel,
+        trees: &[Vec<(u32, u32)>],
+        epochs: &'a FaultEpochs,
+        reduce_first: bool,
+        motif: &'static str,
+    ) -> Result<Self, MotifError> {
+        if trees.is_empty() {
+            return Err(MotifError::invalid_config(format!(
+                "{motif} needs at least one spanning tree"
+            )));
+        }
+        let n = model.spec().graph.n();
+        let (root, _) = model.spec().endpoint_router(0);
+        let mut states = Vec::with_capacity(trees.len());
+        let mut used: HashSet<(u32, u32)> = HashSet::new();
+        for (i, tree) in trees.iter().enumerate() {
+            let oriented = orient(n, tree, root).ok_or_else(|| {
+                MotifError::invalid_config(format!(
+                    "{motif}: tree {i} does not span the {n}-router graph"
+                ))
+            })?;
+            for &(u, v) in tree {
+                used.insert(norm(u, v));
             }
-        })
-        .collect();
-    for ((j, &ti), b) in alive
-        .iter()
-        .enumerate()
-        .zip(waterfill(bytes, &offsets, bytes_per_ps))
-    {
-        if b > 0 {
-            states[ti].sched = offsets[j] + (b as f64 / bytes_per_ps) as Time;
-            queue.push_back(Chunk {
-                bytes: b,
-                earliest: at,
-                tree: ti,
+            let depth = depth_of(n, &oriented);
+            states.push(TreeState {
+                edges: tree.clone(),
+                oriented,
+                depth,
+                sched: 0,
+                alive: true,
+                repairs: 0,
             });
         }
+        Ok(StripedRun {
+            hop: hop_time(model),
+            bytes_per_ps: model.config().bandwidth_bytes_per_ns / 1000.0,
+            model,
+            epochs,
+            reduce_first,
+            motif,
+            n,
+            root,
+            states,
+            used,
+            queue: VecDeque::new(),
+            restriped_bytes: 0,
+        })
     }
-    Ok(())
-}
 
-/// Pipeline `chunk` from the root down `oriented` (parent→child in BFS
-/// order) as a train of [`SEGMENT_BYTES`] segments: a child forwards
-/// each segment as soon as it arrives, so after the depth-long ramp a
-/// hop adds only per-segment latency, not a full chunk
-/// re-serialization. The fault mask is consulted at each send's start
-/// time; link-level contention (trailing segments, earlier chunks on a
-/// repaired or re-striped tree) is handled by the model's reservations.
-fn flood_broadcast(
-    model: &mut NetModel,
-    n: usize,
-    root: u32,
-    oriented: &[(u32, u32)],
-    chunk: u64,
-    start: Time,
-    epochs: &FaultEpochs,
-) -> FloodEnd {
-    let nseg = chunk.div_ceil(SEGMENT_BYTES).max(1) as usize;
-    let last = chunk - SEGMENT_BYTES * (nseg as u64 - 1);
-    // arrive[v * nseg + s]: when segment s is at router v.
-    let mut arrive: Vec<Time> = vec![0; n * nseg];
-    arrive[root as usize * nseg..(root as usize + 1) * nseg].fill(start);
-    let mut finish = start;
-    for &(u, v) in oriented {
+    /// Whether the undirected edge `{u, v}` is dead at time `t`: failed
+    /// on the fault timeline or under the model's static mask.
+    fn dead(&self, t: Time, u: u32, v: u32) -> bool {
+        self.epochs.at(t).edge_failed(u, v) || self.model.faults().edge_failed(u, v)
+    }
+
+    /// Pipeline ramp (ps) of tree `i` at its current depth; an
+    /// allreduce traverses the tree twice.
+    fn ramp(&self, i: usize) -> Time {
+        let passes: Time = if self.reduce_first { 2 } else { 1 };
+        self.states[i].depth as Time * self.hop * passes
+    }
+
+    fn run(mut self, bytes: u64, repair: RepairPolicy) -> Result<StripedOutcome, MotifError> {
+        let t_count = self.states.len();
+        // Stripe: one chunk per tree, waterfilled so the per-tree
+        // pipelined completions (≈ ramp + chunk/bandwidth) line up.
+        let ramps: Vec<Time> = (0..t_count).map(|i| self.ramp(i)).collect();
+        let shares = waterfill(bytes, &ramps, self.bytes_per_ps);
+        for (i, &b) in shares.iter().enumerate() {
+            self.states[i].sched = ramps[i] + (b as f64 / self.bytes_per_ps) as Time;
+        }
+        self.queue = shares
+            .into_iter()
+            .enumerate()
+            .map(|(i, b)| Chunk {
+                bytes: b,
+                earliest: 0,
+                tree: i,
+            })
+            .filter(|c| c.bytes > 0)
+            .collect();
+
+        let mut completion: Time = 0;
+        let mut trees_lost = 0usize;
+        let mut trees_repaired = 0usize;
+        let mut delivered = vec![0u64; t_count];
+        // The edge whose death stranded the most recent chunk — reported
+        // when the last tree dies.
+        let mut last_death = (self.root, self.root);
+
+        while let Some(chunk) = self.queue.pop_front() {
+            if !self.states[chunk.tree].alive {
+                self.restripe(chunk.bytes, chunk.earliest, last_death)?;
+                continue;
+            }
+            // Fault notification: a link already dead when the chunk is
+            // scheduled is known up front (keepalive/LLR), not discovered
+            // by pouring a ramp's worth of traffic into the tree. Faults
+            // that strike later are still caught lazily, send by send.
+            let known_dead = self.states[chunk.tree]
+                .oriented
+                .iter()
+                .copied()
+                .find(|&(u, v)| self.dead(chunk.earliest, u, v));
+            let end = match known_dead {
+                Some(edge) => Err(Dead {
+                    at: chunk.earliest,
+                    edge,
+                }),
+                None => self.flood(chunk.tree, chunk.bytes, chunk.earliest),
+            };
+            match end {
+                Ok(finish) => {
+                    delivered[chunk.tree] += chunk.bytes;
+                    completion = completion.max(finish);
+                    // Refine the schedule estimate with the actual finish.
+                    let s = &mut self.states[chunk.tree];
+                    s.sched = s.sched.max(finish);
+                }
+                Err(Dead { at, edge }) => {
+                    last_death = edge;
+                    if repair == RepairPolicy::Replace && self.try_repair(chunk.tree, edge, at) {
+                        trees_repaired += 1;
+                    } else {
+                        self.states[chunk.tree].alive = false;
+                        trees_lost += 1;
+                    }
+                    // Re-stripe the whole failed chunk across whatever is
+                    // alive now (including the tree itself if repaired).
+                    self.restripe(chunk.bytes, at, edge)?;
+                }
+            }
+        }
+
+        Ok(StripedOutcome {
+            completion_ns: completion as f64 / 1000.0,
+            trees: t_count,
+            trees_lost,
+            trees_repaired,
+            restriped_bytes: self.restriped_bytes,
+            delivered_bytes: delivered,
+        })
+    }
+
+    /// Waterfill `bytes` over the live trees, startable from `at`. A
+    /// re-striped chunk trails whatever each tree already carries, so
+    /// the split equalizes `max(sched, at + ramp) + share/bandwidth` —
+    /// the effective completion of the trailing pipeline (ramps
+    /// re-derived from the current depths; a repair can change them).
+    /// When no tree survives the collective is disconnected at `killer`,
+    /// the edge whose death stranded the bytes.
+    fn restripe(&mut self, bytes: u64, at: Time, killer: (u32, u32)) -> Result<(), MotifError> {
+        let alive: Vec<usize> = (0..self.states.len())
+            .filter(|&i| self.states[i].alive)
+            .collect();
+        if alive.is_empty() {
+            return Err(MotifError::Disconnected {
+                src: killer.0,
+                dst: killer.1,
+                motif: Some(self.motif),
+            });
+        }
+        self.restriped_bytes += bytes;
+        let offsets: Vec<Time> = alive
+            .iter()
+            .map(|&i| {
+                // A still-draining tree carries the new chunk right
+                // behind its train (done at ≈ sched + share/bw); an idle
+                // tree has to ramp its pipeline from scratch.
+                if self.states[i].sched > at {
+                    self.states[i].sched
+                } else {
+                    at + self.ramp(i)
+                }
+            })
+            .collect();
+        for ((j, &ti), b) in
+            alive
+                .iter()
+                .enumerate()
+                .zip(waterfill(bytes, &offsets, self.bytes_per_ps))
+        {
+            if b > 0 {
+                self.states[ti].sched = offsets[j] + (b as f64 / self.bytes_per_ps) as Time;
+                self.queue.push_back(Chunk {
+                    bytes: b,
+                    earliest: at,
+                    tree: ti,
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// Move `chunk` over tree `ti` from `start`, pipelined as a train of
+    /// [`SEGMENT_BYTES`] segments: a router forwards each segment as
+    /// soon as it holds it, so after the depth-long ramp a hop adds only
+    /// per-segment latency, not a full chunk re-serialization. A
+    /// broadcast is the flood-down pass from the root; an allreduce
+    /// first reduces up (children→parent), then floods the result down
+    /// the same way. Returns when the last segment landed.
+    fn flood(&mut self, ti: usize, chunk: u64, start: Time) -> Result<Time, Dead> {
+        let nseg = chunk.div_ceil(SEGMENT_BYTES).max(1) as usize;
+        // at[v * nseg + s]: when router v holds segment s (its own
+        // contribution at `start`, then whatever the passes deliver).
+        let mut at: Vec<Time> = vec![start; self.n * nseg];
+        if self.reduce_first {
+            self.reduce_up(ti, chunk, &mut at)?;
+        }
+        self.flood_down(ti, chunk, &mut at)?;
+        Ok(at.into_iter().max().unwrap_or(start))
+    }
+
+    /// Children fold their subtrees' segments into their parents, in
+    /// reverse BFS order; the root's row of `at` ends as the times the
+    /// reduced segments are ready.
+    fn reduce_up(&mut self, ti: usize, chunk: u64, at: &mut [Time]) -> Result<(), Dead> {
+        for i in (0..self.states[ti].oriented.len()).rev() {
+            let (u, v) = self.states[ti].oriented[i];
+            self.send_train(v, u, chunk, at)?;
+        }
+        Ok(())
+    }
+
+    /// Parents forward the root's segments to their children, in BFS
+    /// order.
+    fn flood_down(&mut self, ti: usize, chunk: u64, at: &mut [Time]) -> Result<(), Dead> {
+        for i in 0..self.states[ti].oriented.len() {
+            let (u, v) = self.states[ti].oriented[i];
+            self.send_train(u, v, chunk, at)?;
+        }
+        Ok(())
+    }
+
+    /// Send `chunk`'s segment train over the link `from → to`: segment
+    /// `s` leaves when `from` holds it and `to` holds it on arrival.
+    /// `max` because a parent folds several children on the way up; on
+    /// the way down a router's one arrival is later than anything it
+    /// held before, so there `max` is plain assignment. The fault masks
+    /// are consulted at each send's start time; link-level contention
+    /// (trailing segments, earlier chunks on a repaired or re-striped
+    /// tree) is the model's reservations.
+    fn send_train(&mut self, from: u32, to: u32, chunk: u64, at: &mut [Time]) -> Result<(), Dead> {
+        let nseg = at.len() / self.n;
+        let last = chunk - SEGMENT_BYTES * (nseg as u64 - 1);
         for s in 0..nseg {
             let seg = if s + 1 == nseg { last } else { SEGMENT_BYTES };
-            let st = arrive[u as usize * nseg + s];
-            if epochs.edge_failed(st, u, v) {
-                return FloodEnd::Dead {
+            let st = at[from as usize * nseg + s];
+            let sent = if self.dead(st, from, to) {
+                None
+            } else {
+                // Errs only for a tree edge the graph does not have.
+                self.model.send_link(from, to, seg, st).ok()
+            };
+            let Some(t) = sent else {
+                return Err(Dead {
                     at: st,
-                    edge: (u, v),
-                };
-            }
-            match model.send_link(u, v, seg, st) {
-                Ok(t) => {
-                    arrive[v as usize * nseg + s] = t;
-                    finish = finish.max(t);
-                }
-                // The model's own (base) mask killed the link.
-                Err(_) => {
-                    return FloodEnd::Dead {
-                        at: st,
-                        edge: (u, v),
-                    }
-                }
-            }
+                    edge: (from, to),
+                });
+            };
+            let held = &mut at[to as usize * nseg + s];
+            *held = (*held).max(t);
         }
+        Ok(())
     }
-    FloodEnd::Done(finish)
-}
 
-/// Reduce `chunk` up the tree (children→parent, reverse BFS order),
-/// then broadcast the result back down — both passes pipelined in
-/// [`SEGMENT_BYTES`] segments like [`flood_broadcast`].
-fn flood_allreduce(
-    model: &mut NetModel,
-    n: usize,
-    root: u32,
-    oriented: &[(u32, u32)],
-    chunk: u64,
-    start: Time,
-    epochs: &FaultEpochs,
-) -> FloodEnd {
-    let nseg = chunk.div_ceil(SEGMENT_BYTES).max(1) as usize;
-    let last = chunk - SEGMENT_BYTES * (nseg as u64 - 1);
-    let seg_of = |s: usize| if s + 1 == nseg { last } else { SEGMENT_BYTES };
-    // ready[v * nseg + s]: when v has folded segment s of its subtree.
-    let mut ready: Vec<Time> = vec![start; n * nseg];
-    for &(u, v) in oriented.iter().rev() {
-        // Child v folds its subtree's data into parent u.
-        for s in 0..nseg {
-            let st = ready[v as usize * nseg + s];
-            if epochs.edge_failed(st, v, u) {
-                return FloodEnd::Dead {
-                    at: st,
-                    edge: (v, u),
-                };
-            }
-            match model.send_link(v, u, seg_of(s), st) {
-                Ok(t) => {
-                    let r = &mut ready[u as usize * nseg + s];
-                    *r = (*r).max(t);
-                }
-                Err(_) => {
-                    return FloodEnd::Dead {
-                        at: st,
-                        edge: (v, u),
-                    }
-                }
-            }
+    /// Try to patch tree `ti` after `dead` failed at time `at`: find the
+    /// first graph edge crossing the cut that is alive and in no tree,
+    /// swap it in, and re-orient. Deterministic (ascending edge order)
+    /// and capped at n repairs per tree so a dying router cannot loop
+    /// forever.
+    fn try_repair(&mut self, ti: usize, dead: (u32, u32), at: Time) -> bool {
+        if self.states[ti].repairs >= self.n {
+            return false;
         }
+        let usable = |a: u32, b: u32| !self.used.contains(&norm(a, b)) && !self.dead(at, a, b);
+        let g = &self.model.spec().graph;
+        let Some(rep) =
+            polarstar_graph::edst::find_replacement(g, &self.states[ti].edges, dead, usable)
+        else {
+            return false;
+        };
+        let dead_key = norm(dead.0, dead.1);
+        let mut edges = self.states[ti].edges.clone();
+        edges.retain(|&(a, b)| norm(a, b) != dead_key);
+        edges.push(rep);
+        let Some(oriented) = orient(self.n, &edges, self.root) else {
+            return false;
+        };
+        self.used.remove(&dead_key);
+        self.used.insert(norm(rep.0, rep.1));
+        let st = &mut self.states[ti];
+        st.edges = edges;
+        st.depth = depth_of(self.n, &oriented);
+        st.oriented = oriented;
+        st.repairs += 1;
+        true
     }
-    let mut arrive: Vec<Time> = vec![0; n * nseg];
-    let mut finish = start;
-    for s in 0..nseg {
-        let t = ready[root as usize * nseg + s];
-        arrive[root as usize * nseg + s] = t;
-        finish = finish.max(t);
-    }
-    for &(u, v) in oriented {
-        for s in 0..nseg {
-            let st = arrive[u as usize * nseg + s];
-            if epochs.edge_failed(st, u, v) {
-                return FloodEnd::Dead {
-                    at: st,
-                    edge: (u, v),
-                };
-            }
-            match model.send_link(u, v, seg_of(s), st) {
-                Ok(t) => {
-                    arrive[v as usize * nseg + s] = t;
-                    finish = finish.max(t);
-                }
-                Err(_) => {
-                    return FloodEnd::Dead {
-                        at: st,
-                        edge: (u, v),
-                    }
-                }
-            }
-        }
-    }
-    FloodEnd::Done(finish)
-}
-
-/// Try to patch tree `ti` after `dead` failed at time `at`: find the
-/// first graph edge crossing the cut that is alive and in no tree,
-/// swap it in, and re-orient. Deterministic (ascending edge order) and
-/// capped at n repairs per tree so a dying router cannot loop forever.
-#[allow(clippy::too_many_arguments)]
-fn try_repair(
-    model: &NetModel,
-    states: &mut [TreeState],
-    ti: usize,
-    dead: (u32, u32),
-    at: Time,
-    used: &mut HashSet<(u32, u32)>,
-    epochs: &FaultEpochs,
-    root: u32,
-) -> bool {
-    let g = &model.spec().graph;
-    let n = g.n();
-    if states[ti].repairs >= n {
-        return false;
-    }
-    let base = model.faults();
-    let usable = |a: u32, b: u32| {
-        !used.contains(&norm(a, b))
-            && !epochs.edge_failed(at, a, b)
-            && !base.link_failed(a, b)
-            && !base.link_failed(b, a)
-    };
-    let Some(rep) = polarstar_graph::edst::find_replacement(g, &states[ti].edges, dead, usable)
-    else {
-        return false;
-    };
-    let dead_key = norm(dead.0, dead.1);
-    let mut edges = states[ti].edges.clone();
-    edges.retain(|&(a, b)| norm(a, b) != dead_key);
-    edges.push(rep);
-    let Some(oriented) = orient(n, &edges, root) else {
-        return false;
-    };
-    used.remove(&dead_key);
-    used.insert(norm(rep.0, rep.1));
-    let st = &mut states[ti];
-    st.edges = edges;
-    st.depth = depth_of(n, &oriented);
-    st.oriented = oriented;
-    st.repairs += 1;
-    true
 }
 
 #[cfg(test)]
@@ -744,14 +629,14 @@ mod tests {
             .fail_link_at(5, 0, 1)
             .recover_link_at(9, 0, 1);
         let e = FaultEpochs::from_schedule(&sched, &FaultSet::default());
-        assert!(!e.edge_failed(0, 0, 1));
-        assert!(!e.edge_failed(ns(4.9), 1, 0));
-        assert!(e.edge_failed(ns(5.0), 0, 1));
-        assert!(e.edge_failed(ns(8.9), 0, 1));
-        assert!(!e.edge_failed(ns(9.0), 0, 1));
+        assert!(!e.at(0).edge_failed(0, 1));
+        assert!(!e.at(ns(4.9)).edge_failed(1, 0));
+        assert!(e.at(ns(5.0)).edge_failed(0, 1));
+        assert!(e.at(ns(8.9)).edge_failed(0, 1));
+        assert!(!e.at(ns(9.0)).edge_failed(0, 1));
         // A base mask holds from time 0.
         let e = FaultEpochs::from_schedule(&FaultSchedule::new(), &FaultSet::from_links([(2, 3)]));
-        assert!(e.edge_failed(0, 2, 3));
+        assert!(e.at(0).edge_failed(2, 3));
         assert!(FaultEpochs::pristine().at(ns(1e9)).is_empty());
     }
 
@@ -965,6 +850,34 @@ mod tests {
         .unwrap();
         assert_eq!(hurt.trees_lost, 1);
         assert_eq!(hurt.delivered_bytes.iter().sum::<u64>(), bytes);
+    }
+
+    #[test]
+    fn one_segment_allreduce_is_reduce_up_then_the_broadcast_flood() {
+        let g = Graph::complete(6);
+        let trees = vec![greedy_edst(&g).remove(0)];
+        let epochs = FaultEpochs::pristine();
+        let bytes = 32u64 << 10;
+        assert!(bytes <= SEGMENT_BYTES);
+        let mut m = model_of(g.clone());
+        let whole = StripedRun::new(&mut m, &trees, &epochs, true, "t")
+            .unwrap()
+            .flood(0, bytes, 0)
+            .unwrap();
+        // The two passes by hand on a fresh model: reduce up, then the
+        // broadcast's flood from the moment the root holds the result.
+        let mut m = model_of(g.clone());
+        let mut run = StripedRun::new(&mut m, &trees, &epochs, true, "t").unwrap();
+        let mut at = vec![0; run.n];
+        run.reduce_up(0, bytes, &mut at).unwrap();
+        let ready = at[run.root as usize];
+        assert!(ready > 0);
+        run.reduce_first = false;
+        assert_eq!(run.flood(0, bytes, ready).unwrap(), whole);
+        // And it is what the public entry point reports.
+        let mut m = model_of(g);
+        let out = striped_allreduce(&mut m, &trees, bytes, &epochs, RepairPolicy::None).unwrap();
+        assert_eq!(out.completion_ns, whole as f64 / 1000.0);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use polarstar_graph::{traversal, Graph};
 use polarstar_topo::fault::FaultSet;
 use polarstar_topo::network::NetworkSpec;
-use polarstar_topo::oracle::{PathOracle, RouteError};
+use polarstar_topo::oracle::column_next_hops;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::fmt;
@@ -152,7 +152,7 @@ impl RoutingMode {
 }
 
 /// ECMP parent sets toward one destination, as a flat CSR over the
-/// routed graph: `edges[offsets[r]..offsets[r+1]]` holds the directed
+/// router graph: `edges[offsets[r]..offsets[r+1]]` holds the directed
 /// edge ids `r → parent` for every neighbor one hop closer to the
 /// destination, in ascending neighbor order.
 struct ParentCsr {
@@ -167,25 +167,22 @@ impl ParentCsr {
     }
 }
 
-/// BFS from `dst` over the pristine routed graph with `faults` applied
-/// as a mask (identical distances and parent sets to a BFS over the
-/// degraded graph, but edge ids stay stable across fault epochs);
-/// `parents_of(r)` = the edge to every live neighbor one hop closer, in
-/// ascending neighbor order (the CSR slot order).
-fn build_parent_csr(routed: &Graph, dst: u32, faults: &FaultSet) -> Box<ParentCsr> {
-    // An edge is routable only when neither direction is failed —
-    // matching `FaultSet::degraded_graph`, which treats a half-dead
-    // cable as dead.
-    let alive = |a: u32, b: u32| !faults.link_failed(a, b) && !faults.link_failed(b, a);
-    let n = routed.n();
+/// BFS from `dst` over the pristine graph with `faults` applied as a
+/// mask (identical distances to a BFS over the degraded graph, but edge
+/// ids stay the pristine ones link accounting is keyed by), then the
+/// masked port rule every route backend shares ([`column_next_hops`]):
+/// distances drop a cable with either direction failed, `parents_of(r)`
+/// needs only `r → parent` alive. Ascending neighbor (CSR slot) order.
+fn build_parent_csr(graph: &Graph, dst: u32, faults: &FaultSet) -> Box<ParentCsr> {
+    let n = graph.n();
     let mut dist = vec![traversal::UNREACHABLE; n];
     let mut queue = std::collections::VecDeque::new();
     dist[dst as usize] = 0;
     queue.push_back(dst);
     while let Some(u) = queue.pop_front() {
         let du = dist[u as usize];
-        for &v in routed.neighbors(u) {
-            if dist[v as usize] == traversal::UNREACHABLE && alive(u, v) {
+        for &v in graph.neighbors(u) {
+            if dist[v as usize] == traversal::UNREACHABLE && !faults.edge_failed(u, v) {
                 dist[v as usize] = du + 1;
                 queue.push_back(v);
             }
@@ -194,13 +191,8 @@ fn build_parent_csr(routed: &Graph, dst: u32, faults: &FaultSet) -> Box<ParentCs
     let mut offsets = vec![0u32; n + 1];
     let mut edges = Vec::new();
     for r in 0..n as u32 {
-        if r != dst && dist[r as usize] != traversal::UNREACHABLE {
-            for (e, &nb) in routed.edge_range(r).zip(routed.neighbors(r)) {
-                if alive(r, nb) && dist[nb as usize] + 1 == dist[r as usize] {
-                    edges.push(e);
-                }
-            }
-        }
+        let usable = |nb| !faults.link_failed(r, nb);
+        column_next_hops(graph, &dist, r, usable).for_each(|(e, _)| edges.push(e));
         offsets[r as usize + 1] = edges.len() as u32;
     }
     Box::new(ParentCsr { offsets, edges })
@@ -208,17 +200,18 @@ fn build_parent_csr(routed: &Graph, dst: u32, faults: &FaultSet) -> Box<ParentCs
 
 /// The contention-aware network model.
 ///
-/// All hot-path state is dense and indexed by the routed graph's
+/// All hot-path state is dense and indexed by the spec graph's
 /// directed edge ids ([`Graph::edge_id`]): paths are `Vec<u32>` of edge
 /// ids, link reservations live in flat arrays, and parent trees are
 /// cached per destination as flat CSR — no hash maps anywhere on the
 /// `send_routers` → `predict`/`reserve` path.
 pub struct NetModel {
-    /// Per-destination parent trees, built lazily and cached until the
-    /// fault mask changes ([`NetModel::set_faults`] drops every entry,
-    /// so a model reused across fault epochs never routes on stale
-    /// parents). `OnceLock` so shared-reference lookups
-    /// ([`PathOracle`], [`NetModel::min_path`]) can populate the cache.
+    /// Per-destination parent trees under the spec's static fault
+    /// mask, built lazily and cached for the model's lifetime — a
+    /// private cache, not a route backend: faults that change over
+    /// time are a [`FaultEpochs`](crate::FaultEpochs) timeline laid
+    /// over the model by the striped collectives. `OnceLock` so
+    /// [`NetModel::min_path`] can populate it through `&self`.
     parents: Vec<OnceLock<Box<ParentCsr>>>,
     /// free_at per directed edge id.
     free_at: Vec<Time>,
@@ -226,14 +219,9 @@ pub struct NetModel {
     link_busy: Vec<Time>,
     /// Messages that crossed each directed edge id.
     link_msgs: Vec<u64>,
+    /// Routing runs on `spec.graph` (pristine) with `spec.faults()` as
+    /// a mask, so directed edge ids are the pristine CSR slots.
     spec: NetworkSpec,
-    /// The routed view: the spec's PRISTINE graph. Faults are applied
-    /// as a mask during parent construction instead of by rebuilding
-    /// the graph, so directed edge ids — and with them `free_at` /
-    /// `link_busy` accounting — stay stable across fault epochs.
-    routed: Graph,
-    /// The live fault mask (seeded from the spec's static faults).
-    faults: FaultSet,
     cfg: MotifConfig,
     rng: ChaCha8Rng,
 }
@@ -268,17 +256,13 @@ impl NetModel {
     /// Build a model over a network.
     pub fn new(spec: NetworkSpec, cfg: MotifConfig) -> Self {
         let rng = ChaCha8Rng::seed_from_u64(cfg.seed);
-        let routed = spec.graph.clone();
-        let faults = spec.faults().clone();
-        let edges = routed.directed_edge_count();
+        let edges = spec.graph.directed_edge_count();
         NetModel {
-            parents: (0..routed.n()).map(|_| OnceLock::new()).collect(),
+            parents: (0..spec.graph.n()).map(|_| OnceLock::new()).collect(),
             free_at: vec![0; edges],
             link_busy: vec![0; edges],
             link_msgs: vec![0; edges],
             spec,
-            routed,
-            faults,
             cfg,
             rng,
         }
@@ -290,39 +274,23 @@ impl NetModel {
     }
 
     /// Reset link reservations and load accounting (between
-    /// iterations/benchmarks). Parent trees stay cached — they only go
-    /// stale when the fault mask changes, which
-    /// [`NetModel::set_faults`] handles by dropping them.
+    /// iterations/benchmarks). Parent trees stay cached: the mask they
+    /// were built under never changes.
     pub fn reset(&mut self) {
         self.free_at.fill(0);
         self.link_busy.fill(0);
         self.link_msgs.fill(0);
     }
 
-    /// The live fault mask routing currently applies.
+    /// The static fault mask routing applies (the spec's).
     pub fn faults(&self) -> &FaultSet {
-        &self.faults
-    }
-
-    /// Install a new fault mask (e.g. the next [`FaultSchedule`] epoch)
-    /// and invalidate every cached per-destination parent tree, so
-    /// subsequent routing cannot use stale parents. Edge ids — and the
-    /// in-flight `free_at` / `link_busy` accounting keyed by them —
-    /// refer to the pristine graph and stay valid across the swap.
-    /// No-op when the mask is unchanged.
-    pub fn set_faults(&mut self, faults: FaultSet) {
-        if self.faults == faults {
-            return;
-        }
-        self.faults = faults;
-        for slot in &mut self.parents {
-            slot.take();
-        }
+        self.spec.faults()
     }
 
     /// Cumulative serialization reserved on a directed link so far.
     pub fn link_busy_time(&self, u: u32, v: u32) -> Time {
-        self.routed
+        self.spec
+            .graph
             .edge_id(u, v)
             .map_or(0, |e| self.link_busy[e as usize])
     }
@@ -332,7 +300,7 @@ impl NetModel {
     /// pairs.
     pub fn path_links(&self, path: &[u32]) -> Vec<(u32, u32)> {
         path.iter()
-            .map(|&e| self.routed.edge_endpoints(e))
+            .map(|&e| self.spec.graph.edge_endpoints(e))
             .collect()
     }
 
@@ -379,7 +347,7 @@ impl NetModel {
         used.truncate(k);
         used.into_iter()
             .map(|e| {
-                let (src, dst) = self.routed.edge_endpoints(e);
+                let (src, dst) = self.spec.graph.edge_endpoints(e);
                 let busy = self.link_busy[e as usize];
                 LinkHotEntry {
                     src,
@@ -396,10 +364,14 @@ impl NetModel {
     }
 
     /// The cached parent tree toward `dst`, building it on first use.
-    fn parent_tree(&self, dst: u32) -> &ParentCsr {
-        let routed = &self.routed;
-        let faults = &self.faults;
-        self.parents[dst as usize].get_or_init(|| build_parent_csr(routed, dst, faults))
+    /// Over the two fields it reads, so [`NetModel::ecmp_path`] can hold
+    /// the tree while it draws from `self.rng`.
+    fn parent_tree<'a>(
+        parents: &'a [OnceLock<Box<ParentCsr>>],
+        spec: &NetworkSpec,
+        dst: u32,
+    ) -> &'a ParentCsr {
+        parents[dst as usize].get_or_init(|| build_parent_csr(&spec.graph, dst, spec.faults()))
     }
 
     /// The deterministic minimal router path `src → dst` (first ECMP
@@ -409,13 +381,13 @@ impl NetModel {
         if src == dst {
             return Some(Vec::new());
         }
-        let tree = self.parent_tree(dst);
+        let tree = Self::parent_tree(&self.parents, &self.spec, dst);
         let mut path = Vec::new();
         let mut cur = src;
         while cur != dst {
             let &e = tree.parents_of(cur).first()?;
             path.push(e);
-            cur = self.routed.edge_target(e);
+            cur = self.spec.graph.edge_target(e);
         }
         Some(path)
     }
@@ -427,11 +399,7 @@ impl NetModel {
         if src == dst {
             return Some(Vec::new());
         }
-        // Disjoint field borrows: the tree is read-only while the walk
-        // draws from `self.rng`.
-        let routed = &self.routed;
-        let faults = &self.faults;
-        let tree = self.parents[dst as usize].get_or_init(|| build_parent_csr(routed, dst, faults));
+        let tree = Self::parent_tree(&self.parents, &self.spec, dst);
         let mut path = Vec::new();
         let mut cur = src;
         while cur != dst {
@@ -446,7 +414,7 @@ impl NetModel {
             };
             let e = opts[k];
             path.push(e);
-            cur = self.routed.edge_target(e);
+            cur = self.spec.graph.edge_target(e);
         }
         Some(path)
     }
@@ -501,7 +469,7 @@ impl NetModel {
             dst,
             motif: None,
         };
-        if self.faults.router_failed(src) || self.faults.router_failed(dst) {
+        if self.faults().router_failed(src) || self.faults().router_failed(dst) {
             return Err(disconnected);
         }
         if src == dst {
@@ -540,7 +508,10 @@ impl NetModel {
                     // The spliced detour may pass through dst on its way
                     // to mid; cut it there so it never reserves links
                     // beyond the destination.
-                    if let Some(pos) = p.iter().position(|&e| self.routed.edge_target(e) == dst) {
+                    if let Some(pos) = p
+                        .iter()
+                        .position(|&e| self.spec.graph.edge_target(e) == dst)
+                    {
                         p.truncate(pos + 1);
                     }
                     let t = self.predict(&p, bytes, start);
@@ -573,10 +544,10 @@ impl NetModel {
             dst: v,
             motif: None,
         };
-        let Some(e) = self.routed.edge_id(u, v) else {
+        let Some(e) = self.spec.graph.edge_id(u, v) else {
             return Err(disconnected);
         };
-        if self.faults.link_failed(u, v) || self.faults.link_failed(v, u) {
+        if self.faults().edge_failed(u, v) {
             return Err(disconnected);
         }
         Ok(self.reserve(&[e], bytes, start))
@@ -606,58 +577,6 @@ impl NetModel {
     /// The timing parameters this model runs with.
     pub fn config(&self) -> &MotifConfig {
         &self.cfg
-    }
-
-    #[inline]
-    fn check_router(&self, id: u32) -> Result<(), RouteError> {
-        let routers = self.routed.n() as u32;
-        if id >= routers {
-            return Err(RouteError::OutOfRange { id, routers });
-        }
-        Ok(())
-    }
-}
-
-/// The motif model answers the same oracle queries as `RouteTable`,
-/// straight off its cached ECMP parent forests (which BFS over the
-/// fault-degraded routed view, so faulted answers come for free).
-impl PathOracle for NetModel {
-    fn num_routers(&self) -> usize {
-        self.routed.n()
-    }
-
-    fn distance(&self, src: u32, dst: u32) -> Result<u32, RouteError> {
-        self.check_router(src)?;
-        self.check_router(dst)?;
-        if src == dst {
-            return Ok(0);
-        }
-        let tree = self.parent_tree(dst);
-        let mut cur = src;
-        let mut hops = 0u32;
-        while cur != dst {
-            let &e = tree
-                .parents_of(cur)
-                .first()
-                .ok_or(RouteError::Unreachable { src, dst })?;
-            cur = self.routed.edge_target(e);
-            hops += 1;
-        }
-        Ok(hops)
-    }
-
-    fn min_next_hops(&self, src: u32, dst: u32, out: &mut Vec<u32>) -> Result<(), RouteError> {
-        self.check_router(src)?;
-        self.check_router(dst)?;
-        if src == dst {
-            return Ok(());
-        }
-        let opts = self.parent_tree(dst).parents_of(src);
-        if opts.is_empty() {
-            return Err(RouteError::Unreachable { src, dst });
-        }
-        out.extend(opts.iter().map(|&e| self.routed.edge_target(e)));
-        Ok(())
     }
 }
 
@@ -883,58 +802,6 @@ mod tests {
     }
 
     #[test]
-    fn path_oracle_matches_min_path() {
-        let spec = NetworkSpec::uniform("c6", Graph::cycle(6), 1)
-            .with_faults(polarstar_topo::FaultSet::from_links([(0, 1)]));
-        let m = NetModel::new(spec, MotifConfig::default());
-        assert_eq!(m.num_routers(), 6);
-        // The cut cable forces the long way round: 0→5→4→3→2→1.
-        assert_eq!(PathOracle::distance(&m, 0, 1), Ok(5));
-        assert_eq!(m.path(0, 1), Ok(vec![0, 5, 4, 3, 2, 1]));
-        let p = m.min_path(0, 1).unwrap();
-        assert_eq!(
-            m.path_links(&p),
-            vec![(0, 5), (5, 4), (4, 3), (3, 2), (2, 1)]
-        );
-        assert_eq!(
-            PathOracle::distance(&m, 0, 9),
-            Err(RouteError::OutOfRange { id: 9, routers: 6 })
-        );
-        // A severed pair is a typed error, not an empty answer.
-        let split = NetworkSpec::uniform("split", Graph::from_edges(4, &[(0, 1), (2, 3)]), 1);
-        let s = NetModel::new(split, MotifConfig::default());
-        assert_eq!(
-            s.next_hop(0, 2),
-            Err(RouteError::Unreachable { src: 0, dst: 2 })
-        );
-        assert!(!s.is_reachable(0, 3));
-        assert_eq!(s.k_paths(0, 1, 4).unwrap(), vec![vec![0, 1]]);
-    }
-
-    #[test]
-    fn set_faults_invalidates_cached_parents() {
-        // Regression: a NetModel reused across fault epochs must not
-        // route on parent trees built under the previous mask.
-        let spec = NetworkSpec::uniform("c6", Graph::cycle(6), 1);
-        let mut m = NetModel::new(spec, MotifConfig::default());
-        assert_eq!(m.min_path(0, 1).unwrap().len(), 1); // caches dst 1
-        m.set_faults(polarstar_topo::FaultSet::from_links([(0, 1)]));
-        assert_eq!(
-            m.min_path(0, 1).unwrap().len(),
-            5,
-            "stale parent tree survived the epoch swap"
-        );
-        assert!(!m.faults().is_empty());
-        // Clearing the mask restores the short path.
-        m.set_faults(polarstar_topo::FaultSet::default());
-        assert_eq!(m.min_path(0, 1).unwrap().len(), 1);
-        // Failing a router epoch-wise cuts its traffic off.
-        m.set_faults(polarstar_topo::FaultSet::from_routers([3]));
-        assert!(m.send_routers(0, 3, 1000, 0, RoutingMode::Min).is_err());
-        assert!(m.min_path(2, 4).unwrap().len() == 4);
-    }
-
-    #[test]
     fn send_link_reserves_one_edge() {
         let mut m = model();
         // One hop, no path search: overhead + per-hop + serialization.
@@ -958,8 +825,13 @@ mod tests {
                 motif: None
             })
         ));
-        m.set_faults(polarstar_topo::FaultSet::from_links([(1, 2)]));
-        assert!(m.send_link(1, 2, 8, 0).is_err());
+        let cut = NetworkSpec::uniform("path4", Graph::path(4), 1)
+            .with_faults(FaultSet::from_directed_links([(2, 1)]));
+        let mut m = NetModel::new(cut, MotifConfig::default());
+        assert!(
+            m.send_link(1, 2, 8, 0).is_err(),
+            "a half-dead cable is dead"
+        );
         assert!(m.send_link(2, 3, 8, 0).is_ok());
     }
 

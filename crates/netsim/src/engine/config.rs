@@ -98,6 +98,13 @@ pub enum SimConfigError {
     /// Negotiated routes attached to a kind (its label) that would
     /// never read them.
     UnusedNegotiatedRoutes { kind: &'static str },
+    /// The negotiated routes were built on a graph of another size, so
+    /// their hop slots do not index this network's ports. Both pairs
+    /// are (routers, directed links).
+    NegotiatedGraphMismatch {
+        routes: (usize, usize),
+        network: (usize, usize),
+    },
 }
 
 impl std::fmt::Display for SimConfigError {
@@ -133,6 +140,12 @@ impl std::fmt::Display for SimConfigError {
             SimConfigError::UnusedNegotiatedRoutes { kind } => write!(
                 f,
                 "negotiated routes are only followed under RoutingKind::Negotiated, not {kind}"
+            ),
+            SimConfigError::NegotiatedGraphMismatch { routes, network } => write!(
+                f,
+                "negotiated routes built for a different graph: {} routers / {} links, \
+                 the network has {} / {}",
+                routes.0, routes.1, network.0, network.1
             ),
         }
     }

@@ -8,78 +8,7 @@ use crate::negotiate::NegotiatedRoutes;
 use crate::routing::{RouteTable, RoutingKind};
 use crate::traffic::ResolvedPattern;
 use polarstar_topo::network::NetworkSpec;
-use polarstar_topo::oracle::PathOracle as _;
 use std::borrow::Cow;
-
-/// Precomputed per-run view of a [`NegotiatedRoutes`] table: the pair
-/// list for injection-time lookup and each pair's hop sequence flattened
-/// to (router, port) steps.
-pub(super) struct NegotiatedOverlay {
-    /// Sorted (src, dst) router pairs of the negotiated matrix.
-    pairs: Vec<(u32, u32)>,
-    /// CSR offsets into `hop_router`/`hop_port` per pair.
-    hop_off: Vec<u32>,
-    /// Router each hop leaves from.
-    hop_router: Vec<u32>,
-    /// Output port taken at that router.
-    hop_port: Vec<u8>,
-}
-
-impl NegotiatedOverlay {
-    fn build(spec: &NetworkSpec, neg: &NegotiatedRoutes) -> NegotiatedOverlay {
-        assert_eq!(
-            neg.num_routers(),
-            spec.graph.n(),
-            "negotiated routes built for a different graph"
-        );
-        let mut hop_off = Vec::with_capacity(neg.num_pairs() + 1);
-        hop_off.push(0u32);
-        let mut hop_router = Vec::new();
-        let mut hop_port = Vec::new();
-        for i in 0..neg.num_pairs() {
-            for w in neg.path_of(i).windows(2) {
-                let port = spec
-                    .graph
-                    .neighbors(w[0])
-                    .binary_search(&w[1])
-                    .expect("negotiated path hop is not a graph edge");
-                hop_router.push(w[0]);
-                hop_port.push(port as u8);
-            }
-            hop_off.push(hop_router.len() as u32);
-        }
-        NegotiatedOverlay {
-            pairs: neg.pairs().to_vec(),
-            hop_off,
-            hop_router,
-            hop_port,
-        }
-    }
-
-    /// Overlay pair index of (src, dst), or NO_PAIR.
-    #[inline]
-    pub(super) fn pair_index(&self, src: u32, dst: u32) -> u32 {
-        match self.pairs.binary_search(&(src, dst)) {
-            Ok(i) => i as u32,
-            Err(_) => NO_PAIR,
-        }
-    }
-
-    /// The negotiated output port at router `r` for overlay pair `pair`
-    /// (None when off-path — e.g. after a fault-epoch re-route).
-    #[inline]
-    pub(super) fn port_after(&self, pair: u32, r: u32) -> Option<u8> {
-        if pair == NO_PAIR {
-            return None;
-        }
-        let lo = self.hop_off[pair as usize] as usize;
-        let hi = self.hop_off[pair as usize + 1] as usize;
-        self.hop_router[lo..hi]
-            .iter()
-            .position(|&h| h == r)
-            .map(|i| self.hop_port[lo + i])
-    }
-}
 
 /// One fault epoch as a shard sees it: the routing state decisions read
 /// while it is the routing view, and the physical failure masks while it
@@ -169,7 +98,7 @@ pub(super) struct Ctx<'a> {
     pub(super) table: &'a RouteTable,
     pub(super) kind: RoutingKind,
     /// Present exactly under [`RoutingKind::Negotiated`].
-    pub(super) negotiated: Option<NegotiatedOverlay>,
+    pub(super) negotiated: Option<&'a NegotiatedRoutes>,
     pub(super) pattern: ResolvedPattern,
     /// Endpoints that transmit under the pattern (self-maps are idle).
     pub(super) active_src: Vec<bool>,
@@ -217,9 +146,6 @@ impl<'a> Ctx<'a> {
         } = *sim;
         let n = spec.graph.n();
         assert_eq!(table.n(), n, "route table built for a different graph");
-        let negotiated = sim
-            .negotiated
-            .map(|routes| NegotiatedOverlay::build(spec, routes));
         let mut deg_off = Vec::with_capacity(n + 1);
         deg_off.push(0u32);
         for r in 0..n as u32 {
@@ -289,7 +215,7 @@ impl<'a> Ctx<'a> {
         Ctx {
             table,
             kind,
-            negotiated,
+            negotiated: sim.negotiated,
             pattern,
             active_src,
             active_eps,
@@ -321,6 +247,32 @@ impl<'a> Ctx<'a> {
     #[inline]
     pub(super) fn endpoints(&self, r: u32) -> usize {
         (self.ep_off[r as usize + 1] - self.ep_off[r as usize]) as usize
+    }
+
+    /// Index of (src, dst) in the negotiated pair list, or NO_PAIR
+    /// (also when no routes are attached).
+    #[inline]
+    pub(super) fn negotiated_pair(&self, src: u32, dst: u32) -> u32 {
+        self.negotiated
+            .and_then(|neg| neg.pair_index(src, dst))
+            .map_or(NO_PAIR, |i| i as u32)
+    }
+
+    /// The negotiated output port at router `r` for pair `pair`: the
+    /// hop's CSR slot minus the router's port base. None when off-path
+    /// — e.g. after a fault-epoch re-route — or NO_PAIR.
+    #[inline]
+    pub(super) fn negotiated_port(&self, pair: u32, r: u32) -> Option<u8> {
+        if pair == NO_PAIR {
+            return None;
+        }
+        let neg = self.negotiated.expect("Simulation::check");
+        let i = pair as usize;
+        neg.path_of(i)
+            .iter()
+            .zip(neg.hop_slots(i))
+            .find(|&(&h, _)| h == r)
+            .map(|(_, &slot)| (slot - self.deg_off[r as usize]) as u8)
     }
 
     /// Which shard owns router `r` (shards are contiguous ranges).

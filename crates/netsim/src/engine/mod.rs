@@ -52,6 +52,7 @@ use crate::routing::{RouteTable, RoutingKind};
 use crate::traffic::{resolve, Pattern};
 use epoch::Ctx;
 use polarstar_topo::network::NetworkSpec;
+use polarstar_topo::oracle::PathOracle as _;
 
 /// Largest `Ugal { candidates }` the fixed scoring scratch supports.
 const MAX_UGAL_CANDIDATES: usize = 16;
@@ -125,15 +126,24 @@ impl<'a> Simulation<'a> {
             }
             _ => {}
         }
-        match (
-            self.kind == RoutingKind::Negotiated,
-            self.negotiated.is_some(),
-        ) {
-            (true, false) => Err(SimConfigError::MissingNegotiatedRoutes),
-            (false, true) => Err(SimConfigError::UnusedNegotiatedRoutes {
+        match (self.kind == RoutingKind::Negotiated, self.negotiated) {
+            (true, None) => Err(SimConfigError::MissingNegotiatedRoutes),
+            (false, Some(_)) => Err(SimConfigError::UnusedNegotiatedRoutes {
                 kind: self.kind.label(),
             }),
-            _ => Ok(()),
+            (true, Some(neg)) => {
+                // Hop slots are CSR offsets of the graph they were
+                // negotiated on; on any other graph they name no port.
+                let g = &self.spec.graph;
+                let routes = (neg.num_routers(), neg.num_links());
+                let network = (g.n(), g.directed_edge_count());
+                if routes == network {
+                    Ok(())
+                } else {
+                    Err(SimConfigError::NegotiatedGraphMismatch { routes, network })
+                }
+            }
+            (false, None) => Ok(()),
         }
     }
 

@@ -4,7 +4,7 @@
 pub(super) const EJECT: u8 = u8::MAX;
 pub(super) const NO_INTERMEDIATE: u32 = u32::MAX;
 /// `Packet::pair` when the packet's (src, dst) router pair is not part
-/// of the negotiated overlay (or no overlay is attached).
+/// of the negotiated routes (or none are attached).
 pub(super) const NO_PAIR: u32 = u32::MAX;
 
 /// In-flight packet state. Deliberately not `Clone`: packets move —
@@ -15,7 +15,7 @@ pub(super) struct Packet {
     pub(super) dst_router: u32,
     pub(super) dst_slot: u16,
     pub(super) intermediate: u32, // NO_INTERMEDIATE = none
-    /// Index into the negotiated overlay's pair table (NO_PAIR = none):
+    /// Index into the negotiated routes' pair list (NO_PAIR = none):
     /// lets `Shard::route_at` follow the negotiated path without a
     /// per-hop binary search.
     pub(super) pair: u32,

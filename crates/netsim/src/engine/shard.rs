@@ -5,7 +5,7 @@ mod diag;
 mod refit;
 
 use super::epoch::{Ctx, Epoch};
-use super::packet::{splitmix64, Ev, Packet, ShardStats, Tie, EJECT, NO_INTERMEDIATE, NO_PAIR};
+use super::packet::{splitmix64, Ev, Packet, ShardStats, Tie, EJECT, NO_INTERMEDIATE};
 use super::run::Exit;
 use super::MAX_UGAL_CANDIDATES;
 use crate::monitor::{SimMonitor, StallCause};
@@ -386,10 +386,7 @@ impl Shard {
             }
             _ => NO_INTERMEDIATE,
         };
-        let pair = match &ctx.negotiated {
-            Some(ov) => ov.pair_index(src_router, dst_router),
-            None => NO_PAIR,
-        };
+        let pair = ctx.negotiated_pair(src_router, dst_router);
         // The packet is materialized only now, after the candidate
         // comparison settled on a path.
         let mut p = Packet {
@@ -464,9 +461,8 @@ impl Shard {
                 // the first minimal port when the packet is off-path or
                 // the negotiated hop died in this routing epoch (the
                 // per-epoch re-route keeps fault runs live).
-                let ov = ctx.negotiated.as_ref().expect("Simulation::check");
-                match ov
-                    .port_after(p.pair, r)
+                match ctx
+                    .negotiated_port(p.pair, r)
                     .filter(|&port| !view.port_dead(r, port as usize))
                 {
                     Some(port) => port,

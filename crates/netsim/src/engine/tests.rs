@@ -176,6 +176,27 @@ fn negotiated_routes_and_kind_must_come_together() {
         .check(&cfg),
         Err(SimConfigError::UnusedNegotiatedRoutes { kind: "UGAL" })
     );
+    // Routes negotiated on a graph with another router count (K9) or
+    // another link count (K8 minus a cable) carry hop slots that name
+    // no port here: a typed error from `check`, not a panic mid-setup.
+    for other in [
+        Graph::complete(9),
+        Graph::complete(8).without_edges(&[(0, 1)]),
+    ] {
+        let other = NetworkSpec::uniform("other", other, 2);
+        let other_table = RouteTable::builder(&other.graph).build();
+        let plan = FlowPlan::build(&other, &other_table, &comps, FlowRouting::EcmpSplit);
+        let cfg_neg = NegotiateConfig::default();
+        let foreign = NegotiatedRoutes::negotiate(&other, &other_table, &plan, &cfg_neg);
+        let sim = Simulation::negotiated(&spec, &table, &foreign, &Pattern::Permutation);
+        assert_eq!(
+            sim.check(&cfg),
+            Err(SimConfigError::NegotiatedGraphMismatch {
+                routes: (other.graph.n(), other.graph.directed_edge_count()),
+                network: (8, 56),
+            })
+        );
+    }
 }
 
 #[test]

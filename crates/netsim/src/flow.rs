@@ -65,7 +65,7 @@ use crate::traffic::{resolve_flows, Pattern};
 use polarstar_graph::Graph;
 use polarstar_topo::fault::FaultSet;
 use polarstar_topo::network::NetworkSpec;
-use polarstar_topo::oracle::PathOracle;
+use polarstar_topo::oracle::{column_next_hops, PathOracle};
 use rayon::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -509,15 +509,8 @@ fn route_one_pair<O: PathOracle + ?Sized>(
                 for &(v, frac) in level.iter() {
                     hops.clear();
                     match col {
-                        Some(c) => {
-                            let dv = c[v as usize];
-                            for &nb in graph.neighbors(v) {
-                                let dn = c[nb as usize];
-                                if dn != u32::MAX && dn + 1 == dv && oracle.link_usable(v, nb) {
-                                    hops.push(nb);
-                                }
-                            }
-                        }
+                        Some(c) => column_next_hops(graph, c, v, |nb| oracle.link_usable(v, nb))
+                            .for_each(|(_, nb)| hops.push(nb)),
                         None => oracle.min_next_hops(v, rd, hops).ok()?,
                     }
                     if hops.is_empty() {

@@ -102,8 +102,8 @@ struct Cand {
 
 /// A converged (or capped-out) negotiated route assignment: one chosen
 /// path per routable `(src_router, dst_router)` pair of the traffic
-/// matrix, plus the per-link load and historic-cost state the
-/// negotiation ended with.
+/// matrix — router sequence and the CSR slot of every hop — plus the
+/// per-link load the negotiation ended with.
 ///
 /// `PartialEq` is exact — determinism tests compare whole tables across
 /// rayon widths and rebuilds.
@@ -113,17 +113,16 @@ pub struct NegotiatedRoutes {
     /// The traffic matrix's unique router pairs, sorted
     /// lexicographically (copied from [`FlowPlan::pairs`]).
     pairs: Vec<(u32, u32)>,
-    /// Summed demand weight per pair.
-    weight: Vec<f64>,
     /// CSR offsets into `path_node` (len `pairs + 1`); an empty run
     /// marks a pair the oracle could not route.
     path_off: Vec<u32>,
     /// Chosen path router sequences, concatenated.
     path_node: Vec<u32>,
+    /// Aligned with `path_node`: the graph's directed CSR slot of the
+    /// hop leaving that router (`u32::MAX` at a path's last router).
+    path_slot: Vec<u32>,
     /// Final weighted demand per directed link.
     load: Vec<f64>,
-    /// Final accumulated historic congestion cost per directed link.
-    historic: Vec<f64>,
     capacity: f64,
     converged: bool,
     iterations: u32,
@@ -314,9 +313,12 @@ impl NegotiatedRoutes {
         let mut path_off = Vec::with_capacity(pairs.len() + 1);
         path_off.push(0u32);
         let mut path_node = Vec::new();
+        let mut path_slot = Vec::new();
         for (i, cs) in cands.iter().enumerate() {
             if let Some(c) = cs.get(assign[i] as usize) {
                 path_node.extend_from_slice(&c.nodes);
+                path_slot.extend_from_slice(&c.edges);
+                path_slot.push(u32::MAX);
             }
             path_off.push(path_node.len() as u32);
         }
@@ -324,11 +326,10 @@ impl NegotiatedRoutes {
         NegotiatedRoutes {
             n_routers: n,
             pairs,
-            weight,
             path_off,
             path_node,
+            path_slot,
             load,
-            historic,
             capacity,
             converged,
             iterations,
@@ -358,14 +359,20 @@ impl NegotiatedRoutes {
         &self.path_node[self.path_off[i] as usize..self.path_off[i + 1] as usize]
     }
 
-    /// Summed demand weight of pair `i`.
-    pub fn pair_weight(&self, i: usize) -> f64 {
-        self.weight[i]
+    /// The directed CSR slot ([`polarstar_graph::Graph::edge_id`]) of
+    /// every hop of pair `i`'s chosen path: `hop_slots(i)[j]` is the
+    /// link `path_of(i)[j] → path_of(i)[j + 1]`, so the output port at
+    /// that router is `slot − edge_range(router).start`. One entry
+    /// shorter than [`Self::path_of`]; empty for an unrouted or
+    /// same-router pair.
+    pub fn hop_slots(&self, i: usize) -> &[u32] {
+        let (lo, hi) = (self.path_off[i] as usize, self.path_off[i + 1] as usize);
+        &self.path_slot[lo..hi.saturating_sub(1).max(lo)]
     }
 
-    /// Final weighted demand on directed link `e`.
-    pub fn link_load(&self, e: u32) -> f64 {
-        self.load[e as usize]
+    /// Directed links of the graph the routes were negotiated on.
+    pub(crate) fn num_links(&self) -> usize {
+        self.load.len()
     }
 
     /// The capacity target the negotiation ended on (the escalated
@@ -592,6 +599,45 @@ mod tests {
             neg.distance(0, u32::MAX),
             Err(RouteError::OutOfRange { .. })
         ));
+    }
+
+    #[test]
+    fn hop_slots_agree_with_path_nodes() {
+        use polarstar::design::{PolarStarConfig, SupernodeKind};
+        use polarstar::network::PolarStarNetwork;
+        use polarstar_graph::Graph;
+
+        let ps_q3 = PolarStarConfig {
+            q: 3,
+            supernode: SupernodeKind::InductiveQuad { degree: 3 },
+        };
+        let cases = [
+            (
+                NetworkSpec::uniform("k8", Graph::complete(8), 2),
+                Pattern::Permutation,
+            ),
+            (
+                PolarStarNetwork::build(ps_q3, 2).unwrap().spec,
+                Pattern::AdversarialGroup,
+            ),
+        ];
+        for (spec, pattern) in cases {
+            let (table, plan) = plan_for(&spec, pattern, 1);
+            let neg =
+                NegotiatedRoutes::negotiate(&spec, &table, &plan, &NegotiateConfig::default());
+            let g = &spec.graph;
+            let mut hops = 0;
+            for i in 0..neg.num_pairs() {
+                let (path, slots) = (neg.path_of(i), neg.hop_slots(i));
+                assert_eq!(slots.len(), path.len().saturating_sub(1), "{}", spec.name);
+                for (j, &slot) in slots.iter().enumerate() {
+                    assert!(g.edge_range(path[j]).contains(&slot), "{}", spec.name);
+                    assert_eq!(g.edge_target(slot), path[j + 1], "{}", spec.name);
+                }
+                hops += slots.len();
+            }
+            assert!(hops > 0, "{}: nothing negotiated", spec.name);
+        }
     }
 
     #[test]

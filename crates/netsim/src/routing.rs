@@ -34,7 +34,7 @@ pub enum RoutingKind {
         candidates: usize,
     },
     /// Follow an offline congestion-negotiated per-pair assignment
-    /// ([`crate::negotiate::NegotiatedRoutes`]). Requires the overlay —
+    /// ([`crate::negotiate::NegotiatedRoutes`]). Requires the routes —
     /// use [`crate::engine::Simulation::negotiated`]. Packets off the
     /// negotiated path (or whose negotiated hop died in the current
     /// fault epoch) fall back to the first minimal port.

@@ -8,7 +8,6 @@
 //! results are bit-identical either way.
 
 use crate::engine::{SimConfig, SimResult, Simulation};
-use crate::monitor::{MetricsMonitor, MetricsReport};
 use rayon::prelude::*;
 
 /// The repo's single saturation-onset contract — "the highest offered
@@ -80,48 +79,6 @@ pub fn sweep(sim: &Simulation, loads: &[f64], cfg: &SimConfig) -> LoadSweep {
         routing: sim.kind.label(),
         points,
     }
-}
-
-/// A [`LoadSweep`] whose points also carry full monitor metrics.
-#[derive(Clone, Debug)]
-pub struct MetricsSweep {
-    /// The latency/throughput series.
-    pub sweep: LoadSweep,
-    /// One [`MetricsReport`] per load point, same order as
-    /// `sweep.points`.
-    pub metrics: Vec<MetricsReport>,
-}
-
-/// [`sweep`] with a [`MetricsMonitor`] per point (VC occupancy sampled
-/// every `sample_every` cycles), parallelized across load points.
-pub fn sweep_with_metrics(
-    sim: &Simulation,
-    loads: &[f64],
-    cfg: &SimConfig,
-    sample_every: u64,
-) -> MetricsSweep {
-    let runs: Vec<(SimResult, MetricsReport)> = loads
-        .par_iter()
-        .map(|&l| {
-            let mut mon = MetricsMonitor::new(sample_every);
-            let r = sim.run_monitored(l, cfg, &mut mon);
-            (r, mon.report())
-        })
-        .collect();
-    let (points, metrics): (Vec<_>, Vec<_>) = runs.into_iter().unzip();
-    MetricsSweep {
-        sweep: LoadSweep {
-            name: sim.spec.name.clone(),
-            routing: sim.kind.label(),
-            points,
-        },
-        metrics,
-    }
-}
-
-/// The default load grid used by the Figure 9/10 reproductions.
-pub fn default_loads() -> Vec<f64> {
-    vec![0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
 }
 
 /// Binary-search the saturation throughput to `tol` resolution.

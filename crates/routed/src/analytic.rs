@@ -91,7 +91,7 @@ use polarstar::network::PolarStarNetwork;
 use polarstar::routing::AnalyticRouter;
 use polarstar_graph::Graph;
 use polarstar_topo::fault::{DeadEdges, FaultSet};
-use polarstar_topo::oracle::{PathOracle, RouteError};
+use polarstar_topo::oracle::{column_next_hops, PathOracle, RouteError};
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -591,12 +591,9 @@ impl DegradedColumn<'_> {
     /// Live minimal ports of `v` toward `dst`, ascending: the masked
     /// table's rule read off the column.
     fn ports(&self, v: u32) -> impl Iterator<Item = u32> + '_ {
-        let dv = self.dist[v as usize];
-        let nbrs = self.oracle.network().graph().neighbors(v);
-        nbrs.iter().copied().filter(move |&nb| {
-            let dn = self.dist[nb as usize];
-            dn != u32::MAX && dn + 1 == dv && !self.oracle.faults.link_failed(v, nb)
-        })
+        let faults = &self.oracle.faults;
+        let usable = move |nb| !faults.link_failed(v, nb);
+        column_next_hops(self.oracle.network().graph(), self.dist, v, usable).map(|(_, nb)| nb)
     }
 }
 

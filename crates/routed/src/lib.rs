@@ -7,8 +7,8 @@
 //!
 //! * [`Oracle`] — one immutable serving snapshot: a routing backend
 //!   plus the topology's supernode [`SymmetryClasses`], which
-//!   canonicalize ordered (src, dst) pairs into `G²` cells so per-class
-//!   aggregates ([`ClassProfile`]) replace per-pair state. Two backends:
+//!   canonicalize ordered (src, dst) pairs into `G²` cells
+//!   ([`PairCensus`] counts a traffic matrix per cell). Two backends:
 //!   a (possibly fault-masked) CSR route table, or the table-free
 //!   [`AnalyticOracle`] that reconstructs §9.2 paths from factor-graph
 //!   state per query — O(1) memory per query and O(|faults|) fault epochs
@@ -35,7 +35,7 @@ pub mod swap;
 
 pub use analytic::{AnalyticOracle, Regime};
 pub use batch::{Query, QueryBatch, RouteAnswer};
-pub use oracle::{ClassProfile, Oracle, PairCensus, SymmetryClasses};
+pub use oracle::{Oracle, PairCensus, SymmetryClasses};
 // Negotiated routing rides on the serving layer: `Oracle::negotiate`
 // produces one from any backend (see `polarstar_netsim::negotiate`).
 pub use polarstar_netsim::{NegotiateConfig, NegotiatedRoutes};

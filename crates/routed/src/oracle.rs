@@ -106,34 +106,6 @@ impl PairCensus {
     }
 }
 
-/// Per-class route aggregates: what the service stores *per symmetry
-/// class* instead of per pair.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ClassProfile {
-    /// Ordered pairs in the class (src ≠ dst).
-    pub pairs: u64,
-    /// Pairs no surviving path connects.
-    pub unreachable: u64,
-    /// Minimum hop distance over reachable pairs (0 when none).
-    pub min_dist: u16,
-    /// Maximum hop distance over reachable pairs (0 when none).
-    pub max_dist: u16,
-    /// Sum of hop distances over reachable pairs.
-    pub dist_sum: u64,
-}
-
-impl ClassProfile {
-    /// Mean hop distance over the class's reachable pairs.
-    pub fn mean_dist(&self) -> f64 {
-        let reach = self.pairs - self.unreachable;
-        if reach == 0 {
-            0.0
-        } else {
-            self.dist_sum as f64 / reach as f64
-        }
-    }
-}
-
 /// The routing state behind an [`Oracle`]: either a materialized CSR
 /// table or the table-free analytic backend.
 enum Backend {
@@ -293,50 +265,6 @@ impl Oracle {
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
-
-    /// Aggregate every ordered pair into its symmetry class — the
-    /// compact `G²` profile array the service keeps instead of per-pair
-    /// state. One pass over the distance arena.
-    pub fn class_profiles(&self) -> Vec<ClassProfile> {
-        let mut out = vec![ClassProfile::default(); self.classes.num_classes()];
-        let n = self.num_routers() as u32;
-        for src in 0..n {
-            for dst in 0..n {
-                if src == dst {
-                    continue;
-                }
-                let c = &mut out[self.classes.class_of(src, dst) as usize];
-                c.pairs += 1;
-                // The table backend reads its arena directly; the
-                // analytic backend reconstructs per pair.
-                let d = match &self.backend {
-                    Backend::Table(t) => {
-                        let d = t.distance(src, dst);
-                        if d == RouteTable::UNREACHABLE {
-                            None
-                        } else {
-                            Some(u32::from(d))
-                        }
-                    }
-                    Backend::Analytic(a) => a.distance(src, dst).ok(),
-                };
-                match d {
-                    None => c.unreachable += 1,
-                    Some(d) => {
-                        let d = d.min(u16::MAX as u32) as u16;
-                        if c.pairs - c.unreachable == 1 {
-                            c.min_dist = d;
-                        } else {
-                            c.min_dist = c.min_dist.min(d);
-                        }
-                        c.max_dist = c.max_dist.max(d);
-                        c.dist_sum += u64::from(d);
-                    }
-                }
-            }
-        }
-        out
-    }
 }
 
 impl PathOracle for Oracle {
@@ -439,21 +367,6 @@ mod tests {
     }
 
     #[test]
-    fn profiles_aggregate_whole_classes() {
-        let o = Oracle::new(grouped_spec());
-        let ps = o.class_profiles();
-        assert_eq!(ps.len(), 4);
-        // Each diagonal cell: 2 ordered pairs at distance 1.
-        assert_eq!(ps[0].pairs, 2);
-        assert_eq!((ps[0].min_dist, ps[0].max_dist), (1, 1));
-        // Off-diagonal cells: 4 ordered pairs, distances {1, 1, 2, 2}.
-        assert_eq!(ps[1].pairs, 4);
-        assert_eq!((ps[1].min_dist, ps[1].max_dist), (1, 2));
-        assert_eq!(ps[1].mean_dist(), 1.5);
-        assert_eq!(ps[1].unreachable, 0);
-    }
-
-    #[test]
     fn remask_shares_spec_and_tracks_epoch() {
         let base = Oracle::new(grouped_spec());
         assert_eq!(base.epoch(), 0);
@@ -470,7 +383,5 @@ mod tests {
             PathOracle::distance(&sealed, 0, 2),
             Err(RouteError::Unreachable { src: 0, dst: 2 })
         );
-        let ps = sealed.class_profiles();
-        assert_eq!(ps[1].unreachable, 2, "(0,1)-cell pairs from router 0");
     }
 }

@@ -177,6 +177,11 @@ mod tests {
             s + t - 2
         );
         assert!(trees.len() >= 3, "found {}", trees.len());
+        // The Dawkins et al. observation holds for the blind peel too:
+        // the product inherits a rich packing from its factors.
+        let blind = greedy_edst(&product);
+        validate_edst(&product, &blind).unwrap();
+        assert!(blind.len() >= 3, "greedy found {}", blind.len());
     }
 
     #[test]

@@ -3,15 +3,18 @@
 //! A *path oracle* answers shortest-path queries on a (possibly
 //! fault-degraded) router graph: next hop, hop distance, reachability,
 //! and up to `k` distinct minimal paths. The cycle simulator's
-//! `RouteTable`, the motif model's ECMP parent forest, and the `routed`
-//! serving oracle all implement [`PathOracle`], so analysis code,
-//! benchmarks, and the query service are generic over *how* the answers
-//! are precomputed.
+//! `RouteTable`, the table-free `AnalyticOracle`, `NegotiatedRoutes`
+//! and the `routed` serving oracle all implement [`PathOracle`], so
+//! analysis code, benchmarks, and the query service are generic over
+//! *how* the answers are precomputed; [`column_next_hops`] is the one
+//! masked minimal-port rule they (and the motif model's private parent
+//! forest) share.
 //!
 //! Unreachable pairs answer with a typed [`RouteError::Unreachable`]
 //! instead of an empty port slice — callers can no longer mistake a
 //! severed pair for a degree-0 router.
 
+use polarstar_graph::Graph;
 use std::fmt;
 
 /// Why a routing query could not be answered.
@@ -88,9 +91,10 @@ pub trait PathOracle {
     /// minimal next hop of `(v, dst)` iff `nb` is a graph neighbor of
     /// `v` with `link_usable(v, nb) && out[nb] != u32::MAX &&
     /// out[nb] + 1 == out[v]`, scanned in the oracle's stable neighbor
-    /// order. The batched flow build (`polarstar-netsim`'s
-    /// `FlowNetwork`) leans on this to route one shared ECMP DAG per
-    /// unique router pair instead of querying per flow.
+    /// order — [`column_next_hops`] is that rule. The batched flow build
+    /// (`polarstar-netsim`'s `FlowNetwork`) leans on this to route one
+    /// shared ECMP DAG per unique router pair instead of querying per
+    /// flow.
     fn distance_column(&self, _dst: u32, _out: &mut Vec<u32>) -> bool {
         false
     }
@@ -190,6 +194,33 @@ pub trait PathOracle {
     }
 }
 
+/// The masked minimal-port rule of [`PathOracle::distance_column`]:
+/// the `(CSR slot, neighbor)` of every minimal next hop of `v` toward
+/// the destination whose distance column is `col`, in `graph`'s CSR
+/// order. `usable(nb)` is the directed-link test `v → nb`
+/// ([`PathOracle::link_usable`], or `!faults.link_failed(v, nb)`); the
+/// column alone carries the distance side, where a half-dead cable is
+/// already dropped. Empty when `v` is the destination or unreachable.
+/// Drain it with `for_each`/`fold`: internal iteration compiles to the
+/// plain neighbor loop, while a `for`/`extend` over the filter made the
+/// motif model's forest build ≈ 20 % slower.
+#[inline]
+pub fn column_next_hops<'a>(
+    graph: &'a Graph,
+    col: &'a [u32],
+    v: u32,
+    mut usable: impl FnMut(u32) -> bool + 'a,
+) -> impl Iterator<Item = (u32, u32)> + 'a {
+    let dv = col[v as usize];
+    graph
+        .edge_range(v)
+        .zip(graph.neighbors(v).iter().copied())
+        .filter(move |&(_, nb)| {
+            let dn = col[nb as usize];
+            dn != u32::MAX && dn + 1 == dv && usable(nb)
+        })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,6 +312,27 @@ mod tests {
         assert_eq!(col, vec![7, 7, 7], "unsupported column leaves out alone");
         assert!(o.link_usable(0, 1));
         assert!(o.link_usable(4, 0), "default is fault-free");
+    }
+
+    #[test]
+    fn column_next_hops_is_the_directed_port_rule() {
+        // C6 toward 0 with the direction 3 → 2 failed: the distance
+        // side drops the whole cable 2–3, the port side only 3 → 2.
+        let g = Graph::cycle(6);
+        let col = [0, 1, 2, 3, 2, 1];
+        let hops = |v, dead: (u32, u32)| -> Vec<(u32, u32)> {
+            column_next_hops(&g, &col, v, |nb| (v, nb) != dead).collect()
+        };
+        let slot = |u, v| g.edge_id(u, v).unwrap();
+        assert_eq!(hops(3, (9, 9)), [(slot(3, 2), 2), (slot(3, 4), 4)]);
+        assert_eq!(hops(3, (3, 2)), [(slot(3, 4), 4)]);
+        assert_eq!(hops(2, (3, 2)), [(slot(2, 1), 1)], "2 → 1 is untouched");
+        assert!(hops(0, (9, 9)).is_empty(), "the destination has no port");
+        // An unreachable neighbor is never a hop, and an unreachable
+        // router has none.
+        let cut = [0, 1, u32::MAX, u32::MAX, 2, 1];
+        assert_eq!(column_next_hops(&g, &cut, 3, |_| true).count(), 0);
+        assert_eq!(column_next_hops(&g, &cut, 1, |_| true).count(), 1);
     }
 
     #[test]

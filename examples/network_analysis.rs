@@ -11,7 +11,7 @@ use polarstar::design::best_config;
 use polarstar::network::PolarStarNetwork;
 use polarstar_repro::analysis::linkload::channel_load;
 use polarstar_repro::analysis::pathdiversity::path_diversity;
-use polarstar_repro::analysis::spanning::edge_disjoint_spanning_trees;
+use polarstar_repro::graph::edst::greedy_edst;
 use polarstar_repro::topo::dragonfly::{dragonfly, DragonflyParams};
 
 fn main() {
@@ -54,7 +54,7 @@ fn main() {
             pd.table_entries
         );
 
-        let trees = edge_disjoint_spanning_trees(&net.graph);
+        let trees = greedy_edst(&net.graph);
         println!(
             "  spanning-tree packing: {} edge-disjoint trees (in-network collective lanes)",
             trees.len()
