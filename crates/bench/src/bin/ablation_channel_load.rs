@@ -4,11 +4,12 @@
 //! cycle simulator. `--metrics-dir <path>` writes an analytic
 //! `RunManifest` JSON per topology.
 
-use bench::{metrics_dir, table3_network, RunManifest, TABLE3_KEYS};
+use bench::{table3_network, Cli, RunManifest, TABLE3_KEYS};
 use polarstar_analysis::linkload::channel_load;
 
 fn main() {
-    let dir = metrics_dir();
+    let cli = Cli::from_env(&["--metrics-dir"]);
+    let dir = cli.metrics_dir();
     println!("topology,routers,avg_path_length,max_channel_load,imbalance");
     for key in TABLE3_KEYS {
         let net = table3_network(key).expect("Table 3 config");
@@ -20,7 +21,7 @@ fn main() {
             cl.max,
             cl.imbalance()
         );
-        if let Some(dir) = &dir {
+        if let Some(dir) = dir {
             let mut m = RunManifest::for_network(key, &net);
             m.push_extra("avg_path_length", apl);
             m.push_extra("max_channel_load", cl.max as f64);

@@ -5,7 +5,7 @@
 //! `--metrics-dir <path>` writes an analytic `RunManifest` JSON per
 //! (radix, supernode, d') combination.
 
-use bench::{metrics_dir, RunManifest};
+use bench::{Cli, RunManifest};
 use polarstar_analysis::bisection::bisection_row;
 use polarstar_gf::primes::prev_prime_power;
 use polarstar_topo::bdf::bdf_supernode;
@@ -27,7 +27,8 @@ fn supernodes(dprime: usize) -> Vec<(&'static str, Option<Supernode>)> {
 }
 
 fn main() {
-    let dir = metrics_dir();
+    let cli = Cli::from_env(&["--metrics-dir"]);
+    let dir = cli.metrics_dir();
     println!("radix,supernode,order,diameter,bisection_fraction");
     for radix in [12usize, 16, 20, 24] {
         // Fix d' = 3 or 4 and give the rest of the radix to ER.
@@ -56,7 +57,7 @@ fn main() {
                     spec.routers(),
                     row.fraction
                 );
-                if let Some(dir) = &dir {
+                if let Some(dir) = dir {
                     let label = format!("{name}-d{dprime}-r{radix}");
                     let mut m = RunManifest::for_network(&label, &spec);
                     m.push_extra("radix", radix as f64);

@@ -1,213 +1,20 @@
-//! Striped multi-tree collectives over the EDST packing: bandwidth
-//! against the single-tree / ring / recursive-doubling baselines, plus
-//! the resilience curve — losing k of T trees should complete at
-//! ≈ T/(T−k) × the pristine time instead of disconnecting.
-//!
-//! Topologies: the two Table 3 star products with factor-aware EDST
-//! composition (PS-IQ, BF) and a small degree-9 PolarStar (`PS-d9`,
-//! 248 routers) where the O(n²)-round ring allreduce is feasible; at
-//! Table 3 scale the ring baseline is skipped (noted on stderr) — a
-//! 5320-rank ring needs ~56 M sends and adds nothing the small config
-//! doesn't show.
-//!
-//! CSV `topology,routers,trees,motif,bytes_mb,lost,completion_us,slowdown,ideal_slowdown`
-//! — `slowdown` is completion over the topology's pristine striped
-//! time; `ideal_slowdown` (striped rows only) is the bandwidth-loss
-//! bound E/(E−k_eff) over the *effective* (byte-earning) trees — a tree
-//! too deep to win a waterfilled chunk carries no bytes, so killing it
-//! costs no bandwidth and it never counts toward the bound. The
-//! waterfilled striper should land within 10% of it; `lost` counts
-//! trees killed at time zero (first edge of each victim fails; the
-//! `striped_bcast_repair` row instead patches the tree via
-//! [`RepairPolicy::Replace`]). Every row is exact-replay deterministic:
-//! no RNG, byte-identical at any rayon width. `--quick` shrinks the
-//! payload and the loss curve; `--only <key>` filters;
-//! `--metrics-dir <path>` writes a `RunManifest` per topology; `--bench-json <path>` appends
-//! `{group,bench,value,unit}` lines for CI tracking.
+//! Striped multi-tree collectives over the EDST packing — the printer
+//! for [`bench::edst_sweep`] (which documents the sweep and its CSV
+//! columns). `--quick` shrinks the payload and the loss curve;
+//! `--only <key>` filters; `--metrics-dir <path>` writes a
+//! `RunManifest` per topology.
 
+use bench::edst_sweep::{run_sweep, CSV_HEADER, KEYS};
 use bench::manifest::file_stem;
-use bench::{
-    metrics_dir, quick_mode, selected_keys, table3_network, write_bench_json, RunManifest,
-};
-use polarstar::design::best_config;
-use polarstar::network::PolarStarNetwork;
-use polarstar_motifs::collectives::{allreduce, AllreduceAlgo};
-use polarstar_motifs::multitree::{
-    striped_allreduce, striped_broadcast, FaultEpochs, RepairPolicy,
-};
-use polarstar_motifs::netmodel::{MotifConfig, NetModel, RoutingMode};
-use polarstar_topo::network::NetworkSpec;
-use polarstar_topo::FaultSet;
-use rayon::prelude::*;
-
-/// The star-product configs the acceptance criteria target, plus the
-/// small config that can afford a ring baseline.
-const DEFAULT_KEYS: [&str; 3] = ["PS-IQ", "BF", "PS-d9"];
-
-/// Ring allreduce costs 2(R−1) rounds of R sends; above this many
-/// ranks the baseline is skipped.
-const RING_MAX_RANKS: usize = 512;
-
-struct Row {
-    motif: &'static str,
-    lost: usize,
-    completion_us: f64,
-    ideal_slowdown: Option<f64>,
-}
-
-/// A topology's spec and its EDST packing.
-type Built = (NetworkSpec, Vec<Vec<(u32, u32)>>);
-/// One topology's sweep output: rows, spec, tree count, effective
-/// (byte-earning) tree count.
-type Sweep = (Vec<Row>, NetworkSpec, usize, usize);
-
-fn build(key: &str) -> Result<Built, String> {
-    if key == "PS-d9" {
-        let cfg = best_config(9).ok_or("no degree-9 PolarStar config")?;
-        let net = PolarStarNetwork::build(cfg, 1).map_err(|e| e.to_string())?;
-        let trees = net.edst_trees();
-        let mut spec = net.spec;
-        spec.name = "PS-d9".into();
-        Ok((spec, trees))
-    } else {
-        let spec = table3_network(key).map_err(|e| e.to_string())?;
-        let trees = bench::table3_edst(key, &spec);
-        Ok((spec, trees))
-    }
-}
-
-/// Fail the first edge of each of the first `k` trees — tree-disjoint
-/// kills, so exactly k trees die and the rest are untouched.
-fn kill_first(trees: &[Vec<(u32, u32)>], k: usize) -> FaultEpochs {
-    FaultEpochs::at_time_zero(FaultSet::from_links(trees.iter().take(k).map(|t| t[0])))
-}
-
-fn sweep_one(key: &str, quick: bool, bytes: u64) -> Result<Sweep, String> {
-    let (spec, trees) = build(key)?;
-    let t = trees.len();
-    if t < 2 {
-        return Err(format!("{key}: EDST packing has {t} tree(s); need ≥ 2"));
-    }
-    let model = || NetModel::new(spec.clone(), MotifConfig::default());
-    let bcast = |trees: &[Vec<(u32, u32)>], epochs: &FaultEpochs, repair: RepairPolicy| {
-        striped_broadcast(&mut model(), trees, bytes, epochs, repair)
-            .map_err(|e| format!("{key}: {e}"))
-    };
-    let mut rows = Vec::new();
-
-    let pristine = bcast(&trees, &FaultEpochs::pristine(), RepairPolicy::None)?;
-    // Trees too deep to earn a waterfilled chunk carry no bytes; they
-    // must not count toward the T/(T−k) bandwidth-loss bound.
-    let effective_mask: Vec<bool> = pristine.delivered_bytes.iter().map(|&b| b > 0).collect();
-    let effective = effective_mask.iter().filter(|&&e| e).count();
-    rows.push(Row {
-        motif: "striped_bcast",
-        lost: 0,
-        completion_us: pristine.completion_ns / 1000.0,
-        ideal_slowdown: Some(1.0),
-    });
-    let single = bcast(&trees[..1], &FaultEpochs::pristine(), RepairPolicy::None)?;
-    rows.push(Row {
-        motif: "single_tree_bcast",
-        lost: 0,
-        completion_us: single.completion_ns / 1000.0,
-        ideal_slowdown: None,
-    });
-
-    // Resilience curve: kill k of the T trees at time zero and let the
-    // collective re-stripe over the survivors.
-    let losses: Vec<usize> = if quick { vec![1] } else { (1..t).collect() };
-    for k in losses {
-        let out = bcast(&trees, &kill_first(&trees, k), RepairPolicy::None)?;
-        // A killed tree too deep to earn a waterfilled chunk never
-        // sends, so its death goes undetected (and costs nothing).
-        assert!(out.trees_lost <= k, "{key}: more than {k} dead trees");
-        // The ideal bound is over *effective* trees: killing a zero-byte
-        // tree costs no bandwidth, so only the byte-earning casualties
-        // shrink the stripe.
-        let k_eff = effective_mask.iter().take(k).filter(|&&e| e).count();
-        rows.push(Row {
-            motif: "striped_bcast",
-            lost: k,
-            completion_us: out.completion_ns / 1000.0,
-            ideal_slowdown: (effective > k_eff)
-                .then(|| effective as f64 / (effective - k_eff) as f64),
-        });
-    }
-    // Same single-tree kill, but with edge replacement: the tree is
-    // patched and keeps carrying its stripe.
-    let repaired = bcast(&trees, &kill_first(&trees, 1), RepairPolicy::Replace)?;
-    rows.push(Row {
-        motif: "striped_bcast_repair",
-        lost: repaired.trees_lost,
-        completion_us: repaired.completion_ns / 1000.0,
-        ideal_slowdown: Some(1.0),
-    });
-
-    let ar = striped_allreduce(
-        &mut model(),
-        &trees,
-        bytes,
-        &FaultEpochs::pristine(),
-        RepairPolicy::None,
-    )
-    .map_err(|e| format!("{key}: {e}"))?;
-    rows.push(Row {
-        motif: "striped_allreduce",
-        lost: 0,
-        completion_us: ar.completion_ns / 1000.0,
-        ideal_slowdown: None,
-    });
-    let rd = allreduce(
-        &mut model(),
-        AllreduceAlgo::RecursiveDoubling,
-        bytes,
-        1,
-        RoutingMode::Min,
-    )
-    .map_err(|e| format!("{key}: rd allreduce: {e}"))?;
-    rows.push(Row {
-        motif: "rd_allreduce",
-        lost: 0,
-        completion_us: rd / 1000.0,
-        ideal_slowdown: None,
-    });
-    if spec.total_endpoints() <= RING_MAX_RANKS {
-        let ring = allreduce(
-            &mut model(),
-            AllreduceAlgo::Ring,
-            bytes,
-            1,
-            RoutingMode::Min,
-        )
-        .map_err(|e| format!("{key}: ring allreduce: {e}"))?;
-        rows.push(Row {
-            motif: "ring_allreduce",
-            lost: 0,
-            completion_us: ring / 1000.0,
-            ideal_slowdown: None,
-        });
-    } else {
-        eprintln!(
-            "edst_sweep: {key}: skipping ring baseline ({} ranks > {RING_MAX_RANKS})",
-            spec.total_endpoints()
-        );
-    }
-    Ok((rows, spec, t, effective))
-}
+use bench::Cli;
 
 fn main() {
-    let quick = quick_mode();
-    let bytes: u64 = if quick { 1 << 20 } else { 8 << 20 };
-    let keys = selected_keys(&DEFAULT_KEYS, &DEFAULT_KEYS);
-    println!("topology,routers,trees,motif,bytes_mb,lost,completion_us,slowdown,ideal_slowdown");
-    let run = |&key: &&str| sweep_one(key, quick, bytes);
-    let results: Vec<Result<Sweep, String>> = keys.par_iter().map(run).collect();
-
-    let mut bench_lines: Vec<String> = Vec::new();
+    let cli = Cli::from_env(&["--quick", "--only", "--metrics-dir"]);
+    let keys = cli.selected_keys(&KEYS, &KEYS);
+    println!("{CSV_HEADER}");
     let mut failed = false;
-    for (key, res) in keys.iter().zip(results) {
-        let (rows, spec, t, effective) = match res {
+    for (key, res) in keys.iter().zip(run_sweep(&keys, cli.has("--quick"))) {
+        let sweep = match res {
             Ok(v) => v,
             Err(e) => {
                 eprintln!("edst_sweep: {e}");
@@ -215,59 +22,16 @@ fn main() {
                 continue;
             }
         };
-        let pristine_us = rows[0].completion_us;
-        let mb = bytes as f64 / (1 << 20) as f64;
-        let mut manifest = RunManifest::for_network(key, &spec);
-        manifest.push_extra("edst_trees", t as f64);
-        manifest.push_extra("effective_trees", effective as f64);
-        manifest.push_extra("bytes_mb", mb);
-        for r in &rows {
-            let slowdown = r.completion_us / pristine_us;
-            let ideal = r
-                .ideal_slowdown
-                .map(|v| format!("{v:.4}"))
-                .unwrap_or_default();
-            println!(
-                "{key},{},{t},{},{mb},{},{:.1},{slowdown:.4},{ideal}",
-                spec.routers(),
-                r.motif,
-                r.lost,
-                r.completion_us
-            );
-            let tag = if r.lost > 0 {
-                format!("{}_lose{}", r.motif, r.lost)
-            } else {
-                r.motif.to_string()
-            };
-            manifest.push_extra(format!("{tag}_us"), r.completion_us);
-            bench_lines.push(format!(
-                "{{\"group\":\"edst_sweep\",\"bench\":\"{key}/{tag}_us\",\"value\":{:.1},\"unit\":\"us\"}}",
-                r.completion_us
-            ));
-            if r.lost > 0 && r.motif == "striped_bcast" {
-                bench_lines.push(format!(
-                    "{{\"group\":\"edst_sweep\",\"bench\":\"{key}/lose{}_slowdown\",\"value\":{slowdown:.4},\"unit\":\"x\"}}",
-                    r.lost
-                ));
-            }
+        for row in sweep.csv_rows(key) {
+            println!("{row}");
         }
-        bench_lines.push(format!(
-            "{{\"group\":\"edst_sweep\",\"bench\":\"{key}/edst_trees\",\"value\":{t},\"unit\":\"trees\"}}"
-        ));
-        bench_lines.push(format!(
-            "{{\"group\":\"edst_sweep\",\"bench\":\"{key}/effective_trees\",\"value\":{effective},\"unit\":\"trees\"}}"
-        ));
-        if let Some(dir) = metrics_dir() {
+        if let Some(dir) = cli.metrics_dir() {
             let stem = file_stem(&format!("edst_sweep_{key}"));
-            if let Err(e) = manifest.write(&dir, &stem) {
+            if let Err(e) = sweep.manifest(key).write(dir, &stem) {
                 eprintln!("edst_sweep: writing manifest for {key}: {e}");
                 failed = true;
             }
         }
-    }
-    if let Err(e) = write_bench_json(&bench_lines) {
-        eprintln!("edst_sweep: {e}");
-        failed = true;
     }
     if failed {
         std::process::exit(1);

@@ -22,10 +22,7 @@
 //! one `RunManifest` JSON per topology.
 
 use bench::manifest::file_stem;
-use bench::{
-    engine_threads, metrics_dir, quick_mode, selected_keys, table3_network, RunManifest,
-    TABLE3_KEYS,
-};
+use bench::{table3_network, Cli, RunManifest, TABLE3_KEYS};
 use polarstar_motifs::collectives::{allreduce, AllreduceAlgo};
 use polarstar_motifs::multitree::{striped_broadcast, FaultEpochs, RepairPolicy};
 use polarstar_motifs::netmodel::{MotifConfig, MotifError, NetModel, RoutingMode};
@@ -48,14 +45,15 @@ const DEFAULT_KEYS: [&str; 3] = ["PS-IQ", "SF", "DF"];
 const FAULT_SEED: u64 = 0xFA17;
 
 fn main() {
-    let quick = quick_mode();
-    let keys = selected_keys(&TABLE3_KEYS, &DEFAULT_KEYS);
+    let cli = Cli::from_env(&["--quick", "--only", "--engine-threads", "--metrics-dir"]);
+    let quick = cli.has("--quick");
+    let keys = cli.selected_keys(&TABLE3_KEYS, &DEFAULT_KEYS);
     let cfg = SimConfig {
         warmup_cycles: if quick { 300 } else { 1_500 },
         measure_cycles: if quick { 1_200 } else { 8_000 },
         drain_cycles: if quick { 4_000 } else { 30_000 },
         seed: 2024,
-        threads: engine_threads(),
+        threads: cli.engine_threads(),
         ..SimConfig::default()
     };
     let fail_cycle = cfg.warmup_cycles + cfg.measure_cycles / 4;
@@ -180,9 +178,9 @@ fn main() {
         match res {
             Ok((row, m)) => {
                 println!("{row}");
-                if let Some(dir) = metrics_dir() {
+                if let Some(dir) = cli.metrics_dir() {
                     let stem = file_stem(&format!("fault_recovery_{key}"));
-                    if let Err(e) = m.write(&dir, &stem) {
+                    if let Err(e) = m.write(dir, &stem) {
                         eprintln!("fault_recovery: writing manifest for {key}: {e}");
                         failed = true;
                     }

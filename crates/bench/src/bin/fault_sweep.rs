@@ -18,10 +18,7 @@
 //! (topology, fraction) point.
 
 use bench::manifest::file_stem;
-use bench::{
-    engine_threads, metrics_dir, quick_mode, selected_keys, table3_network, RunManifest,
-    TABLE3_KEYS,
-};
+use bench::{table3_network, Cli, RunManifest, TABLE3_KEYS};
 use polarstar_motifs::collectives::{allreduce, AllreduceAlgo};
 use polarstar_motifs::netmodel::{ns, MotifConfig, MotifError, NetModel, RoutingMode};
 use polarstar_netsim::engine::SimConfig;
@@ -41,8 +38,9 @@ const DEFAULT_KEYS: [&str; 3] = ["PS-IQ", "SF", "DF"];
 const FAULT_SEED: u64 = 0xFA17;
 
 fn main() {
-    let quick = quick_mode();
-    let keys = selected_keys(&TABLE3_KEYS, &DEFAULT_KEYS);
+    let cli = Cli::from_env(&["--quick", "--only", "--engine-threads", "--metrics-dir"]);
+    let quick = cli.has("--quick");
+    let keys = cli.selected_keys(&TABLE3_KEYS, &DEFAULT_KEYS);
     let fractions: Vec<f64> = if quick {
         vec![0.0, 0.05]
     } else {
@@ -53,7 +51,7 @@ fn main() {
         measure_cycles: if quick { 600 } else { 4_000 },
         drain_cycles: if quick { 3_000 } else { 20_000 },
         seed: 2024,
-        threads: engine_threads(),
+        threads: cli.engine_threads(),
         ..SimConfig::default()
     };
     let tol = if quick { 0.1 } else { 0.02 };
@@ -149,10 +147,10 @@ fn main() {
     for (row, _) in &rows {
         println!("{row}");
     }
-    if let Some(dir) = metrics_dir() {
+    if let Some(dir) = cli.metrics_dir() {
         for ((key, _, fraction), (_, m)) in jobs.iter().zip(&rows) {
             let stem = file_stem(&format!("fault_{key}_{fraction}"));
-            m.write(&dir, &stem).expect("write manifest");
+            m.write(dir, &stem).expect("write manifest");
         }
     }
 }

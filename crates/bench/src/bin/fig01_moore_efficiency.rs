@@ -35,7 +35,7 @@ fn spectralfly_d3_order(radix: u64, max_n: u64) -> Option<u64> {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = bench::Cli::from_env(&["--quick"]).has("--quick");
     let sf_cap = if quick { 5_000 } else { 60_000 };
     println!("radix,topology,order,moore_efficiency");
     let mut ratios: Vec<(&str, f64, usize)> = Vec::new();

@@ -12,20 +12,21 @@
 //! `RunManifest` JSON per key.
 
 use bench::sweep_driver::{run_sweep_csv, series_grid, write_manifests, MonitoredPoint};
-use bench::{engine_threads, metrics_dir, quick_mode, selected_keys, TABLE3_KEYS};
+use bench::{Cli, TABLE3_KEYS};
 use polarstar_netsim::engine::SimConfig;
 use polarstar_netsim::routing::RoutingKind;
 use polarstar_netsim::traffic::Pattern;
 
 fn main() {
-    let quick = quick_mode();
-    let keys = selected_keys(&TABLE3_KEYS, &TABLE3_KEYS);
+    let cli = Cli::from_env(&["--quick", "--only", "--engine-threads", "--metrics-dir"]);
+    let quick = cli.has("--quick");
+    let keys = cli.selected_keys(&TABLE3_KEYS, &TABLE3_KEYS);
     let cfg = SimConfig {
         warmup_cycles: if quick { 300 } else { 1_500 },
         measure_cycles: if quick { 600 } else { 4_000 },
         drain_cycles: if quick { 3_000 } else { 20_000 },
         seed: 2024,
-        threads: engine_threads(),
+        threads: cli.engine_threads(),
         ..SimConfig::default()
     };
     let loads: Vec<f64> = if quick {
@@ -46,7 +47,7 @@ fn main() {
     let series = series_grid(&keys, &patterns, &routings);
     run_sweep_csv(&series, &loads, &cfg);
 
-    if let Some(dir) = metrics_dir() {
+    if let Some(dir) = cli.metrics_dir() {
         // One monitored uniform/MIN point per topology at moderate load:
         // enough to populate link/VC/stall/latency metrics without a
         // second full sweep.
@@ -56,6 +57,6 @@ fn main() {
             load: 0.3,
             routing_label: "MIN",
         };
-        write_manifests(&keys, &point, &cfg, if quick { 64 } else { 256 }, &dir);
+        write_manifests(&keys, &point, &cfg, if quick { 64 } else { 256 }, dir);
     }
 }

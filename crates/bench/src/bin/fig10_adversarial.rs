@@ -9,20 +9,21 @@
 //! `RunManifest` JSON per key.
 
 use bench::sweep_driver::{run_sweep_csv, series_grid, write_manifests, MonitoredPoint};
-use bench::{engine_threads, metrics_dir, quick_mode};
+use bench::Cli;
 use polarstar_netsim::engine::SimConfig;
 use polarstar_netsim::routing::RoutingKind;
 use polarstar_netsim::traffic::Pattern;
 
 fn main() {
-    let quick = quick_mode();
+    let cli = Cli::from_env(&["--quick", "--engine-threads", "--metrics-dir"]);
+    let quick = cli.has("--quick");
     let keys = ["PS-IQ", "PS-Pal", "BF", "DF", "MF", "FT"];
     let cfg = SimConfig {
         warmup_cycles: if quick { 300 } else { 1_500 },
         measure_cycles: if quick { 600 } else { 4_000 },
         drain_cycles: if quick { 3_000 } else { 20_000 },
         seed: 99,
-        threads: engine_threads(),
+        threads: cli.engine_threads(),
         ..SimConfig::default()
     };
     let loads: Vec<f64> = if quick {
@@ -37,13 +38,13 @@ fn main() {
     );
     run_sweep_csv(&series, &loads, &cfg);
 
-    if let Some(dir) = metrics_dir() {
+    if let Some(dir) = cli.metrics_dir() {
         let point = MonitoredPoint {
             kind: RoutingKind::ugal4(),
             pattern: Pattern::AdversarialGroup,
             load: 0.1,
             routing_label: "UGAL",
         };
-        write_manifests(&keys, &point, &cfg, if quick { 64 } else { 256 }, &dir);
+        write_manifests(&keys, &point, &cfg, if quick { 64 } else { 256 }, dir);
     }
 }

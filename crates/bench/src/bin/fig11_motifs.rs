@@ -10,14 +10,15 @@
 //! `--only <key>` restricts topologies.
 
 use bench::motif_sweep::{run_sweep, MotifSweep, SWEEP_HEADER};
-use bench::{quick_mode, selected_keys, table3_network, TABLE3_KEYS};
+use bench::{table3_network, Cli, TABLE3_KEYS};
 use polarstar_motifs::netmodel::RoutingMode;
 
 /// Fig. 11's topology subset: PolarStar vs Dragonfly, HyperX, fat tree.
 const DEFAULT_KEYS: [&str; 4] = ["PS-IQ", "DF", "HX", "FT"];
 
 fn main() {
-    let keys = selected_keys(&TABLE3_KEYS, &DEFAULT_KEYS);
+    let cli = Cli::from_env(&["--quick", "--only"]);
+    let keys = cli.selected_keys(&TABLE3_KEYS, &DEFAULT_KEYS);
     let mut nets = Vec::new();
     for key in keys {
         match table3_network(key) {
@@ -28,7 +29,7 @@ fn main() {
             }
         }
     }
-    let sweep = if quick_mode() {
+    let sweep = if cli.has("--quick") {
         MotifSweep::quick()
     } else {
         MotifSweep::fig11()

@@ -48,7 +48,7 @@ fn spectralfly(radix: usize, cap: usize) -> Option<NetworkSpec> {
 }
 
 fn main() {
-    let full = std::env::args().any(|a| a == "--full");
+    let full = bench::Cli::from_env(&["--full"]).has("--full");
     let max_radix = if full { 64 } else { 48 };
     let cap_routers = if full { 80_000 } else { 25_000 };
     println!("radix,topology,routers,cut,bisection_fraction");

@@ -6,7 +6,7 @@ use polarstar::network::PolarStarNetwork;
 use polarstar_analysis::bisection::bisection_row;
 
 fn main() {
-    let full = std::env::args().any(|a| a == "--full");
+    let full = bench::Cli::from_env(&["--full"]).has("--full");
     let max_radix = if full { 64 } else { 48 };
     println!("radix,supernode,routers,cut,bisection_fraction");
     let mut sums = [0.0f64; 2];

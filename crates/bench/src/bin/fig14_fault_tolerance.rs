@@ -3,11 +3,11 @@
 //! reported. Indirect topologies (FT, MF) measure distances only between
 //! endpoint-carrying routers.
 
-use bench::{quick_mode, table3_network};
+use bench::{table3_network, Cli};
 use polarstar_analysis::faults::median_trajectory;
 
 fn main() {
-    let quick = quick_mode();
+    let quick = Cli::from_env(&["--quick"]).has("--quick");
     let trials = if quick { 9 } else { 101 };
     let keys = ["PS-IQ", "BF", "DF", "HX", "SF", "MF", "FT"];
     let mut errors: Vec<String> = Vec::new();

@@ -6,8 +6,10 @@
 //! regenerate each table and figure as CSV on stdout. [`manifest`]
 //! captures run provenance (config, topology, seed, metrics) as JSON.
 
+pub mod edst_sweep;
 pub mod manifest;
 pub mod motif_sweep;
+pub mod negotiate_sweep;
 pub mod sweep_driver;
 
 use polarstar::design::{best_config, best_config_with};
@@ -132,113 +134,118 @@ pub fn table3_edst(key: &str, spec: &NetworkSpec) -> Vec<Vec<(u32, u32)>> {
     }
 }
 
-/// Every value passed as `<name> <value>` in `args`, in order. A flag
-/// that ends the command line or is directly followed by another
-/// `--flag` forgot its value: that is an error, not an absent flag.
-fn scan_flag(args: &[String], name: &str) -> Result<Vec<String>, String> {
-    let mut values = Vec::new();
-    let mut args = args.iter();
-    while let Some(arg) = args.next() {
-        if arg == name {
-            match args.next() {
-                Some(v) if !v.starts_with("--") => values.push(v.clone()),
-                _ => return Err(format!("{name} expects a value: {name} <value>")),
+/// A bench binary's command line, checked against the flags the binary
+/// declares: an undeclared `--flag`, a stray argument, a value flag
+/// without its value and an unparsable value are all usage errors
+/// (exit 2) raised by [`Cli::from_env`] — the first line of `main`, so
+/// a typo never runs the wrong experiment.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Cli {
+    switches: Vec<String>,
+    only: Vec<String>,
+    engine_threads: Option<usize>,
+    metrics_dir: Option<std::path::PathBuf>,
+}
+
+impl Cli {
+    /// Parse the process arguments against `declared`, the flags this
+    /// binary reads (`--only`, `--engine-threads` and `--metrics-dir`
+    /// take a value, any other name is a switch); prints the error and
+    /// exits 2 on any mistake.
+    pub fn from_env(declared: &[&str]) -> Cli {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        Cli::parse(&args, declared).unwrap_or_else(|e| usage_exit(&e))
+    }
+
+    fn parse(args: &[String], declared: &[&str]) -> Result<Cli, String> {
+        let mut cli = Cli::default();
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            if !declared.contains(&arg.as_str()) {
+                return Err(format!(
+                    "unexpected argument {arg:?}; this binary takes: {}",
+                    declared.join(" ")
+                ));
+            }
+            // Another flag is never taken as the value.
+            let mut value = || match args.next() {
+                Some(v) if !v.starts_with("--") => Ok(v),
+                _ => Err(format!("{arg} expects a value: {arg} <value>")),
+            };
+            match arg.as_str() {
+                "--only" => cli.only.push(value()?.clone()),
+                "--metrics-dir" => cli.metrics_dir = Some(value()?.into()),
+                "--engine-threads" => {
+                    let v = value()?;
+                    let bad = |_| format!("--engine-threads expects a number, got {v:?}");
+                    cli.engine_threads = Some(v.parse().map_err(bad)?);
+                }
+                _ => cli.switches.push(arg.clone()),
             }
         }
+        Ok(cli)
     }
-    Ok(values)
-}
 
-/// The value-taking flags of the bench binaries.
-const VALUE_FLAGS: [&str; 6] = [
-    "--oracle",
-    "--only",
-    "--engine-threads",
-    "--metrics-dir",
-    "--bench-json",
-    "--epochs",
-];
-
-/// Every value of the command-line flag `name` (`--only` is repeatable;
-/// the single-valued flags read the first). Any of [`VALUE_FLAGS`] given
-/// without its value prints a usage line and exits non-zero — on the
-/// first flag a binary reads, before the sweep runs — instead of being
-/// silently ignored.
-pub fn flag_values(name: &str) -> Vec<String> {
-    debug_assert!(VALUE_FLAGS.contains(&name));
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scan = VALUE_FLAGS
-        .iter()
-        .try_for_each(|flag| scan_flag(&args, flag).map(drop))
-        .and_then(|()| scan_flag(&args, name));
-    scan.unwrap_or_else(|usage| {
-        eprintln!("error: {usage}");
-        std::process::exit(2)
-    })
-}
-
-/// Serving backend from `--oracle <table|analytic>` (default `table`):
-/// the CSR route table or the table-free §9.2 analytic router.
-pub fn oracle_mode() -> String {
-    let mode = flag_values("--oracle")
-        .into_iter()
-        .next()
-        .unwrap_or_else(|| "table".into());
-    assert!(
-        mode == "table" || mode == "analytic",
-        "--oracle expects table|analytic, got {mode:?}"
-    );
-    mode
-}
-
-/// Whether `--quick` was passed (smoke-test mode for the heavy figures).
-pub fn quick_mode() -> bool {
-    std::env::args().any(|a| a == "--quick")
-}
-
-/// The topology keys a binary runs: `defaults` unless `--only <substr>`
-/// (repeatable) was given, then every key of `universe` containing one
-/// of the substrings, in `universe` order.
-pub fn selected_keys(universe: &[&'static str], defaults: &[&'static str]) -> Vec<&'static str> {
-    let only = flag_values("--only");
-    if only.is_empty() {
-        return defaults.to_vec();
+    /// Whether the valueless flag `switch` (`--quick`, `--full`) was
+    /// passed.
+    pub fn has(&self, switch: &str) -> bool {
+        self.switches.iter().any(|s| s == switch)
     }
-    let matches = |k: &&str| only.iter().any(|o| k.contains(o.as_str()));
-    universe.iter().copied().filter(matches).collect()
+
+    /// The topology keys a binary runs: `defaults` unless `--only
+    /// <substr>` (repeatable) was given, then every key of `universe`
+    /// containing one of the substrings, in `universe` order. A filter
+    /// that matches no key is a usage error (exit 2) naming the
+    /// universe.
+    pub fn selected_keys(
+        &self,
+        universe: &[&'static str],
+        defaults: &[&'static str],
+    ) -> Vec<&'static str> {
+        self.select(universe, defaults)
+            .unwrap_or_else(|e| usage_exit(&e))
+    }
+
+    fn select(
+        &self,
+        universe: &[&'static str],
+        defaults: &[&'static str],
+    ) -> Result<Vec<&'static str>, String> {
+        if self.only.is_empty() {
+            return Ok(defaults.to_vec());
+        }
+        if let Some(o) = self
+            .only
+            .iter()
+            .find(|o| !universe.iter().any(|k| k.contains(o.as_str())))
+        {
+            return Err(format!(
+                "--only {o:?} matches no topology; keys: {}",
+                universe.join(" ")
+            ));
+        }
+        let matches = |k: &&str| self.only.iter().any(|o| k.contains(o.as_str()));
+        Ok(universe.iter().copied().filter(matches).collect())
+    }
+
+    /// Engine worker threads from `--engine-threads <n>` for the sharded
+    /// cycle engine (`SimConfig::threads`). Results are bit-identical for
+    /// every value; this trades sweep-level for run-level parallelism (see
+    /// EXPERIMENTS.md). Absent or `<= 1` means the sequential engine.
+    pub fn engine_threads(&self) -> Option<usize> {
+        self.engine_threads
+    }
+
+    /// Directory from `--metrics-dir <path>`: when present, binaries write a
+    /// [`RunManifest`] JSON per topology next to their CSV output.
+    pub fn metrics_dir(&self) -> Option<&std::path::Path> {
+        self.metrics_dir.as_deref()
+    }
 }
 
-/// Engine worker threads from `--engine-threads <n>` for the sharded
-/// cycle engine (`SimConfig::threads`). Results are bit-identical for
-/// every value; this trades sweep-level for run-level parallelism (see
-/// EXPERIMENTS.md). Absent or `<= 1` means the sequential engine.
-pub fn engine_threads() -> Option<usize> {
-    flag_values("--engine-threads").first().map(|v| {
-        v.parse::<usize>()
-            .unwrap_or_else(|_| panic!("--engine-threads expects a number, got {v:?}"))
-    })
-}
-
-/// Directory from `--metrics-dir <path>`: when present, binaries write a
-/// [`RunManifest`] JSON per topology next to their CSV output.
-pub fn metrics_dir() -> Option<std::path::PathBuf> {
-    flag_values("--metrics-dir").first().map(Into::into)
-}
-
-/// Write a sweep binary's `{group,bench,value,unit}` JSON lines to the
-/// file named by `--bench-json <path>`; a no-op without the flag. The
-/// error names the path.
-pub fn write_bench_json<S: AsRef<str>>(rows: impl IntoIterator<Item = S>) -> Result<(), String> {
-    let Some(path) = flag_values("--bench-json").into_iter().next() else {
-        return Ok(());
-    };
-    let text: String = rows
-        .into_iter()
-        .map(|r| format!("{}\n", r.as_ref()))
-        .collect();
-    std::fs::write(&path, text).map_err(|e| format!("writing {path}: {e}"))?;
-    eprintln!("wrote {path}");
-    Ok(())
+fn usage_exit(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2)
 }
 
 #[cfg(test)]
@@ -298,17 +305,57 @@ mod tests {
     #[test]
     fn flag_scanner_rejects_a_forgotten_value() {
         let args = |s: &str| -> Vec<String> { s.split(' ').map(String::from).collect() };
-        let line = args("--quick --only PS-IQ --metrics-dir out/ --only DF");
-        assert_eq!(scan_flag(&line, "--only").unwrap(), ["PS-IQ", "DF"]);
-        assert_eq!(scan_flag(&line, "--metrics-dir").unwrap(), ["out/"]);
-        assert!(scan_flag(&line, "--bench-json").unwrap().is_empty());
+        let sweep = ["--quick", "--only", "--engine-threads", "--metrics-dir"];
+        let parse = |s: &str| Cli::parse(&args(s), &sweep);
+        let cli = parse("--quick --only PS-IQ --metrics-dir out/ --only DF").unwrap();
+        assert!(cli.has("--quick") && !cli.has("--full"));
+        assert_eq!(cli.only, ["PS-IQ", "DF"]);
+        assert_eq!(cli.metrics_dir(), Some(std::path::Path::new("out/")));
+        assert_eq!(cli.engine_threads(), None);
+        assert_eq!(
+            cli.select(&TABLE3_KEYS, &["HX"]).unwrap(),
+            ["PS-IQ", "DF"],
+            "universe order"
+        );
+        assert_eq!(
+            Cli::default().select(&TABLE3_KEYS, &["HX"]).unwrap(),
+            ["HX"]
+        );
         // Last argument, or followed by another flag: a usage error.
-        assert!(scan_flag(&args("--quick --metrics-dir"), "--metrics-dir").is_err());
-        assert!(scan_flag(&args("--metrics-dir --quick"), "--metrics-dir").is_err());
+        assert!(parse("--quick --metrics-dir").is_err());
+        assert!(parse("--metrics-dir --quick").is_err());
         // Another flag is never taken as the value.
         assert_eq!(
-            scan_flag(&args("--only --only"), "--only"),
+            parse("--only --only"),
             Err("--only expects a value: --only <value>".into())
+        );
+        // A flag the binary does not declare — a typo, or another
+        // binary's flag — never falls through to the full sweep.
+        let err = parse("--quik").unwrap_err();
+        assert!(
+            err.contains("\"--quik\"") && err.contains("--quick --only"),
+            "{err}"
+        );
+        assert!(Cli::parse(&args("--engine-threads 4"), &["--quick"]).is_err());
+        assert!(parse("--full").is_err());
+        assert!(parse("PS-IQ").is_err(), "stray positional");
+        // A filter matching nothing lists what it could have matched.
+        let err = parse("--only PSIQ --only DF")
+            .unwrap()
+            .select(&TABLE3_KEYS, &TABLE3_KEYS)
+            .unwrap_err();
+        assert!(
+            err.contains("\"PSIQ\"") && err.contains("PS-IQ PS-Pal BF"),
+            "{err}"
+        );
+        // An unparsable value is the same usage error, not a panic.
+        assert_eq!(
+            parse("--engine-threads 4").unwrap().engine_threads(),
+            Some(4)
+        );
+        assert_eq!(
+            parse("--engine-threads four"),
+            Err("--engine-threads expects a number, got \"four\"".into())
         );
     }
 

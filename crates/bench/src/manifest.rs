@@ -1,12 +1,16 @@
 //! Run manifests: JSON provenance records written next to each figure's
 //! CSV so a plotted point can be traced back to the exact topology,
-//! simulator configuration, seed, and observed metrics that produced it.
+//! simulator configuration, seed, and observed metrics that produced it
+//! — and, through the `commit` / `host_cores` / `threads` tags it shares
+//! with the `benchmark/` ledger rows, to the timings of the same commit.
 
 use polarstar_netsim::engine::SimConfig;
 use polarstar_netsim::monitor::MetricsReport;
 use polarstar_topo::network::NetworkSpec;
 use std::io::Write;
 use std::path::Path;
+use std::process::Command;
+use std::sync::OnceLock;
 
 /// Manifest JSON schema version; bump on breaking field changes.
 pub const MANIFEST_SCHEMA_VERSION: u32 = 1;
@@ -92,6 +96,20 @@ impl RunManifest {
         s.push_str(&format!(
             "  \"schema_version\": {MANIFEST_SCHEMA_VERSION},\n"
         ));
+        // The ledger's tag block, read when the record is written:
+        // `threads` is the rayon fan-out width (`RAYON_NUM_THREADS`,
+        // else the host's cores), `engine_threads` the monitored run's
+        // `--engine-threads`.
+        s.push_str(&format!("  \"commit\": {},\n", json_str(commit())));
+        s.push_str(&format!("  \"host_cores\": {},\n", host_cores()));
+        s.push_str(&format!(
+            "  \"threads\": {},\n",
+            rayon::current_num_threads()
+        ));
+        match self.sim.as_ref().and_then(|c| c.threads) {
+            Some(t) => s.push_str(&format!("  \"engine_threads\": {t},\n")),
+            None => s.push_str("  \"engine_threads\": null,\n"),
+        }
         s.push_str(&format!("  \"key\": {},\n", json_str(&self.key)));
         s.push_str(&format!("  \"name\": {},\n", json_str(&self.name)));
         s.push_str(&format!("  \"routers\": {},\n", self.routers));
@@ -163,6 +181,34 @@ impl RunManifest {
     }
 }
 
+fn host_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// The ledger's `commit` tag (`benchmark/common.sh` spells it the same
+/// way): `git rev-parse HEAD` of the checkout this crate was built
+/// from, suffixed `-dirty` when the tree is, `"unknown"` outside a
+/// checkout. Read once per process.
+fn commit() -> &'static str {
+    static COMMIT: OnceLock<String> = OnceLock::new();
+    COMMIT.get_or_init(|| {
+        let git = |args: &[&str]| {
+            let mut cmd = Command::new("git");
+            cmd.args(["-C", env!("CARGO_MANIFEST_DIR")]).args(args);
+            let out = cmd.output().ok()?;
+            let text = String::from_utf8_lossy(&out.stdout).trim().to_string();
+            out.status.success().then_some(text)
+        };
+        match git(&["rev-parse", "HEAD"]) {
+            None => "unknown".into(),
+            Some(head) if git(&["status", "--porcelain"]).is_some_and(|s| !s.is_empty()) => {
+                format!("{head}-dirty")
+            }
+            Some(head) => head,
+        }
+    })
+}
+
 /// Sanitize a registry key for use as a filename stem.
 pub fn file_stem(key: &str) -> String {
     key.chars()
@@ -214,6 +260,19 @@ mod tests {
         let m = RunManifest::for_network("K6", &spec);
         let json = m.to_json();
         assert!(json.contains("\"schema_version\": 1"));
+        // The ledger's tag block: a 40-hex commit (maybe `-dirty`) in a
+        // checkout, and the widths the run had.
+        let hex = commit().trim_end_matches("-dirty");
+        assert!(
+            commit() == "unknown"
+                || (hex.len() == 40 && hex.bytes().all(|b| b.is_ascii_hexdigit())),
+            "{}",
+            commit()
+        );
+        assert!(json.contains(&format!("\"commit\": \"{}\"", commit())));
+        assert!(json.contains(&format!("\"host_cores\": {}", host_cores())));
+        assert!(json.contains("\"threads\": "));
+        assert!(json.contains("\"engine_threads\": null"));
         assert!(json.contains("\"key\": \"K6\""));
         assert!(json.contains("\"metrics\": null"));
         assert!(json.contains("\"routing_policy\": \"flat-minimal\""));

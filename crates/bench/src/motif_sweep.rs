@@ -5,7 +5,8 @@
 //! Every grid point builds its own freshly seeded [`NetModel`] from the
 //! point's spec, so points are independent and the produced rows are
 //! identical at any rayon width (the shim runs inline at
-//! `RAYON_NUM_THREADS=1`; CI `cmp`s that CSV against width 4).
+//! `RAYON_NUM_THREADS=1`; `tests/bins_smoke.rs` compares that CSV
+//! against width 4).
 
 use polarstar_motifs::collectives::{allreduce, sweep3d, AllreduceAlgo};
 use polarstar_motifs::netmodel::{MotifConfig, MotifError, NetModel, RoutingMode};

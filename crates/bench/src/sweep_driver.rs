@@ -16,9 +16,7 @@ use polarstar_netsim::engine::{simulate, SimConfig, SimResult, Simulation};
 use polarstar_netsim::monitor::MetricsMonitor;
 use polarstar_netsim::routing::{RouteTable, RoutingKind};
 use polarstar_netsim::traffic::Pattern;
-use polarstar_topo::oracle::PathOracle;
 use rayon::prelude::*;
-use std::time::Instant;
 
 /// One CSV series: a (topology, pattern, routing) triple.
 pub struct Series {
@@ -87,100 +85,6 @@ pub fn run_sweep_csv(series: &[Series], loads: &[f64], cfg: &SimConfig) {
     for row in rows {
         println!("{row}");
     }
-}
-
-/// Latency/throughput summary of one oracle query-storm measurement
-/// ([`measure_query_latency`]).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct QueryLatencyStats {
-    /// Queries answered.
-    pub queries: u64,
-    /// Wall time of the whole storm (batch-level timing, so the
-    /// throughput number carries no per-query timer overhead).
-    pub elapsed_ns: u64,
-    /// Median per-query latency (upper bound of its power-of-two
-    /// nanosecond bucket).
-    pub p50_ns: u64,
-    /// 99th-percentile per-query latency (same bucketing).
-    pub p99_ns: u64,
-    /// Snapshots taken (one per batch) — under an [`EpochSwapper`] this
-    /// is how many times the storm observed the current epoch pointer.
-    ///
-    /// [`EpochSwapper`]: polarstar_routed::EpochSwapper
-    pub snapshots: u64,
-}
-
-impl QueryLatencyStats {
-    /// Queries per second over the whole storm.
-    pub fn qps(&self) -> f64 {
-        if self.elapsed_ns == 0 {
-            0.0
-        } else {
-            self.queries as f64 * 1e9 / self.elapsed_ns as f64
-        }
-    }
-}
-
-/// Drive a next-hop query storm against *any* [`PathOracle`] and
-/// measure throughput plus per-query latency quantiles.
-///
-/// Generic over the oracle *provider*: `snapshot` is called once per
-/// batch and hands back anything that derefs to a [`PathOracle`] — a
-/// `&RouteTable` for a static table, an `Arc<Oracle>` cloned from an
-/// `EpochSwapper` for epoch-churn serving — so the same driver measures
-/// both the pristine and the swap-under-load paths.
-///
-/// Per-query latencies land in power-of-two nanosecond buckets (the
-/// quantiles report a bucket's upper bound); throughput comes from
-/// batch-level wall time, so the reported qps is not inflated by the
-/// per-query `Instant` reads.
-pub fn measure_query_latency<O, S, P>(
-    mut snapshot: P,
-    pairs: &[(u32, u32)],
-    batch_size: usize,
-) -> QueryLatencyStats
-where
-    O: PathOracle + ?Sized,
-    S: std::ops::Deref<Target = O>,
-    P: FnMut() -> S,
-{
-    assert!(batch_size > 0, "batch_size must be positive");
-    let mut buckets = [0u64; 64];
-    let mut stats = QueryLatencyStats::default();
-    let storm = Instant::now();
-    for batch in pairs.chunks(batch_size) {
-        let oracle = snapshot();
-        stats.snapshots += 1;
-        for &(src, dst) in batch {
-            let t0 = Instant::now();
-            let hop = oracle.next_hop(src, dst);
-            let dt = t0.elapsed().as_nanos() as u64;
-            std::hint::black_box(hop).ok();
-            buckets[(64 - dt.leading_zeros() as usize).min(63)] += 1;
-        }
-        stats.queries += batch.len() as u64;
-    }
-    stats.elapsed_ns = storm.elapsed().as_nanos() as u64;
-    stats.p50_ns = bucket_quantile(&buckets, stats.queries, 0.50);
-    stats.p99_ns = bucket_quantile(&buckets, stats.queries, 0.99);
-    stats
-}
-
-/// Upper bound of the first bucket whose cumulative count reaches the
-/// `q` quantile (buckets are `[2^(i-1), 2^i)` nanoseconds).
-fn bucket_quantile(buckets: &[u64; 64], total: u64, q: f64) -> u64 {
-    if total == 0 {
-        return 0;
-    }
-    let target = (q * total as f64).ceil() as u64;
-    let mut seen = 0;
-    for (i, &c) in buckets.iter().enumerate() {
-        seen += c;
-        if seen >= target {
-            return 1u64 << i;
-        }
-    }
-    u64::MAX
 }
 
 /// The single monitored point a figure binary runs per topology when

@@ -3,8 +3,8 @@
 //! table — chosen paths, link loads, historic costs, convergence curve —
 //! must be identical (exact `PartialEq`) across rayon pool widths and
 //! rebuilds, and the cycle engine following it must stay bit-identical
-//! across `--engine-threads` settings. CI additionally pins the
-//! `negotiate_sweep` CSV byte-for-byte across `RAYON_NUM_THREADS`.
+//! across `--engine-threads` settings. `bins_smoke.rs` additionally
+//! pins the `negotiate_sweep` CSV byte-for-byte across both.
 
 use polarstar::design::best_config;
 use polarstar::network::PolarStarNetwork;

@@ -268,7 +268,7 @@ impl FlowPlan {
     /// on a 9 954-router network — so an epoch that dirties 1 % of the
     /// pairs costs about a tenth of a fresh faulted build, where a BFS
     /// per destination used to make five epochs slower than five
-    /// rebuilds (`flow_sweep --epochs`, EXPERIMENTS.md).
+    /// rebuilds (`flow.advance_vs_rebuild` in the `benchmark/` ledger).
     pub fn advance_epoch<O: PathOracle + Sync>(
         &mut self,
         spec: &NetworkSpec,

@@ -8,6 +8,10 @@
 //! results are bit-identical either way.
 
 use crate::engine::{SimConfig, SimResult, Simulation};
+use crate::flow::{FlowNetwork, FlowRouting};
+use crate::routing::{RouteTable, RoutingKind};
+use crate::traffic::{engine_resolve_seed, Pattern};
+use polarstar_topo::network::NetworkSpec;
 use rayon::prelude::*;
 
 /// The repo's single saturation-onset contract — "the highest offered
@@ -20,9 +24,10 @@ use rayon::prelude::*;
 /// * [`highest_stable_offered`] answers it empirically from cycle-engine
 ///   sweep points: the largest offered load whose run stayed stable.
 ///
-/// `flow_sweep` cross-validates the two (at the θ=0.97 throughput-
-/// saturation definition); keeping both behind these helpers is what
-/// stops the onset definition from drifting between the models.
+/// [`cross_validate`] checks the two models against each other (at the
+/// θ=0.97 throughput-saturation definition); keeping both behind these
+/// helpers is what stops the onset definition from drifting between the
+/// models.
 pub fn fluid_onset(max_unit_load: f64) -> f64 {
     if max_unit_load <= 1.0 {
         1.0
@@ -98,6 +103,137 @@ pub fn saturation_search(sim: &Simulation, cfg: &SimConfig, tol: f64) -> f64 {
         }
     }
     lo
+}
+
+/// Delivered-fraction threshold defining *throughput* saturation on
+/// both models (fraction of offered demand actually carried). The two
+/// natural notions differ: [`FlowNetwork::saturation_load`] is the
+/// first-link-capacity onset (where the cycle engine's latency knee
+/// starts), while throughput loss only becomes material once enough
+/// flows cross saturated links.
+pub const XVAL_THETA: f64 = 0.97;
+
+/// Cycle-vs-flow saturation agreement gate (relative).
+pub const XVAL_GATE: f64 = 0.10;
+
+/// Cycle-vs-fluid delivered-fraction agreement gate at the overload
+/// probe (observed agreement is ~0.005).
+pub const XVAL_DELIVERED_GATE: f64 = 0.02;
+
+/// How far the max-min flow model and the cycle engine agree on one
+/// (network, pattern) — [`cross_validate`]'s result.
+#[derive(Clone, Debug, PartialEq)]
+pub struct CrossValidation {
+    /// Flows in the fluid network.
+    pub flows: usize,
+    /// Flows the route table could not route (0 on a pristine network).
+    pub unroutable: u64,
+    /// First-link-capacity onset, [`FlowNetwork::saturation_load`].
+    pub exact_sat: f64,
+    /// Smallest load where the engine's `accepted / offered` drops
+    /// below [`XVAL_THETA`].
+    pub cycle_sat: f64,
+    /// Smallest load where the fluid delivered fraction does.
+    pub flow_sat: f64,
+    /// `|cycle_sat − flow_sat| / flow_sat`.
+    pub rel_err: f64,
+    /// `|engine − fluid|` delivered fraction at `min(1.5 · exact_sat, 1)`:
+    /// the fluid allocation must predict the engine's measured
+    /// throughput loss, not just the crossing point.
+    pub delivered_err: f64,
+    /// Fluid delivered fraction at half of `exact_sat`, where every
+    /// demand must be carried in full.
+    pub subsat_delivered: f64,
+}
+
+impl CrossValidation {
+    /// The agreement gates: everything routed, full delivery below
+    /// saturation, [`XVAL_GATE`] and [`XVAL_DELIVERED_GATE`].
+    pub fn check(&self) -> Result<(), String> {
+        if self.unroutable > 0 {
+            return Err(format!("{} unroutable flows", self.unroutable));
+        }
+        if self.subsat_delivered < 1.0 - 1e-9 {
+            return Err(format!(
+                "sub-saturation probe not fully delivered ({:.4})",
+                self.subsat_delivered
+            ));
+        }
+        if self.rel_err > XVAL_GATE {
+            return Err(format!(
+                "cycle sat {:.4} vs flow sat {:.4} disagree by {:.1}% (> {:.0}% gate)",
+                self.cycle_sat,
+                self.flow_sat,
+                self.rel_err * 100.0,
+                XVAL_GATE * 100.0
+            ));
+        }
+        if self.delivered_err > XVAL_DELIVERED_GATE {
+            return Err(format!(
+                "delivered fraction at the overload probe disagrees by {:.4} (> {XVAL_DELIVERED_GATE} gate)",
+                self.delivered_err
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// Smallest load in (0, 1] where `delivered(load)` (non-increasing)
+/// drops below [`XVAL_THETA`], by bisection to `tol`; 1.0 if it never
+/// does.
+fn throughput_sat(tol: f64, delivered: impl Fn(f64) -> f64) -> f64 {
+    if delivered(1.0) >= XVAL_THETA {
+        return 1.0;
+    }
+    let (mut lo, mut hi) = (0.0f64, 1.0f64);
+    while hi - lo > tol {
+        let mid = 0.5 * (lo + hi);
+        if delivered(mid) >= XVAL_THETA {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    0.5 * (lo + hi)
+}
+
+/// Cross-validate the flow model against the cycle engine on the
+/// *same* resolved traffic (the flow side reuses the engine's pattern
+/// seed via [`engine_resolve_seed`]) under one matched saturation
+/// definition, [`XVAL_THETA`]. The cycle side bisects measured
+/// `accepted / offered` under [`RoutingKind::MinMulti`] (whose fluid
+/// limit is ECMP splitting) to `tol`; the fluid side bisects
+/// `solve(load).delivered_fraction` to 1e-3.
+pub fn cross_validate(
+    spec: &NetworkSpec,
+    table: &RouteTable,
+    pattern: &Pattern,
+    cfg: &SimConfig,
+    tol: f64,
+) -> CrossValidation {
+    let fnet = FlowNetwork::build(
+        spec,
+        table,
+        pattern,
+        engine_resolve_seed(cfg.seed),
+        FlowRouting::EcmpSplit,
+    );
+    let sim = Simulation::new(spec, table, RoutingKind::MinMulti, pattern);
+    let cycle_delivered = |load: f64| sim.run(load, cfg).accepted / load;
+    let exact_sat = fnet.saturation_load();
+    let flow_sat = throughput_sat(1e-3, |load| fnet.solve(load).delivered_fraction);
+    let cycle_sat = throughput_sat(tol, cycle_delivered);
+    let overload = (1.5 * exact_sat).min(1.0);
+    CrossValidation {
+        flows: fnet.num_flows(),
+        unroutable: fnet.unroutable(),
+        exact_sat,
+        cycle_sat,
+        flow_sat,
+        rel_err: (cycle_sat - flow_sat).abs() / flow_sat.max(1e-12),
+        delivered_err: (cycle_delivered(overload) - fnet.solve(overload).delivered_fraction).abs(),
+        subsat_delivered: fnet.solve(0.5 * exact_sat).delivered_fraction,
+    }
 }
 
 /// Transient analysis of a fault-recovery run, computed from a

@@ -58,9 +58,9 @@
 //! follows the damage near the destination, not the size of the mask.
 //! At 0.2 % failed links on a 9 954-router PolarStar that is ~15 µs
 //! against ~0.75 ms for the degraded-graph BFS it replaced, and it
-//! stays ahead of that BFS through 50 % (`route_query` bench, group
-//! `distance_column_faulted`). Debug builds check every repaired
-//! column against that BFS.
+//! stays ahead of that BFS through 50 % (EXPERIMENTS.md, "Route
+//! serving"). Debug builds check every repaired column against that
+//! BFS.
 //!
 //! What is kept per epoch: the fault mask and, derived from it by
 //! [`AnalyticOracle::remask`], its dead-edge bits — one bit per
@@ -71,9 +71,10 @@
 //! deriving them costs two neighbor-list searches per failed
 //! direction, tens of microseconds for a 0.2 % mask. There is no template cache and no
 //! distance table, so an epoch switch is still an `Arc` clone plus a
-//! mask, no BFS sweep: that is what collapses the ~196 ms
-//! `RouteTable::remask` epoch-install cost (BENCH_routed.json) to
-//! microseconds, and what keeps the backend's memory at the router's
+//! mask, no BFS sweep: that is what collapses the
+//! `RouteTable::remask` epoch-install cost (`route_table.remask_ms` in
+//! the `benchmark/` ledger) to microseconds (`analytic.remask_us`), and
+//! what keeps the backend's memory at the router's
 //! factor-graph state. A per-epoch table of answers would trade both
 //! away — it is the thing this backend exists to show is unnecessary.
 //!

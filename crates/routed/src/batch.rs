@@ -6,7 +6,7 @@
 //! determinism pin in `tests/batch_determinism.rs` holds both to it.
 
 use crate::oracle::Oracle;
-use polarstar_topo::oracle::{PathOracle, RouteError};
+use polarstar_topo::oracle::RouteError;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
@@ -71,8 +71,6 @@ pub struct RouteAnswer {
     pub src: u32,
     /// The queried destination router.
     pub dst: u32,
-    /// The symmetry class of the pair ([`crate::SymmetryClasses`]).
-    pub class: u32,
     /// The fault epoch of the snapshot that answered.
     pub epoch: u64,
     /// Why the pair is unanswerable, or `None` when routed.
@@ -100,16 +98,9 @@ impl RouteAnswer {
 impl Oracle {
     /// Answer one query against this snapshot.
     pub fn answer(&self, q: Query) -> RouteAnswer {
-        let n = self.num_routers() as u32;
-        let class = if q.src < n && q.dst < n {
-            self.classes().class_of(q.src, q.dst)
-        } else {
-            u32::MAX
-        };
         let mut ans = RouteAnswer {
             src: q.src,
             dst: q.dst,
-            class,
             epoch: self.epoch(),
             error: None,
             distance: None,
@@ -197,7 +188,6 @@ mod tests {
             k: 0,
         });
         assert_eq!(a.error, Some(RouteError::OutOfRange { id: 9, routers: 5 }));
-        assert_eq!(a.class, u32::MAX);
     }
 
     #[test]

@@ -5,11 +5,8 @@
 //! production system serves it. This crate packages the minimal-path
 //! machinery ([`polarstar_netsim::RouteTable`]) as a queryable layer:
 //!
-//! * [`Oracle`] — one immutable serving snapshot: a routing backend
-//!   plus the topology's supernode [`SymmetryClasses`], which
-//!   canonicalize ordered (src, dst) pairs into `G²` cells
-//!   ([`PairCensus`] counts a traffic matrix per cell). Two backends:
-//!   a (possibly fault-masked) CSR route table, or the table-free
+//! * [`Oracle`] — one immutable serving snapshot over one of two
+//!   backends: a (possibly fault-masked) CSR route table, or the table-free
 //!   [`AnalyticOracle`] that reconstructs §9.2 paths from factor-graph
 //!   state per query — O(1) memory per query and O(|faults|) fault epochs
 //!   ([`AnalyticOracle::remask`] swaps a fault mask instead of rerunning
@@ -25,8 +22,8 @@
 //!   pristine neighbor CSR) and atomically published arc-swap style, so
 //!   queries never block on re-masking and never observe a torn table.
 //!
-//! Throughput on a pristine Table-3 PS-IQ (1064 routers): millions of
-//! single-hop queries/sec per core — see `bench/src/bin/route_query`.
+//! Throughput and install latency on Table-3 PS-IQ (1064 routers) are
+//! the `routed_{table,analytic}_churn` workloads of `benchmark/`.
 
 pub mod analytic;
 pub mod batch;
@@ -35,7 +32,7 @@ pub mod swap;
 
 pub use analytic::{AnalyticOracle, Regime};
 pub use batch::{Query, QueryBatch, RouteAnswer};
-pub use oracle::{Oracle, PairCensus, SymmetryClasses};
+pub use oracle::Oracle;
 // Negotiated routing rides on the serving layer: `Oracle::negotiate`
 // produces one from any backend (see `polarstar_netsim::negotiate`).
 pub use polarstar_netsim::{NegotiateConfig, NegotiatedRoutes};

@@ -1,6 +1,6 @@
 //! The serving oracle: a routing backend (CSR [`RouteTable`] snapshot or
-//! the table-free [`AnalyticOracle`]) plus supernode symmetry classes,
-//! packaged for concurrent query answering.
+//! the table-free [`AnalyticOracle`]) packaged for concurrent query
+//! answering.
 
 use crate::analytic::AnalyticOracle;
 use polarstar::network::PolarStarNetwork;
@@ -9,102 +9,6 @@ use polarstar_topo::fault::FaultSet;
 use polarstar_topo::network::NetworkSpec;
 use polarstar_topo::oracle::{PathOracle, RouteError};
 use std::sync::Arc;
-
-/// Canonicalization of ordered (src, dst) router pairs through the
-/// topology's supernode structure.
-///
-/// Two pairs share a class when their endpoints sit in the same ordered
-/// (group, group) cell — on a vertex-transitive star product every pair
-/// of a class sees the same inter-supernode route shape, so per-class
-/// aggregates (G² cells) stand in for per-pair state (n² cells). On
-/// PS-IQ (1064 routers, 56 supernodes) that is a 361× reduction.
-#[derive(Clone, Debug)]
-pub struct SymmetryClasses {
-    /// Supernode id per router (shared with the spec).
-    group: Vec<u32>,
-    /// Number of supernodes `G`; classes are `G²` ordered cells plus the
-    /// implicit diagonal refinement below.
-    num_groups: u32,
-}
-
-impl SymmetryClasses {
-    /// Derive the classes from a spec's group structure.
-    pub fn new(spec: &NetworkSpec) -> Self {
-        SymmetryClasses {
-            group: spec.group.clone(),
-            num_groups: spec.num_groups() as u32,
-        }
-    }
-
-    /// Number of classes (`G²`: ordered supernode cells).
-    pub fn num_classes(&self) -> usize {
-        (self.num_groups as usize).pow(2)
-    }
-
-    /// The canonical class of an ordered router pair: the ordered
-    /// (supernode, supernode) cell index `g_src · G + g_dst`.
-    #[inline]
-    pub fn class_of(&self, src: u32, dst: u32) -> u32 {
-        self.group[src as usize] * self.num_groups + self.group[dst as usize]
-    }
-
-    /// Supernode id of one router.
-    #[inline]
-    pub fn group_of(&self, r: u32) -> u32 {
-        self.group[r as usize]
-    }
-
-    /// Canonicalize a set of ordered router pairs into class-level
-    /// occupancy counts — the compression the class-batched flow build
-    /// rides on (`FlowNetwork` dedups to unique pairs; this reports how
-    /// those pairs collapse further onto `G²` supernode cells).
-    ///
-    /// Duplicate pairs in the input count once: the census describes
-    /// the *unique* pair set, matching the build's dedup.
-    pub fn pair_census(&self, pairs: impl IntoIterator<Item = (u32, u32)>) -> PairCensus {
-        let mut unique: Vec<(u32, u32)> = pairs.into_iter().collect();
-        unique.sort_unstable();
-        unique.dedup();
-        let mut per_class = vec![0u64; self.num_classes()];
-        for &(s, d) in &unique {
-            per_class[self.class_of(s, d) as usize] += 1;
-        }
-        let classes_hit = per_class.iter().filter(|&&c| c > 0).count();
-        let max_class_pairs = per_class.iter().copied().max().unwrap_or(0);
-        PairCensus {
-            unique_pairs: unique.len(),
-            classes_hit,
-            num_classes: self.num_classes(),
-            max_class_pairs,
-        }
-    }
-}
-
-/// How a set of router pairs occupies the `G²` symmetry cells (from
-/// [`SymmetryClasses::pair_census`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PairCensus {
-    /// Distinct ordered (src, dst) router pairs in the input.
-    pub unique_pairs: usize,
-    /// Classes with at least one pair.
-    pub classes_hit: usize,
-    /// Total classes (`G²`).
-    pub num_classes: usize,
-    /// Pairs in the most-occupied class.
-    pub max_class_pairs: u64,
-}
-
-impl PairCensus {
-    /// Mean unique pairs per occupied class — the batching factor the
-    /// supernode structure offers over per-pair state.
-    pub fn pairs_per_class(&self) -> f64 {
-        if self.classes_hit == 0 {
-            0.0
-        } else {
-            self.unique_pairs as f64 / self.classes_hit as f64
-        }
-    }
-}
 
 /// The routing state behind an [`Oracle`]: either a materialized CSR
 /// table or the table-free analytic backend.
@@ -118,8 +22,7 @@ enum Backend {
 }
 
 /// One immutable serving snapshot: a routing backend (masked
-/// [`RouteTable`] or [`AnalyticOracle`]) plus the symmetry classes and
-/// the epoch it serves.
+/// [`RouteTable`] or [`AnalyticOracle`]) plus the epoch it serves.
 ///
 /// An `Oracle` is built once (or re-masked from a base oracle per fault
 /// epoch) and then only read — cloning the [`Arc`]s it hands out is the
@@ -127,7 +30,6 @@ enum Backend {
 pub struct Oracle {
     spec: Arc<NetworkSpec>,
     backend: Backend,
-    classes: SymmetryClasses,
     /// Fault epoch this snapshot serves (0 = the construction mask).
     epoch: u64,
 }
@@ -137,11 +39,9 @@ impl Oracle {
     /// the spec already carries).
     pub fn new(spec: Arc<NetworkSpec>) -> Self {
         let table = Arc::new(RouteTable::for_spec(&spec));
-        let classes = SymmetryClasses::new(&spec);
         Oracle {
             spec,
             backend: Backend::Table(table),
-            classes,
             epoch: 0,
         }
     }
@@ -153,11 +53,9 @@ impl Oracle {
     pub fn new_analytic(net: impl Into<Arc<PolarStarNetwork>>) -> Self {
         let analytic = AnalyticOracle::new(net);
         let spec = Arc::new(analytic.network().spec.clone());
-        let classes = SymmetryClasses::new(&spec);
         Oracle {
             spec,
             backend: Backend::Analytic(analytic),
-            classes,
             epoch: 0,
         }
     }
@@ -166,7 +64,7 @@ impl Oracle {
     /// per-epoch path of [`crate::EpochSwapper`]. The table backend
     /// reruns its BFS layers over the pristine neighbor CSR
     /// (`RouteTable::remask`); the analytic backend just swaps the fault
-    /// mask. Spec and classes are shared either way.
+    /// mask. The spec is shared either way.
     pub fn remask(&self, faults: &FaultSet, epoch: u64) -> Oracle {
         let backend = match &self.backend {
             Backend::Table(t) => Backend::Table(Arc::new(t.remask(&self.spec, faults))),
@@ -175,7 +73,6 @@ impl Oracle {
         Oracle {
             spec: Arc::clone(&self.spec),
             backend,
-            classes: self.classes.clone(),
             epoch,
         }
     }
@@ -256,11 +153,6 @@ impl Oracle {
         }
     }
 
-    /// The supernode symmetry classes.
-    pub fn classes(&self) -> &SymmetryClasses {
-        &self.classes
-    }
-
     /// The fault epoch this snapshot serves.
     pub fn epoch(&self) -> u64 {
         self.epoch
@@ -338,32 +230,6 @@ mod tests {
         let mut spec = NetworkSpec::uniform("c4", Graph::cycle(4), 1);
         spec.group = vec![0, 0, 1, 1];
         Arc::new(spec)
-    }
-
-    #[test]
-    fn classes_canonicalize_by_ordered_group_cell() {
-        let spec = grouped_spec();
-        let sc = SymmetryClasses::new(&spec);
-        assert_eq!(sc.num_classes(), 4);
-        assert_eq!(sc.class_of(0, 1), 0); // (0,0) cell
-        assert_eq!(sc.class_of(0, 2), 1); // (0,1) cell
-        assert_eq!(sc.class_of(2, 0), 2); // (1,0) cell
-        assert_eq!(sc.class_of(3, 2), 3); // (1,1) cell
-        assert_eq!(sc.group_of(3), 1);
-    }
-
-    #[test]
-    fn pair_census_canonicalizes_unique_pairs() {
-        let spec = grouped_spec();
-        let sc = SymmetryClasses::new(&spec);
-        // Duplicates collapse; two pairs in the (0,1) cell, one in (1,0).
-        let census = sc.pair_census([(0, 2), (0, 2), (1, 3), (2, 1)]);
-        assert_eq!(census.unique_pairs, 3);
-        assert_eq!(census.classes_hit, 2);
-        assert_eq!(census.num_classes, 4);
-        assert_eq!(census.max_class_pairs, 2);
-        assert_eq!(census.pairs_per_class(), 1.5);
-        assert_eq!(sc.pair_census([]).pairs_per_class(), 0.0);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 #!/bin/bash
 # Regenerate every paper table/figure into results/.
 set -u
-cd /root/repo
+cd "$(dirname "$0")"
 B=target/release
+cargo build --release -p bench || exit 1
 run() {
   name=$1; shift
   echo "=== $name start $(date +%H:%M:%S)" >> results/run.log
@@ -26,10 +27,7 @@ run ablation_supernodes
 run ablation_channel_load
 run fault_sweep
 run fault_recovery
-run edst_sweep --metrics-dir metrics/ --bench-json BENCH_edst.json
-run negotiate_sweep --metrics-dir metrics/ --bench-json BENCH_negotiate.json
-run route_query
-"$B/route_query" --oracle analytic --metrics-dir metrics/ \
-  > results/route_query_analytic.csv 2> results/route_query_analytic.log
-run flow_sweep --metrics-dir metrics/ --bench-json BENCH_flow.json --weighted --epochs 4
+run edst_sweep --metrics-dir metrics/
+run negotiate_sweep --metrics-dir metrics/
+run flow_sweep --metrics-dir metrics/
 echo ALL_DONE >> results/run.log

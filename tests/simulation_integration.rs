@@ -6,7 +6,7 @@ use polarstar::design::{best_config, PolarStarConfig, SupernodeKind};
 use polarstar::network::PolarStarNetwork;
 use polarstar_repro::netsim::engine::{simulate, SimConfig, SimResult, Simulation};
 use polarstar_repro::netsim::routing::{RouteTable, RoutingKind};
-use polarstar_repro::netsim::stats::{saturation_search, sweep};
+use polarstar_repro::netsim::stats::{cross_validate, saturation_search, sweep};
 use polarstar_repro::netsim::traffic::Pattern;
 use polarstar_repro::topo::dragonfly::{dragonfly, DragonflyParams};
 use polarstar_repro::topo::network::NetworkSpec;
@@ -116,6 +116,31 @@ fn sweeps_are_reproducible() {
         assert_eq!(x.avg_latency, y.avg_latency);
         assert_eq!(x.measured_ejected, y.measured_ejected);
     }
+}
+
+/// The flow model and the cycle engine describe one network: on
+/// PS-q3-IQ3 under permutation traffic — both sides routing the same
+/// resolved pairs — their θ = 0.97 throughput-saturation loads agree
+/// within 10 % and their delivered fractions at the 1.5× overload probe
+/// within 0.02 (`flow_sweep` records the same point at longer windows).
+#[test]
+fn flow_model_matches_cycle_engine_on_permutation() {
+    let ps = PolarStarConfig {
+        q: 3,
+        supernode: SupernodeKind::InductiveQuad { degree: 3 },
+    };
+    let net = PolarStarNetwork::build(ps, 4).unwrap().spec;
+    let table = RouteTable::for_spec(&net);
+    let xval_cfg = SimConfig {
+        warmup_cycles: 500,
+        measure_cycles: 1_500,
+        drain_cycles: 6_000,
+        seed: 0xF10,
+        ..SimConfig::default()
+    };
+    let x = cross_validate(&net, &table, &Pattern::Permutation, &xval_cfg, 0.02);
+    assert_eq!(x.flows, 412, "{x:?}");
+    x.check().unwrap_or_else(|e| panic!("{e}: {x:?}"));
 }
 
 /// Two cells of `crates/netsim/tests/engine_pin.rs` (same networks,
