@@ -359,7 +359,9 @@ impl<'a> StripedRun<'a> {
     }
 
     /// Whether the undirected edge `{u, v}` is dead at time `t`: failed
-    /// on the fault timeline or under the model's static mask.
+    /// on the fault timeline or under the model's static mask. The one
+    /// place outside `topo::fault` that probes a [`FaultSet`] instead
+    /// of a compiled mask: the timeline is built without a graph.
     fn dead(&self, t: Time, u: u32, v: u32) -> bool {
         self.epochs.at(t).edge_failed(u, v) || self.model.faults().edge_failed(u, v)
     }

@@ -6,10 +6,10 @@
 //! serialization on every link of its path, while its head advances with
 //! per-hop router + link latency (virtual cut-through).
 
-use polarstar_graph::{traversal, Graph};
-use polarstar_topo::fault::FaultSet;
+use polarstar_graph::Graph;
+use polarstar_topo::fault::{FaultMask, FaultSet};
 use polarstar_topo::network::NetworkSpec;
-use polarstar_topo::oracle::column_next_hops;
+use polarstar_topo::oracle::{column_next_hops, masked_distance_column};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::fmt;
@@ -167,32 +167,20 @@ impl ParentCsr {
     }
 }
 
-/// BFS from `dst` over the pristine graph with `faults` applied as a
-/// mask (identical distances to a BFS over the degraded graph, but edge
-/// ids stay the pristine ones link accounting is keyed by), then the
-/// masked port rule every route backend shares ([`column_next_hops`]):
-/// distances drop a cable with either direction failed, `parents_of(r)`
-/// needs only `r → parent` alive. Ascending neighbor (CSR slot) order.
-fn build_parent_csr(graph: &Graph, dst: u32, faults: &FaultSet) -> Box<ParentCsr> {
+/// The masked column BFS from `dst` over the pristine graph (identical
+/// distances to a BFS over the degraded graph, but edge ids stay the
+/// pristine ones link accounting is keyed by), then the masked port
+/// rule every route backend shares ([`column_next_hops`]): distances
+/// drop a cable with either direction failed, `parents_of(r)` needs
+/// only `r → parent` alive. Ascending neighbor (CSR slot) order.
+fn build_parent_csr(graph: &Graph, dst: u32, mask: &FaultMask) -> Box<ParentCsr> {
     let n = graph.n();
-    let mut dist = vec![traversal::UNREACHABLE; n];
-    let mut queue = std::collections::VecDeque::new();
-    dist[dst as usize] = 0;
-    queue.push_back(dst);
-    while let Some(u) = queue.pop_front() {
-        let du = dist[u as usize];
-        for &v in graph.neighbors(u) {
-            if dist[v as usize] == traversal::UNREACHABLE && !faults.edge_failed(u, v) {
-                dist[v as usize] = du + 1;
-                queue.push_back(v);
-            }
-        }
-    }
+    let mut dist = Vec::new();
+    masked_distance_column(graph, mask, dst, &mut dist);
     let mut offsets = vec![0u32; n + 1];
     let mut edges = Vec::new();
     for r in 0..n as u32 {
-        let usable = |nb| !faults.link_failed(r, nb);
-        column_next_hops(graph, &dist, r, usable).for_each(|(e, _)| edges.push(e));
+        column_next_hops(graph, &dist, r, mask).for_each(|(e, _)| edges.push(e));
         offsets[r as usize + 1] = edges.len() as u32;
     }
     Box::new(ParentCsr { offsets, edges })
@@ -219,9 +207,11 @@ pub struct NetModel {
     link_busy: Vec<Time>,
     /// Messages that crossed each directed edge id.
     link_msgs: Vec<u64>,
-    /// Routing runs on `spec.graph` (pristine) with `spec.faults()` as
-    /// a mask, so directed edge ids are the pristine CSR slots.
+    /// Routing runs on `spec.graph` (pristine) under `mask`, so
+    /// directed edge ids are the pristine CSR slots.
     spec: NetworkSpec,
+    /// `spec.faults()` compiled against `spec.graph`, once.
+    mask: FaultMask,
     cfg: MotifConfig,
     rng: ChaCha8Rng,
 }
@@ -262,6 +252,7 @@ impl NetModel {
             free_at: vec![0; edges],
             link_busy: vec![0; edges],
             link_msgs: vec![0; edges],
+            mask: spec.faults().compile(&spec.graph),
             spec,
             cfg,
             rng,
@@ -363,60 +354,59 @@ impl NetModel {
             .collect()
     }
 
-    /// The cached parent tree toward `dst`, building it on first use.
-    /// Over the two fields it reads, so [`NetModel::ecmp_path`] can hold
-    /// the tree while it draws from `self.rng`.
-    fn parent_tree<'a>(
-        parents: &'a [OnceLock<Box<ParentCsr>>],
+    /// Reject router ids outside the network.
+    fn check_routers(&self, a: u32, b: u32) -> Result<(), MotifError> {
+        let (n, r) = (self.spec.graph.n() as u32, a.max(b));
+        if r < n {
+            return Ok(());
+        }
+        let reason = format!("router {r} outside a {n}-router network");
+        Err(MotifError::InvalidConfig { reason })
+    }
+
+    /// The minimal path `src → dst` as directed edge ids down the
+    /// cached parent tree toward `dst` (built on first use), taking
+    /// parent `pick(k)` wherever a hop offers `k > 1`. `None` when no
+    /// surviving path connects the pair or an id names no router. Over
+    /// the three fields it reads, so [`NetModel::ecmp_path`] can pick
+    /// from `self.rng`.
+    fn tree_path(
+        parents: &[OnceLock<Box<ParentCsr>>],
         spec: &NetworkSpec,
+        mask: &FaultMask,
+        src: u32,
         dst: u32,
-    ) -> &'a ParentCsr {
-        parents[dst as usize].get_or_init(|| build_parent_csr(&spec.graph, dst, spec.faults()))
-    }
-
-    /// The deterministic minimal router path `src → dst` (first ECMP
-    /// choice at every hop) as directed edge ids, or `None` when no
-    /// surviving path connects the pair.
-    pub fn min_path(&self, src: u32, dst: u32) -> Option<Vec<u32>> {
-        if src == dst {
-            return Some(Vec::new());
-        }
-        let tree = Self::parent_tree(&self.parents, &self.spec, dst);
-        let mut path = Vec::new();
-        let mut cur = src;
-        while cur != dst {
-            let &e = tree.parents_of(cur).first()?;
-            path.push(e);
-            cur = self.spec.graph.edge_target(e);
-        }
-        Some(path)
-    }
-
-    /// A uniformly random minimal path (ECMP) — what "MIN" means in the
-    /// paper's simulators, which store or enumerate all minimal paths.
-    /// `None` when no surviving path connects the pair.
-    pub fn ecmp_path(&mut self, src: u32, dst: u32) -> Option<Vec<u32>> {
-        if src == dst {
-            return Some(Vec::new());
-        }
-        let tree = Self::parent_tree(&self.parents, &self.spec, dst);
+        mut pick: impl FnMut(usize) -> usize,
+    ) -> Option<Vec<u32>> {
+        let tree = parents.get(src as usize).and(parents.get(dst as usize))?;
+        let tree = tree.get_or_init(|| build_parent_csr(&spec.graph, dst, mask));
         let mut path = Vec::new();
         let mut cur = src;
         while cur != dst {
             let opts = tree.parents_of(cur);
-            if opts.is_empty() {
-                return None;
-            }
-            let k = if opts.len() == 1 {
-                0
-            } else {
-                self.rng.gen_range(0..opts.len())
-            };
-            let e = opts[k];
+            let &e = opts.get(if opts.len() > 1 { pick(opts.len()) } else { 0 })?;
             path.push(e);
-            cur = self.spec.graph.edge_target(e);
+            cur = spec.graph.edge_target(e);
         }
         Some(path)
+    }
+
+    /// The deterministic minimal router path `src → dst` (first ECMP
+    /// choice at every hop) as directed edge ids; see
+    /// [`NetModel::ecmp_path`] for `None`.
+    pub fn min_path(&self, src: u32, dst: u32) -> Option<Vec<u32>> {
+        Self::tree_path(&self.parents, &self.spec, &self.mask, src, dst, |_| 0)
+    }
+
+    /// A uniformly random minimal path (ECMP) — what "MIN" means in the
+    /// paper's simulators, which store or enumerate all minimal paths.
+    /// `None` when no surviving path connects the pair or an id names
+    /// no router of the network.
+    pub fn ecmp_path(&mut self, src: u32, dst: u32) -> Option<Vec<u32>> {
+        let rng = &mut self.rng;
+        Self::tree_path(&self.parents, &self.spec, &self.mask, src, dst, |k| {
+            rng.gen_range(0..k)
+        })
     }
 
     /// Predicted completion of sending `bytes` along `path` (directed
@@ -454,8 +444,9 @@ impl NetModel {
     }
 
     /// Send a message between ROUTERS at `start`; returns delivery time,
-    /// or [`MotifError::Disconnected`] when the (possibly
-    /// fault-degraded) network offers no path.
+    /// [`MotifError::Disconnected`] when the (possibly fault-degraded)
+    /// network offers no path, or [`MotifError::InvalidConfig`] for a
+    /// router id outside the network.
     pub fn send_routers(
         &mut self,
         src: u32,
@@ -469,7 +460,8 @@ impl NetModel {
             dst,
             motif: None,
         };
-        if self.faults().router_failed(src) || self.faults().router_failed(dst) {
+        self.check_routers(src, dst)?;
+        if self.mask.router_dead(src) || self.mask.router_dead(dst) {
             return Err(disconnected);
         }
         if src == dst {
@@ -531,7 +523,8 @@ impl NetModel {
     /// collectives whose edges the caller chose (EDST striping): no
     /// path search, just the link reservation plus per-hop latency.
     /// Errs with [`MotifError::Disconnected`] when `{u, v}` is not an
-    /// edge of the pristine graph or is currently failed.
+    /// edge of the pristine graph or is currently failed, and with
+    /// [`MotifError::InvalidConfig`] for a router id outside it.
     pub fn send_link(
         &mut self,
         u: u32,
@@ -544,13 +537,11 @@ impl NetModel {
             dst: v,
             motif: None,
         };
-        let Some(e) = self.spec.graph.edge_id(u, v) else {
-            return Err(disconnected);
-        };
-        if self.faults().edge_failed(u, v) {
-            return Err(disconnected);
+        self.check_routers(u, v)?;
+        match self.spec.graph.edge_id(u, v) {
+            Some(e) if !self.mask.edge_dead(e) => Ok(self.reserve(&[e], bytes, start)),
+            _ => Err(disconnected),
         }
-        Ok(self.reserve(&[e], bytes, start))
     }
 
     /// Send between ENDPOINTS (ranks map linearly onto endpoints, §10.1).
@@ -732,6 +723,53 @@ mod tests {
         // Connected halves still work.
         assert!(m.send_routers(0, 1, 1000, 0, RoutingMode::Min).is_ok());
         assert!(m.send_routers(2, 3, 1000, 0, RoutingMode::Min).is_ok());
+    }
+
+    /// K4 and the first id past it: every entry point that takes a
+    /// router id used to index out of bounds on it.
+    fn k4() -> (NetModel, u32) {
+        let spec = NetworkSpec::uniform("k4", Graph::complete(4), 1);
+        (NetModel::new(spec, MotifConfig::default()), 4)
+    }
+
+    #[test]
+    fn send_routers_rejects_ids_outside_the_network() {
+        let (mut m, n) = k4();
+        for (src, dst) in [(0, n), (n, 0), (n, n)] {
+            for mode in [RoutingMode::Min, RoutingMode::Adaptive { candidates: 2 }] {
+                let err = m.send_routers(src, dst, 8, 0, mode).unwrap_err();
+                assert!(matches!(err, MotifError::InvalidConfig { .. }), "{err}");
+            }
+        }
+        assert!(m.send_routers(0, 3, 8, 0, RoutingMode::Min).is_ok());
+    }
+
+    #[test]
+    fn send_link_rejects_ids_outside_the_network() {
+        let (mut m, n) = k4();
+        for (u, v) in [(0, n), (n, 0), (n + 7, n)] {
+            let err = m.send_link(u, v, 8, 0).unwrap_err();
+            assert!(matches!(err, MotifError::InvalidConfig { .. }), "{err}");
+        }
+        assert!(m.send_link(0, 3, 8, 0).is_ok());
+    }
+
+    #[test]
+    fn min_path_is_none_outside_the_network() {
+        let (m, n) = k4();
+        for (src, dst) in [(0, n), (n, 0), (n, n)] {
+            assert_eq!(m.min_path(src, dst), None, "{src}→{dst}");
+        }
+        assert_eq!(m.min_path(0, 3).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn ecmp_path_is_none_outside_the_network() {
+        let (mut m, n) = k4();
+        for (src, dst) in [(0, n), (n, 0), (n, n)] {
+            assert_eq!(m.ecmp_path(src, dst), None, "{src}→{dst}");
+        }
+        assert_eq!(m.ecmp_path(0, 3).unwrap().len(), 1);
     }
 
     #[test]

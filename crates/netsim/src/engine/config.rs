@@ -91,6 +91,9 @@ pub enum SimConfigError {
         packet_flits: u32,
         link_latency: u32,
     },
+    /// The fault schedule names a router or link outside the network
+    /// (the `TopoError` text of `FaultSchedule::validate`).
+    InvalidFaultSchedule(String),
     /// `Ugal { candidates }` beyond the fixed scoring scratch.
     TooManyUgalCandidates { candidates: usize, max: usize },
     /// [`RoutingKind::Negotiated`](crate::routing::RoutingKind::Negotiated) with no routes to follow.
@@ -127,6 +130,7 @@ impl std::fmt::Display for SimConfigError {
                 "event wheel of packet_flits ({packet_flits}) + link_latency ({link_latency}) + 2 \
                  slots overflows u32"
             ),
+            SimConfigError::InvalidFaultSchedule(why) => write!(f, "{why}"),
             SimConfigError::TooManyUgalCandidates { candidates, max } => {
                 write!(
                     f,

@@ -1,5 +1,6 @@
-//! Immutable per-run state: the per-epoch routing views and the flat
-//! index maps every shard shares.
+//! Immutable per-run state: the per-epoch routing views — a route table
+//! plus the epoch's [`FaultSet`](polarstar_topo::FaultSet) compiled once
+//! into a [`FaultMask`] — and the flat index maps every shard shares.
 
 use super::config::{FaultResponse, SimConfig, SimResult};
 use super::packet::{ShardStats, NO_PAIR};
@@ -7,13 +8,13 @@ use super::Simulation;
 use crate::negotiate::NegotiatedRoutes;
 use crate::routing::{RouteTable, RoutingKind};
 use crate::traffic::ResolvedPattern;
-use polarstar_topo::network::NetworkSpec;
+use polarstar_topo::fault::FaultMask;
 use std::borrow::Cow;
 
-/// One fault epoch as a shard sees it: the routing state decisions read
-/// while it is the routing view, and the physical failure masks while it
-/// is in force. Every routing-state read of the engine goes through the
-/// methods below.
+/// One fault epoch as a shard sees it: three table reads while it is
+/// the routing view, one compiled fault mask while it is in force.
+/// Every routing-state read of the engine goes through the methods
+/// below.
 pub(super) struct Epoch<'a> {
     /// First cycle of the epoch.
     start: u64,
@@ -23,44 +24,17 @@ pub(super) struct Epoch<'a> {
     /// layers recomputed. [`FaultResponse::Stale`] builds none: its
     /// routing view never leaves epoch 0.
     table: Cow<'a, RouteTable>,
-    /// Per-router failed flag (all-false on a pristine network).
-    /// Packets touching a failed router at either end are dropped — as
-    /// unroutable at injection, as faulted in flight.
-    failed_router: Vec<bool>,
-    /// Dead flag per directed graph edge ([`Graph::edge_range`] order:
-    /// port `p` of router `r` is edge `edge_range(r).start + p`). Dead
-    /// ports carry no traffic in either response mode.
-    ///
-    /// [`Graph::edge_range`]: polarstar_graph::Graph::edge_range
-    dead_port: Vec<bool>,
+    /// The epoch's cumulative faults compiled against the graph
+    /// (bitless on a pristine network). Packets touching a failed
+    /// router at either end are dropped — as unroutable at injection,
+    /// as faulted in flight; dead ports (port `p` of router `r` is CSR
+    /// slot `edge_range(r).start + p`) carry no traffic in either
+    /// response mode.
+    mask: FaultMask,
     graph: &'a polarstar_graph::Graph,
 }
 
-impl<'a> Epoch<'a> {
-    fn new(
-        spec: &'a NetworkSpec,
-        start: u64,
-        faults: &polarstar_topo::FaultSet,
-        table: Cow<'a, RouteTable>,
-    ) -> Self {
-        let g = &spec.graph;
-        let mut dead_port = vec![false; g.directed_edge_count()];
-        if !faults.is_empty() {
-            for r in 0..g.n() as u32 {
-                for (e, &nb) in g.edge_range(r).zip(g.neighbors(r)) {
-                    dead_port[e as usize] = faults.link_failed(r, nb);
-                }
-            }
-        }
-        Epoch {
-            start,
-            table,
-            failed_router: (0..g.n() as u32).map(|r| faults.router_failed(r)).collect(),
-            dead_port,
-            graph: g,
-        }
-    }
-
+impl Epoch<'_> {
     /// Minimal output ports at `r` toward `dst` (empty iff `r == dst`
     /// or `dst` is unreachable in this epoch).
     #[inline]
@@ -80,12 +54,13 @@ impl<'a> Epoch<'a> {
 
     #[inline]
     pub(super) fn router_failed(&self, r: u32) -> bool {
-        self.failed_router[r as usize]
+        self.mask.router_dead(r)
     }
 
     #[inline]
     pub(super) fn port_dead(&self, r: u32, port: usize) -> bool {
-        self.dead_port[self.graph.edge_range(r).start as usize + port]
+        self.mask
+            .link_dead(self.graph.edge_range(r).start + port as u32)
     }
 }
 
@@ -180,20 +155,19 @@ impl<'a> Ctx<'a> {
         };
         let active_eps = active_src.iter().filter(|&&a| a).count();
         let schedule = cfg.fault_schedule.clone().unwrap_or_default();
-        if let Err(e) = schedule.validate(n) {
-            panic!("{e}");
-        }
         let epochs: Vec<Epoch> = schedule
             .epochs(spec.faults())
             .iter()
             .enumerate()
-            .map(|(i, (start, faults))| {
-                let routes_on = if i == 0 || cfg.fault_response == FaultResponse::Stale {
+            .map(|(i, (start, faults))| Epoch {
+                start: *start,
+                table: if i == 0 || cfg.fault_response == FaultResponse::Stale {
                     Cow::Borrowed(table)
                 } else {
                     Cow::Owned(table.remask(spec, faults))
-                };
-                Epoch::new(spec, *start, faults, routes_on)
+                },
+                mask: faults.compile(&spec.graph),
+                graph: &spec.graph,
             })
             .collect();
         let threads = cfg.threads.unwrap_or(1).clamp(1, n);

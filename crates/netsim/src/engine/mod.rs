@@ -113,10 +113,16 @@ impl<'a> Simulation<'a> {
     }
 
     /// Whether the engine can run this description under `cfg`:
-    /// [`SimConfig::validate`] plus the checks that need the routing
-    /// kind. [`Simulation::run`] panics with the error's message.
+    /// [`SimConfig::validate`] plus the checks that need the network
+    /// and the routing kind. [`Simulation::run`] panics with the
+    /// error's message.
     pub fn check(&self, cfg: &SimConfig) -> Result<(), SimConfigError> {
         cfg.validate()?;
+        if let Some(schedule) = &cfg.fault_schedule {
+            schedule
+                .validate(self.spec.graph.n())
+                .map_err(|e| SimConfigError::InvalidFaultSchedule(e.to_string()))?;
+        }
         match self.kind {
             RoutingKind::Ugal { candidates } if candidates > MAX_UGAL_CANDIDATES => {
                 return Err(SimConfigError::TooManyUgalCandidates {

@@ -131,6 +131,38 @@ fn engine_rejects_overflowing_wheel() {
 }
 
 #[test]
+fn check_rejects_a_fault_schedule_outside_the_network() {
+    let spec = k8_spec();
+    let table = RouteTable::builder(&spec.graph).build();
+    let sim = Simulation::new(&spec, &table, RoutingKind::MinMulti, &Pattern::Uniform);
+    let mut cfg = small_cfg(4);
+    let link = FaultSchedule::new().fail_link_at(100, 0, 8);
+    for schedule in [link, FaultSchedule::new().recover_router_at(100, 99)] {
+        let why = schedule.validate(8).unwrap_err().to_string();
+        assert!(why.contains("outside a 8-router graph"), "{why}");
+        cfg.fault_schedule = Some(schedule);
+        let err = SimConfigError::InvalidFaultSchedule(why);
+        assert_eq!(sim.check(&cfg), Err(err));
+    }
+    cfg.fault_schedule = Some(FaultSchedule::new().fail_link_at(100, 0, 7));
+    assert_eq!(sim.check(&cfg), Ok(()));
+}
+
+#[test]
+fn static_faults_outside_the_network_set_nothing() {
+    // Ids the graph does not have compile to no port and no router:
+    // the run is the pristine one.
+    let stray = FaultSet::from_links([(0, 8), (40, 41)]).union(&FaultSet::from_routers([8, 77]));
+    let run = |spec: NetworkSpec| {
+        let (table, kind) = (RouteTable::for_spec(&spec), RoutingKind::MinMulti);
+        simulate(&spec, &table, kind, &Pattern::Uniform, 0.3, &small_cfg(5))
+    };
+    let got = run(k8_spec().with_faults(stray));
+    assert_eq!(got, run(k8_spec()));
+    assert!(got.measured_ejected > 0 && got.unroutable == 0, "{got:?}");
+}
+
+#[test]
 fn unbounded_drain_matches_a_large_finite_one() {
     let spec = k8_spec();
     let table = RouteTable::builder(&spec.graph).build();

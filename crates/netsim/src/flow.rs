@@ -63,7 +63,7 @@
 
 use crate::traffic::{resolve_flows, Pattern};
 use polarstar_graph::Graph;
-use polarstar_topo::fault::FaultSet;
+use polarstar_topo::fault::{FaultMask, FaultSet};
 use polarstar_topo::network::NetworkSpec;
 use polarstar_topo::oracle::{column_next_hops, PathOracle};
 use rayon::prelude::*;
@@ -260,15 +260,17 @@ impl FlowPlan {
     /// asymmetric faults let the DAG use edges outside the undirected
     /// degraded graph, which breaks the reuse lemma.
     ///
-    /// Cost: one pass over every cached DAG to find the dirty pairs
-    /// (O(total DAG entries), ~5 ms for 109 k pairs), then per dirty
-    /// destination one [`PathOracle::distance_column`] and per dirty
-    /// pair one DAG walk. With the analytic backend a faulted column is
-    /// a local repair of the diameter-3 envelope, tens of microseconds
-    /// on a 9 954-router network — so an epoch that dirties 1 % of the
-    /// pairs costs about a tenth of a fresh faulted build, where a BFS
-    /// per destination used to make five epochs slower than five
-    /// rebuilds (`flow.advance_vs_rebuild` in the `benchmark/` ledger).
+    /// Cost: the newly failed set compiled to its [`FaultMask`]
+    /// (O(|added|·log deg)), one pass over every cached DAG reading
+    /// its edge bits to find the dirty pairs (O(total DAG entries),
+    /// ~5 ms for 109 k pairs), then per dirty destination one
+    /// [`PathOracle::distance_column`] and per dirty pair one DAG walk.
+    /// With the analytic backend a faulted column is a local repair of
+    /// the diameter-3 envelope, tens of microseconds on a 9 954-router
+    /// network — so an epoch that dirties 1 % of the pairs costs about
+    /// a tenth of a fresh faulted build, where a BFS per destination
+    /// used to make five epochs slower than five rebuilds
+    /// (`flow.advance_vs_rebuild` in the `benchmark/` ledger).
     pub fn advance_epoch<O: PathOracle + Sync>(
         &mut self,
         spec: &NetworkSpec,
@@ -284,34 +286,17 @@ impl FlowPlan {
         let graph = &spec.graph;
         let full = !removed.is_empty()
             || self.routing == FlowRouting::SinglePath
-            || has_asymmetric_links(next);
+            || !next.compile(graph).is_symmetric();
         let subset: Vec<u32> = if full {
             (0..self.pairs.len() as u32).collect()
         } else {
-            let mut dirty = vec![false; self.net_links];
-            {
-                let mut mark = |u: u32, v: u32| {
-                    if let Some(e) = graph.edge_id(u, v) {
-                        dirty[e as usize] = true;
-                    }
-                };
-                for &(u, v) in added.failed_links() {
-                    mark(u, v);
-                    mark(v, u);
-                }
-                for &r in added.failed_routers() {
-                    for &nb in graph.neighbors(r) {
-                        mark(r, nb);
-                        mark(nb, r);
-                    }
-                }
-            }
+            let dirty = added.compile(graph);
             // Unroutable pairs stay unroutable under monotone fault
             // growth; clean DAGs are reused verbatim.
             (0..self.pairs.len() as u32)
                 .filter(|&i| match &self.dags[i as usize] {
                     None => false,
-                    Some(dag) => dag.iter().any(|&(e, _)| dirty[e as usize]),
+                    Some(dag) => dag.iter().any(|&(e, _)| dirty.edge_dead(e)),
                 })
                 .collect()
         };
@@ -340,11 +325,6 @@ impl FlowPlan {
     /// batched build).
     pub fn num_pairs(&self) -> usize {
         self.pairs.len()
-    }
-
-    /// Total endpoints in the underlying spec.
-    pub fn num_endpoints(&self) -> usize {
-        self.endpoints
     }
 
     /// The routing mode the plan was built with.
@@ -379,14 +359,6 @@ fn plan_flows(
         }
     }
     (flows, rpairs)
-}
-
-/// Whether any explicit link fault is one-directional (laser/port
-/// failures from `FaultSet::from_directed_links`).
-fn has_asymmetric_links(f: &FaultSet) -> bool {
-    f.failed_links()
-        .iter()
-        .any(|&(u, v)| f.failed_links().binary_search(&(v, u)).is_err())
 }
 
 /// Route every pair in `subset` (indices into `pairs`), scattering the
@@ -424,11 +396,9 @@ fn route_pairs<O: PathOracle + Sync>(
             // The column fast path needs the oracle and the graph to
             // agree on the router id space; otherwise fall back to
             // per-pair queries (which bounds-check per query).
-            let col_ok = routing == FlowRouting::EcmpSplit
-                && oracle.num_routers() == graph.n()
-                && oracle.distance_column(rd, col)
-                && col.len() == graph.n();
-            let c = col_ok.then_some(&col[..]);
+            let col_ok = routing == FlowRouting::EcmpSplit && oracle.num_routers() == graph.n();
+            let mask = col_ok.then(|| oracle.distance_column(rd, col)).flatten();
+            let c = (col.len() == graph.n()).then_some(&col[..]).zip(mask);
             idxs.iter()
                 .map(|&i| {
                     let (rs, _) = pairs[i as usize];
@@ -457,7 +427,7 @@ struct WalkScratch {
 /// `None` = unroutable (severed pair, or an oracle path crossing an
 /// edge the graph does not carry — a mismatched oracle/graph pair used
 /// to panic here). `Some(vec![])` = same-router pair (NIC links only).
-/// With a distance column, minimal next hops come from the
+/// With a distance column and its mask, minimal next hops come from the
 /// `distance_column` reconstruction contract; the walk itself is the
 /// exact per-flow walk, so the entries are bitwise identical either way.
 fn route_one_pair<O: PathOracle + ?Sized>(
@@ -466,7 +436,7 @@ fn route_one_pair<O: PathOracle + ?Sized>(
     rs: u32,
     rd: u32,
     routing: FlowRouting,
-    col: Option<&[u32]>,
+    col: Option<(&[u32], &FaultMask)>,
     scratch: &mut WalkScratch,
 ) -> Option<Vec<(u32, f32)>> {
     let WalkScratch { level, next, hops } = scratch;
@@ -489,7 +459,7 @@ fn route_one_pair<O: PathOracle + ?Sized>(
         }
         FlowRouting::EcmpSplit => {
             let d = match col {
-                Some(c) => {
+                Some((c, _)) => {
                     let d = c[rs as usize];
                     if d == u32::MAX {
                         return None;
@@ -509,8 +479,9 @@ fn route_one_pair<O: PathOracle + ?Sized>(
                 for &(v, frac) in level.iter() {
                     hops.clear();
                     match col {
-                        Some(c) => column_next_hops(graph, c, v, |nb| oracle.link_usable(v, nb))
-                            .for_each(|(_, nb)| hops.push(nb)),
+                        Some((c, mask)) => {
+                            column_next_hops(graph, c, v, mask).for_each(|(_, nb)| hops.push(nb))
+                        }
                         None => oracle.min_next_hops(v, rd, hops).ok()?,
                     }
                     if hops.is_empty() {
@@ -776,19 +747,9 @@ impl FlowNetwork {
         self.flow_off.len() - 1
     }
 
-    /// Endpoints in the underlying spec.
-    pub fn num_endpoints(&self) -> usize {
-        self.endpoints
-    }
-
     /// Links (directed router links plus per-endpoint NIC links).
     pub fn num_links(&self) -> usize {
         self.links
-    }
-
-    /// Number of directed router-router links (NIC links excluded).
-    pub fn num_net_links(&self) -> usize {
-        self.net_links
     }
 
     /// Flows dropped at build time as unreachable.

@@ -12,9 +12,9 @@
 //!   occupancy × remaining hops, then route minimally per phase.
 
 use polarstar_graph::Graph;
-use polarstar_topo::fault::FaultSet;
+use polarstar_topo::fault::{FaultMask, FaultSet};
 use polarstar_topo::network::{NetworkSpec, RoutingPolicy};
-use polarstar_topo::oracle::{PathOracle, RouteError};
+use polarstar_topo::oracle::{masked_distance_column, PathOracle, RouteError};
 use rayon::prelude::*;
 
 /// How packets pick output ports.
@@ -182,15 +182,9 @@ impl RouteTable {
     ) -> Self {
         let n = nbr_offsets.len() - 1;
         assert_eq!(graph.n(), n);
-        // The pristine table BFSes the caller's graph directly; only a
-        // real mask pays for the degraded copy.
-        let degraded;
-        let routed = if faults.is_empty() {
-            graph
-        } else {
-            degraded = faults.degraded_graph(graph);
-            &degraded
-        };
+        // The sweeps run over the caller's graph and skip the slots
+        // this mask takes out: no degraded copy is built.
+        let mask = faults.compile(graph);
         // The link classes of the port rule; flat tables have none.
         let group: &[u32] = match policy {
             RoutingPolicy::FlatMinimal => &[],
@@ -204,10 +198,12 @@ impl RouteTable {
             .into_par_iter()
             .map(|dst| {
                 if group.is_empty() {
-                    (polarstar_graph::traversal::bfs_distances(routed, dst), None)
+                    let mut near = Vec::new();
+                    masked_distance_column(graph, &mask, dst, &mut near);
+                    (near, None)
                 } else {
-                    let d0 = local_bfs(routed, group, dst);
-                    (one_global_bfs(routed, group, dst, &d0), Some(d0))
+                    let d0 = local_bfs(graph, &mask, group, dst);
+                    (one_global_bfs(graph, &mask, group, &d0), Some(d0))
                 }
             })
             .collect();
@@ -229,7 +225,7 @@ impl RouteTable {
             live.clear();
             live.extend(row.iter().enumerate().filter_map(|(p, &nb)| {
                 let global = !group.is_empty() && group[r] != group[nb as usize];
-                (!faults.link_failed(r as u32, nb)).then_some((p as u8, nb, global))
+                (!mask.link_dead(nbr_offsets[r] + p as u32)).then_some((p as u8, nb, global))
             }));
             for (dst, (near, far)) in cols.iter().enumerate() {
                 if r != dst && near[r] != u32::MAX {
@@ -353,9 +349,10 @@ impl<'a> RouteTableBuilder<'a> {
         self
     }
 
-    /// Mask a fault set: distances run over the degraded graph, minimal
-    /// ports skip failed links, the neighbor CSR (and so port numbering)
-    /// stays pristine. An empty set builds the pristine table.
+    /// Mask a fault set: distances skip every cable with a failed
+    /// direction or endpoint, minimal ports skip failed links, the
+    /// neighbor CSR (and so port numbering) stays pristine. An empty
+    /// set builds the pristine table.
     pub fn faults(mut self, faults: &'a FaultSet) -> Self {
         self.faults = Some(faults);
         self
@@ -410,17 +407,18 @@ impl PathOracle for RouteTable {
     }
 }
 
-/// BFS to `dst` using only intra-group edges (UNREACHABLE-valued outside
-/// dst's group).
-fn local_bfs(g: &Graph, group: &[u32], dst: u32) -> Vec<u32> {
+/// BFS to `dst` using only live intra-group edges (UNREACHABLE-valued
+/// outside dst's group).
+fn local_bfs(g: &Graph, mask: &FaultMask, group: &[u32], dst: u32) -> Vec<u32> {
     let n = g.n();
     let mut dist = vec![u32::MAX; n];
     let mut queue = std::collections::VecDeque::new();
     dist[dst as usize] = 0;
     queue.push_back(dst);
     while let Some(u) = queue.pop_front() {
-        for &v in g.neighbors(u) {
-            if group[v as usize] == group[u as usize] && dist[v as usize] == u32::MAX {
+        for (e, &v) in g.edge_range(u).zip(g.neighbors(u)) {
+            let fresh = group[v as usize] == group[u as usize] && dist[v as usize] == u32::MAX;
+            if fresh && !mask.edge_dead(e) {
                 dist[v as usize] = dist[u as usize] + 1;
                 queue.push_back(v);
             }
@@ -429,15 +427,15 @@ fn local_bfs(g: &Graph, group: &[u32], dst: u32) -> Vec<u32> {
     dist
 }
 
-/// Shortest distance to `dst` over paths with at most one inter-group
-/// edge, given the pure-local distances `d0` toward `dst`.
+/// Shortest distance to `dst` over live paths with at most one
+/// inter-group edge, given the pure-local distances `d0` toward `dst`.
 ///
 /// A ≤1-global path from `v` is a local prefix to some router `w`, an
 /// optional global hop `w → s`, then a pure-local suffix `s → dst`. So
 /// `d1 = min(d0, local-Dijkstra from seeds seed[w] = min over global
 /// edges (w, s) of d0[s] + 1)` — a bucketed multi-source Dijkstra over
 /// local edges only.
-fn one_global_bfs(g: &Graph, group: &[u32], _dst: u32, d0: &[u32]) -> Vec<u32> {
+fn one_global_bfs(g: &Graph, mask: &FaultMask, group: &[u32], d0: &[u32]) -> Vec<u32> {
     let n = g.n();
     let mut dist1 = d0.to_vec();
     let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); 8];
@@ -451,8 +449,9 @@ fn one_global_bfs(g: &Graph, group: &[u32], _dst: u32, d0: &[u32]) -> Vec<u32> {
     // Seeds: crossing a global edge (w, s) costs d0[s] + 1 at w, plus
     // the pure-local distances themselves.
     for w in 0..n as u32 {
-        for &s in g.neighbors(w) {
-            if group[s as usize] != group[w as usize] && d0[s as usize] != u32::MAX {
+        for (e, &s) in g.edge_range(w).zip(g.neighbors(w)) {
+            let global = group[s as usize] != group[w as usize];
+            if global && d0[s as usize] != u32::MAX && !mask.edge_dead(e) {
                 let cand = d0[s as usize] + 1;
                 if cand < dist1[w as usize] {
                     dist1[w as usize] = cand;
@@ -474,9 +473,9 @@ fn one_global_bfs(g: &Graph, group: &[u32], _dst: u32, d0: &[u32]) -> Vec<u32> {
             if dist1[u as usize] != d as u32 {
                 continue; // stale entry
             }
-            for &v in g.neighbors(u) {
-                if group[v as usize] != group[u as usize] {
-                    continue; // only local propagation
+            for (e, &v) in g.edge_range(u).zip(g.neighbors(u)) {
+                if group[v as usize] != group[u as usize] || mask.edge_dead(e) {
+                    continue; // only live local propagation
                 }
                 let nd = d as u32 + 1;
                 if nd < dist1[v as usize] {

@@ -59,24 +59,28 @@
 //! At 0.2 % failed links on a 9 954-router PolarStar that is ~15 µs
 //! against ~0.75 ms for the degraded-graph BFS it replaced, and it
 //! stays ahead of that BFS through 50 % (EXPERIMENTS.md, "Route
-//! serving"). Debug builds check every repaired column against that
-//! BFS.
+//! serving"). Debug builds check every repaired column against the
+//! masked BFS (`topo::oracle::masked_distance_column`).
 //!
-//! What is kept per epoch: the fault mask and, derived from it by
-//! [`AnalyticOracle::remask`], its dead-edge bits — one bit per
-//! directed link of the product graph (40 KB on the 9 954-router,
-//! degree-32 network, against 2.4 MB of factor-graph state), set when
-//! either direction of the link or either endpoint router failed. The
-//! repair finds dead edges and walks live ones through those bits;
-//! deriving them costs two neighbor-list searches per failed
-//! direction, tens of microseconds for a 0.2 % mask. There is no template cache and no
-//! distance table, so an epoch switch is still an `Arc` clone plus a
-//! mask, no BFS sweep: that is what collapses the
-//! `RouteTable::remask` epoch-install cost (`route_table.remask_ms` in
-//! the `benchmark/` ledger) to microseconds (`analytic.remask_us`), and
-//! what keeps the backend's memory at the router's
-//! factor-graph state. A per-epoch table of answers would trade both
-//! away — it is the thing this backend exists to show is unnecessary.
+//! What is kept per epoch: the fault set and, compiled from it by
+//! [`AnalyticOracle::remask`], its [`FaultMask`] — per directed link of
+//! the product graph one bit for the port rule (this direction or an
+//! endpoint router failed) and one for the distance relation (either
+//! direction or endpoint), plus one bit per router: 81 KB on the
+//! 9 954-router, degree-32 network, against 2.4 MB of factor-graph
+//! state. Every fault read is one of those bits — the walk's edge and
+//! port tests on the slots it already scans, the repair's dead-edge and
+//! live-neighbor iteration, the column's port rule; the sorted fault
+//! lists are searched only to compile them, two neighbor-list searches
+//! per failed direction, tens of microseconds for a 0.2 % mask. There
+//! is no template cache and no distance table, so an epoch switch is
+//! still an `Arc` clone plus a mask, no BFS sweep: that is what
+//! collapses the `RouteTable::remask` epoch-install cost
+//! (`route_table.remask_ms` in the `benchmark/` ledger) to microseconds
+//! (`analytic.remask_us`), and what keeps the backend's memory at the
+//! router's factor-graph state. A per-epoch table of answers would
+//! trade both away — it is the thing this backend exists to show is
+//! unnecessary.
 //!
 //! Equivalence contract (pinned by `tests/analytic_vs_table.rs`):
 //! distances, the full ascending minimal next-hop sets, first next hops
@@ -91,7 +95,7 @@
 use polarstar::network::PolarStarNetwork;
 use polarstar::routing::AnalyticRouter;
 use polarstar_graph::Graph;
-use polarstar_topo::fault::{DeadEdges, FaultSet};
+use polarstar_topo::fault::{FaultMask, FaultSet};
 use polarstar_topo::oracle::{column_next_hops, PathOracle, RouteError};
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -106,8 +110,9 @@ use std::sync::Arc;
 pub struct AnalyticOracle {
     router: Arc<AnalyticRouter>,
     faults: FaultSet,
-    /// `faults.edge_failed` per directed CSR slot, for the column repair.
-    dead: DeadEdges,
+    /// `faults` compiled against the product graph: every fault read
+    /// of a query or a column is a bit of this.
+    mask: FaultMask,
 }
 
 /// How the analytic backend resolved (or would resolve) one query.
@@ -198,29 +203,24 @@ impl AnalyticOracle {
     /// Build the oracle for a network, honoring the static fault mask
     /// its spec already carries.
     pub fn new(net: impl Into<Arc<PolarStarNetwork>>) -> Self {
-        Self::from_router(Arc::new(AnalyticRouter::new(net)))
-    }
-
-    /// Wrap an already-built router (shares its middle lists).
-    pub fn from_router(router: Arc<AnalyticRouter>) -> Self {
+        let router = Arc::new(AnalyticRouter::new(net));
         let faults = router.network().spec.faults().clone();
-        let dead = faults.dead_edges(router.network().graph());
+        let mask = faults.compile(router.network().graph());
         AnalyticOracle {
             router,
             faults,
-            dead,
+            mask,
         }
     }
 
     /// The oracle for a new cumulative fault set: clones the shared
-    /// router `Arc`, swaps the mask and marks its dead edges, one bit
-    /// per directed link — O(|faults|) and no BFS, the whole per-epoch
-    /// cost of the table-free backend.
+    /// router `Arc`, swaps the fault set and compiles it — O(|faults|)
+    /// and no BFS, the whole per-epoch cost of the table-free backend.
     pub fn remask(&self, faults: &FaultSet) -> AnalyticOracle {
         AnalyticOracle {
             router: Arc::clone(&self.router),
             faults: faults.clone(),
-            dead: faults.dead_edges(self.network().graph()),
+            mask: faults.compile(self.network().graph()),
         }
     }
 
@@ -240,13 +240,13 @@ impl AnalyticOracle {
     }
 
     /// Resident bytes of the routing state (factor-graph middles, the
-    /// fault mask and its dead-edge bits) — the table-free counterpart
+    /// fault set and its compiled mask) — the table-free counterpart
     /// of `RouteTable::memory_bytes`.
     pub fn memory_bytes(&self) -> usize {
         self.router.memory_bytes()
             + std::mem::size_of_val(self.faults.failed_links())
             + std::mem::size_of_val(self.faults.failed_routers())
-            + self.dead.memory_bytes()
+            + self.mask.memory_bytes()
     }
 
     /// Which regime answers `(src, dst)` under the current mask. Pure:
@@ -291,7 +291,7 @@ impl AnalyticOracle {
             });
         }
         let unreachable = RouteError::Unreachable { src, dst };
-        if self.faults.router_failed(src) || self.faults.router_failed(dst) {
+        if self.mask.router_dead(src) || self.mask.router_dead(dst) {
             return Err(unreachable);
         }
 
@@ -360,7 +360,7 @@ impl AnalyticOracle {
     /// follows the damage near `dst`, not the size of the mask.
     fn repaired_column_into(&self, dst: u32, out: &mut Vec<u32>, scratch: &mut RepairScratch) {
         let g = self.network().graph();
-        if self.faults.router_failed(dst) {
+        if self.mask.router_dead(dst) {
             out.clear();
             out.resize(g.n(), u32::MAX);
             out[dst as usize] = 0;
@@ -372,9 +372,10 @@ impl AnalyticOracle {
         #[cfg(debug_assertions)]
         {
             // Debug builds verify every repaired column against the
-            // full degraded-graph BFS, as the pristine envelope is
-            // verified against `bfs_distances`.
-            let exact = self.degraded_distances(dst);
+            // full masked BFS, as the pristine envelope is verified
+            // against `bfs_distances`.
+            let mut exact = Vec::new();
+            polarstar_topo::oracle::masked_distance_column(g, &self.mask, dst, &mut exact);
             for (v, &d) in exact.iter().enumerate() {
                 debug_assert_eq!(out[v], d, "repaired distance column {dst}: router {v}");
             }
@@ -393,14 +394,14 @@ impl AnalyticOracle {
             next,
         } = scratch;
         let live_neighbors = |v: u32| {
-            let slots = self.dead.live(g.edge_range(v));
+            let slots = self.mask.live(g.edge_range(v));
             slots.map(|e| g.edge_target(e))
         };
 
         // Level 1 hangs off dst by one edge each.
         lost.clear();
         for (e, &v) in g.edge_range(dst).zip(g.neighbors(dst)) {
-            if self.dead.contains(e) {
+            if self.mask.edge_dead(e) {
                 out[v as usize] = u32::MAX;
                 lost.push(v);
             }
@@ -419,7 +420,7 @@ impl AnalyticOracle {
                 }
             };
             for &p in parents {
-                let dead = self.dead.dead(g.edge_range(p));
+                let dead = self.mask.dead(g.edge_range(p));
                 dead.for_each(|e| suspect(g.edge_target(e)));
             }
             for &p in &lost[parents_lost..] {
@@ -479,27 +480,6 @@ impl AnalyticOracle {
             d += 1;
         }
     }
-
-    /// The BFS the repair replaces, kept as its debug cross-check: it
-    /// probes the fault set itself, not the dead-edge bits.
-    #[cfg(debug_assertions)]
-    fn degraded_distances(&self, dst: u32) -> Vec<u32> {
-        let g = self.network().graph();
-        let mut dist = vec![u32::MAX; g.n()];
-        let mut queue = vec![dst];
-        dist[dst as usize] = 0;
-        let mut head = 0;
-        while let Some(&v) = queue.get(head) {
-            head += 1;
-            for &nb in g.neighbors(v) {
-                if dist[nb as usize] == u32::MAX && !self.faults.edge_failed(v, nb) {
-                    dist[nb as usize] = dist[v as usize] + 1;
-                    queue.push(nb);
-                }
-            }
-        }
-        dist
-    }
 }
 
 /// One query's depth-first walk over the pristine-minimal DAG toward
@@ -535,17 +515,21 @@ impl DagWalk<'_> {
             return true;
         }
         let oracle = self.oracle;
+        let g = oracle.network().graph();
         let v = self.prefix[depth];
         // One hop out, the only continuation is dst itself.
-        let last = [self.dst];
-        let candidates = if r == 1 {
-            &last[..]
+        let slots = if r == 1 {
+            let Some(e) = g.edge_id(v, self.dst) else {
+                return false;
+            };
+            e..e + 1
         } else {
-            oracle.network().graph().neighbors(v)
+            g.edge_range(v)
         };
         let mark = (self.paths.len(), self.hops.as_ref().map_or(0, |h| h.len()));
         let mut alive = false;
-        for &nb in candidates {
+        for e in slots {
+            let nb = g.edge_target(e);
             let wanted = (emit && self.paths.len() < self.k) || (depth == 0 && self.hops.is_some());
             if alive && !wanted {
                 break;
@@ -553,9 +537,9 @@ impl DagWalk<'_> {
             if r > 1 && oracle.router.distance(nb, self.dst) + 1 != r {
                 continue;
             }
-            let edge_alive = !oracle.faults.edge_failed(v, nb);
+            let edge_alive = !oracle.mask.edge_dead(e);
             // The table's directed port rule.
-            let usable = edge_alive || !oracle.faults.link_failed(v, nb);
+            let usable = !oracle.mask.link_dead(e);
             self.prefix[depth + 1] = nb;
             let emit_below = emit && usable && self.paths.len() < self.k;
             if !self.descend(depth + 1, r - 1, emit_below) {
@@ -592,9 +576,8 @@ impl DegradedColumn<'_> {
     /// Live minimal ports of `v` toward `dst`, ascending: the masked
     /// table's rule read off the column.
     fn ports(&self, v: u32) -> impl Iterator<Item = u32> + '_ {
-        let faults = &self.oracle.faults;
-        let usable = move |nb| !faults.link_failed(v, nb);
-        column_next_hops(self.oracle.network().graph(), self.dist, v, usable).map(|(_, nb)| nb)
+        let g = self.oracle.network().graph();
+        column_next_hops(g, self.dist, v, &self.oracle.mask).map(|(_, nb)| nb)
     }
 }
 
@@ -649,8 +632,9 @@ impl PathOracle for AnalyticOracle {
     /// per-destination array scans. Faulted columns repair that
     /// envelope where the mask broke it — the column the per-query
     /// escalation path reads, so it equals per-query
-    /// [`AnalyticOracle::distance`] answers in every epoch.
-    fn distance_column(&self, dst: u32, out: &mut Vec<u32>) -> bool {
+    /// [`AnalyticOracle::distance`] answers in every epoch. Ports are
+    /// read under the epoch's compiled mask.
+    fn distance_column(&self, dst: u32, out: &mut Vec<u32>) -> Option<&FaultMask> {
         let g = self.network().graph();
         let n = g.n();
         if dst as usize >= n {
@@ -658,13 +642,13 @@ impl PathOracle for AnalyticOracle {
             // equivalent is an all-unreachable destination.
             out.clear();
             out.resize(n, u32::MAX);
-            return true;
+            return Some(&self.mask);
         }
         if !self.faults.is_empty() {
             COLUMN_SCRATCH.with_borrow_mut(|scratch| {
                 self.repaired_column_into(dst, out, &mut scratch.repair)
             });
-            return true;
+            return Some(&self.mask);
         }
         pristine_levels(g, dst, out, |_| ());
         #[cfg(debug_assertions)]
@@ -681,13 +665,7 @@ impl PathOracle for AnalyticOracle {
                 );
             }
         }
-        true
-    }
-
-    /// The masked table's directed port rule: a link carries traffic
-    /// unless this epoch failed it (or either endpoint router).
-    fn link_usable(&self, u: u32, v: u32) -> bool {
-        !self.faults.link_failed(u, v)
+        Some(&self.mask)
     }
 
     /// Pristine queries answer with the §9.2 template path directly —
@@ -801,7 +779,7 @@ mod tests {
         let check = |o: &AnalyticOracle| {
             let mut col = Vec::new();
             for dst in 0..n {
-                assert!(o.distance_column(dst, &mut col));
+                assert!(o.distance_column(dst, &mut col).is_some());
                 assert_eq!(col.len(), n as usize);
                 for v in 0..n {
                     let expect = o.distance(v, dst).unwrap_or(u32::MAX);
@@ -819,20 +797,27 @@ mod tests {
         // Out-of-range destinations answer all-unreachable, mirroring
         // the typed per-query error.
         let mut col = Vec::new();
-        assert!(o.distance_column(n, &mut col));
+        assert!(o.distance_column(n, &mut col).is_some());
         assert!(col.iter().all(|&d| d == u32::MAX));
     }
 
     #[test]
     fn link_usable_mirrors_the_directed_port_rule() {
         let o = AnalyticOracle::new(small_net());
-        assert!(o.link_usable(0, 1));
-        let masked = o.remask(&FaultSet::from_directed_links([(0, 1)]));
-        assert!(!masked.link_usable(0, 1));
-        assert!(masked.link_usable(1, 0), "reverse direction stays up");
+        let g = o.network().graph().clone();
+        let (a, b) = (g.neighbors(0)[0], g.neighbors(2)[0]);
+        // Whether the column mask lets `u → v` carry traffic.
+        let usable = |o: &AnalyticOracle, u, v| {
+            let mask = o.distance_column(0, &mut Vec::new()).unwrap();
+            !mask.link_dead(g.edge_id(u, v).unwrap())
+        };
+        assert!(usable(&o, 0, a));
+        let masked = o.remask(&FaultSet::from_directed_links([(0, a)]));
+        assert!(!usable(&masked, 0, a));
+        assert!(usable(&masked, a, 0), "reverse direction stays up");
         let dead = o.remask(&FaultSet::from_routers([2]));
-        assert!(!dead.link_usable(2, 0));
-        assert!(!dead.link_usable(0, 2));
+        assert!(!usable(&dead, 2, b));
+        assert!(!usable(&dead, b, 2));
     }
 
     #[test]

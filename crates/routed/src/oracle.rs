@@ -5,7 +5,7 @@
 use crate::analytic::AnalyticOracle;
 use polarstar::network::PolarStarNetwork;
 use polarstar_netsim::RouteTable;
-use polarstar_topo::fault::FaultSet;
+use polarstar_topo::fault::{FaultMask, FaultSet};
 use polarstar_topo::network::NetworkSpec;
 use polarstar_topo::oracle::{PathOracle, RouteError};
 use std::sync::Arc;
@@ -114,14 +114,6 @@ impl Oracle {
         polarstar_netsim::NegotiatedRoutes::negotiate(&self.spec, self, plan, cfg)
     }
 
-    /// Backend label for manifests and logs.
-    pub fn backend_name(&self) -> &'static str {
-        match &self.backend {
-            Backend::Table(_) => "table",
-            Backend::Analytic(_) => "analytic",
-        }
-    }
-
     /// Resident bytes of the routing state this snapshot queries.
     pub fn memory_bytes(&self) -> usize {
         match &self.backend {
@@ -202,20 +194,13 @@ impl PathOracle for Oracle {
         }
     }
 
-    fn distance_column(&self, dst: u32, out: &mut Vec<u32>) -> bool {
+    fn distance_column(&self, dst: u32, out: &mut Vec<u32>) -> Option<&FaultMask> {
         match &self.backend {
             // The table backend keeps policy-dependent port arenas (a
             // hierarchical table's ports are not reconstructible from
             // distances alone), so it stays on the per-pair path.
-            Backend::Table(_) => false,
+            Backend::Table(_) => None,
             Backend::Analytic(a) => a.distance_column(dst, out),
-        }
-    }
-
-    fn link_usable(&self, u: u32, v: u32) -> bool {
-        match &self.backend {
-            Backend::Table(_) => true,
-            Backend::Analytic(a) => a.link_usable(u, v),
         }
     }
 }

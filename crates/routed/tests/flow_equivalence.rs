@@ -78,7 +78,7 @@ fn batched_build_matches_reference_on_analytic_oracle() {
     let analytic = AnalyticOracle::new(net);
     check_matrix(&spec, &analytic, "analytic pristine");
     // Fault-masked: distance columns switch to the repaired envelope
-    // and link_usable carries the mask; the reference build asks per
+    // read under the compiled mask; the reference build asks per
     // query and never sees a column. Cut cables, then dead routers,
     // then one direction of each cable (where a port may stay usable
     // on an edge the distance relation dropped).

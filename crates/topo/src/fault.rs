@@ -15,6 +15,11 @@
 //! *either* direction is failed — BFS-based distance computations treat a
 //! half-dead link as dead, which is conservative and keeps every derived
 //! path usable in both simulators.
+//!
+//! A `FaultSet` is graph-free; its predicates are the reference. Code
+//! that applies a fault epoch to a graph compiles it once with
+//! [`FaultSet::compile`] and reads the [`FaultMask`]'s bits per CSR
+//! slot — no layer re-derives "is this port dead" from the sorted lists.
 
 use polarstar_graph::Graph;
 use rand::seq::SliceRandom;
@@ -167,33 +172,42 @@ impl FaultSet {
         g.without_edges(&dead)
     }
 
-    /// The [`FaultSet::edge_failed`] relation over `g`, as one bit per
-    /// directed CSR slot: what a per-destination kernel that probes
-    /// every edge it crosses reads instead of four binary searches.
-    /// Costs one `edge_id` per failed direction and per link of a
-    /// failed router; entries that are not edges of `g` set nothing.
-    pub fn dead_edges(&self, g: &Graph) -> DeadEdges {
+    /// Compile the set against `g`: both relations and the router set
+    /// as bits per directed CSR slot / per router — what every consumer
+    /// that already walks CSR slots reads instead of searching the
+    /// sorted lists. O(|faults|·log deg): two `edge_id` searches per
+    /// failed direction, one per link of a failed router. Entries that
+    /// are no edge (or name no router) of `g` set nothing, and the
+    /// empty set allocates nothing.
+    pub fn compile(&self, g: &Graph) -> FaultMask {
         if self.is_empty() {
-            return DeadEdges::default();
+            return FaultMask::default();
         }
-        let mut bits = vec![0u64; g.directed_edge_count().div_ceil(64)];
-        let n = g.n() as u32;
-        let mut kill = |u: u32, v: u32| {
-            if let Some(e) = g.edge_id(u, v) {
-                bits[(e >> 6) as usize] |= 1 << (e & 63);
-            }
+        let words = g.directed_edge_count().div_ceil(64);
+        let mut mask = FaultMask {
+            link: vec![0; words],
+            edge: vec![0; words],
+            router: vec![0; g.n().div_ceil(64)],
         };
+        let set = |bits: &mut [u64], i: u32| bits[(i >> 6) as usize] |= 1 << (i & 63);
+        let n = g.n() as u32;
         for &(u, v) in self.links.iter().filter(|&&(u, v)| u < n && v < n) {
-            kill(u, v);
-            kill(v, u);
+            if let (Some(e), Some(back)) = (g.edge_id(u, v), g.edge_id(v, u)) {
+                set(&mut mask.link, e);
+                set(&mut mask.edge, e);
+                set(&mut mask.edge, back);
+            }
         }
         for &r in self.routers.iter().filter(|&&r| r < n) {
-            for &nb in g.neighbors(r) {
-                kill(r, nb);
-                kill(nb, r);
+            set(&mut mask.router, r);
+            for (e, &nb) in g.edge_range(r).zip(g.neighbors(r)) {
+                for slot in [e, g.edge_id(nb, r).expect("undirected edge")] {
+                    set(&mut mask.link, slot);
+                    set(&mut mask.edge, slot);
+                }
             }
         }
-        DeadEdges { bits }
+        mask
     }
 
     /// Merge another fault set into this one.
@@ -232,22 +246,52 @@ impl FaultSet {
     }
 }
 
-/// One fault epoch's dead undirected edges over one graph, a bit per
-/// directed CSR slot (both slots of a dead edge are set). Built by
-/// [`FaultSet::dead_edges`]; the mask of an empty fault set holds no
-/// bits at all.
+/// One fault epoch compiled against one graph ([`FaultSet::compile`]):
+/// the single place a failure set meets CSR slots. Holds the two
+/// relations a mask has — directed [`FaultSet::link_failed`] (may this
+/// port carry traffic) and undirected [`FaultSet::edge_failed`] (is
+/// this cable in the distance relation) — as one bit per directed slot
+/// each, plus one bit per router. The mask of an empty fault set holds
+/// no bits at all, so every read on a pristine network is a missed
+/// `get`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct DeadEdges {
-    bits: Vec<u64>,
+pub struct FaultMask {
+    link: Vec<u64>,
+    edge: Vec<u64>,
+    router: Vec<u64>,
 }
 
-impl DeadEdges {
-    /// Whether the edge behind directed slot `e` (a [`Graph::edge_id`])
-    /// is out of the distance relation.
+#[inline]
+fn bit(bits: &[u64], i: u32) -> bool {
+    let word = bits.get((i >> 6) as usize);
+    word.is_some_and(|w| w >> (i & 63) & 1 != 0)
+}
+
+impl FaultMask {
+    /// Whether the directed link behind slot `e = (u → v)` (a
+    /// [`Graph::edge_id`]) may not carry traffic: the port rule.
     #[inline]
-    pub fn contains(&self, e: u32) -> bool {
-        let word = self.bits.get((e >> 6) as usize);
-        word.is_some_and(|w| w >> (e & 63) & 1 != 0)
+    pub fn link_dead(&self, e: u32) -> bool {
+        bit(&self.link, e)
+    }
+
+    /// Whether the cable behind slot `e` is out of the distance
+    /// relation: either direction or either endpoint router failed.
+    #[inline]
+    pub fn edge_dead(&self, e: u32) -> bool {
+        bit(&self.edge, e)
+    }
+
+    /// Whether router `r` failed.
+    #[inline]
+    pub fn router_dead(&self, r: u32) -> bool {
+        bit(&self.router, r)
+    }
+
+    /// Whether no fault of the set is one-directional on this graph:
+    /// the port and distance relations coincide.
+    pub fn is_symmetric(&self) -> bool {
+        self.link == self.edge
     }
 
     /// The slots of `slots` whose edge is alive, ascending. Walks the
@@ -264,12 +308,12 @@ impl DeadEdges {
         self.select(slots, true)
     }
 
-    /// The slots of `slots` whose bit equals `dead`, ascending.
+    /// The slots of `slots` whose edge bit equals `dead`, ascending.
     fn select(&self, slots: std::ops::Range<u32>, dead: bool) -> impl Iterator<Item = u32> + '_ {
         let (start, end) = (slots.start, slots.end);
         (start >> 6..end.div_ceil(64)).flat_map(move |w| {
             let base = w << 6;
-            let word = self.bits.get(w as usize).copied().unwrap_or(0);
+            let word = self.edge.get(w as usize).copied().unwrap_or(0);
             let mut picked = if dead { word } else { !word };
             if base < start {
                 picked &= !0 << (start - base);
@@ -287,9 +331,12 @@ impl DeadEdges {
         })
     }
 
-    /// Resident bytes: one bit per directed link, or none when pristine.
+    /// Resident bytes: two bits per directed link and one per router,
+    /// or none when pristine.
     pub fn memory_bytes(&self) -> usize {
-        std::mem::size_of_val(&self.bits[..])
+        std::mem::size_of_val(&self.link[..])
+            + std::mem::size_of_val(&self.edge[..])
+            + std::mem::size_of_val(&self.router[..])
     }
 }
 
@@ -390,11 +437,6 @@ impl FaultSchedule {
             Some(t) => s.recover_at(t, set),
             None => s,
         }
-    }
-
-    /// The cycle of the last event, if any.
-    pub fn last_change(&self) -> Option<u64> {
-        self.events.last().map(|&(c, _)| c)
     }
 
     /// Materialize the cumulative fault epochs, starting from `base` (the
@@ -510,42 +552,46 @@ mod tests {
     }
 
     #[test]
-    fn dead_edges_mirror_edge_failed_on_every_slot() {
+    fn mask_mirrors_the_predicates_on_every_slot() {
         let g = Graph::cycle(9);
-        assert_eq!(FaultSet::empty().dead_edges(&g), DeadEdges::default());
-        assert!(!DeadEdges::default().contains(3));
+        assert_eq!(FaultSet::empty().compile(&g), FaultMask::default());
+        assert!(!FaultMask::default().edge_dead(3));
         // A cut cable, a one-way fault, a dead router, and entries that
         // are no edge of `g` or name no router of it.
         let f = FaultSet::from_links([(0, 1), (2, 6), (40, 41)])
             .union(&FaultSet::from_directed_links([(4, 3), (7, 99)]))
             .union(&FaultSet::from_routers([6, 77]));
-        let dead = f.dead_edges(&g);
-        assert_eq!(dead.memory_bytes(), 8, "18 directed slots: one word");
+        let mask = f.compile(&g);
+        assert_eq!(mask.memory_bytes(), 24, "18 slots, 9 routers: a word each");
+        assert!(!mask.is_symmetric(), "4 → 3 is down, 3 → 4 is not");
         for u in 0..9 {
+            assert_eq!(mask.router_dead(u), f.router_failed(u), "router {u}");
             for (e, &v) in g.edge_range(u).zip(g.neighbors(u)) {
-                assert_eq!(dead.contains(e), f.edge_failed(u, v), "{u}-{v}");
+                assert_eq!(mask.link_dead(e), f.link_failed(u, v), "{u}→{v}");
+                assert_eq!(mask.edge_dead(e), f.edge_failed(u, v), "{u}-{v}");
             }
-            let live: Vec<u32> = dead.live(g.edge_range(u)).collect();
-            let want = g.edge_range(u).filter(|&e| !dead.contains(e));
+            let live: Vec<u32> = mask.live(g.edge_range(u)).collect();
+            let want = g.edge_range(u).filter(|&e| !mask.edge_dead(e));
             assert_eq!(live, want.collect::<Vec<u32>>(), "live slots of {u}");
-            let gone: Vec<u32> = dead.dead(g.edge_range(u)).collect();
-            let want = g.edge_range(u).filter(|&e| dead.contains(e));
+            let gone: Vec<u32> = mask.dead(g.edge_range(u)).collect();
+            let want = g.edge_range(u).filter(|&e| mask.edge_dead(e));
             assert_eq!(gone, want.collect::<Vec<u32>>(), "dead slots of {u}");
         }
         // Ranges that straddle, fill and fall past the mask's words.
         let g = Graph::complete(13); // 156 directed slots
-        let dead = FaultSet::random_links(&g, 0.4, 3).dead_edges(&g);
+        let mask = FaultSet::random_links(&g, 0.4, 3).compile(&g);
+        assert!(mask.is_symmetric());
         for (start, end) in [(0, 156), (60, 70), (64, 128), (5, 5), (100, 156), (0, 200)] {
-            let live: Vec<u32> = dead.live(start..end).collect();
-            let want = (start..end).filter(|&e| !dead.contains(e));
+            let live: Vec<u32> = mask.live(start..end).collect();
+            let want = (start..end).filter(|&e| !mask.edge_dead(e));
             assert_eq!(live, want.collect::<Vec<u32>>(), "{start}..{end}");
-            let gone: Vec<u32> = dead.dead(start..end).collect();
-            let want = (start..end).filter(|&e| dead.contains(e));
+            let gone: Vec<u32> = mask.dead(start..end).collect();
+            let want = (start..end).filter(|&e| mask.edge_dead(e));
             assert_eq!(gone, want.collect::<Vec<u32>>(), "{start}..{end}");
         }
-        let all: Vec<u32> = DeadEdges::default().live(3..9).collect();
+        let all: Vec<u32> = FaultMask::default().live(3..9).collect();
         assert_eq!(all, [3, 4, 5, 6, 7, 8], "a pristine mask kills nothing");
-        assert_eq!(DeadEdges::default().dead(3..9).count(), 0);
+        assert_eq!(FaultMask::default().dead(3..9).count(), 0);
     }
 
     #[test]
@@ -623,7 +669,7 @@ mod tests {
         assert!(epochs[2].1.link_failed(0, 1) && epochs[2].1.router_failed(4));
         // Everything came back: the final epoch is pristine again.
         assert_eq!(epochs[3], (300, FaultSet::empty()));
-        assert_eq!(s.last_change(), Some(300));
+        assert_eq!(s.events().last().unwrap().0, 300);
     }
 
     #[test]

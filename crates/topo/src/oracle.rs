@@ -7,13 +7,15 @@
 //! and the `routed` serving oracle all implement [`PathOracle`], so
 //! analysis code, benchmarks, and the query service are generic over
 //! *how* the answers are precomputed; [`column_next_hops`] is the one
-//! masked minimal-port rule they (and the motif model's private parent
-//! forest) share.
+//! masked minimal-port rule and [`masked_distance_column`] the one
+//! masked BFS they (and the motif model's private parent forest) share,
+//! both reading a compiled [`FaultMask`].
 //!
 //! Unreachable pairs answer with a typed [`RouteError::Unreachable`]
 //! instead of an empty port slice — callers can no longer mistake a
 //! severed pair for a degree-0 router.
 
+use crate::fault::FaultMask;
 use polarstar_graph::Graph;
 use std::fmt;
 
@@ -79,33 +81,25 @@ pub trait PathOracle {
     /// Bulk per-destination distances: overwrite `out` with one entry
     /// per router, where `out[v]` is the hop distance from `v` to `dst`
     /// (`u32::MAX` when no surviving path connects the pair, including
-    /// when `v` or `dst` is a failed router). Returns `false` when the
+    /// when `v` or `dst` is a failed router), and hand back the mask
+    /// the column's ports must be read under — the oracle's compiled
+    /// fault epoch, bitless when pristine. Returns `None` when the
     /// oracle has no bulk path — `out` is then unspecified and callers
     /// fall back to per-pair queries.
     ///
-    /// Contract when returning `true`: entries equal per-query
+    /// Contract when returning `Some(mask)`: entries equal per-query
     /// [`PathOracle::distance`] answers exactly (with `u32::MAX`
-    /// standing in for [`RouteError::Unreachable`]), and together with
-    /// [`PathOracle::link_usable`] the column reconstructs
-    /// [`PathOracle::min_next_hops`] without further queries: `nb` is a
-    /// minimal next hop of `(v, dst)` iff `nb` is a graph neighbor of
-    /// `v` with `link_usable(v, nb) && out[nb] != u32::MAX &&
-    /// out[nb] + 1 == out[v]`, scanned in the oracle's stable neighbor
-    /// order — [`column_next_hops`] is that rule. The batched flow build
-    /// (`polarstar-netsim`'s `FlowNetwork`) leans on this to route one
-    /// shared ECMP DAG per unique router pair instead of querying per
-    /// flow.
-    fn distance_column(&self, _dst: u32, _out: &mut Vec<u32>) -> bool {
-        false
-    }
-
-    /// Whether the directed link `u → v` may carry traffic under the
-    /// oracle's current fault mask — `false` exactly when
-    /// [`PathOracle::min_next_hops`] would exclude `v` at `u` for fault
-    /// reasons rather than distance reasons. Pristine oracles keep the
-    /// default (everything usable).
-    fn link_usable(&self, _u: u32, _v: u32) -> bool {
-        true
+    /// standing in for [`RouteError::Unreachable`]), and column and
+    /// mask together reconstruct [`PathOracle::min_next_hops`] without
+    /// further queries: `nb`, behind CSR slot `e` of `v`, is a minimal
+    /// next hop of `(v, dst)` iff `!mask.link_dead(e) && out[nb] !=
+    /// u32::MAX && out[nb] + 1 == out[v]`, scanned in the oracle's
+    /// stable neighbor order — [`column_next_hops`] is that rule. The
+    /// batched flow build (`polarstar-netsim`'s `FlowNetwork`) leans on
+    /// this to route one shared ECMP DAG per unique router pair instead
+    /// of querying per flow.
+    fn distance_column(&self, _dst: u32, _out: &mut Vec<u32>) -> Option<&FaultMask> {
+        None
     }
 
     /// Whether any surviving path connects the pair (true for
@@ -197,10 +191,10 @@ pub trait PathOracle {
 /// The masked minimal-port rule of [`PathOracle::distance_column`]:
 /// the `(CSR slot, neighbor)` of every minimal next hop of `v` toward
 /// the destination whose distance column is `col`, in `graph`'s CSR
-/// order. `usable(nb)` is the directed-link test `v → nb`
-/// ([`PathOracle::link_usable`], or `!faults.link_failed(v, nb)`); the
-/// column alone carries the distance side, where a half-dead cable is
-/// already dropped. Empty when `v` is the destination or unreachable.
+/// order. The port side reads the directed relation
+/// ([`FaultMask::link_dead`] of the slot `v → nb`); the column alone
+/// carries the distance side, where a half-dead cable is already
+/// dropped. Empty when `v` is the destination or unreachable.
 /// Drain it with `for_each`/`fold`: internal iteration compiles to the
 /// plain neighbor loop, while a `for`/`extend` over the filter made the
 /// motif model's forest build ≈ 20 % slower.
@@ -209,21 +203,47 @@ pub fn column_next_hops<'a>(
     graph: &'a Graph,
     col: &'a [u32],
     v: u32,
-    mut usable: impl FnMut(u32) -> bool + 'a,
+    mask: &'a FaultMask,
 ) -> impl Iterator<Item = (u32, u32)> + 'a {
     let dv = col[v as usize];
     graph
         .edge_range(v)
         .zip(graph.neighbors(v).iter().copied())
-        .filter(move |&(_, nb)| {
+        .filter(move |&(e, nb)| {
             let dn = col[nb as usize];
-            dn != u32::MAX && dn + 1 == dv && usable(nb)
+            dn != u32::MAX && dn + 1 == dv && !mask.link_dead(e)
         })
+}
+
+/// The masked column BFS: hop distances to `dst` over `graph` minus the
+/// cables `mask` takes out of the distance relation
+/// ([`FaultMask::edge_dead`]), into `out` (resized and overwritten;
+/// `u32::MAX` = unreachable). Equal to a BFS over
+/// `FaultSet::degraded_graph`, but on the pristine graph, so CSR slots
+/// keep their meaning for the caller.
+pub fn masked_distance_column(graph: &Graph, mask: &FaultMask, dst: u32, out: &mut Vec<u32>) {
+    out.clear();
+    out.resize(graph.n(), u32::MAX);
+    out[dst as usize] = 0;
+    let mut queue = Vec::with_capacity(graph.n());
+    queue.push(dst);
+    let mut head = 0;
+    while let Some(&u) = queue.get(head) {
+        head += 1;
+        let du = out[u as usize];
+        for (e, &v) in graph.edge_range(u).zip(graph.neighbors(u)) {
+            if out[v as usize] == u32::MAX && !mask.edge_dead(e) {
+                out[v as usize] = du + 1;
+                queue.push(v);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultSet;
 
     /// A hand-rolled oracle over a fixed diamond 0–{1,2}–3 plus an
     /// isolated router 4, exercising every provided method.
@@ -304,14 +324,12 @@ mod tests {
 
     #[test]
     fn bulk_queries_default_to_unsupported() {
-        // Oracles that don't opt in answer `false` (callers fall back to
-        // per-pair queries) and report every directed link usable.
+        // Oracles that don't opt in hand back nothing (callers fall
+        // back to per-pair queries).
         let o = Diamond;
         let mut col = vec![7u32; 3];
-        assert!(!o.distance_column(0, &mut col));
+        assert!(o.distance_column(0, &mut col).is_none());
         assert_eq!(col, vec![7, 7, 7], "unsupported column leaves out alone");
-        assert!(o.link_usable(0, 1));
-        assert!(o.link_usable(4, 0), "default is fault-free");
     }
 
     #[test]
@@ -320,19 +338,20 @@ mod tests {
         // side drops the whole cable 2–3, the port side only 3 → 2.
         let g = Graph::cycle(6);
         let col = [0, 1, 2, 3, 2, 1];
-        let hops = |v, dead: (u32, u32)| -> Vec<(u32, u32)> {
-            column_next_hops(&g, &col, v, |nb| (v, nb) != dead).collect()
+        let hops = |v, dead: &[(u32, u32)]| -> Vec<(u32, u32)> {
+            let mask = FaultSet::from_directed_links(dead.iter().copied()).compile(&g);
+            column_next_hops(&g, &col, v, &mask).collect()
         };
         let slot = |u, v| g.edge_id(u, v).unwrap();
-        assert_eq!(hops(3, (9, 9)), [(slot(3, 2), 2), (slot(3, 4), 4)]);
-        assert_eq!(hops(3, (3, 2)), [(slot(3, 4), 4)]);
-        assert_eq!(hops(2, (3, 2)), [(slot(2, 1), 1)], "2 → 1 is untouched");
-        assert!(hops(0, (9, 9)).is_empty(), "the destination has no port");
+        assert_eq!(hops(3, &[]), [(slot(3, 2), 2), (slot(3, 4), 4)]);
+        assert_eq!(hops(3, &[(3, 2)]), [(slot(3, 4), 4)]);
+        assert_eq!(hops(2, &[(3, 2)]), [(slot(2, 1), 1)], "2 → 1 is untouched");
+        assert!(hops(0, &[]).is_empty(), "the destination has no port");
         // An unreachable neighbor is never a hop, and an unreachable
         // router has none.
-        let cut = [0, 1, u32::MAX, u32::MAX, 2, 1];
-        assert_eq!(column_next_hops(&g, &cut, 3, |_| true).count(), 0);
-        assert_eq!(column_next_hops(&g, &cut, 1, |_| true).count(), 1);
+        let (cut, pristine) = ([0, 1, u32::MAX, u32::MAX, 2, 1], FaultMask::default());
+        assert_eq!(column_next_hops(&g, &cut, 3, &pristine).count(), 0);
+        assert_eq!(column_next_hops(&g, &cut, 1, &pristine).count(), 1);
     }
 
     #[test]

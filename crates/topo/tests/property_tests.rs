@@ -3,8 +3,9 @@
 
 use polarstar_graph::{traversal, Graph};
 use polarstar_topo::er::ErGraph;
-use polarstar_topo::fault::{FaultSchedule, FaultSet};
+use polarstar_topo::fault::{FaultMask, FaultSchedule, FaultSet};
 use polarstar_topo::iq::inductive_quad;
+use polarstar_topo::oracle::masked_distance_column;
 use polarstar_topo::paley::{paley_graph, paley_supernode};
 use polarstar_topo::star::{
     cartesian_product, star_product, star_product_with, vertex_id, vertex_parts,
@@ -190,6 +191,60 @@ proptest! {
         prop_assert_eq!(laser.degraded_graph(&g).m(), g.m() - 1);
         prop_assert_eq!(cut.degraded_graph(&g).m(), g.m() - 1);
         prop_assert_eq!(cut.failed_edge_count(&g), 1);
+    }
+
+    #[test]
+    fn fault_mask_equals_the_reference_predicates(
+        n in 2usize..40,
+        density in 1usize..6,
+        cut in 0u32..60,
+        seed in 0u64..10_000,
+    ) {
+        // A random graph under cable cuts, one-directional faults, dead
+        // routers, pairs that are no edge and ids the graph lacks.
+        let g = polarstar_graph::random::gnm(n, (n * density / 2).min(n * (n - 1) / 2), seed);
+        let nn = n as u32;
+        let cables = FaultSet::random_links(&g, cut as f64 / 100.0, seed);
+        let one_way = FaultSet::from_directed_links(
+            g.edges().filter(|&(u, v)| (u ^ v ^ seed as u32).is_multiple_of(5)).map(|(u, v)| (v, u)),
+        );
+        let stray = FaultSet::from_links([(0, nn), (nn + 3, nn + 4)])
+            .union(&FaultSet::from_directed_links([(seed as u32 % nn, (seed as u32 / 7) % nn)]))
+            .union(&FaultSet::from_routers([nn, nn + 9]));
+        let routers = FaultSet::random_routers(&g, 0.1, seed ^ 0xD1E);
+        for faults in [
+            cables.clone(),
+            one_way.union(&stray),
+            cables.union(&one_way).union(&routers).union(&stray),
+        ] {
+            let mask = faults.compile(&g);
+            for u in 0..nn {
+                prop_assert_eq!(mask.router_dead(u), faults.router_failed(u), "router {}", u);
+                let (mut live, mut dead) = (Vec::new(), Vec::new());
+                for (e, &v) in g.edge_range(u).zip(g.neighbors(u)) {
+                    prop_assert_eq!(mask.link_dead(e), faults.link_failed(u, v), "{}→{}", u, v);
+                    prop_assert_eq!(mask.edge_dead(e), faults.edge_failed(u, v), "{}–{}", u, v);
+                    if faults.edge_failed(u, v) { dead.push(e) } else { live.push(e) }
+                }
+                // Ascending, and together every slot of the range.
+                prop_assert_eq!(mask.live(g.edge_range(u)).collect::<Vec<_>>(), live);
+                prop_assert_eq!(mask.dead(g.edge_range(u)).collect::<Vec<_>>(), dead);
+            }
+            let symmetric = g.edges().all(|(u, v)| faults.link_failed(u, v) == faults.link_failed(v, u));
+            prop_assert_eq!(mask.is_symmetric(), symmetric);
+            let degraded = faults.degraded_graph(&g);
+            let mut col = Vec::new();
+            for dst in 0..nn {
+                masked_distance_column(&g, &mask, dst, &mut col);
+                prop_assert_eq!(&col, &traversal::bfs_distances(&degraded, dst), "column {}", dst);
+            }
+        }
+        // Nothing failed: nothing allocated, nothing dead.
+        let pristine = FaultSet::empty().compile(&g);
+        prop_assert_eq!(pristine.memory_bytes(), 0);
+        prop_assert_eq!(&pristine, &FaultMask::default());
+        prop_assert!(pristine.is_symmetric() && !pristine.link_dead(0) && !pristine.router_dead(0));
+        prop_assert_eq!(pristine.live(0..5).collect::<Vec<_>>(), [0, 1, 2, 3, 4]);
     }
 
     #[test]
