@@ -94,6 +94,12 @@ pub enum SimConfigError {
     /// The fault schedule names a router or link outside the network
     /// (the `TopoError` text of `FaultSchedule::validate`).
     InvalidFaultSchedule(String),
+    /// The route table was built on another graph, so its ports index
+    /// the wrong adjacency. Both pairs are (routers, directed links).
+    RouteTableMismatch {
+        table: (usize, usize),
+        network: (usize, usize),
+    },
     /// `Ugal { candidates }` beyond the fixed scoring scratch.
     TooManyUgalCandidates { candidates: usize, max: usize },
     /// [`RoutingKind::Negotiated`](crate::routing::RoutingKind::Negotiated) with no routes to follow.
@@ -131,6 +137,12 @@ impl std::fmt::Display for SimConfigError {
                  slots overflows u32"
             ),
             SimConfigError::InvalidFaultSchedule(why) => write!(f, "{why}"),
+            SimConfigError::RouteTableMismatch { table, network } => write!(
+                f,
+                "route table built for a different graph: {} routers / {} links, \
+                 the network has {} / {}",
+                table.0, table.1, network.0, network.1
+            ),
             SimConfigError::TooManyUgalCandidates { candidates, max } => {
                 write!(
                     f,

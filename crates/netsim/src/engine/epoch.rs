@@ -18,11 +18,13 @@ use std::borrow::Cow;
 pub(super) struct Epoch<'a> {
     /// First cycle of the epoch.
     start: u64,
-    /// The table routing decisions read: the caller's for epoch 0, a
-    /// [`RouteTable::remask`] the run owns for later epochs — pristine
-    /// CSR and port numbering retained, only the BFS distance and port
-    /// layers recomputed. [`FaultResponse::Stale`] builds none: its
-    /// routing view never leaves epoch 0.
+    /// The table routing decisions read: the caller's for epoch 0 and
+    /// for every later epoch whose mask equals the one that table was
+    /// assembled under (a recovery back to it), else a
+    /// [`RouteTable::remask`] the run owns — pristine CSR and port
+    /// numbering retained, only the distance and port layers
+    /// reassembled. [`FaultResponse::Stale`] builds none: its routing
+    /// view never leaves epoch 0.
     table: Cow<'a, RouteTable>,
     /// The epoch's cumulative faults compiled against the graph
     /// (bitless on a pristine network). Packets touching a failed
@@ -35,6 +37,12 @@ pub(super) struct Epoch<'a> {
 }
 
 impl Epoch<'_> {
+    /// Whether the run built this epoch's table (false: the caller's).
+    #[cfg(test)]
+    pub(super) fn owns_table(&self) -> bool {
+        matches!(self.table, Cow::Owned(_))
+    }
+
     /// Minimal output ports at `r` toward `dst` (empty iff `r == dst`
     /// or `dst` is unreachable in this epoch).
     #[inline]
@@ -120,7 +128,6 @@ impl<'a> Ctx<'a> {
             spec, table, kind, ..
         } = *sim;
         let n = spec.graph.n();
-        assert_eq!(table.n(), n, "route table built for a different graph");
         let mut deg_off = Vec::with_capacity(n + 1);
         deg_off.push(0u32);
         for r in 0..n as u32 {
@@ -159,15 +166,20 @@ impl<'a> Ctx<'a> {
             .epochs(spec.faults())
             .iter()
             .enumerate()
-            .map(|(i, (start, faults))| Epoch {
-                start: *start,
-                table: if i == 0 || cfg.fault_response == FaultResponse::Stale {
-                    Cow::Borrowed(table)
-                } else {
-                    Cow::Owned(table.remask(spec, faults))
-                },
-                mask: faults.compile(&spec.graph),
-                graph: &spec.graph,
+            .map(|(i, (start, faults))| {
+                let mask = faults.compile(&spec.graph);
+                let shared =
+                    i == 0 || cfg.fault_response == FaultResponse::Stale || mask == *table.mask();
+                Epoch {
+                    start: *start,
+                    table: if shared {
+                        Cow::Borrowed(table)
+                    } else {
+                        Cow::Owned(table.remask(spec, faults))
+                    },
+                    mask,
+                    graph: &spec.graph,
+                }
             })
             .collect();
         let threads = cfg.threads.unwrap_or(1).clamp(1, n);

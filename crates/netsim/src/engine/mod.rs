@@ -123,6 +123,14 @@ impl<'a> Simulation<'a> {
                 .validate(self.spec.graph.n())
                 .map_err(|e| SimConfigError::InvalidFaultSchedule(e.to_string()))?;
         }
+        // Ports are offsets into the table's neighbor CSR; on any other
+        // graph they name the wrong link, or none.
+        let g = &self.spec.graph;
+        let network = (g.n(), g.directed_edge_count());
+        let table = (self.table.n(), self.table.num_links());
+        if table != network {
+            return Err(SimConfigError::RouteTableMismatch { table, network });
+        }
         match self.kind {
             RoutingKind::Ugal { candidates } if candidates > MAX_UGAL_CANDIDATES => {
                 return Err(SimConfigError::TooManyUgalCandidates {
@@ -140,9 +148,7 @@ impl<'a> Simulation<'a> {
             (true, Some(neg)) => {
                 // Hop slots are CSR offsets of the graph they were
                 // negotiated on; on any other graph they name no port.
-                let g = &self.spec.graph;
                 let routes = (neg.num_routers(), neg.num_links());
-                let network = (g.n(), g.directed_edge_count());
                 if routes == network {
                     Ok(())
                 } else {

@@ -232,6 +232,70 @@ fn negotiated_routes_and_kind_must_come_together() {
 }
 
 #[test]
+fn check_rejects_a_route_table_built_on_another_graph() {
+    // A table for another router count (K9) or another link count (K8
+    // minus a cable) holds ports that index the wrong adjacency here: a
+    // typed error from `check`, not a panic (or silence) in setup.
+    let spec = k8_spec();
+    let cfg = small_cfg(3);
+    for other in [
+        Graph::complete(9),
+        Graph::complete(8).without_edges(&[(0, 1)]),
+    ] {
+        let foreign = RouteTable::builder(&other).build();
+        let sim = Simulation::new(&spec, &foreign, RoutingKind::MinMulti, &Pattern::Uniform);
+        assert_eq!(
+            sim.check(&cfg),
+            Err(SimConfigError::RouteTableMismatch {
+                table: (other.n(), other.directed_edge_count()),
+                network: (8, 56),
+            })
+        );
+    }
+    let own = RouteTable::for_spec(&spec);
+    let sim = Simulation::new(&spec, &own, RoutingKind::MinMulti, &Pattern::Uniform);
+    assert_eq!(sim.check(&cfg), Ok(()));
+}
+
+#[test]
+#[should_panic(expected = "route table built for a different graph: 9 routers / 72 links")]
+fn engine_rejects_a_foreign_route_table() {
+    let spec = k8_spec();
+    let foreign = RouteTable::builder(&Graph::complete(9)).build();
+    let kind = RoutingKind::MinSingle;
+    let _ = simulate(&spec, &foreign, kind, &Pattern::Uniform, 0.1, &small_cfg(1));
+}
+
+#[test]
+fn epochs_back_on_the_callers_mask_borrow_its_table() {
+    // Fail a cable, fail a second, recover both: epochs 0 and 3 compile
+    // to the mask the caller's table was assembled under and share it;
+    // only the two degraded epochs own a re-masked table. A stale
+    // control plane owns none.
+    let spec = k8_spec().with_faults(FaultSet::from_links([(2, 3)]));
+    let table = RouteTable::for_spec(&spec);
+    let sim = Simulation::new(&spec, &table, RoutingKind::MinMulti, &Pattern::Uniform);
+    let schedule = FaultSchedule::new()
+        .fail_link_at(100, 0, 1)
+        .fail_link_at(200, 4, 5)
+        .recover_at(300, FaultSet::from_links([(0, 1), (4, 5)]));
+    for (response, owned) in [
+        (FaultResponse::Reroute, [false, true, true, false]),
+        (FaultResponse::Stale, [false; 4]),
+    ] {
+        let cfg = SimConfig {
+            fault_schedule: Some(schedule.clone()),
+            fault_response: response,
+            ..small_cfg(6)
+        };
+        let resolved = resolve(sim.pattern, sim.spec, 0);
+        let ctx = Ctx::new(&sim, resolved, 0.1, cfg);
+        let got: Vec<bool> = ctx.epochs.iter().map(|e| e.owns_table()).collect();
+        assert_eq!(got, owned, "{response:?}");
+    }
+}
+
+#[test]
 #[should_panic(expected = "RoutingKind::Negotiated requires negotiated routes")]
 fn engine_rejects_negotiated_kind_without_routes() {
     let spec = k8_spec();

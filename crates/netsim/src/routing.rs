@@ -14,7 +14,7 @@
 use polarstar_graph::Graph;
 use polarstar_topo::fault::{FaultMask, FaultSet};
 use polarstar_topo::network::{NetworkSpec, RoutingPolicy};
-use polarstar_topo::oracle::{masked_distance_column, PathOracle, RouteError};
+use polarstar_topo::oracle::{masked_distance_block, PathOracle, RouteError};
 use rayon::prelude::*;
 
 /// How packets pick output ports.
@@ -77,11 +77,21 @@ pub struct RouteTable {
     /// nbrs[nbr_offsets[r]..nbr_offsets[r + 1]], in port order.
     nbr_offsets: Vec<u32>,
     nbrs: Vec<u32>,
+    /// The compiled fault epoch `dist` and `ports` were assembled under
+    /// (bitless when pristine).
+    mask: FaultMask,
 }
 
-/// One destination's distance columns `(near, far)` (see
-/// [`RouteTable::assemble`]); `far: None` means "same as `near`".
-type Columns = (Vec<u32>, Option<Vec<u32>>);
+/// What the port fill asks of a neighbor when no port may match — the
+/// router is the destination or cannot reach it: one below
+/// [`RouteTable::UNREACHABLE`], a value no arena entry takes.
+const NO_HOP: u16 = RouteTable::UNREACHABLE - 1;
+
+/// Whether the `n × n` distance arena `d` reads the same by rows and by
+/// columns.
+fn is_symmetric(d: &[u16], n: usize) -> bool {
+    (0..n).all(|a| (0..a).all(|b| d[a * n + b] == d[b * n + a]))
+}
 
 /// Copy a graph's adjacency into one CSR pair (offsets are `n + 1`).
 fn neighbor_csr(g: &Graph) -> (Vec<u32>, Vec<u32>) {
@@ -98,9 +108,9 @@ fn neighbor_csr(g: &Graph) -> (Vec<u32>, Vec<u32>) {
 }
 
 impl RouteTable {
-    /// Distance sentinel for pairs no surviving path connects (always the
-    /// stored value when the BFS distance exceeds `u16::MAX`, which only
-    /// happens for genuinely unreachable pairs on these topologies).
+    /// Distance sentinel for pairs no surviving path connects. Never a
+    /// real distance: the builder refuses graphs of 65 535 routers or
+    /// more, so a real one is at most 65 533.
     pub const UNREACHABLE: u16 = u16::MAX;
 
     /// The single construction entry point: a [`RouteTableBuilder`] over
@@ -138,53 +148,78 @@ impl RouteTable {
             .build()
     }
 
-    /// Rebuild the distance and minimal-port layers for a new cumulative
-    /// fault set, reusing this table's pristine neighbor CSR — and with
-    /// it the port numbering the engine's flattened state is indexed by.
+    /// The table for a new cumulative fault set over this table's
+    /// pristine neighbor CSR — and with it the port numbering the
+    /// engine's flattened state is indexed by.
     ///
-    /// This is the route-table *epoch* path of live fault schedules: per
-    /// epoch only the BFS layers are recomputed; the CSR is cloned, never
-    /// re-derived from the graph, so port indices stay valid across the
-    /// switch. The policy and group structure come from `spec` (which
-    /// must be the spec this table was built for).
+    /// This is the route-table *epoch* path of live fault schedules. A
+    /// set that compiles to the mask this table was assembled under
+    /// (a recovery back to it, faults naming no link of the graph) is
+    /// this table again and costs one copy; any other reruns the
+    /// assembler's two passes (block BFS, port fill) — tens of
+    /// milliseconds at 1 064 routers — over the cloned CSR, never
+    /// re-derived from the graph, so port indices stay valid across
+    /// the switch. Holders of a shared table compare
+    /// [`RouteTable::mask`] themselves and skip even the copy. The
+    /// policy and group structure come from `spec` (which must be the
+    /// spec this table was built for).
     pub fn remask(&self, spec: &NetworkSpec, faults: &FaultSet) -> RouteTable {
-        assert_eq!(spec.graph.n(), self.n, "spec does not match this table");
+        let network = (spec.graph.n(), spec.graph.directed_edge_count());
+        assert_eq!(
+            (self.n, self.num_links()),
+            network,
+            "spec does not match this table (routers, directed links)"
+        );
+        let mask = faults.compile(&spec.graph);
+        if mask == self.mask {
+            return self.clone();
+        }
         Self::assemble(
             (self.nbr_offsets.clone(), self.nbrs.clone()),
             &spec.graph,
             spec.routing_policy(),
             Some(&spec.group),
-            faults,
+            mask,
         )
     }
 
-    /// The one table assembler: distances over `graph` minus `faults`,
-    /// minimal ports over the pristine neighbor CSR with failed directed
-    /// links masked out. Pairs the fault set disconnects keep
-    /// [`RouteTable::UNREACHABLE`] distance and an empty port set.
+    /// The one table assembler: distances over `graph` minus the cables
+    /// `mask` takes out, minimal ports over the pristine neighbor CSR
+    /// with failed directed links masked out. Pairs the mask disconnects
+    /// keep [`RouteTable::UNREACHABLE`] distance and an empty port set.
     ///
-    /// Every policy is the same port rule over two per-destination
-    /// distance columns: a neighbor across a *local* link is judged on
-    /// `near` (the routed distance `dist` stores), one across a *global*
-    /// link on `far`. [`RoutingPolicy::HierarchicalMinimal`] — minimal
-    /// paths with at most one inter-group link, BookSim's built-in
-    /// Dragonfly/Megafly MIN discipline — sets `near` to the ≤1-global
-    /// distance and `far` to the pure-local one, so a global port is
+    /// Every policy is the same port rule over two distance arenas: a
+    /// neighbor across a *local* link is judged on `near` (the routed
+    /// distance `dist` stores), one across a *global* link on `far`.
+    /// [`RoutingPolicy::HierarchicalMinimal`] — minimal paths with at
+    /// most one inter-group link, BookSim's built-in Dragonfly/Megafly
+    /// MIN discipline — sets `near` to the ≤1-global distance and `far`
+    /// to the pure-local one (a temporary arena), so a global port is
     /// minimal only if the remainder from its far end is purely local
     /// and no path ever takes two globals. [`RoutingPolicy::FlatMinimal`]
-    /// has one BFS column and no link classes.
+    /// has one arena and no link classes.
+    ///
+    /// **Distances** go straight into the `u16` arenas, fanned out over
+    /// rayon: flat tables by [`masked_distance_block`], 64 destinations
+    /// per graph sweep; hierarchical ones by one `local_bfs` /
+    /// `one_global_bfs` per destination row.
+    ///
+    /// **Ports** lean on the distance relation being undirected (a mask
+    /// takes both slots of a cable out of it, and a ≤1-global path
+    /// reverses to one), so row `x` of an arena is also "from `x` to
+    /// every destination". The fill for router `r` streams `dst` over
+    /// `r`'s own row and the judged rows of its live ports — a few
+    /// dozen cache-resident rows — writing every candidate port and
+    /// advancing by the match, in (r, dst, ascending port) order.
     fn assemble(
         (nbr_offsets, nbrs): (Vec<u32>, Vec<u32>),
         graph: &Graph,
         policy: RoutingPolicy,
         group: Option<&[u32]>,
-        faults: &FaultSet,
+        mask: FaultMask,
     ) -> Self {
         let n = nbr_offsets.len() - 1;
         assert_eq!(graph.n(), n);
-        // The sweeps run over the caller's graph and skip the slots
-        // this mask takes out: no degraded copy is built.
-        let mask = faults.compile(graph);
         // The link classes of the port rule; flat tables have none.
         let group: &[u32] = match policy {
             RoutingPolicy::FlatMinimal => &[],
@@ -194,51 +229,64 @@ impl RouteTable {
                 group
             }
         };
-        let cols: Vec<Columns> = (0..n as u32)
-            .into_par_iter()
-            .map(|dst| {
-                if group.is_empty() {
-                    let mut near = Vec::new();
-                    masked_distance_column(graph, &mask, dst, &mut near);
-                    (near, None)
-                } else {
-                    let d0 = local_bfs(graph, &mask, group, dst);
-                    (one_global_bfs(graph, &mask, group, &d0), Some(d0))
-                }
-            })
-            .collect();
+        // The sweeps run over the caller's graph and skip the slots
+        // the mask takes out: no degraded copy is built.
         let mut dist = vec![0u16; n * n];
-        for (dst, (near, _)) in cols.iter().enumerate() {
-            for (r, &x) in near.iter().enumerate() {
-                dist[dst * n + r] = x.min(u16::MAX as u32) as u16;
-            }
+        let mut far = Vec::new();
+        if group.is_empty() {
+            dist.par_chunks_mut(64 * n)
+                .enumerate()
+                .for_each(|(block, rows)| {
+                    masked_distance_block(graph, &mask, (block * 64) as u32, rows)
+                });
+        } else {
+            far.resize(n * n, 0u16);
+            far.par_chunks_mut(n)
+                .enumerate()
+                .for_each(|(dst, d0)| local_bfs(graph, &mask, group, dst as u32, d0));
+            dist.par_chunks_mut(n).enumerate().for_each(|(dst, d1)| {
+                one_global_bfs(graph, &mask, group, &far[dst * n..][..n], d1)
+            });
         }
+        debug_assert!(
+            is_symmetric(&dist, n) && (far.is_empty() || is_symmetric(&far, n)),
+            "the port fill reads arena rows as columns: distances must be undirected"
+        );
         let mut port_offsets = Vec::with_capacity(n * n + 1);
         // Every reachable ordered pair contributes at least one minimal
         // port, so n·(n−1) is a lower bound on the arena size.
         let mut ports = Vec::with_capacity(n * n.saturating_sub(1));
         port_offsets.push(0u32);
-        // Surviving (port, neighbor, crosses a global link) of one router.
-        let mut live: Vec<(u8, u32, bool)> = Vec::new();
+        // Surviving (port, judged row of its neighbor) of one router.
+        let mut live: Vec<(u8, &[u16])> = Vec::new();
+        // The distance a minimal next hop of that router has per `dst`.
+        let mut want = vec![0u16; n];
         for r in 0..n {
             let row = &nbrs[nbr_offsets[r] as usize..nbr_offsets[r + 1] as usize];
             live.clear();
             live.extend(row.iter().enumerate().filter_map(|(p, &nb)| {
                 let global = !group.is_empty() && group[r] != group[nb as usize];
-                (!mask.link_dead(nbr_offsets[r] + p as u32)).then_some((p as u8, nb, global))
+                let judged = if global { &far } else { &dist };
+                (!mask.link_dead(nbr_offsets[r] + p as u32))
+                    .then(|| (p as u8, &judged[nb as usize * n..][..n]))
             }));
-            for (dst, (near, far)) in cols.iter().enumerate() {
-                if r != dst && near[r] != u32::MAX {
-                    let far = far.as_ref().unwrap_or(near);
-                    for &(p, nb, global) in &live {
-                        let judged = if global { far } else { near };
-                        if judged[nb as usize].saturating_add(1) == near[r] {
-                            ports.push(p);
-                        }
-                    }
-                }
-                port_offsets.push(ports.len() as u32);
+            // One below the router's own distance; an unreachable `dst`
+            // lands on NO_HOP by itself, `r` is put there.
+            for (w, &d) in want.iter_mut().zip(&dist[r * n..][..n]) {
+                *w = d.wrapping_sub(1);
             }
+            want[r] = NO_HOP;
+            let mut len = ports.len();
+            ports.resize(len + n * live.len(), 0);
+            for (dst, &w) in want.iter().enumerate() {
+                for &(p, judged) in &live {
+                    ports[len] = p;
+                    len += usize::from(judged[dst] == w);
+                }
+                port_offsets.push(len as u32);
+            }
+            ports.truncate(len);
+            assert!(len <= u32::MAX as usize, "port arena overflows u32 offsets");
         }
         RouteTable {
             n,
@@ -247,6 +295,7 @@ impl RouteTable {
             ports,
             nbr_offsets,
             nbrs,
+            mask,
         }
     }
 
@@ -286,6 +335,13 @@ impl RouteTable {
         self.nbrs[self.nbr_offsets[r as usize] as usize + port as usize]
     }
 
+    /// The neighbor behind the first minimal port of `r` toward `dst`.
+    #[inline]
+    fn first_hop(&self, r: u32, dst: u32) -> Option<u32> {
+        let &port = self.min_ports(r, dst).first()?;
+        Some(self.neighbor(r, port))
+    }
+
     /// All neighbors of router `r`, in port order.
     #[inline]
     pub fn neighbors(&self, r: u32) -> &[u32] {
@@ -299,20 +355,36 @@ impl RouteTable {
         (self.nbr_offsets[r as usize + 1] - self.nbr_offsets[r as usize]) as usize
     }
 
+    /// Directed links of the neighbor CSR — with [`RouteTable::n`], the
+    /// shape a table and the network it routes must share.
+    pub fn num_links(&self) -> usize {
+        self.nbrs.len()
+    }
+
+    /// The compiled fault epoch this table was assembled under (bitless
+    /// when pristine). A fault set that compiles to an equal mask is
+    /// served by this very table: [`RouteTable::remask`] hands back a
+    /// copy, and holders of a shared table (the serving oracle's `Arc`,
+    /// the engine's borrowed epoch 0) keep sharing it.
+    pub fn mask(&self) -> &FaultMask {
+        &self.mask
+    }
+
     /// Total table entries (for the paper's storage comparison).
     pub fn storage_entries(&self) -> usize {
         self.ports.len()
     }
 
-    /// Bytes held by the table's flat arenas (capacity overshoot and the
-    /// struct header excluded). Lets sweeps budget per-config routing
-    /// state up front.
+    /// Bytes held by the table's flat arenas and its fault mask (none
+    /// when pristine); capacity overshoot and the struct header
+    /// excluded. Lets sweeps budget per-config routing state up front.
     pub fn memory_bytes(&self) -> usize {
         self.dist.len() * std::mem::size_of::<u16>()
             + self.port_offsets.len() * std::mem::size_of::<u32>()
             + self.ports.len() * std::mem::size_of::<u8>()
             + self.nbr_offsets.len() * std::mem::size_of::<u32>()
             + self.nbrs.len() * std::mem::size_of::<u32>()
+            + self.mask.memory_bytes()
     }
 }
 
@@ -361,18 +433,26 @@ impl<'a> RouteTableBuilder<'a> {
     /// Construct the table.
     ///
     /// # Panics
-    /// If the policy is hierarchical and no group was attached, or the
-    /// group length does not match the graph.
+    /// If the policy is hierarchical and no group was attached, the
+    /// group length does not match the graph, or the graph is too large
+    /// for `u8` ports or `u16` distances.
     pub fn build(self) -> RouteTable {
-        assert!(self.graph.n() > 0);
+        let n = self.graph.n();
+        assert!(n > 0);
         assert!(self.graph.max_degree() < 256, "ports are stored as u8");
-        let pristine = FaultSet::empty();
+        assert!(
+            n < RouteTable::UNREACHABLE as usize,
+            "distances are stored as u16: {n} routers could reach the sentinel"
+        );
+        let mask = self
+            .faults
+            .map_or_else(FaultMask::default, |f| f.compile(self.graph));
         RouteTable::assemble(
             neighbor_csr(self.graph),
             self.graph,
             self.policy,
             self.group,
-            self.faults.unwrap_or(&pristine),
+            mask,
         )
     }
 }
@@ -405,41 +485,101 @@ impl PathOracle for RouteTable {
         }
         Ok(())
     }
+
+    // The three walks below answer as the provided methods do (same
+    // next-hop order, same typed errors), reading `min_ports` slices in
+    // place instead of copying every router's next hops into a fresh
+    // `Vec`.
+
+    fn next_hop(&self, src: u32, dst: u32) -> Result<u32, RouteError> {
+        PathOracle::distance(self, src, dst)?;
+        if src == dst {
+            return Ok(dst);
+        }
+        self.first_hop(src, dst)
+            .ok_or(RouteError::Unreachable { src, dst })
+    }
+
+    fn path(&self, src: u32, dst: u32) -> Result<Vec<u32>, RouteError> {
+        let hops = PathOracle::distance(self, src, dst)? as usize;
+        let mut path = Vec::with_capacity(hops + 1);
+        path.push(src);
+        let mut cur = src;
+        while cur != dst {
+            cur = self
+                .first_hop(cur, dst)
+                .ok_or(RouteError::Unreachable { src, dst })?;
+            path.push(cur);
+        }
+        Ok(path)
+    }
+
+    fn k_paths(&self, src: u32, dst: u32, k: usize) -> Result<Vec<Vec<u32>>, RouteError> {
+        let hops = PathOracle::distance(self, src, dst)? as usize;
+        if k == 0 {
+            return Ok(Vec::new());
+        }
+        if src == dst {
+            return Ok(vec![vec![src]]);
+        }
+        // Depth-first over the minimal-path DAG in port order: the stack
+        // is the current prefix, each router with the index of the
+        // minimal port it tries next.
+        let mut out = Vec::new();
+        let mut stack: Vec<(u32, usize)> = Vec::with_capacity(hops);
+        stack.push((src, 0));
+        while let Some((r, tried)) = stack.last_mut() {
+            let Some(&port) = self.min_ports(*r, dst).get(*tried) else {
+                stack.pop();
+                continue;
+            };
+            *tried += 1;
+            let next = self.neighbor(*r, port);
+            if next != dst {
+                stack.push((next, 0));
+                continue;
+            }
+            out.push(stack.iter().map(|&(r, _)| r).chain([dst]).collect());
+            if out.len() == k {
+                break;
+            }
+        }
+        Ok(out)
+    }
 }
 
-/// BFS to `dst` using only live intra-group edges (UNREACHABLE-valued
-/// outside dst's group).
-fn local_bfs(g: &Graph, mask: &FaultMask, group: &[u32], dst: u32) -> Vec<u32> {
-    let n = g.n();
-    let mut dist = vec![u32::MAX; n];
+/// BFS to `dst` using only live intra-group edges, into `d0`
+/// (UNREACHABLE-valued outside dst's group).
+fn local_bfs(g: &Graph, mask: &FaultMask, group: &[u32], dst: u32, d0: &mut [u16]) {
+    d0.fill(RouteTable::UNREACHABLE);
     let mut queue = std::collections::VecDeque::new();
-    dist[dst as usize] = 0;
+    d0[dst as usize] = 0;
     queue.push_back(dst);
     while let Some(u) = queue.pop_front() {
         for (e, &v) in g.edge_range(u).zip(g.neighbors(u)) {
-            let fresh = group[v as usize] == group[u as usize] && dist[v as usize] == u32::MAX;
+            let fresh =
+                group[v as usize] == group[u as usize] && d0[v as usize] == RouteTable::UNREACHABLE;
             if fresh && !mask.edge_dead(e) {
-                dist[v as usize] = dist[u as usize] + 1;
+                d0[v as usize] = d0[u as usize] + 1;
                 queue.push_back(v);
             }
         }
     }
-    dist
 }
 
 /// Shortest distance to `dst` over live paths with at most one
-/// inter-group edge, given the pure-local distances `d0` toward `dst`.
+/// inter-group edge, into `d1`, given the pure-local distances `d0`
+/// toward `dst`.
 ///
 /// A ≤1-global path from `v` is a local prefix to some router `w`, an
 /// optional global hop `w → s`, then a pure-local suffix `s → dst`. So
 /// `d1 = min(d0, local-Dijkstra from seeds seed[w] = min over global
 /// edges (w, s) of d0[s] + 1)` — a bucketed multi-source Dijkstra over
 /// local edges only.
-fn one_global_bfs(g: &Graph, mask: &FaultMask, group: &[u32], d0: &[u32]) -> Vec<u32> {
-    let n = g.n();
-    let mut dist1 = d0.to_vec();
+fn one_global_bfs(g: &Graph, mask: &FaultMask, group: &[u32], d0: &[u16], d1: &mut [u16]) {
+    d1.copy_from_slice(d0);
     let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); 8];
-    let push = |buckets: &mut Vec<Vec<u32>>, d: u32, v: u32| {
+    let push = |buckets: &mut Vec<Vec<u32>>, d: u16, v: u32| {
         let d = d as usize;
         if buckets.len() <= d {
             buckets.resize(d + 1, Vec::new());
@@ -448,19 +588,19 @@ fn one_global_bfs(g: &Graph, mask: &FaultMask, group: &[u32], d0: &[u32]) -> Vec
     };
     // Seeds: crossing a global edge (w, s) costs d0[s] + 1 at w, plus
     // the pure-local distances themselves.
-    for w in 0..n as u32 {
+    for w in 0..g.n() as u32 {
         for (e, &s) in g.edge_range(w).zip(g.neighbors(w)) {
             let global = group[s as usize] != group[w as usize];
-            if global && d0[s as usize] != u32::MAX && !mask.edge_dead(e) {
+            if global && d0[s as usize] != RouteTable::UNREACHABLE && !mask.edge_dead(e) {
                 let cand = d0[s as usize] + 1;
-                if cand < dist1[w as usize] {
-                    dist1[w as usize] = cand;
+                if cand < d1[w as usize] {
+                    d1[w as usize] = cand;
                 }
             }
         }
     }
-    for (r, &d) in dist1.iter().enumerate() {
-        if d != u32::MAX {
+    for (r, &d) in d1.iter().enumerate() {
+        if d != RouteTable::UNREACHABLE {
             push(&mut buckets, d, r as u32);
         }
     }
@@ -470,23 +610,22 @@ fn one_global_bfs(g: &Graph, mask: &FaultMask, group: &[u32], d0: &[u32]) -> Vec
         while i < buckets[d].len() {
             let u = buckets[d][i];
             i += 1;
-            if dist1[u as usize] != d as u32 {
+            if d1[u as usize] as usize != d {
                 continue; // stale entry
             }
             for (e, &v) in g.edge_range(u).zip(g.neighbors(u)) {
                 if group[v as usize] != group[u as usize] || mask.edge_dead(e) {
                     continue; // only live local propagation
                 }
-                let nd = d as u32 + 1;
-                if nd < dist1[v as usize] {
-                    dist1[v as usize] = nd;
+                let nd = d as u16 + 1;
+                if nd < d1[v as usize] {
+                    d1[v as usize] = nd;
                     push(&mut buckets, nd, v);
                 }
             }
         }
         d += 1;
     }
-    dist1
 }
 
 #[cfg(test)]
@@ -791,6 +930,50 @@ mod tests {
         assert_tables_equal(&pristine.remask(&spec, &FaultSet::empty()), &pristine);
     }
 
+    #[test]
+    fn remask_to_the_same_mask_is_the_same_table() {
+        use polarstar_topo::FaultSet;
+        let g = polarstar_graph::random::random_regular(24, 4, 11).unwrap();
+        let f = FaultSet::random_links(&g, 0.1, 5);
+        let spec =
+            polarstar_topo::NetworkSpec::uniform("rr24", g.clone(), 1).with_faults(f.clone());
+        let masked = RouteTable::for_spec(&spec);
+        assert_eq!(*masked.mask(), f.compile(&g));
+        // The mask is part of the table's resident state.
+        let pristine = RouteTable::builder(&g).build();
+        assert_eq!(*pristine.mask(), FaultMask::default());
+        let arenas = |t: &RouteTable| t.memory_bytes() - t.storage_entries();
+        assert_eq!(
+            arenas(&masked),
+            arenas(&pristine) + masked.mask().memory_bytes()
+        );
+        assert!(masked.mask().memory_bytes() > 0);
+        // The same set again, and the same set plus entries that are no
+        // link or router of this graph, compile to the table's own mask.
+        let stray = f.union(&FaultSet::from_links([(0, 24), (40, 41)]));
+        for same in [&f, &stray] {
+            let again = masked.remask(&spec, same);
+            assert_eq!(again.mask(), masked.mask());
+            assert_tables_equal(&again, &masked);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "spec does not match this table (routers, directed links)")]
+    fn remask_rejects_a_spec_of_equal_size_and_other_links() {
+        use polarstar_topo::FaultSet;
+        let table = RouteTable::builder(&Graph::complete(8)).build();
+        let other = Graph::complete(8).without_edges(&[(0, 1)]);
+        let other = polarstar_topo::NetworkSpec::uniform("other", other, 2);
+        let _ = table.remask(&other, &FaultSet::empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "distances are stored as u16")]
+    fn builder_rejects_a_graph_whose_distances_could_reach_the_sentinel() {
+        let _ = RouteTable::builder(&Graph::empty(u16::MAX as usize)).build();
+    }
+
     /// Brute-force reference for the hierarchical discipline, sharing
     /// nothing with `local_bfs`/`one_global_bfs`/`assemble`: a forward
     /// BFS from `src` over (router, global links used) states of the
@@ -915,6 +1098,46 @@ mod tests {
                 );
             }
             assert_tables_equal(&pristine.remask(&spec, &FaultSet::empty()), &pristine);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// The invariant the port fill leans on — it reads arena row
+        /// `x` as "from `x` to every destination" — under the faults
+        /// that could break it: one-way links and dead routers. A
+        /// debug build also asserts it on the private `far` arena. The
+        /// flat table must then agree with the column form of the same
+        /// relation, `masked_distance_column` + `column_next_hops`.
+        #[test]
+        fn distances_stay_symmetric_under_one_way_and_router_faults(
+            n in 2usize..48,
+            density in 1usize..6,
+            groups in 1usize..6,
+            seed in 0u64..10_000,
+        ) {
+            use polarstar_topo::oracle::{column_next_hops, masked_distance_column};
+            let g = polarstar_graph::random::gnm(n, (n * density / 2).min(n * (n - 1) / 2), seed);
+            let group: Vec<u32> = (0..n).map(|r| (r % groups) as u32).collect();
+            let one_way = g.edges().filter(|&(u, v)| (u ^ v ^ seed as u32).is_multiple_of(4));
+            let faults = FaultSet::from_directed_links(one_way.map(|(u, v)| (v, u)))
+                .union(&FaultSet::random_links(&g, 0.05, seed))
+                .union(&FaultSet::random_routers(&g, 0.05, seed ^ 0xD1E));
+            let flat = RouteTable::builder(&g).faults(&faults).build();
+            let hier = RouteTable::builder(&g).group(&group).faults(&faults).build();
+            let mask = faults.compile(&g);
+            let mut col = Vec::new();
+            for a in 0..n as u32 {
+                masked_distance_column(&g, &mask, a, &mut col);
+                for b in 0..n as u32 {
+                    proptest::prop_assert_eq!(flat.distance(a, b), flat.distance(b, a), "flat {}–{}", a, b);
+                    proptest::prop_assert_eq!(hier.distance(a, b), hier.distance(b, a), "hier {}–{}", a, b);
+                    let base = g.edge_range(b).start;
+                    let ports: Vec<u8> = column_next_hops(&g, &col, b, &mask).map(|(e, _)| (e - base) as u8).collect();
+                    proptest::prop_assert_eq!(flat.min_ports(b, a), &ports[..], "ports {}→{}", b, a);
+                }
+            }
         }
     }
 

@@ -1,9 +1,10 @@
 //! Table-free serving backend: the §9.2 analytic router as a
 //! [`PathOracle`].
 //!
-//! A [`RouteTable`](polarstar_netsim::RouteTable) answers queries from a
-//! per-destination arena that costs O(n²) bytes to hold and one BFS per
-//! destination to rebuild on every fault epoch. The analytic backend
+//! A [`RouteTable`](polarstar_netsim::RouteTable) answers queries from
+//! distance and port arenas that cost O(n²) bytes to hold and an
+//! O(n²·degree) port fill to reassemble on every fault epoch that
+//! changes the mask. The analytic backend
 //! keeps only factor-graph state (the [`AnalyticRouter`]'s flat middle
 //! lists and bijection) plus the current [`FaultSet`], and resolves each
 //! query once, in one of three [`Regime`]s:
@@ -74,7 +75,7 @@
 //! lists are searched only to compile them, two neighbor-list searches
 //! per failed direction, tens of microseconds for a 0.2 % mask. There
 //! is no template cache and no distance table, so an epoch switch is
-//! still an `Arc` clone plus a mask, no BFS sweep: that is what
+//! still an `Arc` clone plus a mask, no table reassembly: that is what
 //! collapses the `RouteTable::remask` epoch-install cost
 //! (`route_table.remask_ms` in the `benchmark/` ledger) to microseconds
 //! (`analytic.remask_us`), and what keeps the backend's memory at the

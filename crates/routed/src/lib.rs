@@ -9,8 +9,8 @@
 //!   backends: a (possibly fault-masked) CSR route table, or the table-free
 //!   [`AnalyticOracle`] that reconstructs §9.2 paths from factor-graph
 //!   state per query — O(1) memory per query and O(|faults|) fault epochs
-//!   ([`AnalyticOracle::remask`] swaps a fault mask instead of rerunning
-//!   one BFS per destination);
+//!   ([`AnalyticOracle::remask`] swaps a fault mask instead of
+//!   reassembling O(n²) distance and port arenas);
 //! * [`QueryBatch`] / [`RouteAnswer`] — the batched query surface:
 //!   next hop, hop distance, the deterministic minimal path, up to `k`
 //!   ECMP alternatives, and typed reachability
@@ -19,8 +19,10 @@
 //!   batch) at any thread count;
 //! * [`EpochSwapper`] — epoch-aware serving: the next fault epoch's
 //!   oracle is prepared off-thread (`RouteTable::remask` reuses the
-//!   pristine neighbor CSR) and atomically published arc-swap style, so
-//!   queries never block on re-masking and never observe a torn table.
+//!   pristine neighbor CSR; an epoch back on the base table's mask
+//!   shares that table outright) and atomically published arc-swap
+//!   style, so queries never block on re-masking and never observe a
+//!   torn table.
 //!
 //! Throughput and install latency on Table-3 PS-IQ (1064 routers) are
 //! the `routed_{table,analytic}_churn` workloads of `benchmark/`.

@@ -13,8 +13,9 @@ use std::sync::Arc;
 /// The routing state behind an [`Oracle`]: either a materialized CSR
 /// table or the table-free analytic backend.
 enum Backend {
-    /// Per-destination BFS arenas (`RouteTable`): O(n²) memory, O(1)
-    /// query, one BFS sweep per fault epoch.
+    /// Distance and minimal-port arenas (`RouteTable`): O(n²) memory,
+    /// O(1) query, one reassembly per fault epoch whose mask differs
+    /// from the base table's.
     Table(Arc<RouteTable>),
     /// §9.2 analytic routing over factor-graph state: O(structure²)
     /// memory, per-query path reconstruction, O(|faults|) fault epochs.
@@ -48,8 +49,8 @@ impl Oracle {
 
     /// Build a table-free serving oracle over a PolarStar network: §9.2
     /// analytic routing instead of a materialized table, so construction
-    /// skips the per-destination BFS sweep and fault epochs cost an
-    /// `Arc` clone ([`AnalyticOracle::remask`]).
+    /// skips the O(n²) table assembly and fault epochs cost an `Arc`
+    /// clone ([`AnalyticOracle::remask`]).
     pub fn new_analytic(net: impl Into<Arc<PolarStarNetwork>>) -> Self {
         let analytic = AnalyticOracle::new(net);
         let spec = Arc::new(analytic.network().spec.clone());
@@ -62,11 +63,18 @@ impl Oracle {
 
     /// Re-mask this oracle for a new cumulative fault set — the
     /// per-epoch path of [`crate::EpochSwapper`]. The table backend
-    /// reruns its BFS layers over the pristine neighbor CSR
-    /// (`RouteTable::remask`); the analytic backend just swaps the fault
-    /// mask. The spec is shared either way.
+    /// reassembles its distance and port layers over the pristine
+    /// neighbor CSR (`RouteTable::remask`: a block BFS plus the port
+    /// fill, tens of milliseconds at 1 064 routers) — unless the set
+    /// compiles to the mask this table already serves (a recovery back
+    /// to it), in which case the new snapshot shares the allocation.
+    /// The analytic backend just swaps the fault mask. The spec is
+    /// shared either way.
     pub fn remask(&self, faults: &FaultSet, epoch: u64) -> Oracle {
         let backend = match &self.backend {
+            Backend::Table(t) if faults.compile(&self.spec.graph) == *t.mask() => {
+                Backend::Table(Arc::clone(t))
+            }
             Backend::Table(t) => Backend::Table(Arc::new(t.remask(&self.spec, faults))),
             Backend::Analytic(a) => Backend::Analytic(a.remask(faults)),
         };
@@ -234,5 +242,31 @@ mod tests {
             PathOracle::distance(&sealed, 0, 2),
             Err(RouteError::Unreachable { src: 0, dst: 2 })
         );
+    }
+
+    #[test]
+    fn remask_back_to_the_base_mask_shares_the_base_table() {
+        let base = Oracle::new(grouped_spec());
+        let cut = FaultSet::from_links([(0, 1)]);
+        let masked = base.remask(&cut, 1);
+        assert!(!std::ptr::eq(
+            masked.table().unwrap(),
+            base.table().unwrap()
+        ));
+        // Recovered, or "failed" where the graph has no link or router:
+        // the base table's own mask, so the same allocation.
+        for same in [FaultSet::empty(), FaultSet::from_links([(0, 2), (7, 8)])] {
+            let recovered = base.remask(&same, 2);
+            assert_eq!(recovered.epoch(), 2);
+            assert!(std::ptr::eq(
+                recovered.table().unwrap(),
+                base.table().unwrap()
+            ));
+        }
+        // An oracle whose base is itself masked shares on that mask.
+        assert!(std::ptr::eq(
+            masked.remask(&cut, 3).table().unwrap(),
+            masked.table().unwrap()
+        ));
     }
 }

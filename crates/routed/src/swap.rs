@@ -7,7 +7,9 @@
 //! of their batch against that immutable snapshot — so a query can never
 //! observe a half-written table, only the epoch that was current when
 //! its batch started. The expensive part of an epoch switch (re-masking
-//! the route table, one BFS per destination) happens *outside* the lock,
+//! the route table: a 64-destination block BFS plus the O(n²·degree)
+//! port fill, tens of milliseconds at 1 064 routers, nothing when the
+//! epoch recovers to the base table's mask) happens *outside* the lock,
 //! typically on a dedicated churn thread ([`EpochSwapper::prepare`] →
 //! [`EpochSwapper::install`]).
 
@@ -51,7 +53,8 @@ impl EpochSwapper {
     }
 
     /// Build the masked oracle for one cumulative fault set — the slow
-    /// half of a swap, run it off the serving threads.
+    /// half of a swap (unless the set compiles to the base's own mask),
+    /// run it off the serving threads.
     pub fn prepare(&self, faults: &FaultSet, epoch: u64) -> Oracle {
         self.base.remask(faults, epoch)
     }

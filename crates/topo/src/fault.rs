@@ -177,8 +177,10 @@ impl FaultSet {
     /// that already walks CSR slots reads instead of searching the
     /// sorted lists. O(|faults|·log deg): two `edge_id` searches per
     /// failed direction, one per link of a failed router. Entries that
-    /// are no edge (or name no router) of `g` set nothing, and the
-    /// empty set allocates nothing.
+    /// are no edge (or name no router) of `g` set nothing, and a set
+    /// that sets nothing — the empty one above all — compiles to the
+    /// bitless [`FaultMask::default`], so two masks over one graph are
+    /// `==` exactly when they fail the same slots and routers.
     pub fn compile(&self, g: &Graph) -> FaultMask {
         if self.is_empty() {
             return FaultMask::default();
@@ -206,6 +208,10 @@ impl FaultSet {
                     set(&mut mask.edge, slot);
                 }
             }
+        }
+        // Link bits are edge bits too, so these two decide emptiness.
+        if mask.edge.iter().chain(&mask.router).all(|&w| w == 0) {
+            return FaultMask::default();
         }
         mask
     }
@@ -563,6 +569,12 @@ mod tests {
             .union(&FaultSet::from_routers([6, 77]));
         let mask = f.compile(&g);
         assert_eq!(mask.memory_bytes(), 24, "18 slots, 9 routers: a word each");
+        let stray = FaultSet::from_links([(0, 2), (40, 41)]).union(&FaultSet::from_routers([77]));
+        assert_eq!(
+            stray.compile(&g),
+            FaultMask::default(),
+            "nothing of `g` failed"
+        );
         assert!(!mask.is_symmetric(), "4 → 3 is down, 3 → 4 is not");
         for u in 0..9 {
             assert_eq!(mask.router_dead(u), f.router_failed(u), "router {u}");

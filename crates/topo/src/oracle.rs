@@ -8,8 +8,10 @@
 //! analysis code, benchmarks, and the query service are generic over
 //! *how* the answers are precomputed; [`column_next_hops`] is the one
 //! masked minimal-port rule and [`masked_distance_column`] the one
-//! masked BFS they (and the motif model's private parent forest) share,
-//! both reading a compiled [`FaultMask`].
+//! masked BFS they (and the motif model's private parent forest) share
+//! — [`masked_distance_block`] is its 64-destination block form, what a
+//! flat `RouteTable` is assembled from — all reading a compiled
+//! [`FaultMask`].
 //!
 //! Unreachable pairs answer with a typed [`RouteError::Unreachable`]
 //! instead of an empty port slice — callers can no longer mistake a
@@ -60,8 +62,10 @@ impl std::error::Error for RouteError {}
 /// [`PathOracle::distance`], and [`PathOracle::min_next_hops`]; the
 /// derived answers (first next hop, a full minimal path, `k` distinct
 /// minimal paths) come from provided methods and are therefore
-/// identical across implementations by construction — the equivalence
-/// tests in `crates/routed` pin this.
+/// identical across implementations by construction; an implementor
+/// that overrides them to read its own state in place (`RouteTable`,
+/// `AnalyticOracle`) must answer as they do — the equivalence tests in
+/// `crates/routed` pin this.
 ///
 /// Determinism contract: `min_next_hops` must return candidates in a
 /// stable order (ascending router id unless documented otherwise), so
@@ -235,6 +239,63 @@ pub fn masked_distance_column(graph: &Graph, mask: &FaultMask, dst: u32, out: &m
             if out[v as usize] == u32::MAX && !mask.edge_dead(e) {
                 out[v as usize] = du + 1;
                 queue.push(v);
+            }
+        }
+    }
+}
+
+/// The block form of [`masked_distance_column`]: the same relation for
+/// up to 64 consecutive destinations `first, first + 1, …` in one
+/// level-synchronous sweep (the bit-parallel multi-source BFS of Then
+/// et al., VLDB 2014). `rows` holds one `graph.n()`-entry row per
+/// destination, back to back: `rows[i·n + v]` becomes the hop distance
+/// from `v` to `first + i`, `u16::MAX` when no surviving path connects
+/// them — `u16::MAX ↔ u32::MAX` is the only difference from the column.
+///
+/// Bit `i` of a router's word says "reached from destination `i`"; a
+/// level ORs every frontier word across the router's live cables and
+/// each newly set bit writes its level once, so the graph is walked
+/// once per level for the whole block instead of once per destination.
+///
+/// # Panics
+/// If `rows` is not a whole number (≤ 64) of rows inside the graph, or
+/// the graph is too large for a real distance to stay below `u16::MAX`.
+pub fn masked_distance_block(graph: &Graph, mask: &FaultMask, first: u32, rows: &mut [u16]) {
+    let n = graph.n();
+    assert!(n < u16::MAX as usize, "{n} routers overflow u16 distances");
+    let dsts = rows.len().checked_div(n).unwrap_or(0);
+    assert!(dsts <= 64 && dsts * n == rows.len() && first as usize + dsts <= n);
+    rows.fill(u16::MAX);
+    let mut seen = vec![0u64; n];
+    let mut next = vec![0u64; n];
+    // (router, newly reached bits) of the level being expanded.
+    let mut frontier: Vec<(u32, u64)> = Vec::with_capacity(n);
+    for i in 0..dsts {
+        let dst = first as usize + i;
+        rows[i * n + dst] = 0;
+        seen[dst] = 1 << i;
+        frontier.push((dst as u32, 1 << i));
+    }
+    let mut level = 0u16;
+    while !frontier.is_empty() {
+        level += 1;
+        for &(u, bits) in &frontier {
+            for (e, &v) in graph.edge_range(u).zip(graph.neighbors(u)) {
+                if !mask.edge_dead(e) {
+                    next[v as usize] |= bits;
+                }
+            }
+        }
+        frontier.clear();
+        for (v, (reached, seen)) in next.iter_mut().zip(&mut seen).enumerate() {
+            let mut fresh = std::mem::take(reached) & !*seen;
+            if fresh != 0 {
+                *seen |= fresh;
+                frontier.push((v as u32, fresh));
+                while fresh != 0 {
+                    rows[fresh.trailing_zeros() as usize * n + v] = level;
+                    fresh &= fresh - 1;
+                }
             }
         }
     }

@@ -5,7 +5,7 @@ use polarstar_graph::{traversal, Graph};
 use polarstar_topo::er::ErGraph;
 use polarstar_topo::fault::{FaultMask, FaultSchedule, FaultSet};
 use polarstar_topo::iq::inductive_quad;
-use polarstar_topo::oracle::masked_distance_column;
+use polarstar_topo::oracle::{masked_distance_block, masked_distance_column};
 use polarstar_topo::paley::{paley_graph, paley_supernode};
 use polarstar_topo::star::{
     cartesian_product, star_product, star_product_with, vertex_id, vertex_parts,
@@ -245,6 +245,40 @@ proptest! {
         prop_assert_eq!(&pristine, &FaultMask::default());
         prop_assert!(pristine.is_symmetric() && !pristine.link_dead(0) && !pristine.router_dead(0));
         prop_assert_eq!(pristine.live(0..5).collect::<Vec<_>>(), [0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn block_bfs_rows_equal_the_distance_columns(
+        size in 0usize..5,
+        density in 1usize..5,
+        cut in 0u32..40,
+        seed in 0u64..10_000,
+    ) {
+        // Block boundaries on either side of one word of destinations,
+        // a single router, and several blocks with a short last one;
+        // density 1 leaves the graph in pieces before any fault.
+        let n = [1usize, 63, 64, 65, 200][size];
+        let g = polarstar_graph::random::gnm(n, (n * density / 2).min(n * (n - 1) / 2), seed);
+        let nn = n as u32;
+        let cables = FaultSet::random_links(&g, cut as f64 / 100.0, seed);
+        let one_way = FaultSet::from_directed_links(
+            g.edges().filter(|&(u, v)| (u ^ v ^ seed as u32).is_multiple_of(7)).map(|(u, v)| (v, u)),
+        );
+        let stray = FaultSet::from_links([(0, nn), (nn + 3, nn + 4)]).union(&FaultSet::from_routers([nn + 9]));
+        let routers = FaultSet::random_routers(&g, 0.05, seed ^ 0xD1E);
+        for faults in [FaultSet::empty(), cables.union(&one_way).union(&routers).union(&stray)] {
+            let mask = faults.compile(&g);
+            let mut rows = vec![7u16; n * n];
+            for (block, rows) in rows.chunks_mut(64 * n).enumerate() {
+                masked_distance_block(&g, &mask, block as u32 * 64, rows);
+            }
+            let mut col = Vec::new();
+            for dst in 0..nn {
+                masked_distance_column(&g, &mask, dst, &mut col);
+                let row = rows[dst as usize * n..][..n].iter().map(|&d| if d == u16::MAX { u32::MAX } else { u32::from(d) });
+                prop_assert_eq!(row.collect::<Vec<_>>(), &col[..], "destination {} of {}", dst, n);
+            }
+        }
     }
 
     #[test]
