@@ -1,45 +1,44 @@
-//! Congestion-negotiated routing vs MIN/UGAL on adversarial and
-//! permutation traffic (PS-IQ, SF, DF). Shared between the
-//! `negotiate_sweep` binary (a printer) and the tests that gate its
-//! results.
+//! Congestion-negotiated routing as a flow-level study on adversarial
+//! and permutation traffic (PS-IQ, SF, DF): how far below the MIN
+//! single-path load an offline single-path assignment can push the
+//! hottest link. Shared between the `negotiate_sweep` binary (a
+//! printer) and the tests that gate its results.
 //!
-//! For each (topology, pattern) cell:
-//!
-//! 1. [`negotiation`] builds the class-batched [`FlowPlan`] and
-//!    negotiates a per-pair route assignment
-//!    ([`NegotiatedRoutes::negotiate`] — PathFinder rip-up and re-route
-//!    until no link is over capacity), and records the flow-level max
-//!    link load of the MIN single-path baseline vs the negotiated
-//!    assignment (same units: weighted demand per directed link at unit
-//!    offered load), the reduction, the convergence-iterations curve,
-//!    and both fluid saturation onsets;
-//! 2. [`sweep_cell`] sweeps the cycle engine over ascending loads (rows
-//!    through the first unstable point, fig09/fig10 harness
-//!    conventions) under MIN (multipath), UGAL and NEG
-//!    ([`RoutingKind::Negotiated`] following the negotiated paths).
+//! For each (topology, pattern) cell, [`negotiation`] builds the
+//! class-batched [`FlowPlan`], negotiates a per-pair route assignment
+//! ([`NegotiatedRoutes::negotiate`] — PathFinder rip-up and re-route
+//! until no link is over capacity) and records the max link load of the
+//! MIN single-path baseline, of ECMP and of the negotiated assignment
+//! (same units: weighted demand per directed link at unit offered
+//! load), the reduction, the three fluid saturation onsets and the
+//! convergence curve. No cycle is simulated: the engine does not follow
+//! negotiated routes (EXPERIMENTS.md keeps the record of why).
 //!
 //! Every number is deterministic: the negotiation is a pure function of
-//! `(seed, iteration)` and the engine is bit-identical at any thread
-//! count, so the rows are identical across `RAYON_NUM_THREADS` and
-//! `--engine-threads` settings (`tests/negotiate_determinism.rs`).
+//! `(seed, iteration)`, so the rows are identical at any
+//! `RAYON_NUM_THREADS` (`tests/negotiate_determinism.rs`).
 
 use crate::manifest::{file_stem, RunManifest};
-use crate::sweep_driver::csv_row;
 use crate::table3_network;
-use polarstar_netsim::engine::{SimConfig, Simulation};
 use polarstar_netsim::flow::{FlowPlan, FlowRouting, TrafficComponent};
-use polarstar_netsim::monitor::MetricsMonitor;
-use polarstar_netsim::negotiate::{NegotiateConfig, NegotiatedRoutes};
-use polarstar_netsim::routing::{RouteTable, RoutingKind};
-use polarstar_netsim::stats::{highest_stable_offered, sweep};
+use polarstar_netsim::negotiate::NegotiatedRoutes;
+use polarstar_netsim::routing::RouteTable;
 use polarstar_netsim::traffic::{engine_resolve_seed, Pattern};
 use polarstar_topo::network::NetworkSpec;
 
 /// The topologies the sweep runs by default.
 pub const KEYS: [&str; 3] = ["PS-IQ", "SF", "DF"];
 
+/// Seed of the traffic matrix and of the negotiation's visit order.
+const SEED: u64 = 99;
+
 /// Convergence-curve points recorded in a manifest.
 const CURVE_POINTS: usize = 40;
+
+/// The sweep's CSV header; [`Cell::row`] prints one row of it.
+pub const CSV_HEADER: &str = "pattern,topology,max_link_load_min,max_link_load_ecmp,\
+max_link_load_negotiated,reduction_vs_min,sat_flow_min,sat_flow_ecmp,sat_flow_negotiated,\
+iterations,converged";
 
 /// Flow-level summary of one negotiation: link loads are weighted
 /// demand per directed link at unit offered load.
@@ -106,11 +105,7 @@ pub fn negotiation(
     let min_net = FlowPlan::build(spec, table, &comps, FlowRouting::SinglePath).network();
     let mll_min = min_net.max_net_unit_load();
     let ecmp_net = plan.network();
-    let ncfg = NegotiateConfig {
-        seed,
-        ..NegotiateConfig::default()
-    };
-    let neg = NegotiatedRoutes::negotiate(spec, table, &plan, &ncfg);
+    let neg = NegotiatedRoutes::negotiate(spec, table, &plan, seed);
     let neg_net = FlowPlan::build(spec, &neg, &comps, FlowRouting::SinglePath).network();
     let mll_neg = neg.max_link_load();
     let summary = Negotiation {
@@ -136,63 +131,36 @@ pub fn negotiation(
 
 /// One (topology, pattern) cell's output.
 pub struct Cell {
-    pub negotiation: Negotiation,
-    /// Engine sweep rows in [`crate::sweep_driver::CSV_HEADER`] form,
-    /// series MIN, UGAL, NEG.
-    pub rows: Vec<String>,
-    /// The negotiation scalars plus `sat_engine_<routing>` per series
-    /// (and the monitored NEG point when asked for).
+    /// The [`CSV_HEADER`] row.
+    pub row: String,
+    /// The network plus the negotiation scalars and convergence curve.
     pub manifest: RunManifest,
     /// File stem for the manifest.
     pub stem: String,
 }
 
-/// Negotiate one cell and sweep the engine over `loads`; with
-/// `want_metrics`, also run one monitored NEG point at load 0.1 for the
-/// manifest.
-pub fn sweep_cell(
-    key: &str,
-    pattern: &Pattern,
-    loads: &[f64],
-    cfg: &SimConfig,
-    quick: bool,
-    want_metrics: bool,
-) -> Result<Cell, String> {
+/// Negotiate one cell.
+pub fn sweep_cell(key: &str, pattern: &Pattern) -> Result<Cell, String> {
     let spec = table3_network(key).map_err(|e| format!("{key}: {e}"))?;
     let table = RouteTable::for_spec(&spec);
     let pat = pattern.label();
-    let (negotiation, neg) = negotiation(&spec, &table, pattern, cfg.seed);
-
+    let (n, _) = negotiation(&spec, &table, pattern, SEED);
     let mut manifest = RunManifest::for_network(key, &spec);
-    manifest.extra = negotiation.extras();
-
-    // Engine sweep, series in CSV order. The fig09/fig10 convention:
-    // ascending loads, rows through the first unstable point.
-    let neg_sim = Simulation::negotiated(&spec, &table, &neg, pattern);
-    let mut rows = Vec::new();
-    for sim in [
-        Simulation::new(&spec, &table, RoutingKind::MinMulti, pattern),
-        Simulation::new(&spec, &table, RoutingKind::ugal4(), pattern),
-        neg_sim,
-    ] {
-        let series = sweep(&sim, loads, cfg);
-        let shown = series.through_first_unstable();
-        rows.extend(shown.iter().map(|r| csv_row(pattern, key, sim.kind, r)));
-        manifest.push_extra(
-            format!("sat_engine_{}", sim.kind.label()),
-            highest_stable_offered(shown),
-        );
-    }
-
-    if want_metrics {
-        let mut mon = MetricsMonitor::new(if quick { 64 } else { 256 });
-        neg_sim.run_monitored(0.1, cfg, &mut mon);
-        manifest = manifest.with_sim("NEG", pat, 0.1, cfg, mon.report());
-    }
-
+    manifest.pattern = Some(pat.to_string());
+    manifest.extra = n.extras();
     Ok(Cell {
-        negotiation,
-        rows,
+        row: format!(
+            "{pat},{key},{:.3},{:.3},{:.3},{:.4},{:.4},{:.4},{:.4},{},{}",
+            n.max_link_load_min,
+            n.max_link_load_ecmp,
+            n.max_link_load_negotiated,
+            n.reduction_vs_min,
+            n.sat_flow_min,
+            n.sat_flow_ecmp,
+            n.sat_flow_negotiated,
+            n.iterations,
+            n.converged
+        ),
         manifest,
         stem: file_stem(&format!("negotiate_{key}_{pat}")),
     })

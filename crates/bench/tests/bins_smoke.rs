@@ -376,20 +376,25 @@ fn negotiate_sweep_quick_is_identical_at_any_width_and_records_the_curve() {
         ],
         Some("1"),
     );
-    csv(&narrow, SIM_HEADER, 19); // 3 modes × 2 patterns × 3 loads
-    let wide = run(
-        neg,
-        &["--quick", "--only", "PS-IQ", "--engine-threads", "4"],
-        Some("4"),
-    );
-    assert_eq!(
-        narrow.stdout, wide.stdout,
-        "rayon width 4 + 4 engine threads"
+    // One flow-level row per pattern.
+    let rows = csv(&narrow, bench::negotiate_sweep::CSV_HEADER, 3);
+    assert!(rows[1].starts_with("adversarial,PS-IQ,"), "{}", rows[1]);
+    assert!(rows[2].starts_with("permutation,PS-IQ,"), "{}", rows[2]);
+    let wide = run(neg, &["--quick", "--only", "PS-IQ"], Some("4"));
+    assert_eq!(narrow.stdout, wide.stdout, "rayon width 4");
+    // No engine runs, so there is nothing for the flag to shard.
+    let sharded = run(neg, &["--engine-threads", "4"], None);
+    assert_eq!(sharded.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&sharded.stderr);
+    assert!(
+        err.contains("unexpected argument \"--engine-threads\""),
+        "{err}"
     );
     let m = manifest(&dir, "negotiate_PS-IQ_adversarial");
     assert_eq!(m.num("routers"), 1064.0);
     assert_eq!(m.num("threads"), 1.0);
     assert!(m.get("extra").num("curve_iter0") > 0.0); // convergence curve recorded
-    assert!(m.get("metrics").has("latency"));
+    assert_eq!(m.get("metrics"), &Json::Null); // flow-level: no monitored point
+    assert_eq!(m.get("sim"), &Json::Null);
     manifest(&dir, "negotiate_PS-IQ_permutation");
 }

@@ -2,15 +2,13 @@
 //! function of `(seed, iteration)`, so the full [`NegotiatedRoutes`]
 //! table — chosen paths, link loads, historic costs, convergence curve —
 //! must be identical (exact `PartialEq`) across rayon pool widths and
-//! rebuilds, and the cycle engine following it must stay bit-identical
-//! across `--engine-threads` settings. `bins_smoke.rs` additionally
-//! pins the `negotiate_sweep` CSV byte-for-byte across both.
+//! rebuilds. `bins_smoke.rs` additionally pins the `negotiate_sweep`
+//! CSV byte-for-byte across widths.
 
 use polarstar::design::best_config;
 use polarstar::network::PolarStarNetwork;
-use polarstar_netsim::engine::{SimConfig, Simulation};
 use polarstar_netsim::flow::{FlowPlan, FlowRouting, TrafficComponent};
-use polarstar_netsim::negotiate::{NegotiateConfig, NegotiatedRoutes};
+use polarstar_netsim::negotiate::NegotiatedRoutes;
 use polarstar_netsim::routing::RouteTable;
 use polarstar_netsim::traffic::{engine_resolve_seed, Pattern};
 use polarstar_topo::network::NetworkSpec;
@@ -32,11 +30,7 @@ fn setup(pattern: Pattern, seed: u64) -> (NetworkSpec, RouteTable, FlowPlan) {
 #[test]
 fn negotiated_routes_identical_across_rayon_widths() {
     let (spec, table, plan) = setup(Pattern::AdversarialGroup, 99);
-    let cfg = NegotiateConfig {
-        seed: 99,
-        ..NegotiateConfig::default()
-    };
-    let build = || NegotiatedRoutes::negotiate(&spec, &table, &plan, &cfg);
+    let build = || NegotiatedRoutes::negotiate(&spec, &table, &plan, 99);
     let baseline = build();
     assert!(baseline.converged(), "adversarial negotiation must settle");
     assert_eq!(baseline, build(), "rebuild on the ambient pool diverges");
@@ -63,11 +57,7 @@ fn converged_negotiation_has_zero_overused_links() {
     for pattern in [Pattern::AdversarialGroup, Pattern::Permutation] {
         for seed in [0u64, 7, 99] {
             let (spec, table, plan) = setup(pattern.clone(), seed);
-            let cfg = NegotiateConfig {
-                seed,
-                ..NegotiateConfig::default()
-            };
-            let neg = NegotiatedRoutes::negotiate(&spec, &table, &plan, &cfg);
+            let neg = NegotiatedRoutes::negotiate(&spec, &table, &plan, seed);
             if neg.converged() {
                 assert_eq!(
                     neg.overused_links(),
@@ -97,36 +87,5 @@ fn converged_negotiation_has_zero_overused_links() {
                 mll_min
             );
         }
-    }
-}
-
-/// The engine following a negotiated table is bit-identical at every
-/// thread count.
-#[test]
-fn negotiated_engine_identical_across_thread_counts() {
-    let (spec, table, plan) = setup(Pattern::AdversarialGroup, 99);
-    let neg = NegotiatedRoutes::negotiate(
-        &spec,
-        &table,
-        &plan,
-        &NegotiateConfig {
-            seed: 99,
-            ..NegotiateConfig::default()
-        },
-    );
-    let cfg = |threads: Option<usize>| SimConfig {
-        warmup_cycles: 200,
-        measure_cycles: 400,
-        drain_cycles: 2_500,
-        seed: 99,
-        threads,
-        ..SimConfig::default()
-    };
-    let sim = Simulation::negotiated(&spec, &table, &neg, &Pattern::AdversarialGroup);
-    let neg_base = sim.run(0.15, &cfg(None));
-    assert!(neg_base.measured_ejected > 0, "{neg_base:?}");
-    for threads in [1usize, 4] {
-        let neg_t = sim.run(0.15, &cfg(Some(threads)));
-        assert_eq!(neg_base, neg_t, "NEG diverges at threads={threads}");
     }
 }

@@ -9,8 +9,9 @@
 use bench::edst_sweep::{run_sweep, Sweep, KEYS};
 use bench::negotiate_sweep::negotiation;
 use bench::table3_network;
+use polarstar_netsim::flow::{FlowPlan, FlowRouting, TrafficComponent};
 use polarstar_netsim::routing::RouteTable;
-use polarstar_netsim::traffic::Pattern;
+use polarstar_netsim::traffic::{engine_resolve_seed, Pattern};
 
 /// The quick sweep at a pinned rayon width. The shim reads
 /// `RAYON_NUM_THREADS` per fan-out, and the sweeps are deterministic at
@@ -77,4 +78,23 @@ fn psiq_adversarial_negotiation_converges_well_below_min() {
     let (n, _) = negotiation(&spec, &table, &Pattern::AdversarialGroup, 99);
     assert!(n.converged, "{n:?}");
     assert!(n.reduction_vs_min >= 0.20, "{n:?}");
+}
+
+/// The oracle the flow layer reads is the assignment the negotiation
+/// scored: a single-path network built over the negotiated routes
+/// carries exactly the max link load the negotiation reports.
+#[test]
+fn flow_network_over_negotiated_routes_carries_the_negotiated_load() {
+    for (key, pattern) in [
+        ("PS-IQ", Pattern::AdversarialGroup),
+        ("SF", Pattern::Permutation),
+    ] {
+        let spec = table3_network(key).unwrap();
+        let table = RouteTable::for_spec(&spec);
+        let (_, neg) = negotiation(&spec, &table, &pattern, 99);
+        let comps = [TrafficComponent::new(pattern, engine_resolve_seed(99))];
+        let net = FlowPlan::build(&spec, &neg, &comps, FlowRouting::SinglePath).network();
+        assert_eq!(net.unroutable(), 0, "{key}");
+        assert_eq!(net.max_net_unit_load(), neg.max_link_load(), "{key}");
+    }
 }

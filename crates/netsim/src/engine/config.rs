@@ -102,18 +102,6 @@ pub enum SimConfigError {
     },
     /// `Ugal { candidates }` beyond the fixed scoring scratch.
     TooManyUgalCandidates { candidates: usize, max: usize },
-    /// [`RoutingKind::Negotiated`](crate::routing::RoutingKind::Negotiated) with no routes to follow.
-    MissingNegotiatedRoutes,
-    /// Negotiated routes attached to a kind (its label) that would
-    /// never read them.
-    UnusedNegotiatedRoutes { kind: &'static str },
-    /// The negotiated routes were built on a graph of another size, so
-    /// their hop slots do not index this network's ports. Both pairs
-    /// are (routers, directed links).
-    NegotiatedGraphMismatch {
-        routes: (usize, usize),
-        network: (usize, usize),
-    },
 }
 
 impl std::fmt::Display for SimConfigError {
@@ -149,20 +137,6 @@ impl std::fmt::Display for SimConfigError {
                     "Ugal {{ candidates: {candidates} }} exceeds the scoring scratch ({max})"
                 )
             }
-            SimConfigError::MissingNegotiatedRoutes => write!(
-                f,
-                "RoutingKind::Negotiated requires negotiated routes (use Simulation::negotiated)"
-            ),
-            SimConfigError::UnusedNegotiatedRoutes { kind } => write!(
-                f,
-                "negotiated routes are only followed under RoutingKind::Negotiated, not {kind}"
-            ),
-            SimConfigError::NegotiatedGraphMismatch { routes, network } => write!(
-                f,
-                "negotiated routes built for a different graph: {} routers / {} links, \
-                 the network has {} / {}",
-                routes.0, routes.1, network.0, network.1
-            ),
         }
     }
 }
@@ -172,7 +146,9 @@ impl std::error::Error for SimConfigError {}
 impl SimConfig {
     /// The per-VC input queue capacity this config implies, in packets.
     pub fn queue_capacity_pkts(&self) -> u32 {
-        (self.buf_flits_per_port / (self.vcs.max(1) as u32) / self.packet_flits.max(1)).max(1)
+        // Divided in `usize`: `vcs as u32` is 0 for `vcs = 1 << 32`.
+        let per_vc = self.buf_flits_per_port as usize / self.vcs.max(1);
+        (per_vc as u32 / self.packet_flits.max(1)).max(1)
     }
 
     /// Check the arena can represent this config. The queue length,

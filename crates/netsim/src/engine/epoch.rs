@@ -3,9 +3,8 @@
 //! into a [`FaultMask`] — and the flat index maps every shard shares.
 
 use super::config::{FaultResponse, SimConfig, SimResult};
-use super::packet::{ShardStats, NO_PAIR};
+use super::packet::ShardStats;
 use super::Simulation;
-use crate::negotiate::NegotiatedRoutes;
 use crate::routing::{RouteTable, RoutingKind};
 use crate::traffic::ResolvedPattern;
 use polarstar_topo::fault::FaultMask;
@@ -80,8 +79,6 @@ pub(super) struct Ctx<'a> {
     /// The caller's table — the neighbor CSR every epoch shares.
     pub(super) table: &'a RouteTable,
     pub(super) kind: RoutingKind,
-    /// Present exactly under [`RoutingKind::Negotiated`].
-    pub(super) negotiated: Option<&'a NegotiatedRoutes>,
     pub(super) pattern: ResolvedPattern,
     /// Endpoints that transmit under the pattern (self-maps are idle).
     pub(super) active_src: Vec<bool>,
@@ -201,7 +198,6 @@ impl<'a> Ctx<'a> {
         Ctx {
             table,
             kind,
-            negotiated: sim.negotiated,
             pattern,
             active_src,
             active_eps,
@@ -233,32 +229,6 @@ impl<'a> Ctx<'a> {
     #[inline]
     pub(super) fn endpoints(&self, r: u32) -> usize {
         (self.ep_off[r as usize + 1] - self.ep_off[r as usize]) as usize
-    }
-
-    /// Index of (src, dst) in the negotiated pair list, or NO_PAIR
-    /// (also when no routes are attached).
-    #[inline]
-    pub(super) fn negotiated_pair(&self, src: u32, dst: u32) -> u32 {
-        self.negotiated
-            .and_then(|neg| neg.pair_index(src, dst))
-            .map_or(NO_PAIR, |i| i as u32)
-    }
-
-    /// The negotiated output port at router `r` for pair `pair`: the
-    /// hop's CSR slot minus the router's port base. None when off-path
-    /// — e.g. after a fault-epoch re-route — or NO_PAIR.
-    #[inline]
-    pub(super) fn negotiated_port(&self, pair: u32, r: u32) -> Option<u8> {
-        if pair == NO_PAIR {
-            return None;
-        }
-        let neg = self.negotiated.expect("Simulation::check");
-        let i = pair as usize;
-        neg.path_of(i)
-            .iter()
-            .zip(neg.hop_slots(i))
-            .find(|&(&h, _)| h == r)
-            .map(|(_, &slot)| (slot - self.deg_off[r as usize]) as u8)
     }
 
     /// Which shard owns router `r` (shards are contiguous ranges).

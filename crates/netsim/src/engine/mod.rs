@@ -47,12 +47,10 @@ pub use config::{FaultResponse, SimConfig, SimConfigError, SimResult};
 pub(crate) use packet::splitmix64;
 
 use crate::monitor::{NoopMonitor, ShardableMonitor};
-use crate::negotiate::NegotiatedRoutes;
 use crate::routing::{RouteTable, RoutingKind};
 use crate::traffic::{resolve, Pattern};
 use epoch::Ctx;
 use polarstar_topo::network::NetworkSpec;
-use polarstar_topo::oracle::PathOracle as _;
 
 /// Largest `Ugal { candidates }` the fixed scoring scratch supports.
 const MAX_UGAL_CANDIDATES: usize = 16;
@@ -71,16 +69,10 @@ pub struct Simulation<'a> {
     pub kind: RoutingKind,
     /// Synthetic traffic pattern.
     pub pattern: &'a Pattern,
-    /// The offline-negotiated per-pair paths [`RoutingKind::Negotiated`]
-    /// follows (falling back to the first minimal port when a fault
-    /// kills a negotiated hop). Required by that kind and rejected
-    /// under every other.
-    pub negotiated: Option<&'a NegotiatedRoutes>,
 }
 
 impl<'a> Simulation<'a> {
-    /// A table-routed run (every kind except
-    /// [`RoutingKind::Negotiated`]).
+    /// Describe a run; nothing is checked until [`Simulation::check`].
     pub fn new(
         spec: &'a NetworkSpec,
         table: &'a RouteTable,
@@ -92,23 +84,6 @@ impl<'a> Simulation<'a> {
             table,
             kind,
             pattern,
-            negotiated: None,
-        }
-    }
-
-    /// A [`RoutingKind::Negotiated`] run following `routes`.
-    pub fn negotiated(
-        spec: &'a NetworkSpec,
-        table: &'a RouteTable,
-        routes: &'a NegotiatedRoutes,
-        pattern: &'a Pattern,
-    ) -> Self {
-        Simulation {
-            spec,
-            table,
-            kind: RoutingKind::Negotiated,
-            pattern,
-            negotiated: Some(routes),
         }
     }
 
@@ -133,29 +108,12 @@ impl<'a> Simulation<'a> {
         }
         match self.kind {
             RoutingKind::Ugal { candidates } if candidates > MAX_UGAL_CANDIDATES => {
-                return Err(SimConfigError::TooManyUgalCandidates {
+                Err(SimConfigError::TooManyUgalCandidates {
                     candidates,
                     max: MAX_UGAL_CANDIDATES,
-                });
+                })
             }
-            _ => {}
-        }
-        match (self.kind == RoutingKind::Negotiated, self.negotiated) {
-            (true, None) => Err(SimConfigError::MissingNegotiatedRoutes),
-            (false, Some(_)) => Err(SimConfigError::UnusedNegotiatedRoutes {
-                kind: self.kind.label(),
-            }),
-            (true, Some(neg)) => {
-                // Hop slots are CSR offsets of the graph they were
-                // negotiated on; on any other graph they name no port.
-                let routes = (neg.num_routers(), neg.num_links());
-                if routes == network {
-                    Ok(())
-                } else {
-                    Err(SimConfigError::NegotiatedGraphMismatch { routes, network })
-                }
-            }
-            (false, None) => Ok(()),
+            _ => Ok(()),
         }
     }
 

@@ -3,9 +3,6 @@
 
 pub(super) const EJECT: u8 = u8::MAX;
 pub(super) const NO_INTERMEDIATE: u32 = u32::MAX;
-/// `Packet::pair` when the packet's (src, dst) router pair is not part
-/// of the negotiated routes (or none are attached).
-pub(super) const NO_PAIR: u32 = u32::MAX;
 
 /// In-flight packet state. Deliberately not `Clone`: packets move —
 /// between the arena, the event wheel, and cross-shard mailboxes — and
@@ -15,12 +12,9 @@ pub(super) struct Packet {
     pub(super) dst_router: u32,
     pub(super) dst_slot: u16,
     pub(super) intermediate: u32, // NO_INTERMEDIATE = none
-    /// Index into the negotiated routes' pair list (NO_PAIR = none):
-    /// lets `Shard::route_at` follow the negotiated path without a
-    /// per-hop binary search.
-    pub(super) pair: u32,
     pub(super) phase: u8,
-    pub(super) hops: u8,
+    /// Links crossed so far; saturates (a table leg is < 65 535 hops).
+    pub(super) hops: u16,
     pub(super) cur_port: u8, // routed output at current router (EJECT = ejection)
     pub(super) measured: bool,
     pub(super) gen_cycle: u64,
@@ -33,7 +27,6 @@ impl Packet {
             dst_router: u32::MAX,
             dst_slot: 0,
             intermediate: NO_INTERMEDIATE,
-            pair: NO_PAIR,
             phase: 0,
             hops: 0,
             cur_port: 0,

@@ -386,14 +386,12 @@ impl Shard {
             }
             _ => NO_INTERMEDIATE,
         };
-        let pair = ctx.negotiated_pair(src_router, dst_router);
         // The packet is materialized only now, after the candidate
         // comparison settled on a path.
         let mut p = Packet {
             dst_router,
             dst_slot,
             intermediate,
-            pair,
             phase: 0,
             hops: 0,
             cur_port: 0,
@@ -456,19 +454,6 @@ impl Shard {
         }
         p.cur_port = match ctx.kind {
             RoutingKind::MinSingle => ports[0],
-            RoutingKind::Negotiated => {
-                // Follow the negotiated path while on it; fall back to
-                // the first minimal port when the packet is off-path or
-                // the negotiated hop died in this routing epoch (the
-                // per-epoch re-route keeps fault runs live).
-                match ctx
-                    .negotiated_port(p.pair, r)
-                    .filter(|&port| !view.port_dead(r, port as usize))
-                {
-                    Some(port) => port,
-                    None => ports[0],
-                }
-            }
             RoutingKind::MinMulti | RoutingKind::Valiant | RoutingKind::Ugal { .. } => {
                 if ports.len() == 1 {
                     ports[0]
@@ -648,6 +633,9 @@ impl Shard {
         let deg = ctx.degree(r);
         let eps = ctx.endpoints(r);
         let vcs = self.vcs_of();
+        // Top rung of the hop-indexed VC ladder: a VC index travels as a
+        // `u8`, so it is VC 255 however many are configured.
+        let top_vc = (vcs - 1).min(u8::MAX as usize);
         let n_inputs = deg + eps;
         let qbase = self.qoff[lr];
         let rrbase = self.poff[lr] + lr;
@@ -729,7 +717,7 @@ impl Shard {
                 let (inport, vc, _) = requests[gstart + (rr + k) % glen];
                 let qi = qbase + inport as usize * vcs + vc as usize;
                 let pid = self.q_front(qi);
-                let next_vc = (self.packets[pid as usize].hops as usize).min(vcs - 1);
+                let next_vc = (self.packets[pid as usize].hops as usize).min(top_vc);
                 examined += 1;
                 if self.credits[(self.poff[lr] + out) * vcs + next_vc] == 0 {
                     mon.on_stall(r, StallCause::CreditStarved);
@@ -786,7 +774,7 @@ impl Shard {
         let pid = self.q_pop(qi);
         self.load[lr] -= 1;
         let mut p = self.take_packet(pid);
-        p.hops += 1;
+        p.hops = p.hops.saturating_add(1);
         let serialize = ctx.cfg.packet_flits as u64;
         self.out_busy[self.poff[lr] + out] = now + serialize;
         self.credits[(self.poff[lr] + out) * vcs + next_vc as usize] -= 1;

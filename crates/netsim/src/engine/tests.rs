@@ -66,6 +66,16 @@ fn config_validation_catches_u16_queue_overflow() {
     };
     assert_eq!(edge.validate(), Ok(()));
     assert_eq!(edge.queue_capacity_pkts(), u16::MAX as u32);
+    // A VC count past u32 used to be cast to 0 and divided by.
+    #[cfg(target_pointer_width = "64")]
+    {
+        let wide = SimConfig {
+            vcs: 1 << 32,
+            ..SimConfig::default()
+        };
+        assert_eq!(wide.validate(), Ok(()));
+        assert_eq!(wide.queue_capacity_pkts(), 1);
+    }
 }
 
 #[test]
@@ -180,58 +190,6 @@ fn unbounded_drain_matches_a_large_finite_one() {
 }
 
 #[test]
-fn negotiated_routes_and_kind_must_come_together() {
-    use crate::flow::{FlowPlan, FlowRouting, TrafficComponent};
-    use crate::negotiate::{NegotiateConfig, NegotiatedRoutes};
-
-    let spec = k8_spec();
-    let table = RouteTable::builder(&spec.graph).build();
-    let cfg = small_cfg(3);
-    let comps = [TrafficComponent::new(Pattern::Permutation, 1)];
-    let plan = FlowPlan::build(&spec, &table, &comps, FlowRouting::EcmpSplit);
-    let neg = NegotiatedRoutes::negotiate(&spec, &table, &plan, &NegotiateConfig::default());
-    let good = Simulation::negotiated(&spec, &table, &neg, &Pattern::Permutation);
-    assert_eq!(good.check(&cfg), Ok(()));
-    assert_eq!(
-        Simulation {
-            negotiated: None,
-            ..good
-        }
-        .check(&cfg),
-        Err(SimConfigError::MissingNegotiatedRoutes)
-    );
-    assert_eq!(
-        Simulation {
-            kind: RoutingKind::ugal4(),
-            ..good
-        }
-        .check(&cfg),
-        Err(SimConfigError::UnusedNegotiatedRoutes { kind: "UGAL" })
-    );
-    // Routes negotiated on a graph with another router count (K9) or
-    // another link count (K8 minus a cable) carry hop slots that name
-    // no port here: a typed error from `check`, not a panic mid-setup.
-    for other in [
-        Graph::complete(9),
-        Graph::complete(8).without_edges(&[(0, 1)]),
-    ] {
-        let other = NetworkSpec::uniform("other", other, 2);
-        let other_table = RouteTable::builder(&other.graph).build();
-        let plan = FlowPlan::build(&other, &other_table, &comps, FlowRouting::EcmpSplit);
-        let cfg_neg = NegotiateConfig::default();
-        let foreign = NegotiatedRoutes::negotiate(&other, &other_table, &plan, &cfg_neg);
-        let sim = Simulation::negotiated(&spec, &table, &foreign, &Pattern::Permutation);
-        assert_eq!(
-            sim.check(&cfg),
-            Err(SimConfigError::NegotiatedGraphMismatch {
-                routes: (other.graph.n(), other.graph.directed_edge_count()),
-                network: (8, 56),
-            })
-        );
-    }
-}
-
-#[test]
 fn check_rejects_a_route_table_built_on_another_graph() {
     // A table for another router count (K9) or another link count (K8
     // minus a cable) holds ports that index the wrong adjacency here: a
@@ -296,49 +254,20 @@ fn epochs_back_on_the_callers_mask_borrow_its_table() {
 }
 
 #[test]
-#[should_panic(expected = "RoutingKind::Negotiated requires negotiated routes")]
-fn engine_rejects_negotiated_kind_without_routes() {
-    let spec = k8_spec();
-    let table = RouteTable::builder(&spec.graph).build();
-    let _ = simulate(
-        &spec,
-        &table,
-        RoutingKind::Negotiated,
-        &Pattern::Uniform,
-        0.1,
-        &small_cfg(1),
-    );
-}
-
-#[test]
-fn negotiated_routing_delivers_and_follows_paths() {
-    use crate::flow::{FlowPlan, FlowRouting, TrafficComponent};
-    use crate::negotiate::{NegotiateConfig, NegotiatedRoutes};
-
-    let spec = k8_spec();
-    let table = RouteTable::builder(&spec.graph).build();
-    let cfg = small_cfg(3);
-    let comps = [TrafficComponent::new(
-        Pattern::Permutation,
-        crate::traffic::engine_resolve_seed(cfg.seed),
-    )];
-    let plan = FlowPlan::build(&spec, &table, &comps, FlowRouting::EcmpSplit);
-    let neg = NegotiatedRoutes::negotiate(&spec, &table, &plan, &NegotiateConfig::default());
-    assert!(neg.converged());
-    let r = Simulation::negotiated(&spec, &table, &neg, &Pattern::Permutation).run(0.3, &cfg);
-    assert!(r.stable, "K8 permutation at 30% under NEG: {r:?}");
-    assert!(r.delivered_fraction > 0.999);
-    // On K8 every negotiated path is the single-hop minimal one, so
-    // NEG must agree with MinSingle exactly (same RNG draw order).
-    let min = simulate(
-        &spec,
-        &table,
-        RoutingKind::MinSingle,
-        &Pattern::Permutation,
-        0.3,
-        &cfg,
-    );
-    assert_eq!(r, min);
+fn hop_count_survives_paths_longer_than_255_hops() {
+    // A 600-ring's mean minimal distance is n/4; a u8 hop counter
+    // wrapped (release) or overflowed (debug) on every far pair.
+    let spec = NetworkSpec::uniform("ring", Graph::cycle(600), 1);
+    let table = RouteTable::for_spec(&spec);
+    let cfg = SimConfig {
+        measure_cycles: 20_000,
+        seed: 7,
+        ..SimConfig::default()
+    };
+    let kind = RoutingKind::MinSingle;
+    let r = simulate(&spec, &table, kind, &Pattern::Uniform, 0.002, &cfg);
+    assert!(r.stable && r.measured_ejected > 1_000, "{r:?}");
+    assert!((r.avg_hops - 150.0).abs() < 3.0, "{r:?}");
 }
 
 #[test]

@@ -46,8 +46,9 @@
 //! * [`monitor`] — observability hooks: link utilization, VC occupancy,
 //!   stall causes, latency histograms (zero-cost when unused);
 //! * [`negotiate`] — offline PathFinder-style congestion-negotiated
-//!   routing: per-pair assignments minimizing max link load, consumable
-//!   by both the flow solver and the cycle engine;
+//!   routing: a per-pair single-path assignment minimizing max link
+//!   load, a [`PathOracle`](polarstar_topo::oracle::PathOracle) the
+//!   flow solver routes over (the cycle engine does not follow it);
 //! * [`stats`] — load sweeps, saturation detection, latency summaries.
 
 pub mod engine;
@@ -66,7 +67,7 @@ pub use monitor::{
     MetricsMonitor, MetricsReport, NoopMonitor, PairMonitor, ShardableMonitor, SimMonitor,
     StallCause, TransientMonitor, WatchdogDiag,
 };
-pub use negotiate::{NegotiateConfig, NegotiatedRoutes};
+pub use negotiate::NegotiatedRoutes;
 pub use routing::{RouteTable, RouteTableBuilder, RoutingKind};
 pub use stats::{fluid_onset, highest_stable_offered};
 pub use traffic::Pattern;

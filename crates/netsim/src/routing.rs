@@ -33,12 +33,6 @@ pub enum RoutingKind {
         /// Number of Valiant candidates sampled at injection.
         candidates: usize,
     },
-    /// Follow an offline congestion-negotiated per-pair assignment
-    /// ([`crate::negotiate::NegotiatedRoutes`]). Requires the routes —
-    /// use [`crate::engine::Simulation::negotiated`]. Packets off the
-    /// negotiated path (or whose negotiated hop died in the current
-    /// fault epoch) fall back to the first minimal port.
-    Negotiated,
 }
 
 impl RoutingKind {
@@ -53,7 +47,6 @@ impl RoutingKind {
             RoutingKind::MinSingle | RoutingKind::MinMulti => "MIN",
             RoutingKind::Valiant => "VAL",
             RoutingKind::Ugal { .. } => "UGAL",
-            RoutingKind::Negotiated => "NEG",
         }
     }
 }

@@ -66,14 +66,6 @@ impl LoadSweep {
     pub fn saturation_load(&self) -> f64 {
         highest_stable_offered(&self.points)
     }
-
-    /// Points through the first unstable one — the rows the figure CSVs
-    /// print: the stable prefix Fig. 9 plots, plus the point that shows
-    /// where the series saturated.
-    pub fn through_first_unstable(&self) -> &[SimResult] {
-        let stable = self.points.iter().take_while(|p| p.stable).count();
-        &self.points[..self.points.len().min(stable + 1)]
-    }
 }
 
 /// Run a load sweep, parallelized across load points.
@@ -360,7 +352,6 @@ mod tests {
         let s = sweep(&sim, &[0.1, 0.3, 0.5], &cfg());
         assert_eq!(s.points.len(), 3);
         assert!(s.saturation_load() >= 0.3, "K6 sustains moderate load");
-        assert!(!s.through_first_unstable().is_empty());
     }
 
     #[test]

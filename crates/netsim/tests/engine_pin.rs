@@ -11,7 +11,7 @@
 //! `threads: Some(3)`.
 //!
 //! Grid: {q=3 IQ PolarStar (flat table), Dragonfly a4h2 (hierarchical
-//! table)} × {MinSingle, MinMulti, Valiant, UGAL-4, Negotiated} ×
+//! table)} × {MinSingle, MinMulti, Valiant, UGAL-4} ×
 //! {pristine, static 5 % link faults, live 5 % burst with recovery under
 //! `Reroute`, the same burst under `Stale`}, plus one `MetricsMonitor`
 //! report hash.
@@ -23,11 +23,9 @@
 
 use polarstar::design::{PolarStarConfig, SupernodeKind};
 use polarstar::network::PolarStarNetwork;
-use polarstar_netsim::flow::{FlowPlan, FlowRouting, TrafficComponent};
-use polarstar_netsim::traffic::engine_resolve_seed;
 use polarstar_netsim::{
-    FaultResponse, MetricsMonitor, NegotiateConfig, NegotiatedRoutes, NoopMonitor, Pattern,
-    RouteTable, RoutingKind, ShardableMonitor, SimConfig, SimResult, Simulation,
+    FaultResponse, MetricsMonitor, NoopMonitor, Pattern, RouteTable, RoutingKind, ShardableMonitor,
+    SimConfig, SimResult, Simulation,
 };
 use polarstar_topo::dragonfly::{dragonfly, DragonflyParams};
 use polarstar_topo::network::NetworkSpec;
@@ -66,12 +64,11 @@ type Net = fn() -> NetworkSpec;
 
 const NETS: [(&str, Net); 2] = [("ps", ps_q3), ("df", df_a4h2)];
 
-const KINDS: [(&str, RoutingKind); 5] = [
+const KINDS: [(&str, RoutingKind); 4] = [
     ("min_single", RoutingKind::MinSingle),
     ("min_multi", RoutingKind::MinMulti),
     ("valiant", RoutingKind::Valiant),
     ("ugal4", RoutingKind::Ugal { candidates: 4 }),
-    ("negotiated", RoutingKind::Negotiated),
 ];
 
 #[derive(Clone, Copy)]
@@ -88,14 +85,12 @@ const FAULTS: [(&str, Faults); 4] = [
     ("burst_stale", Faults::Burst(FaultResponse::Stale)),
 ];
 
-/// The spec, table, routing, pattern, overlay and config of one grid
-/// cell.
+/// The spec, table, routing, pattern and config of one grid cell.
 struct Cell {
     spec: NetworkSpec,
     table: RouteTable,
     kind: RoutingKind,
     pattern: Pattern,
-    neg: Option<NegotiatedRoutes>,
     cfg: SimConfig,
 }
 
@@ -110,7 +105,6 @@ impl Cell {
             table: &self.table,
             kind: self.kind,
             pattern: &self.pattern,
-            negotiated: self.neg.as_ref(),
         }
         .run_monitored(LOAD, &cfg, mon)
     }
@@ -139,30 +133,13 @@ fn cell(net: Net, kind: RoutingKind, faults: Faults) -> Cell {
         }
     }
     let table = RouteTable::for_spec(&spec);
-    // The overlay negotiates a permutation's pair set; the table kinds
-    // run uniform traffic so destination draws exercise the router RNG
+    // Uniform traffic, so destination draws exercise the router RNG
     // streams.
-    let (pattern, neg) = if kind == RoutingKind::Negotiated {
-        let comps = [TrafficComponent::new(
-            Pattern::Permutation,
-            engine_resolve_seed(SEED),
-        )];
-        let plan = FlowPlan::build(&spec, &table, &comps, FlowRouting::EcmpSplit);
-        let ncfg = NegotiateConfig {
-            seed: SEED,
-            ..NegotiateConfig::default()
-        };
-        let neg = NegotiatedRoutes::negotiate(&spec, &table, &plan, &ncfg);
-        (Pattern::Permutation, Some(neg))
-    } else {
-        (Pattern::Uniform, None)
-    };
     Cell {
         spec,
         table,
         kind,
-        pattern,
-        neg,
+        pattern: Pattern::Uniform,
         cfg,
     }
 }
@@ -547,74 +524,6 @@ const GOLDENS: &[(&str, SimResult)] = &[
         },
     ),
     (
-        "ps/negotiated/pristine",
-        SimResult {
-            offered: 0.3,
-            accepted: 0.28509803921568627,
-            avg_latency: 36.28518828451883,
-            p99_latency: 218.0,
-            delivered_fraction: 1.0,
-            stable: true,
-            measured_ejected: 5975,
-            avg_hops: 2.5790794979079497,
-            unroutable: 0,
-            faulted_in_flight: 0,
-            rerouted: 0,
-            watchdog_fired: false,
-        },
-    ),
-    (
-        "ps/negotiated/static",
-        SimResult {
-            offered: 0.3,
-            accepted: 0.28294117647058825,
-            avg_latency: 38.41539748953975,
-            p99_latency: 202.0,
-            delivered_fraction: 1.0,
-            stable: true,
-            measured_ejected: 5975,
-            avg_hops: 2.6930543933054394,
-            unroutable: 0,
-            faulted_in_flight: 0,
-            rerouted: 0,
-            watchdog_fired: false,
-        },
-    ),
-    (
-        "ps/negotiated/burst_reroute",
-        SimResult {
-            offered: 0.3,
-            accepted: 0.2792647058823529,
-            avg_latency: 44.56384937238494,
-            p99_latency: 342.0,
-            delivered_fraction: 1.0,
-            stable: true,
-            measured_ejected: 5975,
-            avg_hops: 2.6751464435146444,
-            unroutable: 0,
-            faulted_in_flight: 0,
-            rerouted: 14,
-            watchdog_fired: false,
-        },
-    ),
-    (
-        "ps/negotiated/burst_stale",
-        SimResult {
-            offered: 0.3,
-            accepted: 0.2765196078431372,
-            avg_latency: 48.98460251046025,
-            p99_latency: 345.0,
-            delivered_fraction: 1.0,
-            stable: true,
-            measured_ejected: 5975,
-            avg_hops: 2.5790794979079497,
-            unroutable: 0,
-            faulted_in_flight: 0,
-            rerouted: 0,
-            watchdog_fired: false,
-        },
-    ),
-    (
         "df/min_single/pristine",
         SimResult {
             offered: 0.3,
@@ -880,74 +789,6 @@ const GOLDENS: &[(&str, SimResult)] = &[
             stable: true,
             measured_ejected: 2175,
             avg_hops: 2.7944827586206897,
-            unroutable: 0,
-            faulted_in_flight: 0,
-            rerouted: 0,
-            watchdog_fired: false,
-        },
-    ),
-    (
-        "df/negotiated/pristine",
-        SimResult {
-            offered: 0.3,
-            accepted: 0.2792857142857143,
-            avg_latency: 45.294726466239524,
-            p99_latency: 258.0,
-            delivered_fraction: 1.0,
-            stable: true,
-            measured_ejected: 2029,
-            avg_hops: 2.480039428289798,
-            unroutable: 0,
-            faulted_in_flight: 0,
-            rerouted: 0,
-            watchdog_fired: false,
-        },
-    ),
-    (
-        "df/negotiated/static",
-        SimResult {
-            offered: 0.3,
-            accepted: 0.25585714285714284,
-            avg_latency: 41.28579175704989,
-            p99_latency: 253.0,
-            delivered_fraction: 1.0,
-            stable: false,
-            measured_ejected: 1844,
-            avg_hops: 2.4593275488069413,
-            unroutable: 185,
-            faulted_in_flight: 0,
-            rerouted: 0,
-            watchdog_fired: false,
-        },
-    ),
-    (
-        "df/negotiated/burst_reroute",
-        SimResult {
-            offered: 0.3,
-            accepted: 0.2722857142857143,
-            avg_latency: 41.37282051282051,
-            p99_latency: 252.0,
-            delivered_fraction: 0.9984639016897081,
-            stable: true,
-            measured_ejected: 1950,
-            avg_hops: 2.4712820512820515,
-            unroutable: 76,
-            faulted_in_flight: 3,
-            rerouted: 0,
-            watchdog_fired: false,
-        },
-    ),
-    (
-        "df/negotiated/burst_stale",
-        SimResult {
-            offered: 0.3,
-            accepted: 0.27714285714285714,
-            avg_latency: 49.77378018728437,
-            p99_latency: 247.0,
-            delivered_fraction: 1.0,
-            stable: true,
-            measured_ejected: 2029,
-            avg_hops: 2.480039428289798,
             unroutable: 0,
             faulted_in_flight: 0,
             rerouted: 0,

@@ -35,7 +35,4 @@ pub mod swap;
 pub use analytic::{AnalyticOracle, Regime};
 pub use batch::{Query, QueryBatch, RouteAnswer};
 pub use oracle::Oracle;
-// Negotiated routing rides on the serving layer: `Oracle::negotiate`
-// produces one from any backend (see `polarstar_netsim::negotiate`).
-pub use polarstar_netsim::{NegotiateConfig, NegotiatedRoutes};
 pub use swap::EpochSwapper;

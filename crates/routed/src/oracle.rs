@@ -107,21 +107,6 @@ impl Oracle {
         }
     }
 
-    /// Negotiate a congestion-minimizing per-pair route assignment for
-    /// `plan`'s traffic matrix against this snapshot's backend —
-    /// PathFinder-style rip-up and re-route (see
-    /// [`polarstar_netsim::negotiate`]). Works identically over the
-    /// table and analytic backends; the result is a pure function of
-    /// `(plan, cfg)` for a given snapshot, byte-identical at any rayon
-    /// width.
-    pub fn negotiate(
-        &self,
-        plan: &polarstar_netsim::FlowPlan,
-        cfg: &polarstar_netsim::NegotiateConfig,
-    ) -> polarstar_netsim::NegotiatedRoutes {
-        polarstar_netsim::NegotiatedRoutes::negotiate(&self.spec, self, plan, cfg)
-    }
-
     /// Resident bytes of the routing state this snapshot queries.
     pub fn memory_bytes(&self) -> usize {
         match &self.backend {
