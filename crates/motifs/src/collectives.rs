@@ -84,22 +84,21 @@ fn recursive_doubling_round(
         }
     }
     // log2(pow2) pairwise exchange rounds among the first pow2 ranks.
+    let mut starts: Vec<Time> = vec![0; pow2];
     let mut k = 1usize;
     while k < pow2 {
-        // Gather all sends of this round first so both directions of an
-        // exchange start from the same readiness.
-        let starts: Vec<Time> = ready[..pow2].to_vec();
-        let mut arrived: Vec<Time> = starts.clone();
+        // Snapshot the round's readiness first so both directions of an
+        // exchange start from the same one.
+        starts.copy_from_slice(&ready[..pow2]);
         for (r, &start) in starts.iter().enumerate() {
             let partner = r ^ k;
             let t = model.send_endpoints(r as u32, partner as u32, bytes, start, mode)?;
-            arrived[partner] = arrived[partner].max(t);
+            ready[partner] = ready[partner].max(t);
             // Gate the sender on its own NIC, like `ring_round`: its
             // next-round exchange cannot start before this message
             // finished injecting.
-            arrived[r] = arrived[r].max(start + model.sender_busy(bytes));
+            ready[r] = ready[r].max(start + model.sender_busy(bytes));
         }
-        ready[..pow2].copy_from_slice(&arrived);
         k <<= 1;
     }
     // Post-phase: results flow back to the folded ranks.
@@ -124,8 +123,9 @@ fn ring_round(
     let p = ready.len();
     let chunk = (bytes / p as u64).max(1);
     // Reduce-scatter then allgather: 2(P−1) ring steps.
+    let mut starts: Vec<Time> = vec![0; p];
     for _step in 0..2 * (p - 1) {
-        let starts: Vec<Time> = ready.to_vec();
+        starts.copy_from_slice(ready);
         for (r, &start) in starts.iter().enumerate() {
             let next = (r + 1) % p;
             let t = model.send_endpoints(r as u32, next as u32, chunk, start, mode)?;

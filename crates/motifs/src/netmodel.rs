@@ -9,7 +9,7 @@
 use polarstar_graph::Graph;
 use polarstar_topo::fault::{FaultMask, FaultSet};
 use polarstar_topo::network::NetworkSpec;
-use polarstar_topo::oracle::{column_next_hops, masked_distance_column};
+use polarstar_topo::oracle::{column_next_hops, masked_distance_block};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::fmt;
@@ -17,6 +17,10 @@ use std::sync::OnceLock;
 
 /// Picoseconds.
 pub type Time = u64;
+
+/// Networks this large cannot be routed: a hop distance has to stay
+/// below the `u16::MAX` that marks "unreachable" in a distance row.
+const ROUTER_LIMIT: usize = u16::MAX as usize;
 
 /// Why a motif-level message or collective could not be modeled.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -151,56 +155,25 @@ impl RoutingMode {
     }
 }
 
-/// ECMP parent sets toward one destination, as a flat CSR over the
-/// router graph: `edges[offsets[r]..offsets[r+1]]` holds the directed
-/// edge ids `r → parent` for every neighbor one hop closer to the
-/// destination, in ascending neighbor order.
-struct ParentCsr {
-    offsets: Vec<u32>,
-    edges: Vec<u32>,
-}
-
-impl ParentCsr {
-    #[inline]
-    fn parents_of(&self, r: u32) -> &[u32] {
-        &self.edges[self.offsets[r as usize] as usize..self.offsets[r as usize + 1] as usize]
-    }
-}
-
-/// The masked column BFS from `dst` over the pristine graph (identical
-/// distances to a BFS over the degraded graph, but edge ids stay the
-/// pristine ones link accounting is keyed by), then the masked port
-/// rule every route backend shares ([`column_next_hops`]): distances
-/// drop a cable with either direction failed, `parents_of(r)` needs
-/// only `r → parent` alive. Ascending neighbor (CSR slot) order.
-fn build_parent_csr(graph: &Graph, dst: u32, mask: &FaultMask) -> Box<ParentCsr> {
-    let n = graph.n();
-    let mut dist = Vec::new();
-    masked_distance_column(graph, mask, dst, &mut dist);
-    let mut offsets = vec![0u32; n + 1];
-    let mut edges = Vec::new();
-    for r in 0..n as u32 {
-        column_next_hops(graph, &dist, r, mask).for_each(|(e, _)| edges.push(e));
-        offsets[r as usize + 1] = edges.len() as u32;
-    }
-    Box::new(ParentCsr { offsets, edges })
-}
-
 /// The contention-aware network model.
 ///
 /// All hot-path state is dense and indexed by the spec graph's
-/// directed edge ids ([`Graph::edge_id`]): paths are `Vec<u32>` of edge
-/// ids, link reservations live in flat arrays, and parent trees are
-/// cached per destination as flat CSR — no hash maps anywhere on the
-/// `send_routers` → `predict`/`reserve` path.
+/// directed edge ids ([`Graph::edge_id`]): paths are runs of edge ids
+/// in buffers the model reuses, link reservations live in flat arrays,
+/// each hop is read off a `u16` distance row ([`column_next_hops`]) —
+/// no hash maps, no allocation from `send_routers` to `reserve`.
 pub struct NetModel {
-    /// Per-destination parent trees under the spec's static fault
-    /// mask, built lazily and cached for the model's lifetime — a
-    /// private cache, not a route backend: faults that change over
-    /// time are a [`FaultEpochs`](crate::FaultEpochs) timeline laid
-    /// over the model by the striped collectives. `OnceLock` so
+    /// All the routing state: `rows[b]` holds an `n`-entry row of hop
+    /// distances to each destination `64·b ..` under the spec's static
+    /// fault mask ([`masked_distance_block`]), swept on first use — a
+    /// private cache, not a route backend: faults that change over time
+    /// are a [`FaultEpochs`](crate::FaultEpochs) timeline the striped
+    /// collectives lay over the model. `OnceLock` so
     /// [`NetModel::min_path`] can populate it through `&self`.
-    parents: Vec<OnceLock<Box<ParentCsr>>>,
+    rows: Vec<OnceLock<Box<[u16]>>>,
+    /// The path a message will reserve and the detour being weighed
+    /// against it, reused across messages.
+    paths: [Vec<u32>; 2],
     /// free_at per directed edge id.
     free_at: Vec<Time>,
     /// Cumulative serialization time reserved per directed edge id.
@@ -247,8 +220,10 @@ impl NetModel {
     pub fn new(spec: NetworkSpec, cfg: MotifConfig) -> Self {
         let rng = ChaCha8Rng::seed_from_u64(cfg.seed);
         let edges = spec.graph.directed_edge_count();
+        let blocks = spec.graph.n().div_ceil(64);
         NetModel {
-            parents: (0..spec.graph.n()).map(|_| OnceLock::new()).collect(),
+            rows: (0..blocks).map(|_| OnceLock::new()).collect(),
+            paths: Default::default(),
             free_at: vec![0; edges],
             link_busy: vec![0; edges],
             link_msgs: vec![0; edges],
@@ -264,13 +239,21 @@ impl NetModel {
         &self.spec
     }
 
-    /// Reset link reservations and load accounting (between
-    /// iterations/benchmarks). Parent trees stay cached: the mask they
-    /// were built under never changes.
+    /// Back to the idle network [`NetModel::new`] built — reservations
+    /// and load accounting cleared, the path RNG reseeded — so what
+    /// follows repeats on a fresh model. Rows stay: their mask does.
     pub fn reset(&mut self) {
         self.free_at.fill(0);
         self.link_busy.fill(0);
         self.link_msgs.fill(0);
+        self.rng = ChaCha8Rng::seed_from_u64(self.cfg.seed);
+    }
+
+    /// Bytes of distance rows swept so far — all the routing state the
+    /// model holds, `2·n²` once every router has been a destination.
+    pub fn row_bytes(&self) -> usize {
+        let swept = self.rows.iter().filter_map(OnceLock::get);
+        swept.map(|block| 2 * block.len()).sum()
     }
 
     /// The static fault mask routing applies (the spec's).
@@ -364,49 +347,70 @@ impl NetModel {
         Err(MotifError::InvalidConfig { reason })
     }
 
-    /// The minimal path `src → dst` as directed edge ids down the
-    /// cached parent tree toward `dst` (built on first use), taking
-    /// parent `pick(k)` wherever a hop offers `k > 1`. `None` when no
-    /// surviving path connects the pair or an id names no router. Over
-    /// the three fields it reads, so [`NetModel::ecmp_path`] can pick
-    /// from `self.rng`.
-    fn tree_path(
-        parents: &[OnceLock<Box<ParentCsr>>],
-        spec: &NetworkSpec,
+    /// Append a minimal path `src → dst` to `path` as directed edge ids
+    /// down `dst`'s distance row (its block swept on first use). Each
+    /// hop's minimal slots land behind the path in ascending CSR order
+    /// — the buffer is its own scratch — and slot `pick(k)` of `k > 1`
+    /// stays. `false`, `path` then unspecified, when no surviving path
+    /// connects the pair, an id names no router or the network reaches
+    /// `ROUTER_LIMIT`. Not a method, so `ecmp_into` can lend `self.rng`.
+    fn walk(
+        rows: &[OnceLock<Box<[u16]>>],
+        graph: &Graph,
         mask: &FaultMask,
-        src: u32,
-        dst: u32,
+        (src, dst): (u32, u32),
         mut pick: impl FnMut(usize) -> usize,
-    ) -> Option<Vec<u32>> {
-        let tree = parents.get(src as usize).and(parents.get(dst as usize))?;
-        let tree = tree.get_or_init(|| build_parent_csr(&spec.graph, dst, mask));
-        let mut path = Vec::new();
+        path: &mut Vec<u32>,
+    ) -> bool {
+        let n = graph.n();
+        if src.max(dst) as usize >= n || n >= ROUTER_LIMIT {
+            return false;
+        }
+        let first = dst as usize & !63;
+        let block = rows[first / 64].get_or_init(|| {
+            let mut block = vec![0; (n - first).min(64) * n].into_boxed_slice();
+            masked_distance_block(graph, mask, first as u32, &mut block);
+            block
+        });
+        let row = &block[(dst as usize - first) * n..][..n];
         let mut cur = src;
         while cur != dst {
-            let opts = tree.parents_of(cur);
-            let &e = opts.get(if opts.len() > 1 { pick(opts.len()) } else { 0 })?;
-            path.push(e);
-            cur = spec.graph.edge_target(e);
+            let at = path.len();
+            column_next_hops(graph, row, cur, mask).for_each(|(e, _)| path.push(e));
+            let k = path.len() - at;
+            if k == 0 {
+                return false;
+            }
+            path[at] = path[at + if k > 1 { pick(k) } else { 0 }];
+            path.truncate(at + 1);
+            cur = graph.edge_target(path[at]);
         }
-        Some(path)
+        true
+    }
+
+    /// [`NetModel::walk`] drawing every choice uniformly from `self.rng`.
+    fn ecmp_into(&mut self, src: u32, dst: u32, path: &mut Vec<u32>) -> bool {
+        let (rng, graph) = (&mut self.rng, &self.spec.graph);
+        let pick = |k| rng.gen_range(0..k);
+        Self::walk(&self.rows, graph, &self.mask, (src, dst), pick, path)
     }
 
     /// The deterministic minimal router path `src → dst` (first ECMP
     /// choice at every hop) as directed edge ids; see
     /// [`NetModel::ecmp_path`] for `None`.
     pub fn min_path(&self, src: u32, dst: u32) -> Option<Vec<u32>> {
-        Self::tree_path(&self.parents, &self.spec, &self.mask, src, dst, |_| 0)
+        let (graph, mut path) = (&self.spec.graph, Vec::new());
+        let found = Self::walk(&self.rows, graph, &self.mask, (src, dst), |_| 0, &mut path);
+        found.then_some(path)
     }
 
     /// A uniformly random minimal path (ECMP) — what "MIN" means in the
     /// paper's simulators, which store or enumerate all minimal paths.
-    /// `None` when no surviving path connects the pair or an id names
-    /// no router of the network.
+    /// `None` when no surviving path connects the pair, an id names no
+    /// router, or the network is too large to route.
     pub fn ecmp_path(&mut self, src: u32, dst: u32) -> Option<Vec<u32>> {
-        let rng = &mut self.rng;
-        Self::tree_path(&self.parents, &self.spec, &self.mask, src, dst, |k| {
-            rng.gen_range(0..k)
-        })
+        let mut path = Vec::new();
+        self.ecmp_into(src, dst, &mut path).then_some(path)
     }
 
     /// Predicted completion of sending `bytes` along `path` (directed
@@ -446,7 +450,7 @@ impl NetModel {
     /// Send a message between ROUTERS at `start`; returns delivery time,
     /// [`MotifError::Disconnected`] when the (possibly fault-degraded)
     /// network offers no path, or [`MotifError::InvalidConfig`] for a
-    /// router id outside the network.
+    /// router id outside the network or one of 65 535 routers or more.
     pub fn send_routers(
         &mut self,
         src: u32,
@@ -461,6 +465,11 @@ impl NetModel {
             motif: None,
         };
         self.check_routers(src, dst)?;
+        let n = self.spec.graph.n();
+        if n >= ROUTER_LIMIT {
+            let reason = format!("{n} routers, routing needs fewer than {ROUTER_LIMIT}");
+            return Err(MotifError::InvalidConfig { reason });
+        }
         if self.mask.router_dead(src) || self.mask.router_dead(dst) {
             return Err(disconnected);
         }
@@ -468,54 +477,41 @@ impl NetModel {
             // Loopback through the local router only.
             return Ok(start + ns(self.cfg.overhead_ns + self.cfg.router_latency_ns));
         }
-        let path = match mode {
-            RoutingMode::Min => self.ecmp_path(src, dst).ok_or(disconnected)?,
-            RoutingMode::Adaptive { candidates } => {
-                let min_path = self.ecmp_path(src, dst).ok_or(disconnected)?;
-                let n = self.spec.graph.n() as u32;
-                let mut best_t = self.predict(&min_path, bytes, start);
-                let mut best = min_path;
-                for _ in 0..candidates {
-                    // Resample (bounded) instead of burning the candidate
-                    // when the draw lands on an endpoint of the pair.
-                    let mut mid = self.rng.gen_range(0..n);
-                    for _ in 0..4 {
-                        if mid != src && mid != dst {
-                            break;
-                        }
-                        mid = self.rng.gen_range(0..n);
-                    }
-                    if mid == src || mid == dst {
-                        continue;
-                    }
-                    // Unreachable intermediates (fault-degraded) are
-                    // skipped, not fatal — the minimal path stands.
-                    let Some(mut p) = self.ecmp_path(src, mid) else {
-                        continue;
-                    };
-                    let Some(tail) = self.ecmp_path(mid, dst) else {
-                        continue;
-                    };
-                    p.extend(tail);
-                    // The spliced detour may pass through dst on its way
-                    // to mid; cut it there so it never reserves links
-                    // beyond the destination.
-                    if let Some(pos) = p
-                        .iter()
-                        .position(|&e| self.spec.graph.edge_target(e) == dst)
-                    {
-                        p.truncate(pos + 1);
-                    }
-                    let t = self.predict(&p, bytes, start);
-                    if t < best_t {
-                        best_t = t;
-                        best = p;
-                    }
+        let [mut best, mut cand] = std::mem::take(&mut self.paths);
+        best.clear();
+        let routed = self.ecmp_into(src, dst, &mut best);
+        if let (true, RoutingMode::Adaptive { candidates }) = (routed, mode) {
+            let mut best_t = self.predict(&best, bytes, start);
+            for _ in 0..candidates {
+                // Resample (bounded: five draws) instead of burning the
+                // candidate when a draw lands on an endpoint of the pair.
+                let mut draws = (0..5).map(|_| self.rng.gen_range(0..n as u32));
+                let Some(mid) = draws.find(|&mid| mid != src && mid != dst) else {
+                    continue;
+                };
+                // Unreachable intermediates (fault-degraded) are
+                // skipped, not fatal — the minimal path stands.
+                cand.clear();
+                if !(self.ecmp_into(src, mid, &mut cand) && self.ecmp_into(mid, dst, &mut cand)) {
+                    continue;
                 }
-                best
+                // The spliced detour may pass through dst on its way
+                // to mid; cut it there so it never reserves links
+                // beyond the destination.
+                let graph = &self.spec.graph;
+                if let Some(pos) = cand.iter().position(|&e| graph.edge_target(e) == dst) {
+                    cand.truncate(pos + 1);
+                }
+                let t = self.predict(&cand, bytes, start);
+                if t < best_t {
+                    best_t = t;
+                    std::mem::swap(&mut best, &mut cand);
+                }
             }
-        };
-        Ok(self.reserve(&path, bytes, start))
+        }
+        let done = routed.then(|| self.reserve(&best, bytes, start));
+        self.paths = [best, cand];
+        done.ok_or(disconnected)
     }
 
     /// Send `bytes` across the single directed link `u → v` at `start`;
@@ -654,6 +650,32 @@ mod tests {
     }
 
     #[test]
+    fn reset_model_repeats_a_fresh_one() {
+        // C8 has two minimal paths between antipodes and every UGAL
+        // send draws intermediates, so the sequence depends on the RNG.
+        let sequence = |m: &mut NetModel| -> Vec<Time> {
+            let ugal = RoutingMode::Adaptive { candidates: 4 };
+            (0..40u32)
+                .map(|i| {
+                    let bytes = 10_000 + 500 * u64::from(i);
+                    m.send_routers(i % 8, (i + 4) % 8, bytes, 0, ugal).unwrap()
+                })
+                .collect()
+        };
+        let fresh = || {
+            let spec = NetworkSpec::uniform("c8", Graph::cycle(8), 1);
+            NetModel::new(spec, MotifConfig::default())
+        };
+        let want = sequence(&mut fresh());
+        let mut m = fresh();
+        for _ in 0..3 {
+            m.send_routers(1, 5, 777, 0, RoutingMode::Min).unwrap();
+        }
+        m.reset();
+        assert_eq!(sequence(&mut m), want, "reset left the RNG advanced");
+    }
+
+    #[test]
     fn link_accounting_tracks_reservations() {
         let mut m = model();
         // Two 4000-byte messages over 0→1→2→3: serial 1000 ns each.
@@ -770,6 +792,48 @@ mod tests {
             assert_eq!(m.ecmp_path(src, dst), None, "{src}→{dst}");
         }
         assert_eq!(m.ecmp_path(0, 3).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn oversized_network_is_invalid_config_not_a_panic() {
+        // 70 000 routers overflow the u16 distance rows.
+        let n = 70_000u32;
+        let spec = NetworkSpec::uniform("c70k", Graph::cycle(n as usize), 1);
+        let mut m = NetModel::new(spec, MotifConfig::default());
+        for mode in [RoutingMode::Min, RoutingMode::Adaptive { candidates: 2 }] {
+            for (src, dst) in [(0, 1), (5, 5), (0, n), (n, 0)] {
+                let err = m.send_routers(src, dst, 8, 0, mode).unwrap_err();
+                assert!(matches!(err, MotifError::InvalidConfig { .. }), "{err}");
+            }
+            let err = m.send_endpoints(0, 9, 8, 0, mode).unwrap_err();
+            assert!(matches!(err, MotifError::InvalidConfig { .. }), "{err}");
+        }
+        assert_eq!(m.min_path(0, 1), None);
+        assert_eq!(m.ecmp_path(0, 1), None);
+        assert_eq!(m.min_path(0, n), None);
+        // A chosen link needs no routing and still works.
+        assert!(m.send_link(0, 1, 8, 0).is_ok());
+    }
+
+    #[test]
+    fn hops_of_any_degree_route() {
+        // K70: degree 69, beyond any fixed radix bound; K4,40 offers a
+        // hop 40 equal choices.
+        let spec = NetworkSpec::uniform("k70", Graph::complete(70), 1);
+        let (mut m, n) = (NetModel::new(spec, MotifConfig::default()), 70);
+        for mode in [RoutingMode::Min, RoutingMode::Adaptive { candidates: 4 }] {
+            for src in 0..n {
+                assert!(m.send_routers(src, (src + 33) % n, 64, 0, mode).is_ok());
+            }
+            let err = m.send_routers(0, n, 64, 0, mode).unwrap_err();
+            assert!(matches!(err, MotifError::InvalidConfig { .. }), "{err}");
+        }
+        let wide: Vec<(u32, u32)> = (0..4).flat_map(|a| (4..44).map(move |b| (a, b))).collect();
+        let spec = NetworkSpec::uniform("k4_40", Graph::from_edges(44, &wide), 1);
+        let mut m = NetModel::new(spec, MotifConfig::default());
+        let firsts: std::collections::BTreeSet<u32> =
+            (0..200).map(|_| m.ecmp_path(0, 1).unwrap()[0]).collect();
+        assert!(firsts.len() > 20, "{} of 40 first hops drawn", firsts.len());
     }
 
     #[test]

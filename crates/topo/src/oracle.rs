@@ -7,11 +7,10 @@
 //! and the `routed` serving oracle all implement [`PathOracle`], so
 //! analysis code, benchmarks, and the query service are generic over
 //! *how* the answers are precomputed; [`column_next_hops`] is the one
-//! masked minimal-port rule and [`masked_distance_column`] the one
-//! masked BFS they (and the motif model's private parent forest) share
-//! — [`masked_distance_block`] is its 64-destination block form, what a
-//! flat `RouteTable` is assembled from — all reading a compiled
-//! [`FaultMask`].
+//! masked minimal-port rule, [`masked_distance_column`] the one masked
+//! BFS and [`masked_distance_block`] its 64-destination block form (what
+//! a flat `RouteTable` and the motif model's rows are swept by) — all
+//! reading a compiled [`FaultMask`].
 //!
 //! Unreachable pairs answer with a typed [`RouteError::Unreachable`]
 //! instead of an empty port slice — callers can no longer mistake a
@@ -20,6 +19,7 @@
 use crate::fault::FaultMask;
 use polarstar_graph::Graph;
 use std::fmt;
+use std::ops::{Add, Not};
 
 /// Why a routing query could not be answered.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -198,24 +198,28 @@ pub trait PathOracle {
 /// order. The port side reads the directed relation
 /// ([`FaultMask::link_dead`] of the slot `v → nb`); the column alone
 /// carries the distance side, where a half-dead cable is already
-/// dropped. Empty when `v` is the destination or unreachable.
-/// Drain it with `for_each`/`fold`: internal iteration compiles to the
-/// plain neighbor loop, while a `for`/`extend` over the filter made the
-/// motif model's forest build ≈ 20 % slower.
+/// dropped. Empty when `v` is the destination or unreachable. `col` is
+/// a `u32` column or a `u16` block row, unreachable being the element's
+/// `MAX` (`!0`). Drain it with `for_each`/`fold`: internal iteration
+/// compiles to the plain neighbor loop, a `for`/`extend` over the
+/// filter measured ≈ 20 % slower.
 #[inline]
-pub fn column_next_hops<'a>(
+pub fn column_next_hops<'a, D>(
     graph: &'a Graph,
-    col: &'a [u32],
+    col: &'a [D],
     v: u32,
     mask: &'a FaultMask,
-) -> impl Iterator<Item = (u32, u32)> + 'a {
-    let dv = col[v as usize];
+) -> impl Iterator<Item = (u32, u32)> + 'a
+where
+    D: Copy + Eq + Default + From<u8> + Not<Output = D> + Add<Output = D>,
+{
+    let (dv, unreachable, one) = (col[v as usize], !D::default(), D::from(1));
     graph
         .edge_range(v)
         .zip(graph.neighbors(v).iter().copied())
         .filter(move |&(e, nb)| {
             let dn = col[nb as usize];
-            dn != u32::MAX && dn + 1 == dv && !mask.link_dead(e)
+            dn != unreachable && dn + one == dv && !mask.link_dead(e)
         })
 }
 
@@ -413,6 +417,19 @@ mod tests {
         let (cut, pristine) = ([0, 1, u32::MAX, u32::MAX, 2, 1], FaultMask::default());
         assert_eq!(column_next_hops(&g, &cut, 3, &pristine).count(), 0);
         assert_eq!(column_next_hops(&g, &cut, 1, &pristine).count(), 1);
+        // Nor is it one for the destination itself (no MAX + 1 wrap).
+        let alone = [0, u32::MAX, u32::MAX, u32::MAX, u32::MAX, u32::MAX];
+        assert_eq!(column_next_hops(&g, &alone, 0, &pristine).count(), 0);
+        // A u16 block row answers as the u32 column does.
+        let narrow = |c: &[u32]| c.iter().map(|&d| d.min(0xFFFF) as u16).collect::<Vec<_>>();
+        for c in [&col, &cut, &alone] {
+            for v in 0..6 {
+                let wide: Vec<_> = column_next_hops(&g, c, v, &pristine).collect();
+                let row = narrow(c);
+                let short: Vec<_> = column_next_hops(&g, &row, v, &pristine).collect();
+                assert_eq!(wide, short, "{c:?} at {v}");
+            }
+        }
     }
 
     #[test]
