@@ -77,8 +77,8 @@ pub enum SimConfigError {
     /// `vcs == 0`: every port needs at least one virtual channel.
     ZeroVcs,
     /// The per-VC queue capacity (`buf_flits_per_port / vcs /
-    /// packet_flits` packets) exceeds what the `u16` queue/credit
-    /// arena fields can count — enqueueing would silently wrap.
+    /// packet_flits` packets) exceeds what the `u16` credit counters
+    /// can count — a credit return would silently wrap.
     QueueCapacityOverflow {
         /// The capacity the config implies, in packets per VC.
         cap_pkts: u32,
@@ -151,11 +151,11 @@ impl SimConfig {
         (per_vc as u32 / self.packet_flits.max(1)).max(1)
     }
 
-    /// Check the arena can represent this config. The queue length,
-    /// head pointer, and credit counters are `u16`, so a per-VC
-    /// capacity ≥ 65 536 packets would silently wrap on enqueue, and
-    /// the event-wheel length is computed in `u32` — both are rejected
-    /// here instead.
+    /// Check the engine can represent this config. The per-(port, VC)
+    /// credit counters are `u16`, so a per-VC capacity ≥ 65 536 packets
+    /// would silently wrap, and the event-wheel length is computed in
+    /// `u32` — both are rejected here instead. Capacity costs no
+    /// memory: queues are linked lists over the buffered packets.
     pub fn validate(&self) -> Result<(), SimConfigError> {
         if self.packet_flits < 1 {
             return Err(SimConfigError::ZeroPacketFlits);

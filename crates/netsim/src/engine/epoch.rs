@@ -189,8 +189,8 @@ impl<'a> Ctx<'a> {
             })
             .collect();
         let shard_starts = partition_starts(&weights, threads);
-        // Both validated above: the capacity fits the u16 queue/credit
-        // arena fields, the wheel length fits u32.
+        // Both validated above: the capacity fits the u16 credit
+        // counters, the wheel length fits u32.
         let cap_pkts = cfg.queue_capacity_pkts();
         let wheel_len = (cfg.packet_flits + cfg.link_latency + 2) as usize;
         // Saturating: `drain_cycles: u64::MAX` means "drain until empty".

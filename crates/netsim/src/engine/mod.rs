@@ -31,11 +31,14 @@
 //! results are bit-identical by construction, which
 //! `tests/determinism.rs` locks in.
 //!
-//! Hot-path state lives in flat arenas: input queues are fixed-capacity
-//! ring buffers in one `u32` arena, credits/busy-horizons/round-robin
-//! pointers are offset-indexed flat vectors, and the packet arena plus
-//! freelist are pre-sized from topology stats so the steady state does
-//! not allocate.
+//! Hot-path state lives in flat arenas whose size follows the traffic,
+//! not the buffer capacity: input queues and source buffers are linked
+//! FIFOs threaded through the packet arena (one `next` link per slot),
+//! a bitmap of the non-empty ones is all switch allocation scans,
+//! credits/busy-horizons/round-robin pointers are offset-indexed flat
+//! vectors, and the arena grows to the most packets ever buffered at
+//! once and recycles slots from then on, so the steady state does not
+//! allocate.
 
 mod config;
 mod epoch;

@@ -68,10 +68,19 @@ impl Ev {
 /// order within one router is fixed regardless of sharding); arrivals
 /// use a stateless hash of `(seed, router, inport, vc, cycle)` — unique
 /// per cycle — so wheel-slot drain order never feeds back into routing.
+/// `Hash` carries the hash's inputs ([`Tie::queue`] first), mixed only
+/// if there is a tie to break.
 #[derive(Clone, Copy)]
-pub(super) enum Tie {
+pub(super) enum Tie<'a> {
     Stream,
-    Hash(u64),
+    Hash(&'a [u64]),
+}
+
+impl Tie<'_> {
+    /// Hash input naming queue `(inport, vc)` of router `r`.
+    pub(super) fn queue(r: u32, inport: usize, vc: usize) -> u64 {
+        ((r as u64) << 32) | ((inport as u64) << 16) | ((vc as u64) << 8)
+    }
 }
 
 /// Order-insensitive run statistics a shard accumulates locally; merged

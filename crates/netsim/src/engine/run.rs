@@ -9,8 +9,9 @@
 //!
 //! 1. **Drain** — pull cross-shard events published during the previous
 //!    cycle from this shard's mailboxes (in ascending source-shard
-//!    order; delivery order inside a cycle is canonicalized by the
-//!    engine's per-slot sort, so drain order cannot matter).
+//!    order; delivery is commutative — arrivals land in distinct
+//!    queues and break port ties by a stateless hash, see the engine
+//!    module docs — so drain order cannot matter).
 //! 2. **Step** — generation, delivery, and switch allocation over the
 //!    shard's routers (`Shard::step`).
 //! 3. **Publish** — swap each non-empty outbox into the destination

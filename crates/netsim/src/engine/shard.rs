@@ -2,6 +2,7 @@
 //! and the compute phases of a simulated cycle.
 
 mod diag;
+mod fifo;
 mod refit;
 
 use super::epoch::{Ctx, Epoch};
@@ -10,9 +11,9 @@ use super::run::Exit;
 use super::MAX_UGAL_CANDIDATES;
 use crate::monitor::{SimMonitor, StallCause};
 use crate::routing::RoutingKind;
+use fifo::QueueStore;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::collections::VecDeque;
 
 /// One contiguous range of routers and all their mutable state, laid out
 /// as flat arenas indexed by per-shard prefix-sum offsets.
@@ -26,12 +27,13 @@ pub(super) struct Shard {
     qoff: Vec<usize>,
     poff: Vec<usize>,
     eoff: Vec<usize>,
-    /// Ring-buffer queue arena: queue qi occupies
-    /// q_data[qi*cap .. (qi+1)*cap]; (q_head, q_len) index it.
+    /// Per-VC input buffer capacity, in packets.
     cap: u32,
-    q_data: Vec<u32>,
-    q_head: Vec<u16>,
-    q_len: Vec<u16>,
+    /// Every buffered packet and its place in line: input queue qi
+    /// (qoff-indexed, at most `cap` long) is list qi, and the unbounded
+    /// source buffer of endpoint slot e (eoff-indexed) is list src0 + e.
+    q: QueueStore,
+    src0: usize,
     /// Downstream credit per (network outport, vc): (poff + port)*vcs+vc.
     credits: Vec<u16>,
     /// Output-busy horizon per network outport (poff-indexed).
@@ -46,12 +48,6 @@ pub(super) struct Shard {
     /// (cfg.seed, global router id) — draw order is router-local, so
     /// results cannot depend on shard boundaries.
     rngs: Vec<ChaCha8Rng>,
-    packets: Vec<Packet>,
-    free: Vec<u32>,
-    /// Per-local-endpoint source queues (unbounded).
-    sources: Vec<VecDeque<u32>>,
-    /// Global endpoint id of sources[0].
-    ep0: usize,
     /// Event wheel over `ctx.wheel_len` slots (local events only).
     wheel: Vec<Vec<Ev>>,
     /// Outgoing cross-shard events, one buffer per destination shard.
@@ -99,7 +95,6 @@ impl Shard {
         let port_count = poff[local_n];
         let ep_count = eoff[local_n];
         let cap = ctx.cap_pkts;
-        let ep0 = ctx.ep_off[r0 as usize] as usize;
         let rngs = (0..local_n)
             .map(|lr| {
                 let r = r0 + lr as u32;
@@ -108,9 +103,6 @@ impl Shard {
                 ))
             })
             .collect();
-        // Pre-size the packet arena to the shard's total buffer capacity
-        // so the steady state never grows it.
-        let arena_cap = q_count * cap as usize + port_count + ep_count;
         let mut wheel = Vec::with_capacity(ctx.wheel_len);
         for _ in 0..ctx.wheel_len {
             wheel.push(Vec::with_capacity((port_count + ep_count).max(4)));
@@ -122,19 +114,14 @@ impl Shard {
             poff,
             eoff,
             cap,
-            q_data: vec![0; q_count * cap as usize],
-            q_head: vec![0; q_count],
-            q_len: vec![0; q_count],
+            q: QueueStore::new(q_count + ep_count),
+            src0: q_count,
             credits: vec![cap as u16; port_count * vcs],
             out_busy: vec![0; port_count],
             eject_busy: vec![0; ep_count],
             rr: vec![0; port_count + local_n],
             load: vec![0; local_n],
             rngs,
-            packets: Vec::with_capacity(arena_cap),
-            free: Vec::with_capacity(arena_cap),
-            sources: vec![VecDeque::new(); ep_count],
-            ep0,
             wheel,
             outboxes: (0..ctx.shards()).map(|_| Vec::new()).collect(),
             active: Vec::with_capacity(local_n),
@@ -164,53 +151,6 @@ impl Shard {
     #[inline]
     fn vcs_of(&self) -> usize {
         self.occ_scratch.len()
-    }
-
-    #[inline]
-    fn q_push(&mut self, qi: usize, pid: u32) {
-        let cap = self.cap as usize;
-        let (h, l) = (self.q_head[qi] as usize, self.q_len[qi] as usize);
-        debug_assert!(l < cap, "VC buffer overflow in queue {qi}");
-        let mut at = h + l;
-        if at >= cap {
-            at -= cap;
-        }
-        self.q_data[qi * cap + at] = pid;
-        self.q_len[qi] = (l + 1) as u16;
-    }
-
-    #[inline]
-    fn q_pop(&mut self, qi: usize) -> u32 {
-        let cap = self.cap as usize;
-        let h = self.q_head[qi] as usize;
-        debug_assert!(self.q_len[qi] > 0);
-        let pid = self.q_data[qi * cap + h];
-        let next = h + 1;
-        self.q_head[qi] = if next == cap { 0 } else { next } as u16;
-        self.q_len[qi] -= 1;
-        pid
-    }
-
-    #[inline]
-    fn q_front(&self, qi: usize) -> u32 {
-        debug_assert!(self.q_len[qi] > 0);
-        self.q_data[qi * self.cap as usize + self.q_head[qi] as usize]
-    }
-
-    fn alloc_packet(&mut self, p: Packet) -> u32 {
-        if let Some(id) = self.free.pop() {
-            self.packets[id as usize] = p;
-            id
-        } else {
-            self.packets.push(p);
-            (self.packets.len() - 1) as u32
-        }
-    }
-
-    /// Move a packet out of the arena, returning its id to the freelist.
-    fn take_packet(&mut self, pid: u32) -> Packet {
-        self.free.push(pid);
-        std::mem::replace(&mut self.packets[pid as usize], Packet::vacant())
     }
 
     #[inline]
@@ -296,8 +236,8 @@ impl Shard {
     fn sample_vc<M: SimMonitor>(&mut self, now: u64, mon: &mut M) {
         let vcs = self.vcs_of();
         self.occ_scratch.iter_mut().for_each(|o| *o = 0);
-        for (qi, &l) in self.q_len.iter().enumerate() {
-            self.occ_scratch[qi % vcs] += l as u64;
+        for qi in self.q.nonempty(0..self.src0) {
+            self.occ_scratch[qi % vcs] += self.q.len(qi) as u64;
         }
         for vc in 0..vcs {
             mon.on_vc_sample(now, vc, self.occ_scratch[vc]);
@@ -411,19 +351,23 @@ impl Shard {
         if measured {
             self.stats.measured_generated += 1;
         }
-        let pid = self.alloc_packet(p);
-        let lep = src_ep as usize - self.ep0;
-        self.sources[lep].push_back(pid);
-        // Move from source queue into the injection input if there is
-        // room (injection buffer = one VC of cap packets).
+        let src = self.src0 + self.eoff[lr] + slot;
+        // Into the injection input if there is room (injection buffer =
+        // one VC of cap packets), behind whatever the source buffer
+        // still holds (an epoch switch can empty the VC under it).
         let deg = ctx.degree(src_router);
         let qi = self.q_index(lr, deg + slot, 0);
-        if (self.q_len[qi] as u32) < self.cap {
-            let head = self.sources[lep].pop_front().unwrap();
-            self.q_push(qi, head);
-            self.load[lr] += 1;
-        } else {
+        if self.q.len(qi) >= self.cap {
+            self.q.push(src, p);
             mon.on_injection_backpressure(src_router);
+        } else {
+            if self.q.len(src) == 0 {
+                self.q.push(qi, p);
+            } else {
+                self.q.push(src, p);
+                self.q.shift(src, qi);
+            }
+            self.load[lr] += 1;
         }
         self.mark_active(src_router);
     }
@@ -463,7 +407,10 @@ impl Shard {
                             let lr = self.lr(r);
                             self.rngs[lr].gen_range(0..ports.len())
                         }
-                        Tie::Hash(h) => (h % ports.len() as u64) as usize,
+                        Tie::Hash(inputs) => {
+                            let h = inputs.iter().fold(ctx.cfg.seed, |h, &x| h ^ splitmix64(x));
+                            (splitmix64(h) % ports.len() as u64) as usize
+                        }
                     };
                     ports[idx]
                 }
@@ -566,28 +513,26 @@ impl Shard {
                     // buffer slot is reclaimed one cycle later (never at
                     // `now`: this slot already drained, and cross-shard
                     // effects must stay ≥ 1 cycle in the future).
-                    let h = splitmix64(
-                        ctx.cfg.seed
-                            ^ splitmix64(
-                                ((router as u64) << 32)
-                                    | ((inport as u64) << 16)
-                                    | ((vc as u64) << 8),
-                            )
-                            ^ splitmix64(now.wrapping_add(0x9e37_79b9_7f4a_7c15)),
-                    );
+                    let tie = [
+                        Tie::queue(router, inport as usize, vc as usize),
+                        now.wrapping_add(0x9e37_79b9_7f4a_7c15),
+                    ];
                     if self.physical(ctx).router_failed(router)
-                        || !self.route_at(ctx, &mut packet, router, Tie::Hash(h))
+                        || !self.route_at(ctx, &mut packet, router, Tie::Hash(&tie))
                     {
                         self.drop_in_flight(packet.measured);
                         self.credit_upstream(ctx, router, inport, vc, now + 1);
                         continue;
                     }
-                    let pid = self.alloc_packet(packet);
                     let lr = self.lr(router);
                     let qi = self.q_index(lr, inport as usize, vc as usize);
                     // Credit accounting must keep arrivals within the VC
-                    // buffer capacity (checked inside q_push).
-                    self.q_push(qi, pid);
+                    // buffer capacity.
+                    debug_assert!(
+                        self.q.len(qi) < self.cap,
+                        "VC buffer overflow in queue {qi}"
+                    );
+                    self.q.push(qi, packet);
                     self.load[lr] += 1;
                     self.mark_active(router);
                 }
@@ -644,15 +589,10 @@ impl Shard {
         // reusable scratch, then process them grouped by output port.
         let mut requests = std::mem::take(&mut self.req_buf);
         requests.clear();
-        for inport in 0..n_inputs {
-            for vc in 0..vcs {
-                let qi = qbase + inport * vcs + vc;
-                if self.q_len[qi] > 0 {
-                    let pid = self.q_front(qi);
-                    let port = self.packets[pid as usize].cur_port;
-                    requests.push((inport as u16, vc as u8, port));
-                }
-            }
+        for qi in self.q.nonempty(qbase..qbase + n_inputs * vcs) {
+            let (inport, vc) = ((qi - qbase) / vcs, (qi - qbase) % vcs);
+            let port = self.q.front(qi).cur_port;
+            requests.push((inport as u16, vc as u8, port));
         }
         if requests.is_empty() {
             self.req_buf = requests;
@@ -660,7 +600,9 @@ impl Shard {
             return;
         }
         // Group by output port (EJECT = 255 sorts last).
-        requests.sort_unstable_by_key(|&(i, v, o)| (o, i, v));
+        if requests.len() > 1 {
+            requests.sort_unstable_by_key(|&(i, v, o)| (o, i, v));
+        }
 
         let mut gi = 0usize;
         while gi < requests.len() {
@@ -680,8 +622,7 @@ impl Shard {
                 for k in 0..glen {
                     let (inport, vc, _) = requests[gstart + (rr + k) % glen];
                     let qi = qbase + inport as usize * vcs + vc as usize;
-                    let pid = self.q_front(qi);
-                    let slot = self.packets[pid as usize].dst_slot;
+                    let slot = self.q.front(qi).dst_slot;
                     if granted_slots.contains(&slot)
                         || self.eject_busy[self.eoff[lr] + slot as usize] > now
                     {
@@ -716,8 +657,7 @@ impl Shard {
             for k in 0..glen {
                 let (inport, vc, _) = requests[gstart + (rr + k) % glen];
                 let qi = qbase + inport as usize * vcs + vc as usize;
-                let pid = self.q_front(qi);
-                let next_vc = (self.packets[pid as usize].hops as usize).min(top_vc);
+                let next_vc = (self.q.front(qi).hops as usize).min(top_vc);
                 examined += 1;
                 if self.credits[(self.poff[lr] + out) * vcs + next_vc] == 0 {
                     mon.on_stall(r, StallCause::CreditStarved);
@@ -746,11 +686,10 @@ impl Shard {
         let deg = ctx.degree(r);
         let eps = ctx.endpoints(r);
         for slot in 0..eps {
-            let lep = self.eoff[lr] + slot;
+            let src = self.src0 + self.eoff[lr] + slot;
             let qi = self.q_index(lr, deg + slot, 0);
-            while !self.sources[lep].is_empty() && (self.q_len[qi] as u32) < self.cap {
-                let pid = self.sources[lep].pop_front().unwrap();
-                self.q_push(qi, pid);
+            while self.q.len(src) > 0 && self.q.len(qi) < self.cap {
+                self.q.shift(src, qi);
                 self.load[lr] += 1;
             }
         }
@@ -771,9 +710,8 @@ impl Shard {
         let lr = self.lr(r);
         let vcs = self.vcs_of();
         let qi = self.q_index(lr, inport as usize, vc as usize);
-        let pid = self.q_pop(qi);
+        let mut p = self.q.pop(qi);
         self.load[lr] -= 1;
-        let mut p = self.take_packet(pid);
         p.hops = p.hops.saturating_add(1);
         let serialize = ctx.cfg.packet_flits as u64;
         self.out_busy[self.poff[lr] + out] = now + serialize;
@@ -829,12 +767,11 @@ impl Shard {
     ) {
         let lr = self.lr(r);
         let qi = self.q_index(lr, inport as usize, vc as usize);
-        let pid = self.q_pop(qi);
+        let p = self.q.pop(qi);
         self.load[lr] -= 1;
         let serialize = ctx.cfg.packet_flits as u64;
         self.eject_busy[self.eoff[lr] + slot as usize] = now + serialize;
         let done = now + serialize;
-        let p = self.take_packet(pid);
         self.stats.delivered_total += 1;
         mon.on_packet_delivered(done, done - p.gen_cycle, p.hops as u32, p.measured);
         if p.measured {

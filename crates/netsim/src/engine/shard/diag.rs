@@ -17,26 +17,17 @@ impl Shard {
     ) -> WatchdogDiag {
         let vcs = self.vcs_of();
         let mut vc_occupancy = vec![0u64; vcs];
-        for (qi, &l) in self.q_len.iter().enumerate() {
-            vc_occupancy[qi % vcs] += l as u64;
+        for qi in self.q.nonempty(0..self.src0) {
+            vc_occupancy[qi % vcs] += self.q.len(qi) as u64;
         }
         let buffered_packets: u64 = self.load.iter().map(|&l| l as u64).sum();
         let zero_credit_ports = self.credits.iter().filter(|&&c| c == 0).count();
-        let mut oldest_packet_age = 0u64;
-        let cap = self.cap as usize;
-        for qi in 0..self.q_len.len() {
-            let h = self.q_head[qi] as usize;
-            for k in 0..self.q_len[qi] as usize {
-                let pid = self.q_data[qi * cap + (h + k) % cap] as usize;
-                oldest_packet_age = oldest_packet_age.max(fired_at - self.packets[pid].gen_cycle);
-            }
-        }
-        for s in &self.sources {
-            for &pid in s {
-                oldest_packet_age =
-                    oldest_packet_age.max(fired_at - self.packets[pid as usize].gen_cycle);
-            }
-        }
+        // Input queues and source buffers alike.
+        let oldest_packet_age = (self.q.nonempty(0..self.src0 + self.eject_busy.len()))
+            .flat_map(|qi| self.q.iter(qi))
+            .map(|p| fired_at - p.gen_cycle)
+            .max()
+            .unwrap_or(0);
         let stuck_routers: Vec<u32> = self
             .load
             .iter()
@@ -58,16 +49,19 @@ impl Shard {
     }
 
     /// Invariant pass ([`SimConfig::invariant_check_every`](crate::engine::SimConfig::invariant_check_every)): queue
-    /// bounds, router-load consistency, packet-arena conservation, and —
-    /// for links with both endpoints in this shard — exact credit
-    /// conservation including in-flight wheel events. Panics on
-    /// violation; runs after the cycle's phases complete.
+    /// bounds, router-load consistency, the queue store's structure
+    /// (bitmap, links, and packet-arena conservation: every slot queued,
+    /// source-buffered or vacant — in-flight packets travel by value
+    /// inside events, outside the arena), and — for links with both
+    /// endpoints in this shard — exact credit conservation including
+    /// in-flight wheel events. Panics on violation; runs after the
+    /// cycle's phases complete.
     pub(in crate::engine) fn check_invariants(&self, ctx: &Ctx, now: u64) {
         let vcs = self.vcs_of();
         for lr in 0..self.load.len() {
             let mut sum = 0u32;
             for qi in self.qoff[lr]..self.qoff[lr + 1] {
-                let l = self.q_len[qi] as u32;
+                let l = self.q.len(qi);
                 assert!(l <= self.cap, "cycle {now}: queue {qi} exceeds capacity");
                 sum += l;
             }
@@ -76,21 +70,12 @@ impl Shard {
                 "cycle {now}: load[{lr}] out of sync with its queues"
             );
         }
-        // Arena conservation: live entries are exactly the queued +
-        // source-buffered packets (in-flight packets travel by value
-        // inside events, outside the arena).
-        let queued: usize = self.q_len.iter().map(|&l| l as usize).sum();
-        let sourced: usize = self.sources.iter().map(|s| s.len()).sum();
-        assert_eq!(
-            self.packets.len() - self.free.len(),
-            queued + sourced,
-            "cycle {now}: packet arena leaked"
-        );
+        self.q.check();
         // Credit conservation per (link, vc): credit held at the sender +
         // credits in flight back + packets buffered downstream +
         // arrivals in flight == capacity. Only checkable when both ends
         // are local (cross-shard events may sit in mailboxes).
-        let mut arr_inflight = vec![0u32; self.q_len.len()];
+        let mut arr_inflight = vec![0u32; self.src0];
         let mut cred_inflight = vec![0u32; self.credits.len()];
         for slot in &self.wheel {
             for ev in slot {
@@ -131,7 +116,7 @@ impl Shard {
                     let qv = self.q_index(self.lr(v), back, vc);
                     let total = self.credits[ci] as u32
                         + cred_inflight[ci]
-                        + self.q_len[qv] as u32
+                        + self.q.len(qv)
                         + arr_inflight[qv];
                     assert_eq!(
                         total, self.cap,

@@ -3,7 +3,7 @@
 
 use super::super::config::FaultResponse;
 use super::super::epoch::Ctx;
-use super::super::packet::{splitmix64, Packet, Tie, EJECT, NO_INTERMEDIATE};
+use super::super::packet::{Packet, Tie, EJECT, NO_INTERMEDIATE};
 use super::Shard;
 
 impl Shard {
@@ -35,14 +35,13 @@ impl Shard {
             for inport in 0..deg + eps {
                 for vc in 0..vcs {
                     let qi = self.q_index(lr, inport, vc);
-                    // Drain the ring once; survivors re-enter in FIFO
+                    // Drain the queue once; survivors re-enter in FIFO
                     // order behind the drained prefix.
-                    for k in 0..self.q_len[qi] as usize {
-                        let pid = self.q_pop(qi);
-                        if !failed && self.refit_packet(ctx, r, pid, (inport, vc, k), now) {
-                            self.q_push(qi, pid);
+                    for k in 0..self.q.len(qi) as usize {
+                        let mut p = self.q.pop(qi);
+                        if !failed && self.refit_packet(ctx, r, &mut p, (inport, vc, k), now) {
+                            self.q.push(qi, p);
                         } else {
-                            let p = self.take_packet(pid);
                             self.drop_in_flight(p.measured);
                             self.load[lr] -= 1;
                             if inport < deg {
@@ -53,13 +52,12 @@ impl Shard {
                 }
             }
             for slot in 0..eps {
-                let lep = self.eoff[lr] + slot;
-                for k in 0..self.sources[lep].len() {
-                    let pid = self.sources[lep].pop_front().unwrap();
-                    if !failed && self.refit_packet(ctx, r, pid, (deg + slot, 0, k), now) {
-                        self.sources[lep].push_back(pid);
+                let src = self.src0 + self.eoff[lr] + slot;
+                for k in 0..self.q.len(src) as usize {
+                    let mut p = self.q.pop(src);
+                    if !failed && self.refit_packet(ctx, r, &mut p, (deg + slot, 0, k), now) {
+                        self.q.push(src, p);
                     } else {
-                        let p = self.take_packet(pid);
                         self.drop_in_flight(p.measured);
                     }
                 }
@@ -76,12 +74,11 @@ impl Shard {
         &mut self,
         ctx: &Ctx,
         r: u32,
-        pid: u32,
+        p: &mut Packet,
         key: (usize, usize, usize),
         now: u64,
     ) -> bool {
         let view = self.routing(ctx);
-        let mut p = std::mem::replace(&mut self.packets[pid as usize], Packet::vacant());
         let mut reroute = false;
         // Abandon a Valiant detour whose legs the epoch cut; the direct
         // path is judged below like any other packet's.
@@ -97,7 +94,6 @@ impl Shard {
         if view.router_failed(p.dst_router)
             || (r != p.dst_router && !view.is_reachable(r, p.dst_router))
         {
-            self.packets[pid as usize] = p;
             return false;
         }
         if p.cur_port != EJECT && view.port_dead(r, p.cur_port as usize) {
@@ -105,19 +101,16 @@ impl Shard {
         }
         if reroute {
             let (inport, vc, k) = key;
-            let h = splitmix64(
-                ctx.cfg.seed
-                    ^ splitmix64(((r as u64) << 32) | ((inport as u64) << 16) | ((vc as u64) << 8))
-                    ^ splitmix64(k as u64)
-                    ^ splitmix64(now.wrapping_add(0x517c_c1b7_2722_0a95)),
-            );
-            if !self.route_at(ctx, &mut p, r, Tie::Hash(h)) {
-                self.packets[pid as usize] = p;
+            let tie = [
+                Tie::queue(r, inport, vc),
+                k as u64,
+                now.wrapping_add(0x517c_c1b7_2722_0a95),
+            ];
+            if !self.route_at(ctx, p, r, Tie::Hash(&tie)) {
                 return false;
             }
             self.stats.rerouted += 1;
         }
-        self.packets[pid as usize] = p;
         true
     }
 }

@@ -886,6 +886,78 @@ fn invariants_hold_through_fault_epochs() {
     }
 }
 
+/// The same pass after every cycle of a saturated point crossing the
+/// burst and its recovery — full VCs, backed-up source buffers, queues
+/// drained and re-pushed by the epoch switch (or wedged behind dead
+/// links when the control plane is stale) — for both injection paths,
+/// both fault responses and both drivers.
+#[test]
+fn invariants_hold_every_cycle_when_saturated() {
+    let g = polarstar_graph::random::random_regular(24, 5, 2).unwrap();
+    let burst = FaultSet::random_links(&g, 0.1, 5);
+    let spec = NetworkSpec::uniform("inv", g, 2);
+    let table = RouteTable::for_spec(&spec);
+    let schedule = FaultSchedule::new()
+        .fail_at(250, burst.clone())
+        .recover_at(600, burst);
+    for kind in [RoutingKind::MinMulti, RoutingKind::ugal4()] {
+        for fault_response in [FaultResponse::Reroute, FaultResponse::Stale] {
+            for threads in [None, Some(2)] {
+                let cfg = SimConfig {
+                    warmup_cycles: 200,
+                    measure_cycles: 600,
+                    drain_cycles: 2_000,
+                    seed: 22,
+                    threads,
+                    fault_schedule: Some(schedule.clone()),
+                    fault_response,
+                    invariant_check_every: Some(1),
+                    ..SimConfig::default()
+                };
+                let r = simulate(&spec, &table, kind, &Pattern::Uniform, 0.9, &cfg);
+                let what = (kind, fault_response, threads);
+                assert!(
+                    r.measured_ejected > 0 && !r.watchdog_fired,
+                    "{what:?}: {r:?}"
+                );
+            }
+        }
+    }
+}
+
+/// 60 000 packets per VC is inside the `u16` credit counters, so
+/// `validate` accepts it, and the engine's state follows what is
+/// buffered: the points run. With a `cap`-slot ring per queue the PS-IQ
+/// one asked for 85 120 × 60 000 × 4 B = 20.4 GB and aborted the
+/// process (`memory allocation of 20428800000 bytes failed`) — an
+/// abort, not a panic, which is why no `should_panic` records it.
+#[test]
+fn deep_buffers_run() {
+    let cfg = SimConfig {
+        buf_flits_per_port: 960_000,
+        warmup_cycles: 100,
+        measure_cycles: 200,
+        drain_cycles: 2_000,
+        seed: 23,
+        ..SimConfig::default()
+    };
+    assert_eq!(cfg.queue_capacity_pkts(), 60_000);
+    assert_eq!(cfg.validate(), Ok(()));
+    let g = polarstar_graph::random::random_regular(24, 5, 2).unwrap();
+    let ps_iq = polarstar::design::best_config(15).unwrap();
+    for spec in [
+        NetworkSpec::uniform("deep", g, 2),
+        polarstar::network::PolarStarNetwork::build(ps_iq, 5)
+            .unwrap()
+            .spec,
+    ] {
+        let table = RouteTable::for_spec(&spec);
+        let kind = RoutingKind::MinMulti;
+        let r = simulate(&spec, &table, kind, &Pattern::Uniform, 0.2, &cfg);
+        assert!(r.stable && r.measured_ejected > 0, "{}: {r:?}", spec.name);
+    }
+}
+
 #[test]
 fn barrier_synchronizes_counter_phases() {
     let threads = 4;
