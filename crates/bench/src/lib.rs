@@ -28,29 +28,19 @@ pub use manifest::RunManifest;
 /// Table 3 topology keys in paper order.
 pub const TABLE3_KEYS: [&str; 8] = ["PS-IQ", "PS-Pal", "BF", "HX", "DF", "SF", "MF", "FT"];
 
+/// Table 3's Bundlefly, as built and as packed into spanning trees.
+const BF_PARAMS: BundleflyParams = BundleflyParams {
+    q: 7,
+    dprime: 4,
+    p: 5,
+};
+
 /// Build one Table 3 network by key.
 pub fn table3_network(key: &str) -> Result<NetworkSpec, TopoError> {
     let net = match key {
-        "PS-IQ" => {
-            let cfg = best_config(15)
-                .ok_or_else(|| TopoError::infeasible("PolarStar", "no radix-15 config"))?;
-            let mut net = PolarStarNetwork::build(cfg, 5)?.spec;
-            net.name = "PS-IQ".into();
-            net
-        }
-        "PS-Pal" => {
-            let cfg = best_config_with(15, false)
-                .ok_or_else(|| TopoError::infeasible("PolarStar", "no radix-15 Paley config"))?;
-            let mut net = PolarStarNetwork::build(cfg, 5)?.spec;
-            net.name = "PS-Pal".into();
-            net
-        }
+        "PS-IQ" | "PS-Pal" => table3_polarstar(key)?.spec,
         "BF" => {
-            let mut net = bundlefly(BundleflyParams {
-                q: 7,
-                dprime: 4,
-                p: 5,
-            })?;
+            let mut net = bundlefly(BF_PARAMS)?;
             net.name = "BF".into();
             net
         }
@@ -88,7 +78,8 @@ pub fn table3_network(key: &str) -> Result<NetworkSpec, TopoError> {
 }
 
 /// Build one Table 3 *PolarStar* network by key, keeping the factor
-/// structure (the `NetworkSpec` inside matches [`table3_network`]).
+/// structure (the `NetworkSpec` inside is what [`table3_network`]
+/// returns).
 /// The analytic routing backend needs the factors, not just the product
 /// graph, so only the `PS-*` keys qualify.
 pub fn table3_polarstar(key: &str) -> Result<PolarStarNetwork, TopoError> {
@@ -122,12 +113,7 @@ pub fn table3_edst(key: &str, spec: &NetworkSpec) -> Vec<Vec<(u32, u32)>> {
             .map(|net| net.edst_trees())
             .expect("PS factors"),
         "BF" => {
-            let (structure, sn) = bundlefly_factors(BundleflyParams {
-                q: 7,
-                dprime: 4,
-                p: 5,
-            })
-            .expect("BF factors");
+            let (structure, sn) = bundlefly_factors(BF_PARAMS).expect("BF factors");
             polarstar_topo::edst::star_product_edst(&spec.graph, &structure, &sn)
         }
         _ => polarstar_graph::edst::greedy_edst(&spec.graph),

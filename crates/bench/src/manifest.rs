@@ -4,7 +4,7 @@
 //! — and, through the `commit` / `host_cores` / `threads` tags it shares
 //! with the `benchmark/` ledger rows, to the timings of the same commit.
 
-use polarstar_netsim::engine::SimConfig;
+use polarstar_netsim::engine::{SimConfig, BUF_FLITS_PER_PORT, LINK_LATENCY, PACKET_FLITS, VCS};
 use polarstar_netsim::monitor::MetricsReport;
 use polarstar_topo::network::NetworkSpec;
 use std::io::Write;
@@ -137,10 +137,10 @@ impl RunManifest {
                 "  \"sim\": {{\"packet_flits\": {}, \"vcs\": {}, \"buf_flits_per_port\": {}, \
                  \"link_latency\": {}, \"warmup_cycles\": {}, \"measure_cycles\": {}, \
                  \"drain_cycles\": {}, \"seed\": {}}},\n",
-                c.packet_flits,
-                c.vcs,
-                c.buf_flits_per_port,
-                c.link_latency,
+                PACKET_FLITS,
+                VCS,
+                BUF_FLITS_PER_PORT,
+                LINK_LATENCY,
                 c.warmup_cycles,
                 c.measure_cycles,
                 c.drain_cycles,

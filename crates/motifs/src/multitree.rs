@@ -10,9 +10,8 @@
 //! completions equalize. The trees are edge-disjoint, so the chunks
 //! never contend and pristine bandwidth scales with the tree count
 //! (Dawkins et al., arXiv 2403.12231). The robustness core is the epoch
-//! machinery: a [`FaultEpochs`] timeline (from a
-//! [`FaultSchedule`](polarstar_topo::FaultSchedule) or a single burst
-//! mask) is consulted at every tree-edge send, and a fault that kills
+//! machinery: a [`FaultEpochs`] timeline (from a [`FaultSchedule`] or
+//! a single burst mask) is consulted at every tree-edge send, and a fault that kills
 //! an edge of tree *t* mid-collective degrades gracefully — the failed
 //! chunk is re-striped (waterfilled again) across the surviving trees
 //! (optionally

@@ -19,18 +19,13 @@ pub enum FaultResponse {
     Stale,
 }
 
-/// Simulation parameters; defaults follow §9.4 (4-flit packets, 128-flit
-/// buffers per port, 4 VCs).
+/// Simulation parameters: the measurement schedule, the seed, the
+/// engine's width and its fault handling. The router model itself is
+/// §9.4's fixed BookSim setup ([`PACKET_FLITS`](super::PACKET_FLITS),
+/// [`VCS`](super::VCS), [`BUF_FLITS_PER_PORT`](super::BUF_FLITS_PER_PORT),
+/// [`LINK_LATENCY`](super::LINK_LATENCY)).
 #[derive(Clone, Debug)]
 pub struct SimConfig {
-    /// Flits per packet.
-    pub packet_flits: u32,
-    /// Virtual channels per port.
-    pub vcs: usize,
-    /// Flit buffer per port, divided evenly among VCs.
-    pub buf_flits_per_port: u32,
-    /// Link traversal latency in cycles.
-    pub link_latency: u32,
     /// Cycles before measurement starts.
     pub warmup_cycles: u64,
     /// Measurement window length.
@@ -65,32 +60,12 @@ pub struct SimConfig {
     pub invariant_check_every: Option<u64>,
 }
 
-/// A [`SimConfig`] or run description the engine cannot represent.
-/// Checked by [`SimConfig::validate`] and [`Simulation::check`](super::Simulation::check) (the
-/// entry points panic with this error's message rather than silently
-/// corrupting state).
+/// A run description the engine cannot represent, found by
+/// [`Simulation::check`](super::Simulation::check) (the entry points
+/// panic with this error's message rather than silently corrupting
+/// state).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SimConfigError {
-    /// `packet_flits == 0`: zero-length packets would deliver events in
-    /// the same cycle they are sent.
-    ZeroPacketFlits,
-    /// `vcs == 0`: every port needs at least one virtual channel.
-    ZeroVcs,
-    /// The per-VC queue capacity (`buf_flits_per_port / vcs /
-    /// packet_flits` packets) exceeds what the `u16` credit counters
-    /// can count — a credit return would silently wrap.
-    QueueCapacityOverflow {
-        /// The capacity the config implies, in packets per VC.
-        cap_pkts: u32,
-        /// The largest representable capacity.
-        max: u32,
-    },
-    /// `packet_flits + link_latency + 2` event-wheel slots overflow
-    /// `u32` — arrivals would wrap into the wrong slot.
-    WheelOverflow {
-        packet_flits: u32,
-        link_latency: u32,
-    },
     /// The fault schedule names a router or link outside the network
     /// (the `TopoError` text of `FaultSchedule::validate`).
     InvalidFaultSchedule(String),
@@ -107,23 +82,6 @@ pub enum SimConfigError {
 impl std::fmt::Display for SimConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SimConfigError::ZeroPacketFlits => {
-                write!(f, "packet_flits must be >= 1 (zero-length packets would deliver events in the same cycle)")
-            }
-            SimConfigError::ZeroVcs => write!(f, "vcs must be >= 1"),
-            SimConfigError::QueueCapacityOverflow { cap_pkts, max } => write!(
-                f,
-                "per-VC queue capacity of {cap_pkts} packets exceeds the u16 arena limit of {max} \
-                 (shrink buf_flits_per_port or raise vcs/packet_flits)"
-            ),
-            SimConfigError::WheelOverflow {
-                packet_flits,
-                link_latency,
-            } => write!(
-                f,
-                "event wheel of packet_flits ({packet_flits}) + link_latency ({link_latency}) + 2 \
-                 slots overflows u32"
-            ),
             SimConfigError::InvalidFaultSchedule(why) => write!(f, "{why}"),
             SimConfigError::RouteTableMismatch { table, network } => write!(
                 f,
@@ -143,55 +101,9 @@ impl std::fmt::Display for SimConfigError {
 
 impl std::error::Error for SimConfigError {}
 
-impl SimConfig {
-    /// The per-VC input queue capacity this config implies, in packets.
-    pub fn queue_capacity_pkts(&self) -> u32 {
-        // Divided in `usize`: `vcs as u32` is 0 for `vcs = 1 << 32`.
-        let per_vc = self.buf_flits_per_port as usize / self.vcs.max(1);
-        (per_vc as u32 / self.packet_flits.max(1)).max(1)
-    }
-
-    /// Check the engine can represent this config. The per-(port, VC)
-    /// credit counters are `u16`, so a per-VC capacity ≥ 65 536 packets
-    /// would silently wrap, and the event-wheel length is computed in
-    /// `u32` — both are rejected here instead. Capacity costs no
-    /// memory: queues are linked lists over the buffered packets.
-    pub fn validate(&self) -> Result<(), SimConfigError> {
-        if self.packet_flits < 1 {
-            return Err(SimConfigError::ZeroPacketFlits);
-        }
-        if self.vcs < 1 {
-            return Err(SimConfigError::ZeroVcs);
-        }
-        let cap_pkts = self.queue_capacity_pkts();
-        if cap_pkts > u16::MAX as u32 {
-            return Err(SimConfigError::QueueCapacityOverflow {
-                cap_pkts,
-                max: u16::MAX as u32,
-            });
-        }
-        if self
-            .packet_flits
-            .checked_add(self.link_latency)
-            .and_then(|slots| slots.checked_add(2))
-            .is_none()
-        {
-            return Err(SimConfigError::WheelOverflow {
-                packet_flits: self.packet_flits,
-                link_latency: self.link_latency,
-            });
-        }
-        Ok(())
-    }
-}
-
 impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
-            packet_flits: 4,
-            vcs: 4,
-            buf_flits_per_port: 128,
-            link_latency: 1,
             warmup_cycles: 2_000,
             measure_cycles: 5_000,
             drain_cycles: 20_000,

@@ -4,35 +4,34 @@
 
 use super::config::{FaultResponse, SimConfig, SimResult};
 use super::packet::ShardStats;
-use super::Simulation;
+use super::{Simulation, PACKET_FLITS};
 use crate::routing::{RouteTable, RoutingKind};
 use crate::traffic::ResolvedPattern;
+use polarstar_graph::Graph;
 use polarstar_topo::fault::FaultMask;
 use std::borrow::Cow;
 
 /// One fault epoch as a shard sees it: three table reads while it is
 /// the routing view, one compiled fault mask while it is in force.
 /// Every routing-state read of the engine goes through the methods
-/// below.
+/// below; they are the only route-table reads it makes.
 pub(super) struct Epoch<'a> {
     /// First cycle of the epoch.
     start: u64,
-    /// The table routing decisions read: the caller's for epoch 0 and
-    /// for every later epoch whose mask equals the one that table was
-    /// assembled under (a recovery back to it), else a
-    /// [`RouteTable::remask`] the run owns — pristine CSR and port
+    /// The table routing decisions read: the caller's for every epoch
+    /// whose mask equals the one that table was assembled under (epoch
+    /// 0 of a run on the table's own spec, a recovery back to it), else
+    /// a [`RouteTable::remask`] the run owns — pristine CSR and port
     /// numbering retained, only the distance and port layers
-    /// reassembled. [`FaultResponse::Stale`] builds none: its routing
-    /// view never leaves epoch 0.
+    /// reassembled. [`FaultResponse::Stale`] builds none after epoch
+    /// 0: its routing view never leaves it.
     table: Cow<'a, RouteTable>,
     /// The epoch's cumulative faults compiled against the graph
     /// (bitless on a pristine network). Packets touching a failed
     /// router at either end are dropped — as unroutable at injection,
-    /// as faulted in flight; dead ports (port `p` of router `r` is CSR
-    /// slot `edge_range(r).start + p`) carry no traffic in either
+    /// as faulted in flight; dead ports carry no traffic in either
     /// response mode.
     mask: FaultMask,
-    graph: &'a polarstar_graph::Graph,
 }
 
 impl Epoch<'_> {
@@ -64,20 +63,22 @@ impl Epoch<'_> {
         self.mask.router_dead(r)
     }
 
+    /// Whether the link behind CSR slot `slot` ([`Ctx::slot`]) is dead.
     #[inline]
-    pub(super) fn port_dead(&self, r: u32, port: usize) -> bool {
-        self.mask
-            .link_dead(self.graph.edge_range(r).start + port as u32)
+    pub(super) fn port_dead(&self, slot: usize) -> bool {
+        self.mask.link_dead(slot as u32)
     }
 }
 
 /// Immutable per-run state shared by every shard: the topology, routing
 /// state per fault epoch, resolved traffic, config, and the precomputed
-/// flat index maps (degree/endpoint prefix sums, reverse-port CSR, shard
+/// flat index maps (endpoint prefix sums, reverse-port CSR, shard
 /// boundaries).
 pub(super) struct Ctx<'a> {
-    /// The caller's table — the neighbor CSR every epoch shares.
-    pub(super) table: &'a RouteTable,
+    /// The pristine router graph: neighbors, degrees, and the CSR slots
+    /// (port `p` of router `r` is slot `edge_range(r).start + p`) that
+    /// port-indexed arrays and every epoch's [`FaultMask`] share.
+    pub(super) graph: &'a Graph,
     pub(super) kind: RoutingKind,
     pub(super) pattern: ResolvedPattern,
     /// Endpoints that transmit under the pattern (self-maps are idle).
@@ -87,10 +88,8 @@ pub(super) struct Ctx<'a> {
     /// Per-endpoint per-cycle generation probability.
     pub(super) p_gen: f64,
     pub(super) cfg: SimConfig,
-    /// Prefix sums of router degrees (len n + 1): port-indexed arrays.
-    pub(super) deg_off: Vec<u32>,
-    /// Reverse port map CSR (deg_off offsets): port p of router r leads
-    /// to u; back_port[deg_off[r] + p] = the port of u back to r.
+    /// Reverse port map over the CSR slots: port p of router r leads
+    /// to u; back_port[slot(r, p)] = the port of u back to r.
     pub(super) back_port: Vec<u8>,
     /// Global endpoint prefix sums per router (len n + 1).
     pub(super) ep_off: Vec<u32>,
@@ -104,9 +103,6 @@ pub(super) struct Ctx<'a> {
     /// cycle `now` is a pure function of `now`, so every shard switches
     /// at the same barrier with no extra synchronization.
     pub(super) epochs: Vec<Epoch<'a>>,
-    /// Per-VC input buffer capacity, in packets.
-    pub(super) cap_pkts: u32,
-    pub(super) wheel_len: usize,
     pub(super) end_measure: u64,
     pub(super) hard_end: u64,
     /// Contiguous shard boundaries (len shards + 1, starts ascending).
@@ -124,17 +120,12 @@ impl<'a> Ctx<'a> {
         let Simulation {
             spec, table, kind, ..
         } = *sim;
-        let n = spec.graph.n();
-        let mut deg_off = Vec::with_capacity(n + 1);
-        deg_off.push(0u32);
+        let graph = &spec.graph;
+        let n = graph.n();
+        let mut back_port = Vec::with_capacity(graph.directed_edge_count());
         for r in 0..n as u32 {
-            deg_off.push(deg_off[r as usize] + spec.graph.degree(r) as u32);
-        }
-        let mut back_port = Vec::with_capacity(deg_off[n] as usize);
-        for r in 0..n as u32 {
-            for &u in spec.graph.neighbors(r) {
-                let bp = spec
-                    .graph
+            for &u in graph.neighbors(r) {
+                let bp = graph
                     .neighbors(u)
                     .binary_search(&r)
                     .expect("undirected edge");
@@ -164,18 +155,17 @@ impl<'a> Ctx<'a> {
             .iter()
             .enumerate()
             .map(|(i, (start, faults))| {
-                let mask = faults.compile(&spec.graph);
-                let shared =
-                    i == 0 || cfg.fault_response == FaultResponse::Stale || mask == *table.mask();
+                let mask = faults.compile(graph);
+                // A stale control plane never routes on a later epoch.
+                let unread = i > 0 && cfg.fault_response == FaultResponse::Stale;
                 Epoch {
                     start: *start,
-                    table: if shared {
+                    table: if unread || mask == *table.mask() {
                         Cow::Borrowed(table)
                     } else {
                         Cow::Owned(table.remask(spec, faults))
                     },
                     mask,
-                    graph: &spec.graph,
                 }
             })
             .collect();
@@ -183,33 +173,23 @@ impl<'a> Ctx<'a> {
         // Contiguous partition balanced by per-router work weight
         // (ports + endpoints + fixed overhead).
         let weights: Vec<u64> = (0..n)
-            .map(|r| {
-                deg_off[r + 1] as u64 - deg_off[r] as u64 + ep_off[r + 1] as u64 - ep_off[r] as u64
-                    + 1
-            })
+            .map(|r| (graph.degree(r as u32) + (ep_off[r + 1] - ep_off[r]) as usize + 1) as u64)
             .collect();
         let shard_starts = partition_starts(&weights, threads);
-        // Both validated above: the capacity fits the u16 credit
-        // counters, the wheel length fits u32.
-        let cap_pkts = cfg.queue_capacity_pkts();
-        let wheel_len = (cfg.packet_flits + cfg.link_latency + 2) as usize;
         // Saturating: `drain_cycles: u64::MAX` means "drain until empty".
         let end_measure = cfg.warmup_cycles.saturating_add(cfg.measure_cycles);
         Ctx {
-            table,
+            graph,
             kind,
             pattern,
             active_src,
             active_eps,
             load,
-            p_gen: load / cfg.packet_flits as f64,
-            deg_off,
+            p_gen: load / PACKET_FLITS as f64,
             back_port,
             ep_off,
             ep_router,
             epochs,
-            cap_pkts,
-            wheel_len,
             end_measure,
             hard_end: end_measure.saturating_add(cfg.drain_cycles),
             shard_starts,
@@ -223,7 +203,13 @@ impl<'a> Ctx<'a> {
 
     #[inline]
     pub(super) fn degree(&self, r: u32) -> usize {
-        (self.deg_off[r as usize + 1] - self.deg_off[r as usize]) as usize
+        self.graph.degree(r)
+    }
+
+    /// The CSR slot of port `port` of router `r`.
+    #[inline]
+    pub(super) fn slot(&self, r: u32, port: usize) -> usize {
+        self.graph.edge_range(r).start as usize + port
     }
 
     #[inline]
@@ -278,7 +264,7 @@ impl<'a> Ctx<'a> {
         } else {
             let a0 = stats.half_sums[0] as f64 / stats.half_counts[0] as f64;
             let a1 = stats.half_sums[1] as f64 / stats.half_counts[1] as f64;
-            a1 <= a0 * 1.5 + 4.0 * self.cfg.packet_flits as f64
+            a1 <= a0 * 1.5 + 4.0 * PACKET_FLITS as f64
         };
         // Throughput criterion: a stable network accepts what is offered
         // (ejected flit rate within 10% of the injection rate).

@@ -15,7 +15,7 @@
 //!   order. No draw order is shared across routers, so it cannot depend
 //!   on how routers are grouped into threads.
 //! * **Commutative event delivery.** Credit-based flow control
-//!   serializes each directed link for `packet_flits ≥ 1` cycles, so at
+//!   serializes each directed link for [`PACKET_FLITS`] ≥ 1 cycles, so at
 //!   most one packet arrives per (router, inport, vc) per cycle:
 //!   arrivals land in distinct input queues, credits are plain
 //!   increments, and stats are integer sums — all insensitive to the
@@ -58,6 +58,28 @@ use polarstar_topo::network::NetworkSpec;
 /// Largest `Ugal { candidates }` the fixed scoring scratch supports.
 const MAX_UGAL_CANDIDATES: usize = 16;
 
+/// Flits per packet (§9.4).
+pub const PACKET_FLITS: u32 = 4;
+/// Virtual channels per port (§9.4).
+pub const VCS: usize = 4;
+/// Flit buffer per port, divided evenly among the VCs (§9.4).
+pub const BUF_FLITS_PER_PORT: u32 = 128;
+/// Link traversal latency in cycles.
+pub const LINK_LATENCY: u32 = 1;
+
+/// Per-VC input buffer capacity, in packets (8).
+const CAP_PKTS: u32 = BUF_FLITS_PER_PORT / VCS as u32 / PACKET_FLITS;
+/// Event-wheel slots: the farthest event is an arrival `PACKET_FLITS +
+/// LINK_LATENCY` cycles out (7).
+const WHEEL_LEN: usize = (PACKET_FLITS + LINK_LATENCY + 2) as usize;
+
+// Serialization takes ≥ 1 cycle (events land in a later slot), a VC
+// index travels as a `u8`, credits are `u16` counters, and the wheel
+// length is computed in `u32`.
+const _: () = assert!(PACKET_FLITS >= 1 && VCS >= 1 && VCS <= 256);
+const _: () = assert!(CAP_PKTS >= 1 && CAP_PKTS <= u16::MAX as u32);
+const _: () = assert!(PACKET_FLITS.checked_add(LINK_LATENCY + 2).is_some());
+
 /// One run description: the network, its routing state, the routing
 /// scheme and the traffic — everything about a simulation except the
 /// load point and the engine parameters, which [`Simulation::run`]
@@ -90,12 +112,11 @@ impl<'a> Simulation<'a> {
         }
     }
 
-    /// Whether the engine can run this description under `cfg`:
-    /// [`SimConfig::validate`] plus the checks that need the network
-    /// and the routing kind. [`Simulation::run`] panics with the
-    /// error's message.
+    /// Whether the engine can run this description under `cfg`: the
+    /// fault schedule fits the network, the table was built for it,
+    /// and the routing kind fits the scoring scratch.
+    /// [`Simulation::run`] panics with the error's message.
     pub fn check(&self, cfg: &SimConfig) -> Result<(), SimConfigError> {
-        cfg.validate()?;
         if let Some(schedule) = &cfg.fault_schedule {
             schedule
                 .validate(self.spec.graph.n())

@@ -8,7 +8,9 @@ mod refit;
 use super::epoch::{Ctx, Epoch};
 use super::packet::{splitmix64, Ev, Packet, ShardStats, Tie, EJECT, NO_INTERMEDIATE};
 use super::run::Exit;
-use super::MAX_UGAL_CANDIDATES;
+use super::{
+    BUF_FLITS_PER_PORT, CAP_PKTS, LINK_LATENCY, MAX_UGAL_CANDIDATES, PACKET_FLITS, VCS, WHEEL_LEN,
+};
 use crate::monitor::{SimMonitor, StallCause};
 use crate::routing::RoutingKind;
 use fifo::QueueStore;
@@ -21,20 +23,18 @@ pub(super) struct Shard {
     /// Global router range [r0, r1).
     r0: u32,
     r1: u32,
-    /// Per-local-router offsets: queues (qoff, ×vcs), network ports
+    /// Per-local-router offsets: queues (qoff, ×VCS), network ports
     /// (poff), endpoint slots (eoff), round-robin pointers (rroff,
     /// deg + 1 per router). All len local_n + 1.
     qoff: Vec<usize>,
     poff: Vec<usize>,
     eoff: Vec<usize>,
-    /// Per-VC input buffer capacity, in packets.
-    cap: u32,
     /// Every buffered packet and its place in line: input queue qi
-    /// (qoff-indexed, at most `cap` long) is list qi, and the unbounded
+    /// (qoff-indexed, at most `CAP_PKTS` long) is list qi, and the unbounded
     /// source buffer of endpoint slot e (eoff-indexed) is list src0 + e.
     q: QueueStore,
     src0: usize,
-    /// Downstream credit per (network outport, vc): (poff + port)*vcs+vc.
+    /// Downstream credit per (network outport, vc): (poff + port)*VCS+vc.
     credits: Vec<u16>,
     /// Output-busy horizon per network outport (poff-indexed).
     out_busy: Vec<u64>,
@@ -48,7 +48,7 @@ pub(super) struct Shard {
     /// (cfg.seed, global router id) — draw order is router-local, so
     /// results cannot depend on shard boundaries.
     rngs: Vec<ChaCha8Rng>,
-    /// Event wheel over `ctx.wheel_len` slots (local events only).
+    /// Event wheel over `WHEEL_LEN` slots (local events only).
     wheel: Vec<Vec<Ev>>,
     /// Outgoing cross-shard events, one buffer per destination shard.
     outboxes: Vec<Vec<(u64, Ev)>>,
@@ -59,7 +59,6 @@ pub(super) struct Shard {
     /// Reusable switch-allocation scratch.
     req_buf: Vec<(u16, u8, u8)>,
     granted_slots: Vec<u16>,
-    occ_scratch: Vec<u64>,
     cand_buf: [u32; MAX_UGAL_CANDIDATES],
     /// Fault epoch this shard last applied (see [`Ctx::epoch_of`]) —
     /// the physical masks in force.
@@ -76,7 +75,6 @@ impl Shard {
         let r0 = ctx.shard_starts[id];
         let r1 = ctx.shard_starts[id + 1];
         let local_n = (r1 - r0) as usize;
-        let vcs = ctx.cfg.vcs;
         let mut qoff = Vec::with_capacity(local_n + 1);
         let mut poff = Vec::with_capacity(local_n + 1);
         let mut eoff = Vec::with_capacity(local_n + 1);
@@ -87,14 +85,13 @@ impl Shard {
             let r = r0 + lr as u32;
             let deg = ctx.degree(r);
             let eps = ctx.endpoints(r);
-            qoff.push(qoff[lr] + (deg + eps) * vcs);
+            qoff.push(qoff[lr] + (deg + eps) * VCS);
             poff.push(poff[lr] + deg);
             eoff.push(eoff[lr] + eps);
         }
         let q_count = qoff[local_n];
         let port_count = poff[local_n];
         let ep_count = eoff[local_n];
-        let cap = ctx.cap_pkts;
         let rngs = (0..local_n)
             .map(|lr| {
                 let r = r0 + lr as u32;
@@ -103,8 +100,8 @@ impl Shard {
                 ))
             })
             .collect();
-        let mut wheel = Vec::with_capacity(ctx.wheel_len);
-        for _ in 0..ctx.wheel_len {
+        let mut wheel = Vec::with_capacity(WHEEL_LEN);
+        for _ in 0..WHEEL_LEN {
             wheel.push(Vec::with_capacity((port_count + ep_count).max(4)));
         }
         Shard {
@@ -113,10 +110,9 @@ impl Shard {
             qoff,
             poff,
             eoff,
-            cap,
             q: QueueStore::new(q_count + ep_count),
             src0: q_count,
-            credits: vec![cap as u16; port_count * vcs],
+            credits: vec![CAP_PKTS as u16; port_count * VCS],
             out_busy: vec![0; port_count],
             eject_busy: vec![0; ep_count],
             rr: vec![0; port_count + local_n],
@@ -129,7 +125,6 @@ impl Shard {
             active_flag: vec![false; local_n],
             req_buf: Vec::new(),
             granted_slots: Vec::new(),
-            occ_scratch: vec![0; vcs],
             cand_buf: [0; MAX_UGAL_CANDIDATES],
             cur_epoch: 0,
             route_epoch: 0,
@@ -145,12 +140,7 @@ impl Shard {
 
     #[inline]
     fn q_index(&self, lr: usize, inport: usize, vc: usize) -> usize {
-        self.qoff[lr] + inport * self.vcs_of() + vc
-    }
-
-    #[inline]
-    fn vcs_of(&self) -> usize {
-        self.occ_scratch.len()
+        self.qoff[lr] + inport * VCS + vc
     }
 
     #[inline]
@@ -177,8 +167,7 @@ impl Shard {
     /// Push an event due at absolute cycle `at` into the wheel.
     #[inline]
     pub(super) fn enqueue_local(&mut self, at: u64, ev: Ev) {
-        let slot = (at % self.wheel.len() as u64) as usize;
-        self.wheel[slot].push(ev);
+        self.wheel[(at % WHEEL_LEN as u64) as usize].push(ev);
     }
 
     /// Take this shard's cross-shard outbox for `dst` (capacity returns
@@ -233,14 +222,13 @@ impl Shard {
 
     /// Locally buffered packets per VC, reported to the monitor (summed
     /// across shards by `ShardableMonitor::absorb`).
-    fn sample_vc<M: SimMonitor>(&mut self, now: u64, mon: &mut M) {
-        let vcs = self.vcs_of();
-        self.occ_scratch.iter_mut().for_each(|o| *o = 0);
+    fn sample_vc<M: SimMonitor>(&self, now: u64, mon: &mut M) {
+        let mut occupancy = [0u64; VCS];
         for qi in self.q.nonempty(0..self.src0) {
-            self.occ_scratch[qi % vcs] += self.q.len(qi) as u64;
+            occupancy[qi % VCS] += self.q.len(qi) as u64;
         }
-        for vc in 0..vcs {
-            mon.on_vc_sample(now, vc, self.occ_scratch[vc]);
+        for (vc, &occupied) in occupancy.iter().enumerate() {
+            mon.on_vc_sample(now, vc, occupied);
         }
     }
 
@@ -303,7 +291,7 @@ impl Shard {
             RoutingKind::Valiant if src_router != dst_router => {
                 // Uniform random intermediate (≠ endpoints, and with both
                 // misroute legs surviving any fault degradation).
-                let n = ctx.table.n() as u32;
+                let n = ctx.graph.n() as u32;
                 let usable = |i: u32| {
                     i != src_router
                         && i != dst_router
@@ -357,7 +345,7 @@ impl Shard {
         // still holds (an epoch switch can empty the VC under it).
         let deg = ctx.degree(src_router);
         let qi = self.q_index(lr, deg + slot, 0);
-        if self.q.len(qi) >= self.cap {
+        if self.q.len(qi) >= CAP_PKTS {
             self.q.push(src, p);
             mon.on_injection_backpressure(src_router);
         } else {
@@ -428,16 +416,15 @@ impl Shard {
         }
         let lr = self.lr(r);
         let port = ports[0] as usize;
-        let vcs = self.vcs_of();
-        let base = (self.poff[lr] + port) * vcs;
-        let cap: u32 = self.credits[base..base + vcs]
+        let base = (self.poff[lr] + port) * VCS;
+        let cap: u32 = self.credits[base..base + VCS]
             .iter()
             .map(|&c| c as u32)
             .sum();
-        let max_cap = ctx.cfg.buf_flits_per_port / ctx.cfg.packet_flits;
+        let max_cap = BUF_FLITS_PER_PORT / PACKET_FLITS;
         let consumed = max_cap.saturating_sub(cap) as u64;
         let busy = self.out_busy[self.poff[lr] + port].saturating_sub(now);
-        consumed * ctx.cfg.packet_flits as u64 + busy
+        consumed * PACKET_FLITS as u64 + busy
     }
 
     /// UGAL-L decision at injection (§9.3): min path vs the best of k
@@ -453,14 +440,14 @@ impl Shard {
         k: usize,
     ) -> u32 {
         let view = self.routing(ctx);
-        let n = ctx.table.n() as u32;
+        let n = ctx.graph.n() as u32;
         let lr = self.lr(src_router);
         for c in &mut self.cand_buf[..k] {
             *c = self.rngs[lr].gen_range(0..n);
         }
         let dmin = view.distance(src_router, dst_router) as u64;
         let min_cost = (dmin.max(1))
-            * (self.port_cost(ctx, src_router, dst_router, now) + ctx.cfg.packet_flits as u64);
+            * (self.port_cost(ctx, src_router, dst_router, now) + PACKET_FLITS as u64);
         let mut best = NO_INTERMEDIATE;
         let mut best_cost = min_cost;
         for ci in 0..k {
@@ -476,8 +463,8 @@ impl Shard {
                 continue;
             }
             let hops = view.distance(src_router, i) as u64 + view.distance(i, dst_router) as u64;
-            let cost = hops.max(1)
-                * (self.port_cost(ctx, src_router, i, now) + ctx.cfg.packet_flits as u64);
+            let cost =
+                hops.max(1) * (self.port_cost(ctx, src_router, i, now) + PACKET_FLITS as u64);
             if cost < best_cost {
                 best_cost = cost;
                 best = i;
@@ -489,13 +476,13 @@ impl Shard {
     /// Deliver this cycle's wheel slot. Processing is insensitive to the
     /// order events sit in the slot: at most one arrival lands per
     /// (router, inport, vc) per cycle (links serialize for
-    /// `packet_flits ≥ 1` cycles), each arrival goes to its own input
+    /// `PACKET_FLITS ≥ 1` cycles), each arrival goes to its own input
     /// queue, credits are plain increments, and the arrival-path port
     /// tie-break is a stateless hash of a tuple that is unique this
     /// cycle — so the result is independent of emission order (and hence
     /// of shard count) without sorting.
     fn deliver(&mut self, ctx: &Ctx, now: u64) {
-        let slot = (now % self.wheel.len() as u64) as usize;
+        let slot = (now % WHEEL_LEN as u64) as usize;
         let mut events = std::mem::take(&mut self.wheel[slot]);
         for ev in events.drain(..) {
             match ev {
@@ -529,7 +516,7 @@ impl Shard {
                     // Credit accounting must keep arrivals within the VC
                     // buffer capacity.
                     debug_assert!(
-                        self.q.len(qi) < self.cap,
+                        self.q.len(qi) < CAP_PKTS,
                         "VC buffer overflow in queue {qi}"
                     );
                     self.q.push(qi, packet);
@@ -542,8 +529,7 @@ impl Shard {
                     vc,
                 } => {
                     let lr = self.lr(router);
-                    let vcs = self.vcs_of();
-                    self.credits[(self.poff[lr] + outport as usize) * vcs + vc as usize] += 1;
+                    self.credits[(self.poff[lr] + outport as usize) * VCS + vc as usize] += 1;
                     self.mark_active(router);
                 }
             }
@@ -577,10 +563,6 @@ impl Shard {
         let lr = self.lr(r);
         let deg = ctx.degree(r);
         let eps = ctx.endpoints(r);
-        let vcs = self.vcs_of();
-        // Top rung of the hop-indexed VC ladder: a VC index travels as a
-        // `u8`, so it is VC 255 however many are configured.
-        let top_vc = (vcs - 1).min(u8::MAX as usize);
         let n_inputs = deg + eps;
         let qbase = self.qoff[lr];
         let rrbase = self.poff[lr] + lr;
@@ -589,8 +571,8 @@ impl Shard {
         // reusable scratch, then process them grouped by output port.
         let mut requests = std::mem::take(&mut self.req_buf);
         requests.clear();
-        for qi in self.q.nonempty(qbase..qbase + n_inputs * vcs) {
-            let (inport, vc) = ((qi - qbase) / vcs, (qi - qbase) % vcs);
+        for qi in self.q.nonempty(qbase..qbase + n_inputs * VCS) {
+            let (inport, vc) = ((qi - qbase) / VCS, (qi - qbase) % VCS);
             let port = self.q.front(qi).cur_port;
             requests.push((inport as u16, vc as u8, port));
         }
@@ -621,7 +603,7 @@ impl Shard {
                 let mut granted_slots = std::mem::take(&mut self.granted_slots);
                 for k in 0..glen {
                     let (inport, vc, _) = requests[gstart + (rr + k) % glen];
-                    let qi = qbase + inport as usize * vcs + vc as usize;
+                    let qi = qbase + inport as usize * VCS + vc as usize;
                     let slot = self.q.front(qi).dst_slot;
                     if granted_slots.contains(&slot)
                         || self.eject_busy[self.eoff[lr] + slot as usize] > now
@@ -641,7 +623,7 @@ impl Shard {
             // queued packets, so this never triggers; under Stale it is
             // where the stale control plane meets physical reality and
             // head-of-line packets wedge their queues.
-            if self.physical(ctx).port_dead(r, out) {
+            if self.physical(ctx).port_dead(ctx.slot(r, out)) {
                 for _ in 0..glen {
                     mon.on_stall(r, StallCause::DeadLink);
                 }
@@ -656,10 +638,11 @@ impl Shard {
             let mut granted = false;
             for k in 0..glen {
                 let (inport, vc, _) = requests[gstart + (rr + k) % glen];
-                let qi = qbase + inport as usize * vcs + vc as usize;
-                let next_vc = (self.q.front(qi).hops as usize).min(top_vc);
+                let qi = qbase + inport as usize * VCS + vc as usize;
+                // The hop-indexed VC ladder, capped at its top rung.
+                let next_vc = (self.q.front(qi).hops as usize).min(VCS - 1);
                 examined += 1;
-                if self.credits[(self.poff[lr] + out) * vcs + next_vc] == 0 {
+                if self.credits[(self.poff[lr] + out) * VCS + next_vc] == 0 {
                     mon.on_stall(r, StallCause::CreditStarved);
                     continue;
                 }
@@ -688,7 +671,7 @@ impl Shard {
         for slot in 0..eps {
             let src = self.src0 + self.eoff[lr] + slot;
             let qi = self.q_index(lr, deg + slot, 0);
-            while self.q.len(src) > 0 && self.q.len(qi) < self.cap {
+            while self.q.len(src) > 0 && self.q.len(qi) < CAP_PKTS {
                 self.q.shift(src, qi);
                 self.load[lr] += 1;
             }
@@ -708,19 +691,18 @@ impl Shard {
         mon: &mut M,
     ) {
         let lr = self.lr(r);
-        let vcs = self.vcs_of();
         let qi = self.q_index(lr, inport as usize, vc as usize);
         let mut p = self.q.pop(qi);
         self.load[lr] -= 1;
         p.hops = p.hops.saturating_add(1);
-        let serialize = ctx.cfg.packet_flits as u64;
+        let serialize = PACKET_FLITS as u64;
         self.out_busy[self.poff[lr] + out] = now + serialize;
-        self.credits[(self.poff[lr] + out) * vcs + next_vc as usize] -= 1;
-        mon.on_link_flit(r, out, ctx.cfg.packet_flits);
+        self.credits[(self.poff[lr] + out) * VCS + next_vc as usize] -= 1;
+        mon.on_link_flit(r, out, PACKET_FLITS);
 
-        let next_router = ctx.table.neighbor(r, out as u8);
-        let next_inport = ctx.back_port[ctx.deg_off[r as usize] as usize + out] as u16;
-        let arrive_at = now + serialize + ctx.cfg.link_latency as u64;
+        let next_router = ctx.graph.neighbors(r)[out];
+        let next_inport = ctx.back_port[ctx.slot(r, out)] as u16;
+        let arrive_at = now + serialize + LINK_LATENCY as u64;
         self.emit(
             ctx,
             arrive_at,
@@ -741,8 +723,8 @@ impl Shard {
     }
 
     fn credit_upstream(&mut self, ctx: &Ctx, r: u32, inport: u16, vc: u8, at: u64) {
-        let upstream = ctx.table.neighbor(r, inport as u8);
-        let up_out = ctx.back_port[ctx.deg_off[r as usize] as usize + inport as usize];
+        let upstream = ctx.graph.neighbors(r)[inport as usize];
+        let up_out = ctx.back_port[ctx.slot(r, inport as usize)];
         self.emit(
             ctx,
             at,
@@ -769,7 +751,7 @@ impl Shard {
         let qi = self.q_index(lr, inport as usize, vc as usize);
         let p = self.q.pop(qi);
         self.load[lr] -= 1;
-        let serialize = ctx.cfg.packet_flits as u64;
+        let serialize = PACKET_FLITS as u64;
         self.eject_busy[self.eoff[lr] + slot as usize] = now + serialize;
         let done = now + serialize;
         self.stats.delivered_total += 1;
@@ -786,7 +768,7 @@ impl Shard {
             self.stats.half_counts[half] += 1;
         }
         if now >= ctx.cfg.warmup_cycles && now < ctx.end_measure {
-            self.stats.ejected_flits_measure += ctx.cfg.packet_flits as u64;
+            self.stats.ejected_flits_measure += PACKET_FLITS as u64;
         }
         // Credit return to upstream.
         if (inport as usize) < ctx.degree(r) {

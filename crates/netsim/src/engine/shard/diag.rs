@@ -3,6 +3,7 @@
 
 use super::super::epoch::Ctx;
 use super::super::packet::Ev;
+use super::super::{CAP_PKTS, VCS};
 use super::Shard;
 use crate::monitor::WatchdogDiag;
 
@@ -15,10 +16,9 @@ impl Shard {
         fired_at: u64,
         stalled_cycles: u64,
     ) -> WatchdogDiag {
-        let vcs = self.vcs_of();
-        let mut vc_occupancy = vec![0u64; vcs];
+        let mut vc_occupancy = vec![0u64; VCS];
         for qi in self.q.nonempty(0..self.src0) {
-            vc_occupancy[qi % vcs] += self.q.len(qi) as u64;
+            vc_occupancy[qi % VCS] += self.q.len(qi) as u64;
         }
         let buffered_packets: u64 = self.load.iter().map(|&l| l as u64).sum();
         let zero_credit_ports = self.credits.iter().filter(|&&c| c == 0).count();
@@ -57,12 +57,11 @@ impl Shard {
     /// in-flight wheel events. Panics on violation; runs after the
     /// cycle's phases complete.
     pub(in crate::engine) fn check_invariants(&self, ctx: &Ctx, now: u64) {
-        let vcs = self.vcs_of();
         for lr in 0..self.load.len() {
             let mut sum = 0u32;
             for qi in self.qoff[lr]..self.qoff[lr + 1] {
                 let l = self.q.len(qi);
-                assert!(l <= self.cap, "cycle {now}: queue {qi} exceeds capacity");
+                assert!(l <= CAP_PKTS, "cycle {now}: queue {qi} exceeds capacity");
                 sum += l;
             }
             assert_eq!(
@@ -92,34 +91,32 @@ impl Shard {
                         vc,
                     } => {
                         let lr = self.lr(router);
-                        cred_inflight[(self.poff[lr] + outport as usize) * vcs + vc as usize] += 1;
+                        cred_inflight[(self.poff[lr] + outport as usize) * VCS + vc as usize] += 1;
                     }
                 }
             }
         }
         for lr in 0..self.load.len() {
             let r = self.r0 + lr as u32;
-            let deg = ctx.degree(r);
-            for port in 0..deg {
-                let v = ctx.table.neighbor(r, port as u8);
-                let ci_base = (self.poff[lr] + port) * vcs;
-                for vc in 0..vcs {
+            for (port, &v) in ctx.graph.neighbors(r).iter().enumerate() {
+                let ci_base = (self.poff[lr] + port) * VCS;
+                for vc in 0..VCS {
                     let ci = ci_base + vc;
                     assert!(
-                        (self.credits[ci] as u32) <= self.cap,
+                        (self.credits[ci] as u32) <= CAP_PKTS,
                         "cycle {now}: credit overflow at router {r} port {port} vc {vc}"
                     );
                     if v < self.r0 || v >= self.r1 {
                         continue;
                     }
-                    let back = ctx.back_port[ctx.deg_off[r as usize] as usize + port] as usize;
+                    let back = ctx.back_port[ctx.slot(r, port)] as usize;
                     let qv = self.q_index(self.lr(v), back, vc);
                     let total = self.credits[ci] as u32
                         + cred_inflight[ci]
                         + self.q.len(qv)
                         + arr_inflight[qv];
                     assert_eq!(
-                        total, self.cap,
+                        total, CAP_PKTS,
                         "cycle {now}: credit conservation broken on link {r}→{v} vc {vc}"
                     );
                 }

@@ -4,6 +4,7 @@
 use super::super::config::FaultResponse;
 use super::super::epoch::Ctx;
 use super::super::packet::{Packet, Tie, EJECT, NO_INTERMEDIATE};
+use super::super::VCS;
 use super::Shard;
 
 impl Shard {
@@ -26,14 +27,13 @@ impl Shard {
             return;
         }
         self.route_epoch = e;
-        let vcs = self.vcs_of();
         for lr in 0..self.load.len() {
             let r = self.r0 + lr as u32;
             let deg = ctx.degree(r);
             let eps = ctx.endpoints(r);
             let failed = ctx.epochs[e].router_failed(r);
             for inport in 0..deg + eps {
-                for vc in 0..vcs {
+                for vc in 0..VCS {
                     let qi = self.q_index(lr, inport, vc);
                     // Drain the queue once; survivors re-enter in FIFO
                     // order behind the drained prefix.
@@ -96,7 +96,7 @@ impl Shard {
         {
             return false;
         }
-        if p.cur_port != EJECT && view.port_dead(r, p.cur_port as usize) {
+        if p.cur_port != EJECT && view.port_dead(ctx.slot(r, p.cur_port as usize)) {
             reroute = true;
         }
         if reroute {

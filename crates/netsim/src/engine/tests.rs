@@ -1,5 +1,5 @@
-//! Engine unit tests: config validation, the sequential and sharded
-//! drivers, static fault masks, and live fault epochs.
+//! Engine unit tests: run checks, the sequential and sharded paths,
+//! static fault masks, and live fault epochs.
 
 use super::epoch::partition_starts;
 use super::run::SpinBarrier;
@@ -24,126 +24,9 @@ fn k8_spec() -> NetworkSpec {
 }
 
 #[test]
-fn config_validation_catches_u16_queue_overflow() {
-    // 2^23 flits / 1 vc / 1 flit-per-packet = 2^23 packets per VC —
-    // far past what the u16 queue/credit arena fields can count.
-    let cfg = SimConfig {
-        packet_flits: 1,
-        vcs: 1,
-        buf_flits_per_port: 1 << 23,
-        ..SimConfig::default()
-    };
-    assert_eq!(
-        cfg.validate(),
-        Err(SimConfigError::QueueCapacityOverflow {
-            cap_pkts: 1 << 23,
-            max: u16::MAX as u32,
-        })
-    );
-    assert_eq!(
-        SimConfig {
-            packet_flits: 0,
-            ..SimConfig::default()
-        }
-        .validate(),
-        Err(SimConfigError::ZeroPacketFlits)
-    );
-    assert_eq!(
-        SimConfig {
-            vcs: 0,
-            ..SimConfig::default()
-        }
-        .validate(),
-        Err(SimConfigError::ZeroVcs)
-    );
-    assert_eq!(SimConfig::default().validate(), Ok(()));
-    // The largest representable capacity passes.
-    let edge = SimConfig {
-        packet_flits: 1,
-        vcs: 1,
-        buf_flits_per_port: u16::MAX as u32,
-        ..SimConfig::default()
-    };
-    assert_eq!(edge.validate(), Ok(()));
-    assert_eq!(edge.queue_capacity_pkts(), u16::MAX as u32);
-    // A VC count past u32 used to be cast to 0 and divided by.
-    #[cfg(target_pointer_width = "64")]
-    {
-        let wide = SimConfig {
-            vcs: 1 << 32,
-            ..SimConfig::default()
-        };
-        assert_eq!(wide.validate(), Ok(()));
-        assert_eq!(wide.queue_capacity_pkts(), 1);
-    }
-}
-
-#[test]
-#[should_panic(expected = "exceeds the u16 arena limit")]
-fn engine_rejects_overflowing_queue_capacity() {
-    let spec = k8_spec();
-    let table = RouteTable::builder(&spec.graph).build();
-    let cfg = SimConfig {
-        packet_flits: 1,
-        vcs: 1,
-        buf_flits_per_port: 1 << 23,
-        ..small_cfg(1)
-    };
-    let _ = simulate(
-        &spec,
-        &table,
-        RoutingKind::MinSingle,
-        &Pattern::Uniform,
-        0.1,
-        &cfg,
-    );
-}
-
-#[test]
-fn config_validation_catches_wheel_overflow() {
-    let cfg = SimConfig {
-        link_latency: u32::MAX,
-        ..SimConfig::default()
-    };
-    assert_eq!(
-        cfg.validate(),
-        Err(SimConfigError::WheelOverflow {
-            packet_flits: 4,
-            link_latency: u32::MAX,
-        })
-    );
-    // The largest wheel that still fits u32 is representable (if
-    // not allocatable).
-    let edge = SimConfig {
-        link_latency: u32::MAX - 6,
-        ..SimConfig::default()
-    };
-    assert_eq!(edge.validate(), Ok(()));
-}
-
-#[test]
-#[should_panic(expected = "slots overflows u32")]
-fn engine_rejects_overflowing_wheel() {
-    let spec = k8_spec();
-    let table = RouteTable::builder(&spec.graph).build();
-    let cfg = SimConfig {
-        link_latency: u32::MAX,
-        ..small_cfg(1)
-    };
-    let _ = simulate(
-        &spec,
-        &table,
-        RoutingKind::MinSingle,
-        &Pattern::Uniform,
-        0.1,
-        &cfg,
-    );
-}
-
-#[test]
 fn check_rejects_a_fault_schedule_outside_the_network() {
     let spec = k8_spec();
-    let table = RouteTable::builder(&spec.graph).build();
+    let table = RouteTable::for_spec(&spec);
     let sim = Simulation::new(&spec, &table, RoutingKind::MinMulti, &Pattern::Uniform);
     let mut cfg = small_cfg(4);
     let link = FaultSchedule::new().fail_link_at(100, 0, 8);
@@ -175,7 +58,7 @@ fn static_faults_outside_the_network_set_nothing() {
 #[test]
 fn unbounded_drain_matches_a_large_finite_one() {
     let spec = k8_spec();
-    let table = RouteTable::builder(&spec.graph).build();
+    let table = RouteTable::for_spec(&spec);
     let sim = Simulation::new(&spec, &table, RoutingKind::MinMulti, &Pattern::Uniform);
     let finite = sim.run(0.4, &small_cfg(2));
     assert!(finite.measured_ejected > 0 && finite.stable, "{finite:?}");
@@ -200,7 +83,7 @@ fn check_rejects_a_route_table_built_on_another_graph() {
         Graph::complete(9),
         Graph::complete(8).without_edges(&[(0, 1)]),
     ] {
-        let foreign = RouteTable::builder(&other).build();
+        let foreign = RouteTable::for_spec(&NetworkSpec::uniform("other", other.clone(), 2));
         let sim = Simulation::new(&spec, &foreign, RoutingKind::MinMulti, &Pattern::Uniform);
         assert_eq!(
             sim.check(&cfg),
@@ -219,7 +102,7 @@ fn check_rejects_a_route_table_built_on_another_graph() {
 #[should_panic(expected = "route table built for a different graph: 9 routers / 72 links")]
 fn engine_rejects_a_foreign_route_table() {
     let spec = k8_spec();
-    let foreign = RouteTable::builder(&Graph::complete(9)).build();
+    let foreign = RouteTable::for_spec(&NetworkSpec::uniform("k9", Graph::complete(9), 2));
     let kind = RoutingKind::MinSingle;
     let _ = simulate(&spec, &foreign, kind, &Pattern::Uniform, 0.1, &small_cfg(1));
 }
@@ -254,6 +137,23 @@ fn epochs_back_on_the_callers_mask_borrow_its_table() {
 }
 
 #[test]
+fn epoch_zero_routes_on_the_specs_faults_not_the_tables() {
+    // A table assembled under another mask is not the run's epoch 0: a
+    // pristine table on a spec with a failed link used to be borrowed
+    // as is, and packets routed onto the dead port wedged behind it
+    // until the watchdog cut the run (delivered fraction 0.27).
+    let c8 = || NetworkSpec::uniform("c8", Graph::cycle(8), 2);
+    let spec = c8().with_faults(FaultSet::from_links([(0, 1)]));
+    let run = |table: &RouteTable| {
+        let kind = RoutingKind::MinMulti;
+        simulate(&spec, table, kind, &Pattern::Uniform, 0.1, &small_cfg(10))
+    };
+    let got = run(&RouteTable::for_spec(&c8()));
+    assert_eq!(got, run(&RouteTable::for_spec(&spec)));
+    assert!(got.stable && got.delivered_fraction == 1.0, "{got:?}");
+}
+
+#[test]
 fn hop_count_survives_paths_longer_than_255_hops() {
     // A 600-ring's mean minimal distance is n/4; a u8 hop counter
     // wrapped (release) or overflowed (debug) on every far pair.
@@ -273,7 +173,7 @@ fn hop_count_survives_paths_longer_than_255_hops() {
 #[test]
 fn low_load_latency_near_zero_load_baseline() {
     let spec = k8_spec();
-    let table = RouteTable::builder(&spec.graph).build();
+    let table = RouteTable::for_spec(&spec);
     // A longer window than small_cfg: at 5% load only ~2.5 packets
     // arrive per endpoint per 1000 cycles, so short windows make the
     // accepted-throughput criterion a coin flip.
@@ -303,7 +203,7 @@ fn low_load_latency_near_zero_load_baseline() {
 #[test]
 fn complete_graph_sustains_high_uniform_load() {
     let spec = k8_spec();
-    let table = RouteTable::builder(&spec.graph).build();
+    let table = RouteTable::for_spec(&spec);
     let r = simulate(
         &spec,
         &table,
@@ -324,7 +224,7 @@ fn ring_saturates_under_uniform_load() {
     // An 8-cycle with 2 endpoints per router has tiny bisection; high
     // uniform load must saturate (latency runaway / undelivered).
     let spec = NetworkSpec::uniform("c8", Graph::cycle(8), 2);
-    let table = RouteTable::builder(&spec.graph).build();
+    let table = RouteTable::for_spec(&spec);
     let hi = simulate(
         &spec,
         &table,
@@ -352,7 +252,7 @@ fn ring_saturates_under_uniform_load() {
 #[test]
 fn latency_monotone_in_load() {
     let spec = k8_spec();
-    let table = RouteTable::builder(&spec.graph).build();
+    let table = RouteTable::for_spec(&spec);
     let mut last = 0.0;
     for load in [0.1, 0.4, 0.7] {
         let r = simulate(
@@ -374,7 +274,7 @@ fn latency_monotone_in_load() {
 #[test]
 fn deterministic_for_seed() {
     let spec = k8_spec();
-    let table = RouteTable::builder(&spec.graph).build();
+    let table = RouteTable::for_spec(&spec);
     let a = simulate(
         &spec,
         &table,
@@ -397,7 +297,7 @@ fn deterministic_for_seed() {
 #[test]
 fn sharded_matches_sequential_on_k8() {
     let spec = k8_spec();
-    let table = RouteTable::builder(&spec.graph).build();
+    let table = RouteTable::for_spec(&spec);
     let seq = simulate(
         &spec,
         &table,
@@ -426,7 +326,7 @@ fn sharded_matches_sequential_on_k8() {
 #[test]
 fn permutation_traffic_runs() {
     let spec = k8_spec();
-    let table = RouteTable::builder(&spec.graph).build();
+    let table = RouteTable::for_spec(&spec);
     let r = simulate(
         &spec,
         &table,
@@ -448,8 +348,9 @@ fn ugal_beats_min_on_adversarial_ring() {
         a: 4,
         h: 2,
         p: 2,
-    });
-    let table = RouteTable::builder(&spec.graph).build();
+    })
+    .with_policy(polarstar_topo::RoutingPolicy::FlatMinimal);
+    let table = RouteTable::for_spec(&spec);
     // Each group funnels 8 endpoints over a single global link under
     // MIN (throughput cap ≈ 1/8); UGAL spreads over all groups.
     let load = 0.3;
@@ -481,7 +382,7 @@ fn ugal_beats_min_on_adversarial_ring() {
 #[test]
 fn zero_load_produces_no_packets() {
     let spec = k8_spec();
-    let table = RouteTable::builder(&spec.graph).build();
+    let table = RouteTable::for_spec(&spec);
     let r = simulate(
         &spec,
         &table,
@@ -524,7 +425,7 @@ fn traffic_survives_link_failures_after_reroute() {
     let faulty = full.without_edges(&removed);
     assert!(polarstar_graph::traversal::is_connected(&faulty));
     let spec = NetworkSpec::uniform("faulty", faulty, 2);
-    let table = RouteTable::builder(&spec.graph).build();
+    let table = RouteTable::for_spec(&spec);
     let cfg = SimConfig {
         warmup_cycles: 300,
         measure_cycles: 800,
@@ -549,7 +450,7 @@ fn traffic_survives_link_failures_after_reroute() {
 fn hop_counts_bounded_by_diameter() {
     let g = Graph::cycle(10);
     let spec = NetworkSpec::uniform("c10", g, 1);
-    let table = RouteTable::builder(&spec.graph).build();
+    let table = RouteTable::for_spec(&spec);
     let cfg = SimConfig {
         warmup_cycles: 200,
         measure_cycles: 600,
@@ -576,7 +477,7 @@ fn hop_counts_bounded_by_diameter() {
 #[test]
 fn valiant_hops_exceed_minimal() {
     let spec = NetworkSpec::uniform("k8", Graph::complete(8), 2);
-    let table = RouteTable::builder(&spec.graph).build();
+    let table = RouteTable::for_spec(&spec);
     let cfg = SimConfig {
         warmup_cycles: 300,
         measure_cycles: 800,
@@ -922,39 +823,6 @@ fn invariants_hold_every_cycle_when_saturated() {
                 );
             }
         }
-    }
-}
-
-/// 60 000 packets per VC is inside the `u16` credit counters, so
-/// `validate` accepts it, and the engine's state follows what is
-/// buffered: the points run. With a `cap`-slot ring per queue the PS-IQ
-/// one asked for 85 120 × 60 000 × 4 B = 20.4 GB and aborted the
-/// process (`memory allocation of 20428800000 bytes failed`) — an
-/// abort, not a panic, which is why no `should_panic` records it.
-#[test]
-fn deep_buffers_run() {
-    let cfg = SimConfig {
-        buf_flits_per_port: 960_000,
-        warmup_cycles: 100,
-        measure_cycles: 200,
-        drain_cycles: 2_000,
-        seed: 23,
-        ..SimConfig::default()
-    };
-    assert_eq!(cfg.queue_capacity_pkts(), 60_000);
-    assert_eq!(cfg.validate(), Ok(()));
-    let g = polarstar_graph::random::random_regular(24, 5, 2).unwrap();
-    let ps_iq = polarstar::design::best_config(15).unwrap();
-    for spec in [
-        NetworkSpec::uniform("deep", g, 2),
-        polarstar::network::PolarStarNetwork::build(ps_iq, 5)
-            .unwrap()
-            .spec,
-    ] {
-        let table = RouteTable::for_spec(&spec);
-        let kind = RoutingKind::MinMulti;
-        let r = simulate(&spec, &table, kind, &Pattern::Uniform, 0.2, &cfg);
-        assert!(r.stable && r.measured_ejected > 0, "{}: {r:?}", spec.name);
     }
 }
 

@@ -4,11 +4,15 @@
 //! The model is an input-queued virtual-channel router with credit-based
 //! flow control and virtual cut-through switching:
 //!
-//! * packets are 4 flits (configurable); a packet transfers over a link
-//!   at one flit per cycle once switch allocation succeeds and the
-//!   downstream virtual-channel buffer has room for the whole packet;
-//! * each router port has a fixed flit buffer divided evenly among the
-//!   virtual channels; credits flow back when a packet leaves a buffer;
+//! * packets are [`PACKET_FLITS`](engine::PACKET_FLITS) = 4 flits; a
+//!   packet transfers over a link at one flit per cycle once switch
+//!   allocation succeeds and the downstream virtual-channel buffer has
+//!   room for the whole packet, then spends
+//!   [`LINK_LATENCY`](engine::LINK_LATENCY) = 1 cycle on the wire;
+//! * each router port has a [`BUF_FLITS_PER_PORT`](engine::BUF_FLITS_PER_PORT)
+//!   = 128-flit buffer divided evenly among its [`VCS`](engine::VCS) = 4
+//!   virtual channels (8 packets each); credits flow back when a packet
+//!   leaves a buffer;
 //! * switch allocation is round-robin per output port over requesting
 //!   input VCs; VC selection is hop-indexed (ascending VCs are a
 //!   sufficient deadlock-avoidance discipline for the ≤ 7-hop paths that
@@ -25,8 +29,8 @@
 //! parallelism; see EXPERIMENTS.md for guidance on which to use.
 //!
 //! The paper's BookSim setup (4-flit packets, 128-flit buffers per port,
-//! 4 VCs, credit flow control, warm-up before measurement) maps directly
-//! onto [`SimConfig`]'s defaults. BookSim's wormhole pipeline differs in
+//! 4 VCs, credit flow control) is the engine's constants, and its
+//! warm-up before measurement [`SimConfig`]'s default. BookSim's wormhole pipeline differs in
 //! absolute cycle counts; latency-vs-load *shape* — who saturates first
 //! and at what load — is preserved, which is what the reproduction
 //! compares.
@@ -68,6 +72,6 @@ pub use monitor::{
     StallCause, TransientMonitor, WatchdogDiag,
 };
 pub use negotiate::NegotiatedRoutes;
-pub use routing::{RouteTable, RouteTableBuilder, RoutingKind};
+pub use routing::{RouteTable, RoutingKind};
 pub use stats::{fluid_onset, highest_stable_offered};
 pub use traffic::Pattern;

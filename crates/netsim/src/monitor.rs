@@ -9,7 +9,7 @@
 //! stall-cause counters, injection-backpressure counts, and a
 //! log-bucketed latency histogram (p50/p99/p999 without storing samples).
 
-use crate::engine::SimConfig;
+use crate::engine::{SimConfig, VCS};
 use polarstar_topo::network::NetworkSpec;
 
 /// Why a head-of-line packet failed to advance this cycle.
@@ -148,39 +148,6 @@ impl ShardableMonitor for NoopMonitor {
         NoopMonitor
     }
     fn absorb(&mut self, _shard: Self) {}
-}
-
-impl<M: SimMonitor> SimMonitor for &mut M {
-    fn on_run_start(&mut self, spec: &NetworkSpec, cfg: &SimConfig) {
-        (**self).on_run_start(spec, cfg)
-    }
-    fn sample_interval(&self) -> Option<u64> {
-        (**self).sample_interval()
-    }
-    fn on_vc_sample(&mut self, now: u64, vc: usize, occupied_packets: u64) {
-        (**self).on_vc_sample(now, vc, occupied_packets)
-    }
-    fn on_link_flit(&mut self, router: u32, port: usize, flits: u32) {
-        (**self).on_link_flit(router, port, flits)
-    }
-    fn on_stall(&mut self, router: u32, cause: StallCause) {
-        (**self).on_stall(router, cause)
-    }
-    fn on_injection_backpressure(&mut self, router: u32) {
-        (**self).on_injection_backpressure(router)
-    }
-    fn on_packet_delivered(&mut self, now: u64, latency: u64, hops: u32, measured: bool) {
-        (**self).on_packet_delivered(now, latency, hops, measured)
-    }
-    fn on_unroutable(&mut self, router: u32) {
-        (**self).on_unroutable(router)
-    }
-    fn on_watchdog(&mut self, diag: &WatchdogDiag) {
-        (**self).on_watchdog(diag)
-    }
-    fn on_run_end(&mut self, cycles: u64) {
-        (**self).on_run_end(cycles)
-    }
 }
 
 /// Latency histogram over power-of-two buckets: bucket `i` counts
@@ -385,7 +352,7 @@ impl MetricsMonitor {
 }
 
 impl SimMonitor for MetricsMonitor {
-    fn on_run_start(&mut self, spec: &NetworkSpec, cfg: &SimConfig) {
+    fn on_run_start(&mut self, spec: &NetworkSpec, _cfg: &SimConfig) {
         let n = spec.graph.n();
         self.port_base = Vec::with_capacity(n + 1);
         self.port_base.push(0);
@@ -394,7 +361,7 @@ impl SimMonitor for MetricsMonitor {
                 .push(self.port_base[r as usize] + spec.graph.degree(r));
         }
         self.link_flits = vec![0; self.port_base[n]];
-        self.vc_series = vec![Vec::new(); cfg.vcs];
+        self.vc_series = vec![Vec::new(); VCS];
     }
 
     fn sample_interval(&self) -> Option<u64> {
@@ -895,7 +862,7 @@ mod tests {
             f.on_stall(r, StallCause::VcAllocation);
             f.on_packet_delivered(100, lat, 2, true);
         }
-        for vc in 0..cfg.vcs {
+        for vc in 0..VCS {
             direct.on_vc_sample(8, vc, 6);
             forks[0].on_vc_sample(8, vc, 2);
             forks[1].on_vc_sample(8, vc, 4);

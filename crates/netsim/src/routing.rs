@@ -102,43 +102,33 @@ fn neighbor_csr(g: &Graph) -> (Vec<u32>, Vec<u32>) {
 
 impl RouteTable {
     /// Distance sentinel for pairs no surviving path connects. Never a
-    /// real distance: the builder refuses graphs of 65 535 routers or
-    /// more, so a real one is at most 65 533.
+    /// real distance: [`RouteTable::for_spec`] refuses graphs of 65 535
+    /// routers or more, so a real one is at most 65 533.
     pub const UNREACHABLE: u16 = u16::MAX;
 
-    /// The single construction entry point: a [`RouteTableBuilder`] over
-    /// a router graph. Policy, group structure, and fault mask are
-    /// optional refinements:
+    /// Build the table a spec asks for — one of the two ways a table is
+    /// made; the other is [`RouteTable::remask`] of an existing one. The
+    /// spec's [`RoutingPolicy`] picks between flat and hierarchical
+    /// (over `spec.group`) minimal tables, and its [`FaultSet`] masks
+    /// failed links/routers out of both distances and minimal-port
+    /// sets, while the neighbor CSR keeps the *pristine* port numbering
+    /// so engine-side port indices stay aligned with the physical
+    /// topology.
     ///
-    /// ```ignore
-    /// let flat = RouteTable::builder(&g).build();
-    /// let masked = RouteTable::builder(&g).faults(&faults).build();
-    /// let df = RouteTable::builder(&df.graph).group(&df.group).build();
-    /// ```
-    ///
-    /// [`RouteTable::for_spec`] is a thin wrapper over this builder for
-    /// the spec-carrying hot call sites.
-    pub fn builder(graph: &Graph) -> RouteTableBuilder<'_> {
-        RouteTableBuilder {
-            graph,
-            policy: RoutingPolicy::FlatMinimal,
-            group: None,
-            faults: None,
-        }
-    }
-
-    /// Build the table a spec asks for: its [`RoutingPolicy`] hint picks
-    /// between flat and hierarchical minimal tables, and its
-    /// [`FaultSet`] masks failed links/routers out of both distances and
-    /// minimal-port sets, while the neighbor CSR keeps the *pristine*
-    /// port numbering so engine-side port indices stay aligned with the
-    /// physical topology.
+    /// # Panics
+    /// If the graph is empty or too large for `u8` ports or `u16`
+    /// distances, or the policy is hierarchical and the group length
+    /// does not match the graph.
     pub fn for_spec(spec: &NetworkSpec) -> Self {
-        Self::builder(&spec.graph)
-            .group(&spec.group)
-            .policy(spec.routing_policy())
-            .faults(spec.faults())
-            .build()
+        let graph = &spec.graph;
+        let n = graph.n();
+        assert!(n > 0);
+        assert!(graph.max_degree() < 256, "ports are stored as u8");
+        assert!(
+            n < RouteTable::UNREACHABLE as usize,
+            "distances are stored as u16: {n} routers could reach the sentinel"
+        );
+        Self::assemble(neighbor_csr(graph), spec, spec.faults().compile(graph))
     }
 
     /// The table for a new cumulative fault set over this table's
@@ -167,16 +157,10 @@ impl RouteTable {
         if mask == self.mask {
             return self.clone();
         }
-        Self::assemble(
-            (self.nbr_offsets.clone(), self.nbrs.clone()),
-            &spec.graph,
-            spec.routing_policy(),
-            Some(&spec.group),
-            mask,
-        )
+        Self::assemble((self.nbr_offsets.clone(), self.nbrs.clone()), spec, mask)
     }
 
-    /// The one table assembler: distances over `graph` minus the cables
+    /// The one table assembler: distances over `spec.graph` minus the cables
     /// `mask` takes out, minimal ports over the pristine neighbor CSR
     /// with failed directed links masked out. Pairs the mask disconnects
     /// keep [`RouteTable::UNREACHABLE`] distance and an empty port set.
@@ -206,20 +190,22 @@ impl RouteTable {
     /// advancing by the match, in (r, dst, ascending port) order.
     fn assemble(
         (nbr_offsets, nbrs): (Vec<u32>, Vec<u32>),
-        graph: &Graph,
-        policy: RoutingPolicy,
-        group: Option<&[u32]>,
+        spec: &NetworkSpec,
         mask: FaultMask,
     ) -> Self {
+        let graph = &spec.graph;
         let n = nbr_offsets.len() - 1;
         assert_eq!(graph.n(), n);
         // The link classes of the port rule; flat tables have none.
-        let group: &[u32] = match policy {
+        let group: &[u32] = match spec.routing_policy() {
             RoutingPolicy::FlatMinimal => &[],
             RoutingPolicy::HierarchicalMinimal => {
-                let group = group.expect("hierarchical routing requires .group(..) on the builder");
-                assert_eq!(group.len(), n);
-                group
+                assert_eq!(
+                    spec.group.len(),
+                    n,
+                    "hierarchical routing needs a group per router"
+                );
+                &spec.group
             }
         };
         // The sweeps run over the caller's graph and skip the slots
@@ -378,75 +364,6 @@ impl RouteTable {
             + self.nbr_offsets.len() * std::mem::size_of::<u32>()
             + self.nbrs.len() * std::mem::size_of::<u32>()
             + self.mask.memory_bytes()
-    }
-}
-
-/// Staged construction of a [`RouteTable`].
-///
-/// Defaults: [`RoutingPolicy::FlatMinimal`], no group structure, no
-/// faults. Setting a group via [`RouteTableBuilder::group`] switches the
-/// policy to [`RoutingPolicy::HierarchicalMinimal`] (a group structure
-/// exists only to constrain routing); call
-/// [`RouteTableBuilder::policy`] *afterwards* to override — e.g. to
-/// build a flat table for a grouped topology.
-#[must_use = "call .build() to construct the table"]
-pub struct RouteTableBuilder<'a> {
-    graph: &'a Graph,
-    policy: RoutingPolicy,
-    group: Option<&'a [u32]>,
-    faults: Option<&'a FaultSet>,
-}
-
-impl<'a> RouteTableBuilder<'a> {
-    /// Select the table discipline explicitly (overrides the implicit
-    /// switch performed by [`RouteTableBuilder::group`]).
-    pub fn policy(mut self, policy: RoutingPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Attach the group (supernode) structure and switch to
-    /// [`RoutingPolicy::HierarchicalMinimal`]. Required before building
-    /// a hierarchical table; ignored by flat builds.
-    pub fn group(mut self, group: &'a [u32]) -> Self {
-        self.group = Some(group);
-        self.policy = RoutingPolicy::HierarchicalMinimal;
-        self
-    }
-
-    /// Mask a fault set: distances skip every cable with a failed
-    /// direction or endpoint, minimal ports skip failed links, the
-    /// neighbor CSR (and so port numbering) stays pristine. An empty
-    /// set builds the pristine table.
-    pub fn faults(mut self, faults: &'a FaultSet) -> Self {
-        self.faults = Some(faults);
-        self
-    }
-
-    /// Construct the table.
-    ///
-    /// # Panics
-    /// If the policy is hierarchical and no group was attached, the
-    /// group length does not match the graph, or the graph is too large
-    /// for `u8` ports or `u16` distances.
-    pub fn build(self) -> RouteTable {
-        let n = self.graph.n();
-        assert!(n > 0);
-        assert!(self.graph.max_degree() < 256, "ports are stored as u8");
-        assert!(
-            n < RouteTable::UNREACHABLE as usize,
-            "distances are stored as u16: {n} routers could reach the sentinel"
-        );
-        let mask = self
-            .faults
-            .map_or_else(FaultMask::default, |f| f.compile(self.graph));
-        RouteTable::assemble(
-            neighbor_csr(self.graph),
-            self.graph,
-            self.policy,
-            self.group,
-            mask,
-        )
     }
 }
 
@@ -626,10 +543,20 @@ mod tests {
     use super::*;
     use polarstar_graph::Graph;
 
+    /// The flat table of a bare graph under `faults`.
+    fn masked(g: &Graph, faults: &FaultSet) -> RouteTable {
+        RouteTable::for_spec(&NetworkSpec::uniform("g", g.clone(), 1).with_faults(faults.clone()))
+    }
+
+    /// The flat table of a pristine bare graph.
+    fn flat(g: &Graph) -> RouteTable {
+        masked(g, &FaultSet::empty())
+    }
+
     #[test]
     fn table_on_cycle() {
         let g = Graph::cycle(6);
-        let t = RouteTable::builder(&g).build();
+        let t = flat(&g);
         assert_eq!(t.distance(0, 3), 3);
         assert_eq!(t.distance(0, 1), 1);
         // Opposite vertex: both directions are minimal.
@@ -644,7 +571,7 @@ mod tests {
     #[test]
     fn minimal_ports_reduce_distance() {
         let g = polarstar_graph::random::random_regular(40, 4, 3).unwrap();
-        let t = RouteTable::builder(&g).build();
+        let t = flat(&g);
         for r in 0..40u32 {
             for dst in 0..40u32 {
                 if r == dst {
@@ -663,7 +590,7 @@ mod tests {
     #[test]
     fn complete_graph_all_single_hop() {
         let g = Graph::complete(5);
-        let t = RouteTable::builder(&g).build();
+        let t = flat(&g);
         for r in 0..5u32 {
             for dst in 0..5u32 {
                 if r != dst {
@@ -681,8 +608,8 @@ mod tests {
             h: 2,
             p: 1,
         });
-        let t = RouteTable::builder(&df.graph).group(&df.group).build();
-        let free = RouteTable::builder(&df.graph).build();
+        let t = RouteTable::for_spec(&df);
+        let free = flat(&df.graph);
         for r in 0..df.graph.n() as u32 {
             for dst in 0..df.graph.n() as u32 {
                 // Hierarchical distance dominates unconstrained distance
@@ -700,7 +627,7 @@ mod tests {
             h: 2,
             p: 1,
         });
-        let t = RouteTable::builder(&df.graph).group(&df.group).build();
+        let t = RouteTable::for_spec(&df);
         // Walk every (src, dst) pair greedily along every minimal-port
         // choice at the first hop and the deterministic one after,
         // counting global hops.
@@ -735,7 +662,7 @@ mod tests {
             a: 4,
             p: 1,
         });
-        let t = RouteTable::builder(&mf.graph).group(&mf.group).build();
+        let t = RouteTable::for_spec(&mf);
         let leaves = mf.endpoint_routers();
         for &a in &leaves {
             for &b in &leaves {
@@ -758,7 +685,7 @@ mod tests {
             .spec;
         let n = net.graph.n();
         assert_eq!(n, 1064);
-        let t = RouteTable::builder(&net.graph).build();
+        let t = RouteTable::for_spec(&net);
         let sum_deg: usize = (0..n as u32).map(|r| net.graph.degree(r)).sum();
         let expect = n * n * 2            // dist: u16 per (r, dst)
             + (n * n + 1) * 4             // port_offsets: u32
@@ -774,7 +701,7 @@ mod tests {
     #[test]
     fn neighbors_slice_matches_graph_adjacency() {
         let g = polarstar_graph::random::random_regular(30, 5, 7).unwrap();
-        let t = RouteTable::builder(&g).build();
+        let t = flat(&g);
         for r in 0..30u32 {
             assert_eq!(t.neighbors(r), g.neighbors(r));
             assert_eq!(t.degree(r), g.degree(r));
@@ -792,7 +719,7 @@ mod tests {
         // link never appears as a minimal port.
         let g = Graph::cycle(6);
         let f = FaultSet::from_links([(0, 1)]);
-        let t = RouteTable::builder(&g).faults(&f).build();
+        let t = masked(&g, &f);
         assert_eq!(t.distance(0, 1), 5);
         assert!(t.is_reachable(0, 1));
         for &p in t.min_ports(0, 1) {
@@ -808,7 +735,7 @@ mod tests {
         // Path 0-1-2-3: cutting (1, 2) splits the graph in two.
         let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
         let f = FaultSet::from_links([(1, 2)]);
-        let t = RouteTable::builder(&g).faults(&f).build();
+        let t = masked(&g, &f);
         assert_eq!(t.distance(0, 3), RouteTable::UNREACHABLE);
         assert!(!t.is_reachable(0, 3));
         assert!(t.min_ports(0, 3).is_empty());
@@ -823,7 +750,7 @@ mod tests {
         use polarstar_topo::FaultSet;
         let g = Graph::complete(5);
         let f = FaultSet::from_routers([2]);
-        let t = RouteTable::builder(&g).faults(&f).build();
+        let t = masked(&g, &f);
         for r in 0..5u32 {
             if r != 2 {
                 assert!(!t.is_reachable(r, 2), "{r}→2");
@@ -857,10 +784,7 @@ mod tests {
             .find(|&(u, v)| df.group[u as usize] != df.group[v as usize])
             .unwrap();
         let f = FaultSet::from_links([(u, v)]);
-        let t = RouteTable::builder(&df.graph)
-            .group(&df.group)
-            .faults(&f)
-            .build();
+        let t = RouteTable::for_spec(&df.clone().with_faults(f));
         let mut lost = 0usize;
         for src in 0..df.graph.n() as u32 {
             for dst in 0..df.graph.n() as u32 {
@@ -915,10 +839,7 @@ mod tests {
         let spec = polarstar_topo::NetworkSpec::uniform("rr24", g.clone(), 1);
         let pristine = RouteTable::for_spec(&spec);
         let f = FaultSet::random_links(&g, 0.1, 5);
-        assert_tables_equal(
-            &pristine.remask(&spec, &f),
-            &RouteTable::builder(&g).faults(&f).build(),
-        );
+        assert_tables_equal(&pristine.remask(&spec, &f), &masked(&g, &f));
         // Remasking back to the empty set restores the pristine table.
         assert_tables_equal(&pristine.remask(&spec, &FaultSet::empty()), &pristine);
     }
@@ -933,7 +854,7 @@ mod tests {
         let masked = RouteTable::for_spec(&spec);
         assert_eq!(*masked.mask(), f.compile(&g));
         // The mask is part of the table's resident state.
-        let pristine = RouteTable::builder(&g).build();
+        let pristine = flat(&g);
         assert_eq!(*pristine.mask(), FaultMask::default());
         let arenas = |t: &RouteTable| t.memory_bytes() - t.storage_entries();
         assert_eq!(
@@ -955,7 +876,7 @@ mod tests {
     #[should_panic(expected = "spec does not match this table (routers, directed links)")]
     fn remask_rejects_a_spec_of_equal_size_and_other_links() {
         use polarstar_topo::FaultSet;
-        let table = RouteTable::builder(&Graph::complete(8)).build();
+        let table = flat(&Graph::complete(8));
         let other = Graph::complete(8).without_edges(&[(0, 1)]);
         let other = polarstar_topo::NetworkSpec::uniform("other", other, 2);
         let _ = table.remask(&other, &FaultSet::empty());
@@ -963,8 +884,8 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "distances are stored as u16")]
-    fn builder_rejects_a_graph_whose_distances_could_reach_the_sentinel() {
-        let _ = RouteTable::builder(&Graph::empty(u16::MAX as usize)).build();
+    fn for_spec_rejects_a_graph_whose_distances_could_reach_the_sentinel() {
+        let _ = flat(&Graph::empty(u16::MAX as usize));
     }
 
     /// Brute-force reference for the hierarchical discipline, sharing
@@ -1069,10 +990,7 @@ mod tests {
             let pristine = RouteTable::for_spec(&spec);
             for (label, f) in &masks {
                 let what = format!("{} / {label}", spec.name);
-                let fresh = RouteTable::builder(&spec.graph)
-                    .group(&spec.group)
-                    .faults(f)
-                    .build();
+                let fresh = RouteTable::for_spec(&spec.clone().with_faults(f.clone()));
                 assert_matches_hierarchical_reference(&fresh, &spec, f, &what);
                 let remasked = pristine.remask(&spec, f);
                 assert_matches_hierarchical_reference(
@@ -1117,8 +1035,12 @@ mod tests {
             let faults = FaultSet::from_directed_links(one_way.map(|(u, v)| (v, u)))
                 .union(&FaultSet::random_links(&g, 0.05, seed))
                 .union(&FaultSet::random_routers(&g, 0.05, seed ^ 0xD1E));
-            let flat = RouteTable::builder(&g).faults(&faults).build();
-            let hier = RouteTable::builder(&g).group(&group).faults(&faults).build();
+            let flat = masked(&g, &faults);
+            let hier = RouteTable::for_spec(
+                &NetworkSpec::new("g", g.clone(), vec![1; n], group)
+                    .with_policy(RoutingPolicy::HierarchicalMinimal)
+                    .with_faults(faults.clone()),
+            );
             let mask = faults.compile(&g);
             let mut col = Vec::new();
             for a in 0..n as u32 {
@@ -1143,7 +1065,7 @@ mod tests {
         // The oracle surface tells them apart with a typed error.
         let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
         let f = FaultSet::from_links([(1, 2)]);
-        let t = RouteTable::builder(&g).faults(&f).build();
+        let t = masked(&g, &f);
         assert!(t.min_ports(0, 3).is_empty());
         assert!(t.min_ports(3, 3).is_empty());
         assert_eq!(
@@ -1172,7 +1094,7 @@ mod tests {
     fn oracle_walks_match_table_lookups() {
         use polarstar_topo::oracle::PathOracle;
         let g = polarstar_graph::random::random_regular(30, 4, 3).unwrap();
-        let t = RouteTable::builder(&g).build();
+        let t = flat(&g);
         for src in 0..30u32 {
             for dst in 0..30u32 {
                 let d = PathOracle::distance(&t, src, dst).unwrap();
@@ -1197,31 +1119,10 @@ mod tests {
     }
 
     #[test]
-    fn builder_group_implies_hierarchical_policy() {
-        let df = polarstar_topo::dragonfly::dragonfly(polarstar_topo::dragonfly::DragonflyParams {
-            a: 4,
-            h: 2,
-            p: 1,
-        });
-        let implicit = RouteTable::builder(&df.graph).group(&df.group).build();
-        let explicit = RouteTable::builder(&df.graph)
-            .group(&df.group)
-            .policy(RoutingPolicy::HierarchicalMinimal)
-            .build();
-        assert_tables_equal(&implicit, &explicit);
-        // .policy after .group overrides back to flat.
-        let flat = RouteTable::builder(&df.graph)
-            .group(&df.group)
-            .policy(RoutingPolicy::FlatMinimal)
-            .build();
-        assert_tables_equal(&flat, &RouteTable::builder(&df.graph).build());
-    }
-
-    #[test]
     fn storage_scales_with_path_diversity() {
         // HyperX-like graphs have more minimal ports than a cycle.
         let hx = polarstar_topo::hyperx::hyperx(&[4, 4], 1);
-        let t = RouteTable::builder(&hx.graph).build();
+        let t = RouteTable::for_spec(&hx);
         // For routers differing in both coordinates there are 2 minimal
         // first hops.
         assert!(t.storage_entries() > 16 * 15);

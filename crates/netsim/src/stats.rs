@@ -347,7 +347,7 @@ mod tests {
     #[test]
     fn sweep_shapes() {
         let spec = NetworkSpec::uniform("k6", Graph::complete(6), 2);
-        let table = RouteTable::builder(&spec.graph).build();
+        let table = RouteTable::for_spec(&spec);
         let sim = Simulation::new(&spec, &table, RoutingKind::MinMulti, &Pattern::Uniform);
         let s = sweep(&sim, &[0.1, 0.3, 0.5], &cfg());
         assert_eq!(s.points.len(), 3);
@@ -359,7 +359,7 @@ mod tests {
         // C8 with 2 eps/router: uniform saturation well below full load
         // (bisection of 2 links serves ~16 endpoints × load/2 crossing).
         let spec = NetworkSpec::uniform("c8", Graph::cycle(8), 2);
-        let table = RouteTable::builder(&spec.graph).build();
+        let table = RouteTable::for_spec(&spec);
         let sim = Simulation::new(&spec, &table, RoutingKind::MinMulti, &Pattern::Uniform);
         let sat = saturation_search(&sim, &cfg(), 0.05);
         assert!(sat < 0.8, "ring saturation {sat} should be well below 1");
@@ -369,7 +369,7 @@ mod tests {
     #[test]
     fn complete_graph_no_saturation() {
         let spec = NetworkSpec::uniform("k8", Graph::complete(8), 1);
-        let table = RouteTable::builder(&spec.graph).build();
+        let table = RouteTable::for_spec(&spec);
         let sim = Simulation::new(&spec, &table, RoutingKind::MinMulti, &Pattern::Uniform);
         let sat = saturation_search(&sim, &cfg(), 0.1);
         assert!(
@@ -381,15 +381,15 @@ mod tests {
 
 #[cfg(test)]
 mod paper_parameter_tests {
-    use crate::engine::SimConfig;
+    use crate::engine::{SimConfig, BUF_FLITS_PER_PORT, PACKET_FLITS, VCS};
 
-    /// §9.4's BookSim parameters map onto the defaults.
+    /// §9.4's BookSim parameters are the engine's constants.
     #[test]
     fn defaults_match_section_9_4() {
+        assert_eq!(PACKET_FLITS, 4, "packets are 4 flits");
+        assert_eq!(VCS, 4, "4 virtual channels");
+        assert_eq!(BUF_FLITS_PER_PORT, 128, "128-flit buffers per port");
         let c = SimConfig::default();
-        assert_eq!(c.packet_flits, 4, "packets are 4 flits");
-        assert_eq!(c.vcs, 4, "4 virtual channels");
-        assert_eq!(c.buf_flits_per_port, 128, "128-flit buffers per port");
         assert!(c.warmup_cycles > 0, "a warm-up phase precedes measurement");
     }
 }

@@ -37,7 +37,7 @@ fn main() {
 
     println!("topology,routing,pattern,offered,avg_latency,accepted,stable");
     for net in [&ps, &df] {
-        let table = RouteTable::builder(&net.graph).build();
+        let table = RouteTable::for_spec(net);
         for kind in [RoutingKind::MinMulti, RoutingKind::ugal4()] {
             for pattern in [Pattern::Uniform, Pattern::AdversarialGroup] {
                 for load in [0.1, 0.3, 0.5, 0.7] {

@@ -33,7 +33,7 @@ fn small_polarstar(p: u32) -> NetworkSpec {
 #[test]
 fn polarstar_uniform_min_sustains_majority_load() {
     let net = small_polarstar(3);
-    let table = RouteTable::builder(&net.graph).build();
+    let table = RouteTable::for_spec(&net);
     let r = simulate(
         &net,
         &table,
@@ -57,9 +57,10 @@ fn adversarial_polarstar_beats_dragonfly() {
         net.name = "DF".into();
         net
     };
-    let pst = RouteTable::builder(&ps.graph).build();
-    // BookSim's Dragonfly MIN is hierarchical: local, one global, local.
-    let dft = RouteTable::builder(&df.graph).group(&df.group).build();
+    let pst = RouteTable::for_spec(&ps);
+    // BookSim's Dragonfly MIN is hierarchical: local, one global, local
+    // (the policy the Dragonfly spec carries).
+    let dft = RouteTable::for_spec(&df);
     let adversarial = |net, table| {
         let sim = Simulation::new(
             net,
@@ -81,7 +82,7 @@ fn adversarial_polarstar_beats_dragonfly() {
 #[test]
 fn ugal_reasonable_on_permutation() {
     let net = small_polarstar(3);
-    let table = RouteTable::builder(&net.graph).build();
+    let table = RouteTable::for_spec(&net);
     let sim = Simulation::new(&net, &table, RoutingKind::ugal4(), &Pattern::Permutation);
     let s = sweep(&sim, &[0.1, 0.3, 0.5], &cfg(3));
     assert!(
@@ -95,7 +96,7 @@ fn ugal_reasonable_on_permutation() {
 #[test]
 fn bit_patterns_deliver() {
     let net = small_polarstar(2);
-    let table = RouteTable::builder(&net.graph).build();
+    let table = RouteTable::for_spec(&net);
     for pattern in [Pattern::BitShuffle, Pattern::BitReverse] {
         let r = simulate(&net, &table, RoutingKind::MinMulti, &pattern, 0.1, &cfg(4));
         assert!(r.measured_ejected > 0, "{pattern:?} delivered nothing");
@@ -108,7 +109,7 @@ fn bit_patterns_deliver() {
 #[test]
 fn sweeps_are_reproducible() {
     let net = small_polarstar(2);
-    let table = RouteTable::builder(&net.graph).build();
+    let table = RouteTable::for_spec(&net);
     let sim = Simulation::new(&net, &table, RoutingKind::MinMulti, &Pattern::Uniform);
     let a = sweep(&sim, &[0.2, 0.4], &cfg(5));
     let b = sweep(&sim, &[0.2, 0.4], &cfg(5));
