@@ -167,7 +167,7 @@ impl<'a> Simulation<'a> {
             crate::traffic::engine_resolve_seed(cfg.seed),
         );
         let ctx = Ctx::new(self, resolved, load, cfg.clone());
-        monitor.on_run_start(self.spec, &ctx.cfg);
+        monitor.on_run_start(self.spec);
         let sample_every = monitor.sample_interval();
         let (stats, cycles) = if ctx.shards() == 1 {
             run::run_single(&ctx, sample_every, monitor)

@@ -9,7 +9,7 @@
 //! stall-cause counters, injection-backpressure counts, and a
 //! log-bucketed latency histogram (p50/p99/p999 without storing samples).
 
-use crate::engine::{SimConfig, VCS};
+use crate::engine::VCS;
 use polarstar_topo::network::NetworkSpec;
 
 /// Why a head-of-line packet failed to advance this cycle.
@@ -80,7 +80,7 @@ impl WatchdogDiag {
 /// monitor implements only what it needs.
 pub trait SimMonitor {
     /// Called once before the first cycle.
-    fn on_run_start(&mut self, _spec: &NetworkSpec, _cfg: &SimConfig) {}
+    fn on_run_start(&mut self, _spec: &NetworkSpec) {}
 
     /// If `Some(k)`, the engine scans VC occupancy every `k` cycles and
     /// reports it via [`SimMonitor::on_vc_sample`]. `None` (the default)
@@ -352,7 +352,7 @@ impl MetricsMonitor {
 }
 
 impl SimMonitor for MetricsMonitor {
-    fn on_run_start(&mut self, spec: &NetworkSpec, _cfg: &SimConfig) {
+    fn on_run_start(&mut self, spec: &NetworkSpec) {
         let n = spec.graph.n();
         self.port_base = Vec::with_capacity(n + 1);
         self.port_base.push(0);
@@ -712,9 +712,9 @@ impl ShardableMonitor for TransientMonitor {
 pub struct PairMonitor<A, B>(pub A, pub B);
 
 impl<A: SimMonitor, B: SimMonitor> SimMonitor for PairMonitor<A, B> {
-    fn on_run_start(&mut self, spec: &NetworkSpec, cfg: &SimConfig) {
-        self.0.on_run_start(spec, cfg);
-        self.1.on_run_start(spec, cfg);
+    fn on_run_start(&mut self, spec: &NetworkSpec) {
+        self.0.on_run_start(spec);
+        self.1.on_run_start(spec);
     }
     fn sample_interval(&self) -> Option<u64> {
         match (self.0.sample_interval(), self.1.sample_interval()) {
@@ -804,8 +804,7 @@ mod tests {
             polarstar_graph::Graph::complete(3),
             1,
         );
-        let cfg = SimConfig::default();
-        m.on_run_start(&spec, &cfg);
+        m.on_run_start(&spec);
         m.on_link_flit(0, 1, 4);
         m.on_stall(0, StallCause::CreditStarved);
         m.on_injection_backpressure(1);
@@ -844,14 +843,13 @@ mod tests {
             polarstar_graph::Graph::complete(4),
             1,
         );
-        let cfg = SimConfig::default();
         // Feed the same event stream to one monitor directly and to two
         // forks split by router parity; the absorbed totals must match.
         let events: Vec<(u32, u64)> = (0..40u32).map(|i| (i % 4, (i as u64) % 7)).collect();
         let mut direct = MetricsMonitor::new(8);
-        direct.on_run_start(&spec, &cfg);
+        direct.on_run_start(&spec);
         let mut parent = MetricsMonitor::new(8);
-        parent.on_run_start(&spec, &cfg);
+        parent.on_run_start(&spec);
         let mut forks = [parent.fork(), parent.fork()];
         for &(r, lat) in &events {
             direct.on_link_flit(r, 0, 4);
