@@ -272,16 +272,17 @@ impl FlowPlan {
     /// must already answer for `next`, e.g. after `remask`). Returns the
     /// number of unique pairs re-routed.
     ///
-    /// Under monotone growth (`next ⊇ prev`, symmetric link faults,
-    /// ECMP routing) only pairs whose cached DAG crosses a newly failed
-    /// link are re-routed: a DAG none of whose edges die is provably
-    /// unchanged (its paths keep certifying the old distances, and the
-    /// triangle inequality rules out new minimal next hops). Recovery
-    /// epochs, one-direction link faults, and single-path routing fall
-    /// back to a full re-route — single-path fault walks need not follow
-    /// the pristine template even when the old path survives, and
-    /// asymmetric faults let the DAG use edges outside the undirected
-    /// degraded graph, which breaks the reuse lemma.
+    /// Under monotone growth (`next ⊇ prev`, symmetric link faults)
+    /// only pairs whose cached DAG crosses a newly failed link are
+    /// re-routed: a DAG none of whose edges die is provably unchanged
+    /// (its paths keep certifying the old distances, and the triangle
+    /// inequality rules out new minimal next hops). A single path is
+    /// the first minimal next hop at every hop, so the same argument
+    /// keeps a surviving path the first one: the minimal next hops it
+    /// skipped can only have died. Recovery epochs and one-direction
+    /// link faults fall back to a full re-route — asymmetric faults let
+    /// the DAG use edges outside the undirected degraded graph, which
+    /// breaks the reuse lemma.
     ///
     /// Cost: the newly failed set compiled to its [`FaultMask`]
     /// (O(|added|·log deg)), one pass over every cached DAG reading
@@ -307,9 +308,7 @@ impl FlowPlan {
             return 0;
         }
         let graph = &spec.graph;
-        let full = !removed.is_empty()
-            || self.routing == FlowRouting::SinglePath
-            || !next.compile(graph).is_symmetric();
+        let full = !removed.is_empty() || !next.compile(graph).is_symmetric();
         let subset: Vec<u32> = if full {
             self.arena.clear();
             (0..self.pairs.len() as u32).collect()

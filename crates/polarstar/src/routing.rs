@@ -7,30 +7,25 @@
 //!
 //! * **the distance kernel**, [`AnalyticRouter::distance`]: 1 iff the
 //!   routers are product-adjacent, 2 iff a 2-hop template hits, 3
-//!   otherwise (Theorems 4/5 bound the diameter by 3). It walks the
-//!   templates without building anything — no `Vec`, no counter — and
-//!   is what a serving oracle probes per neighbor, per query;
-//! * **the path builder**, [`AnalyticRouter::route`]: the Property-R /
-//!   R* case analysis of Theorem 4, enumerated in increasing length so
-//!   the returned path is minimal:
-//!   - same supernode: a supernode-internal path (possibly via the
-//!     quadric self-loop edges);
-//!   - adjacent supernodes: one of the four cases (a)–(d) of §9.2;
-//!   - distance-2 supernodes: hop onto an alternating path through a
-//!     Property-R middle supernode, then an adjacent-supernode tail.
+//!   otherwise (Theorems 4/5 bound the diameter by 3). The 2-hop
+//!   templates are one enumeration (`two_hop_middle`) over every 2-walk
+//!   of the star product (intra–intra, intra–cross, cross–intra,
+//!   cross–cross; §9.2 cases (a), (c) and (d) among them). It builds
+//!   nothing — no `Vec`, no counter — and is what a serving oracle
+//!   probes per neighbor, per query;
+//! * **one walk over it**, [`AnalyticRouter::next_hop`] /
+//!   [`AnalyticRouter::route`]: the first neighbor (ascending id) the
+//!   kernel puts one hop closer, hop after hop. That is §9.2 case (b) in
+//!   general form — take one hop, then ride a 2-hop template — and it is
+//!   exactly as minimal as the kernel is exact (the tests pin the kernel
+//!   to BFS, exhaustively on small IQ and Paley configs and sampled up to
+//!   radix 32), so no backstop search exists. The path it yields is the
+//!   lexicographically first minimal path, the one every `PathOracle`'s
+//!   `path` answers.
 //!
-//! Both read the 2-hop templates through one enumeration
-//! (`two_hop_middle`), which covers every 2-walk of the star product
-//! (intra–intra, intra–cross, cross–intra, cross–cross), so kernel and
-//! builder cannot drift; debug builds check each built path against the
-//! kernel, and the test suite checks both against BFS. A bounded
-//! depth-3 local search backstops the rare Paley (non-involution)
-//! 3-hop corner cases of the path builder.
-//!
-//! [`AnalyticRouter::routes_computed`] and [`AnalyticRouter::fallbacks`]
-//! count *materialized* routes only (`route` / `next_hop` calls);
+//! [`AnalyticRouter::routes_computed`] counts `route` calls only;
 //! distance probes are not counted, so a serving workload that never
-//! asks for a template path reads 0 on both.
+//! asks for a whole path reads 0.
 //!
 //! Storage: one flat CSR of O(|V(G)|²) middles (Property R gives each
 //! ordered structure pair one middle) + O(|V(G')|) for f⁻¹ — for
@@ -68,10 +63,7 @@ pub struct AnalyticRouter {
     middle: Vec<u32>,
     /// Inverse of the supernode bijection.
     finv: Vec<u32>,
-    /// Number of routes that needed the bounded local-search backstop.
-    fallback_count: AtomicU64,
-    /// Total [`AnalyticRouter::route`] calls, the denominator of
-    /// [`AnalyticRouter::fallback_rate`].
+    /// Total [`AnalyticRouter::route`] calls.
     route_count: AtomicU64,
 }
 
@@ -133,7 +125,6 @@ impl AnalyticRouter {
             middle_off,
             middle,
             finv,
-            fallback_count: AtomicU64::new(0),
             route_count: AtomicU64::new(0),
         }
     }
@@ -143,28 +134,18 @@ impl AnalyticRouter {
         &self.net
     }
 
-    /// How many materialized routes used the local-search backstop
-    /// instead of a §9.2 template.
+    /// Routes that left the §9.2 templates for a backstop search:
+    /// always 0. Routes walk the exact distance kernel, so nothing needs
+    /// a backstop; the method stays because the `benchmark/` ledger
+    /// reads it (`analytic.fallbacks`).
     pub fn fallbacks(&self) -> u64 {
-        self.fallback_count.load(Ordering::Relaxed)
+        0
     }
 
     /// Total routes materialized by [`AnalyticRouter::route`] so far
     /// ([`AnalyticRouter::distance`] probes are not counted).
     pub fn routes_computed(&self) -> u64 {
         self.route_count.load(Ordering::Relaxed)
-    }
-
-    /// Fraction of routes that needed the backstop (0.0 when no routes
-    /// have been computed). The figure benchmarks surface through their
-    /// run manifests; 0 on every inductive-quad config.
-    pub fn fallback_rate(&self) -> f64 {
-        let routes = self.routes_computed();
-        if routes == 0 {
-            0.0
-        } else {
-            self.fallbacks() as f64 / routes as f64
-        }
     }
 
     /// Resident bytes of the factor-graph routing state (flat middle
@@ -226,19 +207,6 @@ impl AnalyticRouter {
         nbrs.iter().copied().chain(loops.into_iter().flatten())
     }
 
-    /// Destination-based incremental routing (§9.2): the next router on
-    /// a minimal path from `current` toward `dst`, or `None` when
-    /// already there. This is the per-hop decision an actual PolarStar
-    /// router makes — it recomputes the remaining minimal path from
-    /// factor-graph state at every hop, so no path state travels with
-    /// the packet.
-    pub fn next_hop(&self, current: u32, dst: u32) -> Option<u32> {
-        if current == dst {
-            return None;
-        }
-        self.route(current, dst).first().copied()
-    }
-
     /// Hop distance from router `s` to router `t`, from factor state
     /// alone and without materializing a path: 1 iff product-adjacent,
     /// 2 iff a 2-hop template hits, else 3 — every PolarStar has
@@ -255,44 +223,37 @@ impl AnalyticRouter {
         }
     }
 
-    /// Compute a minimal path from router `s` to router `t`, returned as
-    /// the sequence of routers after `s` (empty when `s == t`). Length is
-    /// at most 3 (Theorems 4/5).
+    /// Destination-based incremental routing (§9.2): the next router on
+    /// a minimal path from `current` toward `dst`, or `None` when
+    /// already there — the first neighbor in ascending id order that the
+    /// kernel puts one hop closer. This is the per-hop decision an
+    /// actual PolarStar router makes from factor-graph state, so no path
+    /// state travels with the packet.
+    pub fn next_hop(&self, current: u32, dst: u32) -> Option<u32> {
+        let d = self.distance(current, dst);
+        match d {
+            0 => None,
+            1 => Some(dst),
+            _ => self
+                .net
+                .graph()
+                .neighbors(current)
+                .iter()
+                .copied()
+                .find(|&nb| self.distance(nb, dst) < d),
+        }
+    }
+
+    /// The lexicographically first minimal path from router `s` to
+    /// router `t`: [`AnalyticRouter::next_hop`] followed to `t`, as the
+    /// sequence of routers after `s` (empty when `s == t`). Length is at
+    /// most 3 (Theorems 4/5).
     pub fn route(&self, s: u32, t: u32) -> Vec<u32> {
         if s == t {
             return Vec::new();
         }
         self.route_count.fetch_add(1, Ordering::Relaxed);
-        let path = if self.product_adjacent(s, t) {
-            vec![t]
-        } else if let Some(mid) = self.two_hop_middle(s, t) {
-            vec![mid, t]
-        } else if let Some(p) = self.try_three_hops(s, t) {
-            p
-        } else {
-            self.fallback_count.fetch_add(1, Ordering::Relaxed);
-            // Theorem 4's case analysis covers every pair whose
-            // supernodes coincide or are adjacent in the structure
-            // graph; only the distance-2 alternating-path cases have
-            // known Paley corner holes. A backstop on an
-            // adjacent-supernode pair would mean the (a)–(d) templates
-            // themselves are broken.
-            debug_assert!(
-                {
-                    let (x, y) = (self.net.structure_of(s), self.net.structure_of(t));
-                    x != y && !self.net.er.graph.has_edge(x, y)
-                },
-                "pristine template miss on an adjacent-supernode pair {s}→{t}"
-            );
-            self.bounded_search(s, t)
-                .unwrap_or_else(|| panic!("no path of length ≤ 4 from {s} to {t}"))
-        };
-        debug_assert_eq!(
-            path.len() as u32,
-            self.distance(s, t),
-            "distance kernel disagrees with the built path {s}→{t}"
-        );
-        path
+        std::iter::successors(self.next_hop(s, t), |&v| self.next_hop(v, t)).collect()
     }
 
     /// Product adjacency from factor state only.
@@ -320,8 +281,8 @@ impl AnalyticRouter {
     }
 
     /// The middle router of the first 2-hop template path `s → m → t`,
-    /// if any: the one enumeration behind both the distance kernel and
-    /// the path builder. Covers every 2-walk of the star product.
+    /// if any: the distance kernel's one template enumeration. Covers
+    /// every 2-walk of the star product.
     fn two_hop_middle(&self, s: u32, t: u32) -> Option<u32> {
         let net = &self.net;
         let (x, xp) = (net.structure_of(s), net.local_of(s));
@@ -363,137 +324,6 @@ impl AnalyticRouter {
         }
         None
     }
-
-    fn try_three_hops(&self, s: u32, t: u32) -> Option<Vec<u32>> {
-        let net = &self.net;
-        let er = &net.er.graph;
-        let (x, xp) = (net.structure_of(s), net.local_of(s));
-        let (y, yp) = (net.structure_of(t), net.local_of(t));
-
-        if x != y {
-            for &w in self.middles(x, y) {
-                // Intra hop at the source copy, then the 2-walk.
-                for m in self.copy_neighbors(x, xp) {
-                    for h1 in self.hop_locals(x, w, m) {
-                        if self.hop_locals(w, y, h1).any(|h2| h2 == yp) {
-                            return Some(vec![net.router_id(x, m), net.router_id(w, h1), t]);
-                        }
-                    }
-                }
-                for h1 in self.hop_locals(x, w, xp) {
-                    // Intra hop at the middle copy.
-                    for m in self.copy_neighbors(w, h1) {
-                        if self.hop_locals(w, y, m).any(|h2| h2 == yp) {
-                            return Some(vec![net.router_id(w, h1), net.router_id(w, m), t]);
-                        }
-                    }
-                    // Intra hop at the destination copy.
-                    for h2 in self.hop_locals(w, y, h1) {
-                        if self.copy_adjacent(y, h2, yp) {
-                            return Some(vec![net.router_id(w, h1), net.router_id(y, h2), t]);
-                        }
-                    }
-                }
-            }
-            // Adjacent supernodes may also need intra-cross-intra.
-            if er.has_edge(x, y) {
-                for m in self.copy_neighbors(x, xp) {
-                    let mid = self.cross(x, y, m);
-                    if self.copy_adjacent(y, mid, yp) {
-                        return Some(vec![net.router_id(x, m), net.router_id(y, mid), t]);
-                    }
-                }
-            }
-        } else {
-            // Same supernode at distance 3: intra-intra-intra.
-            for m1 in self.copy_neighbors(x, xp) {
-                for m2 in self.copy_neighbors(x, m1) {
-                    if self.copy_adjacent(x, m2, yp) {
-                        return Some(vec![net.router_id(x, m1), net.router_id(x, m2), t]);
-                    }
-                }
-            }
-        }
-
-        // Pure-crossing 3-walks x → a → w → y (§9.2 case (b): hop to a
-        // neighbor, then ride a 2-hop alternating path; also covers the
-        // same-supernode triangle excursion when y == x). The first hop
-        // may be a quadric self-loop.
-        let crossings = er.neighbors(x).iter().map(|&a| (a, self.cross(x, a, xp)));
-        let self_loops = net.er.quadric[x as usize]
-            .then(|| self.hop_locals(x, x, xp).map(move |h| (x, h)))
-            .into_iter()
-            .flatten();
-        for (a, h) in crossings.chain(self_loops) {
-            if a == y {
-                continue; // would be an at-most-2-hop case, already tried
-            }
-            for &w in self.middles(a, y) {
-                for h1 in self.hop_locals(a, w, h) {
-                    if self.hop_locals(w, y, h1).any(|h2| h2 == yp) {
-                        let m1 = net.router_id(a, h);
-                        let m2 = net.router_id(w, h1);
-                        if m1 != s && m1 != t && m2 != s && m2 != t && m1 != m2 {
-                            return Some(vec![m1, m2, t]);
-                        }
-                    }
-                }
-            }
-        }
-        None
-    }
-
-    /// Depth-bounded breadth-first search using on-the-fly factor
-    /// adjacency (no global tables). Backstop only.
-    fn bounded_search(&self, s: u32, t: u32) -> Option<Vec<u32>> {
-        use std::collections::{HashMap, VecDeque};
-        let mut parent: HashMap<u32, u32> = HashMap::new();
-        let mut depth: HashMap<u32, u32> = HashMap::new();
-        let mut queue = VecDeque::new();
-        depth.insert(s, 0);
-        queue.push_back(s);
-        while let Some(v) = queue.pop_front() {
-            let dv = depth[&v];
-            if dv >= 4 {
-                break;
-            }
-            for w in self.local_neighbors(v) {
-                if let std::collections::hash_map::Entry::Vacant(e) = depth.entry(w) {
-                    e.insert(dv + 1);
-                    parent.insert(w, v);
-                    if w == t {
-                        let mut path = vec![t];
-                        let mut cur = t;
-                        while let Some(&p) = parent.get(&cur) {
-                            if p == s {
-                                break;
-                            }
-                            path.push(p);
-                            cur = p;
-                        }
-                        path.reverse();
-                        return Some(path);
-                    }
-                    queue.push_back(w);
-                }
-            }
-        }
-        None
-    }
-
-    /// All product neighbors of a router, computed from factor state.
-    pub fn local_neighbors(&self, v: u32) -> Vec<u32> {
-        let net = &self.net;
-        let (x, xp) = (net.structure_of(v), net.local_of(v));
-        let mut out: Vec<u32> = self
-            .copy_neighbors(x, xp)
-            .map(|m| net.router_id(x, m))
-            .collect();
-        for &y in net.er.graph.neighbors(x) {
-            out.push(net.router_id(y, self.cross(x, y, xp)));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -517,9 +347,9 @@ mod tests {
 
     /// Check, on every `s_step`-th source × `t_step`-th destination,
     /// that the distance kernel equals the BFS distance and that the
-    /// built route is a valid path of exactly that length. Returns
-    /// (pairs at BFS distance 2, backstopped routes).
-    fn check_pairs_minimal(net: &PolarStarNetwork, s_step: usize, t_step: usize) -> (u64, u64) {
+    /// walked route is a valid path of exactly that length. Returns the
+    /// number of pairs at BFS distance 2.
+    fn check_pairs_minimal(net: &PolarStarNetwork, s_step: usize, t_step: usize) -> u64 {
         let router = AnalyticRouter::new(net.clone());
         let n = net.spec.routers() as u32;
         let label = net.config.label();
@@ -530,20 +360,13 @@ mod tests {
                 let want = dist[t as usize];
                 at_two += u64::from(want == 2);
                 assert_eq!(router.distance(s, t), want, "{label}: kernel {s}→{t}");
-                let fallbacks = router.fallbacks();
                 let path = router.route(s, t);
                 validate_path(net, s, &path);
                 assert_eq!(path.last().copied().unwrap_or(s), t);
                 assert_eq!(path.len() as u32, want, "{label}: route {s}→{t}");
-                // The 2-hop template is complete: a distance-2 pair never
-                // needs the backstop search.
-                assert!(
-                    want != 2 || router.fallbacks() == fallbacks,
-                    "{label}: {s}→{t} at distance 2 left the templates"
-                );
             }
         }
-        (at_two, router.fallbacks())
+        at_two
     }
 
     #[test]
@@ -567,14 +390,8 @@ mod tests {
             },
         ] {
             let net = PolarStarNetwork::build(cfg, 1).unwrap();
-            let (at_two, fallbacks) = check_pairs_minimal(&net, 1, 1);
+            let at_two = check_pairs_minimal(&net, 1, 1);
             assert!(at_two > 0, "{}: no distance-2 pair checked", cfg.label());
-            assert_eq!(
-                fallbacks,
-                0,
-                "{}: templates must cover all pairs",
-                cfg.label()
-            );
         }
     }
 
@@ -595,9 +412,7 @@ mod tests {
             },
         ] {
             let net = PolarStarNetwork::build(cfg, 1).unwrap();
-            // Backstopped 3-hop routes are allowed here; the kernel must
-            // still equal BFS on them (checked pair by pair).
-            let (at_two, _fallbacks) = check_pairs_minimal(&net, 1, 1);
+            let at_two = check_pairs_minimal(&net, 1, 1);
             assert!(at_two > 0, "{}: no distance-2 pair checked", cfg.label());
         }
     }
@@ -606,25 +421,20 @@ mod tests {
     fn table3_scale_sampled_pairs() {
         // PS-IQ at Table 3 scale: sample sources, verify minimality.
         let net = PolarStarNetwork::build(best_config(15).unwrap(), 1).unwrap();
-        let (at_two, fallbacks) = check_pairs_minimal(&net, 97, 13);
-        assert!(at_two > 0);
-        assert_eq!(fallbacks, 0);
+        assert!(check_pairs_minimal(&net, 97, 13) > 0);
     }
 
     #[test]
     fn radix32_scale_sampled_pairs() {
         // The 9 954-router PolarStar the flow benchmarks run on.
         let net = PolarStarNetwork::build(best_config(32).unwrap(), 1).unwrap();
-        let (at_two, fallbacks) = check_pairs_minimal(&net, 1999, 17);
-        assert!(at_two > 0);
-        assert_eq!(fallbacks, 0);
+        assert!(check_pairs_minimal(&net, 1999, 17) > 0);
     }
 
     #[test]
     fn paley_variant_at_scale() {
         let net = PolarStarNetwork::build(best_config_with(12, false).unwrap(), 1).unwrap();
-        let (at_two, _fallbacks) = check_pairs_minimal(&net, 41, 7);
-        assert!(at_two > 0);
+        assert!(check_pairs_minimal(&net, 41, 7) > 0);
     }
 
     #[test]
@@ -661,19 +471,6 @@ mod tests {
                     assert_eq!(got, want, "ER_{q} cell ({x}, {y})");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn local_neighbors_match_graph() {
-        let cfg = best_config(9).unwrap();
-        let net = PolarStarNetwork::build(cfg, 1).unwrap();
-        let router = AnalyticRouter::new(net.clone());
-        for v in 0..net.spec.routers() as u32 {
-            let mut computed = router.local_neighbors(v);
-            computed.sort_unstable();
-            computed.dedup();
-            assert_eq!(computed, net.graph().neighbors(v).to_vec(), "router {v}");
         }
     }
 

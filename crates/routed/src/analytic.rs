@@ -84,14 +84,10 @@
 //! unnecessary.
 //!
 //! Equivalence contract (pinned by `tests/analytic_vs_table.rs`):
-//! distances, the full ascending minimal next-hop sets, first next hops
-//! and lexicographic `k_paths` equal a freshly masked `RouteTable`'s —
-//! and the trait-provided generic walks over this oracle — on every
-//! config and fault mask. [`PathOracle::path`] is overridden on the
-//! pristine path to return the template route in one shot (it is still
-//! minimal and deterministic, but may pick a different tie among
-//! equally minimal paths than the first-next-hop walk that
-//! [`PathOracle::k_paths`] enumerates).
+//! distances, the full ascending minimal next-hop sets, first next hops,
+//! [`PathOracle::path`] and lexicographic `k_paths` equal a freshly
+//! masked `RouteTable`'s — and the trait-provided generic walks over
+//! this oracle — on every config and fault mask.
 
 use polarstar::network::PolarStarNetwork;
 use polarstar::routing::AnalyticRouter;
@@ -225,7 +221,7 @@ impl AnalyticOracle {
         }
     }
 
-    /// The underlying analytic router (fallback counters live there).
+    /// The underlying analytic router (its route counter lives there).
     pub fn router(&self) -> &AnalyticRouter {
         &self.router
     }
@@ -669,20 +665,10 @@ impl PathOracle for AnalyticOracle {
         Some(&self.mask)
     }
 
-    /// Pristine queries answer with the §9.2 template path directly —
-    /// one template search instead of a min-next-hop scan per hop,
-    /// which is what lets the flow simulator route a million flows
-    /// without a table. Faulted queries return the first lexicographic
-    /// minimal path (the first-next-hop walk), so the masked-table
-    /// semantics hold exactly.
+    /// The first lexicographic minimal path, read off one resolve (one
+    /// masked DAG walk, or the repaired column when escalated) instead
+    /// of a min-next-hop query per hop.
     fn path(&self, src: u32, dst: u32) -> Result<Vec<u32>, RouteError> {
-        if self.faults.is_empty() {
-            self.check(src)?;
-            self.check(dst)?;
-            let mut path = vec![src];
-            path.extend(self.router.route(src, dst));
-            return Ok(path);
-        }
         let first = self.resolve(src, dst, 1, None)?.paths.into_iter().next();
         first.ok_or(RouteError::Unreachable { src, dst })
     }
@@ -760,16 +746,15 @@ mod tests {
         let dead = o.remask(&FaultSet::from_routers([nb]));
         assert_eq!(dead.regime(0, nb), Regime::Unreachable);
 
-        // Serving answers never materializes a template route.
+        // No serving answer, `path` included, calls `AnalyticRouter::route`.
         for dst in 0..n {
             cut.distance(0, dst).unwrap();
             cut.next_hop(0, dst).unwrap();
             cut.k_paths(0, dst, 4).unwrap();
             o.k_paths(0, dst, 4).unwrap();
+            o.path(0, dst).unwrap();
         }
         assert_eq!(o.router().routes_computed(), 0);
-        o.path(0, nb).unwrap();
-        assert_eq!(o.router().routes_computed(), 1);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Equivalence pins for the table-free backend: [`AnalyticOracle`] must
 //! answer exactly like the CSR `RouteTable` backend — equal distances
 //! (or equally unreachable), the same full ascending minimal next-hop
-//! sets, the same first next hop and the same lexicographic `k_paths` —
-//! and exactly like the trait-provided generic walks over its own
+//! sets, the same first next hop, the same `path` (the lexicographically
+//! first minimal one) and the same lexicographic `k_paths` — and exactly
+//! like the trait-provided generic walks over its own
 //! `distance` / `min_next_hops`, on the degenerate ER(5) PolarStar, the
 //! Table 3 PS-IQ config, and proptest-drawn link, directed-link and
 //! router fault masks on an Inductive-Quad and a Paley PolarStar. The
@@ -12,7 +13,7 @@
 
 use polarstar::design::{best_config, PolarStarConfig, SupernodeKind};
 use polarstar::network::PolarStarNetwork;
-use polarstar_routed::{AnalyticOracle, Oracle, QueryBatch, Regime};
+use polarstar_routed::{AnalyticOracle, Oracle, Query, QueryBatch, Regime};
 use polarstar_topo::fault::FaultSet;
 use polarstar_topo::oracle::{PathOracle, RouteError};
 use proptest::prelude::*;
@@ -64,7 +65,7 @@ impl RegimeCounts {
 
 /// Assert analytic and table answers match on the given pairs: equal
 /// distances (or both unreachable), identical ascending next-hop sets,
-/// first next hops and `K` lexicographic paths — against the table and
+/// first next hops, paths and `K` lexicographic paths — against the table and
 /// against the generic walk. Returns the regime census, so callers can
 /// assert the comparison wasn't vacuous.
 fn check_pairs(
@@ -115,20 +116,9 @@ fn check_pairs(
         let paths = analytic.k_paths(src, dst, K);
         assert_eq!(paths, table.k_paths(src, dst, K), "k paths {src}->{dst}");
         assert_eq!(paths, generic.k_paths(src, dst, K), "generic k paths");
-        // The analytic path must be minimal and walk real edges; its
-        // tie-break may differ from the table's, so no byte compare.
-        let p = analytic.path(src, dst).unwrap();
-        assert_eq!(p.len() as u32, got.unwrap() + 1, "path length {src}->{dst}");
-        assert_eq!((p[0], *p.last().unwrap()), (src, dst));
-        let g = &analytic.network().spec.graph;
-        for w in p.windows(2) {
-            assert!(
-                g.has_edge(w[0], w[1]),
-                "edge {}-{} {src}->{dst}",
-                w[0],
-                w[1]
-            );
-        }
+        let path = analytic.path(src, dst);
+        assert_eq!(path, table.path(src, dst), "path {src}->{dst}");
+        assert_eq!(path, generic.path(src, dst), "generic path");
     }
     counts
 }
@@ -160,7 +150,6 @@ fn er5_degenerate_polarstar_matches_table_exhaustively() {
         check_pairs(&analytic, &table, all).pristine,
         (n * n) as usize
     );
-    assert_eq!(analytic.router().fallbacks(), 0, "pristine backstop");
 }
 
 #[test]
@@ -175,7 +164,6 @@ fn ps_iq_matches_table_on_sampled_pairs() {
         checked.pristine, 1500,
         "pristine PS-IQ has no unreachable pairs"
     );
-    assert_eq!(analytic.router().fallbacks(), 0, "pristine backstop");
 }
 
 /// q=5 Paley PolarStar (f is not an involution): 279 routers.
@@ -240,6 +228,51 @@ proptest! {
             }
         }
     }
+}
+
+#[test]
+fn unbounded_k_on_an_escalated_pair_lists_every_minimal_path() {
+    // `k = u32::MAX` means "all of them": the escalated regime reads its
+    // paths off the trait's provided walk, which must size its output by
+    // what it finds rather than by `k`.
+    let net = PolarStarNetwork::build(best_config(9).unwrap(), 1).unwrap();
+    let g = net.spec.graph.clone();
+    let (src, dst) = (0, g.neighbors(0)[0]);
+    let cut = FaultSet::from_links([(src, dst)]);
+    let analytic = AnalyticOracle::new(net.clone()).remask(&cut);
+    assert_eq!(analytic.regime(src, dst), Regime::Escalated);
+    let table = Oracle::new(Arc::new(net.spec.clone())).remask(&cut, 1);
+    let query = Query {
+        src,
+        dst,
+        k: u32::MAX,
+    };
+    let got = Oracle::new_analytic(net).remask(&cut, 1).answer(query);
+    assert_eq!(got, table.answer(query));
+    // Count the minimal paths independently: a memoised sum over the
+    // table's next-hop sets.
+    fn count(t: &Oracle, v: u32, dst: u32, memo: &mut [Option<usize>]) -> usize {
+        if v == dst {
+            return 1;
+        }
+        if let Some(c) = memo[v as usize] {
+            return c;
+        }
+        let mut hops = Vec::new();
+        t.min_next_hops(v, dst, &mut hops).unwrap();
+        let c = hops.iter().map(|&nb| count(t, nb, dst, memo)).sum();
+        memo[v as usize] = Some(c);
+        c
+    }
+    let every = count(&table, src, dst, &mut vec![None; g.n()]);
+    assert!(every > 1, "{every} minimal paths");
+    assert_eq!(got.alternatives.len(), every);
+    assert_eq!(got.path, got.alternatives[0]);
+    assert!(got.alternatives.windows(2).all(|w| w[0] < w[1]));
+    assert_eq!(
+        analytic.k_paths(src, dst, usize::MAX).unwrap(),
+        got.alternatives
+    );
 }
 
 #[test]

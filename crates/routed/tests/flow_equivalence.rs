@@ -9,11 +9,12 @@
 //!
 //! Also pins the fault-epoch sweep: walking `FlowPlan::advance_epoch`
 //! through nested fault epochs (reusing cached pair DAGs for untouched
-//! pairs), a router failure and a recovery must land on the same
-//! network as a fresh
-//! batched build against the re-masked oracle.
+//! pairs, single paths included), a router failure and a recovery must
+//! land on the same network as a fresh batched build against the
+//! re-masked oracle. And the one path rule across backends: a
+//! single-path network is the same whichever global oracle routed it.
 
-use polarstar::design::{best_config, PolarStarConfig, SupernodeKind};
+use polarstar::design::{best_config, best_config_with, PolarStarConfig, SupernodeKind};
 use polarstar::network::PolarStarNetwork;
 use polarstar_netsim::{FlowDemand, FlowNetwork, FlowPlan, FlowRouting, Pattern, TrafficComponent};
 use polarstar_routed::{AnalyticOracle, Oracle};
@@ -168,6 +169,107 @@ fn epoch_advance_matches_fresh_batched_build() {
                 fs.failed_routers().len()
             );
             prev = fs;
+        }
+    }
+}
+
+/// The radix-12 Paley PolarStar at 5 endpoints per router.
+fn ps_pal12() -> PolarStarNetwork {
+    PolarStarNetwork::build(best_config_with(12, false).unwrap(), 5).unwrap()
+}
+
+#[test]
+fn single_path_network_is_the_same_on_both_backends() {
+    // Every global oracle answers `path` with the lexicographically
+    // first minimal path, so a single-path flow build cannot depend on
+    // which backend routed it — pristine or faulted.
+    let net = ps_pal12();
+    let spec = net.spec.clone();
+    let analytic = AnalyticOracle::new(net);
+    let table = Oracle::new(Arc::new(spec.clone()));
+    let comps = [TrafficComponent::new(Pattern::AdversarialGroup, 7)];
+    let links = FaultSet::random_links(&spec.graph, 0.02, 7);
+    for (label, faults) in [("pristine", FaultSet::empty()), ("2 % links", links)] {
+        let a = FlowPlan::build(
+            &spec,
+            &analytic.remask(&faults),
+            &comps,
+            FlowRouting::SinglePath,
+        );
+        let t = FlowPlan::build(
+            &spec,
+            &table.remask(&faults, 1),
+            &comps,
+            FlowRouting::SinglePath,
+        );
+        let (a, t) = (a.network(), t.network());
+        assert!(
+            a == t,
+            "{label}: single-path networks differ across backends"
+        );
+        assert_eq!(a.solve(1.0), t.solve(1.0), "{label}");
+    }
+}
+
+#[test]
+fn single_path_epoch_walk_reroutes_dirty_pairs_only() {
+    // Five epochs of monotone growth — links, then a dead router, then
+    // more links — on three PolarStars × three patterns, through both
+    // backends: every step equals a fresh build, and some step reuses
+    // cached single paths (re-routes fewer pairs than the plan holds).
+    let nets = [
+        PolarStarNetwork::build(best_config(9).unwrap(), 1).unwrap(),
+        ps_pal12(),
+        PolarStarNetwork::build(best_config(15).unwrap(), 1).unwrap(),
+    ];
+    let patterns = [
+        Pattern::Uniform,
+        Pattern::AdversarialGroup,
+        Pattern::Permutation,
+    ];
+    for net in nets {
+        let spec = net.spec.clone();
+        let g = &spec.graph;
+        let dead = FaultSet::from_routers([spec.routers() as u32 / 3]);
+        let schedule = [
+            FaultSet::random_links(g, 0.01, 3),
+            FaultSet::random_links(g, 0.02, 3),
+            FaultSet::random_links(g, 0.02, 3).union(&dead),
+            FaultSet::random_links(g, 0.04, 3).union(&dead),
+            FaultSet::random_links(g, 0.06, 3).union(&dead),
+        ];
+        let analytic = AnalyticOracle::new(net);
+        let table = Oracle::new(Arc::new(spec.clone()));
+        let epochs: Vec<_> = schedule
+            .iter()
+            .map(|fs| (analytic.remask(fs), table.remask(fs, 1)))
+            .collect();
+        for pattern in &patterns {
+            let comps = [TrafficComponent::new(pattern.clone(), 7)];
+            let label =
+                |backend, step| format!("{} {} {backend} epoch {step}", spec.name, pattern.label());
+            let mut walks = (
+                FlowPlan::build(&spec, &analytic, &comps, FlowRouting::SinglePath),
+                FlowPlan::build(&spec, &table, &comps, FlowRouting::SinglePath),
+            );
+            let mut prev = FaultSet::empty();
+            let mut reused = false;
+            for (step, (fs, (a, t))) in schedule.iter().zip(&epochs).enumerate() {
+                let rerouted = walks.0.advance_epoch(&spec, a, &prev, fs);
+                assert_eq!(rerouted, walks.1.advance_epoch(&spec, t, &prev, fs));
+                reused |= rerouted < walks.0.num_pairs();
+                let fresh = FlowPlan::build(&spec, a, &comps, FlowRouting::SinglePath).network();
+                assert!(walks.0.network() == fresh, "{}", label("analytic", step));
+                let fresh = FlowPlan::build(&spec, t, &comps, FlowRouting::SinglePath).network();
+                assert!(walks.1.network() == fresh, "{}", label("table", step));
+                prev = fs.clone();
+            }
+            assert!(
+                reused,
+                "{} {}: every epoch re-routed every pair",
+                spec.name,
+                pattern.label()
+            );
         }
     }
 }

@@ -62,10 +62,12 @@ impl std::error::Error for RouteError {}
 /// [`PathOracle::distance`], and [`PathOracle::min_next_hops`]; the
 /// derived answers (first next hop, a full minimal path, `k` distinct
 /// minimal paths) come from provided methods and are therefore
-/// identical across implementations by construction; an implementor
-/// that overrides them to read its own state in place (`RouteTable`,
-/// `AnalyticOracle`) must answer as they do — the equivalence tests in
-/// `crates/routed` pin this.
+/// identical across implementations by construction. There is one path
+/// rule: [`PathOracle::path`] is the lexicographically first minimal
+/// path, and [`PathOracle::k_paths`] lists minimal paths in that order.
+/// An implementor that overrides a walk to read its own state in place
+/// (`RouteTable`, `AnalyticOracle`) must answer as the provided one
+/// does — the equivalence tests in `crates/routed` pin this.
 ///
 /// Determinism contract: `min_next_hops` must return candidates in a
 /// stable order (ascending router id unless documented otherwise), so
@@ -156,7 +158,9 @@ pub trait PathOracle {
         // Iterative DFS over the minimal-path DAG (acyclic toward dst:
         // every hop strictly decreases the distance), branching in the
         // oracle's stable next-hop order.
-        let mut out: Vec<Vec<u32>> = Vec::with_capacity(k);
+        // Sized by what is found, not by `k`: a caller may ask for
+        // `usize::MAX` paths to mean "all of them".
+        let mut out: Vec<Vec<u32>> = Vec::new();
         let mut prefix = vec![src];
         // Per-depth alternative stacks: alts[d] = remaining next hops out
         // of prefix[d].
@@ -385,6 +389,8 @@ mod tests {
         assert_eq!(o.k_paths(0, 3, 1).unwrap(), vec![vec![0, 1, 3]]);
         assert_eq!(o.k_paths(0, 3, 0).unwrap(), Vec::<Vec<u32>>::new());
         assert_eq!(o.k_paths(1, 1, 3).unwrap(), vec![vec![1]]);
+        // "All of them" allocates for what exists, not for k.
+        assert_eq!(o.k_paths(0, 3, usize::MAX).unwrap(), ps);
     }
 
     #[test]

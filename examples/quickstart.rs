@@ -44,7 +44,9 @@ fn main() {
     println!("diameter = {diam} (Theorem 4/5 guarantee ≤ 3)");
     assert!(diam <= 3);
 
-    // 4. Route analytically — no routing tables, only factor-graph state.
+    // 4. Route analytically — no routing tables, only factor-graph state:
+    //    each hop is the first neighbor the §9.2 distance kernel puts one
+    //    hop closer, so the path is the lexicographically first minimal one.
     let router = AnalyticRouter::new(net.clone());
     let (s, t) = (0u32, net.spec.routers() as u32 - 1);
     let path = router.route(s, t);
