@@ -187,12 +187,16 @@ mod tests {
 
     #[test]
     fn table_entries_match_route_table_storage() {
-        // The diversity-derived storage count equals the actual
-        // RouteTable size (netsim stores exactly the minimal ports).
+        // The diversity-derived storage count equals the minimal ports
+        // a RouteTable derives over every ordered pair.
         let g = polarstar_graph::random::random_regular(30, 4, 8).unwrap();
         let pd = path_diversity(&g);
         let spec = polarstar_topo::NetworkSpec::uniform("rr30", g, 1);
         let table = polarstar_netsim::routing::RouteTable::for_spec(&spec);
-        assert_eq!(pd.table_entries as usize, table.storage_entries());
+        let entries: usize = (0..30u32)
+            .flat_map(|r| (0..30u32).map(move |dst| (r, dst)))
+            .map(|(r, dst)| table.min_ports(r, dst).count())
+            .sum();
+        assert_eq!(pd.table_entries as usize, entries);
     }
 }

@@ -189,7 +189,7 @@ proptest! {
                     for e in path {
                         prop_assert_eq!(g.edge_source(e), cur);
                         let port = (e - g.edge_range(cur).start) as u8;
-                        let ports = table.min_ports(cur, dst);
+                        let ports: Vec<u8> = table.min_ports(cur, dst).collect();
                         if first_port {
                             prop_assert_eq!(port, ports[0], "{}->{} at {}", src, dst, cur);
                         } else {

@@ -21,10 +21,10 @@ pub(super) struct Epoch<'a> {
     /// The table routing decisions read: the caller's for every epoch
     /// whose mask equals the one that table was assembled under (epoch
     /// 0 of a run on the table's own spec, a recovery back to it), else
-    /// a [`RouteTable::remask`] the run owns — pristine CSR and port
-    /// numbering retained, only the distance and port layers
-    /// reassembled. [`FaultResponse::Stale`] builds none after epoch
-    /// 0: its routing view never leaves it.
+    /// a [`RouteTable::remask`] the run owns — pristine graph and port
+    /// numbering retained, only the distances reassembled.
+    /// [`FaultResponse::Stale`] builds none after epoch 0: its routing
+    /// view never leaves it.
     table: Cow<'a, RouteTable>,
     /// The epoch's cumulative faults compiled against the graph
     /// (bitless on a pristine network). Packets touching a failed
@@ -41,10 +41,10 @@ impl Epoch<'_> {
         matches!(self.table, Cow::Owned(_))
     }
 
-    /// Minimal output ports at `r` toward `dst` (empty iff `r == dst`
-    /// or `dst` is unreachable in this epoch).
+    /// Minimal output ports at `r` toward `dst`, ascending (none iff
+    /// `r == dst` or `dst` is unreachable in this epoch).
     #[inline]
-    pub(super) fn min_ports(&self, r: u32, dst: u32) -> &[u8] {
+    pub(super) fn min_ports(&self, r: u32, dst: u32) -> impl Iterator<Item = u8> + '_ {
         self.table.min_ports(r, dst)
     }
 
@@ -141,7 +141,7 @@ impl<'a> Ctx<'a> {
             })
             .collect();
         let active_src: Vec<bool> = match &pattern.dest {
-            None => vec![true; total_eps],
+            None => vec![pattern.active > 0; total_eps],
             Some(map) => map
                 .iter()
                 .enumerate()

@@ -122,7 +122,7 @@ impl<'a> Simulation<'a> {
                 .validate(self.spec.graph.n())
                 .map_err(|e| SimConfigError::InvalidFaultSchedule(e.to_string()))?;
         }
-        // Ports are offsets into the table's neighbor CSR; on any other
+        // Ports are offsets into the table's graph CSR; on any other
         // graph they name the wrong link, or none.
         let g = &self.spec.graph;
         let network = (g.n(), g.directed_edge_count());

@@ -379,8 +379,13 @@ impl Shard {
             p.cur_port = EJECT;
             return true;
         }
-        let view = self.routing(ctx);
-        let ports = view.min_ports(r, target);
+        // Ports are `u8`: a table's graph has degree < 256.
+        let (mut buf, mut len) = ([0u8; 256], 0);
+        self.routing(ctx).min_ports(r, target).for_each(|port| {
+            buf[len] = port;
+            len += 1;
+        });
+        let ports = &buf[..len];
         if ports.is_empty() {
             return false;
         }
@@ -410,12 +415,10 @@ impl Shard {
     /// Occupancy proxy for UGAL: packets worth of consumed credit on the
     /// first minimal port toward `target`, plus residual serialization.
     fn port_cost(&self, ctx: &Ctx, r: u32, target: u32, now: u64) -> u64 {
-        let ports = self.routing(ctx).min_ports(r, target);
-        if ports.is_empty() {
+        let Some(port) = self.routing(ctx).min_ports(r, target).next() else {
             return 0;
-        }
-        let lr = self.lr(r);
-        let port = ports[0] as usize;
+        };
+        let (lr, port) = (self.lr(r), port as usize);
         let base = (self.poff[lr] + port) * VCS;
         let cap: u32 = self.credits[base..base + VCS]
             .iter()
@@ -463,6 +466,11 @@ impl Shard {
                 continue;
             }
             let hops = view.distance(src_router, i) as u64 + view.distance(i, dst_router) as u64;
+            // Exact prune: the cost below is at least this, and only a
+            // strictly lower one wins.
+            if hops.max(1) * PACKET_FLITS as u64 >= best_cost {
+                continue;
+            }
             let cost =
                 hops.max(1) * (self.port_cost(ctx, src_router, i, now) + PACKET_FLITS as u64);
             if cost < best_cost {

@@ -56,10 +56,12 @@ pub struct ResolvedPattern {
 impl ResolvedPattern {
     /// Destination endpoint for a packet from `src`, drawing from `rng`
     /// only for the uniform pattern. Returns `None` when `src` does not
-    /// transmit under this pattern.
+    /// transmit under this pattern — under uniform traffic, when no
+    /// endpoint but `src` exists.
     #[inline]
     pub fn destination(&self, src: u32, rng: &mut impl Rng) -> Option<u32> {
         match &self.dest {
+            None if self.active == 0 => None,
             None => {
                 // Uniform: any endpoint but self.
                 let mut d = rng.gen_range(0..self.total as u32 - 1);
@@ -107,9 +109,10 @@ pub fn resolve_flows(pattern: &Pattern, spec: &NetworkSpec, seed: u64) -> Vec<(u
 pub fn resolve(pattern: &Pattern, spec: &NetworkSpec, seed: u64) -> ResolvedPattern {
     let total = spec.total_endpoints();
     match pattern {
+        // With fewer than two endpoints no source has a destination.
         Pattern::Uniform => ResolvedPattern {
             dest: None,
-            active: total,
+            active: if total < 2 { 0 } else { total },
             total,
         },
         Pattern::Permutation => {
@@ -438,6 +441,36 @@ mod tests {
         assert_eq!(spec.total_endpoints(), 16);
         let r = resolve(&Pattern::BitReverse, &spec, 0);
         assert!(r.active > 0);
+    }
+
+    #[test]
+    fn uniform_with_one_endpoint_sends_nothing() {
+        // A valid network whose only endpoint has no one to send to: both
+        // entry points that resolve uniform traffic run empty.
+        use crate::{simulate, FlowNetwork, FlowRouting, RouteTable, RoutingKind, SimConfig};
+        let spec = NetworkSpec::new("k2", Graph::complete(2), vec![1, 0], vec![0, 1]);
+        assert!(spec.validate().is_ok());
+        let r = resolve(&Pattern::Uniform, &spec, 0);
+        assert_eq!((r.active, r.total), (0, 1));
+        assert_eq!(r.destination(0, &mut ChaCha8Rng::seed_from_u64(0)), None);
+        let table = RouteTable::for_spec(&spec);
+        let flows = FlowNetwork::build(&spec, &table, &Pattern::Uniform, 0, FlowRouting::EcmpSplit);
+        assert_eq!(flows.num_flows(), 0);
+        let cfg = SimConfig {
+            warmup_cycles: 100,
+            measure_cycles: 200,
+            drain_cycles: 100,
+            ..SimConfig::default()
+        };
+        let got = simulate(
+            &spec,
+            &table,
+            RoutingKind::MinMulti,
+            &Pattern::Uniform,
+            0.5,
+            &cfg,
+        );
+        assert_eq!((got.measured_ejected, got.unroutable), (0, 0), "{got:?}");
     }
 }
 

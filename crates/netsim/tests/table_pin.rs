@@ -5,7 +5,8 @@
 //! The three literals were recorded at commit 30db64b, on the assembler
 //! that ran one heap-allocated BFS column per destination and probed
 //! every column per (router, port) — immediately before it became the
-//! 64-destination block BFS plus the row-resident port fill. A table is
+//! 64-destination block BFS plus a row-resident port fill, which later
+//! gave way to ports read off the distance columns. A table is
 //! a pure function of (graph, policy, group, fault mask), so the digests
 //! must hold on `for_spec`, on `remask` from the pristine table, and at
 //! any rayon width (CI runs this suite at `RAYON_NUM_THREADS` 1 and 4).
@@ -34,9 +35,9 @@ fn digest(t: &RouteTable) -> u64 {
                 .to_le_bytes()
                 .into_iter()
                 .for_each(&mut eat);
-            let ports = t.min_ports(r, dst);
+            let ports: Vec<u8> = t.min_ports(r, dst).collect();
             eat(ports.len() as u8);
-            ports.iter().copied().for_each(&mut eat);
+            ports.into_iter().for_each(&mut eat);
         }
     }
     h

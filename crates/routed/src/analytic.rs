@@ -2,9 +2,9 @@
 //! [`PathOracle`].
 //!
 //! A [`RouteTable`](polarstar_netsim::RouteTable) answers queries from
-//! distance and port arenas that cost O(n²) bytes to hold and an
-//! O(n²·degree) port fill to reassemble on every fault epoch that
-//! changes the mask. The analytic backend
+//! a distance arena that costs O(n²) bytes to hold and a block BFS over
+//! every destination to reassemble on every fault epoch that changes the
+//! mask. The analytic backend
 //! keeps only factor-graph state (the [`AnalyticRouter`]'s flat middle
 //! lists and bijection) plus the current [`FaultSet`], and resolves each
 //! query once, in one of three [`Regime`]s:
@@ -608,7 +608,7 @@ impl PathOracle for AnalyticOracle {
     }
 
     /// Pristine neighbor order is ascending router id — the same port
-    /// order `RouteTable` stores, so the sets match verbatim.
+    /// order `RouteTable` reads its ports in, so the sets match verbatim.
     fn min_next_hops(&self, src: u32, dst: u32, out: &mut Vec<u32>) -> Result<(), RouteError> {
         self.resolve(src, dst, 0, Some(out)).map(|_| ())
     }

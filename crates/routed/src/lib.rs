@@ -10,7 +10,7 @@
 //!   [`AnalyticOracle`] that reconstructs §9.2 paths from factor-graph
 //!   state per query — O(1) memory per query and O(|faults|) fault epochs
 //!   ([`AnalyticOracle::remask`] swaps a fault mask instead of
-//!   reassembling O(n²) distance and port arenas);
+//!   reassembling an O(n²) distance arena);
 //! * [`QueryBatch`] / [`RouteAnswer`] — the batched query surface:
 //!   next hop, hop distance, the deterministic minimal path, up to `k`
 //!   ECMP alternatives, and typed reachability
@@ -19,7 +19,7 @@
 //!   batch) at any thread count;
 //! * [`EpochSwapper`] — epoch-aware serving: the next fault epoch's
 //!   oracle is prepared off-thread (`RouteTable::remask` reuses the
-//!   pristine neighbor CSR; an epoch back on the base table's mask
+//!   pristine graph; an epoch back on the base table's mask
 //!   shares that table outright) and atomically published arc-swap
 //!   style, so queries never block on re-masking and never observe a
 //!   torn table.

@@ -13,9 +13,9 @@ use std::sync::Arc;
 /// The routing state behind an [`Oracle`]: either a materialized CSR
 /// table or the table-free analytic backend.
 enum Backend {
-    /// Distance and minimal-port arenas (`RouteTable`): O(n²) memory,
-    /// O(1) query, one reassembly per fault epoch whose mask differs
-    /// from the base table's.
+    /// Distance arena (`RouteTable`): O(n²) memory, O(degree) query (the
+    /// port rule over one distance column), one reassembly per fault
+    /// epoch whose mask differs from the base table's.
     Table(Arc<RouteTable>),
     /// §9.2 analytic routing over factor-graph state: O(structure²)
     /// memory, per-query path reconstruction, O(|faults|) fault epochs.
@@ -63,9 +63,9 @@ impl Oracle {
 
     /// Re-mask this oracle for a new cumulative fault set — the
     /// per-epoch path of [`crate::EpochSwapper`]. The table backend
-    /// reassembles its distance and port layers over the pristine
-    /// neighbor CSR (`RouteTable::remask`: a block BFS plus the port
-    /// fill, tens of milliseconds at 1 064 routers) — unless the set
+    /// reassembles its distances over the pristine graph
+    /// (`RouteTable::remask`: a block BFS, a few milliseconds at 1 064
+    /// routers) — unless the set
     /// compiles to the mask this table already serves (a recovery back
     /// to it), in which case the new snapshot shares the allocation.
     /// The analytic backend just swaps the fault mask. The spec is
@@ -117,8 +117,8 @@ impl Oracle {
 
     /// Distance, first minimal next hop and up to `k` minimal paths of
     /// one pair — what [`Oracle::answer`] reports. The analytic backend
-    /// resolves all three in one walk; on the table they are three
-    /// arena reads.
+    /// resolves all three in one walk; on the table they are a distance
+    /// read and walks over the destination's column.
     pub(crate) fn resolve(
         &self,
         src: u32,

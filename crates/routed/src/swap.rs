@@ -7,9 +7,9 @@
 //! of their batch against that immutable snapshot — so a query can never
 //! observe a half-written table, only the epoch that was current when
 //! its batch started. The expensive part of an epoch switch (re-masking
-//! the route table: a 64-destination block BFS plus the O(n²·degree)
-//! port fill, tens of milliseconds at 1 064 routers, nothing when the
-//! epoch recovers to the base table's mask) happens *outside* the lock,
+//! the route table: a 64-destination block BFS, a few milliseconds at
+//! 1 064 routers, nothing when the epoch recovers to the base table's
+//! mask) happens *outside* the lock,
 //! typically on a dedicated churn thread ([`EpochSwapper::prepare`] →
 //! [`EpochSwapper::install`]).
 
@@ -21,7 +21,7 @@ use std::sync::{Arc, RwLock};
 /// Double-buffered epoch switcher over a serving [`Oracle`].
 pub struct EpochSwapper {
     /// The immutable base snapshot every epoch re-masks from (its
-    /// pristine neighbor CSR is what `RouteTable::remask` reuses).
+    /// pristine graph is what `RouteTable::remask` reuses).
     base: Arc<Oracle>,
     /// The snapshot queries are answered against right now.
     current: RwLock<Arc<Oracle>>,
