@@ -24,9 +24,16 @@
 //! Pairs sharing a destination router additionally share one bulk
 //! [`PathOracle::distance_column`] when the oracle supports it, so the
 //! per-pair DAG is reconstructed from plain array scans instead of
-//! per-hop template queries. [`FlowNetwork::build_reference`] keeps the
-//! naive per-flow build alive purely as an equivalence baseline: the two
-//! are byte-identical by construction and CI pins it.
+//! per-hop template queries.
+//!
+//! The network reads the DAGs where the plan keeps them: the arena sits
+//! behind an `Arc`, and [`FlowPlan::network`] hands the network a clone
+//! of it plus one `(injection link, ejection link, arena run)` record per
+//! flow, so a plan and its network hold each DAG entry once. The plan
+//! mutates its arena copy-on-write, so a network taken before an epoch
+//! walk keeps the DAGs it was built from. Nothing else builds a network:
+//! its numbers are pinned by `routed/tests/flow_pin.rs` and by the
+//! max-min fairness proptest below.
 //!
 //! Model correspondence with the cycle engine (cross-validated by
 //! `bench/src/bin/flow_sweep`):
@@ -74,6 +81,8 @@ use polarstar_topo::oracle::{column_next_hops, PathOracle};
 use rayon::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::iter::once;
+use std::sync::Arc;
 
 /// How a flow maps onto router links.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -198,14 +207,23 @@ pub struct FlowPlan {
     /// Every pair's shared DAG, packed: network-link `(edge id, split
     /// fraction)` entries, one pair's run in walk order. Re-routed pairs
     /// append a new run and leave their old one dead until a repack.
-    arena: Vec<(u32, f32)>,
-    /// Per-pair `(start, len)` run in `arena` ([`UNROUTABLE`] = pair
-    /// unroutable; `len == 0` = same router, NIC links only).
+    /// Shared with every network taken from the plan; written through
+    /// `Arc::make_mut` or replaced whole, never in place under a reader.
+    arena: Arc<Vec<(u32, f32)>>,
+    /// Per-pair `(start, len)` run in `arena` (`len` [`UNROUTABLE`] =
+    /// pair unroutable, `start` unused; `len == 0` = same router, NIC
+    /// links only).
     spans: Vec<(u32, u32)>,
 }
 
-/// The span of an unroutable pair.
-const UNROUTABLE: (u32, u32) = (0, u32::MAX);
+/// The span length of an unroutable pair.
+const UNROUTABLE: u32 = u32::MAX;
+
+/// Destination groups one routing batch fans out over. A batch's
+/// group-local DAG buffers are appended to the arena and freed before
+/// the next batch routes, so the small heap blocks they occupy are
+/// reused instead of piling up to the size of the whole arena.
+const ROUTE_BATCH_GROUPS: usize = 256;
 
 impl FlowPlan {
     /// Resolve `components` against `spec`, reduce to unique router
@@ -240,8 +258,8 @@ impl FlowPlan {
             routing,
             uniform,
             flows,
-            arena: Vec::new(),
-            spans: vec![UNROUTABLE; pairs.len()],
+            arena: Arc::default(),
+            spans: vec![(0, UNROUTABLE); pairs.len()],
             pairs,
         };
         let all: Vec<u32> = (0..plan.pairs.len() as u32).collect();
@@ -252,20 +270,69 @@ impl FlowPlan {
     /// The cached DAG of pair `i` (`None` = unroutable).
     fn dag(&self, i: usize) -> Option<&[(u32, f32)]> {
         let (start, len) = self.spans[i];
-        (len != UNROUTABLE.1).then(|| &self.arena[start as usize..][..len as usize])
+        (len != UNROUTABLE).then(|| &self.arena[start as usize..][..len as usize])
     }
 
-    /// Materialize the solvable flow network (CSR incidence, transpose,
-    /// unit loads) from the cached per-pair DAGs.
+    /// Materialize the solvable flow network from the cached per-pair
+    /// DAGs: one record per routable flow pointing into the shared arena
+    /// (no DAG entry is copied), the link-side transpose and unit loads.
     pub fn network(&self) -> FlowNetwork {
-        assemble_network(
-            &self.name,
-            self.net_links,
-            self.endpoints,
-            &self.flows,
-            |f| self.dag(self.flows[f].pair as usize),
-            self.uniform,
-        )
+        let links = self.net_links + 2 * self.endpoints;
+        let inject_base = self.net_links as u32;
+        let eject_base = (self.net_links + self.endpoints) as u32;
+        let mut flows = Vec::with_capacity(self.flows.len());
+        let mut demand = Vec::new();
+        for pf in &self.flows {
+            let (start, len) = self.spans[pf.pair as usize];
+            if len == UNROUTABLE {
+                continue;
+            }
+            flows.push(FlowHops {
+                inject: inject_base + pf.src_ep,
+                eject: eject_base + pf.dst_ep,
+                start,
+                len,
+            });
+            if !self.uniform {
+                demand.push(pf.demand);
+            }
+        }
+        let arena = &self.arena[..];
+        let entries = incidences(&flows);
+
+        // Transpose to link-side CSR by counting sort. Unit loads carry
+        // the demand weights (×1.0 is exact, so the uniform case stays
+        // bitwise identical to the unweighted build).
+        let link_off = bucket_offsets(
+            flows.iter().flat_map(|h| h.hops(arena).map(|(l, _)| l)),
+            links,
+        );
+        let mut cursor = link_off.clone();
+        let mut link_flow = vec![0u32; entries];
+        let mut unit_load = vec![0f64; links];
+        for (f, h) in flows.iter().enumerate() {
+            let df = if self.uniform { 1.0 } else { demand[f] };
+            h.hops(arena).for_each(|(l, w)| {
+                let c = &mut cursor[l as usize];
+                link_flow[*c as usize] = f as u32;
+                *c += 1;
+                unit_load[l as usize] += f64::from(w) * df;
+            });
+        }
+
+        FlowNetwork {
+            name: self.name.clone(),
+            net_links: self.net_links,
+            links,
+            arena: Arc::clone(&self.arena),
+            unroutable: (self.flows.len() - flows.len()) as u64,
+            flows,
+            link_off,
+            link_flow,
+            unit_load,
+            endpoints: self.endpoints,
+            demand: (!self.uniform).then_some(demand),
+        }
     }
 
     /// Re-route the plan from fault epoch `prev` to `next` (the oracle
@@ -310,7 +377,8 @@ impl FlowPlan {
         let graph = &spec.graph;
         let full = !removed.is_empty() || !next.compile(graph).is_symmetric();
         let subset: Vec<u32> = if full {
-            self.arena.clear();
+            // A fresh arena, not a cleared one: a network may share it.
+            self.arena = Arc::default();
             (0..self.pairs.len() as u32).collect()
         } else {
             let dirty = added.compile(graph);
@@ -331,9 +399,11 @@ impl FlowPlan {
     /// Route every pair in `subset` (ascending indices into `pairs`),
     /// appending the DAGs to the arena and pointing their spans at them.
     /// Pairs are grouped by destination router so one bulk distance
-    /// column serves a whole group when the oracle has one; groups route
-    /// in parallel into group-local buffers, which are appended in
-    /// group order, so the arena is byte-identical at any thread count.
+    /// column serves a whole group when the oracle has one; the groups
+    /// of one batch ([`ROUTE_BATCH_GROUPS`]) route in parallel into
+    /// group-local buffers, which are appended in group order before the
+    /// next batch starts, so the arena is byte-identical at any thread
+    /// count. The first append copies the arena if a network shares it.
     fn route<O: PathOracle + Sync>(&mut self, graph: &Graph, oracle: &O, subset: &[u32]) {
         let pairs = &self.pairs;
         // A stable counting sort by destination over ascending pair
@@ -357,47 +427,43 @@ impl FlowPlan {
         let per_worker = || (Vec::<u32>::new(), WalkScratch::default());
         // A group's DAG entries, and each pair's span within them.
         type RoutedGroup = (Vec<(u32, f32)>, Vec<(u32, u32)>);
-        let routed: Vec<RoutedGroup> = groups
-            .par_iter()
-            .map_init(per_worker, |(col, walk), idxs: &&[u32]| {
-                let rd = pairs[idxs[0] as usize].1;
-                // The column fast path needs the oracle and the graph to
-                // agree on the router id space; otherwise fall back to
-                // per-pair queries (which bounds-check per query).
-                let col_ok = routing == FlowRouting::EcmpSplit && oracle.num_routers() == graph.n();
-                let mask = col_ok.then(|| oracle.distance_column(rd, col)).flatten();
-                let c = (col.len() == graph.n()).then_some(&col[..]).zip(mask);
-                walk.buf.clear();
-                let spans = idxs
-                    .iter()
-                    .map(|&i| {
-                        let (rs, _) = pairs[i as usize];
-                        let start = walk.buf.len();
-                        if route_one_pair(graph, oracle, rs, rd, routing, c, walk) {
-                            (start as u32, (walk.buf.len() - start) as u32)
-                        } else {
-                            UNROUTABLE
-                        }
-                    })
-                    .collect();
-                (walk.buf.clone(), spans)
-            })
-            .collect();
-        let added: usize = routed.iter().map(|(buf, _)| buf.len()).sum();
-        assert!(
-            u32::try_from(self.arena.len() + added).is_ok(),
-            "flow DAG arena exceeds u32::MAX entries"
-        );
-        self.arena.reserve_exact(added);
-        for (idxs, (buf, spans)) in groups.iter().zip(routed) {
-            let base = self.arena.len() as u32;
-            self.arena.extend_from_slice(&buf);
-            for (&i, (start, len)) in idxs.iter().zip(spans) {
-                self.spans[i as usize] = if len == UNROUTABLE.1 {
-                    UNROUTABLE
-                } else {
-                    (base + start, len)
-                };
+        for batch in groups.chunks(ROUTE_BATCH_GROUPS) {
+            let routed: Vec<RoutedGroup> = batch
+                .par_iter()
+                .map_init(per_worker, |(col, walk), idxs: &&[u32]| {
+                    let rd = pairs[idxs[0] as usize].1;
+                    // The column fast path needs the oracle and the graph
+                    // to agree on the router id space; otherwise fall back
+                    // to per-pair queries (which bounds-check per query).
+                    let col_ok =
+                        routing == FlowRouting::EcmpSplit && oracle.num_routers() == graph.n();
+                    let mask = col_ok.then(|| oracle.distance_column(rd, col)).flatten();
+                    let c = (col.len() == graph.n()).then_some(&col[..]).zip(mask);
+                    walk.buf.clear();
+                    let spans = idxs
+                        .iter()
+                        .map(|&i| {
+                            let (rs, _) = pairs[i as usize];
+                            let start = walk.buf.len();
+                            if route_one_pair(graph, oracle, rs, rd, routing, c, walk) {
+                                (start as u32, (walk.buf.len() - start) as u32)
+                            } else {
+                                (0, UNROUTABLE)
+                            }
+                        })
+                        .collect();
+                    (walk.buf.clone(), spans)
+                })
+                .collect();
+            let arena = Arc::make_mut(&mut self.arena);
+            let added: usize = routed.iter().map(|(buf, _)| buf.len()).sum();
+            checked_u32("flow DAG arena entries", arena.len() + added);
+            for (idxs, (buf, spans)) in batch.iter().zip(routed) {
+                let base = arena.len() as u32;
+                arena.extend_from_slice(&buf);
+                for (&i, (start, len)) in idxs.iter().zip(spans) {
+                    self.spans[i as usize] = (base + start, len);
+                }
             }
         }
     }
@@ -414,11 +480,11 @@ impl FlowPlan {
             return;
         }
         let mut packed = Vec::with_capacity(live);
-        for span in self.spans.iter_mut().filter(|s| **s != UNROUTABLE) {
+        for span in self.spans.iter_mut().filter(|s| s.1 != UNROUTABLE) {
             let start = std::mem::replace(&mut span.0, packed.len() as u32);
             packed.extend_from_slice(&self.arena[start as usize..][..span.1 as usize]);
         }
-        self.arena = packed;
+        self.arena = Arc::new(packed);
     }
 
     /// The planned flows, in component/endpoint order.
@@ -485,13 +551,26 @@ fn plan_flows(
 /// where key `k`'s entries land when placed in key order.
 fn bucket_offsets(keys: impl Iterator<Item = u32>, n: usize) -> Vec<u32> {
     let mut off = vec![0u32; n + 1];
-    for k in keys {
-        off[k as usize + 1] += 1;
-    }
+    keys.for_each(|k| off[k as usize + 1] += 1);
     for k in 1..=n {
         off[k] += off[k - 1];
     }
     off
+}
+
+/// `count` as a `u32`, or a panic naming `what`, the count and the cap:
+/// arena spans and incidence offsets are `u32`, and a release build
+/// would wrap them silently.
+fn checked_u32(what: &str, count: usize) -> u32 {
+    u32::try_from(count)
+        .unwrap_or_else(|_| panic!("{what}: {count} exceeds the u32::MAX = {} cap", u32::MAX))
+}
+
+/// Link incidences of `flows` (hops, NIC links included): the length of
+/// the network's `link_flow` and the top of its `u32` offsets, checked.
+fn incidences(flows: &[FlowHops]) -> usize {
+    let total = flows.iter().map(|h| h.len as usize + 2).sum();
+    checked_u32("flow network link incidences", total) as usize
 }
 
 /// Work lists of the level-by-level ECMP walk, plus the group-local DAG
@@ -607,100 +686,27 @@ fn route_one_pair<O: PathOracle + ?Sized>(
     routed
 }
 
-/// Materialize a [`FlowNetwork`] from planned flows plus a per-flow DAG
-/// lookup — shared by the batched and reference builds so their CSR
-/// layout is identical by construction.
-fn assemble_network<'a, F>(
-    name: &str,
-    net_links: usize,
-    endpoints: usize,
-    flows: &[PlannedFlow],
-    dag_of: F,
-    uniform: bool,
-) -> FlowNetwork
-where
-    F: Fn(usize) -> Option<&'a [(u32, f32)]>,
-{
-    let links = net_links + 2 * endpoints;
-    let inject_base = net_links as u32;
-    let eject_base = (net_links + endpoints) as u32;
+/// One routable flow of a [`FlowNetwork`]: its two NIC links and the run
+/// of the shared arena that holds its pair's DAG.
+#[derive(Clone, Copy)]
+struct FlowHops {
+    inject: u32,
+    eject: u32,
+    /// `(start, len)` of the DAG's run in the arena (`len == 0` for a
+    /// same-router flow).
+    start: u32,
+    len: u32,
+}
 
-    let mut unroutable = 0u64;
-    let mut active_count = 0usize;
-    let mut entries = 0usize;
-    for f in 0..flows.len() {
-        match dag_of(f) {
-            None => unroutable += 1,
-            Some(dag) => {
-                active_count += 1;
-                entries += dag.len() + 2;
-            }
-        }
-    }
-
-    let mut flow_off = Vec::with_capacity(active_count + 1);
-    flow_off.push(0u32);
-    let mut flow_link = Vec::with_capacity(entries);
-    let mut flow_weight = Vec::with_capacity(entries);
-    let mut demand: Vec<f64> = Vec::new();
-    for (f, pf) in flows.iter().enumerate() {
-        let Some(dag) = dag_of(f) else { continue };
-        flow_link.push(inject_base + pf.src_ep);
-        flow_weight.push(1.0f32);
-        for &(l, w) in dag {
-            flow_link.push(l);
-            flow_weight.push(w);
-        }
-        flow_link.push(eject_base + pf.dst_ep);
-        flow_weight.push(1.0f32);
-        flow_off.push(flow_link.len() as u32);
-        if !uniform {
-            demand.push(pf.demand);
-        }
-    }
-
-    // Transpose to link-side CSR by counting sort.
-    let mut counts = vec![0u32; links + 1];
-    for &l in &flow_link {
-        counts[l as usize + 1] += 1;
-    }
-    for i in 1..counts.len() {
-        counts[i] += counts[i - 1];
-    }
-    let link_off = counts.clone();
-    let mut cursor = counts;
-    let mut link_flow = vec![0u32; entries];
-    for f in 0..active_count {
-        for &fl in &flow_link[flow_off[f] as usize..flow_off[f + 1] as usize] {
-            let l = fl as usize;
-            link_flow[cursor[l] as usize] = f as u32;
-            cursor[l] += 1;
-        }
-    }
-
-    // Unit loads carry the demand weights (×1.0 is exact, so the
-    // uniform case stays bitwise identical to the unweighted build).
-    let mut unit_load = vec![0f64; links];
-    for f in 0..active_count {
-        let df = if uniform { 1.0 } else { demand[f] };
-        for j in flow_off[f] as usize..flow_off[f + 1] as usize {
-            unit_load[flow_link[j] as usize] += f64::from(flow_weight[j]) * df;
-        }
-    }
-
-    FlowNetwork {
-        name: name.to_string(),
-        net_links,
-        links,
-        flow_off,
-        flow_link,
-        flow_weight,
-        link_off,
-        link_flow,
-        unit_load,
-        endpoints,
-        unroutable,
-        demand: if uniform { None } else { Some(demand) },
+impl FlowHops {
+    /// The flow's `(link, traffic fraction)` hops: injection link, DAG
+    /// run, ejection link — the order every load sum and fill
+    /// subtraction takes.
+    fn hops(self, arena: &[(u32, f32)]) -> impl Iterator<Item = (u32, f32)> + '_ {
+        let run = &arena[self.start as usize..][..self.len as usize];
+        once((self.inject, 1.0))
+            .chain(run.iter().copied())
+            .chain(once((self.eject, 1.0)))
     }
 }
 
@@ -738,10 +744,12 @@ pub struct FlowResult {
 ///
 /// Built once per (spec, oracle, traffic, routing) — the routing pass is
 /// the expensive part and fans out over rayon — then solved at any
-/// number of offered loads. [`FlowNetwork::build`] is the class-batched
-/// path via [`FlowPlan`]; [`FlowNetwork::build_reference`] is the naive
-/// per-flow baseline kept for equivalence pinning.
-#[derive(Clone, PartialEq)]
+/// number of offered loads. Every network comes from a [`FlowPlan`]
+/// ([`FlowPlan::network`]; [`FlowNetwork::build`] is the one-pattern
+/// shorthand) and reads its DAGs from the plan's shared arena. Equality
+/// compares each flow's hop sequence, not where its run sits in the
+/// arena: a walked plan and a fresh build lay their runs out differently.
+#[derive(Clone)]
 pub struct FlowNetwork {
     name: String,
     /// Directed router-router links (graph CSR slots); injection links
@@ -750,13 +758,11 @@ pub struct FlowNetwork {
     net_links: usize,
     /// Total link count including NIC links.
     links: usize,
-    /// Per-flow CSR offsets into `flow_link`/`flow_weight`.
-    flow_off: Vec<u32>,
-    /// Link ids each flow crosses.
-    flow_link: Vec<u32>,
-    /// This flow's traffic fraction on that link (1.0 on a single path;
-    /// DAG split fractions under ECMP).
-    flow_weight: Vec<f32>,
+    /// The plan's DAG arena: `(link, traffic fraction)` entries, 1.0 on
+    /// a single path and DAG split fractions under ECMP.
+    arena: Arc<Vec<(u32, f32)>>,
+    /// One record per active flow, in plan flow order.
+    flows: Vec<FlowHops>,
     /// Transposed incidence: per-link CSR of flow ids.
     link_off: Vec<u32>,
     link_flow: Vec<u32>,
@@ -820,38 +826,6 @@ impl FlowNetwork {
         .network()
     }
 
-    /// The naive per-flow build: every flow pays its own oracle queries,
-    /// no pair dedup, no distance columns. Kept as the equivalence
-    /// baseline the batched build is pinned against (CI runs the
-    /// comparison at 1 and 4 rayon threads) — prefer [`FlowNetwork::build`]
-    /// or [`FlowPlan::build`] everywhere else.
-    pub fn build_reference<O: PathOracle + Sync>(
-        spec: &NetworkSpec,
-        oracle: &O,
-        components: &[TrafficComponent],
-        routing: FlowRouting,
-    ) -> FlowNetwork {
-        let (flows, rpairs) = plan_flows(spec, components);
-        let graph = &spec.graph;
-        let routed: Vec<Option<Vec<(u32, f32)>>> = rpairs
-            .par_iter()
-            .map_init(WalkScratch::default, |scratch, &(rs, rd)| {
-                scratch.buf.clear();
-                route_one_pair(graph, oracle, rs, rd, routing, None, scratch)
-                    .then(|| scratch.buf.clone())
-            })
-            .collect();
-        let uniform = flows.iter().all(|f| f.demand == 1.0);
-        assemble_network(
-            &spec.name,
-            graph.directed_edge_count(),
-            spec.total_endpoints(),
-            &flows,
-            |f| routed[f].as_deref(),
-            uniform,
-        )
-    }
-
     /// Topology label the flows were routed on.
     pub fn name(&self) -> &str {
         &self.name
@@ -859,7 +833,13 @@ impl FlowNetwork {
 
     /// Active flows (routable active endpoints of the pattern).
     pub fn num_flows(&self) -> usize {
-        self.flow_off.len() - 1
+        self.flows.len()
+    }
+
+    /// Active flow `f`'s `(link, traffic fraction)` hops, in the order
+    /// loads are summed and the fill subtracts them.
+    fn hops(&self, f: usize) -> impl Iterator<Item = (u32, f32)> + '_ {
+        self.flows[f].hops(&self.arena)
     }
 
     /// Links (directed router links plus per-endpoint NIC links).
@@ -910,14 +890,16 @@ impl FlowNetwork {
             .fold(0.0, f64::max)
     }
 
-    /// Resident bytes of the routed flow state (both incidence CSRs and
-    /// the unit-load array) — what the scale benchmark divides into
-    /// endpoints-per-GB alongside the oracle's own footprint.
+    /// Resident bytes of the routed flow state (the per-flow records, the
+    /// DAG entries of the arena they read, the link-side CSR and the
+    /// unit-load array) — what the scale benchmark divides into
+    /// endpoints-per-GB alongside the oracle's own footprint. The arena
+    /// is counted once, though the plan it came from shares it.
     pub fn memory_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.flow_off.capacity() * 4
-            + self.flow_link.capacity() * 4
-            + self.flow_weight.capacity() * 4
+        use std::mem::size_of;
+        size_of::<Self>()
+            + self.flows.capacity() * size_of::<FlowHops>()
+            + self.arena.len() * size_of::<(u32, f32)>()
             + self.link_off.capacity() * 4
             + self.link_flow.capacity() * 4
             + self.unit_load.capacity() * 8
@@ -1004,12 +986,12 @@ impl FlowNetwork {
                 frozen[f] = true;
                 let df = self.demand_of(f);
                 rate[f] = level * df;
-                for j in self.flow_off[f] as usize..self.flow_off[f + 1] as usize {
-                    let k = &mut links[self.flow_link[j] as usize];
-                    let w = f64::from(self.flow_weight[j]) * df;
+                self.hops(f).for_each(|(l, w)| {
+                    let k = &mut links[l as usize];
+                    let w = f64::from(w) * df;
                     k.weight -= w;
                     k.residual -= w * level;
-                }
+                });
             }
         }
         for (f, r) in rate.iter_mut().enumerate() {
@@ -1139,6 +1121,19 @@ impl FlowNetwork {
             None => self.unit_load.iter().map(|u| u * offered).collect(),
             Some(fill) => fill.links.iter().map(|k| 1.0 - k.residual).collect(),
         }
+    }
+}
+
+/// Equal networks carry the same flows over the same hops with the same
+/// loads; where each flow's run sits in its arena does not matter.
+impl PartialEq for FlowNetwork {
+    fn eq(&self, other: &Self) -> bool {
+        let (a, b) = (self, other);
+        (&a.name, a.links, a.endpoints, a.unroutable, a.flows.len())
+            == (&b.name, b.links, b.endpoints, b.unroutable, b.flows.len())
+            && (&a.demand, &a.link_off, &a.link_flow, &a.unit_load)
+                == (&b.demand, &b.link_off, &b.link_flow, &b.unit_load)
+            && (0..a.flows.len()).all(|f| a.hops(f).eq(b.hops(f)))
     }
 }
 
@@ -1274,9 +1269,8 @@ mod tests {
         // Recompute utilization from rates and compare.
         let mut expect = vec![0f64; fnet.num_links()];
         for (f, &rate) in rates.iter().enumerate() {
-            for j in fnet.flow_off[f] as usize..fnet.flow_off[f + 1] as usize {
-                expect[fnet.flow_link[j] as usize] += f64::from(fnet.flow_weight[j]) * rate;
-            }
+            fnet.hops(f)
+                .for_each(|(l, w)| expect[l as usize] += f64::from(w) * rate);
         }
         for (l, (&u, &e)) in util.iter().zip(expect.iter()).enumerate() {
             assert!((u - e).abs() < 1e-9, "link {l}: {u} vs {e}");
@@ -1298,9 +1292,14 @@ mod tests {
         // Every flow's weights are exactly 1.0 and its link count is
         // inject + hops + eject.
         for f in 0..fnet.num_flows() {
-            for j in fnet.flow_off[f] as usize..fnet.flow_off[f + 1] as usize {
-                assert_eq!(fnet.flow_weight[j], 1.0);
-            }
+            let FlowHops { inject, eject, .. } = fnet.flows[f];
+            let src_ep = inject as usize - fnet.net_links;
+            let dst_ep = eject as usize - fnet.net_links - fnet.endpoints;
+            let (rs, _) = spec.endpoint_router(src_ep);
+            let (rd, _) = spec.endpoint_router(dst_ep);
+            let hops: Vec<_> = fnet.hops(f).collect();
+            assert_eq!(hops.len(), usize::from(table.distance(rs, rd)) + 2);
+            assert!(hops.iter().all(|&(_, w)| w == 1.0));
         }
     }
 
@@ -1384,13 +1383,6 @@ mod tests {
             let fnet = FlowNetwork::build(&broken, &table, &Pattern::BitReverse, 0, routing);
             assert_eq!(fnet.unroutable(), 2, "{}", routing.label());
             assert_eq!(fnet.num_flows(), 0, "{}", routing.label());
-            let reference = FlowNetwork::build_reference(
-                &broken,
-                &table,
-                &[TrafficComponent::new(Pattern::BitReverse, 0)],
-                routing,
-            );
-            assert!(fnet == reference, "{}", routing.label());
         }
     }
 
@@ -1453,37 +1445,130 @@ mod tests {
         assert!((both.saturation_load() - plain.saturation_load() / 1.5).abs() < 1e-12);
     }
 
+    /// A flat table served the other way a backend can serve it: the
+    /// per-query answers delegated, plus the bulk distance column and
+    /// mask, so a plan walks ECMP DAGs off columns and takes the
+    /// provided `path` rule instead of the table's own walk.
+    struct Columns<'a>(&'a RouteTable);
+
+    impl PathOracle for Columns<'_> {
+        fn num_routers(&self) -> usize {
+            self.0.n()
+        }
+
+        fn distance(&self, src: u32, dst: u32) -> Result<u32, polarstar_topo::oracle::RouteError> {
+            PathOracle::distance(self.0, src, dst)
+        }
+
+        fn min_next_hops(
+            &self,
+            src: u32,
+            dst: u32,
+            out: &mut Vec<u32>,
+        ) -> Result<(), polarstar_topo::oracle::RouteError> {
+            self.0.min_next_hops(src, dst, out)
+        }
+
+        fn distance_column(&self, dst: u32, out: &mut Vec<u32>) -> Option<&FaultMask> {
+            out.clear();
+            out.extend(
+                (0..self.0.n() as u32).map(|v| match self.0.distance(v, dst) {
+                    RouteTable::UNREACHABLE => u32::MAX,
+                    d => u32::from(d),
+                }),
+            );
+            Some(self.0.mask())
+        }
+    }
+
     #[test]
-    fn batched_build_matches_reference_build() {
-        // The in-crate spot check of the byte-identity pin (the full
-        // cross-oracle matrix lives in crates/routed/tests).
+    fn column_build_matches_per_query_build() {
+        // The in-crate cross-backend check (the analytic-vs-table matrix
+        // lives in crates/routed/tests): the column walk and the
+        // per-query walk must give equal networks, pristine and masked.
+        use polarstar::design::{PolarStarConfig, SupernodeKind};
+        use polarstar::network::PolarStarNetwork;
+        let cfg = PolarStarConfig {
+            q: 3,
+            supernode: SupernodeKind::InductiveQuad { degree: 3 },
+        };
         let specs = [
             NetworkSpec::uniform("ring5", Graph::cycle(5), 3),
             NetworkSpec::uniform("k4", Graph::complete(4), 4),
+            PolarStarNetwork::build(cfg, 2).unwrap().spec,
         ];
         for spec in &specs {
-            let table = RouteTable::for_spec(spec);
-            for pattern in [
-                Pattern::Uniform,
-                Pattern::Permutation,
-                Pattern::BitShuffle,
-                Pattern::BitReverse,
+            let pristine = RouteTable::for_spec(spec);
+            let faults = FaultSet::random_links(&spec.graph, 0.1, 3);
+            for (mask, table) in [
+                ("pristine", pristine.clone()),
+                ("masked", pristine.remask(spec, &faults)),
             ] {
-                for routing in [FlowRouting::EcmpSplit, FlowRouting::SinglePath] {
-                    let comps = [TrafficComponent::new(pattern.clone(), 11)];
-                    let batched = FlowPlan::build(spec, &table, &comps, routing).network();
-                    let reference = FlowNetwork::build_reference(spec, &table, &comps, routing);
-                    assert!(
-                        batched == reference,
-                        "{} {} {}",
-                        spec.name,
-                        pattern.label(),
-                        routing.label()
-                    );
-                    assert_eq!(batched.solve(0.8), reference.solve(0.8));
+                for pattern in [
+                    Pattern::Uniform,
+                    Pattern::Permutation,
+                    Pattern::BitShuffle,
+                    Pattern::BitReverse,
+                ] {
+                    for routing in [FlowRouting::EcmpSplit, FlowRouting::SinglePath] {
+                        let comps = [TrafficComponent::new(pattern.clone(), 11)];
+                        let queried = FlowPlan::build(spec, &table, &comps, routing).network();
+                        let columns =
+                            FlowPlan::build(spec, &Columns(&table), &comps, routing).network();
+                        let label = format!(
+                            "{} {mask} {} {}",
+                            spec.name,
+                            pattern.label(),
+                            routing.label()
+                        );
+                        assert!(queried == columns, "{label}");
+                        assert_eq!(queried.solve(0.8), columns.solve(0.8), "{label}");
+                    }
                 }
             }
         }
+    }
+
+    #[test]
+    fn network_shares_the_plan_arena() {
+        // A network points into the plan's DAG arena instead of copying
+        // it, and counts it once; an epoch walk copies it on write, so
+        // the network keeps the DAGs it was built from.
+        let spec = NetworkSpec::uniform("ring4x2", Graph::cycle(4), 2);
+        let table = RouteTable::for_spec(&spec);
+        let comps = [TrafficComponent::new(Pattern::Uniform, 5)];
+        let mut plan = FlowPlan::build(&spec, &table, &comps, FlowRouting::EcmpSplit);
+        let fnet = plan.network();
+        assert!(Arc::ptr_eq(&plan.arena, &fnet.arena));
+        let dag_entries = plan.arena.len();
+        assert!(dag_entries > 0);
+        let own = std::mem::size_of::<FlowNetwork>()
+            + fnet.flows.capacity() * std::mem::size_of::<FlowHops>()
+            + (fnet.link_off.capacity() + fnet.link_flow.capacity()) * 4
+            + fnet.unit_load.capacity() * 8;
+        assert_eq!(fnet.memory_bytes(), own + dag_entries * 8);
+        let faults = FaultSet::from_links([(0, 1)]);
+        let masked = table.remask(&spec, &faults);
+        assert!(plan.advance_epoch(&spec, &masked, &FaultSet::empty(), &faults) > 0);
+        assert!(!Arc::ptr_eq(&plan.arena, &fnet.arena));
+        assert_eq!(fnet.arena.len(), dag_entries);
+        assert!(fnet == FlowPlan::build(&spec, &table, &comps, FlowRouting::EcmpSplit).network());
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "flow network link incidences: 4294967298 exceeds the u32::MAX = 4294967295 cap"
+    )]
+    fn incidences_past_u32_panic_instead_of_wrapping() {
+        // Two flows whose runs alone fill half the u32 range each: the
+        // transpose's offsets would wrap, so the count must refuse.
+        let half = FlowHops {
+            inject: 0,
+            eject: 0,
+            start: 0,
+            len: u32::MAX / 2,
+        };
+        incidences(&[half, half]);
     }
 
     #[test]
@@ -1671,12 +1756,9 @@ mod tests {
             let offered = [0.1, 0.35, 0.7, 1.0][load];
             let rates = fnet.rates(offered);
             let util = fnet.link_utilization(offered);
-            let on = |f: usize| fnet.flow_off[f] as usize..fnet.flow_off[f + 1] as usize;
             let mut expect = vec![0f64; fnet.num_links()];
             for (f, &rate) in rates.iter().enumerate() {
-                for j in on(f) {
-                    expect[fnet.flow_link[j] as usize] += f64::from(fnet.flow_weight[j]) * rate;
-                }
+                fnet.hops(f).for_each(|(l, w)| expect[l as usize] += f64::from(w) * rate);
             }
             for (l, (&u, &e)) in util.iter().zip(&expect).enumerate() {
                 proptest::prop_assert!(u <= 1.0 + 1e-9, "link {l} over capacity: {u}");
@@ -1687,7 +1769,7 @@ mod tests {
                 if ratio(f) >= offered * (1.0 - 1e-9) {
                     continue;
                 }
-                let bottleneck = on(f).map(|j| fnet.flow_link[j] as usize).any(|l| {
+                let bottleneck = fnet.hops(f).map(|(l, _)| l as usize).any(|l| {
                     let sharers = &fnet.link_flow[fnet.link_off[l] as usize..fnet.link_off[l + 1] as usize];
                     util[l] >= 1.0 - 1e-9 && sharers.iter().all(|&h| ratio(h as usize) <= ratio(f) * (1.0 + 1e-9))
                 });

@@ -1,22 +1,31 @@
-//! Byte-identity pins for the class-batched flow build: `FlowPlan`
-//! (one oracle query per unique router pair, bulk distance columns,
-//! rayon-sharded by destination group) must materialize a `FlowNetwork`
-//! **equal in every field** to the naive per-flow reference build, on
-//! both serving backends (table-free analytic and CSR route table),
-//! pristine and fault-masked (cut cables, dead routers, one-way link
-//! faults), across every traffic pattern and routing mode. CI runs this file at `RAYON_NUM_THREADS=1` and `=4`: the
-//! batched build must not depend on the pool size.
+//! The class-batched flow build is the same whichever backend routes it
+//! and whatever the pool width. `FlowPlan` (one oracle query per unique
+//! router pair, rayon-sharded by destination group) must materialize
+//! **equal** `FlowNetwork`s from the table-free analytic backend (which
+//! walks ECMP DAGs off bulk distance columns) and from the CSR route
+//! table (which answers per query), pristine and fault-masked (cut
+//! cables, dead routers, one-way link faults), across every traffic
+//! pattern and routing mode, with bit-equal solves. CI runs this file at
+//! `RAYON_NUM_THREADS=1` and `=4`.
+//!
+//! There is one network builder, so no second builder is the oracle for
+//! the numbers. Two things are: the literal digests of `flow_pin.rs`
+//! (recorded before the DAG arena existed) and the max-min fairness
+//! proptest `flow::tests::solve_is_weighted_max_min_fair`, which checks
+//! capacity, rates ≡ utilization and a bottleneck per short flow on
+//! random faulted graphs. This file checks that the build is consistent
+//! across backends, widths and epoch walks.
 //!
 //! Also pins the fault-epoch sweep: walking `FlowPlan::advance_epoch`
 //! through nested fault epochs (reusing cached pair DAGs for untouched
 //! pairs, single paths included), a router failure and a recovery must
 //! land on the same network as a fresh batched build against the
-//! re-masked oracle. And the one path rule across backends: a
-//! single-path network is the same whichever global oracle routed it.
+//! re-masked oracle; and a network taken before a walk keeps the DAGs
+//! it was built from, because the plan copies its shared arena on write.
 
 use polarstar::design::{best_config, best_config_with, PolarStarConfig, SupernodeKind};
 use polarstar::network::PolarStarNetwork;
-use polarstar_netsim::{FlowDemand, FlowNetwork, FlowPlan, FlowRouting, Pattern, TrafficComponent};
+use polarstar_netsim::{FlowDemand, FlowPlan, FlowRouting, Pattern, TrafficComponent};
 use polarstar_routed::{AnalyticOracle, Oracle};
 use polarstar_topo::fault::FaultSet;
 use polarstar_topo::network::NetworkSpec;
@@ -40,75 +49,66 @@ const PATTERNS: [Pattern; 5] = [
     Pattern::AdversarialGroup,
 ];
 
-/// Batched and reference builds must agree field-for-field, and their
-/// solves bit-for-bit, for every pattern × routing combination.
-fn check_matrix<O: PathOracle + Sync>(spec: &NetworkSpec, oracle: &O, label: &str) {
+/// The two backends' networks must agree, and their solves bit for bit,
+/// for every pattern × routing combination.
+fn check_matrix<A, T>(spec: &NetworkSpec, analytic: &A, table: &T, label: &str)
+where
+    A: PathOracle + Sync,
+    T: PathOracle + Sync,
+{
     for pattern in &PATTERNS {
         for routing in [FlowRouting::EcmpSplit, FlowRouting::SinglePath] {
             let comps = [TrafficComponent::new(pattern.clone(), 42)];
-            let plan = FlowPlan::build(spec, oracle, &comps, routing);
+            let plan = FlowPlan::build(spec, analytic, &comps, routing);
             assert!(
                 plan.num_pairs() <= plan.flows().len().max(1),
                 "{label}: more unique pairs than flows"
             );
-            let batched = plan.network();
-            let reference = FlowNetwork::build_reference(spec, oracle, &comps, routing);
-            assert!(
-                batched == reference,
-                "{label} {} {}: batched build diverged from per-flow reference",
-                pattern.label(),
-                routing.label()
-            );
+            let a = plan.network();
+            let t = FlowPlan::build(spec, table, &comps, routing).network();
+            let what = format!("{label} {} {}", pattern.label(), routing.label());
+            assert!(a == t, "{what}: analytic and table networks differ");
             for offered in [0.3, 0.9] {
-                assert_eq!(
-                    batched.solve(offered),
-                    reference.solve(offered),
-                    "{label} {} {} @{offered}",
-                    pattern.label(),
-                    routing.label()
-                );
+                assert_eq!(a.solve(offered), t.solve(offered), "{what} @{offered}");
             }
         }
     }
 }
 
 #[test]
-fn batched_build_matches_reference_on_analytic_oracle() {
+fn batched_networks_agree_across_backends() {
     let net = PolarStarNetwork::build(small_config(), 2).unwrap();
     let spec = net.spec.clone();
     let analytic = AnalyticOracle::new(net);
-    check_matrix(&spec, &analytic, "analytic pristine");
-    // Fault-masked: distance columns switch to the repaired envelope
-    // read under the compiled mask; the reference build asks per
-    // query and never sees a column. Cut cables, then dead routers,
-    // then one direction of each cable (where a port may stay usable
-    // on an edge the distance relation dropped).
+    let table = Oracle::new(Arc::new(spec.clone()));
+    check_matrix(&spec, &analytic, &table, "pristine");
+    // Fault-masked: the analytic backend's columns switch to the
+    // repaired envelope read under the compiled mask, while the table
+    // answers per query. Cut cables, then dead routers, then one
+    // direction of each cable (where a port may stay usable on an edge
+    // the distance relation dropped).
     let cables = FaultSet::random_links(&spec.graph, 0.08, 5);
-    check_matrix(&spec, &analytic.remask(&cables), "analytic faulted");
     let routers = FaultSet::random_routers(&spec.graph, 0.04, 5);
     assert!(!routers.is_empty());
-    check_matrix(&spec, &analytic.remask(&routers), "analytic dead routers");
     let one_way = cables.failed_links().iter().copied();
     let one_way = FaultSet::from_directed_links(one_way.filter(|&(u, v)| (u < v) == (u % 2 == 0)));
     assert!(!one_way.is_empty());
-    check_matrix(&spec, &analytic.remask(&one_way), "analytic one-way");
+    for (label, faults) in [
+        ("cut cables", cables),
+        ("dead routers", routers),
+        ("one-way", one_way),
+    ] {
+        check_matrix(
+            &spec,
+            &analytic.remask(&faults),
+            &table.remask(&faults, 1),
+            label,
+        );
+    }
 }
 
 #[test]
-fn batched_build_matches_reference_on_table_oracle() {
-    let net = PolarStarNetwork::build(small_config(), 2).unwrap();
-    let spec = net.spec.clone();
-    let table = Oracle::new(Arc::new(spec.clone()));
-    check_matrix(&spec, &table, "table pristine");
-    // The table backend reports no bulk column support, so this pins
-    // the per-pair fallback path of the batched build.
-    let faults = FaultSet::random_links(&spec.graph, 0.08, 5);
-    let masked = table.remask(&faults, 1);
-    check_matrix(&spec, &masked, "table masked");
-}
-
-#[test]
-fn batched_build_matches_reference_on_paley_polarstar() {
+fn weighted_paley_networks_agree_across_backends() {
     // Spot check on the other supernode family, with a stacked
     // weighted foreground + scaled background overlay.
     let cfg = PolarStarConfig {
@@ -118,6 +118,7 @@ fn batched_build_matches_reference_on_paley_polarstar() {
     let net = PolarStarNetwork::build(cfg, 2).unwrap();
     let spec = net.spec.clone();
     let analytic = AnalyticOracle::new(net);
+    let table = Oracle::new(Arc::new(spec.clone()));
     let mut weights = vec![1.0; spec.total_endpoints()];
     for (e, w) in weights.iter_mut().enumerate() {
         if e % 3 == 0 {
@@ -129,15 +130,55 @@ fn batched_build_matches_reference_on_paley_polarstar() {
         TrafficComponent::with_demand(Pattern::Uniform, 10, FlowDemand::Scaled(0.25)),
     ];
     for routing in [FlowRouting::EcmpSplit, FlowRouting::SinglePath] {
-        let batched = FlowPlan::build(&spec, &analytic, &comps, routing).network();
-        let reference = FlowNetwork::build_reference(&spec, &analytic, &comps, routing);
+        let a = FlowPlan::build(&spec, &analytic, &comps, routing).network();
+        let t = FlowPlan::build(&spec, &table, &comps, routing).network();
         assert!(
-            batched == reference,
-            "paley weighted {}: batched build diverged",
+            a == t,
+            "paley weighted {}: backends differ",
             routing.label()
         );
-        assert_eq!(batched.solve(0.7), reference.solve(0.7));
-        assert!(batched.demands().is_some(), "weighted build keeps demands");
+        assert_eq!(a.solve(0.7), t.solve(0.7));
+        assert!(a.demands().is_some(), "weighted build keeps demands");
+    }
+}
+
+#[test]
+fn network_taken_before_a_walk_keeps_its_dags() {
+    // The network shares the plan's DAG arena; walking the plan through
+    // two fault epochs copies that arena on write, so the earlier
+    // network still equals, and solves like, a fresh pristine build.
+    let net = PolarStarNetwork::build(best_config(9).unwrap(), 2).unwrap();
+    let spec = net.spec.clone();
+    let pristine = AnalyticOracle::new(net);
+    let comps = [TrafficComponent::new(Pattern::Uniform, 13)];
+    for routing in [FlowRouting::EcmpSplit, FlowRouting::SinglePath] {
+        let mut plan = FlowPlan::build(&spec, &pristine, &comps, routing);
+        let before = plan.network();
+        let mut prev = FaultSet::empty();
+        for fraction in [0.03, 0.06] {
+            let next = FaultSet::random_links(&spec.graph, fraction, 17);
+            assert!(plan.advance_epoch(&spec, &pristine.remask(&next), &prev, &next) > 0);
+            prev = next;
+        }
+        let fresh = FlowPlan::build(&spec, &pristine, &comps, routing).network();
+        assert!(
+            before == fresh,
+            "{}: the walk changed an earlier network",
+            routing.label()
+        );
+        assert!(
+            plan.network() != fresh,
+            "{}: the walk changed nothing",
+            routing.label()
+        );
+        for offered in [1.0, 0.5] {
+            assert_eq!(
+                before.solve(offered),
+                fresh.solve(offered),
+                "{} @{offered}",
+                routing.label()
+            );
+        }
     }
 }
 
