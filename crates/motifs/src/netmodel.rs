@@ -9,7 +9,7 @@
 use polarstar_graph::Graph;
 use polarstar_topo::fault::{FaultMask, FaultSet};
 use polarstar_topo::network::NetworkSpec;
-use polarstar_topo::oracle::{column_next_hops, masked_distance_block};
+use polarstar_topo::oracle::masked_hop_block;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::fmt;
@@ -18,8 +18,9 @@ use std::sync::OnceLock;
 /// Picoseconds.
 pub type Time = u64;
 
-/// Networks this large cannot be routed: a hop distance has to stay
-/// below the `u16::MAX` that marks "unreachable" in a distance row.
+/// Networks this large are not routed: the hop words grow as
+/// `8 · directed links · ⌈n/64⌉` bytes, 8 GiB once every router of a
+/// 65 535-router degree-16 network has been a destination.
 const ROUTER_LIMIT: usize = u16::MAX as usize;
 
 /// Why a motif-level message or collective could not be modeled.
@@ -160,17 +161,19 @@ impl RoutingMode {
 /// All hot-path state is dense and indexed by the spec graph's
 /// directed edge ids ([`Graph::edge_id`]): paths are runs of edge ids
 /// in buffers the model reuses, link reservations live in flat arrays,
-/// each hop is read off a `u16` distance row ([`column_next_hops`]) —
-/// no hash maps, no allocation from `send_routers` to `reserve`.
+/// each hop is read off the leaving links' minimal-hop words
+/// ([`masked_hop_block`]) — no hash maps, no allocation from
+/// `send_routers` to `reserve`.
 pub struct NetModel {
-    /// All the routing state: `rows[b]` holds an `n`-entry row of hop
-    /// distances to each destination `64·b ..` under the spec's static
-    /// fault mask ([`masked_distance_block`]), swept on first use — a
-    /// private cache, not a route backend: faults that change over time
-    /// are a [`FaultEpochs`](crate::FaultEpochs) timeline the striped
+    /// All the routing state: `hops[b]` holds one word per directed
+    /// edge id whose bit `i` says "a minimal next hop toward destination
+    /// `64·b + i`" under the spec's static fault mask
+    /// ([`masked_hop_block`]), swept on first use — a private cache, not
+    /// a route backend: faults that change over time are a
+    /// [`FaultEpochs`](crate::FaultEpochs) timeline the striped
     /// collectives lay over the model. `OnceLock` so
     /// [`NetModel::min_path`] can populate it through `&self`.
-    rows: Vec<OnceLock<Box<[u16]>>>,
+    hops: Vec<OnceLock<Box<[u64]>>>,
     /// The path a message will reserve and the detour being weighed
     /// against it, reused across messages.
     paths: [Vec<u32>; 2],
@@ -222,7 +225,7 @@ impl NetModel {
         let edges = spec.graph.directed_edge_count();
         let blocks = spec.graph.n().div_ceil(64);
         NetModel {
-            rows: (0..blocks).map(|_| OnceLock::new()).collect(),
+            hops: (0..blocks).map(|_| OnceLock::new()).collect(),
             paths: Default::default(),
             free_at: vec![0; edges],
             link_busy: vec![0; edges],
@@ -241,7 +244,7 @@ impl NetModel {
 
     /// Back to the idle network [`NetModel::new`] built — reservations
     /// and load accounting cleared, the path RNG reseeded — so what
-    /// follows repeats on a fresh model. Rows stay: their mask does.
+    /// follows repeats on a fresh model. Hop words stay: their mask does.
     pub fn reset(&mut self) {
         self.free_at.fill(0);
         self.link_busy.fill(0);
@@ -249,11 +252,12 @@ impl NetModel {
         self.rng = ChaCha8Rng::seed_from_u64(self.cfg.seed);
     }
 
-    /// Bytes of distance rows swept so far — all the routing state the
-    /// model holds, `2·n²` once every router has been a destination.
-    pub fn row_bytes(&self) -> usize {
-        let swept = self.rows.iter().filter_map(OnceLock::get);
-        swept.map(|block| 2 * block.len()).sum()
+    /// Bytes of minimal-hop words swept so far — all the routing state
+    /// the model holds, `8 · directed links · ⌈n/64⌉` once every router
+    /// has been a destination.
+    pub fn hop_word_bytes(&self) -> usize {
+        let swept = self.hops.iter().filter_map(OnceLock::get);
+        swept.map(|block| 8 * block.len()).sum()
     }
 
     /// The static fault mask routing applies (the spec's).
@@ -261,12 +265,14 @@ impl NetModel {
         self.spec.faults()
     }
 
-    /// Cumulative serialization reserved on a directed link so far.
+    /// Cumulative serialization reserved on a directed link so far (0
+    /// for a pair that is no link, router ids outside the network too).
     pub fn link_busy_time(&self, u: u32, v: u32) -> Time {
-        self.spec
-            .graph
-            .edge_id(u, v)
-            .map_or(0, |e| self.link_busy[e as usize])
+        let e = self
+            .check_routers(u, v)
+            .ok()
+            .and_then(|()| self.spec.graph.edge_id(u, v));
+        e.map_or(0, |e| self.link_busy[e as usize])
     }
 
     /// Expand a path of directed edge ids (as returned by
@@ -348,14 +354,15 @@ impl NetModel {
     }
 
     /// Append a minimal path `src → dst` to `path` as directed edge ids
-    /// down `dst`'s distance row (its block swept on first use). Each
-    /// hop's minimal slots land behind the path in ascending CSR order
-    /// — the buffer is its own scratch — and slot `pick(k)` of `k > 1`
-    /// stays. `false`, `path` then unspecified, when no surviving path
-    /// connects the pair, an id names no router or the network reaches
-    /// `ROUTER_LIMIT`. Not a method, so `ecmp_into` can lend `self.rng`.
+    /// down `dst`'s hop words (its block swept on first use). A hop
+    /// counts the `k` words of `cur`'s links with `dst`'s bit set —
+    /// its minimal slots, in ascending CSR order — and takes slot
+    /// `pick(k)` of `k > 1`. `false`, `path` then unspecified, when no
+    /// surviving path connects the pair, an id names no router or the
+    /// network reaches `ROUTER_LIMIT`. Not a method, so `ecmp_into` can
+    /// lend `self.rng`.
     fn walk(
-        rows: &[OnceLock<Box<[u16]>>],
+        hops: &[OnceLock<Box<[u64]>>],
         graph: &Graph,
         mask: &FaultMask,
         (src, dst): (u32, u32),
@@ -366,24 +373,24 @@ impl NetModel {
         if src.max(dst) as usize >= n || n >= ROUTER_LIMIT {
             return false;
         }
-        let first = dst as usize & !63;
-        let block = rows[first / 64].get_or_init(|| {
-            let mut block = vec![0; (n - first).min(64) * n].into_boxed_slice();
-            masked_distance_block(graph, mask, first as u32, &mut block);
-            block
-        });
-        let row = &block[(dst as usize - first) * n..][..n];
+        let (first, bit) = (dst & !63, dst & 63);
+        let words = hops[first as usize / 64]
+            .get_or_init(|| masked_hop_block(graph, mask, first).into_boxed_slice());
         let mut cur = src;
         while cur != dst {
-            let at = path.len();
-            column_next_hops(graph, row, cur, mask).for_each(|(e, _)| path.push(e));
-            let k = path.len() - at;
+            let slots = graph.edge_range(cur);
+            let links = &words[slots.start as usize..slots.end as usize];
+            let k = links.iter().map(|&w| (w >> bit & 1) as usize).sum();
             if k == 0 {
                 return false;
             }
-            path[at] = path[at + if k > 1 { pick(k) } else { 0 }];
-            path.truncate(at + 1);
-            cur = graph.edge_target(path[at]);
+            let j = if k > 1 { pick(k) } else { 0 };
+            let mut minimal = (slots.start..)
+                .zip(links)
+                .filter(|&(_, &w)| w >> bit & 1 != 0);
+            let (e, _) = minimal.nth(j).expect("pick(k) draws below k");
+            path.push(e);
+            cur = graph.edge_target(e);
         }
         true
     }
@@ -392,7 +399,7 @@ impl NetModel {
     fn ecmp_into(&mut self, src: u32, dst: u32, path: &mut Vec<u32>) -> bool {
         let (rng, graph) = (&mut self.rng, &self.spec.graph);
         let pick = |k| rng.gen_range(0..k);
-        Self::walk(&self.rows, graph, &self.mask, (src, dst), pick, path)
+        Self::walk(&self.hops, graph, &self.mask, (src, dst), pick, path)
     }
 
     /// The deterministic minimal router path `src → dst` (first ECMP
@@ -400,7 +407,7 @@ impl NetModel {
     /// [`NetModel::ecmp_path`] for `None`.
     pub fn min_path(&self, src: u32, dst: u32) -> Option<Vec<u32>> {
         let (graph, mut path) = (&self.spec.graph, Vec::new());
-        let found = Self::walk(&self.rows, graph, &self.mask, (src, dst), |_| 0, &mut path);
+        let found = Self::walk(&self.hops, graph, &self.mask, (src, dst), |_| 0, &mut path);
         found.then_some(path)
     }
 
@@ -413,36 +420,41 @@ impl NetModel {
         self.ecmp_into(src, dst, &mut path).then_some(path)
     }
 
-    /// Predicted completion of sending `bytes` along `path` (directed
-    /// edge ids) starting at `start` — without reserving.
-    fn predict(&self, path: &[u32], bytes: u64, start: Time) -> Time {
-        let per_hop = ns(self.cfg.router_latency_ns + self.cfg.link_latency_ns);
-        let serial = ns(bytes as f64 / self.cfg.bandwidth_bytes_per_ns);
-        let mut head = start + ns(self.cfg.overhead_ns);
+    /// The clock terms of a `bytes`-sized message, rounded once per send.
+    fn cost(&self, bytes: u64) -> SendCost {
+        SendCost {
+            overhead: ns(self.cfg.overhead_ns),
+            per_hop: ns(self.cfg.router_latency_ns + self.cfg.link_latency_ns),
+            serial: ns(bytes as f64 / self.cfg.bandwidth_bytes_per_ns),
+        }
+    }
+
+    /// Predicted completion of a message of `cost` along `path`
+    /// (directed edge ids) starting at `start` — without reserving.
+    fn predict_with(&self, path: &[u32], cost: SendCost, start: Time) -> Time {
+        let mut head = start + cost.overhead;
         let mut done = head;
         for &e in path {
             let begin = head.max(self.free_at[e as usize]);
-            head = begin + per_hop;
-            done = begin + per_hop + serial;
+            head = begin + cost.per_hop;
+            done = begin + cost.per_hop + cost.serial;
         }
         done
     }
 
-    /// Reserve `path` (directed edge ids) for a `bytes`-sized message
+    /// Reserve `path` (directed edge ids) for a message of `cost`
     /// starting at `start`; returns delivery time.
-    fn reserve(&mut self, path: &[u32], bytes: u64, start: Time) -> Time {
-        let per_hop = ns(self.cfg.router_latency_ns + self.cfg.link_latency_ns);
-        let serial = ns(bytes as f64 / self.cfg.bandwidth_bytes_per_ns);
-        let mut head = start + ns(self.cfg.overhead_ns);
+    fn reserve(&mut self, path: &[u32], cost: SendCost, start: Time) -> Time {
+        let mut head = start + cost.overhead;
         let mut done = head;
         for &e in path {
             let e = e as usize;
             let begin = head.max(self.free_at[e]);
-            self.free_at[e] = begin + serial;
-            self.link_busy[e] += serial;
+            self.free_at[e] = begin + cost.serial;
+            self.link_busy[e] += cost.serial;
             self.link_msgs[e] += 1;
-            head = begin + per_hop;
-            done = begin + per_hop + serial;
+            head = begin + cost.per_hop;
+            done = begin + cost.per_hop + cost.serial;
         }
         done
     }
@@ -479,9 +491,10 @@ impl NetModel {
         }
         let [mut best, mut cand] = std::mem::take(&mut self.paths);
         best.clear();
+        let cost = self.cost(bytes);
         let routed = self.ecmp_into(src, dst, &mut best);
         if let (true, RoutingMode::Adaptive { candidates }) = (routed, mode) {
-            let mut best_t = self.predict(&best, bytes, start);
+            let mut best_t = self.predict_with(&best, cost, start);
             for _ in 0..candidates {
                 // Resample (bounded: five draws) instead of burning the
                 // candidate when a draw lands on an endpoint of the pair.
@@ -502,14 +515,14 @@ impl NetModel {
                 if let Some(pos) = cand.iter().position(|&e| graph.edge_target(e) == dst) {
                     cand.truncate(pos + 1);
                 }
-                let t = self.predict(&cand, bytes, start);
+                let t = self.predict_with(&cand, cost, start);
                 if t < best_t {
                     best_t = t;
                     std::mem::swap(&mut best, &mut cand);
                 }
             }
         }
-        let done = routed.then(|| self.reserve(&best, bytes, start));
+        let done = routed.then(|| self.reserve(&best, cost, start));
         self.paths = [best, cand];
         done.ok_or(disconnected)
     }
@@ -535,7 +548,7 @@ impl NetModel {
         };
         self.check_routers(u, v)?;
         match self.spec.graph.edge_id(u, v) {
-            Some(e) if !self.mask.edge_dead(e) => Ok(self.reserve(&[e], bytes, start)),
+            Some(e) if !self.mask.edge_dead(e) => Ok(self.reserve(&[e], self.cost(bytes), start)),
             _ => Err(disconnected),
         }
     }
@@ -558,12 +571,31 @@ impl NetModel {
     /// message: fixed per-message overhead plus wire serialization. Used
     /// by the collectives to gate a rank's next send.
     pub fn sender_busy(&self, bytes: u64) -> Time {
-        ns(self.cfg.overhead_ns) + ns(bytes as f64 / self.cfg.bandwidth_bytes_per_ns)
+        let cost = self.cost(bytes);
+        cost.overhead + cost.serial
     }
 
     /// The timing parameters this model runs with.
     pub fn config(&self) -> &MotifConfig {
         &self.cfg
+    }
+}
+
+/// What one message pays on the picosecond clock ([`ns`] of the
+/// [`MotifConfig`] terms): once at injection, per hop, and per link
+/// for serialization.
+#[derive(Clone, Copy)]
+struct SendCost {
+    overhead: Time,
+    per_hop: Time,
+    serial: Time,
+}
+
+#[cfg(test)]
+impl NetModel {
+    /// [`NetModel::predict_with`] for a `bytes`-sized message.
+    fn predict(&self, path: &[u32], bytes: u64, start: Time) -> Time {
+        self.predict_with(path, self.cost(bytes), start)
     }
 }
 
@@ -774,6 +806,16 @@ mod tests {
             assert!(matches!(err, MotifError::InvalidConfig { .. }), "{err}");
         }
         assert!(m.send_link(0, 3, 8, 0).is_ok());
+    }
+
+    #[test]
+    fn link_busy_time_is_zero_outside_the_network() {
+        let (mut m, n) = k4();
+        m.send_link(0, 3, 8, 0).unwrap();
+        for (u, v) in [(0, n), (n, 0), (n + 7, n), (u32::MAX, 3)] {
+            assert_eq!(m.link_busy_time(u, v), 0, "{u}→{v}");
+        }
+        assert_eq!(m.link_busy_time(0, 3), ns(2.0));
     }
 
     #[test]

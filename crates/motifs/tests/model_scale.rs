@@ -1,27 +1,29 @@
 //! The motif model at PS-scale32 — the first motif number above 1 064
 //! routers: one recursive-doubling allreduce (MIN, 64 KB, 1 iteration)
 //! over the 109 494 ranks of the radix-32 PolarStar (9 954 routers),
-//! routed from `u16` distance rows. Release only (`#[ignore]`d; CI runs
-//! it with `-- --ignored` under its own timeout):
+//! routed from per-link minimal-hop words. Release only (`#[ignore]`d;
+//! CI runs it with `-- --ignored` under its own timeout):
 //!
 //! ```sh
 //! cargo test --release -p polarstar-motifs --test model_scale -- --ignored --nocapture
 //! ```
 //!
-//! It prints seconds, messages per second and the process's peak RSS
-//! (`VmHWM`); EXPERIMENTS.md "Figure 11", "PR 22 ledger", records one run.
+//! It prints seconds, messages per second, the hop-word bytes and the
+//! process's peak RSS (`VmHWM`, asserted ≤ 450 MiB); EXPERIMENTS.md
+//! "Figure 11" records one run.
 
 use polarstar::design::best_config;
 use polarstar::network::PolarStarNetwork;
 use polarstar_motifs::{allreduce, AllreduceAlgo, MotifConfig, NetModel, RoutingMode};
 
 #[test]
-#[ignore = "release-only: 9 954 routers, ~200 MB of distance rows"]
+#[ignore = "release-only: 9 954 routers, ~400 MB of hop words"]
 fn radix32_recursive_doubling_allreduce() {
     let spec = PolarStarNetwork::build(best_config(32).unwrap(), 11)
         .unwrap()
         .spec;
     let n = spec.routers();
+    let links = spec.graph.directed_edge_count();
     assert_eq!((n, spec.total_endpoints()), (9_954, 109_494));
     let mut model = NetModel::new(spec, MotifConfig::default());
     let t0 = std::time::Instant::now();
@@ -30,16 +32,24 @@ fn radix32_recursive_doubling_allreduce() {
     let secs = t0.elapsed().as_secs_f64();
     let messages = model.link_report(1).messages;
     let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
-    let peak = status.lines().find(|l| l.starts_with("VmHWM"));
+    let peak_kb: Option<u64> = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse().ok());
     println!(
         "PS-scale32 RD allreduce MIN 64 KB: {secs:.2} s, model {:.1} us, {messages} link \
-         crossings ({:.0}/s), rows {} bytes, {peak:?}",
+         crossings ({:.0}/s), hop words {} bytes, VmHWM {peak_kb:?} kB",
         done_ns / 1e3,
         messages as f64 / secs,
-        model.row_bytes()
+        model.hop_word_bytes()
     );
     assert!(done_ns > 0.0);
-    // Every router is some rank's destination, so every row is swept —
-    // and a row is all the routing state there is.
-    assert_eq!(model.row_bytes(), n * n * 2);
+    // Every router is some rank's destination, so every block is swept
+    // — and the hop words are all the routing state there is: twice the
+    // 2·n² of `u16` distance rows at degree 32.
+    assert_eq!(model.hop_word_bytes(), 8 * links * n.div_ceil(64));
+    assert_eq!(model.hop_word_bytes(), 397_522_944);
+    if let Some(kb) = peak_kb {
+        assert!(kb <= 450 << 10, "peak RSS {kb} kB above 450 MiB");
+    }
 }

@@ -8,9 +8,10 @@
 //! analysis code, benchmarks, and the query service are generic over
 //! *how* the answers are precomputed; [`column_next_hops`] is the one
 //! masked minimal-port rule, [`masked_distance_column`] the one masked
-//! BFS and [`masked_distance_block`] its 64-destination block form (what
-//! a flat `RouteTable` and the motif model's rows are swept by) — all
-//! reading a compiled [`FaultMask`].
+//! BFS, and one 64-destination block sweep fills both
+//! [`masked_distance_block`] (the `u16` rows a flat `RouteTable` holds)
+//! and [`masked_hop_block`] (that rule as per-link bits, what the motif
+//! model walks) — all reading a compiled [`FaultMask`].
 //!
 //! Unreachable pairs answer with a typed [`RouteError::Unreachable`]
 //! instead of an empty port slice — callers can no longer mistake a
@@ -254,16 +255,11 @@ pub fn masked_distance_column(graph: &Graph, mask: &FaultMask, dst: u32, out: &m
 
 /// The block form of [`masked_distance_column`]: the same relation for
 /// up to 64 consecutive destinations `first, first + 1, …` in one
-/// level-synchronous sweep (the bit-parallel multi-source BFS of Then
-/// et al., VLDB 2014). `rows` holds one `graph.n()`-entry row per
+/// level-synchronous sweep (the bit-parallel multi-source BFS of Then et
+/// al., VLDB 2014). `rows` holds one `graph.n()`-entry row per
 /// destination, back to back: `rows[i·n + v]` becomes the hop distance
 /// from `v` to `first + i`, `u16::MAX` when no surviving path connects
 /// them — `u16::MAX ↔ u32::MAX` is the only difference from the column.
-///
-/// Bit `i` of a router's word says "reached from destination `i`"; a
-/// level ORs every frontier word across the router's live cables and
-/// each newly set bit writes its level once, so the graph is walked
-/// once per level for the whole block instead of once per destination.
 ///
 /// # Panics
 /// If `rows` is not a whole number (≤ 64) of rows inside the graph, or
@@ -272,40 +268,102 @@ pub fn masked_distance_block(graph: &Graph, mask: &FaultMask, first: u32, rows: 
     let n = graph.n();
     assert!(n < u16::MAX as usize, "{n} routers overflow u16 distances");
     let dsts = rows.len().checked_div(n).unwrap_or(0);
-    assert!(dsts <= 64 && dsts * n == rows.len() && first as usize + dsts <= n);
+    assert_eq!(dsts * n, rows.len(), "rows must be whole");
     rows.fill(u16::MAX);
-    let mut seen = vec![0u64; n];
-    let mut next = vec![0u64; n];
-    // (router, newly reached bits) of the level being expanded.
+    for i in 0..dsts {
+        rows[i * n + first as usize + i] = 0;
+    }
+    sweep_block(graph, mask, first, dsts, |level, v, mut fresh, _| {
+        while fresh != 0 {
+            rows[fresh.trailing_zeros() as usize * n + v as usize] = level as u16;
+            fresh &= fresh - 1;
+        }
+    });
+}
+
+/// The minimal-path DAG toward the destinations `first ..
+/// min(first + 64, n)`, one word per CSR slot: bit `i` of word `e`,
+/// the slot of `v → u`, is set iff `u` is a minimal next hop of `v`
+/// toward `first + i` under `mask` — [`column_next_hops`] over
+/// [`masked_distance_column`], for 64 destinations at once. In the
+/// sweep of [`masked_distance_block`], when `v` is first reached at
+/// level `L` by the destination bits `fresh`, the slot takes `fresh &
+/// (bits that reached u at L − 1)` unless [`FaultMask::link_dead`]:
+/// the rule's `dn + 1 == dv`, bit-parallel.
+/// A hop toward `first + i` reads the `deg(v)` contiguous words of
+/// `graph.edge_range(v)`, and their set bits `i` come in CSR order.
+///
+/// # Panics
+/// If `first > graph.n()`.
+pub fn masked_hop_block(graph: &Graph, mask: &FaultMask, first: u32) -> Vec<u64> {
+    let dsts = graph.n().saturating_sub(first as usize).min(64);
+    let mut hops = vec![0u64; graph.directed_edge_count()];
+    sweep_block(graph, mask, first, dsts, |_, v, fresh, prev| {
+        for (e, &u) in graph.edge_range(v).zip(graph.neighbors(v)) {
+            if !mask.link_dead(e) {
+                hops[e as usize] |= fresh & prev[u as usize];
+            }
+        }
+    });
+    hops
+}
+
+/// The one block sweep: the masked BFS toward `dsts ≤ 64` consecutive
+/// destinations `first, first + 1, …` over the cables `mask` leaves in
+/// the distance relation. Bit `i` of a router's word says
+/// "reached from destination `i`"; a level ORs every frontier word
+/// across the router's live cables, so the graph is walked once per
+/// level for the whole block instead of once per destination.
+/// `visit(level, v, fresh, prev)` runs for every router `v` first
+/// reached at `level ≥ 1` by the destination bits `fresh`, in router
+/// order within a level; `prev[u]` holds the bits that first reached
+/// `u` at `level − 1` (destination `i`'s own bit at level 0).
+fn sweep_block(
+    graph: &Graph,
+    mask: &FaultMask,
+    first: u32,
+    dsts: usize,
+    mut visit: impl FnMut(u32, u32, u64, &[u64]),
+) {
+    let n = graph.n();
+    assert!(
+        dsts <= 64 && first as usize + dsts <= n,
+        "block {first} + {dsts} of {n}"
+    );
+    let (mut seen, mut next, mut prev) = (vec![0u64; n], vec![0u64; n], vec![0u64; n]);
+    // (router, newly reached bits) of the level being expanded, and of
+    // the level it finds.
     let mut frontier: Vec<(u32, u64)> = Vec::with_capacity(n);
+    let mut found: Vec<(u32, u64)> = Vec::with_capacity(n);
     for i in 0..dsts {
         let dst = first as usize + i;
-        rows[i * n + dst] = 0;
         seen[dst] = 1 << i;
         frontier.push((dst as u32, 1 << i));
     }
-    let mut level = 0u16;
+    let mut level = 0;
     while !frontier.is_empty() {
         level += 1;
         for &(u, bits) in &frontier {
+            prev[u as usize] = bits;
             for (e, &v) in graph.edge_range(u).zip(graph.neighbors(u)) {
                 if !mask.edge_dead(e) {
                     next[v as usize] |= bits;
                 }
             }
         }
-        frontier.clear();
         for (v, (reached, seen)) in next.iter_mut().zip(&mut seen).enumerate() {
-            let mut fresh = std::mem::take(reached) & !*seen;
+            let fresh = std::mem::take(reached) & !*seen;
             if fresh != 0 {
                 *seen |= fresh;
-                frontier.push((v as u32, fresh));
-                while fresh != 0 {
-                    rows[fresh.trailing_zeros() as usize * n + v] = level;
-                    fresh &= fresh - 1;
-                }
+                found.push((v as u32, fresh));
+                visit(level, v as u32, fresh, &prev);
             }
         }
+        for &(u, _) in &frontier {
+            prev[u as usize] = 0;
+        }
+        std::mem::swap(&mut frontier, &mut found);
+        found.clear();
     }
 }
 
