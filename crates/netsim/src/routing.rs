@@ -4,8 +4,11 @@
 //! the hop distance, and reads the output ports lying on minimal paths
 //! off the destination's distance column on demand — the "all minpaths"
 //! answers the paper attributes to SF/BF tables (and that HyperX computes
-//! by coordinate alignment), from `2·n²` bytes and no port arena.
-//! [`RoutingKind`] selects how the table is used:
+//! by coordinate alignment), from `2·n²` bytes and no port arena. A read
+//! scans the router's neighbors once, or probes one slot when the router
+//! is next to the destination; a path walk resumes each router's scan
+//! where its last child left it. [`RoutingKind`] selects how the table
+//! is used:
 //!
 //! * `MinSingle` — one deterministic minimal path per pair;
 //! * `MinMulti` — a uniformly random minimal port at each hop;
@@ -16,7 +19,9 @@
 use polarstar_graph::Graph;
 use polarstar_topo::fault::{FaultMask, FaultSet};
 use polarstar_topo::network::{NetworkSpec, RoutingPolicy};
-use polarstar_topo::oracle::{column_next_hops, masked_distance_block, PathOracle, RouteError};
+use polarstar_topo::oracle::{
+    column_next_hops_from, masked_distance_block, PathOracle, RouteError,
+};
 use rayon::prelude::*;
 
 /// How packets pick output ports.
@@ -59,7 +64,11 @@ impl RoutingKind {
 /// `dst`'s column `dist[dst·n..][..n]` is contiguous, beside the pristine
 /// router graph and the fault mask it was assembled under.
 /// [`RouteTable::min_ports`] applies the one masked port rule
-/// ([`column_next_hops`]) to that column on every read: no port is stored.
+/// ([`column_next_hops_from`]) to that column on every read: no port is
+/// stored. A router at distance 1 reads one slot, the link to the
+/// destination, since no other neighbor can be minimal; the `k_paths`
+/// walk resumes each router's scan after the child it took instead of
+/// rescanning it for every child.
 #[derive(Clone)]
 pub struct RouteTable {
     /// The pristine router graph: port `p` of router `r` is CSR slot
@@ -202,34 +211,57 @@ impl RouteTable {
         self.graph.n()
     }
 
-    /// Hop distance from `r` to `dst`.
+    /// Hop distance from `r` to `dst`; [`RouteTable::UNREACHABLE`] when
+    /// either id is not a router of the table.
     #[inline]
     pub fn distance(&self, r: u32, dst: u32) -> u16 {
-        self.dist[dst as usize * self.n() + r as usize]
+        let n = self.n();
+        if r as usize >= n || dst as usize >= n {
+            return Self::UNREACHABLE;
+        }
+        self.dist[dst as usize * n + r as usize]
     }
 
     /// Whether any surviving path connects `r` to `dst` (true for
-    /// `r == dst`).
+    /// `r == dst`, false when either id is not a router of the table).
     #[inline]
     pub fn is_reachable(&self, r: u32, dst: u32) -> bool {
         self.distance(r, dst) != Self::UNREACHABLE
     }
 
     /// `(CSR slot, neighbor)` of every minimal next hop of `r` toward
-    /// `dst`, in port order: the masked port rule over `dst`'s distance
-    /// column — [`column_next_hops`] itself on a flat table. A
-    /// hierarchical table adds one clause: a port that crosses groups is
-    /// judged on the pure-local column of `far`.
+    /// `dst`, in port order.
     #[inline]
     fn min_hops(&self, r: u32, dst: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
+        self.hops_from(r, dst, self.graph.edge_range(r).start)
+    }
+
+    /// [`RouteTable::min_hops`] behind `r`'s CSR slots from `from` on:
+    /// the masked port rule over `dst`'s distance column —
+    /// [`column_next_hops_from`] itself on a flat table. A hierarchical
+    /// table adds one clause: a port that crosses groups is judged on
+    /// the pure-local column of `far`.
+    ///
+    /// One hop out, both rules have one candidate, `dst`: it is the only
+    /// router reading 0 in either column. So a router at distance 1
+    /// probes that one slot instead of scanning its neighbors.
+    #[inline]
+    fn hops_from(&self, r: u32, dst: u32, from: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
         let (g, n) = (&self.graph, self.n());
         let col = &self.dist[dst as usize * n..][..n];
+        let dr = col[r as usize];
+        if dr == 1 {
+            let slot = g.edge_id(r, dst);
+            let live = slot.filter(|&e| e >= from && !self.mask.link_dead(e));
+            return Hops::One(live.map(|e| (e, dst)));
+        }
         if self.far.is_empty() {
-            return Hops::Flat(column_next_hops(g, col, r, &self.mask));
+            return Hops::Flat(column_next_hops_from(g, col, r, from, &self.mask));
         }
         let far = &self.far[dst as usize * n..][..n];
-        let (dr, home) = (col[r as usize], self.group[r as usize]);
-        let hops = g.edge_range(r).zip(g.neighbors(r).iter().copied());
+        let (slots, home) = (g.edge_range(r), self.group[r as usize]);
+        let rest = &g.neighbors(r)[(from - slots.start) as usize..];
+        let hops = (from..slots.end).zip(rest.iter().copied());
         Hops::Hier(hops.filter(move |&(e, nb)| {
             let local = self.group[nb as usize] == home;
             let dn = if local { col } else { far }[nb as usize];
@@ -240,6 +272,9 @@ impl RouteTable {
     /// Minimal output ports at router `r` toward `dst`, ascending (none
     /// iff r == dst or dst unreachable), derived from `dst`'s distance
     /// column on each read.
+    ///
+    /// # Panics
+    /// If `r` or `dst` is not a router of the table (an id ≥ `n`).
     #[inline]
     pub fn min_ports(&self, r: u32, dst: u32) -> impl Iterator<Item = u8> + '_ {
         let base = self.graph.edge_range(r).start;
@@ -294,10 +329,12 @@ impl RouteTable {
     }
 }
 
-/// The minimal next hops of one table read: the shared port rule on a
-/// flat table, the rule with its global-port clause on a hierarchical
-/// one. (A chain of two `Option`s measured ≈ 2× slower per drained read.)
+/// The minimal next hops of one table read: the one probed hop of a
+/// router next to the destination, else the shared port rule on a flat
+/// table or the rule with its global-port clause on a hierarchical one.
+/// (A chain of two `Option`s measured ≈ 2× slower per drained read.)
 enum Hops<F, H> {
+    One(Option<(u32, u32)>),
     Flat(F),
     Hier(H),
 }
@@ -312,6 +349,7 @@ where
     #[inline]
     fn next(&mut self) -> Option<(u32, u32)> {
         match self {
+            Hops::One(hop) => hop.take(),
             Hops::Flat(f) => f.next(),
             Hops::Hier(h) => h.next(),
         }
@@ -386,19 +424,21 @@ impl PathOracle for RouteTable {
             return Ok(vec![vec![src]]);
         }
         // Depth-first over the minimal-path DAG in port order: the stack
-        // is the current prefix, each router with the index of the
-        // minimal port it tries next (its level is re-read to reach it).
+        // is the current prefix, each router with the CSR slot its scan
+        // resumes at, the one after the child it took last — so a frame
+        // reads its router's neighbors once, not once per child.
+        let first_slot = |r: u32| self.graph.edge_range(r).start as usize;
         let mut out = Vec::new();
         let mut stack: Vec<(u32, usize)> = Vec::with_capacity(hops);
-        stack.push((src, 0));
-        while let Some((r, tried)) = stack.last_mut() {
-            let Some((_, next)) = self.min_hops(*r, dst).nth(*tried) else {
+        stack.push((src, first_slot(src)));
+        while let Some((r, from)) = stack.last_mut() {
+            let Some((e, next)) = self.hops_from(*r, dst, *from as u32).next() else {
                 stack.pop();
                 continue;
             };
-            *tried += 1;
+            *from = e as usize + 1;
             if next != dst {
-                stack.push((next, 0));
+                stack.push((next, first_slot(next)));
                 continue;
             }
             out.push(stack.iter().map(|&(r, _)| r).chain([dst]).collect());
@@ -1076,6 +1116,83 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A table seen only through the two required oracle methods, so
+    /// its walks are the trait's provided ones.
+    struct Provided<'a>(&'a RouteTable);
+
+    impl PathOracle for Provided<'_> {
+        fn num_routers(&self) -> usize {
+            self.0.n()
+        }
+
+        fn distance(&self, src: u32, dst: u32) -> Result<u32, RouteError> {
+            PathOracle::distance(self.0, src, dst)
+        }
+
+        fn min_next_hops(&self, src: u32, dst: u32, out: &mut Vec<u32>) -> Result<(), RouteError> {
+            self.0.min_next_hops(src, dst, out)
+        }
+    }
+
+    #[test]
+    fn table_walks_equal_the_provided_walks() {
+        let rr = NetworkSpec::uniform(
+            "rr30",
+            polarstar_graph::random::random_regular(30, 4, 3).unwrap(),
+            1,
+        );
+        let df = polarstar_topo::dragonfly::dragonfly(polarstar_topo::dragonfly::DragonflyParams {
+            a: 4,
+            h: 2,
+            p: 1,
+        });
+        let mf = polarstar_topo::megafly::megafly(polarstar_topo::megafly::MegaflyParams {
+            rho: 2,
+            a: 4,
+            p: 1,
+        });
+        for spec in [rr, df, mf] {
+            // The flat network's routers are groups of one: every link
+            // there is global.
+            let global = spec
+                .graph
+                .edges()
+                .find(|&(u, v)| spec.group[u as usize] != spec.group[v as usize])
+                .unwrap();
+            let masks = [
+                ("pristine", FaultSet::empty()),
+                ("10% links", FaultSet::random_links(&spec.graph, 0.1, 5)),
+                ("one-way link", FaultSet::from_directed_links([global])),
+                ("two routers", FaultSet::from_routers([1, global.1])),
+            ];
+            for (label, f) in masks {
+                let t = RouteTable::for_spec(&spec.clone().with_faults(f));
+                let n = t.n() as u32;
+                for (src, dst) in (0..n).flat_map(|s| (0..n).map(move |d| (s, d))) {
+                    let what = format!("{} / {label}: {src}→{dst}", spec.name);
+                    let reference = Provided(&t);
+                    assert_eq!(t.next_hop(src, dst), reference.next_hop(src, dst), "{what}");
+                    assert_eq!(t.path(src, dst), reference.path(src, dst), "{what}");
+                    for k in [1, 4, usize::MAX] {
+                        let want = reference.k_paths(src, dst, k);
+                        assert_eq!(t.k_paths(src, dst, k), want, "{what}, k = {k}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn out_of_range_ids_are_unreachable() {
+        let t = flat(&Graph::cycle(4));
+        for (r, dst) in [(4, 0), (6, 1), (5, 3), (0, 4), (2, u32::MAX), (u32::MAX, 0)] {
+            assert_eq!(t.distance(r, dst), RouteTable::UNREACHABLE, "{r}→{dst}");
+            assert!(!t.is_reachable(r, dst), "{r}→{dst}");
+        }
+        assert_eq!(t.distance(0, 1), 1);
+        assert!(t.is_reachable(3, 3));
     }
 
     #[test]

@@ -118,7 +118,9 @@ impl Oracle {
     /// Distance, first minimal next hop and up to `k` minimal paths of
     /// one pair — what [`Oracle::answer`] reports. The analytic backend
     /// resolves all three in one walk; on the table they are a distance
-    /// read and walks over the destination's column.
+    /// read and one walk over the destination's column, whose first path
+    /// starts with the first next hop (a `next_hop` read of its own only
+    /// when `k == 0`).
     pub(crate) fn resolve(
         &self,
         src: u32,
@@ -126,11 +128,15 @@ impl Oracle {
         k: usize,
     ) -> Result<(u32, u32, Vec<Vec<u32>>), RouteError> {
         match &self.backend {
-            Backend::Table(t) => Ok((
-                PathOracle::distance(&**t, src, dst)?,
-                t.next_hop(src, dst)?,
-                t.k_paths(src, dst, k)?,
-            )),
+            Backend::Table(t) => {
+                let distance = PathOracle::distance(&**t, src, dst)?;
+                let paths = t.k_paths(src, dst, k)?;
+                let next_hop = match paths.first() {
+                    Some(path) => path.get(1).copied().unwrap_or(dst),
+                    None => t.next_hop(src, dst)?,
+                };
+                Ok((distance, next_hop, paths))
+            }
             Backend::Analytic(a) => {
                 let r = a.resolve(src, dst, k, None)?;
                 Ok((r.distance, r.next_hop, r.paths))
@@ -189,9 +195,9 @@ impl PathOracle for Oracle {
 
     fn distance_column(&self, dst: u32, out: &mut Vec<u32>) -> Option<&FaultMask> {
         match &self.backend {
-            // The table backend keeps policy-dependent port arenas (a
-            // hierarchical table's ports are not reconstructible from
-            // distances alone), so it stays on the per-pair path.
+            // A hierarchical table judges global ports on its pure-local
+            // `far` arena, which one distance column cannot carry, so
+            // the table backend stays on the per-pair path.
             Backend::Table(_) => None,
             Backend::Analytic(a) => a.distance_column(dst, out),
         }

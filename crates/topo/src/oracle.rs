@@ -218,10 +218,31 @@ pub fn column_next_hops<'a, D>(
 where
     D: Copy + Eq + Default + From<u8> + Not<Output = D> + Add<Output = D>,
 {
+    column_next_hops_from(graph, col, v, graph.edge_range(v).start, mask)
+}
+
+/// [`column_next_hops`] over `v`'s CSR slots from `from` on: the ports
+/// before it are skipped unread, so a depth-first walk resumes a
+/// router's scan after the child it took instead of restarting it.
+///
+/// # Panics
+/// If `from` lies outside `start..=end` of `graph.edge_range(v)`.
+#[inline]
+pub fn column_next_hops_from<'a, D>(
+    graph: &'a Graph,
+    col: &'a [D],
+    v: u32,
+    from: u32,
+    mask: &'a FaultMask,
+) -> impl Iterator<Item = (u32, u32)> + 'a
+where
+    D: Copy + Eq + Default + From<u8> + Not<Output = D> + Add<Output = D>,
+{
     let (dv, unreachable, one) = (col[v as usize], !D::default(), D::from(1));
-    graph
-        .edge_range(v)
-        .zip(graph.neighbors(v).iter().copied())
+    let slots = graph.edge_range(v);
+    let rest = &graph.neighbors(v)[(from - slots.start) as usize..];
+    (from..slots.end)
+        .zip(rest.iter().copied())
         .filter(move |&(e, nb)| {
             let dn = col[nb as usize];
             dn != unreachable && dn + one == dv && !mask.link_dead(e)
