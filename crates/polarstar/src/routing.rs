@@ -10,29 +10,38 @@
 //!   otherwise (Theorems 4/5 bound the diameter by 3). The 2-hop
 //!   templates are one enumeration (`two_hop_middle`) over every 2-walk
 //!   of the star product (intra–intra, intra–cross, cross–intra,
-//!   cross–cross; §9.2 cases (a), (c) and (d) among them). It builds
-//!   nothing — no `Vec`, no counter — and is what a serving oracle
-//!   probes per neighbor, per query;
+//!   cross–cross; §9.2 cases (a), (c) and (d) among them). Its bounded
+//!   form [`AnalyticRouter::within`] — is the distance ≤ h? — asks only
+//!   as much as `h` needs: adjacency at 1, adjacency or a template hit
+//!   at 2, nothing past 2. That is what a walk puts to each neighbor,
+//!   and what a serving oracle probes per neighbor, per query. Neither
+//!   builds anything — no `Vec`, no counter;
 //! * **one walk over it**, [`AnalyticRouter::next_hop`] /
 //!   [`AnalyticRouter::route`]: the first neighbor (ascending id) the
 //!   kernel puts one hop closer, hop after hop. That is §9.2 case (b) in
 //!   general form — take one hop, then ride a 2-hop template — and it is
 //!   exactly as minimal as the kernel is exact (the tests pin the kernel
 //!   to BFS, exhaustively on small IQ and Paley configs and sampled up to
-//!   radix 32), so no backstop search exists. The path it yields is the
-//!   lexicographically first minimal path, the one every `PathOracle`'s
-//!   `path` answers.
+//!   radix 32, and `tests/kernel_exhaustive.rs` pins `within` on every
+//!   router pair of every config up to radix 28), so no backstop search
+//!   exists. The path it yields is the lexicographically first minimal
+//!   path, the one every `PathOracle`'s `path` answers.
 //!
 //! [`AnalyticRouter::routes_computed`] counts `route` calls only;
-//! distance probes are not counted, so a serving workload that never
-//! asks for a whole path reads 0.
+//! `distance` and `within` probes are not counted, so a serving
+//! workload that never asks for a whole path reads 0.
 //!
 //! Storage: one flat CSR of O(|V(G)|²) middles (Property R gives each
 //! ordered structure pair one middle) + O(|V(G')|) for f⁻¹ — for
 //! Table 3's PS-IQ that is ~18 K entries, versus ~1 M entries for a
-//! full per-destination next-hop table (§9.3's comparison with SF/BF).
+//! full per-destination next-hop table (§9.3's comparison with SF/BF) —
+//! plus one adjacency bit row per factor vertex, ⌈|V|/64⌉ words each,
+//! so every adjacency test is one word read: 133 × 3 + 8 × 1 words
+//! (3.3 KB) on PS-IQ, 40 KB at radix 32 and 454 KB at radix 64, where
+//! the middle offsets alone take 14 MB.
 
 use crate::network::PolarStarNetwork;
+use polarstar_graph::Graph;
 use polarstar_topo::er::ErGraph;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -63,8 +72,60 @@ pub struct AnalyticRouter {
     middle: Vec<u32>,
     /// Inverse of the supernode bijection.
     finv: Vec<u32>,
+    /// Adjacency bit rows of the structure graph and of the supernode.
+    structure_adj: AdjRows,
+    supernode_adj: AdjRows,
     /// Total [`AnalyticRouter::route`] calls.
     route_count: AtomicU64,
+}
+
+/// A router's `(structure, local)` coordinates.
+type Coord = (u32, u32);
+
+/// A factor graph's adjacency as one bit row per vertex: bit `v` of
+/// row `u` is set iff `u ~ v`. One word read answers an edge test.
+struct AdjRows {
+    /// Vertices, one row each.
+    n: usize,
+    /// Words per row, `⌈n/64⌉`.
+    words: usize,
+    bits: Vec<u64>,
+}
+
+impl AdjRows {
+    fn new(g: &Graph) -> Self {
+        let words = g.n().div_ceil(64);
+        let mut bits = vec![0u64; g.n() * words];
+        for u in 0..g.n() {
+            for &v in g.neighbors(u as u32) {
+                bits[u * words + (v >> 6) as usize] |= 1 << (v & 63);
+            }
+        }
+        AdjRows {
+            n: g.n(),
+            words,
+            bits,
+        }
+    }
+
+    /// Whether `u ~ v`; both must be vertices.
+    #[inline]
+    fn has(&self, u: u32, v: u32) -> bool {
+        self.bits[u as usize * self.words + (v >> 6) as usize] >> (v & 63) & 1 != 0
+    }
+
+    /// Whether `u ~ v`, false for an id past the graph.
+    fn has_checked(&self, u: u32, v: u32) -> bool {
+        (u as usize) < self.n && (v as usize) < self.n && self.has(u, v)
+    }
+}
+
+/// The kernel's refusal of an id ≥ n, kept out of line so the probe's
+/// check is one compare and a branch.
+#[cold]
+#[inline(never)]
+fn out_of_range(s: u32, t: u32, n: usize) -> ! {
+    panic!("AnalyticRouter: router id out of range ({s}, {t}) for {n} routers")
 }
 
 /// The middle lists of every ordered structure pair as one CSR
@@ -121,6 +182,8 @@ impl AnalyticRouter {
             finv[b as usize] = a as u32;
         }
         AnalyticRouter {
+            structure_adj: AdjRows::new(&net.er.graph),
+            supernode_adj: AdjRows::new(&net.supernode.graph),
             net,
             middle_off,
             middle,
@@ -149,13 +212,43 @@ impl AnalyticRouter {
     }
 
     /// Resident bytes of the factor-graph routing state (flat middle
-    /// lists, f⁻¹) — the whole per-router storage cost of analytic
-    /// routing, compared against `RouteTable::memory_bytes` in the scale
-    /// benches.
+    /// lists, f⁻¹, the two factors' adjacency bit rows) — the whole
+    /// per-router storage cost of analytic routing, compared against
+    /// `RouteTable::memory_bytes` in the scale benches.
     pub fn memory_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + (self.middle_off.capacity() + self.middle.capacity() + self.finv.capacity())
                 * std::mem::size_of::<u32>()
+            + (self.structure_adj.bits.capacity() + self.supernode_adj.bits.capacity())
+                * std::mem::size_of::<u64>()
+    }
+
+    /// Whether structure vertices `x` and `y` are adjacent, as the
+    /// kernel reads it off its bit rows (false for an id past the
+    /// structure graph).
+    pub fn structure_adjacent(&self, x: u32, y: u32) -> bool {
+        self.structure_adj.has_checked(x, y)
+    }
+
+    /// Whether supernode coordinates `a` and `b` are adjacent in the
+    /// supernode graph, as the kernel reads it off its bit rows (false
+    /// for an id past the supernode).
+    pub fn supernode_adjacent(&self, a: u32, b: u32) -> bool {
+        self.supernode_adj.has_checked(a, b)
+    }
+
+    /// The `(structure, local)` coordinates of routers `s` and `t`,
+    /// refusing an id outside the network: the kernel's arithmetic would
+    /// otherwise read another router's factor state. The check is one
+    /// compare on the structure coordinates the kernel needs anyway.
+    #[inline]
+    fn locate(&self, s: u32, t: u32) -> (Coord, Coord) {
+        let net = &self.net;
+        let (x, y) = (net.structure_of(s), net.structure_of(t));
+        if x.max(y) as usize >= self.structure_adj.n {
+            out_of_range(s, t, self.structure_adj.n * self.supernode_adj.n);
+        }
+        ((x, net.local_of(s)), (y, net.local_of(t)))
     }
 
     /// Structure vertices completing a ≤2-path x–w–y (see `middle_off`).
@@ -185,7 +278,7 @@ impl AnalyticRouter {
         if a == b {
             return false;
         }
-        self.net.supernode.graph.has_edge(a, b)
+        self.supernode_adj.has(a, b)
             || (self.net.er.quadric[x as usize]
                 && (self.net.supernode.f[a as usize] == b || self.net.supernode.f[b as usize] == a))
     }
@@ -197,7 +290,7 @@ impl AnalyticRouter {
         let nbrs = self.net.supernode.graph.neighbors(a);
         let mut loops = [None; 2];
         if self.net.er.quadric[x as usize] {
-            let fresh = |c: u32| c != a && nbrs.binary_search(&c).is_err();
+            let fresh = |c: u32| c != a && !self.supernode_adj.has(a, c);
             let (fa, fia) = (self.net.supernode.f[a as usize], self.finv[a as usize]);
             loops = [
                 fresh(fa).then_some(fa),
@@ -211,16 +304,41 @@ impl AnalyticRouter {
     /// alone and without materializing a path: 1 iff product-adjacent,
     /// 2 iff a 2-hop template hits, else 3 — every PolarStar has
     /// diameter ≤ 3 (Theorems 4/5). Allocation-free and uncounted.
+    ///
+    /// # Panics
+    /// If `s` or `t` is not a router of the network (an id ≥ `n`).
     pub fn distance(&self, s: u32, t: u32) -> u32 {
+        let (a, b) = self.locate(s, t);
         if s == t {
             0
-        } else if self.product_adjacent(s, t) {
+        } else if self.product_adjacent(a, b) {
             1
-        } else if self.two_hop_middle(s, t).is_some() {
+        } else if self.two_hop_middle(a, b).is_some() {
             2
         } else {
             3
         }
+    }
+
+    /// Whether `distance(s, t) ≤ h`, asking the kernel only as much as
+    /// `h` needs: `s == t` at 0, product adjacency at 1, adjacency or a
+    /// 2-hop template hit at 2, and nothing beyond 2 (Theorems 4/5).
+    /// This is the probe a walk puts to each neighbor: at a router `r`
+    /// hops out, a neighbor is one hop closer iff it is within `r − 1`.
+    /// Allocation-free and uncounted.
+    ///
+    /// # Panics
+    /// If `s` or `t` is not a router of the network (an id ≥ `n`).
+    #[inline]
+    pub fn within(&self, s: u32, t: u32, h: u32) -> bool {
+        let (a, b) = self.locate(s, t);
+        s == t
+            || match h {
+                0 => false,
+                1 => self.product_adjacent(a, b),
+                2 => self.product_adjacent(a, b) || self.two_hop_middle(a, b).is_some(),
+                _ => true,
+            }
     }
 
     /// Destination-based incremental routing (§9.2): the next router on
@@ -229,6 +347,10 @@ impl AnalyticRouter {
     /// kernel puts one hop closer. This is the per-hop decision an
     /// actual PolarStar router makes from factor-graph state, so no path
     /// state travels with the packet.
+    ///
+    /// # Panics
+    /// If `current` or `dst` is not a router of the network (an id ≥
+    /// `n`).
     pub fn next_hop(&self, current: u32, dst: u32) -> Option<u32> {
         let d = self.distance(current, dst);
         match d {
@@ -240,7 +362,7 @@ impl AnalyticRouter {
                 .neighbors(current)
                 .iter()
                 .copied()
-                .find(|&nb| self.distance(nb, dst) < d),
+                .find(|&nb| self.within(nb, dst, d - 1)),
         }
     }
 
@@ -248,7 +370,12 @@ impl AnalyticRouter {
     /// router `t`: [`AnalyticRouter::next_hop`] followed to `t`, as the
     /// sequence of routers after `s` (empty when `s == t`). Length is at
     /// most 3 (Theorems 4/5).
+    ///
+    /// # Panics
+    /// If `s` or `t` is not a router of the network (an id ≥ `n`).
     pub fn route(&self, s: u32, t: u32) -> Vec<u32> {
+        // Refused before the self-pair's early return.
+        self.locate(s, t);
         if s == t {
             return Vec::new();
         }
@@ -256,14 +383,14 @@ impl AnalyticRouter {
         std::iter::successors(self.next_hop(s, t), |&v| self.next_hop(v, t)).collect()
     }
 
-    /// Product adjacency from factor state only.
-    fn product_adjacent(&self, s: u32, t: u32) -> bool {
-        let (x, xp) = (self.net.structure_of(s), self.net.local_of(s));
-        let (y, yp) = (self.net.structure_of(t), self.net.local_of(t));
+    /// Product adjacency of the routers at coordinates `(x, xp)` and
+    /// `(y, yp)`, from factor state only.
+    #[inline]
+    fn product_adjacent(&self, (x, xp): Coord, (y, yp): Coord) -> bool {
         if x == y {
             self.copy_adjacent(x, xp, yp)
         } else {
-            self.net.er.graph.has_edge(x, y) && self.cross(x, y, xp) == yp
+            self.structure_adj.has(x, y) && self.cross(x, y, xp) == yp
         }
     }
 
@@ -280,13 +407,12 @@ impl AnalyticRouter {
         std::iter::once(first).chain(second)
     }
 
-    /// The middle router of the first 2-hop template path `s → m → t`,
-    /// if any: the distance kernel's one template enumeration. Covers
-    /// every 2-walk of the star product.
-    fn two_hop_middle(&self, s: u32, t: u32) -> Option<u32> {
+    /// The middle router of the first 2-hop template path `s → m → t`
+    /// between the routers at `(x, xp)` and `(y, yp)`, if any: the
+    /// distance kernel's one template enumeration. Covers every 2-walk
+    /// of the star product.
+    fn two_hop_middle(&self, (x, xp): Coord, (y, yp): Coord) -> Option<u32> {
         let net = &self.net;
-        let (x, xp) = (net.structure_of(s), net.local_of(s));
-        let (y, yp) = (net.structure_of(t), net.local_of(t));
         if x == y {
             // Intra-supernode 2-path through a copy-internal middle.
             return self
@@ -294,7 +420,7 @@ impl AnalyticRouter {
                 .find(|&m| self.copy_adjacent(x, m, yp))
                 .map(|m| net.router_id(x, m));
         }
-        if net.er.graph.has_edge(x, y) {
+        if self.structure_adj.has(x, y) {
             // §9.2 case (c): intra hop at x, then cross.
             if let Some(m) = self
                 .copy_neighbors(x, xp)
@@ -315,9 +441,8 @@ impl AnalyticRouter {
                 if self.hop_locals(w, y, h1).any(|h2| h2 == yp) {
                     // For a self-loop middle (w == x or w == y) the
                     // intermediate router sits in the looping copy.
-                    let mid = net.router_id(w, h1);
-                    if mid != s && mid != t {
-                        return Some(mid);
+                    if (w, h1) != (x, xp) && (w, h1) != (y, yp) {
+                        return Some(net.router_id(w, h1));
                     }
                 }
             }
@@ -448,6 +573,36 @@ mod tests {
         assert_eq!(router.routes_computed(), 0);
         router.route(0, n - 1);
         assert_eq!(router.routes_computed(), 1);
+    }
+
+    #[test]
+    fn out_of_range_ids_are_refused() {
+        // PS-IQ, n = 1 064. Unchecked, the kernel answered
+        // distance(0, 1064) = 2, distance(5, 1067) = 3 and
+        // next_hop(5, 1067) = Some(3), and panicked on a bare bounds
+        // check for distance(1064, 0) and next_hop(0, 1064).
+        let net = PolarStarNetwork::build(best_config(15).unwrap(), 1).unwrap();
+        let router = AnalyticRouter::new(net);
+        let n = 1064;
+        fn refused<T>(router: &AnalyticRouter, probe: impl FnOnce(&AnalyticRouter) -> T) {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| probe(router)))
+                .err()
+                .expect("an id ≥ n must be refused");
+            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(msg.contains("router id out of range"), "{msg}");
+        }
+        refused(&router, |r| r.distance(0, n));
+        refused(&router, |r| r.distance(5, n + 3));
+        refused(&router, |r| r.distance(n, 0));
+        refused(&router, |r| r.within(0, n, 2));
+        refused(&router, |r| r.within(n, n, 0));
+        refused(&router, |r| r.next_hop(5, n + 3));
+        refused(&router, |r| r.next_hop(0, n));
+        refused(&router, |r| r.route(n, n));
+        assert_eq!(router.distance(n - 1, n - 1), 0);
+        assert!(router.within(0, n - 1, 3));
+        assert_eq!(router.routes_computed(), 0);
+        assert!(!router.structure_adjacent(0, 133) && !router.supernode_adjacent(8, 0));
     }
 
     #[test]

@@ -6,15 +6,18 @@
 //! every destination to reassemble on every fault epoch that changes the
 //! mask. The analytic backend
 //! keeps only factor-graph state (the [`AnalyticRouter`]'s flat middle
-//! lists and bijection) plus the current [`FaultSet`], and resolves each
+//! lists, adjacency bit rows and bijection) plus the current [`FaultSet`], and resolves each
 //! query once, in one of three [`Regime`]s:
 //!
 //! * **pristine** (no faults): the distance is one probe of the
 //!   router's allocation-free distance kernel; the minimal next hops of
-//!   a router `r` hops out are its neighbors the kernel puts `r − 1`
-//!   hops out. The ≤ 3 levels of that *pristine-minimal DAG* are walked
-//!   depth-first, in ascending port order, only as deep and as wide as
-//!   the query asks (first hop, all first hops, or `k` paths).
+//!   a router `r` hops out are its neighbors within `r − 1` hops, one
+//!   [`AnalyticRouter::within`] probe each (a neighbor sits `r − 1`, `r`
+//!   or `r + 1` out), so two hops out the walk asks only adjacency and
+//!   runs the 2-hop templates only three out. The ≤ 3 levels of that
+//!   *pristine-minimal DAG* are walked depth-first, in ascending port
+//!   order, only as deep and as wide as the query asks (first hop, all
+//!   first hops, or `k` paths).
 //! * **faulted, minimal DAG intact**: the same single walk, with every
 //!   edge tested against the mask. A router keeps its pristine distance
 //!   iff an undirected-live edge leads to a neighbor that keeps its
@@ -531,7 +534,9 @@ impl DagWalk<'_> {
             if alive && !wanted {
                 break;
             }
-            if r > 1 && oracle.router.distance(nb, self.dst) + 1 != r {
+            // `nb` sits r − 1, r or r + 1 hops out and, past r = 1, is
+            // never dst: it is a minimal next hop iff within r − 1.
+            if r > 1 && !oracle.router.within(nb, self.dst, r - 1) {
                 continue;
             }
             let edge_alive = !oracle.mask.edge_dead(e);
