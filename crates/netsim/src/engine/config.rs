@@ -70,7 +70,8 @@ pub enum SimConfigError {
     /// (the `TopoError` text of `FaultSchedule::validate`).
     InvalidFaultSchedule(String),
     /// The route table was built on another graph, so its ports index
-    /// the wrong adjacency. Both pairs are (routers, directed links).
+    /// the wrong adjacency. Both pairs are (routers, directed links);
+    /// they are equal when the two graphs differ in their wiring alone.
     RouteTableMismatch {
         table: (usize, usize),
         network: (usize, usize),
@@ -83,6 +84,12 @@ impl std::fmt::Display for SimConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SimConfigError::InvalidFaultSchedule(why) => write!(f, "{why}"),
+            SimConfigError::RouteTableMismatch { table, network } if table == network => write!(
+                f,
+                "route table built for a different graph of the same shape: \
+                 {} routers / {} links",
+                table.0, table.1
+            ),
             SimConfigError::RouteTableMismatch { table, network } => write!(
                 f,
                 "route table built for a different graph: {} routers / {} links, \

@@ -123,11 +123,12 @@ impl<'a> Simulation<'a> {
                 .map_err(|e| SimConfigError::InvalidFaultSchedule(e.to_string()))?;
         }
         // Ports are offsets into the table's graph CSR; on any other
-        // graph they name the wrong link, or none.
+        // graph — even one of the same shape — they name the wrong
+        // link, or none.
         let g = &self.spec.graph;
-        let network = (g.n(), g.directed_edge_count());
-        let table = (self.table.n(), self.table.num_links());
-        if table != network {
+        if !self.table.routes(g) {
+            let table = (self.table.n(), self.table.num_links());
+            let network = (g.n(), g.directed_edge_count());
             return Err(SimConfigError::RouteTableMismatch { table, network });
         }
         match self.kind {

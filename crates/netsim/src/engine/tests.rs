@@ -98,6 +98,62 @@ fn check_rejects_a_route_table_built_on_another_graph() {
     assert_eq!(sim.check(&cfg), Ok(()));
 }
 
+/// Two 4-regular graphs on 64 routers: equal counts, other wiring.
+fn same_shape_pair() -> (NetworkSpec, NetworkSpec) {
+    let rr = |seed| polarstar_graph::random::random_regular(64, 4, seed).unwrap();
+    let (a, b) = (rr(1), rr(2));
+    assert_ne!(a, b);
+    (
+        NetworkSpec::uniform("a", a, 1),
+        NetworkSpec::uniform("b", b, 1),
+    )
+}
+
+#[test]
+fn check_rejects_a_route_table_built_on_a_graph_of_the_same_shape() {
+    // Equal router and link counts, so a shape test passes it — and the
+    // ports then name other links: a watchdog-bounded run delivered
+    // one packet in twenty where the network's own table delivers all.
+    let (a, b) = same_shape_pair();
+    let foreign = RouteTable::for_spec(&a);
+    let sim = Simulation::new(&b, &foreign, RoutingKind::MinMulti, &Pattern::Uniform);
+    let err = sim.check(&small_cfg(3)).unwrap_err();
+    assert_eq!(
+        err,
+        SimConfigError::RouteTableMismatch {
+            table: (64, 256),
+            network: (64, 256),
+        }
+    );
+    let why = err.to_string();
+    assert!(
+        why.contains("same shape") && !why.contains("the network has"),
+        "{why}"
+    );
+    let own = RouteTable::for_spec(&b);
+    let sim = Simulation::new(&b, &own, RoutingKind::MinMulti, &Pattern::Uniform);
+    assert_eq!(sim.check(&small_cfg(3)), Ok(()));
+}
+
+#[test]
+#[should_panic(expected = "route table built for a different graph of the same shape")]
+fn engine_rejects_a_foreign_route_table_of_the_same_shape() {
+    let (a, b) = same_shape_pair();
+    let foreign = RouteTable::for_spec(&a);
+    let cfg = SimConfig {
+        watchdog_cycles: Some(500),
+        ..small_cfg(1)
+    };
+    let _ = simulate(
+        &b,
+        &foreign,
+        RoutingKind::MinMulti,
+        &Pattern::Uniform,
+        0.1,
+        &cfg,
+    );
+}
+
 #[test]
 #[should_panic(expected = "route table built for a different graph: 9 routers / 72 links")]
 fn engine_rejects_a_foreign_route_table() {

@@ -4,7 +4,8 @@
 //! the hop distance, and reads the output ports lying on minimal paths
 //! off the destination's distance column on demand — the "all minpaths"
 //! answers the paper attributes to SF/BF tables (and that HyperX computes
-//! by coordinate alignment), from `2·n²` bytes and no port arena. A read
+//! by coordinate alignment), from `n²` bytes — one per pair, two only
+//! when some finite distance reaches 255 — and no port arena. A read
 //! scans the router's neighbors once, or probes one slot when the router
 //! is next to the destination; a path walk resumes each router's scan
 //! where its last child left it. [`RoutingKind`] selects how the table
@@ -23,6 +24,8 @@ use polarstar_topo::oracle::{
     column_next_hops_from, masked_distance_block, PathOracle, RouteError,
 };
 use rayon::prelude::*;
+use std::cmp::Ordering;
+use std::ops::{Add, Not};
 
 /// How packets pick output ports.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -62,7 +65,10 @@ impl RoutingKind {
 ///
 /// The table is its `n × n` distance arena, laid out so that destination
 /// `dst`'s column `dist[dst·n..][..n]` is contiguous, beside the pristine
-/// router graph and the fault mask it was assembled under.
+/// router graph and the fault mask it was assembled under. The arena
+/// holds one byte per pair when every finite distance is below
+/// `u8::MAX` — every network and mask in the workspace — and two
+/// otherwise; the assembler's own sweep picks the width.
 /// [`RouteTable::min_ports`] applies the one masked port rule
 /// ([`column_next_hops_from`]) to that column on every read: no port is
 /// stored. A router at distance 1 reads one slot, the link to the
@@ -74,22 +80,100 @@ pub struct RouteTable {
     /// The pristine router graph: port `p` of router `r` is CSR slot
     /// `edge_range(r).start + p`, the slot the mask is indexed by.
     graph: Graph,
-    /// dist[dst * n + r] = hop distance from router r to dst.
-    dist: Vec<u16>,
-    /// Hierarchical tables only (both empty when flat): every router's
-    /// group, and the pure-local distances, laid out like `dist`, that a
-    /// port crossing groups is judged on.
+    /// The distance arenas, at the narrowest width every finite
+    /// distance fits.
+    arena: Arenas,
+    /// Hierarchical tables only (empty when flat): every router's group.
     group: Vec<u32>,
-    far: Vec<u16>,
     /// The compiled fault epoch the table was assembled under (bitless
     /// when pristine).
     mask: FaultMask,
 }
 
+/// A distance arena element: `u8` or `u16`, its `MAX` (`!0`) standing
+/// for unreachable — the value [`column_next_hops_from`] tests.
+trait Width:
+    Copy
+    + Ord
+    + Default
+    + From<u8>
+    + Into<u32>
+    + TryFrom<u32>
+    + Not<Output = Self>
+    + Add<Output = Self>
+    + Send
+    + Sync
+{
+}
+
+impl Width for u8 {}
+impl Width for u16 {}
+
+/// A table's distance arenas at one width.
+#[derive(Clone)]
+struct Arena<D> {
+    /// dist[dst * n + r] = hop distance from router r to dst.
+    dist: Vec<D>,
+    /// Hierarchical tables only (empty when flat): the pure-local
+    /// distances, laid out like `dist`, that a port crossing groups is
+    /// judged on.
+    far: Vec<D>,
+}
+
+/// The one arena of a table, at the width its sweep found: `u16` only
+/// when some finite distance reaches 255.
+#[derive(Clone)]
+enum Arenas {
+    Narrow(Arena<u8>),
+    Wide(Arena<u16>),
+}
+
+impl<D: Width> Arena<D> {
+    /// The assembler's sweep at width `D`, written straight into the
+    /// arenas: flat tables by [`masked_distance_block`], 64 destinations
+    /// per graph sweep; hierarchical ones by one `local_bfs` /
+    /// `one_global_bfs` per destination. `None` when some finite
+    /// distance does not fit below `D`'s sentinel.
+    fn sweep(graph: &Graph, mask: &FaultMask, group: &[u32]) -> Option<Self> {
+        let n = graph.n();
+        let all = |a: bool, b: bool| a && b;
+        let mut dist = vec![D::default(); n * n];
+        if group.is_empty() {
+            let fits = dist
+                .par_chunks_mut(64 * n)
+                .enumerate()
+                .map(|(block, rows)| masked_distance_block(graph, mask, (block * 64) as u32, rows))
+                .reduce(|| true, all);
+            return fits.then_some(Arena {
+                dist,
+                far: Vec::new(),
+            });
+        }
+        let mut far = vec![D::default(); n * n];
+        let fits = far
+            .par_chunks_mut(n)
+            .enumerate()
+            .map(|(dst, d0)| local_bfs(graph, mask, group, dst as u32, d0))
+            .reduce(|| true, all)
+            && dist
+                .par_chunks_mut(n)
+                .enumerate()
+                .map(|(dst, d1)| one_global_bfs(graph, mask, group, &far[dst * n..][..n], d1))
+                .reduce(|| true, all);
+        fits.then_some(Arena { dist, far })
+    }
+
+    /// Bytes of both arenas.
+    fn bytes(&self) -> usize {
+        std::mem::size_of_val(&self.dist[..]) + std::mem::size_of_val(&self.far[..])
+    }
+}
+
 impl RouteTable {
     /// Distance sentinel for pairs no surviving path connects. Never a
     /// real distance: [`RouteTable::for_spec`] refuses graphs of 65 535
-    /// routers or more, so a real one is at most 65 533.
+    /// routers or more, so a real one is at most 65 533. A table whose
+    /// arena is one byte wide stores `u8::MAX` and reads it as this.
     pub const UNREACHABLE: u16 = u16::MAX;
 
     /// Build the table a spec asks for — one of the two ways a table is
@@ -103,8 +187,8 @@ impl RouteTable {
     ///
     /// # Panics
     /// If the graph is empty or too large for `u8` ports or `u16`
-    /// distances, or the policy is hierarchical and the group length
-    /// does not match the graph.
+    /// distances (the wide arena), or the policy is hierarchical and the
+    /// group length does not match the graph.
     pub fn for_spec(spec: &NetworkSpec) -> Self {
         let graph = &spec.graph;
         let n = graph.n();
@@ -131,14 +215,18 @@ impl RouteTable {
     /// [`RouteTable::mask`] themselves and skip even the copy. The
     /// policy and group structure come from `spec` (which must be the
     /// spec this table was built for).
+    ///
+    /// # Panics
+    /// With "spec does not match this table's graph" if `spec.graph` is
+    /// not the graph the table was built on — another router count,
+    /// other links, or the same counts wired differently. A mask
+    /// compiled on another graph names the wrong CSR slots.
     pub fn remask(&self, spec: &NetworkSpec, faults: &FaultSet) -> RouteTable {
-        let network = (spec.graph.n(), spec.graph.directed_edge_count());
-        assert_eq!(
-            (self.n(), self.num_links()),
-            network,
-            "spec does not match this table (routers, directed links)"
+        assert!(
+            self.routes(&spec.graph),
+            "spec does not match this table's graph"
         );
-        let mask = faults.compile(&spec.graph);
+        let mask = faults.compile(&self.graph);
         if mask == self.mask {
             return self.clone();
         }
@@ -160,12 +248,12 @@ impl RouteTable {
     /// two globals. [`RoutingPolicy::FlatMinimal`] has one arena and no
     /// link classes.
     ///
-    /// The distances go straight into the `u16` arenas, one column per
-    /// destination, fanned out over rayon: flat tables by
-    /// [`masked_distance_block`], 64 destinations per graph sweep;
-    /// hierarchical ones by one `local_bfs` / `one_global_bfs` per
-    /// destination. The sweeps skip the slots the mask takes out: no
-    /// degraded copy of the graph is built.
+    /// The distances go straight into `u8` arenas, one column per
+    /// destination, fanned out over rayon ([`Arena::sweep`]); only if a
+    /// finite distance reaches `u8::MAX` is that sweep dropped and rerun
+    /// into `u16` arenas, which hold every distance `for_spec` admits.
+    /// The sweeps skip the slots the mask takes out: no degraded copy of
+    /// the graph is built.
     fn assemble(graph: Graph, spec: &NetworkSpec, mask: FaultMask) -> Self {
         let n = graph.n();
         // The link classes of the port rule; flat tables have none.
@@ -180,28 +268,17 @@ impl RouteTable {
                 spec.group.clone()
             }
         };
-        let mut dist = vec![0u16; n * n];
-        let mut far = Vec::new();
-        if group.is_empty() {
-            dist.par_chunks_mut(64 * n)
-                .enumerate()
-                .for_each(|(block, rows)| {
-                    masked_distance_block(&graph, &mask, (block * 64) as u32, rows)
-                });
-        } else {
-            far.resize(n * n, 0u16);
-            far.par_chunks_mut(n)
-                .enumerate()
-                .for_each(|(dst, d0)| local_bfs(&graph, &mask, &group, dst as u32, d0));
-            dist.par_chunks_mut(n).enumerate().for_each(|(dst, d1)| {
-                one_global_bfs(&graph, &mask, &group, &far[dst * n..][..n], d1)
-            });
-        }
+        let arena = match Arena::sweep(&graph, &mask, &group) {
+            Some(narrow) => Arenas::Narrow(narrow),
+            None => Arenas::Wide(
+                Arena::sweep(&graph, &mask, &group)
+                    .expect("u16 holds every distance of fewer than 65 535 routers"),
+            ),
+        };
         RouteTable {
             graph,
-            dist,
+            arena,
             group,
-            far,
             mask,
         }
     }
@@ -219,7 +296,14 @@ impl RouteTable {
         if r as usize >= n || dst as usize >= n {
             return Self::UNREACHABLE;
         }
-        self.dist[dst as usize * n + r as usize]
+        let i = dst as usize * n + r as usize;
+        match &self.arena {
+            Arenas::Narrow(a) => match a.dist[i] {
+                u8::MAX => Self::UNREACHABLE,
+                d => d.into(),
+            },
+            Arenas::Wide(a) => a.dist[i],
+        }
     }
 
     /// Whether any surviving path connects `r` to `dst` (true for
@@ -230,14 +314,30 @@ impl RouteTable {
     }
 
     /// `(CSR slot, neighbor)` of every minimal next hop of `r` toward
-    /// `dst`, in port order.
+    /// `dst`, in port order, read from the arena at its width.
     #[inline]
     fn min_hops(&self, r: u32, dst: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.hops_from(r, dst, self.graph.edge_range(r).start)
+        let from = self.graph.edge_range(r).start;
+        match &self.arena {
+            Arenas::Narrow(a) => ByWidth::Narrow(self.arena_hops(a, r, dst, from)),
+            Arenas::Wide(a) => ByWidth::Wide(self.arena_hops(a, r, dst, from)),
+        }
     }
 
-    /// [`RouteTable::min_hops`] behind `r`'s CSR slots from `from` on:
-    /// the masked port rule over `dst`'s distance column —
+    /// The first of [`RouteTable::min_hops`], read without wrapping
+    /// either width's iterator.
+    #[inline]
+    fn first_hop(&self, r: u32, dst: u32) -> Option<(u32, u32)> {
+        let from = self.graph.edge_range(r).start;
+        match &self.arena {
+            Arenas::Narrow(a) => self.arena_hops(a, r, dst, from).next(),
+            Arenas::Wide(a) => self.arena_hops(a, r, dst, from).next(),
+        }
+    }
+
+    /// `(CSR slot, neighbor)` of every minimal next hop of `r` toward
+    /// `dst` behind `r`'s CSR slots from `from` on: the masked port rule
+    /// over `dst`'s distance column —
     /// [`column_next_hops_from`] itself on a flat table. A hierarchical
     /// table adds one clause: a port that crosses groups is judged on
     /// the pure-local column of `far`.
@@ -246,26 +346,32 @@ impl RouteTable {
     /// router reading 0 in either column. So a router at distance 1
     /// probes that one slot instead of scanning its neighbors.
     #[inline]
-    fn hops_from(&self, r: u32, dst: u32, from: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
+    fn arena_hops<'a, D: Width>(
+        &'a self,
+        arena: &'a Arena<D>,
+        r: u32,
+        dst: u32,
+        from: u32,
+    ) -> impl Iterator<Item = (u32, u32)> + 'a {
         let (g, n) = (&self.graph, self.n());
-        let col = &self.dist[dst as usize * n..][..n];
-        let dr = col[r as usize];
-        if dr == 1 {
+        let col = &arena.dist[dst as usize * n..][..n];
+        let (dr, one, unreachable) = (col[r as usize], D::from(1), !D::default());
+        if dr == one {
             let slot = g.edge_id(r, dst);
             let live = slot.filter(|&e| e >= from && !self.mask.link_dead(e));
             return Hops::One(live.map(|e| (e, dst)));
         }
-        if self.far.is_empty() {
+        if arena.far.is_empty() {
             return Hops::Flat(column_next_hops_from(g, col, r, from, &self.mask));
         }
-        let far = &self.far[dst as usize * n..][..n];
+        let far = &arena.far[dst as usize * n..][..n];
         let (slots, home) = (g.edge_range(r), self.group[r as usize]);
         let rest = &g.neighbors(r)[(from - slots.start) as usize..];
         let hops = (from..slots.end).zip(rest.iter().copied());
         Hops::Hier(hops.filter(move |&(e, nb)| {
             let local = self.group[nb as usize] == home;
             let dn = if local { col } else { far }[nb as usize];
-            dn != Self::UNREACHABLE && dn + 1 == dr && !self.mask.link_dead(e)
+            dn != unreachable && dn + one == dr && !self.mask.link_dead(e)
         }))
     }
 
@@ -299,10 +405,15 @@ impl RouteTable {
         self.graph.degree(r)
     }
 
-    /// Directed links of the table's graph — with [`RouteTable::n`], the
-    /// shape a table and the network it routes must share.
+    /// Directed links of the table's graph.
     pub fn num_links(&self) -> usize {
         self.graph.directed_edge_count()
+    }
+
+    /// Whether `graph` is the graph this table was built on, the one its
+    /// ports are offsets into: equal CSR, not only equal counts. O(E).
+    pub(crate) fn routes(&self, graph: &Graph) -> bool {
+        self.graph == *graph
     }
 
     /// The compiled fault epoch this table was assembled under (bitless
@@ -314,14 +425,18 @@ impl RouteTable {
         &self.mask
     }
 
-    /// Bytes held by the table's distance arenas, group map, its graph's
-    /// CSR (`usize` offsets, `u32` slots) and its fault mask (none when
-    /// pristine); capacity overshoot and the struct header excluded.
-    /// Lets sweeps budget per-config routing state up front.
+    /// Bytes held by the table's distance arenas (at their width: one
+    /// or two bytes per pair), group map, its graph's CSR (`usize`
+    /// offsets, `u32` slots) and its fault mask (none when pristine);
+    /// capacity overshoot and the struct header excluded. Lets sweeps
+    /// budget per-config routing state up front.
     pub fn memory_bytes(&self) -> usize {
         use std::mem::{size_of, size_of_val};
-        size_of_val(&self.dist[..])
-            + size_of_val(&self.far[..])
+        let arena = match &self.arena {
+            Arenas::Narrow(a) => a.bytes(),
+            Arenas::Wide(a) => a.bytes(),
+        };
+        arena
             + size_of_val(&self.group[..])
             + (self.n() + 1) * size_of::<usize>()
             + self.num_links() * size_of::<u32>()
@@ -352,6 +467,55 @@ where
             Hops::One(hop) => hop.take(),
             Hops::Flat(f) => f.next(),
             Hops::Hier(h) => h.next(),
+        }
+    }
+
+    // A drain runs the rule's own filter loop, as `column_next_hops`
+    // asks of its callers.
+    #[inline]
+    fn fold<B, G>(self, init: B, g: G) -> B
+    where
+        G: FnMut(B, (u32, u32)) -> B,
+    {
+        match self {
+            Hops::One(hop) => hop.into_iter().fold(init, g),
+            Hops::Flat(f) => f.fold(init, g),
+            Hops::Hier(h) => h.fold(init, g),
+        }
+    }
+}
+
+/// One table read at the arena's width.
+enum ByWidth<N, W> {
+    Narrow(N),
+    Wide(W),
+}
+
+impl<N, W> Iterator for ByWidth<N, W>
+where
+    N: Iterator<Item = (u32, u32)>,
+    W: Iterator<Item = (u32, u32)>,
+{
+    type Item = (u32, u32);
+
+    #[inline]
+    fn next(&mut self) -> Option<(u32, u32)> {
+        match self {
+            ByWidth::Narrow(n) => n.next(),
+            ByWidth::Wide(w) => w.next(),
+        }
+    }
+
+    // A drain (`for_each`, `count`) dispatches once, then runs the
+    // width's own loop.
+    #[inline]
+    fn fold<B, F>(self, init: B, f: F) -> B
+    where
+        F: FnMut(B, (u32, u32)) -> B,
+    {
+        match self {
+            ByWidth::Narrow(n) => n.fold(init, f),
+            ByWidth::Wide(w) => w.fold(init, f),
         }
     }
 }
@@ -394,8 +558,7 @@ impl PathOracle for RouteTable {
             return Ok(dst);
         }
         let (_, nb) = self
-            .min_hops(src, dst)
-            .next()
+            .first_hop(src, dst)
             .ok_or(RouteError::Unreachable { src, dst })?;
         Ok(nb)
     }
@@ -407,8 +570,7 @@ impl PathOracle for RouteTable {
         let mut cur = src;
         while cur != dst {
             (_, cur) = self
-                .min_hops(cur, dst)
-                .next()
+                .first_hop(cur, dst)
                 .ok_or(RouteError::Unreachable { src, dst })?;
             path.push(cur);
         }
@@ -423,6 +585,25 @@ impl PathOracle for RouteTable {
         if src == dst {
             return Ok(vec![vec![src]]);
         }
+        Ok(match &self.arena {
+            Arenas::Narrow(a) => self.k_paths_in(a, src, dst, k, hops),
+            Arenas::Wide(a) => self.k_paths_in(a, src, dst, k, hops),
+        })
+    }
+}
+
+impl RouteTable {
+    /// The [`PathOracle::k_paths`] walk of a reachable pair `src ≠ dst`,
+    /// `hops` apart, over the arena at its width: one dispatch per
+    /// walk, not one per step.
+    fn k_paths_in<D: Width>(
+        &self,
+        arena: &Arena<D>,
+        src: u32,
+        dst: u32,
+        k: usize,
+        hops: usize,
+    ) -> Vec<Vec<u32>> {
         // Depth-first over the minimal-path DAG in port order: the stack
         // is the current prefix, each router with the CSR slot its scan
         // resumes at, the one after the child it took last — so a frame
@@ -432,7 +613,7 @@ impl PathOracle for RouteTable {
         let mut stack: Vec<(u32, usize)> = Vec::with_capacity(hops);
         stack.push((src, first_slot(src)));
         while let Some((r, from)) = stack.last_mut() {
-            let Some((e, next)) = self.hops_from(*r, dst, *from as u32).next() else {
+            let Some((e, next)) = self.arena_hops(arena, *r, dst, *from as u32).next() else {
                 stack.pop();
                 continue;
             };
@@ -446,27 +627,33 @@ impl PathOracle for RouteTable {
                 break;
             }
         }
-        Ok(out)
+        out
     }
 }
 
 /// BFS to `dst` using only live intra-group edges, into `d0`
-/// (UNREACHABLE-valued outside dst's group).
-fn local_bfs(g: &Graph, mask: &FaultMask, group: &[u32], dst: u32, d0: &mut [u16]) {
-    d0.fill(RouteTable::UNREACHABLE);
+/// (unreachable, `!0`, outside dst's group). Returns whether every
+/// distance fit below the sentinel; `d0` is unspecified when not.
+fn local_bfs<D: Width>(g: &Graph, mask: &FaultMask, group: &[u32], dst: u32, d0: &mut [D]) -> bool {
+    let unreachable = !D::default();
+    d0.fill(unreachable);
     let mut queue = std::collections::VecDeque::new();
-    d0[dst as usize] = 0;
+    d0[dst as usize] = D::default();
     queue.push_back(dst);
     while let Some(u) = queue.pop_front() {
+        let du = d0[u as usize] + D::from(1);
         for (e, &v) in g.edge_range(u).zip(g.neighbors(u)) {
-            let fresh =
-                group[v as usize] == group[u as usize] && d0[v as usize] == RouteTable::UNREACHABLE;
+            let fresh = group[v as usize] == group[u as usize] && d0[v as usize] == unreachable;
             if fresh && !mask.edge_dead(e) {
-                d0[v as usize] = d0[u as usize] + 1;
+                if du == unreachable {
+                    return false;
+                }
+                d0[v as usize] = du;
                 queue.push_back(v);
             }
         }
     }
+    true
 }
 
 /// Shortest distance to `dst` over live paths with at most one
@@ -478,11 +665,23 @@ fn local_bfs(g: &Graph, mask: &FaultMask, group: &[u32], dst: u32, d0: &mut [u16
 /// `d1 = min(d0, local-Dijkstra from seeds seed[w] = min over global
 /// edges (w, s) of d0[s] + 1)` — a bucketed multi-source Dijkstra over
 /// local edges only.
-fn one_global_bfs(g: &Graph, mask: &FaultMask, group: &[u32], d0: &[u16], d1: &mut [u16]) {
+///
+/// Returns whether every distance fit below the sentinel; `d1` is
+/// unspecified when not. A crossing candidate that reaches the
+/// sentinel counts as not fitting even if a shorter path wins later:
+/// the table then takes the wide arena, which holds both.
+fn one_global_bfs<D: Width>(
+    g: &Graph,
+    mask: &FaultMask,
+    group: &[u32],
+    d0: &[D],
+    d1: &mut [D],
+) -> bool {
+    let (unreachable, one) = (!D::default(), D::from(1));
     d1.copy_from_slice(d0);
     let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); 8];
-    let push = |buckets: &mut Vec<Vec<u32>>, d: u16, v: u32| {
-        let d = d as usize;
+    let push = |buckets: &mut Vec<Vec<u32>>, d: D, v: u32| {
+        let d = d.into() as usize;
         if buckets.len() <= d {
             buckets.resize(d + 1, Vec::new());
         }
@@ -493,8 +692,11 @@ fn one_global_bfs(g: &Graph, mask: &FaultMask, group: &[u32], d0: &[u16], d1: &m
     for w in 0..g.n() as u32 {
         for (e, &s) in g.edge_range(w).zip(g.neighbors(w)) {
             let global = group[s as usize] != group[w as usize];
-            if global && d0[s as usize] != RouteTable::UNREACHABLE && !mask.edge_dead(e) {
-                let cand = d0[s as usize] + 1;
+            if global && d0[s as usize] != unreachable && !mask.edge_dead(e) {
+                let cand = d0[s as usize] + one;
+                if cand == unreachable {
+                    return false;
+                }
                 if cand < d1[w as usize] {
                     d1[w as usize] = cand;
                 }
@@ -502,7 +704,7 @@ fn one_global_bfs(g: &Graph, mask: &FaultMask, group: &[u32], d0: &[u16], d1: &m
         }
     }
     for (r, &d) in d1.iter().enumerate() {
-        if d != RouteTable::UNREACHABLE {
+        if d != unreachable {
             push(&mut buckets, d, r as u32);
         }
     }
@@ -512,22 +714,29 @@ fn one_global_bfs(g: &Graph, mask: &FaultMask, group: &[u32], d0: &[u16], d1: &m
         while i < buckets[d].len() {
             let u = buckets[d][i];
             i += 1;
-            if d1[u as usize] as usize != d {
+            let du = d1[u as usize];
+            if du.into() as usize != d {
                 continue; // stale entry
             }
+            let nd = du + one;
             for (e, &v) in g.edge_range(u).zip(g.neighbors(u)) {
                 if group[v as usize] != group[u as usize] || mask.edge_dead(e) {
                     continue; // only live local propagation
                 }
-                let nd = d as u16 + 1;
-                if nd < d1[v as usize] {
-                    d1[v as usize] = nd;
-                    push(&mut buckets, nd, v);
+                match nd.cmp(&d1[v as usize]) {
+                    Ordering::Less => {
+                        d1[v as usize] = nd;
+                        push(&mut buckets, nd, v);
+                    }
+                    // v's first finite distance would be the sentinel.
+                    Ordering::Equal if nd == unreachable => return false,
+                    _ => {}
                 }
             }
         }
         d += 1;
     }
+    true
 }
 
 #[cfg(test)]
@@ -685,13 +894,13 @@ mod tests {
         assert_eq!(n, 1064);
         let t = RouteTable::for_spec(&net);
         let sum_deg: usize = (0..n as u32).map(|r| net.graph.degree(r)).sum();
-        let expect = n * n * 2            // dist: u16 per (r, dst)
+        let expect = n * n                // dist: u8 per (r, dst)
             + (n + 1) * 8                 // graph offsets: usize
             + sum_deg * 4; // graph neighbors: u32
         assert_eq!(t.memory_bytes(), expect);
         // Sanity: the whole routing state for a 1064-router Table-3
-        // config stays under 2.5 MiB.
-        assert!(t.memory_bytes() < 5 << 19, "{} bytes", t.memory_bytes());
+        // config stays under 1.25 MiB.
+        assert!(t.memory_bytes() < 5 << 18, "{} bytes", t.memory_bytes());
         let faulted = t.remask(&net, &FaultSet::random_links(&net.graph, 0.05, 1));
         assert!(faulted.mask().memory_bytes() > 0);
         assert_eq!(
@@ -874,13 +1083,48 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "spec does not match this table (routers, directed links)")]
+    #[should_panic(expected = "spec does not match this table's graph")]
     fn remask_rejects_a_spec_of_equal_size_and_other_links() {
         use polarstar_topo::FaultSet;
         let table = flat(&Graph::complete(8));
         let other = Graph::complete(8).without_edges(&[(0, 1)]);
         let other = polarstar_topo::NetworkSpec::uniform("other", other, 2);
         let _ = table.remask(&other, &FaultSet::empty());
+    }
+
+    /// Two 4-regular graphs on 64 routers, and every link of router 0
+    /// failed: equal counts, other wiring.
+    fn same_shape_pair() -> (NetworkSpec, NetworkSpec, FaultSet) {
+        let rr = |seed| polarstar_graph::random::random_regular(64, 4, seed).unwrap();
+        let (a, b) = (rr(1), rr(2));
+        assert_eq!(
+            (a.n(), a.directed_edge_count()),
+            (b.n(), b.directed_edge_count())
+        );
+        assert_ne!(a, b);
+        let cut = FaultSet::from_links(a.neighbors(0).iter().map(|&v| (0, v)));
+        (
+            NetworkSpec::uniform("a", a, 1),
+            NetworkSpec::uniform("b", b, 1),
+            cut,
+        )
+    }
+
+    #[test]
+    fn remask_on_the_tables_own_graph_isolates_a_cut_router() {
+        let (a, _, cut) = same_shape_pair();
+        let t = flat(&a.graph).remask(&a, &cut);
+        assert_tables_equal(&t, &masked(&a.graph, &cut));
+        assert!(!t.is_reachable(5, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "spec does not match this table's graph")]
+    fn remask_rejects_a_spec_of_the_same_shape() {
+        // Compiled on `b`, the mask would name `b`'s slots in `a`'s CSR:
+        // 194 of 4 096 pairs differ and router 0 stays reachable.
+        let (a, b, cut) = same_shape_pair();
+        let _ = flat(&a.graph).remask(&b, &cut);
     }
 
     #[test]
@@ -911,54 +1155,130 @@ mod tests {
         dist.iter().map(|d| d[0].min(d[1])).collect()
     }
 
-    /// Check every (router, destination) entry of a hierarchical table
-    /// against [`ref_distances`]: the distance is the ≤ 1-global one, a
-    /// port is minimal iff its directed link survives and the remainder
-    /// from its far end fits the global budget left, and disconnected
-    /// pairs read `UNREACHABLE` with no ports.
-    fn assert_matches_hierarchical_reference(
-        t: &RouteTable,
-        spec: &NetworkSpec,
-        faults: &polarstar_topo::FaultSet,
-        what: &str,
-    ) {
-        let degraded = faults.degraded_graph(&spec.graph);
-        let n = spec.graph.n() as u32;
-        // from[budget][x][dst]
-        let from: Vec<Vec<Vec<u32>>> = (0..2)
-            .map(|b| {
-                (0..n)
-                    .map(|x| ref_distances(&degraded, &spec.group, x, b))
+    /// Ground truth as an oracle, sharing nothing with the table:
+    /// distances from brute-force BFS over the degraded graph — plain
+    /// for a flat table, [`ref_distances`] with its global budget for a
+    /// hierarchical one — and minimal next hops by the port rule's
+    /// definition. Its walks are the trait's provided ones.
+    struct Truth {
+        graph: Graph,
+        faults: FaultSet,
+        /// `full[x][dst]`: the table's distance from `x` to `dst`.
+        full: Vec<Vec<u32>>,
+        /// Hierarchical only: the pure-local distances a port crossing
+        /// groups is judged on, and the groups.
+        local: Option<(Vec<Vec<u32>>, Vec<u32>)>,
+    }
+
+    impl Truth {
+        fn flat(g: &Graph, faults: &FaultSet) -> Self {
+            let degraded = faults.degraded_graph(g);
+            let full = (0..g.n() as u32)
+                .map(|x| polarstar_graph::traversal::bfs_distances(&degraded, x))
+                .collect();
+            Truth {
+                graph: g.clone(),
+                faults: faults.clone(),
+                full,
+                local: None,
+            }
+        }
+
+        fn hierarchical(spec: &NetworkSpec, faults: &FaultSet) -> Self {
+            let degraded = faults.degraded_graph(&spec.graph);
+            let from = |budget| {
+                (0..spec.graph.n() as u32)
+                    .map(|x| ref_distances(&degraded, &spec.group, x, budget))
                     .collect()
-            })
-            .collect();
+            };
+            Truth {
+                graph: spec.graph.clone(),
+                faults: faults.clone(),
+                full: from(1),
+                local: Some((from(0), spec.group.clone())),
+            }
+        }
+    }
+
+    impl PathOracle for Truth {
+        fn num_routers(&self) -> usize {
+            self.graph.n()
+        }
+
+        fn distance(&self, src: u32, dst: u32) -> Result<u32, RouteError> {
+            let routers = self.graph.n() as u32;
+            if let Some(id) = [src, dst].into_iter().find(|&id| id >= routers) {
+                return Err(RouteError::OutOfRange { id, routers });
+            }
+            match self.full[src as usize][dst as usize] {
+                u32::MAX => Err(RouteError::Unreachable { src, dst }),
+                d => Ok(d),
+            }
+        }
+
+        fn min_next_hops(&self, src: u32, dst: u32, out: &mut Vec<u32>) -> Result<(), RouteError> {
+            let d = PathOracle::distance(self, src, dst)?;
+            for &nb in self.graph.neighbors(src) {
+                let rest = match &self.local {
+                    Some((local, group)) if group[src as usize] != group[nb as usize] => {
+                        local[nb as usize][dst as usize]
+                    }
+                    _ => self.full[nb as usize][dst as usize],
+                };
+                if d > 0 && !self.faults.link_failed(src, nb) && rest != u32::MAX && rest + 1 == d {
+                    out.push(nb);
+                }
+            }
+            Ok(())
+        }
+    }
+
+    /// Every (router, destination) entry of `t` against `truth`: the
+    /// distance, the minimal ports as neighbors, and — on every pair of
+    /// a small table, a sample of a large one — the `k_paths` walks.
+    /// Disconnected pairs read `UNREACHABLE` with no ports.
+    fn assert_table_is_truth(t: &RouteTable, truth: &Truth, what: &str) {
+        let n = t.n() as u32;
+        assert_eq!(n as usize, truth.graph.n(), "{what}");
         for r in 0..n {
             assert_eq!(
                 t.neighbors(r),
-                spec.graph.neighbors(r),
+                truth.graph.neighbors(r),
                 "{what}: CSR row {r}"
             );
-            for dst in 0..n {
-                let d = from[1][r as usize][dst as usize];
-                let want = if d == u32::MAX {
-                    RouteTable::UNREACHABLE
-                } else {
-                    d as u16
-                };
-                assert_eq!(t.distance(r, dst), want, "{what}: distance {r}→{dst}");
-                let mut ports = Vec::new();
-                if r != dst && d != u32::MAX {
-                    for (p, &nb) in spec.graph.neighbors(r).iter().enumerate() {
-                        let global = spec.group[r as usize] != spec.group[nb as usize];
-                        let rest = from[usize::from(!global)][nb as usize][dst as usize];
-                        if !faults.link_failed(r, nb) && rest != u32::MAX && rest + 1 == d {
-                            ports.push(p as u8);
-                        }
-                    }
+        }
+        for (r, dst) in (0..n).flat_map(|r| (0..n).map(move |dst| (r, dst))) {
+            let want = PathOracle::distance(truth, r, dst);
+            assert_eq!(PathOracle::distance(t, r, dst), want, "{what}: {r}→{dst}");
+            let short = want.map_or(RouteTable::UNREACHABLE, |d| d as u16);
+            assert_eq!(t.distance(r, dst), short, "{what}: {r}→{dst}");
+            let mut hops = Vec::new();
+            if want.is_ok() {
+                truth.min_next_hops(r, dst, &mut hops).unwrap();
+            }
+            let ports: Vec<u32> = t.min_ports(r, dst).map(|p| t.neighbor(r, p)).collect();
+            assert_eq!(ports, hops, "{what}: ports {r}→{dst}");
+            if n <= 64 || (r * 31 + dst) % 97 == 0 {
+                for k in [1, 4, 64] {
+                    let paths = t.k_paths(r, dst, k);
+                    assert_eq!(
+                        paths,
+                        truth.k_paths(r, dst, k),
+                        "{what}: {r}→{dst}, k = {k}"
+                    );
                 }
-                assert_eq!(port_list(t, r, dst), ports, "{what}: ports {r}→{dst}");
             }
         }
+    }
+
+    /// [`assert_table_is_truth`] for a hierarchical table.
+    fn assert_matches_hierarchical_reference(
+        t: &RouteTable,
+        spec: &NetworkSpec,
+        faults: &FaultSet,
+        what: &str,
+    ) {
+        assert_table_is_truth(t, &Truth::hierarchical(spec, faults), what);
     }
 
     #[test]
@@ -1018,9 +1338,10 @@ mod tests {
 
         /// Distances stay undirected under the faults that could break
         /// that: one-way links and dead routers. The flat table's ports,
-        /// read off its `u16` block-BFS column, must agree with the
+        /// read off its `u8` block-BFS column, must agree with the
         /// `u32` column form of the same relation,
-        /// `masked_distance_column` + `column_next_hops`.
+        /// `masked_distance_column` + `column_next_hops`, and its
+        /// distances, ports and walks with BFS ground truth.
         #[test]
         fn distances_stay_symmetric_under_one_way_and_router_faults(
             n in 2usize..48,
@@ -1036,11 +1357,11 @@ mod tests {
                 .union(&FaultSet::random_links(&g, 0.05, seed))
                 .union(&FaultSet::random_routers(&g, 0.05, seed ^ 0xD1E));
             let flat = masked(&g, &faults);
-            let hier = RouteTable::for_spec(
-                &NetworkSpec::new("g", g.clone(), vec![1; n], group)
-                    .with_policy(RoutingPolicy::HierarchicalMinimal)
-                    .with_faults(faults.clone()),
-            );
+            let spec = NetworkSpec::new("g", g.clone(), vec![1; n], group)
+                .with_policy(RoutingPolicy::HierarchicalMinimal);
+            let hier = RouteTable::for_spec(&spec.clone().with_faults(faults.clone()));
+            assert_table_is_truth(&flat, &Truth::flat(&g, &faults), "flat");
+            assert_table_is_truth(&hier, &Truth::hierarchical(&spec, &faults), "hier");
             let mask = faults.compile(&g);
             let mut col = Vec::new();
             for a in 0..n as u32 {
@@ -1207,11 +1528,11 @@ mod tests {
             .map(|(r, dst)| t.min_ports(r, dst).count())
             .sum();
         assert!(entries > 16 * 15);
-        // The bytes do not scale with it: a flat table stores distances
-        // and the graph, a hierarchical one adds its pure-local arena
-        // and the group map.
+        // The bytes do not scale with it: a flat table stores one-byte
+        // distances and the graph, a hierarchical one adds its
+        // pure-local arena and the group map.
         let csr = |g: &Graph| (g.n() + 1) * 8 + g.directed_edge_count() * 4;
-        assert_eq!(t.memory_bytes(), 16 * 16 * 2 + csr(&hx.graph));
+        assert_eq!(t.memory_bytes(), 16 * 16 + csr(&hx.graph));
         let df = polarstar_topo::dragonfly::dragonfly(polarstar_topo::dragonfly::DragonflyParams {
             a: 4,
             h: 2,
@@ -1220,7 +1541,117 @@ mod tests {
         let n = df.graph.n();
         assert_eq!(
             RouteTable::for_spec(&df).memory_bytes(),
-            2 * n * n * 2 + n * 4 + csr(&df.graph)
+            2 * n * n + n * 4 + csr(&df.graph)
         );
+    }
+
+    /// Bytes per (router, destination) pair of one distance arena.
+    fn width(t: &RouteTable) -> usize {
+        match t.arena {
+            Arenas::Narrow(_) => 1,
+            Arenas::Wide(_) => 2,
+        }
+    }
+
+    /// Every pair of a flat table against the `u32` column BFS and the
+    /// port rule under the table's own mask.
+    fn assert_flat_columns(t: &RouteTable, g: &Graph, what: &str) {
+        use polarstar_topo::oracle::{column_next_hops, masked_distance_column};
+        let mut col = Vec::new();
+        for dst in 0..g.n() as u32 {
+            masked_distance_column(g, t.mask(), dst, &mut col);
+            for r in 0..g.n() as u32 {
+                let want = u16::try_from(col[r as usize]).unwrap_or(RouteTable::UNREACHABLE);
+                assert_eq!(t.distance(r, dst), want, "{what}: {r}→{dst}");
+                let base = g.edge_range(r).start;
+                let ports = column_next_hops(g, &col, r, t.mask()).map(|(e, _)| (e - base) as u8);
+                assert_eq!(
+                    port_list(t, r, dst),
+                    ports.collect::<Vec<_>>(),
+                    "{what}: {r}→{dst}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_flat_table_is_one_byte_a_pair_until_a_distance_reaches_255() {
+        let csr = |g: &Graph| (g.n() + 1) * 8 + g.directed_edge_count() * 4;
+        // (graph, faults, farthest finite distance): a path's ends, a
+        // ring's antipodes, and a ring cut once, whose detour runs the
+        // long way round.
+        let cut = FaultSet::from_links([(0, 1)]);
+        let cases = [
+            ("path 255", Graph::path(255), FaultSet::empty(), 254),
+            ("path 256", Graph::path(256), FaultSet::empty(), 255),
+            ("path 300", Graph::path(300), FaultSet::empty(), 299),
+            ("ring 300", Graph::cycle(300), FaultSet::empty(), 150),
+            ("ring 255 cut", Graph::cycle(255), cut.clone(), 254),
+            ("ring 300 cut", Graph::cycle(300), cut.clone(), 299),
+        ];
+        for (what, g, faults, far) in cases {
+            let t = masked(&g, &faults);
+            let wide = far >= 255;
+            assert_eq!(width(&t), 1 + usize::from(wide), "{what}");
+            let n = g.n();
+            let mask = t.mask().memory_bytes();
+            assert_eq!(
+                t.memory_bytes(),
+                width(&t) * n * n + csr(&g) + mask,
+                "{what}"
+            );
+            let longest = (0..n as u32).map(|r| t.distance(r, 0)).max();
+            assert_eq!(longest, Some(far), "{what}");
+            assert_flat_columns(&t, &g, what);
+            assert_table_is_truth(&t, &Truth::flat(&g, &faults), what);
+            // The width follows the mask: re-masking the ring to and from
+            // its cut switches arenas, and each answers as a fresh build.
+            let spec = NetworkSpec::uniform(what, g.clone(), 1);
+            let back = t.remask(&spec, &FaultSet::empty());
+            assert_flat_columns(&back, &g, &format!("{what} (remask to ∅)"));
+            assert_tables_equal(&back.remask(&spec, &faults), &t);
+        }
+        let ring = masked(&Graph::cycle(300), &FaultSet::empty());
+        assert_eq!(width(&ring), 1);
+        let spec = NetworkSpec::uniform("ring", Graph::cycle(300), 1);
+        assert_eq!(width(&ring.remask(&spec, &cut)), 2);
+    }
+
+    #[test]
+    fn a_hierarchical_table_widens_when_any_distance_reaches_255() {
+        // Two groups, paths of `a` and `b` routers joined end to end by
+        // their one global link: the farthest pair is a + b − 1 hops
+        // apart. (255, 6) and (200, 200) overflow only across the link,
+        // (300, 100) inside a group.
+        for (a, b) in [(254, 1), (100, 100), (255, 6), (200, 200), (300, 100)] {
+            let n = a + b;
+            let g = Graph::path(n);
+            let group = (0..n).map(|r| u32::from(r >= a)).collect();
+            let spec = NetworkSpec::new("paths", g, vec![1; n], group)
+                .with_policy(RoutingPolicy::HierarchicalMinimal);
+            let what = format!("paths {a} + {b}");
+            let t = RouteTable::for_spec(&spec);
+            assert_eq!(width(&t), 1 + usize::from(n > 255), "{what}");
+            assert_eq!(u32::from(t.distance(0, n as u32 - 1)), n as u32 - 1);
+            assert_matches_hierarchical_reference(&t, &spec, &FaultSet::empty(), &what);
+            // Cutting the global link leaves each group its own: narrow
+            // again unless a group alone reaches 255.
+            let cut = FaultSet::from_links([(a as u32 - 1, a as u32)]);
+            let severed = t.remask(&spec, &cut);
+            assert_eq!(width(&severed), 1 + usize::from(a > 255), "{what}");
+            assert_matches_hierarchical_reference(&severed, &spec, &cut, &format!("{what} cut"));
+        }
+        // Toward router 0 of paths 255 + 1, group 1's lone router is 255
+        // hops out, and only its crossing candidate says so: that one
+        // destination's sweep refuses the byte width on its own.
+        let (g, group) = (Graph::path(256), [vec![0; 255], vec![1]].concat());
+        let pristine = FaultMask::default();
+        let (mut d0, mut d1) = (vec![0u8; 256], vec![0u8; 256]);
+        assert!(local_bfs(&g, &pristine, &group, 0, &mut d0));
+        assert!(!one_global_bfs(&g, &pristine, &group, &d0, &mut d1));
+        let (mut d0, mut d1) = (vec![0u16; 256], vec![0u16; 256]);
+        assert!(local_bfs(&g, &pristine, &group, 0, &mut d0));
+        assert!(one_global_bfs(&g, &pristine, &group, &d0, &mut d1));
+        assert_eq!(d1[255], 255);
     }
 }

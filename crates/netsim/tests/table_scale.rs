@@ -9,10 +9,13 @@
 //! ```
 //!
 //! It prints the build time and the process's peak RSS (`VmHWM`). The
-//! table is its `u16` distance arena plus the graph: 199 MB, built in
-//! ≈ 0.2 s with a ≈ 200 MB peak on a 2-core host. The count of derived
+//! table is its one-byte distance arena plus the graph (every distance
+//! here is at most 3, far below the 255 that would widen the arena to
+//! `u16`): 100 435 868 bytes, built in 0.19–0.23 s with a 101 MiB peak
+//! (`VmHWM` 103 648–103 768 kB) on a 2-core host, where the `u16` arena
+//! read 199 517 984 bytes and a 196 MiB peak. The count of derived
 //! minimal ports is the one the stored port arena held before ports
-//! were read off the distance columns.
+//! were read off the distance columns: the equivalence check at scale.
 
 use polarstar::design::best_config;
 use polarstar::network::PolarStarNetwork;
@@ -20,7 +23,7 @@ use polarstar_netsim::RouteTable;
 use rayon::prelude::*;
 
 #[test]
-#[ignore = "release-only: builds a 199 MB table"]
+#[ignore = "release-only: builds a 100 MB table"]
 fn radix32_reference_table_builds_to_the_recorded_size() {
     // The radix-32 PolarStar of PS-scale32: 9 954 routers, 11 endpoints
     // each.
@@ -31,7 +34,7 @@ fn radix32_reference_table_builds_to_the_recorded_size() {
     let t0 = std::time::Instant::now();
     let table = RouteTable::for_spec(&spec);
     let built = t0.elapsed();
-    assert_eq!(table.memory_bytes(), 199_517_984);
+    assert_eq!(table.memory_bytes(), 100_435_868);
     let n = table.n() as u32;
     let ports: usize = (0..n)
         .into_par_iter()

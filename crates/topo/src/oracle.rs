@@ -9,9 +9,10 @@
 //! *how* the answers are precomputed; [`column_next_hops`] is the one
 //! masked minimal-port rule, [`masked_distance_column`] the one masked
 //! BFS, and one 64-destination block sweep fills both
-//! [`masked_distance_block`] (the `u16` rows a flat `RouteTable` holds)
-//! and [`masked_hop_block`] (that rule as per-link bits, what the motif
-//! model walks) — all reading a compiled [`FaultMask`].
+//! [`masked_distance_block`] (the `u8` or `u16` rows a flat
+//! `RouteTable` holds) and [`masked_hop_block`] (that rule as per-link
+//! bits, what the motif model walks) — all reading a compiled
+//! [`FaultMask`].
 //!
 //! Unreachable pairs answer with a typed [`RouteError::Unreachable`]
 //! instead of an empty port slice — callers can no longer mistake a
@@ -204,10 +205,10 @@ pub trait PathOracle {
 /// ([`FaultMask::link_dead`] of the slot `v → nb`); the column alone
 /// carries the distance side, where a half-dead cable is already
 /// dropped. Empty when `v` is the destination or unreachable. `col` is
-/// a `u32` column or a `u16` block row, unreachable being the element's
-/// `MAX` (`!0`). Drain it with `for_each`/`fold`: internal iteration
-/// compiles to the plain neighbor loop, a `for`/`extend` over the
-/// filter measured ≈ 20 % slower.
+/// a `u32` column or a `u8` / `u16` block row, unreachable being the
+/// element's `MAX` (`!0`). Drain it with `for_each`/`fold`: internal
+/// iteration compiles to the plain neighbor loop, a `for`/`extend` over
+/// the filter measured ≈ 20 % slower.
 #[inline]
 pub fn column_next_hops<'a, D>(
     graph: &'a Graph,
@@ -279,27 +280,40 @@ pub fn masked_distance_column(graph: &Graph, mask: &FaultMask, dst: u32, out: &m
 /// level-synchronous sweep (the bit-parallel multi-source BFS of Then et
 /// al., VLDB 2014). `rows` holds one `graph.n()`-entry row per
 /// destination, back to back: `rows[i·n + v]` becomes the hop distance
-/// from `v` to `first + i`, `u16::MAX` when no surviving path connects
-/// them — `u16::MAX ↔ u32::MAX` is the only difference from the column.
+/// from `v` to `first + i`, the element's `MAX` (`!0`) when no surviving
+/// path connects them — `MAX ↔ u32::MAX` is the only difference from
+/// the column. The row type is the caller's bet on the width: a
+/// `RouteTable` tries `u8`, then `u16`.
+///
+/// Returns whether every level fit: `false` as soon as a router lies
+/// `MAX` hops or more from a destination of the block, the sweep then
+/// stopped and `rows` unspecified. A `u16` row of a graph below
+/// `u16::MAX` routers always fits.
 ///
 /// # Panics
-/// If `rows` is not a whole number (≤ 64) of rows inside the graph, or
-/// the graph is too large for a real distance to stay below `u16::MAX`.
-pub fn masked_distance_block(graph: &Graph, mask: &FaultMask, first: u32, rows: &mut [u16]) {
+/// If `rows` is not a whole number (≤ 64) of rows inside the graph.
+pub fn masked_distance_block<D>(graph: &Graph, mask: &FaultMask, first: u32, rows: &mut [D]) -> bool
+where
+    D: Copy + Default + Not<Output = D> + Into<u32> + TryFrom<u32>,
+{
     let n = graph.n();
-    assert!(n < u16::MAX as usize, "{n} routers overflow u16 distances");
     let dsts = rows.len().checked_div(n).unwrap_or(0);
     assert_eq!(dsts * n, rows.len(), "rows must be whole");
-    rows.fill(u16::MAX);
+    let unreachable = !D::default();
+    rows.fill(unreachable);
     for i in 0..dsts {
-        rows[i * n + first as usize + i] = 0;
+        rows[i * n + first as usize + i] = D::default();
     }
-    sweep_block(graph, mask, first, dsts, |level, v, mut fresh, _| {
+    let last = unreachable.into() - 1;
+    sweep_block(graph, mask, first, dsts, last, |level, v, mut fresh, _| {
+        let Ok(d) = D::try_from(level) else {
+            unreachable!("level {level} past the last one, {last}")
+        };
         while fresh != 0 {
-            rows[fresh.trailing_zeros() as usize * n + v as usize] = level as u16;
+            rows[fresh.trailing_zeros() as usize * n + v as usize] = d;
             fresh &= fresh - 1;
         }
-    });
+    })
 }
 
 /// The minimal-path DAG toward the destinations `first ..
@@ -319,7 +333,7 @@ pub fn masked_distance_block(graph: &Graph, mask: &FaultMask, first: u32, rows: 
 pub fn masked_hop_block(graph: &Graph, mask: &FaultMask, first: u32) -> Vec<u64> {
     let dsts = graph.n().saturating_sub(first as usize).min(64);
     let mut hops = vec![0u64; graph.directed_edge_count()];
-    sweep_block(graph, mask, first, dsts, |_, v, fresh, prev| {
+    sweep_block(graph, mask, first, dsts, u32::MAX, |_, v, fresh, prev| {
         for (e, &u) in graph.edge_range(v).zip(graph.neighbors(v)) {
             if !mask.link_dead(e) {
                 hops[e as usize] |= fresh & prev[u as usize];
@@ -339,13 +353,16 @@ pub fn masked_hop_block(graph: &Graph, mask: &FaultMask, first: u32) -> Vec<u64>
 /// reached at `level ≥ 1` by the destination bits `fresh`, in router
 /// order within a level; `prev[u]` holds the bits that first reached
 /// `u` at `level − 1` (destination `i`'s own bit at level 0).
+/// Returns `false`, and stops, when a router would be reached past
+/// level `last`; `true` once every reachable router is visited.
 fn sweep_block(
     graph: &Graph,
     mask: &FaultMask,
     first: u32,
     dsts: usize,
+    last: u32,
     mut visit: impl FnMut(u32, u32, u64, &[u64]),
-) {
+) -> bool {
     let n = graph.n();
     assert!(
         dsts <= 64 && first as usize + dsts <= n,
@@ -375,6 +392,9 @@ fn sweep_block(
         for (v, (reached, seen)) in next.iter_mut().zip(&mut seen).enumerate() {
             let fresh = std::mem::take(reached) & !*seen;
             if fresh != 0 {
+                if level > last {
+                    return false;
+                }
                 *seen |= fresh;
                 found.push((v as u32, fresh));
                 visit(level, v as u32, fresh, &prev);
@@ -386,6 +406,7 @@ fn sweep_block(
         std::mem::swap(&mut frontier, &mut found);
         found.clear();
     }
+    true
 }
 
 #[cfg(test)]

@@ -270,15 +270,19 @@ proptest! {
         let routers = FaultSet::random_routers(&g, 0.05, seed ^ 0xD1E);
         for faults in [FaultSet::empty(), cables.union(&one_way).union(&routers).union(&stray)] {
             let mask = faults.compile(&g);
-            let mut rows = vec![7u16; n * n];
-            for (block, rows) in rows.chunks_mut(64 * n).enumerate() {
-                masked_distance_block(&g, &mask, block as u32 * 64, rows);
+            // Every distance here is below 255, so both widths fit.
+            let (mut rows, mut bytes) = (vec![7u16; n * n], vec![7u8; n * n]);
+            for (block, (rows, bytes)) in rows.chunks_mut(64 * n).zip(bytes.chunks_mut(64 * n)).enumerate() {
+                prop_assert!(masked_distance_block(&g, &mask, block as u32 * 64, rows));
+                prop_assert!(masked_distance_block(&g, &mask, block as u32 * 64, bytes));
             }
             let mut col = Vec::new();
             for dst in 0..nn {
                 masked_distance_column(&g, &mask, dst, &mut col);
                 let row = rows[dst as usize * n..][..n].iter().map(|&d| if d == u16::MAX { u32::MAX } else { u32::from(d) });
                 prop_assert_eq!(row.collect::<Vec<_>>(), &col[..], "destination {} of {}", dst, n);
+                let row = bytes[dst as usize * n..][..n].iter().map(|&d| if d == u8::MAX { u32::MAX } else { u32::from(d) });
+                prop_assert_eq!(row.collect::<Vec<_>>(), &col[..], "u8 destination {} of {}", dst, n);
             }
         }
     }
