@@ -40,6 +40,10 @@ impl QueryBatch {
     /// A seeded uniform-random batch: `len` queries over `routers`
     /// routers, each asking for `k` alternatives. Deterministic per
     /// (seed, len, routers, k) — the benchmark workload generator.
+    ///
+    /// # Panics
+    ///
+    /// If `routers == 0`: there is no router id to draw.
     pub fn random(len: usize, routers: u32, k: u32, seed: u64) -> Self {
         assert!(routers > 0, "empty topology");
         let mut rng = ChaCha8Rng::seed_from_u64(seed);

@@ -294,6 +294,13 @@ impl FaultMask {
         bit(&self.router, r)
     }
 
+    /// Whether the mask fails nothing: the bitless
+    /// [`FaultMask::default`], which every fault set that names no edge
+    /// or router of the graph compiles to.
+    pub fn is_empty(&self) -> bool {
+        *self == FaultMask::default()
+    }
+
     /// Whether no fault of the set is one-directional on this graph:
     /// the port and distance relations coincide.
     pub fn is_symmetric(&self) -> bool {
@@ -575,6 +582,8 @@ mod tests {
             FaultMask::default(),
             "nothing of `g` failed"
         );
+        assert!(stray.compile(&g).is_empty() && !stray.is_empty());
+        assert!(!mask.is_empty());
         assert!(!mask.is_symmetric(), "4 → 3 is down, 3 → 4 is not");
         for u in 0..9 {
             assert_eq!(mask.router_dead(u), f.router_failed(u), "router {u}");
