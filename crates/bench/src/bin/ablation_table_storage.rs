@@ -5,6 +5,7 @@
 use bench::{table3_network, TABLE3_KEYS};
 use polarstar::design::{best_config, best_config_with};
 use polarstar::network::PolarStarNetwork;
+use polarstar::routing::AnalyticRouter;
 use polarstar_analysis::pathdiversity::path_diversity;
 
 fn main() {
@@ -19,21 +20,16 @@ fn main() {
             pd.geomean
         );
     }
-    // PolarStar's analytic alternative: middles over the structure graph
-    // plus the supernode adjacency — per §9.2.
+    // PolarStar's analytic alternative (§9.2): the router's whole
+    // factor-graph state, as it reports it.
     for (label, cfg) in [
         ("PS-IQ", best_config(15).unwrap()),
         ("PS-Pal", best_config_with(15, false).unwrap()),
     ] {
-        let net = PolarStarNetwork::build(cfg, 1).unwrap();
-        let n_struct = net.config.structure_order();
-        // Upper bound: one middle per ordered structure pair plus the
-        // supernode adjacency and f.
-        let analytic_entries =
-            n_struct * n_struct + net.supernode.graph.m() * 2 + net.supernode.order();
+        let router = AnalyticRouter::new(PolarStarNetwork::build(cfg, 1).unwrap());
         eprintln!(
-            "# {label}: analytic routing state ≈ {analytic_entries} entries \
-             (vs full table above)"
+            "# {label}: analytic routing state {} bytes (vs full table above)",
+            router.memory_bytes()
         );
     }
 }

@@ -1,9 +1,9 @@
 //! Analytic minimal-path computation for PolarStar (§9.2).
 //!
 //! Routers store only factor-graph state — the structure graph's
-//! adjacency and 2-path middles, the supernode adjacency, and the
-//! bijection f — instead of a per-destination routing table. Two things
-//! are computed from that state:
+//! adjacency and 𝔽_q tables for its 2-path middles, the supernode
+//! adjacency, and the bijection f — instead of a per-destination routing
+//! table. Two things are computed from that state:
 //!
 //! * **the distance kernel**, [`AnalyticRouter::distance`]: 1 iff the
 //!   routers are product-adjacent, 2 iff a 2-hop template hits, 3
@@ -31,18 +31,20 @@
 //! `distance` and `within` probes are not counted, so a serving
 //! workload that never asks for a whole path reads 0.
 //!
-//! Storage: one flat CSR of O(|V(G)|²) middles (Property R gives each
-//! ordered structure pair one middle) + O(|V(G')|) for f⁻¹ — for
-//! Table 3's PS-IQ that is ~18 K entries, versus ~1 M entries for a
-//! full per-destination next-hop table (§9.3's comparison with SF/BF) —
-//! plus one adjacency bit row per factor vertex, ⌈|V|/64⌉ words each,
-//! so every adjacency test is one word read: 133 × 3 + 8 × 1 words
-//! (3.3 KB) on PS-IQ, 40 KB at radix 32 and 454 KB at radix 64, where
-//! the middle offsets alone take 14 MB.
+//! Storage: one adjacency bit row per factor vertex, ⌈|V|/64⌉ words
+//! each, so every adjacency test is one word read — 133 × 3 + 8 × 1
+//! words (3.3 KB) on PS-IQ, 40 KB at radix 32, 454 KB at radix 64 and
+//! 6.1 MB at radix 128 — plus O(|V(G')|) for f⁻¹ and the 4 · (2q² + q)
+//! bytes of field tables behind [`ErGraph::middle`]. No middle is
+//! stored: ER_q is the polarity graph of PG(2, q), so distinct structure
+//! vertices x, y have exactly one 2-walk middle, the point x × y
+//! (Property R). PS-IQ's whole state is 4.4 KB, versus ~1 M entries for
+//! a full per-destination next-hop table (§9.3's comparison with SF/BF).
+//!
+//! [`ErGraph::middle`]: polarstar_topo::er::ErGraph::middle
 
 use crate::network::PolarStarNetwork;
 use polarstar_graph::Graph;
-use polarstar_topo::er::ErGraph;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -51,7 +53,7 @@ use std::sync::Arc;
 /// Owns its network behind an [`Arc`], so it can be embedded in
 /// long-lived serving structures (oracles, epoch swappers) without
 /// self-referential lifetimes; cloning the `Arc` before construction is
-/// cheap relative to the middle-list precompute.
+/// cheap relative to the bit-row precompute.
 ///
 /// ```
 /// use polarstar::{design::best_config, network::PolarStarNetwork};
@@ -65,11 +67,6 @@ use std::sync::Arc;
 /// ```
 pub struct AnalyticRouter {
     net: Arc<PolarStarNetwork>,
-    /// Flat CSR over ordered structure pairs: cell `x·n + y` lists the
-    /// structure vertices w completing a ≤2-path x–w–y, where w == x or
-    /// w == y encodes a self-loop hop at a quadric vertex.
-    middle_off: Vec<u32>,
-    middle: Vec<u32>,
     /// Inverse of the supernode bijection.
     finv: Vec<u32>,
     /// Adjacency bit rows of the structure graph and of the supernode.
@@ -128,54 +125,10 @@ fn out_of_range(s: u32, t: u32, n: usize) -> ! {
     panic!("AnalyticRouter: router id out of range ({s}, {t}) for {n} routers")
 }
 
-/// The middle lists of every ordered structure pair as one CSR
-/// (`off`, `mid`). Per-cell order: common neighbors ascending, then the
-/// self-loop markers x, y (Theorem 1: if x is quadric and adjacent to
-/// y, the walk x–x–y exists; likewise at y).
-fn flat_middles(er: &ErGraph) -> (Vec<u32>, Vec<u32>) {
-    let g = &er.graph;
-    let n = g.n();
-    // Every (cell, middle) in per-cell order. Common neighbors come from
-    // the neighbor pairs of each w — Σ deg² visits instead of n² merges.
-    let for_each = |visit: &mut dyn FnMut(usize, u32)| {
-        for w in 0..n as u32 {
-            for &x in g.neighbors(w) {
-                for &y in g.neighbors(w) {
-                    if x != y {
-                        visit(x as usize * n + y as usize, w);
-                    }
-                }
-            }
-        }
-        for x in 0..n as u32 {
-            for &y in g.neighbors(x) {
-                for end in [x, y] {
-                    if er.quadric[end as usize] {
-                        visit(x as usize * n + y as usize, end);
-                    }
-                }
-            }
-        }
-    };
-    let mut off = vec![0u32; n * n + 1];
-    for_each(&mut |cell, _| off[cell + 1] += 1);
-    for cell in 0..n * n {
-        off[cell + 1] += off[cell];
-    }
-    let mut mid = vec![0u32; off[n * n] as usize];
-    let mut next = off.clone();
-    for_each(&mut |cell, w| {
-        mid[next[cell] as usize] = w;
-        next[cell] += 1;
-    });
-    (off, mid)
-}
-
 impl AnalyticRouter {
-    /// Precompute middle lists and f⁻¹.
+    /// Precompute f⁻¹ and the factors' adjacency bit rows.
     pub fn new(net: impl Into<Arc<PolarStarNetwork>>) -> Self {
         let net = net.into();
-        let (middle_off, middle) = flat_middles(&net.er);
         let f = &net.supernode.f;
         let mut finv = vec![0u32; f.len()];
         for (a, &b) in f.iter().enumerate() {
@@ -185,8 +138,6 @@ impl AnalyticRouter {
             structure_adj: AdjRows::new(&net.er.graph),
             supernode_adj: AdjRows::new(&net.supernode.graph),
             net,
-            middle_off,
-            middle,
             finv,
             route_count: AtomicU64::new(0),
         }
@@ -211,16 +162,19 @@ impl AnalyticRouter {
         self.route_count.load(Ordering::Relaxed)
     }
 
-    /// Resident bytes of the factor-graph routing state (flat middle
-    /// lists, f⁻¹, the two factors' adjacency bit rows) — the whole
-    /// per-router storage cost of analytic routing, compared against
-    /// `RouteTable::memory_bytes` in the scale benches.
+    /// Resident bytes of the factor-graph routing state (f⁻¹, the two
+    /// factors' adjacency bit rows, the structure graph's field tables
+    /// behind [`ErGraph::middle`]) — the whole per-router storage cost of
+    /// analytic routing, compared against `RouteTable::memory_bytes` in
+    /// the scale benches.
+    ///
+    /// [`ErGraph::middle`]: polarstar_topo::er::ErGraph::middle
     pub fn memory_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
-            + (self.middle_off.capacity() + self.middle.capacity() + self.finv.capacity())
-                * std::mem::size_of::<u32>()
+            + self.finv.capacity() * std::mem::size_of::<u32>()
             + (self.structure_adj.bits.capacity() + self.supernode_adj.bits.capacity())
                 * std::mem::size_of::<u64>()
+            + self.net.er.table_bytes()
     }
 
     /// Whether structure vertices `x` and `y` are adjacent, as the
@@ -249,13 +203,6 @@ impl AnalyticRouter {
             out_of_range(s, t, self.structure_adj.n * self.supernode_adj.n);
         }
         ((x, net.local_of(s)), (y, net.local_of(t)))
-    }
-
-    /// Structure vertices completing a ≤2-path x–w–y (see `middle_off`).
-    #[inline]
-    fn middles(&self, x: u32, y: u32) -> &[u32] {
-        let cell = x as usize * self.net.er.graph.n() + y as usize;
-        &self.middle[self.middle_off[cell] as usize..self.middle_off[cell + 1] as usize]
     }
 
     /// Supernode coordinate after crossing the structure edge `x → y`
@@ -434,20 +381,18 @@ impl AnalyticRouter {
                 return Some(net.router_id(y, mid));
             }
         }
-        // Alternating path through a middle supernode (case (a); also the
-        // only way two non-adjacent supernodes can be 2 apart).
-        for &w in self.middles(x, y) {
-            for h1 in self.hop_locals(x, w, xp) {
-                if self.hop_locals(w, y, h1).any(|h2| h2 == yp) {
-                    // For a self-loop middle (w == x or w == y) the
-                    // intermediate router sits in the looping copy.
-                    if (w, h1) != (x, xp) && (w, h1) != (y, yp) {
-                        return Some(net.router_id(w, h1));
-                    }
-                }
-            }
-        }
-        None
+        // Alternating path through the one middle supernode w = x × y
+        // (case (a); also the only way two non-adjacent supernodes can be
+        // 2 apart). w == x or w == y is a self-loop hop at that quadric
+        // vertex, and the intermediate router sits in the looping copy.
+        let w = net.er.middle(x, y);
+        self.hop_locals(x, w, xp)
+            .find(|&h1| {
+                self.hop_locals(w, y, h1).any(|h2| h2 == yp)
+                    && (w, h1) != (x, xp)
+                    && (w, h1) != (y, yp)
+            })
+            .map(|h1| net.router_id(w, h1))
     }
 }
 
@@ -606,30 +551,6 @@ mod tests {
     }
 
     #[test]
-    fn flat_middles_keep_the_merge_order() {
-        // Reference: the per-cell sorted merge the CSR replaced.
-        for q in [2, 3, 4, 5, 7] {
-            let er = ErGraph::new(q).unwrap();
-            let (g, n) = (&er.graph, er.graph.n() as u32);
-            let (off, mid) = flat_middles(&er);
-            for x in 0..n {
-                for y in 0..n {
-                    let mut want: Vec<u32> = Vec::new();
-                    if x != y {
-                        want.extend(g.neighbors(x).iter().filter(|&&w| g.has_edge(w, y)));
-                        if g.has_edge(x, y) {
-                            want.extend([x, y].into_iter().filter(|&e| er.quadric[e as usize]));
-                        }
-                    }
-                    let cell = (x * n + y) as usize;
-                    let got = &mid[off[cell] as usize..off[cell + 1] as usize];
-                    assert_eq!(got, want, "ER_{q} cell ({x}, {y})");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn incremental_next_hop_is_consistent() {
         // §9.2: "amenable to incremental routing and therefore, suitable
         // for destination-based routing" — following next_hop from every
@@ -657,13 +578,20 @@ mod tests {
 
     #[test]
     fn route_storage_is_factor_sized() {
-        // The paper's §9.3 point: analytic routing needs structure-graph
-        // middles, not per-destination tables. Middle lists are O(n²) in
-        // the *structure* order, far below router-count × degree.
-        let cfg = best_config(15).unwrap();
-        let net = PolarStarNetwork::build(cfg, 1).unwrap();
-        let n_struct = net.config.structure_order();
-        let table_entries = net.spec.routers() * net.spec.routers();
-        assert!(n_struct * n_struct * 4 < table_entries / 10);
+        // The paper's §9.3 point: analytic routing needs factor-graph
+        // state, not per-destination tables. The whole state is the two
+        // factors' bit rows, f⁻¹ and ER_q's field tables; no structure
+        // pair stores a middle.
+        for (d, want) in [(15, 4_420), (32, 44_476)] {
+            let net = PolarStarNetwork::build(best_config(d).unwrap(), 1).unwrap();
+            let router = AnalyticRouter::new(net.clone());
+            let (n_s, n_l) = (net.er.order(), net.supernode.order());
+            let q = net.er.q as usize;
+            let rows = n_s * n_s.div_ceil(64) + n_l * n_l.div_ceil(64);
+            let bytes =
+                std::mem::size_of::<AnalyticRouter>() + 8 * rows + 4 * n_l + 4 * (2 * q * q + q);
+            assert_eq!(router.memory_bytes(), bytes, "radix {d}");
+            assert_eq!(router.memory_bytes(), want, "radix {d}");
+        }
     }
 }

@@ -5,9 +5,10 @@
 //! a distance arena that costs O(n²) bytes to hold and a block BFS over
 //! every destination to reassemble on every fault epoch that changes the
 //! mask. The analytic backend
-//! keeps only factor-graph state (the [`AnalyticRouter`]'s flat middle
-//! lists, adjacency bit rows and bijection) plus the current [`FaultSet`], and resolves each
-//! query once, in one of three [`Regime`]s:
+//! keeps only factor-graph state (the [`AnalyticRouter`]'s adjacency bit
+//! rows, bijection and the 𝔽_q tables that give each structure pair its
+//! one middle) plus the current [`FaultSet`], and resolves each query
+//! once, in one of three [`Regime`]s:
 //!
 //! * **pristine** (no faults): the distance is one probe of the
 //!   router's allocation-free distance kernel; the minimal next hops of
@@ -255,9 +256,9 @@ impl AnalyticOracle {
         &self.faults
     }
 
-    /// Resident bytes of the routing state (factor-graph middles, the
-    /// fault set and its compiled mask) — the table-free counterpart
-    /// of `RouteTable::memory_bytes`.
+    /// Resident bytes of the routing state (the router's factor-graph
+    /// state, the fault set and its compiled mask) — the table-free
+    /// counterpart of `RouteTable::memory_bytes`.
     pub fn memory_bytes(&self) -> usize {
         self.router.memory_bytes()
             + std::mem::size_of_val(self.faults.failed_links())

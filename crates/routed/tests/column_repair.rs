@@ -8,11 +8,13 @@
 //! [`FaultSet::degraded_graph`] — on an Inductive-Quad and a Paley
 //! PolarStar, for cut cables from 0.1 % to 50 % of the links, one-way
 //! link faults, failed routers, a failed destination, and fault entries
-//! that name no edge (or no router) of the graph, alone and mixed. The
-//! escalated query regime reads its answer off the same repaired
-//! column, so its distance, ports and `k_paths` are pinned against a
-//! re-masked `RouteTable`. CI runs this file at `RAYON_NUM_THREADS=1`
-//! and `=4`.
+//! that name no edge (or no router) of the graph, alone and mixed. An
+//! escalated query whose degraded distance is `d + 2` or more (`d` the
+//! pristine one) reads its answer off the same repaired column; one at
+//! `d + 1` is answered by the walk with one hop of slack and never
+//! builds it. Either way its distance, ports and `k_paths` are pinned
+//! against a re-masked `RouteTable`. CI runs this file at
+//! `RAYON_NUM_THREADS=1` and `=4`.
 
 use polarstar::design::{best_config, PolarStarConfig, SupernodeKind};
 use polarstar::network::PolarStarNetwork;

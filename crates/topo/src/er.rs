@@ -31,6 +31,12 @@ pub struct ErGraph {
     pub quadric: Vec<bool>,
     /// The field order q.
     pub q: u64,
+    /// 𝔽_q tables behind [`ErGraph::middle`], elements as `Gf` indices:
+    /// `mul[a·q + b] = a·b`, `sub[a·q + b] = a − b`, `inv[a] = a⁻¹`
+    /// (`inv[0]` unused).
+    mul: Vec<u32>,
+    sub: Vec<u32>,
+    inv: Vec<u32>,
 }
 
 impl ErGraph {
@@ -56,11 +62,17 @@ impl ErGraph {
                 }
             }
         }
+        let table = |op: &dyn Fn(u64, u64) -> u64| -> Vec<u32> {
+            (0..q * q).map(|ab| op(ab / q, ab % q) as u32).collect()
+        };
         Ok(ErGraph {
             graph: b.build(),
             points,
             quadric,
             q,
+            mul: table(&|a, b| f.mul(a, b)),
+            sub: table(&|a, b| f.sub(a, b)),
+            inv: (0..q).map(|a| f.inv(a).unwrap_or(0) as u32).collect(),
         })
     }
 
@@ -82,65 +94,82 @@ impl ErGraph {
             .collect()
     }
 
+    /// The one 2-walk middle of distinct points `x` and `y` in the
+    /// graph-with-self-loops: the point x × y, orthogonal to both. It is
+    /// their one common neighbor, unless one of them is quadric and
+    /// adjacent to the other; then it is that quadric endpoint, and the
+    /// walk takes its self-loop (two quadric points are never adjacent).
+    /// O(1): the cross product from the field tables, then the
+    /// left-normalized point's index in `projective_points`' order —
+    /// (1, a, b) ↦ a·q + b, (0, 1, b) ↦ q² + b, (0, 0, 1) ↦ q² + q.
+    ///
+    /// # Panics
+    /// If `x == y` (x × x names no point) or either id is not a vertex.
+    #[inline]
+    pub fn middle(&self, x: u32, y: u32) -> u32 {
+        let n = self.points.len();
+        if x == y || x.max(y) as usize >= n {
+            bad_middle(x, y, n);
+        }
+        let q = self.q as usize;
+        let [u, v] = [x, y].map(|p| self.points[p as usize].map(|c| c as usize));
+        let mul = |a: usize, b: usize| self.mul[a * q + b] as usize;
+        let det = |i: usize, j: usize| self.sub[mul(u[i], v[j]) * q + mul(u[j], v[i])] as usize;
+        let w = [det(1, 2), det(2, 0), det(0, 1)];
+        let scaled = |lead: usize, c: usize| mul(c, self.inv[lead] as usize);
+        (if w[0] != 0 {
+            scaled(w[0], w[1]) * q + scaled(w[0], w[2])
+        } else if w[1] != 0 {
+            q * q + scaled(w[1], w[2])
+        } else {
+            q * q + q
+        }) as u32
+    }
+
+    /// Resident bytes of the field tables behind [`ErGraph::middle`]:
+    /// 4 · (2q² + q).
+    pub fn table_bytes(&self) -> usize {
+        (self.mul.capacity() + self.sub.capacity() + self.inv.capacity())
+            * std::mem::size_of::<u32>()
+    }
+
     /// Witness for Property R: a path of length exactly 2 between `x` and
     /// `y` where self-loops may participate (Theorem 1). Returns the
     /// middle vertex `w`; when the 2-path uses a self-loop, `w == x` or
-    /// `w == y` (and that endpoint is quadric).
-    ///
-    /// The middle vertex is the cross product x × y, which is orthogonal
-    /// to both; for adjacent or equal pairs a valid middle still exists.
+    /// `w == y` (and that endpoint is quadric). For distinct points that
+    /// is [`ErGraph::middle`]; for `x == y` any neighbor works. `None`
+    /// for an id that is not a vertex.
     pub fn r_path_middle(&self, x: u32, y: u32) -> Option<u32> {
-        let f = Gf::new(self.q).ok()?;
-        let u = self.points[x as usize];
-        let v = self.points[y as usize];
-        if x == y {
+        if x.max(y) as usize >= self.order() {
+            None
+        } else if x == y {
             // Any neighbor works: x–w–x is a 2-path (w adjacent to x).
-            return self.graph.neighbors(x).first().copied();
+            self.graph.neighbors(x).first().copied()
+        } else {
+            Some(self.middle(x, y))
         }
-        let w = cross3(&f, u, v);
-        if w == [0, 0, 0] {
-            // x and y are projectively equal — impossible for distinct
-            // normalized points.
-            return None;
-        }
-        let wn = normalize(&f, w)?;
-        self.points.iter().position(|&p| p == wn).map(|i| i as u32)
     }
 
     /// Check Property R directly: every (ordered) vertex pair is joined by
-    /// a length-2 walk in the graph-with-self-loops. Exposed for tests and
-    /// the design-space validator.
+    /// a length-2 walk in the graph-with-self-loops, the one
+    /// [`ErGraph::r_path_middle`] names. Exposed for tests and the
+    /// design-space validator. O(q⁴ log q).
     pub fn has_property_r(&self) -> bool {
-        let f = match Gf::new(self.q) {
-            Ok(f) => f,
-            Err(_) => return false,
-        };
-        let n = self.graph.n() as u32;
-        for x in 0..n {
-            for y in x..n {
-                if !self.check_r_pair(&f, x, y) {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
-    fn check_r_pair(&self, f: &Gf, x: u32, y: u32) -> bool {
-        let middle = match self.r_path_middle(x, y) {
-            Some(m) => m,
-            None => return false,
-        };
-        // Validate the walk x ~ middle ~ y where hops may be self-loops at
-        // quadric vertices.
-        let hop_ok = |a: u32, b: u32| {
+        // A hop of the walk: an edge, or the self-loop of a quadric vertex.
+        let hop = |a: u32, b: u32| {
             if a == b {
                 self.quadric[a as usize]
             } else {
-                f.dot3(self.points[a as usize], self.points[b as usize]) == 0
+                self.graph.has_edge(a, b)
             }
         };
-        hop_ok(x, middle) && hop_ok(middle, y)
+        let n = self.order() as u32;
+        (0..n).all(|x| {
+            (x..n).all(|y| {
+                self.r_path_middle(x, y)
+                    .is_some_and(|m| hop(x, m) && hop(m, y))
+            })
+        })
     }
 }
 
@@ -160,21 +189,12 @@ fn projective_points(f: &Gf) -> Vec<[u64; 3]> {
     pts
 }
 
-/// Cross product over 𝔽_q.
-fn cross3(f: &Gf, u: [u64; 3], v: [u64; 3]) -> [u64; 3] {
-    [
-        f.sub(f.mul(u[1], v[2]), f.mul(u[2], v[1])),
-        f.sub(f.mul(u[2], v[0]), f.mul(u[0], v[2])),
-        f.sub(f.mul(u[0], v[1]), f.mul(u[1], v[0])),
-    ]
-}
-
-/// Left-normalize a vector (leading nonzero coordinate = 1). `None` for
-/// the zero vector, which names no projective point.
-fn normalize(f: &Gf, v: [u64; 3]) -> Option<[u64; 3]> {
-    let lead = v.iter().copied().find(|&c| c != 0)?;
-    let inv = f.inv(lead)?;
-    Some([f.mul(v[0], inv), f.mul(v[1], inv), f.mul(v[2], inv)])
+/// `middle`'s refusal of a pair that names no point, kept out of line
+/// so the check is one compare and a branch.
+#[cold]
+#[inline(never)]
+fn bad_middle(x: u32, y: u32, n: usize) -> ! {
+    panic!("ErGraph::middle: needs two distinct vertices of {n}, got ({x}, {y})")
 }
 
 #[cfg(test)]
@@ -209,7 +229,7 @@ mod tests {
 
     #[test]
     fn property_r_holds() {
-        for q in [2u64, 3, 4, 5, 7] {
+        for q in polarstar_gf::primes::prime_powers_in(2, 32) {
             let er = ErGraph::new(q).unwrap();
             assert!(er.has_property_r(), "ER_{q} must satisfy Property R");
         }
@@ -217,22 +237,55 @@ mod tests {
 
     #[test]
     fn r_path_middles_are_valid_even_for_adjacent_pairs() {
-        let er = ErGraph::new(5).unwrap();
-        let f = Gf::new(5).unwrap();
-        let n = er.order() as u32;
-        for x in 0..n {
-            for y in 0..n {
-                let m = er.r_path_middle(x, y).expect("middle exists");
-                let hop_ok = |a: u32, b: u32| {
-                    if a == b {
-                        er.quadric[a as usize]
-                    } else {
-                        f.dot3(er.points[a as usize], er.points[b as usize]) == 0
+        // Reference for `middle`: the brute-force cell of every ordered
+        // distinct pair — common neighbors ascending, then, for an
+        // adjacent pair, the endpoints whose self-loop completes x–w–y.
+        for q in [2u64, 3, 4, 5, 7, 8, 9] {
+            let er = ErGraph::new(q).unwrap();
+            let f = Gf::new(q).unwrap();
+            let (g, n) = (&er.graph, er.order() as u32);
+            let hop_ok = |a: u32, b: u32| {
+                if a == b {
+                    er.quadric[a as usize]
+                } else {
+                    f.dot3(er.points[a as usize], er.points[b as usize]) == 0
+                }
+            };
+            for x in 0..n {
+                for y in 0..n {
+                    let m = er.r_path_middle(x, y).expect("middle exists");
+                    assert!(
+                        hop_ok(x, m) && hop_ok(m, y),
+                        "ER_{q}: bad R-path {x}-{m}-{y}"
+                    );
+                    if x == y {
+                        continue;
                     }
-                };
-                assert!(hop_ok(x, m) && hop_ok(m, y), "bad R-path {x}-{m}-{y}");
+                    let mut cell: Vec<u32> = (0..n)
+                        .filter(|&w| g.has_edge(x, w) && g.has_edge(w, y))
+                        .collect();
+                    if g.has_edge(x, y) {
+                        cell.extend([x, y].into_iter().filter(|&e| er.quadric[e as usize]));
+                    }
+                    assert_eq!(cell, [er.middle(x, y)], "ER_{q} cell ({x}, {y})");
+                }
             }
         }
+    }
+
+    #[test]
+    fn pairs_naming_no_point_are_refused() {
+        let er = ErGraph::new(5).unwrap();
+        let n = er.order() as u32;
+        for (x, y) in [(3, 3), (0, n), (n + 2, 1)] {
+            let err = std::panic::catch_unwind(|| er.middle(x, y))
+                .expect_err("middle must refuse a pair naming no point");
+            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(msg.contains(&format!("({x}, {y})")), "{msg}");
+        }
+        assert_eq!(er.r_path_middle(0, n), None);
+        assert_eq!(er.r_path_middle(n, n), None);
+        assert!(er.r_path_middle(n - 1, n - 1).is_some());
     }
 
     #[test]
