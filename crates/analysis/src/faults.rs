@@ -14,7 +14,7 @@
 
 use polarstar_graph::csr::{Graph, VertexId};
 use polarstar_graph::traversal;
-use polarstar_topo::fault::FaultSet;
+use polarstar_topo::fault::{FaultMask, FaultSet};
 use rayon::prelude::*;
 
 /// Metrics at one failure level.
@@ -59,8 +59,8 @@ pub fn fault_trajectory(
     let mut disconnection = 1.0;
     let mut frac = 0.0;
     loop {
-        let h = FaultSet::random_links(g, frac, seed).degraded_graph(g);
-        let (diam, apl, connected) = restricted_metrics(&h, relevant, max_sources);
+        let mask = FaultSet::random_links(g, frac, seed).compile(g);
+        let (diam, apl, connected) = masked_metrics(g, &mask, relevant, max_sources);
         steps.push(FaultStep {
             failed_fraction: frac,
             diameter: diam,
@@ -85,44 +85,62 @@ pub fn fault_trajectory(
 /// Diameter / APL restricted to `relevant` pairs, sampling up to
 /// `max_sources` BFS sources for tractability; `connected` is exact over
 /// the sampled sources.
+///
+/// # Panics
+/// If a relevant id is not a vertex of `g`.
 pub fn restricted_metrics(
     g: &Graph,
     relevant: &[VertexId],
     max_sources: usize,
 ) -> (Option<u32>, Option<f64>, bool) {
+    masked_metrics(g, &FaultMask::default(), relevant, max_sources)
+}
+
+/// [`restricted_metrics`] over `g` minus the cables `mask` takes out of
+/// the distance relation: the sampled sources swept 64 at a time, blocks
+/// in parallel. Diameter, distance sum and pair count are integers, so
+/// the result is the same at any width and equal to one BFS per source
+/// over the degraded graph.
+fn masked_metrics(
+    g: &Graph,
+    mask: &FaultMask,
+    relevant: &[VertexId],
+    max_sources: usize,
+) -> (Option<u32>, Option<f64>, bool) {
+    let n = g.n();
+    // How often each router is listed: a pair counts once per listing.
+    let mut weight = vec![0u64; n];
+    for &t in relevant {
+        assert!((t as usize) < n, "relevant {t} not in a {n}-router graph");
+        weight[t as usize] += 1;
+    }
     let stride = (relevant.len() / max_sources.max(1)).max(1);
     let sources: Vec<VertexId> = relevant.iter().copied().step_by(stride).collect();
-    let per: Vec<(u32, u64, u64, bool)> = sources
-        .par_iter()
-        .map(|&s| {
-            let dist = traversal::bfs_distances(g, s);
-            let mut dmax = 0u32;
-            let mut sum = 0u64;
-            let mut cnt = 0u64;
-            let mut ok = true;
-            for &t in relevant {
-                if t == s {
-                    continue;
-                }
-                let d = dist[t as usize];
-                if d == traversal::UNREACHABLE {
-                    ok = false;
-                } else {
+    let blocks: Vec<&[VertexId]> = sources.chunks(64).collect();
+    let (dmax, total, count) = blocks
+        .into_par_iter()
+        .map(|block| {
+            let (mut dmax, mut sum, mut cnt) = (0u32, 0u64, 0u64);
+            let live = |_, e, _| !mask.edge_dead(e);
+            traversal::sweep_block(g, block, &[], u32::MAX, live, |d, v, fresh, _| {
+                let pairs = weight[v as usize] * u64::from(fresh.count_ones());
+                if pairs > 0 {
                     dmax = dmax.max(d);
-                    sum += d as u64;
-                    cnt += 1;
+                    sum += pairs * u64::from(d);
+                    cnt += pairs;
                 }
-            }
-            (dmax, sum, cnt, ok)
+            });
+            (dmax, sum, cnt)
         })
-        .collect();
-    let connected = per.iter().all(|p| p.3);
-    let dmax = per.iter().map(|p| p.0).max().unwrap_or(0);
-    let total: u64 = per.iter().map(|p| p.1).sum();
-    let count: u64 = per.iter().map(|p| p.2).sum();
+        .reduce(|| (0, 0, 0), |a, b| (a.0.max(b.0), a.1 + b.1, a.2 + b.2));
+    // Every relevant router other than the source itself, per source.
+    let pairs: u64 = sources
+        .iter()
+        .map(|&s| relevant.len() as u64 - weight[s as usize])
+        .sum();
     let diam = (count > 0).then_some(dmax);
     let apl = (count > 0).then(|| total as f64 / count as f64);
-    (diam, apl, connected)
+    (diam, apl, count == pairs)
 }
 
 /// Run `trials` trajectories and return the one with the median
@@ -172,6 +190,43 @@ mod tests {
         let (diam, _, connected) = restricted_metrics(&g, &[0, 1], 2);
         assert!(connected);
         assert_eq!(diam, Some(1));
+    }
+
+    #[test]
+    fn masked_metrics_equal_one_bfs_per_source_on_the_degraded_graph() {
+        // 150 routers, 130 relevant (one listed twice), 70 sources: two
+        // blocks, under link failures heavy enough to disconnect.
+        let g = polarstar_graph::random::random_regular(150, 3, 5).unwrap();
+        let mut relevant: Vec<u32> = (10..140).collect();
+        relevant.push(17);
+        for frac in [0.0, 0.1, 0.3] {
+            let faults = FaultSet::random_links(&g, frac, 9);
+            let h = faults.degraded_graph(&g);
+            let stride = (relevant.len() / 70).max(1);
+            let (mut dmax, mut sum, mut cnt, mut ok) = (0, 0u64, 0u64, true);
+            for &s in relevant.iter().step_by(stride) {
+                let dist = traversal::bfs_distances(&h, s);
+                for &t in relevant.iter().filter(|&&t| t != s) {
+                    match dist[t as usize] {
+                        traversal::UNREACHABLE => ok = false,
+                        d => (dmax, sum, cnt) = (dmax.max(d), sum + u64::from(d), cnt + 1),
+                    }
+                }
+            }
+            let want = (
+                (cnt > 0).then_some(dmax),
+                (cnt > 0).then(|| sum as f64 / cnt as f64),
+                ok,
+            );
+            let got = masked_metrics(&g, &faults.compile(&g), &relevant, 70);
+            assert_eq!(got, want, "{frac}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "relevant 12 not in a 10-router graph")]
+    fn a_relevant_id_past_the_graph_is_named() {
+        restricted_metrics(&Graph::cycle(10), &[0, 12], 2);
     }
 
     #[test]

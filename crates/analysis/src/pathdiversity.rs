@@ -62,19 +62,10 @@ pub fn path_diversity(g: &Graph) -> PathDiversity {
                 }
                 a.dist_sum[d] += c as f64;
                 a.dist_cnt[d] += 1;
-                // First hops on minimal paths from s toward t: neighbors
-                // u of s with dist(u→t)... counted from the t side below
-                // would need a second pass; use the s-rooted tree: the
-                // number of minimal first hops equals the number of
-                // neighbors u of t with dist[u] + 1 == dist[t] counted
-                // from s — i.e. table entries at EVERY router toward t.
             }
-            // Table entries: for each destination t, each router r stores
-            // its minimal ports; summed over r, that is the number of
-            // (r, u) pairs with dist_s... computed per-source instead:
-            // entries toward destination s = Σ_r |{u ∈ N(r):
-            // dist[u]+1 == dist[r]}| over this BFS from s (distances to
-            // s by symmetry).
+            // `table_entries` toward destination s (distances to s by
+            // symmetry): every router's minimal ports, the (r, u ∈ N(r))
+            // with dist[u] + 1 == dist[r].
             for r in 0..n as VertexId {
                 if dist[r as usize] == u32::MAX || r == s {
                     continue;

@@ -2,7 +2,9 @@
 //! one topology) and check what only the process boundary shows: exit
 //! status, CSV header and row count, that `--metrics-dir` wrote
 //! parseable manifests with the keys their readers look for, and that a
-//! mistyped command line is a usage error before any work starts.
+//! mistyped command line is a usage error before any work starts —
+//! and, where the output is cheap to make, that it is the committed
+//! `results/` CSV byte for byte, or the same at any rayon width.
 //!
 //! The sweeps are too slow unoptimised, so all but the usage test run
 //! under `cargo test --release` only.
@@ -333,6 +335,38 @@ fn fig11_quick_rows_do_not_depend_on_the_rayon_width() {
     let narrow = run(fig11, &args, Some("1"));
     csv(&narrow, bench::motif_sweep::SWEEP_HEADER, 5); // 2 modes × 2 motifs
     assert_eq!(narrow.stdout, run(fig11, &args, Some("4")).stdout);
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "runs the quick sweeps; use --release")]
+fn table3_and_channel_load_print_the_committed_csvs() {
+    let results = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    for (exe, file) in [
+        (env!("CARGO_BIN_EXE_table3_configs"), "table3_configs.csv"),
+        (
+            env!("CARGO_BIN_EXE_ablation_channel_load"),
+            "ablation_channel_load.csv",
+        ),
+    ] {
+        let out = run(exe, &[], None);
+        assert!(out.status.success(), "{exe}: {:?}", out.status);
+        let committed = std::fs::read(results.join(file)).expect("committed CSV");
+        assert!(
+            out.stdout == committed,
+            "{exe} no longer prints results/{file}:\n{}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+    }
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "runs the quick sweeps; use --release")]
+fn fig14_quick_rows_do_not_depend_on_the_rayon_width() {
+    let fig14 = env!("CARGO_BIN_EXE_fig14_fault_tolerance");
+    let narrow = run(fig14, &["--quick"], Some("1"));
+    assert!(narrow.status.success(), "{:?}", narrow.status);
+    assert!(!narrow.stdout.is_empty());
+    assert_eq!(narrow.stdout, run(fig14, &["--quick"], Some("4")).stdout);
 }
 
 #[test]

@@ -64,6 +64,42 @@ proptest! {
     }
 
     #[test]
+    fn block_swept_metrics_equal_one_bfs_per_vertex(
+        n in 1usize..150,
+        edges in prop::collection::vec((0u32..150, 0u32..150), 0..300),
+    ) {
+        // Several 64-source blocks, often disconnected: the histogram
+        // metrics against the scalar BFS from every vertex.
+        let edges: Vec<(u32, u32)> =
+            edges.into_iter().filter(|&(u, v)| (u as usize) < n && (v as usize) < n).collect();
+        let g = Graph::from_edges(n, &edges);
+        let mut hist: Vec<u64> = Vec::new();
+        let (mut sum, mut count, mut connected) = (0u64, 0u64, true);
+        for u in 0..n as u32 {
+            for (v, &d) in traversal::bfs_distances(&g, u).iter().enumerate() {
+                if d == traversal::UNREACHABLE {
+                    connected = false;
+                } else if v as u32 != u {
+                    sum += u64::from(d);
+                    count += 1;
+                    if (v as u32) > u {
+                        if hist.len() <= d as usize {
+                            hist.resize(d as usize + 1, 0);
+                        }
+                        hist[d as usize] += 1;
+                    }
+                }
+            }
+        }
+        let far = hist.len().saturating_sub(1) as u32;
+        prop_assert_eq!(traversal::distance_histogram(&g), hist);
+        prop_assert_eq!(traversal::diameter(&g), connected.then_some(far));
+        prop_assert_eq!(traversal::reachable_diameter(&g), (far > 0).then_some(far));
+        let apl = (n >= 2 && count > 0).then(|| sum as f64 / count as f64);
+        prop_assert_eq!(traversal::avg_path_length(&g), apl);
+    }
+
+    #[test]
     fn apl_between_one_and_diameter((n, edges) in edge_list()) {
         let g = Graph::from_edges(n, &edges);
         if let (Some(d), Some(apl)) = (traversal::diameter(&g), traversal::avg_path_length(&g)) {

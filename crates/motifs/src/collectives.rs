@@ -205,6 +205,94 @@ pub fn sweep3d(
     Ok(*done.iter().max().unwrap() as f64 / 1000.0)
 }
 
+/// Simulated completion time (ns) of an all-to-all personalized exchange
+/// (each rank sends `bytes` to every other rank) using the standard
+/// linear-shift schedule: P−1 rounds, rank r sends to r+k in round k.
+/// The collective behind FFT transposes — bandwidth-bound on every
+/// topology, and the pattern §9.4's shuffle traffic approximates.
+pub fn alltoall(
+    model: &mut NetModel,
+    bytes: u64,
+    iters: usize,
+    mode: RoutingMode,
+) -> Result<f64, MotifError> {
+    let p = model.spec().total_endpoints();
+    if p < 2 {
+        return Err(MotifError::invalid_config(format!(
+            "alltoall needs at least two ranks, network has {p}"
+        )));
+    }
+    let mut ready: Vec<Time> = vec![0; p];
+    for _ in 0..iters {
+        for k in 1..p {
+            let starts: Vec<Time> = ready.clone();
+            for (r, &start) in starts.iter().enumerate() {
+                let dst = (r + k) % p;
+                let t = model
+                    .send_endpoints(r as u32, dst as u32, bytes, start, mode)
+                    .map_err(|e| e.with_motif("alltoall"))?;
+                ready[dst] = ready[dst].max(t);
+                // Gate the sender on its own NIC: next round's send
+                // cannot start until this message finished injecting.
+                ready[r] = ready[r].max(start + model.sender_busy(bytes));
+            }
+        }
+    }
+    Ok(ready.into_iter().max().unwrap_or(0) as f64 / 1000.0)
+}
+
+/// Simulated completion time (ns) of a pipelined multi-tree broadcast:
+/// `bytes` are split across the given edge-disjoint spanning trees (from
+/// `polarstar-analysis`), each chunk flooding its own tree from the
+/// router actually hosting rank 0 — the in-network-collective pattern of
+/// the Dawkins et al. extension.
+pub fn tree_broadcast(
+    model: &mut NetModel,
+    trees: &[Vec<(u32, u32)>],
+    bytes: u64,
+    mode: RoutingMode,
+) -> Result<f64, MotifError> {
+    if trees.is_empty() {
+        return Err(MotifError::invalid_config(
+            "tree broadcast needs at least one spanning tree",
+        ));
+    }
+    let chunk = (bytes / trees.len() as u64).max(1);
+    let (root, _) = model.spec().endpoint_router(0);
+    let mut done: Time = 0;
+    for tree in trees {
+        // BFS order the tree from rank 0's router so parents send
+        // before children.
+        let n = model.spec().graph.n();
+        let mut children: Vec<Vec<u32>> = vec![Vec::new(); n];
+        let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
+        for &(u, v) in tree {
+            adj[u as usize].push(v);
+            adj[v as usize].push(u);
+        }
+        let mut arrive: Vec<Time> = vec![0; n];
+        let mut visited = vec![false; n];
+        let mut queue = std::collections::VecDeque::new();
+        visited[root as usize] = true;
+        queue.push_back(root);
+        while let Some(u) = queue.pop_front() {
+            for &v in &adj[u as usize] {
+                if !visited[v as usize] {
+                    visited[v as usize] = true;
+                    children[u as usize].push(v);
+                    let t = model
+                        .send_routers(u, v, chunk, arrive[u as usize], mode)
+                        .map_err(|e| e.with_motif("tree_broadcast"))?;
+                    arrive[v as usize] = t;
+                    done = done.max(t);
+                    queue.push_back(v);
+                }
+            }
+        }
+    }
+    Ok(done as f64 / 1000.0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -449,94 +537,6 @@ mod tests {
         );
         assert!(matches!(r, Err(MotifError::Disconnected { .. })), "{r:?}");
     }
-}
-
-/// Simulated completion time (ns) of an all-to-all personalized exchange
-/// (each rank sends `bytes` to every other rank) using the standard
-/// linear-shift schedule: P−1 rounds, rank r sends to r+k in round k.
-/// The collective behind FFT transposes — bandwidth-bound on every
-/// topology, and the pattern §9.4's shuffle traffic approximates.
-pub fn alltoall(
-    model: &mut NetModel,
-    bytes: u64,
-    iters: usize,
-    mode: RoutingMode,
-) -> Result<f64, MotifError> {
-    let p = model.spec().total_endpoints();
-    if p < 2 {
-        return Err(MotifError::invalid_config(format!(
-            "alltoall needs at least two ranks, network has {p}"
-        )));
-    }
-    let mut ready: Vec<Time> = vec![0; p];
-    for _ in 0..iters {
-        for k in 1..p {
-            let starts: Vec<Time> = ready.clone();
-            for (r, &start) in starts.iter().enumerate() {
-                let dst = (r + k) % p;
-                let t = model
-                    .send_endpoints(r as u32, dst as u32, bytes, start, mode)
-                    .map_err(|e| e.with_motif("alltoall"))?;
-                ready[dst] = ready[dst].max(t);
-                // Gate the sender on its own NIC: next round's send
-                // cannot start until this message finished injecting.
-                ready[r] = ready[r].max(start + model.sender_busy(bytes));
-            }
-        }
-    }
-    Ok(ready.into_iter().max().unwrap_or(0) as f64 / 1000.0)
-}
-
-/// Simulated completion time (ns) of a pipelined multi-tree broadcast:
-/// `bytes` are split across the given edge-disjoint spanning trees (from
-/// `polarstar-analysis`), each chunk flooding its own tree from the
-/// router actually hosting rank 0 — the in-network-collective pattern of
-/// the Dawkins et al. extension.
-pub fn tree_broadcast(
-    model: &mut NetModel,
-    trees: &[Vec<(u32, u32)>],
-    bytes: u64,
-    mode: RoutingMode,
-) -> Result<f64, MotifError> {
-    if trees.is_empty() {
-        return Err(MotifError::invalid_config(
-            "tree broadcast needs at least one spanning tree",
-        ));
-    }
-    let chunk = (bytes / trees.len() as u64).max(1);
-    let (root, _) = model.spec().endpoint_router(0);
-    let mut done: Time = 0;
-    for tree in trees {
-        // BFS order the tree from rank 0's router so parents send
-        // before children.
-        let n = model.spec().graph.n();
-        let mut children: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for &(u, v) in tree {
-            adj[u as usize].push(v);
-            adj[v as usize].push(u);
-        }
-        let mut arrive: Vec<Time> = vec![0; n];
-        let mut visited = vec![false; n];
-        let mut queue = std::collections::VecDeque::new();
-        visited[root as usize] = true;
-        queue.push_back(root);
-        while let Some(u) = queue.pop_front() {
-            for &v in &adj[u as usize] {
-                if !visited[v as usize] {
-                    visited[v as usize] = true;
-                    children[u as usize].push(v);
-                    let t = model
-                        .send_routers(u, v, chunk, arrive[u as usize], mode)
-                        .map_err(|e| e.with_motif("tree_broadcast"))?;
-                    arrive[v as usize] = t;
-                    done = done.max(t);
-                    queue.push_back(v);
-                }
-            }
-        }
-    }
-    Ok(done as f64 / 1000.0)
 }
 
 #[cfg(test)]

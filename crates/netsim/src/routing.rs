@@ -17,6 +17,7 @@
 //!   against 4 random Valiant intermediates using local output-queue
 //!   occupancy × remaining hops, then route minimally per phase.
 
+use polarstar_graph::traversal::sweep_block;
 use polarstar_graph::Graph;
 use polarstar_topo::fault::{FaultMask, FaultSet};
 use polarstar_topo::network::{NetworkSpec, RoutingPolicy};
@@ -24,7 +25,6 @@ use polarstar_topo::oracle::{
     column_next_hops_from, masked_distance_block, PathOracle, RouteError,
 };
 use rayon::prelude::*;
-use std::cmp::Ordering;
 use std::ops::{Add, Not};
 
 /// How packets pick output ports.
@@ -94,7 +94,7 @@ pub struct RouteTable {
 /// for unreachable — the value [`column_next_hops_from`] tests.
 trait Width:
     Copy
-    + Ord
+    + Eq
     + Default
     + From<u8>
     + Into<u32>
@@ -130,10 +130,10 @@ enum Arenas {
 
 impl<D: Width> Arena<D> {
     /// The assembler's sweep at width `D`, written straight into the
-    /// arenas: flat tables by [`masked_distance_block`], 64 destinations
-    /// per graph sweep; hierarchical ones by one `local_bfs` /
-    /// `one_global_bfs` per destination. `None` when some finite
-    /// distance does not fit below `D`'s sentinel.
+    /// arenas, 64 destinations per block, blocks over rayon: flat tables
+    /// by [`masked_distance_block`], hierarchical ones by
+    /// [`hierarchical_block`]. `None` when some finite distance does not
+    /// fit below `D`'s sentinel.
     fn sweep(graph: &Graph, mask: &FaultMask, group: &[u32]) -> Option<Self> {
         let n = graph.n();
         let all = |a: bool, b: bool| a && b;
@@ -151,15 +151,14 @@ impl<D: Width> Arena<D> {
         }
         let mut far = vec![D::default(); n * n];
         let fits = far
-            .par_chunks_mut(n)
+            .chunks_mut(64 * n)
+            .zip(dist.chunks_mut(64 * n))
             .enumerate()
-            .map(|(dst, d0)| local_bfs(graph, mask, group, dst as u32, d0))
-            .reduce(|| true, all)
-            && dist
-                .par_chunks_mut(n)
-                .enumerate()
-                .map(|(dst, d1)| one_global_bfs(graph, mask, group, &far[dst * n..][..n], d1))
-                .reduce(|| true, all);
+            .into_par_iter()
+            .map(|(block, (far, dist))| {
+                hierarchical_block(graph, mask, group, (block * 64) as u32, far, dist)
+            })
+            .reduce(|| true, all);
         fits.then_some(Arena { dist, far })
     }
 
@@ -631,112 +630,65 @@ impl RouteTable {
     }
 }
 
-/// BFS to `dst` using only live intra-group edges, into `d0`
-/// (unreachable, `!0`, outside dst's group). Returns whether every
-/// distance fit below the sentinel; `d0` is unspecified when not.
-fn local_bfs<D: Width>(g: &Graph, mask: &FaultMask, group: &[u32], dst: u32, d0: &mut [D]) -> bool {
-    let unreachable = !D::default();
-    d0.fill(unreachable);
-    let mut queue = std::collections::VecDeque::new();
-    d0[dst as usize] = D::default();
-    queue.push_back(dst);
-    while let Some(u) = queue.pop_front() {
-        let du = d0[u as usize] + D::from(1);
-        for (e, &v) in g.edge_range(u).zip(g.neighbors(u)) {
-            let fresh = group[v as usize] == group[u as usize] && d0[v as usize] == unreachable;
-            if fresh && !mask.edge_dead(e) {
-                if du == unreachable {
-                    return false;
-                }
-                d0[v as usize] = du;
-                queue.push_back(v);
-            }
-        }
-    }
-    true
-}
-
-/// Shortest distance to `dst` over live paths with at most one
-/// inter-group edge, into `d1`, given the pure-local distances `d0`
-/// toward `dst`.
+/// One block of a hierarchical table: the destinations `first, first +
+/// 1, …`, one `graph.n()`-entry row each in `far` and `dist`, laid out
+/// like [`masked_distance_block`]'s rows. Two [`sweep_block`] passes
+/// from the destinations over the live intra-group slots:
 ///
-/// A ≤1-global path from `v` is a local prefix to some router `w`, an
-/// optional global hop `w → s`, then a pure-local suffix `s → dst`. So
-/// `d1 = min(d0, local-Dijkstra from seeds seed[w] = min over global
-/// edges (w, s) of d0[s] + 1)` — a bucketed multi-source Dijkstra over
-/// local edges only.
+/// 1. writes the pure-local distances `far`; a router it first reaches
+///    at level `L` queues the seed `(L + 1, w, bits)` for each neighbor
+///    `w` behind a live global slot;
+/// 2. with those seeds joining at their levels, writes the ≤ 1-global
+///    distances `dist`: local prefix, one global hop, local suffix.
 ///
-/// Returns whether every distance fit below the sentinel; `d1` is
-/// unspecified when not. A crossing candidate that reaches the
-/// sentinel counts as not fitting even if a shorter path wins later:
-/// the table then takes the wide arena, which holds both.
-fn one_global_bfs<D: Width>(
-    g: &Graph,
+/// Returns whether every distance fit below `D`'s sentinel; the rows are
+/// unspecified when not. A seed at the sentinel refuses the width even
+/// if a shorter path wins later: the table then takes the wide arena,
+/// which holds both.
+fn hierarchical_block<D: Width>(
+    graph: &Graph,
     mask: &FaultMask,
     group: &[u32],
-    d0: &[D],
-    d1: &mut [D],
+    first: u32,
+    far: &mut [D],
+    dist: &mut [D],
 ) -> bool {
-    let (unreachable, one) = (!D::default(), D::from(1));
-    d1.copy_from_slice(d0);
-    let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); 8];
-    let push = |buckets: &mut Vec<Vec<u32>>, d: D, v: u32| {
-        let d = d.into() as usize;
-        if buckets.len() <= d {
-            buckets.resize(d + 1, Vec::new());
+    let n = graph.n();
+    let dsts: Vec<u32> = (first..).take(far.len() / n).collect();
+    let (unreachable, zero) = (!D::default(), D::default());
+    let last = unreachable.into() - 1;
+    let local = |u: u32, e, v: u32| group[u as usize] == group[v as usize] && !mask.edge_dead(e);
+    let write = |rows: &mut [D], level: u32, v: u32, mut fresh: u64| {
+        let Ok(d) = D::try_from(level) else {
+            unreachable!("level {level} past the last one, {last}")
+        };
+        while fresh != 0 {
+            rows[fresh.trailing_zeros() as usize * n + v as usize] = d;
+            fresh &= fresh - 1;
         }
-        buckets[d].push(v);
     };
-    // Seeds: crossing a global edge (w, s) costs d0[s] + 1 at w, plus
-    // the pure-local distances themselves.
-    for w in 0..g.n() as u32 {
-        for (e, &s) in g.edge_range(w).zip(g.neighbors(w)) {
-            let global = group[s as usize] != group[w as usize];
-            if global && d0[s as usize] != unreachable && !mask.edge_dead(e) {
-                let cand = d0[s as usize] + one;
-                if cand == unreachable {
-                    return false;
-                }
-                if cand < d1[w as usize] {
-                    d1[w as usize] = cand;
-                }
+    let mut seeds = Vec::new();
+    let mut cross = |level: u32, u: u32, bits: u64| {
+        for (e, &w) in graph.edge_range(u).zip(graph.neighbors(u)) {
+            if group[w as usize] != group[u as usize] && !mask.edge_dead(e) {
+                seeds.push((level + 1, w, bits));
             }
         }
+    };
+    far.fill(unreachable);
+    dist.fill(unreachable);
+    for (i, &dst) in dsts.iter().enumerate() {
+        (far[i * n + dst as usize], dist[i * n + dst as usize]) = (zero, zero);
+        cross(0, dst, 1 << i);
     }
-    for (r, &d) in d1.iter().enumerate() {
-        if d != unreachable {
-            push(&mut buckets, d, r as u32);
-        }
-    }
-    let mut d = 0usize;
-    while d < buckets.len() {
-        let mut i = 0;
-        while i < buckets[d].len() {
-            let u = buckets[d][i];
-            i += 1;
-            let du = d1[u as usize];
-            if du.into() as usize != d {
-                continue; // stale entry
-            }
-            let nd = du + one;
-            for (e, &v) in g.edge_range(u).zip(g.neighbors(u)) {
-                if group[v as usize] != group[u as usize] || mask.edge_dead(e) {
-                    continue; // only live local propagation
-                }
-                match nd.cmp(&d1[v as usize]) {
-                    Ordering::Less => {
-                        d1[v as usize] = nd;
-                        push(&mut buckets, nd, v);
-                    }
-                    // v's first finite distance would be the sentinel.
-                    Ordering::Equal if nd == unreachable => return false,
-                    _ => {}
-                }
-            }
-        }
-        d += 1;
-    }
-    true
+    let fits = sweep_block(graph, &dsts, &[], last, local, |level, v, fresh, _| {
+        write(far, level, v, fresh);
+        cross(level, v, fresh);
+    });
+    fits && seeds.last().is_none_or(|s| s.0 <= last)
+        && sweep_block(graph, &dsts, &seeds, last, local, |level, v, fresh, _| {
+            write(dist, level, v, fresh)
+        })
 }
 
 #[cfg(test)]
@@ -1134,7 +1086,7 @@ mod tests {
     }
 
     /// Brute-force reference for the hierarchical discipline, sharing
-    /// nothing with `local_bfs`/`one_global_bfs`/`assemble`: a forward
+    /// nothing with `hierarchical_block`/`assemble`: a forward
     /// BFS from `src` over (router, global links used) states of the
     /// degraded graph, allowing at most `budget` global links. Returns
     /// the distance from `src` to every router.
@@ -1643,15 +1595,19 @@ mod tests {
         }
         // Toward router 0 of paths 255 + 1, group 1's lone router is 255
         // hops out, and only its crossing candidate says so: that one
-        // destination's sweep refuses the byte width on its own.
+        // destination's block refuses the byte width on its own, though
+        // its pure-local pass fit.
         let (g, group) = (Graph::path(256), [vec![0; 255], vec![1]].concat());
         let pristine = FaultMask::default();
-        let (mut d0, mut d1) = (vec![0u8; 256], vec![0u8; 256]);
-        assert!(local_bfs(&g, &pristine, &group, 0, &mut d0));
-        assert!(!one_global_bfs(&g, &pristine, &group, &d0, &mut d1));
-        let (mut d0, mut d1) = (vec![0u16; 256], vec![0u16; 256]);
-        assert!(local_bfs(&g, &pristine, &group, 0, &mut d0));
-        assert!(one_global_bfs(&g, &pristine, &group, &d0, &mut d1));
-        assert_eq!(d1[255], 255);
+        let (mut far, mut dist) = (vec![0u8; 256], vec![0u8; 256]);
+        assert!(!hierarchical_block(
+            &g, &pristine, &group, 0, &mut far, &mut dist
+        ));
+        assert_eq!((far[254], far[255]), (254, u8::MAX), "the local pass fit");
+        let (mut far, mut dist) = (vec![0u16; 256], vec![0u16; 256]);
+        assert!(hierarchical_block(
+            &g, &pristine, &group, 0, &mut far, &mut dist
+        ));
+        assert_eq!(dist[255], 255);
     }
 }

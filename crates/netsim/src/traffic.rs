@@ -7,6 +7,7 @@
 //! the topology's hierarchy exactly as described (e.g. under Bit Shuffle
 //! almost all endpoints in a supernode talk to two other supernodes).
 
+use polarstar_graph::traversal::sweep_block;
 use polarstar_topo::network::NetworkSpec;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -267,22 +268,31 @@ fn group_link_matrix(spec: &NetworkSpec, g_count: usize) -> Vec<Vec<usize>> {
 }
 
 /// Max router-distance between groups (coarse; used to pick adversarial
-/// victims).
+/// victims): from each group's first member to the members of every
+/// group, `u16::MAX` when one is never reached.
 fn group_distance_matrix(spec: &NetworkSpec, groups: &[Vec<u32>]) -> Vec<Vec<u16>> {
-    let g_count = groups.len();
-    let mut dist = vec![vec![0u16; g_count]; g_count];
-    // One BFS per group representative is enough for victim selection.
-    for (g, members) in groups.iter().enumerate() {
-        let rep = members[0];
-        let d = polarstar_graph::traversal::bfs_distances(&spec.graph, rep);
-        for (h, other) in groups.iter().enumerate() {
-            let m = other
+    let (g, n) = (&spec.graph, spec.graph.n());
+    let mut dist = Vec::with_capacity(groups.len());
+    // One 64-representative block sweep fills 64 rows of the matrix.
+    for block in groups.chunks(64) {
+        let reps: Vec<u32> = block.iter().map(|members| members[0]).collect();
+        let mut rows = vec![u32::MAX; reps.len() * n];
+        for (i, &rep) in reps.iter().enumerate() {
+            rows[i * n + rep as usize] = 0;
+        }
+        let write = |level, v: u32, mut fresh: u64, _: &[u64]| {
+            while fresh != 0 {
+                rows[fresh.trailing_zeros() as usize * n + v as usize] = level;
+                fresh &= fresh - 1;
+            }
+        };
+        sweep_block(g, &reps, &[], u32::MAX, |_, _, _| true, write);
+        for d in rows.chunks(n) {
+            let far = |members: &Vec<u32>| members.iter().map(|&r| d[r as usize]).max();
+            let row = groups
                 .iter()
-                .map(|&r| d[r as usize])
-                .max()
-                .unwrap_or(0)
-                .min(u16::MAX as u32);
-            dist[g][h] = m as u16;
+                .map(|h| far(h).unwrap_or(0).min(u16::MAX.into()) as u16);
+            dist.push(row.collect());
         }
     }
     dist
@@ -296,6 +306,25 @@ mod tests {
 
     fn toy_spec() -> NetworkSpec {
         NetworkSpec::uniform("toy", Graph::complete(4), 4) // 16 endpoints
+    }
+
+    #[test]
+    fn group_distances_equal_one_bfs_per_representative() {
+        // 67 groups of three along a path, so two representative
+        // blocks, plus a lone router the last group never reaches.
+        let g = Graph::path(201).disjoint_union(&Graph::empty(1));
+        let group = (0..202).map(|r| (r / 3).min(66)).collect();
+        let spec = NetworkSpec::new("path", g, vec![1; 202], group);
+        let groups = spec.groups();
+        let dist = group_distance_matrix(&spec, &groups);
+        assert_eq!(dist.len(), 67);
+        for (row, members) in dist.iter().zip(&groups) {
+            let d = polarstar_graph::traversal::bfs_distances(&spec.graph, members[0]);
+            let far = |h: &Vec<u32>| h.iter().map(|&r| d[r as usize].min(65_535) as u16).max();
+            let want: Vec<u16> = groups.iter().map(|h| far(h).unwrap()).collect();
+            assert_eq!(*row, want);
+            assert_eq!(row[66], u16::MAX, "the lone router is never reached");
+        }
     }
 
     #[test]

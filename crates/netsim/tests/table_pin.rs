@@ -2,14 +2,18 @@
 //! `(distance, min_ports)` over every ordered router pair, not
 //! build-vs-build comparisons.
 //!
-//! The three literals were recorded at commit 30db64b, on the assembler
-//! that ran one heap-allocated BFS column per destination and probed
-//! every column per (router, port) — immediately before it became the
-//! 64-destination block BFS plus a row-resident port fill, which later
-//! gave way to ports read off the distance columns. A table is
-//! a pure function of (graph, policy, group, fault mask), so the digests
-//! must hold on `for_spec`, on `remask` from the pristine table, and at
-//! any rayon width (CI runs this suite at `RAYON_NUM_THREADS` 1 and 4).
+//! The first three literals were recorded at commit 30db64b, on the
+//! assembler that ran one heap-allocated BFS column per destination and
+//! probed every column per (router, port) — immediately before it
+//! became the 64-destination block BFS plus a row-resident port fill,
+//! which later gave way to ports read off the distance columns. The two
+//! Table 3 hierarchical literals were recorded at commit 8fb868e, on the
+//! assembler that ran one pure-local BFS and one bucketed one-global
+//! Dijkstra per destination, immediately before hierarchical tables
+//! moved onto the block sweep. A table is a pure function of (graph,
+//! policy, group, fault mask), so the digests must hold on `for_spec`,
+//! on `remask` from the pristine table, and at any rayon width (CI runs
+//! this suite at `RAYON_NUM_THREADS` 1 and 4).
 //!
 //! Regenerate with
 //! `TABLE_PIN_PRINT=1 cargo test -p polarstar-netsim --test table_pin -- --nocapture`
@@ -20,6 +24,7 @@ use polarstar::design::best_config;
 use polarstar::network::PolarStarNetwork;
 use polarstar_netsim::RouteTable;
 use polarstar_topo::dragonfly::{dragonfly, DragonflyParams};
+use polarstar_topo::megafly::{megafly, MegaflyParams};
 use polarstar_topo::network::NetworkSpec;
 use polarstar_topo::FaultSet;
 
@@ -104,4 +109,30 @@ fn dragonfly_hierarchical_one_way_global_and_dead_router() {
         &faults,
         0x56df_c8c7_531d_ca92,
     );
+}
+
+#[test]
+fn dragonfly_table3_pristine() {
+    // Table 3's Dragonfly: a = 12, h = 6, 876 routers, ≤ 1-global
+    // minimal table.
+    let spec = dragonfly(DragonflyParams { a: 12, h: 6, p: 6 });
+    assert_pinned(
+        "DF a12h6 pristine",
+        &spec,
+        &FaultSet::empty(),
+        0x7a50_0b31_7406_1341,
+    );
+}
+
+#[test]
+fn megafly_table3_five_percent_links() {
+    // Table 3's Megafly: ρ = 8, a = 16, 1 040 routers, ≤ 1-global
+    // minimal table with 5 % of its links failed.
+    let spec = megafly(MegaflyParams {
+        rho: 8,
+        a: 16,
+        p: 8,
+    });
+    let faults = FaultSet::random_links(&spec.graph, 0.05, 1);
+    assert_pinned("MF r8a16 5% links", &spec, &faults, 0x1e87_a569_e296_1cad);
 }

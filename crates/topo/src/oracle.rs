@@ -8,7 +8,8 @@
 //! analysis code, benchmarks, and the query service are generic over
 //! *how* the answers are precomputed; [`column_next_hops`] is the one
 //! masked minimal-port rule, [`masked_distance_column`] the one masked
-//! BFS, and one 64-destination block sweep fills both
+//! BFS, and the workspace's one block sweep,
+//! [`polarstar_graph::traversal::sweep_block`], fills both
 //! [`masked_distance_block`] (the `u8` or `u16` rows a flat
 //! `RouteTable` holds) and [`masked_hop_block`] (that rule as per-link
 //! bits, what the motif model walks) — all reading a compiled
@@ -19,6 +20,7 @@
 //! severed pair for a degree-0 router.
 
 use crate::fault::FaultMask;
+use polarstar_graph::traversal::sweep_block;
 use polarstar_graph::Graph;
 use std::fmt;
 use std::ops::{Add, Not};
@@ -277,8 +279,8 @@ pub fn masked_distance_column(graph: &Graph, mask: &FaultMask, dst: u32, out: &m
 
 /// The block form of [`masked_distance_column`]: the same relation for
 /// up to 64 consecutive destinations `first, first + 1, …` in one
-/// level-synchronous sweep (the bit-parallel multi-source BFS of Then et
-/// al., VLDB 2014). `rows` holds one `graph.n()`-entry row per
+/// level-synchronous [`sweep_block`] (the bit-parallel multi-source BFS
+/// of Then et al., VLDB 2014) over the slots `mask` leaves alive. `rows` holds one `graph.n()`-entry row per
 /// destination, back to back: `rows[i·n + v]` becomes the hop distance
 /// from `v` to `first + i`, the element's `MAX` (`!0`) when no surviving
 /// path connects them — `MAX ↔ u32::MAX` is the only difference from
@@ -305,7 +307,9 @@ where
         rows[i * n + first as usize + i] = D::default();
     }
     let last = unreachable.into() - 1;
-    sweep_block(graph, mask, first, dsts, last, |level, v, mut fresh, _| {
+    let block: Vec<u32> = (first..).take(dsts).collect();
+    let live = |_, e, _| !mask.edge_dead(e);
+    sweep_block(graph, &block, &[], last, live, |level, v, mut fresh, _| {
         let Ok(d) = D::try_from(level) else {
             unreachable!("level {level} past the last one, {last}")
         };
@@ -331,9 +335,16 @@ where
 /// # Panics
 /// If `first > graph.n()`.
 pub fn masked_hop_block(graph: &Graph, mask: &FaultMask, first: u32) -> Vec<u64> {
+    assert!(
+        first as usize <= graph.n(),
+        "block {first} of {}",
+        graph.n()
+    );
     let dsts = graph.n().saturating_sub(first as usize).min(64);
     let mut hops = vec![0u64; graph.directed_edge_count()];
-    sweep_block(graph, mask, first, dsts, u32::MAX, |_, v, fresh, prev| {
+    let block: Vec<u32> = (first..).take(dsts).collect();
+    let live = |_, e, _| !mask.edge_dead(e);
+    sweep_block(graph, &block, &[], u32::MAX, live, |_, v, fresh, prev| {
         for (e, &u) in graph.edge_range(v).zip(graph.neighbors(v)) {
             if !mask.link_dead(e) {
                 hops[e as usize] |= fresh & prev[u as usize];
@@ -341,72 +352,6 @@ pub fn masked_hop_block(graph: &Graph, mask: &FaultMask, first: u32) -> Vec<u64>
         }
     });
     hops
-}
-
-/// The one block sweep: the masked BFS toward `dsts ≤ 64` consecutive
-/// destinations `first, first + 1, …` over the cables `mask` leaves in
-/// the distance relation. Bit `i` of a router's word says
-/// "reached from destination `i`"; a level ORs every frontier word
-/// across the router's live cables, so the graph is walked once per
-/// level for the whole block instead of once per destination.
-/// `visit(level, v, fresh, prev)` runs for every router `v` first
-/// reached at `level ≥ 1` by the destination bits `fresh`, in router
-/// order within a level; `prev[u]` holds the bits that first reached
-/// `u` at `level − 1` (destination `i`'s own bit at level 0).
-/// Returns `false`, and stops, when a router would be reached past
-/// level `last`; `true` once every reachable router is visited.
-fn sweep_block(
-    graph: &Graph,
-    mask: &FaultMask,
-    first: u32,
-    dsts: usize,
-    last: u32,
-    mut visit: impl FnMut(u32, u32, u64, &[u64]),
-) -> bool {
-    let n = graph.n();
-    assert!(
-        dsts <= 64 && first as usize + dsts <= n,
-        "block {first} + {dsts} of {n}"
-    );
-    let (mut seen, mut next, mut prev) = (vec![0u64; n], vec![0u64; n], vec![0u64; n]);
-    // (router, newly reached bits) of the level being expanded, and of
-    // the level it finds.
-    let mut frontier: Vec<(u32, u64)> = Vec::with_capacity(n);
-    let mut found: Vec<(u32, u64)> = Vec::with_capacity(n);
-    for i in 0..dsts {
-        let dst = first as usize + i;
-        seen[dst] = 1 << i;
-        frontier.push((dst as u32, 1 << i));
-    }
-    let mut level = 0;
-    while !frontier.is_empty() {
-        level += 1;
-        for &(u, bits) in &frontier {
-            prev[u as usize] = bits;
-            for (e, &v) in graph.edge_range(u).zip(graph.neighbors(u)) {
-                if !mask.edge_dead(e) {
-                    next[v as usize] |= bits;
-                }
-            }
-        }
-        for (v, (reached, seen)) in next.iter_mut().zip(&mut seen).enumerate() {
-            let fresh = std::mem::take(reached) & !*seen;
-            if fresh != 0 {
-                if level > last {
-                    return false;
-                }
-                *seen |= fresh;
-                found.push((v as u32, fresh));
-                visit(level, v as u32, fresh, &prev);
-            }
-        }
-        for &(u, _) in &frontier {
-            prev[u as usize] = 0;
-        }
-        std::mem::swap(&mut frontier, &mut found);
-        found.clear();
-    }
-    true
 }
 
 #[cfg(test)]

@@ -9,10 +9,7 @@ use polarstar::network::PolarStarNetwork;
 use polarstar::routing::AnalyticRouter;
 use polarstar_repro::graph::traversal;
 use polarstar_repro::topo::bundlefly;
-use polarstar_repro::topo::er::ErGraph;
 use polarstar_repro::topo::iq::inductive_quad;
-use polarstar_repro::topo::paley::paley_supernode;
-use polarstar_repro::topo::star::star_product;
 
 /// §1.3: largest known diameter-3 networks — PolarStar beats Bundlefly,
 /// Dragonfly and HyperX at (almost) every radix in [8, 128].
@@ -47,32 +44,45 @@ fn polarstar_dominates_baselines_pointwise() {
     );
 }
 
-/// Theorem 4 end-to-end: structure-R × supernode-R* star products have
-/// diameter ≤ 3, at several configurations spanning both parities of D.
-#[test]
-fn theorem4_diameter_three_integration() {
-    for (q, d) in [(3u64, 4usize), (4, 4), (5, 3), (7, 4), (8, 3)] {
-        let er = ErGraph::new(q).unwrap();
-        let iq = inductive_quad(d).unwrap();
-        assert!(er.has_property_r());
-        assert!(iq.satisfies_r_star());
-        let g = star_product(&er.graph, &er.quadric_vertices(), &iq);
-        assert!(traversal::diameter(&g).unwrap() <= 3, "ER_{q} * IQ({d})");
-    }
+/// Every configuration of `enumerate_configs(d)`, 8 ≤ d ≤ 20, whose
+/// supernode is (`iq`) or is not an Inductive-Quad, built as a network.
+fn networks_of_radix_8_to_20(iq: bool) -> Vec<PolarStarNetwork> {
+    (8..=20)
+        .flat_map(enumerate_configs)
+        .filter(|c| matches!(c.supernode, SupernodeKind::InductiveQuad { .. }) == iq)
+        .map(|c| PolarStarNetwork::build(c, 1).unwrap())
+        .collect()
 }
 
-/// Theorem 5 end-to-end for the Paley (R1) supernode.
+/// Theorem 4 end-to-end: structure-R × supernode-R* star products have
+/// diameter ≤ 3 — every Inductive-Quad configuration of radix 8–20,
+/// both parities of D. With the Paley ones of Theorem 5, that is all 106
+/// configurations of those radixes, 73 718 routers.
+#[test]
+fn theorem4_diameter_three_integration() {
+    let nets = networks_of_radix_8_to_20(true);
+    let paley = networks_of_radix_8_to_20(false);
+    let routers = |nets: &[PolarStarNetwork]| nets.iter().map(|n| n.graph().n()).sum::<usize>();
+    assert_eq!(nets.len() + paley.len(), 106);
+    assert_eq!(routers(&nets) + routers(&paley), 73_718);
+    for net in &nets {
+        assert!(net.er.has_property_r());
+        assert!(net.supernode.satisfies_r_star());
+        let label = net.config.label();
+        assert!(traversal::diameter(net.graph()).unwrap() <= 3, "{label}");
+    }
+    // Fig. 1's headline: 79 506 routers at radix 64.
+    assert_eq!(best_config(64).unwrap().order(), 79_506);
+}
+
+/// Theorem 5 end-to-end for the Paley (R1) supernode: every Paley
+/// configuration of radix 8–20.
 #[test]
 fn theorem5_diameter_three_integration() {
-    for (q, pq) in [(3u64, 9u64), (5, 13), (7, 9)] {
-        let er = ErGraph::new(q).unwrap();
-        let pal = paley_supernode(pq).unwrap();
-        assert!(pal.satisfies_r1());
-        let g = star_product(&er.graph, &er.quadric_vertices(), &pal);
-        assert!(
-            traversal::diameter(&g).unwrap() <= 3,
-            "ER_{q} * Paley({pq})"
-        );
+    for net in networks_of_radix_8_to_20(false) {
+        assert!(net.supernode.satisfies_r1());
+        let label = net.config.label();
+        assert!(traversal::diameter(net.graph()).unwrap() <= 3, "{label}");
     }
 }
 
