@@ -34,20 +34,6 @@ impl ChannelLoad {
             self.max / self.mean
         }
     }
-
-    /// Predicted uniform-traffic saturation fraction for minimal
-    /// routing: ideal (bisection-free) load divided by the hottest
-    /// channel's relative overload.
-    pub fn predicted_saturation(&self, n: usize) -> f64 {
-        if self.max == 0.0 {
-            return 1.0;
-        }
-        // Each of n routers injects λ; hottest link carries max/(n(n−1))
-        // of pair flow × n(n−1) λ... normalized: λ_max = 1 / (max per
-        // unit-rate pair flow / 1).
-        let per_pair = self.max / (n as f64 * (n as f64 - 1.0));
-        (1.0 / (per_pair * n as f64)).min(1.0)
-    }
 }
 
 /// Compute shortest-path edge betweenness with uniform pair weights and
@@ -189,7 +175,6 @@ mod tests {
         for (&e, &w) in &cl.per_link {
             assert!((w - 1.0).abs() < 1e-9, "edge {e:?} load {w}");
         }
-        assert!((cl.predicted_saturation(5) - 1.0).abs() < 0.3);
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! binary exercises the live-fault subsystem: a [`FaultSchedule`] fails
 //! a seeded random link set at `fail_cycle` (a quarter into the
 //! measurement window) and recovers it at `recover_cycle` (halfway in).
-//! A [`TransientMonitor`] buckets deliveries by cycle; the recovery time
-//! is the first post-recovery bucket whose mean latency re-enters 1.2×
-//! the pre-failure baseline.
+//! One [`MetricsMonitor`] buckets deliveries by cycle
+//! ([`MetricsMonitor::delivery_series`]) and fills the manifest; the
+//! recovery time is the first post-recovery bucket whose mean latency
+//! re-enters 1.2× the pre-failure baseline.
 //!
 //! CSV `topology,load,burst_fraction,fail_cycle,recover_cycle,baseline_latency,peak_latency,faulted_in_flight,rerouted,recovery_cycles,allreduce_pristine_us,allreduce_burst_us,edst_trees,edst_pristine_us,edst_burst_us`
 //! (`recovery_cycles` is empty when the run never settles;
@@ -28,9 +29,7 @@ use polarstar_motifs::multitree::{striped_broadcast, FaultEpochs, RepairPolicy};
 use polarstar_motifs::netmodel::{MotifConfig, MotifError, NetModel, RoutingMode};
 use polarstar_netsim::routing::{RouteTable, RoutingKind};
 use polarstar_netsim::stats::recovery_analysis;
-use polarstar_netsim::{
-    MetricsMonitor, PairMonitor, Pattern, SimConfig, Simulation, TransientMonitor,
-};
+use polarstar_netsim::{MetricsMonitor, Pattern, SimConfig, Simulation};
 use polarstar_topo::network::NetworkSpec;
 use polarstar_topo::FaultSchedule;
 use polarstar_topo::FaultSet;
@@ -83,13 +82,10 @@ fn main() {
                 fault_schedule: Some(schedule),
                 ..cfg.clone()
             };
-            let mut mon = PairMonitor(
-                MetricsMonitor::new(if quick { 64 } else { 256 }),
-                TransientMonitor::new(bucket),
-            );
+            let mut mon = MetricsMonitor::new(bucket);
             let r = Simulation::new(&spec, &table, RoutingKind::MinMulti, &Pattern::Uniform)
                 .run_monitored(load, &run_cfg, &mut mon);
-            let a = recovery_analysis(&mon.1.series(), fail_cycle, recover_cycle, 1.2);
+            let a = recovery_analysis(&mon.delivery_series(), fail_cycle, recover_cycle, 1.2);
             let recovery = a.recovery_cycles.map(|c| c.to_string()).unwrap_or_default();
             // Motif-layer view of the same burst: a 64 KB recursive-
             // doubling allreduce on the pristine network vs. one with
@@ -152,7 +148,7 @@ fn main() {
                 "uniform",
                 load,
                 &run_cfg,
-                mon.0.report(),
+                mon.report(),
             );
             m.push_extra("burst_fraction", burst_fraction);
             m.push_extra("fail_cycle", fail_cycle as f64);

@@ -308,6 +308,22 @@ fn fault_recovery_quick_records_the_transient() {
 
 #[test]
 #[cfg_attr(debug_assertions, ignore = "runs the quick sweeps; use --release")]
+fn fault_recovery_quick_rows_do_not_depend_on_the_engine_width() {
+    let exe = env!("CARGO_BIN_EXE_fault_recovery");
+    let at = |threads| {
+        run(
+            exe,
+            &["--quick", "--only", "DF", "--engine-threads", threads],
+            None,
+        )
+    };
+    let sequential = at("1");
+    assert!(sequential.status.success(), "{:?}", sequential.status);
+    assert_eq!(sequential.stdout, at("2").stdout);
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "runs the quick sweeps; use --release")]
 fn flow_sweep_quick_cross_validates_one_point() {
     let dir = metrics_dir("flow_sweep");
     let out = run(

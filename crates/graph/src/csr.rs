@@ -179,15 +179,6 @@ impl Graph {
         self.max_degree() == self.min_degree()
     }
 
-    /// Average degree 2m/n.
-    pub fn avg_degree(&self) -> f64 {
-        if self.n() == 0 {
-            0.0
-        } else {
-            2.0 * self.m() as f64 / self.n() as f64
-        }
-    }
-
     /// A copy of the graph with the listed edges removed (order/direction
     /// of each pair irrelevant; unknown edges ignored). Used by the fault-
     /// tolerance study to knock out random links.
@@ -279,11 +270,6 @@ impl GraphBuilder {
         }
         let e = if u < v { (u, v) } else { (v, u) };
         self.edges.push(e);
-    }
-
-    /// Number of (possibly duplicate) edges added so far.
-    pub fn pending_edges(&self) -> usize {
-        self.edges.len()
     }
 
     /// Finish into a CSR [`Graph`].
@@ -409,13 +395,6 @@ mod tests {
         assert_eq!(g.m(), 4);
         assert!(g.has_edge(3, 4));
         assert!(!g.has_edge(2, 3));
-    }
-
-    #[test]
-    fn avg_degree_matches() {
-        let g = Graph::cycle(10);
-        assert!((g.avg_degree() - 2.0).abs() < 1e-12);
-        assert_eq!(Graph::empty(0).avg_degree(), 0.0);
     }
 
     #[test]

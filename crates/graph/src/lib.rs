@@ -31,7 +31,6 @@
 
 pub mod csr;
 pub mod edst;
-pub mod export;
 pub mod partition;
 pub mod random;
 pub mod traversal;

@@ -48,7 +48,8 @@
 //!   [`PathOracle`](polarstar_topo::oracle::PathOracle), for 100k+
 //!   endpoint scale studies the cycle loop cannot reach;
 //! * [`monitor`] — observability hooks: link utilization, VC occupancy,
-//!   stall causes, latency histograms (zero-cost when unused);
+//!   stall causes, latency histograms, a cycle-bucketed delivery series
+//!   (zero-cost when unused);
 //! * [`negotiate`] — offline PathFinder-style congestion-negotiated
 //!   routing: a per-pair single-path assignment minimizing max link
 //!   load, a [`PathOracle`](polarstar_topo::oracle::PathOracle) the
@@ -68,8 +69,8 @@ pub use flow::{
     FlowDemand, FlowNetwork, FlowPlan, FlowResult, FlowRouting, PlannedFlow, TrafficComponent,
 };
 pub use monitor::{
-    MetricsMonitor, MetricsReport, NoopMonitor, PairMonitor, ShardableMonitor, SimMonitor,
-    StallCause, TransientMonitor, WatchdogDiag,
+    MetricsMonitor, MetricsReport, NoopMonitor, ShardableMonitor, SimMonitor, StallCause,
+    WatchdogDiag,
 };
 pub use negotiate::NegotiatedRoutes;
 pub use routing::{RouteTable, RoutingKind};

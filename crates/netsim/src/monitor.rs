@@ -6,8 +6,9 @@
 //! monomorphizes every hook to an empty inline body — the unmonitored
 //! `simulate` path pays nothing for this layer. `MetricsMonitor` collects
 //! per-port link utilization, coarse-sampled per-VC buffer occupancy,
-//! stall-cause counters, injection-backpressure counts, and a
-//! log-bucketed latency histogram (p50/p99/p999 without storing samples).
+//! stall-cause counters, injection-backpressure counts, a log-bucketed
+//! latency histogram (p50/p99/p999 without storing samples), and a
+//! cycle-bucketed delivery series for transient (fault-recovery) curves.
 
 use crate::engine::VCS;
 use polarstar_topo::network::NetworkSpec;
@@ -254,13 +255,16 @@ pub struct MetricsMonitor {
     delivered_measured: u64,
     latency: LatencyHistogram,
     hops_sum: u64,
+    /// `(deliveries, latency sum)` per `sample_every`-cycle bucket.
+    delivery_buckets: Vec<(u64, u64)>,
     cycles: u64,
     watchdog: Option<WatchdogDiag>,
 }
 
 impl MetricsMonitor {
-    /// Collect metrics, sampling VC occupancy every `sample_every` cycles
-    /// (coarse — 64 is a good default; the scan touches every buffer).
+    /// Collect metrics, sampling VC occupancy and bucketing deliveries
+    /// every `sample_every` cycles (coarse — 64 is a good default; the
+    /// VC scan touches every buffer).
     pub fn new(sample_every: u64) -> Self {
         MetricsMonitor {
             sample_every: sample_every.max(1),
@@ -277,6 +281,7 @@ impl MetricsMonitor {
             delivered_measured: 0,
             latency: LatencyHistogram::default(),
             hops_sum: 0,
+            delivery_buckets: Vec::new(),
             cycles: 0,
             watchdog: None,
         }
@@ -344,6 +349,24 @@ impl MetricsMonitor {
         &self.vc_series
     }
 
+    /// `(bucket_start_cycle, delivered, mean_latency)` per
+    /// `sample_every`-cycle bucket, in time order — the raw material for
+    /// fault-recovery curves (latency spike at a failure burst, decay
+    /// after links return). Counts every delivery (warmup, measurement,
+    /// drain); empty buckets report a mean latency of 0. Forks merge by
+    /// element-wise sums, so the series is identical at any engine
+    /// thread count.
+    pub fn delivery_series(&self) -> Vec<(u64, u64, f64)> {
+        self.delivery_buckets
+            .iter()
+            .enumerate()
+            .map(|(b, &(d, ls))| {
+                let mean = if d == 0 { 0.0 } else { ls as f64 / d as f64 };
+                (b as u64 * self.sample_every, d, mean)
+            })
+            .collect()
+    }
+
     /// Flit counts per directed port of `router`.
     pub fn link_flits_of(&self, router: u32) -> &[u64] {
         let r = router as usize;
@@ -389,7 +412,13 @@ impl SimMonitor for MetricsMonitor {
         self.injection_backpressure += 1;
     }
 
-    fn on_packet_delivered(&mut self, _now: u64, latency: u64, hops: u32, measured: bool) {
+    fn on_packet_delivered(&mut self, now: u64, latency: u64, hops: u32, measured: bool) {
+        let b = (now / self.sample_every) as usize;
+        if b >= self.delivery_buckets.len() {
+            self.delivery_buckets.resize(b + 1, (0, 0));
+        }
+        self.delivery_buckets[b].0 += 1;
+        self.delivery_buckets[b].1 += latency;
         self.delivered += 1;
         self.hops_sum += hops as u64;
         if measured {
@@ -417,22 +446,10 @@ impl SimMonitor for MetricsMonitor {
 impl ShardableMonitor for MetricsMonitor {
     fn fork(&self) -> Self {
         MetricsMonitor {
-            sample_every: self.sample_every,
             port_base: self.port_base.clone(),
             link_flits: vec![0; self.link_flits.len()],
             vc_series: vec![Vec::new(); self.vc_series.len()],
-            stall_credit: 0,
-            stall_vc: 0,
-            stall_crossbar: 0,
-            stall_dead_link: 0,
-            injection_backpressure: 0,
-            unroutable: 0,
-            delivered: 0,
-            delivered_measured: 0,
-            latency: LatencyHistogram::default(),
-            hops_sum: 0,
-            cycles: 0,
-            watchdog: None,
+            ..MetricsMonitor::new(self.sample_every)
         }
     }
 
@@ -468,6 +485,14 @@ impl ShardableMonitor for MetricsMonitor {
         self.delivered_measured += shard.delivered_measured;
         self.latency.merge(&shard.latency);
         self.hops_sum += shard.hops_sum;
+        if shard.delivery_buckets.len() > self.delivery_buckets.len() {
+            self.delivery_buckets
+                .resize(shard.delivery_buckets.len(), (0, 0));
+        }
+        for (m, t) in self.delivery_buckets.iter_mut().zip(shard.delivery_buckets) {
+            m.0 += t.0;
+            m.1 += t.1;
+        }
         self.cycles = self.cycles.max(shard.cycles);
         if let Some(d) = shard.watchdog {
             match &mut self.watchdog {
@@ -621,152 +646,6 @@ impl MetricsReport {
     }
 }
 
-/// Cycle-bucketed delivery series for transient analysis: how many
-/// packets landed, and at what mean latency, in each window of
-/// `bucket_cycles` — the raw material for fault-recovery curves (latency
-/// spike at the failure burst, decay after links return).
-///
-/// Counts every delivery (warmup, measurement, drain): a transient does
-/// not care about measurement windows. Merging forks is an element-wise
-/// sum, so the series is bit-identical at any engine thread count.
-#[derive(Clone, Debug)]
-pub struct TransientMonitor {
-    bucket_cycles: u64,
-    delivered: Vec<u64>,
-    latency_sum: Vec<u64>,
-    cycles: u64,
-}
-
-impl TransientMonitor {
-    /// Bucket deliveries into windows of `bucket_cycles` cycles.
-    pub fn new(bucket_cycles: u64) -> Self {
-        TransientMonitor {
-            bucket_cycles: bucket_cycles.max(1),
-            delivered: Vec::new(),
-            latency_sum: Vec::new(),
-            cycles: 0,
-        }
-    }
-
-    /// The bucket width in cycles.
-    pub fn bucket_cycles(&self) -> u64 {
-        self.bucket_cycles
-    }
-
-    /// `(bucket_start_cycle, delivered, mean_latency)` per bucket, in
-    /// time order. Empty buckets report a mean latency of 0.
-    pub fn series(&self) -> Vec<(u64, u64, f64)> {
-        self.delivered
-            .iter()
-            .zip(&self.latency_sum)
-            .enumerate()
-            .map(|(b, (&d, &ls))| {
-                let mean = if d == 0 { 0.0 } else { ls as f64 / d as f64 };
-                (b as u64 * self.bucket_cycles, d, mean)
-            })
-            .collect()
-    }
-}
-
-impl SimMonitor for TransientMonitor {
-    fn on_packet_delivered(&mut self, now: u64, latency: u64, _hops: u32, _measured: bool) {
-        let b = (now / self.bucket_cycles) as usize;
-        if b >= self.delivered.len() {
-            self.delivered.resize(b + 1, 0);
-            self.latency_sum.resize(b + 1, 0);
-        }
-        self.delivered[b] += 1;
-        self.latency_sum[b] += latency;
-    }
-
-    fn on_run_end(&mut self, cycles: u64) {
-        self.cycles = cycles;
-    }
-}
-
-impl ShardableMonitor for TransientMonitor {
-    fn fork(&self) -> Self {
-        TransientMonitor::new(self.bucket_cycles)
-    }
-
-    fn absorb(&mut self, shard: Self) {
-        if shard.delivered.len() > self.delivered.len() {
-            self.delivered.resize(shard.delivered.len(), 0);
-            self.latency_sum.resize(shard.latency_sum.len(), 0);
-        }
-        for (b, d) in shard.delivered.iter().enumerate() {
-            self.delivered[b] += d;
-        }
-        for (b, ls) in shard.latency_sum.iter().enumerate() {
-            self.latency_sum[b] += ls;
-        }
-        self.cycles = self.cycles.max(shard.cycles);
-    }
-}
-
-/// Run two monitors side by side in one simulation (e.g. a
-/// [`MetricsMonitor`] for the manifest plus a [`TransientMonitor`] for
-/// the recovery curve). Every hook forwards to both halves; when both
-/// request VC sampling the finer interval wins.
-#[derive(Clone, Debug)]
-pub struct PairMonitor<A, B>(pub A, pub B);
-
-impl<A: SimMonitor, B: SimMonitor> SimMonitor for PairMonitor<A, B> {
-    fn on_run_start(&mut self, spec: &NetworkSpec) {
-        self.0.on_run_start(spec);
-        self.1.on_run_start(spec);
-    }
-    fn sample_interval(&self) -> Option<u64> {
-        match (self.0.sample_interval(), self.1.sample_interval()) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-    fn on_vc_sample(&mut self, now: u64, vc: usize, occupied_packets: u64) {
-        self.0.on_vc_sample(now, vc, occupied_packets);
-        self.1.on_vc_sample(now, vc, occupied_packets);
-    }
-    fn on_link_flit(&mut self, router: u32, port: usize, flits: u32) {
-        self.0.on_link_flit(router, port, flits);
-        self.1.on_link_flit(router, port, flits);
-    }
-    fn on_stall(&mut self, router: u32, cause: StallCause) {
-        self.0.on_stall(router, cause);
-        self.1.on_stall(router, cause);
-    }
-    fn on_injection_backpressure(&mut self, router: u32) {
-        self.0.on_injection_backpressure(router);
-        self.1.on_injection_backpressure(router);
-    }
-    fn on_packet_delivered(&mut self, now: u64, latency: u64, hops: u32, measured: bool) {
-        self.0.on_packet_delivered(now, latency, hops, measured);
-        self.1.on_packet_delivered(now, latency, hops, measured);
-    }
-    fn on_unroutable(&mut self, router: u32) {
-        self.0.on_unroutable(router);
-        self.1.on_unroutable(router);
-    }
-    fn on_watchdog(&mut self, diag: &WatchdogDiag) {
-        self.0.on_watchdog(diag);
-        self.1.on_watchdog(diag);
-    }
-    fn on_run_end(&mut self, cycles: u64) {
-        self.0.on_run_end(cycles);
-        self.1.on_run_end(cycles);
-    }
-}
-
-impl<A: ShardableMonitor, B: ShardableMonitor> ShardableMonitor for PairMonitor<A, B> {
-    fn fork(&self) -> Self {
-        PairMonitor(self.0.fork(), self.1.fork())
-    }
-
-    fn absorb(&mut self, shard: Self) {
-        self.0.absorb(shard.0);
-        self.1.absorb(shard.1);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -872,5 +751,51 @@ mod tests {
         parent.absorb(f1);
         assert_eq!(parent.report(), direct.report());
         assert_eq!(parent.link_flits_of(1), direct.link_flits_of(1));
+    }
+
+    /// Forks merge the delivery buckets by element-wise sums, so a
+    /// sharded run under a live fault burst buckets exactly what the
+    /// sequential one does.
+    #[test]
+    fn delivery_series_is_width_invariant_under_a_live_burst() {
+        use crate::engine::{SimConfig, Simulation};
+        use crate::routing::{RouteTable, RoutingKind};
+        use crate::traffic::Pattern;
+        use polarstar_topo::{er::ErGraph, FaultSchedule};
+        let spec = NetworkSpec::uniform("er5", ErGraph::new(5).unwrap().graph, 2);
+        let table = RouteTable::for_spec(&spec);
+        let cfg = SimConfig {
+            warmup_cycles: 200,
+            measure_cycles: 400,
+            drain_cycles: 2_500,
+            seed: 77,
+            fault_schedule: Some(FaultSchedule::random_burst(
+                &spec.graph,
+                0.12,
+                0xFA17,
+                350,
+                Some(650),
+            )),
+            ..SimConfig::default()
+        };
+        let run = |threads| {
+            let mut mon = MetricsMonitor::new(50);
+            Simulation::new(&spec, &table, RoutingKind::MinMulti, &Pattern::Uniform).run_monitored(
+                0.4,
+                &SimConfig {
+                    threads,
+                    ..cfg.clone()
+                },
+                &mut mon,
+            );
+            mon
+        };
+        let (sequential, sharded) = (run(None), run(Some(3)));
+        let series = sequential.delivery_series();
+        assert_eq!(series, sharded.delivery_series());
+        let delivered: u64 = series.iter().map(|&(_, d, _)| d).sum();
+        assert_eq!(delivered, sequential.report().delivered_packets);
+        assert!(delivered > 0);
+        assert!(series.iter().all(|&(start, _, _)| start % 50 == 0));
     }
 }

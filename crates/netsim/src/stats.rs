@@ -229,7 +229,7 @@ pub fn cross_validate(
 }
 
 /// Transient analysis of a fault-recovery run, computed from a
-/// [`TransientMonitor`](crate::monitor::TransientMonitor) bucket series
+/// [`MetricsMonitor::delivery_series`](crate::monitor::MetricsMonitor::delivery_series)
 /// (`(bucket_start, delivered, mean_latency)` tuples in time order).
 #[derive(Clone, Debug, PartialEq)]
 pub struct RecoveryAnalysis {

@@ -145,8 +145,12 @@ pub fn moore_bound_d3(d: u64) -> u64 {
 }
 
 /// Eq. (1): the q that maximizes PolarStar order at network degree d*.
+///
+/// With an IQ supernode the order is f(q) = (q² + q + 1)·2(d* − q);
+/// f′(q) = 0 is 3q² − 2(d* − 1)q − (d* − 1) = 0, whose positive root
+/// ((d* − 1) + √((d* − 1)(d* + 2)))/3 is returned.
 pub fn optimal_q(d_star: f64) -> f64 {
-    ((d_star - 1.0) + ((d_star - 1.0) * (d_star - 2.0)).sqrt()) / 3.0
+    ((d_star - 1.0) + ((d_star - 1.0) * (d_star + 2.0)).sqrt()) / 3.0
 }
 
 /// Eq. (2): the asymptotic maximum PolarStar order with an IQ supernode,
@@ -288,6 +292,27 @@ mod tests {
                 (best.q as f64 - qopt).abs() <= qopt * 0.35 + 3.0,
                 "radix {r}: q={} vs optimum {qopt:.1}",
                 best.q
+            );
+        }
+    }
+
+    #[test]
+    fn optimal_q_is_the_argmax_of_the_iq_order() {
+        // Eq. (1) against Eq. (2): f(q) = (q² + q + 1)·2(d* − q) peaks at
+        // optimal_q, and its peak is the asymptotic estimate.
+        for r in 8..=128u32 {
+            let d = r as f64;
+            let f = |q: f64| (q * q + q + 1.0) * 2.0 * (d - q);
+            let q = optimal_q(d);
+            assert!(
+                f(q) >= f(q - 0.01) && f(q) >= f(q + 0.01),
+                "d* = {r}: q = {q}"
+            );
+            let est = max_order_estimate(d);
+            assert!(
+                (f(q) - est).abs() <= 0.005 * est,
+                "d* = {r}: {} vs {est}",
+                f(q)
             );
         }
     }

@@ -31,7 +31,6 @@
 
 pub mod bdf;
 pub mod bundlefly;
-pub mod classic;
 pub mod dragonfly;
 pub mod edst;
 pub mod er;
@@ -48,9 +47,7 @@ pub mod mms;
 pub mod network;
 pub mod oracle;
 pub mod paley;
-pub mod polarfly;
 pub mod properties;
-pub mod slimfly;
 pub mod star;
 pub mod supernode;
 

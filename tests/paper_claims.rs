@@ -1,8 +1,8 @@
 //! Cross-crate integration tests pinning the paper's headline claims.
 
 use polarstar::design::{
-    best_config, dragonfly_best_order, enumerate_configs, hyperx3d_best_order, moore_bound_d3,
-    starmax_bound, SupernodeKind,
+    best_config, dragonfly_best_order, enumerate_configs, hyperx3d_best_order, kautz_best_order,
+    moore_bound_d3, starmax_bound, SupernodeKind,
 };
 use polarstar::layout::Layout;
 use polarstar::network::PolarStarNetwork;
@@ -10,6 +10,7 @@ use polarstar::routing::AnalyticRouter;
 use polarstar_repro::graph::traversal;
 use polarstar_repro::topo::bundlefly;
 use polarstar_repro::topo::iq::inductive_quad;
+use polarstar_repro::topo::kautz::kautz_bidirectional;
 
 /// §1.3: largest known diameter-3 networks — PolarStar beats Bundlefly,
 /// Dragonfly and HyperX at (almost) every radix in [8, 128].
@@ -54,6 +55,41 @@ fn networks_of_radix_8_to_20(iq: bool) -> Vec<PolarStarNetwork> {
         .collect()
 }
 
+/// The construction claims of §6–§8 on one built network: order
+/// (q² + q + 1)·|G'|, the degree budget d*, |G'| links per bundle, q + 1
+/// clusters covering the structure graph, and every inter-supernode link
+/// in exactly one bundle.
+fn assert_construction_claims(net: &PolarStarNetwork) {
+    let cfg = &net.config;
+    let label = cfg.label();
+    assert_eq!(net.graph().n(), cfg.order(), "{label}: order");
+    assert!(net.graph().max_degree() <= cfg.degree(), "{label}: degree");
+    let layout = Layout::of(net);
+    let np = net.supernode.order();
+    assert_eq!(layout.links_per_bundle, np, "{label}: bundle size");
+    assert_eq!(
+        layout.clusters.len(),
+        cfg.q as usize + 1,
+        "{label}: clusters"
+    );
+    let clustered: usize = layout.clusters.iter().map(Vec::len).sum();
+    assert_eq!(
+        clustered,
+        cfg.structure_order(),
+        "{label}: cluster coverage"
+    );
+    let inter_links = net
+        .graph()
+        .edges()
+        .filter(|&(u, v)| u as usize / np != v as usize / np)
+        .count();
+    assert_eq!(
+        inter_links,
+        layout.bundle_count * layout.links_per_bundle,
+        "{label}: inter-supernode links"
+    );
+}
+
 /// Theorem 4 end-to-end: structure-R × supernode-R* star products have
 /// diameter ≤ 3 — every Inductive-Quad configuration of radix 8–20,
 /// both parities of D. With the Paley ones of Theorem 5, that is all 106
@@ -68,6 +104,7 @@ fn theorem4_diameter_three_integration() {
     for net in &nets {
         assert!(net.er.has_property_r());
         assert!(net.supernode.satisfies_r_star());
+        assert_construction_claims(net);
         let label = net.config.label();
         assert!(traversal::diameter(net.graph()).unwrap() <= 3, "{label}");
     }
@@ -80,9 +117,24 @@ fn theorem4_diameter_three_integration() {
 #[test]
 fn theorem5_diameter_three_integration() {
     for net in networks_of_radix_8_to_20(false) {
+        assert!(net.er.has_property_r());
         assert!(net.supernode.satisfies_r1());
+        assert_construction_claims(&net);
         let label = net.config.label();
         assert!(traversal::diameter(net.graph()).unwrap() <= 3, "{label}");
+    }
+}
+
+/// Fig. 1's Kautz curve is a construction, not only a closed form: at
+/// every radix r in 8–20 the bidirectional K(⌊r/2⌋, 3) has
+/// `kautz_best_order(r)` routers, degree ≤ r and diameter ≤ 3.
+#[test]
+fn kautz_curve_is_constructed() {
+    for r in 8..=20usize {
+        let g = kautz_bidirectional(r / 2, 3);
+        assert_eq!(g.n() as u64, kautz_best_order(r as u64), "radix {r}");
+        assert!(g.max_degree() <= r, "radix {r}");
+        assert!(traversal::diameter(&g).unwrap() <= 3, "radix {r}");
     }
 }
 
