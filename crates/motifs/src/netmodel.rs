@@ -18,9 +18,9 @@ use std::sync::OnceLock;
 /// Picoseconds.
 pub type Time = u64;
 
-/// Networks this large are not routed: the hop words grow as
-/// `8 · directed links · ⌈n/64⌉` bytes, 8 GiB once every router of a
-/// 65 535-router degree-16 network has been a destination.
+/// Networks this large are not routed: the port masks grow as
+/// `⌈max degree / 8⌉ · 64 · n · ⌈n/64⌉` bytes, 8 GiB once every router
+/// of a 65 535-router degree-16 network has been a destination.
 const ROUTER_LIMIT: usize = u16::MAX as usize;
 
 /// Why a motif-level message or collective could not be modeled.
@@ -161,19 +161,16 @@ impl RoutingMode {
 /// All hot-path state is dense and indexed by the spec graph's
 /// directed edge ids ([`Graph::edge_id`]): paths are runs of edge ids
 /// in buffers the model reuses, link reservations live in flat arrays,
-/// each hop is read off the leaving links' minimal-hop words
-/// ([`masked_hop_block`]) — no hash maps, no allocation from
-/// `send_routers` to `reserve`.
+/// each hop is read off one minimal-port mask of the router it leaves
+/// — no hash maps, no allocation from `send_routers` to `reserve`.
 pub struct NetModel {
-    /// All the routing state: `hops[b]` holds one word per directed
-    /// edge id whose bit `i` says "a minimal next hop toward destination
-    /// `64·b + i`" under the spec's static fault mask
-    /// ([`masked_hop_block`]), swept on first use — a private cache, not
+    /// All the routing state: one minimal-port mask per (router,
+    /// destination) under the spec's static fault mask, swept a block
+    /// of 64 destinations at a time on first use — a private cache, not
     /// a route backend: faults that change over time are a
     /// [`FaultEpochs`](crate::FaultEpochs) timeline the striped
-    /// collectives lay over the model. `OnceLock` so
-    /// [`NetModel::min_path`] can populate it through `&self`.
-    hops: Vec<OnceLock<Box<[u64]>>>,
+    /// collectives lay over the model.
+    ports: PortMasks,
     /// The path a message will reserve and the detour being weighed
     /// against it, reused across messages.
     paths: [Vec<u32>; 2],
@@ -223,9 +220,8 @@ impl NetModel {
     pub fn new(spec: NetworkSpec, cfg: MotifConfig) -> Self {
         let rng = ChaCha8Rng::seed_from_u64(cfg.seed);
         let edges = spec.graph.directed_edge_count();
-        let blocks = spec.graph.n().div_ceil(64);
         NetModel {
-            hops: (0..blocks).map(|_| OnceLock::new()).collect(),
+            ports: PortMasks::new(&spec.graph),
             paths: Default::default(),
             free_at: vec![0; edges],
             link_busy: vec![0; edges],
@@ -244,7 +240,8 @@ impl NetModel {
 
     /// Back to the idle network [`NetModel::new`] built — reservations
     /// and load accounting cleared, the path RNG reseeded — so what
-    /// follows repeats on a fresh model. Hop words stay: their mask does.
+    /// follows repeats on a fresh model. Port masks stay: their fault
+    /// mask does.
     pub fn reset(&mut self) {
         self.free_at.fill(0);
         self.link_busy.fill(0);
@@ -252,12 +249,14 @@ impl NetModel {
         self.rng = ChaCha8Rng::seed_from_u64(self.cfg.seed);
     }
 
-    /// Bytes of minimal-hop words swept so far — all the routing state
-    /// the model holds, `8 · directed links · ⌈n/64⌉` once every router
-    /// has been a destination.
+    /// Bytes of port masks swept so far — all the routing state the
+    /// model holds: `⌈max degree / 8⌉ · 64 · n` per swept block, so
+    /// `⌈max degree / 8⌉ · 64 · n · ⌈n/64⌉` once every router has been a
+    /// destination — `8 · directed links · ⌈n/64⌉` on a degree-32
+    /// regular network.
     pub fn hop_word_bytes(&self) -> usize {
-        let swept = self.hops.iter().filter_map(OnceLock::get);
-        swept.map(|block| 8 * block.len()).sum()
+        let swept = self.ports.blocks.iter().filter_map(OnceLock::get);
+        swept.map(|block| block.len()).sum()
     }
 
     /// The static fault mask routing applies (the spec's).
@@ -354,15 +353,15 @@ impl NetModel {
     }
 
     /// Append a minimal path `src → dst` to `path` as directed edge ids
-    /// down `dst`'s hop words (its block swept on first use). A hop
-    /// counts the `k` words of `cur`'s links with `dst`'s bit set —
-    /// its minimal slots, in ascending CSR order — and takes slot
-    /// `pick(k)` of `k > 1`. `false`, `path` then unspecified, when no
-    /// surviving path connects the pair, an id names no router or the
-    /// network reaches `ROUTER_LIMIT`. Not a method, so `ecmp_into` can
-    /// lend `self.rng`.
+    /// down `dst`'s port masks (its block swept on first use). A hop
+    /// reads the one mask of (`cur`, `dst`): its `k` set bits are `cur`'s
+    /// minimal ports, in ascending CSR order, and it takes the `pick(k)`-th
+    /// of `k > 1`. `false`, `path` then unspecified, when no surviving
+    /// path connects the pair, an id names no router or the network
+    /// reaches `ROUTER_LIMIT`. Not a method, so `ecmp_into` can lend
+    /// `self.rng`.
     fn walk(
-        hops: &[OnceLock<Box<[u64]>>],
+        ports: &PortMasks,
         graph: &Graph,
         mask: &FaultMask,
         (src, dst): (u32, u32),
@@ -373,22 +372,17 @@ impl NetModel {
         if src.max(dst) as usize >= n || n >= ROUTER_LIMIT {
             return false;
         }
-        let (first, bit) = (dst & !63, dst & 63);
-        let words = hops[first as usize / 64]
-            .get_or_init(|| masked_hop_block(graph, mask, first).into_boxed_slice());
+        let (block, width) = (ports.block(graph, mask, dst & !63), ports.width);
+        let row = &block[(dst & 63) as usize * n * width..][..n * width];
         let mut cur = src;
         while cur != dst {
-            let slots = graph.edge_range(cur);
-            let links = &words[slots.start as usize..slots.end as usize];
-            let k = links.iter().map(|&w| (w >> bit & 1) as usize).sum();
+            let minimal = &row[cur as usize * width..][..width];
+            let k = port_words(minimal).map(ones).sum();
             if k == 0 {
                 return false;
             }
             let j = if k > 1 { pick(k) } else { 0 };
-            let mut minimal = (slots.start..)
-                .zip(links)
-                .filter(|&(_, &w)| w >> bit & 1 != 0);
-            let (e, _) = minimal.nth(j).expect("pick(k) draws below k");
+            let e = graph.edge_range(cur).start + nth_port(minimal, j);
             path.push(e);
             cur = graph.edge_target(e);
         }
@@ -399,7 +393,7 @@ impl NetModel {
     fn ecmp_into(&mut self, src: u32, dst: u32, path: &mut Vec<u32>) -> bool {
         let (rng, graph) = (&mut self.rng, &self.spec.graph);
         let pick = |k| rng.gen_range(0..k);
-        Self::walk(&self.hops, graph, &self.mask, (src, dst), pick, path)
+        Self::walk(&self.ports, graph, &self.mask, (src, dst), pick, path)
     }
 
     /// The deterministic minimal router path `src → dst` (first ECMP
@@ -407,7 +401,7 @@ impl NetModel {
     /// [`NetModel::ecmp_path`] for `None`.
     pub fn min_path(&self, src: u32, dst: u32) -> Option<Vec<u32>> {
         let (graph, mut path) = (&self.spec.graph, Vec::new());
-        let found = Self::walk(&self.hops, graph, &self.mask, (src, dst), |_| 0, &mut path);
+        let found = Self::walk(&self.ports, graph, &self.mask, (src, dst), |_| 0, &mut path);
         found.then_some(path)
     }
 
@@ -589,6 +583,89 @@ struct SendCost {
     overhead: Time,
     per_hop: Time,
     serial: Time,
+}
+
+/// The routing state of a [`NetModel`]: per block of 64 consecutive
+/// destinations, one `width`-byte mask per (destination, router), the
+/// block's `64 · n` masks destination-major — the mask of (`v`, `64·b +
+/// i`) starts at byte `(i·n + v) · width` of block `b`. Bit `p` of it
+/// (byte `p / 8`, bit `p % 8`) says "port `p` of `v`, CSR slot
+/// `edge_range(v).start + p`, is a minimal next hop toward `64·b + i`"
+/// under the model's static fault mask. A block is [`masked_hop_block`]'s
+/// per-slot words transposed, swept on first use; the words are dropped
+/// once transposed. `OnceLock` so [`NetModel::min_path`] can populate it
+/// through `&self`.
+struct PortMasks {
+    /// Bytes of one mask: ⌈max degree / 8⌉.
+    width: usize,
+    blocks: Vec<OnceLock<Box<[u8]>>>,
+}
+
+impl PortMasks {
+    fn new(graph: &Graph) -> Self {
+        let blocks = graph.n().div_ceil(64);
+        PortMasks {
+            width: graph.max_degree().div_ceil(8),
+            blocks: (0..blocks).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// The masks toward destinations `first ..` (`first` a multiple of
+    /// 64), swept and transposed on first use.
+    fn block(&self, graph: &Graph, mask: &FaultMask, first: u32) -> &[u8] {
+        self.blocks[first as usize / 64].get_or_init(|| {
+            let (width, row) = (self.width, graph.n() * self.width);
+            let words = masked_hop_block(graph, mask, first);
+            let mut masks = vec![0u8; 64 * row];
+            for v in 0..graph.n() {
+                let slots = graph.edge_range(v as u32);
+                let links = &words[slots.start as usize..slots.end as usize];
+                for (p, &word) in links.iter().enumerate() {
+                    // Port p's byte in v's mask of the block's first row.
+                    let (port, bit) = (&mut masks[v * width + p / 8..], 1 << (p % 8));
+                    let mut dsts = word;
+                    while dsts != 0 {
+                        port[dsts.trailing_zeros() as usize * row] |= bit;
+                        dsts &= dsts - 1;
+                    }
+                }
+            }
+            masks.into_boxed_slice()
+        })
+    }
+}
+
+/// A mask as 64-port words: bit `p` of word `c` is port `64·c + p`.
+fn port_words(mask: &[u8]) -> impl Iterator<Item = u64> + '_ {
+    let word = |bytes: &[u8]| bytes.iter().rev().fold(0, |w, &b| w << 8 | u64::from(b));
+    mask.chunks(8).map(word)
+}
+
+/// Set bits of a port word, without counting when there are at most
+/// one (84 % of the hops of PS-IQ's UGAL allreduce have one port).
+fn ones(word: u64) -> usize {
+    if word & word.wrapping_sub(1) == 0 {
+        usize::from(word != 0)
+    } else {
+        word.count_ones() as usize
+    }
+}
+
+/// The port of the `j`-th set bit of a mask.
+///
+/// # Panics
+/// If the mask has `j` set bits or fewer.
+fn nth_port(mask: &[u8], mut j: usize) -> u32 {
+    for (c, mut word) in port_words(mask).enumerate() {
+        while word != 0 && j > 0 {
+            word &= word - 1;
+            j -= 1;
+        }
+        if word != 0 {
+            return 64 * c as u32 + word.trailing_zeros();
+        }
+    }
+    panic!("pick(k) draws below k")
 }
 
 #[cfg(test)]

@@ -1,16 +1,17 @@
 //! The motif model at PS-scale32 — the first motif number above 1 064
 //! routers: one recursive-doubling allreduce (MIN, 64 KB, 1 iteration)
 //! over the 109 494 ranks of the radix-32 PolarStar (9 954 routers),
-//! routed from per-link minimal-hop words. Release only (`#[ignore]`d;
-//! CI runs it with `-- --ignored` under its own timeout):
+//! routed from per-router minimal-port masks, one 4-byte mask per
+//! (router, destination). Release only (`#[ignore]`d; CI runs it with
+//! `-- --ignored` under its own timeout):
 //!
 //! ```sh
 //! cargo test --release -p polarstar-motifs --test model_scale -- --ignored --nocapture
 //! ```
 //!
-//! It prints seconds, messages per second, the hop-word bytes and the
-//! process's peak RSS (`VmHWM`, asserted ≤ 450 MiB); EXPERIMENTS.md
-//! "Figure 11" records one run.
+//! It prints seconds, messages per second, the port-mask bytes
+//! (`NetModel::hop_word_bytes`) and the process's peak RSS (`VmHWM`,
+//! asserted ≤ 450 MiB); EXPERIMENTS.md "Figure 11" records one run.
 
 use polarstar::design::best_config;
 use polarstar::network::PolarStarNetwork;
@@ -45,8 +46,9 @@ fn radix32_recursive_doubling_allreduce() {
     );
     assert!(done_ns > 0.0);
     // Every router is some rank's destination, so every block is swept
-    // — and the hop words are all the routing state there is: twice the
-    // 2·n² of `u16` distance rows at degree 32.
+    // — and the port masks are all the routing state there is: at degree
+    // 32, ⌈32/8⌉ · 64 · n = 8 · directed links bytes a block; twice the
+    // 2·n² of `u16` distance rows.
     assert_eq!(model.hop_word_bytes(), 8 * links * n.div_ceil(64));
     assert_eq!(model.hop_word_bytes(), 397_522_944);
     if let Some(kb) = peak_kb {

@@ -39,9 +39,10 @@ impl RoutingPolicy {
 ///   total). Used by hierarchical traffic patterns (bit shuffle locality,
 ///   adversarial supernode-pair traffic of §9.6).
 ///
-/// Endpoint-id lookups cache the prefix-sum offsets on first use; mutate
-/// `endpoints` only before the first call to [`NetworkSpec::endpoint_router`]
-/// / [`NetworkSpec::endpoint_offsets`].
+/// Endpoint-id lookups cache the prefix-sum offsets (and whether every
+/// router carries the same count) on first use; mutate `endpoints` only
+/// before the first call to [`NetworkSpec::endpoint_router`] /
+/// [`NetworkSpec::endpoint_offsets`].
 #[derive(Debug)]
 pub struct NetworkSpec {
     /// Short display name, e.g. `"PS-IQ"`.
@@ -59,8 +60,19 @@ pub struct NetworkSpec {
     /// so port numbering is stable; consumers mask it through
     /// [`NetworkSpec::faults`] / [`NetworkSpec::degraded_graph`].
     faults: FaultSet,
-    /// Lazily-built endpoint prefix sums (length n+1).
-    ep_offsets: OnceLock<Vec<usize>>,
+    /// Lazily-built endpoint lookup.
+    ep_index: OnceLock<EndpointIndex>,
+}
+
+/// What [`NetworkSpec::endpoint_router`] reads, built once from
+/// `endpoints`.
+#[derive(Debug)]
+struct EndpointIndex {
+    /// Endpoint prefix sums (length n+1).
+    offsets: Vec<usize>,
+    /// The count every router carries, when they all carry the same
+    /// nonzero one: endpoint `ep` is then slot `ep % p` of router `ep / p`.
+    per_router: Option<usize>,
 }
 
 impl Clone for NetworkSpec {
@@ -73,7 +85,7 @@ impl Clone for NetworkSpec {
             routing_policy: self.routing_policy,
             faults: self.faults.clone(),
             // The clone recomputes its offsets on first use.
-            ep_offsets: OnceLock::new(),
+            ep_index: OnceLock::new(),
         }
     }
 }
@@ -93,7 +105,7 @@ impl NetworkSpec {
             group,
             routing_policy: RoutingPolicy::FlatMinimal,
             faults: FaultSet::empty(),
-            ep_offsets: OnceLock::new(),
+            ep_index: OnceLock::new(),
         }
     }
 
@@ -178,30 +190,49 @@ impl NetworkSpec {
     /// Map a global endpoint id to `(router, local_slot)`.
     ///
     /// Endpoint ids are contiguous per router (and therefore per group),
-    /// matching the paper's §9.4 placement. O(log n) via binary search on
+    /// matching the paper's §9.4 placement. O(1) when every router
+    /// carries the same nonzero count, else O(log n) via binary search on
     /// the cached prefix sums — this sits on the per-message hot path of
     /// both simulators.
+    ///
+    /// # Panics
+    /// If `ep` is not below [`NetworkSpec::total_endpoints`].
     pub fn endpoint_router(&self, ep: usize) -> (u32, u32) {
-        let off = self.endpoint_offsets();
-        let n = self.endpoints.len();
+        let index = self.endpoint_index();
+        let off = &index.offsets;
+        let total = off[off.len() - 1];
+        if ep >= total {
+            panic!("endpoint id {ep} out of range ({total} total)");
+        }
+        if let Some(p) = index.per_router {
+            return ((ep / p) as u32, (ep % p) as u32);
+        }
         // Largest r with off[r] <= ep; off has length n+1.
         let r = off.partition_point(|&o| o <= ep) - 1;
-        if r >= n {
-            panic!("endpoint id {ep} out of range ({} total)", off[n]);
-        }
         (r as u32, (ep - off[r]) as u32)
     }
 
     /// First global endpoint id on each router (length n+1 prefix sums),
     /// computed once and cached.
     pub fn endpoint_offsets(&self) -> &[usize] {
-        self.ep_offsets.get_or_init(|| {
-            let mut off = Vec::with_capacity(self.endpoints.len() + 1);
-            off.push(0);
+        &self.endpoint_index().offsets
+    }
+
+    fn endpoint_index(&self) -> &EndpointIndex {
+        self.ep_index.get_or_init(|| {
+            let mut offsets = Vec::with_capacity(self.endpoints.len() + 1);
+            offsets.push(0);
             for &e in &self.endpoints {
-                off.push(off.last().unwrap() + e as usize);
+                offsets.push(offsets.last().unwrap() + e as usize);
             }
-            off
+            let per_router = match self.endpoints.split_first() {
+                Some((&p, rest)) if p > 0 && rest.iter().all(|&e| e == p) => Some(p as usize),
+                _ => None,
+            };
+            EndpointIndex {
+                offsets,
+                per_router,
+            }
         })
     }
 

@@ -12,7 +12,8 @@
 //! [`polarstar_graph::traversal::sweep_block`], fills both
 //! [`masked_distance_block`] (the `u8` or `u16` rows a flat
 //! `RouteTable` holds) and [`masked_hop_block`] (that rule as per-link
-//! bits, what the motif model walks) — all reading a compiled
+//! bits, which the motif model transposes into per-router port masks)
+//! — all reading a compiled
 //! [`FaultMask`].
 //!
 //! Unreachable pairs answer with a typed [`RouteError::Unreachable`]

@@ -5,6 +5,7 @@ use polarstar_graph::{traversal, Graph};
 use polarstar_topo::er::ErGraph;
 use polarstar_topo::fault::{FaultMask, FaultSchedule, FaultSet};
 use polarstar_topo::iq::inductive_quad;
+use polarstar_topo::network::NetworkSpec;
 use polarstar_topo::oracle::{
     column_next_hops, masked_distance_block, masked_distance_column, masked_hop_block,
 };
@@ -14,6 +15,7 @@ use polarstar_topo::star::{
 };
 use polarstar_topo::supernode::Supernode;
 use proptest::prelude::*;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Random permutation of 0..n as a bijection for the star product.
 fn permutation(n: usize) -> impl Strategy<Value = Vec<u32>> {
@@ -333,6 +335,36 @@ proptest! {
                     prop_assert_eq!(bits, scalar, "{} → {} of {}", v, dst, n);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn endpoint_router_matches_the_prefix_sums(
+        routers in 1usize..40,
+        per_router in 0u32..5,
+        uneven in prop::collection::vec(0u32..4, 1..40),
+        past in 0usize..5,
+    ) {
+        // The same count on every router (the O(1) path when nonzero),
+        // then uneven counts with zero-endpoint routers among them
+        // (binary search), against the prefix-sum reference.
+        for endpoints in [vec![per_router; routers], uneven.clone()] {
+            let mut spec = NetworkSpec::uniform("path", Graph::path(endpoints.len()), 0);
+            spec.endpoints = endpoints.clone();
+            let mut off = vec![0usize];
+            for &e in &endpoints {
+                off.push(off[off.len() - 1] + e as usize);
+            }
+            let total = off[endpoints.len()];
+            for ep in 0..total {
+                let r = off.partition_point(|&o| o <= ep) - 1;
+                prop_assert_eq!(spec.endpoint_router(ep), (r as u32, (ep - off[r]) as u32), "{:?}", endpoints);
+            }
+            // Past the last endpoint both paths panic alike.
+            let bad = total + past;
+            let err = catch_unwind(AssertUnwindSafe(|| spec.endpoint_router(bad))).unwrap_err();
+            let want = format!("endpoint id {bad} out of range ({total} total)");
+            prop_assert_eq!(err.downcast_ref::<String>(), Some(&want), "{:?}", endpoints);
         }
     }
 
