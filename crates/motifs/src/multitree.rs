@@ -26,7 +26,7 @@
 //! at any thread count.
 
 use crate::netmodel::{ns, MotifError, NetModel, Time};
-use polarstar_topo::fault::{FaultSchedule, FaultSet};
+use polarstar_topo::fault::{FaultMask, FaultSchedule, FaultSet};
 use std::collections::{HashSet, VecDeque};
 
 /// Pipelining granularity of a chunk flood — §10.1's 64 KB message
@@ -73,9 +73,13 @@ impl FaultEpochs {
 
     /// The mask active at time `t` (ps).
     pub fn at(&self, t: Time) -> &FaultSet {
+        &self.masks[self.epoch(t)]
+    }
+
+    /// The index of the epoch active at time `t` (ps).
+    fn epoch(&self, t: Time) -> usize {
         // starts[0] == 0 always, so the partition point is ≥ 1.
-        let i = self.starts.partition_point(|&s| s <= t);
-        &self.masks[i - 1]
+        self.starts.partition_point(|&s| s <= t) - 1
     }
 }
 
@@ -290,6 +294,9 @@ pub fn striped_allreduce(
 struct StripedRun<'a> {
     model: &'a mut NetModel,
     epochs: &'a FaultEpochs,
+    /// Per epoch, its fault set ∪ the model's static faults compiled
+    /// against the model graph.
+    masks: Vec<FaultMask>,
     /// Allreduce (reduce-up, then flood-down) rather than broadcast.
     reduce_first: bool,
     motif: &'static str,
@@ -318,11 +325,18 @@ impl<'a> StripedRun<'a> {
                 "{motif} needs at least one spanning tree"
             )));
         }
-        let n = model.spec().graph.n();
+        let graph = &model.spec().graph;
+        let n = graph.n();
         let (root, _) = model.spec().endpoint_router(0);
         let mut states = Vec::with_capacity(trees.len());
         let mut used: HashSet<(u32, u32)> = HashSet::new();
         for (i, tree) in trees.iter().enumerate() {
+            let link = |&&(u, v): &&(u32, u32)| (u as usize) < n && graph.has_edge(u, v);
+            if let Some((u, v)) = tree.iter().find(|e| !link(e)) {
+                return Err(MotifError::invalid_config(format!(
+                    "{motif}: tree {i} edge ({u}, {v}) is no link of the network"
+                )));
+            }
             let oriented = orient(n, tree, root).ok_or_else(|| {
                 MotifError::invalid_config(format!(
                     "{motif}: tree {i} does not span the {n}-router graph"
@@ -341,8 +355,11 @@ impl<'a> StripedRun<'a> {
                 repairs: 0,
             });
         }
+        let compile = |set: &FaultSet| set.union(model.faults()).compile(graph);
+        let masks = epochs.masks.iter().map(compile).collect();
         Ok(StripedRun {
             hop: hop_time(model),
+            masks,
             bytes_per_ps: model.config().bandwidth_bytes_per_ns / 1000.0,
             model,
             epochs,
@@ -357,12 +374,13 @@ impl<'a> StripedRun<'a> {
         })
     }
 
-    /// Whether the undirected edge `{u, v}` is dead at time `t`: failed
-    /// on the fault timeline or under the model's static mask. The one
-    /// place outside `topo::fault` that probes a [`FaultSet`] instead
-    /// of a compiled mask: the timeline is built without a graph.
+    /// Whether the cable `{u, v}`, a link of the network, is dead at
+    /// time `t`: failed on the fault timeline or under the model's
+    /// static mask — the edge bit of that epoch's compiled mask.
     fn dead(&self, t: Time, u: u32, v: u32) -> bool {
-        self.epochs.at(t).edge_failed(u, v) || self.model.faults().edge_failed(u, v)
+        let mask = &self.masks[self.epochs.epoch(t)];
+        let graph = &self.model.spec().graph;
+        !mask.is_empty() && graph.edge_id(u, v).is_some_and(|e| mask.edge_dead(e))
     }
 
     /// Pipeline ramp (ps) of tree `i` at its current depth; an
@@ -558,13 +576,10 @@ impl<'a> StripedRun<'a> {
         for s in 0..nseg {
             let seg = if s + 1 == nseg { last } else { SEGMENT_BYTES };
             let st = at[from as usize * nseg + s];
-            let sent = if self.dead(st, from, to) {
-                None
-            } else {
-                // Errs only for a tree edge the graph does not have.
-                self.model.send_link(from, to, seg, st).ok()
-            };
-            let Some(t) = sent else {
+            // `new` admits only links and `dead` covers the static mask,
+            // so a send made does not err.
+            let alive = !self.dead(st, from, to);
+            let Some(Ok(t)) = alive.then(|| self.model.send_link(from, to, seg, st)) else {
                 return Err(Dead {
                     at: st,
                     edge: (from, to),
@@ -879,6 +894,27 @@ mod tests {
         let mut m = model_of(g);
         let out = striped_allreduce(&mut m, &trees, bytes, &epochs, RepairPolicy::None).unwrap();
         assert_eq!(out.completion_ns, whole as f64 / 1000.0);
+    }
+
+    #[test]
+    fn rejects_tree_edges_that_are_no_link() {
+        // C6 has no cable 0 – 3, nor a router 6.
+        let tree = |e| vec![(0u32, 1u32), (1, 2), e, (3, 4), (4, 5)];
+        for (u, v) in [(0, 3), (2, 6), (6, 2)] {
+            let mut m = model_of(Graph::cycle(6));
+            let trees = vec![tree((2, 3)), tree((u, v))];
+            let err = striped_allreduce(
+                &mut m,
+                &trees,
+                1024,
+                &FaultEpochs::pristine(),
+                RepairPolicy::None,
+            )
+            .unwrap_err();
+            let reason =
+                format!("striped_allreduce: tree 1 edge ({u}, {v}) is no link of the network");
+            assert_eq!(err, MotifError::invalid_config(reason));
+        }
     }
 
     #[test]

@@ -6,10 +6,10 @@
 //! serialization on every link of its path, while its head advances with
 //! per-hop router + link latency (virtual cut-through).
 
+use polarstar_graph::traversal::sweep_block;
 use polarstar_graph::Graph;
 use polarstar_topo::fault::{FaultMask, FaultSet};
 use polarstar_topo::network::NetworkSpec;
-use polarstar_topo::oracle::masked_hop_block;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::fmt;
@@ -254,7 +254,7 @@ impl NetModel {
     /// `⌈max degree / 8⌉ · 64 · n · ⌈n/64⌉` once every router has been a
     /// destination — `8 · directed links · ⌈n/64⌉` on a degree-32
     /// regular network.
-    pub fn hop_word_bytes(&self) -> usize {
+    pub fn port_mask_bytes(&self) -> usize {
         let swept = self.ports.blocks.iter().filter_map(OnceLock::get);
         swept.map(|block| block.len()).sum()
     }
@@ -547,7 +547,8 @@ impl NetModel {
         }
     }
 
-    /// Send between ENDPOINTS (ranks map linearly onto endpoints, §10.1).
+    /// Send between ENDPOINTS (ranks map linearly onto endpoints, §10.1);
+    /// an endpoint id outside the network is [`MotifError::InvalidConfig`].
     pub fn send_endpoints(
         &mut self,
         src_ep: u32,
@@ -556,6 +557,12 @@ impl NetModel {
         start: Time,
         mode: RoutingMode,
     ) -> Result<Time, MotifError> {
+        let (ep, offsets) = (src_ep.max(dst_ep), self.spec.endpoint_offsets());
+        let total = offsets[offsets.len() - 1];
+        if ep as usize >= total {
+            let reason = format!("endpoint {ep} outside a network of {total} endpoints");
+            return Err(MotifError::InvalidConfig { reason });
+        }
         let (sr, _) = self.spec.endpoint_router(src_ep as usize);
         let (dr, _) = self.spec.endpoint_router(dst_ep as usize);
         self.send_routers(sr, dr, bytes, start, mode)
@@ -591,9 +598,9 @@ struct SendCost {
 /// i`) starts at byte `(i·n + v) · width` of block `b`. Bit `p` of it
 /// (byte `p / 8`, bit `p % 8`) says "port `p` of `v`, CSR slot
 /// `edge_range(v).start + p`, is a minimal next hop toward `64·b + i`"
-/// under the model's static fault mask. A block is [`masked_hop_block`]'s
-/// per-slot words transposed, swept on first use; the words are dropped
-/// once transposed. `OnceLock` so [`NetModel::min_path`] can populate it
+/// under the model's static fault mask — `column_next_hops` over
+/// `masked_distance_column` (`topo::oracle`), for 64 destinations in one
+/// sweep. `OnceLock` so [`NetModel::min_path`] can populate a block
 /// through `&self`.
 struct PortMasks {
     /// Bytes of one mask: ⌈max degree / 8⌉.
@@ -611,25 +618,30 @@ impl PortMasks {
     }
 
     /// The masks toward destinations `first ..` (`first` a multiple of
-    /// 64), swept and transposed on first use.
+    /// 64), filled on first use by one [`sweep_block`] over the cables
+    /// `mask` leaves: when `v` is first reached by the destination bits
+    /// `fresh`, each live port `p` to `u` takes bit `p` for `fresh & prev[u]`.
     fn block(&self, graph: &Graph, mask: &FaultMask, first: u32) -> &[u8] {
         self.blocks[first as usize / 64].get_or_init(|| {
             let (width, row) = (self.width, graph.n() * self.width);
-            let words = masked_hop_block(graph, mask, first);
             let mut masks = vec![0u8; 64 * row];
-            for v in 0..graph.n() {
-                let slots = graph.edge_range(v as u32);
-                let links = &words[slots.start as usize..slots.end as usize];
-                for (p, &word) in links.iter().enumerate() {
+            let dsts: Vec<u32> = (first..graph.n() as u32).take(64).collect();
+            let live = |_, e, _| !mask.edge_dead(e);
+            sweep_block(graph, &dsts, &[], u32::MAX, live, |_, v, fresh, prev| {
+                let slots = graph.edge_range(v).zip(graph.neighbors(v));
+                for (p, (e, &u)) in slots.enumerate() {
+                    let mut hops = fresh & prev[u as usize];
+                    if hops == 0 || mask.link_dead(e) {
+                        continue;
+                    }
                     // Port p's byte in v's mask of the block's first row.
-                    let (port, bit) = (&mut masks[v * width + p / 8..], 1 << (p % 8));
-                    let mut dsts = word;
-                    while dsts != 0 {
-                        port[dsts.trailing_zeros() as usize * row] |= bit;
-                        dsts &= dsts - 1;
+                    let (port, bit) = (&mut masks[v as usize * width + p / 8..], 1 << (p % 8));
+                    while hops != 0 {
+                        port[hops.trailing_zeros() as usize * row] |= bit;
+                        hops &= hops - 1;
                     }
                 }
-            }
+            });
             masks.into_boxed_slice()
         })
     }
@@ -680,6 +692,8 @@ impl NetModel {
 mod tests {
     use super::*;
     use polarstar_graph::Graph;
+    use polarstar_topo::oracle::{column_next_hops, masked_distance_column};
+    use proptest::prelude::*;
 
     fn model() -> NetModel {
         let spec = NetworkSpec::uniform("path4", Graph::path(4), 1);
@@ -886,6 +900,21 @@ mod tests {
     }
 
     #[test]
+    fn send_endpoints_rejects_ids_outside_the_network() {
+        // Two endpoints a router: ids 0..8.
+        let spec = NetworkSpec::uniform("k4", Graph::complete(4), 2);
+        let mut m = NetModel::new(spec, MotifConfig::default());
+        for (src, dst) in [(0, 8), (8, 0), (3, u32::MAX)] {
+            for mode in [RoutingMode::Min, RoutingMode::Adaptive { candidates: 2 }] {
+                let err = m.send_endpoints(src, dst, 8, 0, mode).unwrap_err();
+                let want = format!("endpoint {} outside a network of 8 endpoints", src.max(dst));
+                assert_eq!(err, MotifError::invalid_config(want));
+            }
+        }
+        assert!(m.send_endpoints(0, 7, 8, 0, RoutingMode::Min).is_ok());
+    }
+
+    #[test]
     fn link_busy_time_is_zero_outside_the_network() {
         let (mut m, n) = k4();
         m.send_link(0, 3, 8, 0).unwrap();
@@ -915,7 +944,8 @@ mod tests {
 
     #[test]
     fn oversized_network_is_invalid_config_not_a_panic() {
-        // 70 000 routers overflow the u16 distance rows.
+        // 70 000 routers are past ROUTER_LIMIT: their port masks would
+        // outgrow memory long before the last block was swept.
         let n = 70_000u32;
         let spec = NetworkSpec::uniform("c70k", Graph::cycle(n as usize), 1);
         let mut m = NetModel::new(spec, MotifConfig::default());
@@ -1061,5 +1091,77 @@ mod tests {
         let m = model();
         // 4000 bytes at 4 B/ns = 1000 ns serialization + 100 ns overhead.
         assert_eq!(m.sender_busy(4000), ns(1100.0));
+    }
+
+    /// Whether bit `p` of a mask is set.
+    fn has_port(mask: &[u8], p: usize) -> bool {
+        mask[p / 8] >> (p % 8) & 1 != 0
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn port_masks_are_the_scalar_port_rule(
+            size in 0usize..5,
+            density in 1usize..5,
+            cut in 0u32..40,
+            seed in 0u64..10_000,
+        ) {
+            // Block boundaries on either side of one word of
+            // destinations, and a single router; a hub cabled to every
+            // even router has more ports than a word has bits (masks of
+            // 9 bytes and more) once n = 150.
+            let n = [1usize, 63, 64, 65, 150][size];
+            let nn = n as u32;
+            let hub = seed as u32 % nn;
+            let random = polarstar_graph::random::gnm(n, (n * density / 2).min(n * (n - 1) / 2), seed);
+            let mut edges: Vec<(u32, u32)> = random.edges().collect();
+            edges.extend((0..nn).step_by(2).filter(|&v| v != hub).map(|v| (hub, v)));
+            let g = Graph::from_edges(n, &edges);
+            prop_assert!(n < 150 || g.degree(hub) > 64);
+            let cables = FaultSet::random_links(&g, cut as f64 / 100.0, seed);
+            let one_way = FaultSet::from_directed_links(
+                g.edges().filter(|&(u, v)| (u ^ v ^ seed as u32).is_multiple_of(5)).map(|(u, v)| (v, u)),
+            );
+            let dead = FaultSet::from_routers([(seed as u32 / 7) % nn]);
+            for faults in [
+                FaultSet::empty(),
+                cables.clone(),
+                one_way.union(&dead),
+                cables.union(&one_way).union(&dead),
+            ] {
+                let mask = faults.compile(&g);
+                let ports = PortMasks::new(&g);
+                let (width, row) = (ports.width, n * ports.width);
+                let blocks: Vec<&[u8]> = (0..nn.div_ceil(64)).map(|b| ports.block(&g, &mask, b * 64)).collect();
+                for (b, masks) in blocks.iter().enumerate() {
+                    prop_assert_eq!(masks.len(), 64 * row);
+                    for i in 0..64 {
+                        let masks = &masks[i * row..][..row];
+                        if 64 * b + i >= n {
+                            prop_assert!(masks.iter().all(|&m| m == 0), "row {} of block {}", i, b);
+                            continue;
+                        }
+                        for v in 0..nn {
+                            let m = &masks[v as usize * width..][..width];
+                            let past = (g.degree(v)..8 * width).find(|&p| has_port(m, p));
+                            prop_assert_eq!(past, None, "{} → {} of {}", v, 64 * b + i, n);
+                        }
+                    }
+                }
+                let mut col = Vec::new();
+                for dst in 0..nn {
+                    masked_distance_column(&g, &mask, dst, &mut col);
+                    let masks = &blocks[dst as usize / 64][(dst as usize % 64) * row..][..row];
+                    for v in 0..nn {
+                        let scalar: Vec<u32> = column_next_hops(&g, &col, v, &mask).map(|(e, _)| e).collect();
+                        let (m, start) = (&masks[v as usize * width..][..width], g.edge_range(v).start);
+                        let bits: Vec<u32> = (0..g.degree(v)).filter(|&p| has_port(m, p)).map(|p| start + p as u32).collect();
+                        prop_assert_eq!(bits, scalar, "{} → {} of {}", v, dst, n);
+                    }
+                }
+            }
+        }
     }
 }

@@ -10,7 +10,7 @@
 //! ```
 //!
 //! It prints seconds, messages per second, the port-mask bytes
-//! (`NetModel::hop_word_bytes`) and the process's peak RSS (`VmHWM`,
+//! (`NetModel::port_mask_bytes`) and the process's peak RSS (`VmHWM`,
 //! asserted ≤ 450 MiB); EXPERIMENTS.md "Figure 11" records one run.
 
 use polarstar::design::best_config;
@@ -18,7 +18,7 @@ use polarstar::network::PolarStarNetwork;
 use polarstar_motifs::{allreduce, AllreduceAlgo, MotifConfig, NetModel, RoutingMode};
 
 #[test]
-#[ignore = "release-only: 9 954 routers, ~400 MB of hop words"]
+#[ignore = "release-only: 9 954 routers, ~400 MB of port masks"]
 fn radix32_recursive_doubling_allreduce() {
     let spec = PolarStarNetwork::build(best_config(32).unwrap(), 11)
         .unwrap()
@@ -39,18 +39,18 @@ fn radix32_recursive_doubling_allreduce() {
         .and_then(|v| v.trim().trim_end_matches("kB").trim().parse().ok());
     println!(
         "PS-scale32 RD allreduce MIN 64 KB: {secs:.2} s, model {:.1} us, {messages} link \
-         crossings ({:.0}/s), hop words {} bytes, VmHWM {peak_kb:?} kB",
+         crossings ({:.0}/s), port masks {} bytes, VmHWM {peak_kb:?} kB",
         done_ns / 1e3,
         messages as f64 / secs,
-        model.hop_word_bytes()
+        model.port_mask_bytes()
     );
     assert!(done_ns > 0.0);
     // Every router is some rank's destination, so every block is swept
     // — and the port masks are all the routing state there is: at degree
     // 32, ⌈32/8⌉ · 64 · n = 8 · directed links bytes a block; twice the
     // 2·n² of `u16` distance rows.
-    assert_eq!(model.hop_word_bytes(), 8 * links * n.div_ceil(64));
-    assert_eq!(model.hop_word_bytes(), 397_522_944);
+    assert_eq!(model.port_mask_bytes(), 8 * links * n.div_ceil(64));
+    assert_eq!(model.port_mask_bytes(), 397_522_944);
     if let Some(kb) = peak_kb {
         assert!(kb <= 450 << 10, "peak RSS {kb} kB above 450 MiB");
     }

@@ -9,12 +9,11 @@
 //! *how* the answers are precomputed; [`column_next_hops`] is the one
 //! masked minimal-port rule, [`masked_distance_column`] the one masked
 //! BFS, and the workspace's one block sweep,
-//! [`polarstar_graph::traversal::sweep_block`], fills both
+//! [`polarstar_graph::traversal::sweep_block`], fills
 //! [`masked_distance_block`] (the `u8` or `u16` rows a flat
-//! `RouteTable` holds) and [`masked_hop_block`] (that rule as per-link
-//! bits, which the motif model transposes into per-router port masks)
-//! — all reading a compiled
-//! [`FaultMask`].
+//! `RouteTable` holds) — all reading a compiled [`FaultMask`]. The
+//! motif model runs the same sweep to fill its per-router port masks,
+//! that rule for 64 destinations at once.
 //!
 //! Unreachable pairs answer with a typed [`RouteError::Unreachable`]
 //! instead of an empty port slice — callers can no longer mistake a
@@ -319,40 +318,6 @@ where
             fresh &= fresh - 1;
         }
     })
-}
-
-/// The minimal-path DAG toward the destinations `first ..
-/// min(first + 64, n)`, one word per CSR slot: bit `i` of word `e`,
-/// the slot of `v → u`, is set iff `u` is a minimal next hop of `v`
-/// toward `first + i` under `mask` — [`column_next_hops`] over
-/// [`masked_distance_column`], for 64 destinations at once. In the
-/// sweep of [`masked_distance_block`], when `v` is first reached at
-/// level `L` by the destination bits `fresh`, the slot takes `fresh &
-/// (bits that reached u at L − 1)` unless [`FaultMask::link_dead`]:
-/// the rule's `dn + 1 == dv`, bit-parallel.
-/// A hop toward `first + i` reads the `deg(v)` contiguous words of
-/// `graph.edge_range(v)`, and their set bits `i` come in CSR order.
-///
-/// # Panics
-/// If `first > graph.n()`.
-pub fn masked_hop_block(graph: &Graph, mask: &FaultMask, first: u32) -> Vec<u64> {
-    assert!(
-        first as usize <= graph.n(),
-        "block {first} of {}",
-        graph.n()
-    );
-    let dsts = graph.n().saturating_sub(first as usize).min(64);
-    let mut hops = vec![0u64; graph.directed_edge_count()];
-    let block: Vec<u32> = (first..).take(dsts).collect();
-    let live = |_, e, _| !mask.edge_dead(e);
-    sweep_block(graph, &block, &[], u32::MAX, live, |_, v, fresh, prev| {
-        for (e, &u) in graph.edge_range(v).zip(graph.neighbors(v)) {
-            if !mask.link_dead(e) {
-                hops[e as usize] |= fresh & prev[u as usize];
-            }
-        }
-    });
-    hops
 }
 
 #[cfg(test)]

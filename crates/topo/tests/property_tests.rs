@@ -6,9 +6,7 @@ use polarstar_topo::er::ErGraph;
 use polarstar_topo::fault::{FaultMask, FaultSchedule, FaultSet};
 use polarstar_topo::iq::inductive_quad;
 use polarstar_topo::network::NetworkSpec;
-use polarstar_topo::oracle::{
-    column_next_hops, masked_distance_block, masked_distance_column, masked_hop_block,
-};
+use polarstar_topo::oracle::{masked_distance_block, masked_distance_column};
 use polarstar_topo::paley::{paley_graph, paley_supernode};
 use polarstar_topo::star::{
     cartesian_product, star_product, star_product_with, vertex_id, vertex_parts,
@@ -285,55 +283,6 @@ proptest! {
                 prop_assert_eq!(row.collect::<Vec<_>>(), &col[..], "destination {} of {}", dst, n);
                 let row = bytes[dst as usize * n..][..n].iter().map(|&d| if d == u8::MAX { u32::MAX } else { u32::from(d) });
                 prop_assert_eq!(row.collect::<Vec<_>>(), &col[..], "u8 destination {} of {}", dst, n);
-            }
-        }
-    }
-
-    #[test]
-    fn hop_block_bits_are_the_scalar_port_rule(
-        size in 0usize..5,
-        density in 1usize..5,
-        cut in 0u32..40,
-        seed in 0u64..10_000,
-    ) {
-        // Block boundaries as above; a hub cabled to every even router
-        // has more links than a word has bits once n = 150.
-        let n = [1usize, 63, 64, 65, 150][size];
-        let nn = n as u32;
-        let hub = seed as u32 % nn;
-        let random = polarstar_graph::random::gnm(n, (n * density / 2).min(n * (n - 1) / 2), seed);
-        let mut edges: Vec<(u32, u32)> = random.edges().collect();
-        edges.extend((0..nn).step_by(2).filter(|&v| v != hub).map(|v| (hub, v)));
-        let g = Graph::from_edges(n, &edges);
-        prop_assert!(n < 150 || g.degree(hub) > 64);
-        let cables = FaultSet::random_links(&g, cut as f64 / 100.0, seed);
-        let one_way = FaultSet::from_directed_links(
-            g.edges().filter(|&(u, v)| (u ^ v ^ seed as u32).is_multiple_of(5)).map(|(u, v)| (v, u)),
-        );
-        let dead = FaultSet::from_routers([(seed as u32 / 7) % nn]);
-        for faults in [
-            FaultSet::empty(),
-            cables.clone(),
-            one_way.union(&dead),
-            cables.union(&one_way).union(&dead),
-        ] {
-            let mask = faults.compile(&g);
-            let blocks: Vec<Vec<u64>> = (0..nn.div_ceil(64)).map(|b| masked_hop_block(&g, &mask, b * 64)).collect();
-            for (b, words) in blocks.iter().enumerate() {
-                prop_assert_eq!(words.len(), g.directed_edge_count());
-                // No bit for a destination past the last router.
-                let dsts = (n - 64 * b).min(64);
-                prop_assert!(dsts == 64 || words.iter().all(|w| w >> dsts == 0), "block {}", b);
-            }
-            let mut col = Vec::new();
-            for dst in 0..nn {
-                masked_distance_column(&g, &mask, dst, &mut col);
-                let words = &blocks[dst as usize / 64];
-                for v in 0..nn {
-                    let scalar: Vec<u32> = column_next_hops(&g, &col, v, &mask).map(|(e, _)| e).collect();
-                    let bits: Vec<u32> = g.edge_range(v).filter(|&e| words[e as usize] >> (dst % 64) & 1 != 0).collect();
-                    prop_assert_eq!(bits, scalar, "{} → {} of {}", v, dst, n);
-                }
             }
         }
     }
