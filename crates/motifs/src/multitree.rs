@@ -566,25 +566,32 @@ impl<'a> StripedRun<'a> {
     /// `s` leaves when `from` holds it and `to` holds it on arrival.
     /// `max` because a parent folds several children on the way up; on
     /// the way down a router's one arrival is later than anything it
-    /// held before, so there `max` is plain assignment. The fault masks
-    /// are consulted at each send's start time; link-level contention
-    /// (trailing segments, earlier chunks on a repaired or re-striped
-    /// tree) is the model's reservations.
+    /// held before, so there `max` is plain assignment. The link's CSR
+    /// slot is resolved once per train, and each segment tests that
+    /// slot's bit in the epoch mask in force at its start time (which
+    /// covers the static mask); link-level contention (trailing
+    /// segments, earlier chunks on a repaired or re-striped tree) is the
+    /// model's reservations.
     fn send_train(&mut self, from: u32, to: u32, chunk: u64, at: &mut [Time]) -> Result<(), Dead> {
         let nseg = at.len() / self.n;
         let last = chunk - SEGMENT_BYTES * (nseg as u64 - 1);
+        // `new` and `try_repair` admit only links of the network.
+        let e = self
+            .model
+            .spec()
+            .graph
+            .edge_id(from, to)
+            .expect("a tree edge is a link");
         for s in 0..nseg {
             let seg = if s + 1 == nseg { last } else { SEGMENT_BYTES };
             let st = at[from as usize * nseg + s];
-            // `new` admits only links and `dead` covers the static mask,
-            // so a send made does not err.
-            let alive = !self.dead(st, from, to);
-            let Some(Ok(t)) = alive.then(|| self.model.send_link(from, to, seg, st)) else {
+            if self.masks[self.epochs.epoch(st)].edge_dead(e) {
                 return Err(Dead {
                     at: st,
                     edge: (from, to),
                 });
-            };
+            }
+            let t = self.model.send_slot(e, seg, st);
             let held = &mut at[to as usize * nseg + s];
             *held = (*held).max(t);
         }

@@ -542,9 +542,17 @@ impl NetModel {
         };
         self.check_routers(u, v)?;
         match self.spec.graph.edge_id(u, v) {
-            Some(e) if !self.mask.edge_dead(e) => Ok(self.reserve(&[e], self.cost(bytes), start)),
+            Some(e) if !self.mask.edge_dead(e) => Ok(self.send_slot(e, bytes, start)),
             _ => Err(disconnected),
         }
+    }
+
+    /// Reserve CSR slot `e` ([`Graph::edge_id`]) for `bytes` at `start`
+    /// and return the delivery time: [`NetModel::send_link`] past its
+    /// checks, for a caller that resolved the slot and its liveness
+    /// itself.
+    pub(crate) fn send_slot(&mut self, e: u32, bytes: u64, start: Time) -> Time {
+        self.reserve(&[e], self.cost(bytes), start)
     }
 
     /// Send between ENDPOINTS (ranks map linearly onto endpoints, §10.1);

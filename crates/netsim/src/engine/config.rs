@@ -36,8 +36,9 @@ pub struct SimConfig {
     /// RNG seed.
     pub seed: u64,
     /// Engine worker threads for one run: `None` (or `Some(0|1)`) runs
-    /// the single-threaded path; `Some(t)` shards routers across `t`
-    /// threads. Results are bit-identical for every setting.
+    /// one shard on the calling thread; `Some(t)` shards routers across
+    /// `t` threads, the caller's among them. Results are bit-identical
+    /// for every setting.
     pub threads: Option<usize>,
     /// Timed mid-run fault events, layered on top of the spec's static
     /// [`polarstar_topo::FaultSet`]. `None` keeps faults static for the

@@ -26,9 +26,9 @@
 //!   per-slot sort is needed. All cross-router effects land at least one
 //!   cycle in the future, so one barrier per cycle suffices.
 //!
-//! The sequential path (`threads: None`) runs the identical shard code
-//! inline over a single whole-network shard — sequential and sharded
-//! results are bit-identical by construction, which
+//! One driver runs every thread count: `threads: None` is a single
+//! whole-network shard on the calling thread, and more shards add
+//! threads around it — results are bit-identical by construction, which
 //! `tests/determinism.rs` locks in.
 //!
 //! Hot-path state lives in flat arenas whose size follows the traffic,
@@ -49,7 +49,7 @@ mod shard;
 pub use config::{FaultResponse, SimConfig, SimConfigError, SimResult};
 pub(crate) use packet::splitmix64;
 
-use crate::monitor::{NoopMonitor, ShardableMonitor};
+use crate::monitor::{NoopMonitor, SimMonitor};
 use crate::routing::{RouteTable, RoutingKind};
 use crate::traffic::{resolve, Pattern};
 use epoch::Ctx;
@@ -149,10 +149,10 @@ impl<'a> Simulation<'a> {
 
     /// [`Simulation::run`] with instrumentation: every engine event is
     /// reported to `monitor` (see [`crate::monitor`]). The plain path
-    /// uses [`NoopMonitor`], whose hooks monomorphize to nothing. In
-    /// sharded mode each worker reports into a fork of `monitor`,
-    /// absorbed back in shard order when the run ends.
-    pub fn run_monitored<M: ShardableMonitor>(
+    /// uses [`NoopMonitor`], whose hooks monomorphize to nothing. Each
+    /// shard reports into a fork of `monitor`, absorbed back in shard
+    /// order when the run ends.
+    pub fn run_monitored<M: SimMonitor>(
         &self,
         load: f64,
         cfg: &SimConfig,
@@ -170,11 +170,7 @@ impl<'a> Simulation<'a> {
         let ctx = Ctx::new(self, resolved, load, cfg.clone());
         monitor.on_run_start(self.spec);
         let sample_every = monitor.sample_interval();
-        let (stats, cycles) = if ctx.shards() == 1 {
-            run::run_single(&ctx, sample_every, monitor)
-        } else {
-            run::run_sharded(&ctx, sample_every, monitor)
-        };
+        let (stats, cycles) = run::run_sharded(&ctx, sample_every, monitor);
         monitor.on_run_end(cycles);
         ctx.finalize(stats)
     }

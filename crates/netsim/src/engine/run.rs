@@ -1,9 +1,8 @@
-//! The two cycle drivers and the stop verdict they share.
+//! The cycle driver and the stop verdict it applies.
 //!
-//! The sharded driver runs one simulation across worker threads,
-//! bit-identical to the sequential one.
-//!
-//! Each thread owns a contiguous shard of routers ([`Shard`]). A
+//! One driver runs every simulation over contiguous shards of routers
+//! ([`Shard`]), one thread each, bit-identical at any shard count.
+//! Shard 0 is the calling thread, so a one-shard run spawns none. A
 //! simulated cycle is one compute phase per shard followed by a single
 //! barrier:
 //!
@@ -32,11 +31,11 @@
 use super::epoch::Ctx;
 use super::packet::{Ev, ShardStats};
 use super::shard::Shard;
-use crate::monitor::{ShardableMonitor, SimMonitor};
+use crate::monitor::SimMonitor;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Why a driver stops before `hard_end`.
+/// Why the driver stops before `hard_end`.
 pub(super) enum Exit {
     /// Everything measured has drained.
     Drained,
@@ -44,11 +43,10 @@ pub(super) enum Exit {
     Wedged { stalled: u64 },
 }
 
-/// The per-cycle stop verdict both drivers share: the watchdog stall
-/// counter and the drain-exit test, fed network-wide totals — the one
-/// shard's own counters sequentially, the post-barrier `Progress` sums
-/// when sharded (identical inputs on every thread, so every shard
-/// reaches the same verdict at the same cycle).
+/// The per-cycle stop verdict: the watchdog stall counter and the
+/// drain-exit test, fed the post-barrier `Progress` sums (identical
+/// inputs on every shard, so every shard reaches the same verdict at
+/// the same cycle).
 pub(super) struct RunWatch {
     watchdog_cycles: Option<u64>,
     end_measure: u64,
@@ -97,34 +95,6 @@ impl RunWatch {
         (now + 1 >= self.end_measure && ejected + faulted == generated && !any_active)
             .then_some(Exit::Drained)
     }
-}
-
-/// The single-threaded driver: one whole-network shard, no barriers, no
-/// mailboxes — the same phase code the sharded driver runs.
-pub(super) fn run_single<M: SimMonitor>(
-    ctx: &Ctx,
-    sample_every: Option<u64>,
-    mon: &mut M,
-) -> (ShardStats, u64) {
-    let mut shard = Shard::new(ctx, 0);
-    let mut watch = RunWatch::new(ctx);
-    let mut cycles = ctx.hard_end;
-    for now in 0..ctx.hard_end {
-        shard.step(ctx, now, sample_every, mon);
-        let exit = watch.verdict(
-            now,
-            shard.stats.measured_generated,
-            shard.stats.measured_ejected,
-            shard.stats.measured_faulted,
-            shard.stats.delivered_total,
-            !shard.active.is_empty(),
-        );
-        if let Some(exit) = exit {
-            cycles = shard.stop(exit, now, mon);
-            break;
-        }
-    }
-    (shard.stats, cycles)
 }
 
 /// Sense-reversing spin barrier. Waiters spin briefly then yield — the
@@ -181,9 +151,13 @@ struct Progress {
 
 type Mailbox = Mutex<Vec<(u64, Ev)>>;
 
-/// Run the simulation over `ctx.shards()` worker threads and return the
-/// merged statistics and the cycle count, exactly as `run_single` would.
-pub(super) fn run_sharded<M: ShardableMonitor>(
+/// Run the simulation over `ctx.shards()` shards and return the merged
+/// statistics and the cycle count. Shard 0 runs on the calling thread
+/// and shards 1.. on one spawned thread each, so a one-shard run spawns
+/// none: with no other shard it publishes no events, and its barrier is
+/// a counter bump. Each shard reports into a fork of `monitor`,
+/// absorbed back in shard order.
+pub(super) fn run_sharded<M: SimMonitor>(
     ctx: &Ctx,
     sample_every: Option<u64>,
     monitor: &mut M,
@@ -200,96 +174,94 @@ pub(super) fn run_sharded<M: ShardableMonitor>(
         .collect();
     let progress: Vec<Progress> = (0..2 * s).map(|_| Progress::default()).collect();
 
-    let mut forks: Vec<M> = (0..s).map(|_| monitor.fork()).collect();
-    let results: Vec<(ShardStats, M, u64)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..s)
-            .map(|id| {
-                let mut mon = forks.pop().unwrap();
-                let barrier = &barrier;
-                let mailboxes = &mailboxes;
-                let progress = &progress;
-                scope.spawn(move || {
-                    // forks were popped back-to-front; id order is
-                    // restored when collecting below.
-                    let id = s - 1 - id;
-                    let mut shard = Shard::new(ctx, id);
-                    let mut scratch: Vec<(u64, Ev)> = Vec::new();
-                    let mut cycles = ctx.hard_end;
-                    // Every thread feeds its watch the same post-barrier
-                    // snapshot, so all shards reach the same verdict at
-                    // the same cycle.
-                    let mut watch = RunWatch::new(ctx);
-                    for now in 0..ctx.hard_end {
-                        let parity = (now & 1) as usize;
-                        // 1. Drain events published last cycle.
-                        for inbox in &mailboxes[parity ^ 1][id] {
-                            {
-                                let mut slot = inbox.lock().unwrap();
-                                std::mem::swap(&mut *slot, &mut scratch);
-                            }
-                            for (at, ev) in scratch.drain(..) {
-                                shard.enqueue_local(at, ev);
-                            }
-                        }
-                        // 2. Compute this cycle.
-                        shard.step(ctx, now, sample_every, &mut mon);
-                        // 3. Publish outboxes and progress.
-                        for (dst, row) in mailboxes[parity].iter().enumerate() {
-                            if dst == id {
-                                continue;
-                            }
-                            let out = shard.outbox_mut(dst);
-                            if out.is_empty() {
-                                continue;
-                            }
-                            let mut slot = row[id].lock().unwrap();
-                            debug_assert!(slot.is_empty());
-                            std::mem::swap(&mut *slot, out);
-                        }
-                        let p = &progress[parity * s + id];
-                        p.generated
-                            .store(shard.stats.measured_generated, Ordering::Relaxed);
-                        p.ejected
-                            .store(shard.stats.measured_ejected, Ordering::Relaxed);
-                        p.faulted
-                            .store(shard.stats.measured_faulted, Ordering::Relaxed);
-                        p.delivered
-                            .store(shard.stats.delivered_total, Ordering::Relaxed);
-                        p.active.store(!shard.active.is_empty(), Ordering::Relaxed);
-                        // 4. Everyone sees everyone's publishes.
-                        barrier.wait();
-                        let (mut generated, mut ejected, mut faulted) = (0u64, 0u64, 0u64);
-                        let mut delivered = 0u64;
-                        let mut any_active = false;
-                        for p in &progress[parity * s..(parity + 1) * s] {
-                            generated += p.generated.load(Ordering::Relaxed);
-                            ejected += p.ejected.load(Ordering::Relaxed);
-                            faulted += p.faulted.load(Ordering::Relaxed);
-                            delivered += p.delivered.load(Ordering::Relaxed);
-                            any_active |= p.active.load(Ordering::Relaxed);
-                        }
-                        let exit =
-                            watch.verdict(now, generated, ejected, faulted, delivered, any_active);
-                        if let Some(exit) = exit {
-                            cycles = shard.stop(exit, now, &mut mon);
-                            break;
-                        }
-                    }
-                    (id, shard.stats, mon, cycles)
-                })
-            })
-            .collect();
-        let mut out: Vec<Option<(ShardStats, M, u64)>> = (0..s).map(|_| None).collect();
-        for h in handles {
-            let (id, stats, mon, cycles) = h.join().expect("shard thread panicked");
-            out[id] = Some((stats, mon, cycles));
+    // One shard's whole run, on whichever thread calls it.
+    let run_shard = |id: usize, mon: &mut M| -> (ShardStats, u64) {
+        let mut shard = Shard::new(ctx, id);
+        let mut scratch: Vec<(u64, Ev)> = Vec::new();
+        let mut cycles = ctx.hard_end;
+        // Every shard feeds its watch the same post-barrier snapshot, so
+        // all shards reach the same verdict at the same cycle.
+        let mut watch = RunWatch::new(ctx);
+        for now in 0..ctx.hard_end {
+            let parity = (now & 1) as usize;
+            // 1. Drain events published last cycle.
+            for inbox in &mailboxes[parity ^ 1][id] {
+                {
+                    let mut slot = inbox.lock().unwrap();
+                    std::mem::swap(&mut *slot, &mut scratch);
+                }
+                for (at, ev) in scratch.drain(..) {
+                    shard.enqueue_local(at, ev);
+                }
+            }
+            // 2. Compute this cycle.
+            shard.step(ctx, now, sample_every, mon);
+            // 3. Publish outboxes and progress.
+            for (dst, row) in mailboxes[parity].iter().enumerate() {
+                if dst == id {
+                    continue;
+                }
+                let out = shard.outbox_mut(dst);
+                if out.is_empty() {
+                    continue;
+                }
+                let mut slot = row[id].lock().unwrap();
+                debug_assert!(slot.is_empty());
+                std::mem::swap(&mut *slot, out);
+            }
+            let p = &progress[parity * s + id];
+            p.generated
+                .store(shard.stats.measured_generated, Ordering::Relaxed);
+            p.ejected
+                .store(shard.stats.measured_ejected, Ordering::Relaxed);
+            p.faulted
+                .store(shard.stats.measured_faulted, Ordering::Relaxed);
+            p.delivered
+                .store(shard.stats.delivered_total, Ordering::Relaxed);
+            p.active.store(!shard.active.is_empty(), Ordering::Relaxed);
+            // 4. Everyone sees everyone's publishes.
+            barrier.wait();
+            let (mut generated, mut ejected, mut faulted) = (0u64, 0u64, 0u64);
+            let mut delivered = 0u64;
+            let mut any_active = false;
+            for p in &progress[parity * s..(parity + 1) * s] {
+                generated += p.generated.load(Ordering::Relaxed);
+                ejected += p.ejected.load(Ordering::Relaxed);
+                faulted += p.faulted.load(Ordering::Relaxed);
+                delivered += p.delivered.load(Ordering::Relaxed);
+                any_active |= p.active.load(Ordering::Relaxed);
+            }
+            if let Some(exit) =
+                watch.verdict(now, generated, ejected, faulted, delivered, any_active)
+            {
+                cycles = shard.stop(exit, now, mon);
+                break;
+            }
         }
-        out.into_iter().map(|o| o.unwrap()).collect()
+        (shard.stats, cycles)
+    };
+
+    let mut forks: Vec<M> = (0..s).map(|_| monitor.fork()).collect();
+    let results: Vec<(ShardStats, u64)> = std::thread::scope(|scope| {
+        let run_shard = &run_shard;
+        let (first, rest) = forks.split_first_mut().expect("at least one shard");
+        let handles: Vec<_> = rest
+            .iter_mut()
+            .enumerate()
+            .map(|(i, mon)| scope.spawn(move || run_shard(i + 1, mon)))
+            .collect();
+        let mut results = vec![run_shard(0, first)];
+        results.extend(
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("shard thread panicked")),
+        );
+        results
     });
 
     let mut merged = ShardStats::default();
     let mut cycles = ctx.hard_end;
-    for (stats, mon, c) in results {
+    for ((stats, c), mon) in results.into_iter().zip(forks) {
         merged.merge(stats);
         monitor.absorb(mon);
         cycles = c;

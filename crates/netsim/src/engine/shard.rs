@@ -221,7 +221,7 @@ impl Shard {
     }
 
     /// Locally buffered packets per VC, reported to the monitor (summed
-    /// across shards by `ShardableMonitor::absorb`).
+    /// across shards by `SimMonitor::absorb`).
     fn sample_vc<M: SimMonitor>(&self, now: u64, mon: &mut M) {
         let mut occupancy = [0u64; VCS];
         for qi in self.q.nonempty(0..self.src0) {

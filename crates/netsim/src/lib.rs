@@ -24,9 +24,10 @@
 //! A single run is deterministic for a fixed seed at *any* engine thread
 //! count (`SimConfig::threads`): routers are sharded across threads and
 //! cross-shard events exchange through barrier-separated phases, with
-//! per-router RNG streams making the schedule unobservable. Sweep-level
-//! parallelism (rayon, in [`stats`]) composes with engine-level
-//! parallelism; see EXPERIMENTS.md for guidance on which to use.
+//! per-router RNG streams making the schedule unobservable. A caller's
+//! sweep-level parallelism (rayon, in the bench crate's sweep driver)
+//! composes with engine-level parallelism; see EXPERIMENTS.md for
+//! guidance on which to use.
 //!
 //! The paper's BookSim setup (4-flit packets, 128-flit buffers per port,
 //! 4 VCs, credit flow control) is the engine's constants, and its
@@ -54,7 +55,8 @@
 //!   routing: a per-pair single-path assignment minimizing max link
 //!   load, a [`PathOracle`](polarstar_topo::oracle::PathOracle) the
 //!   flow solver routes over (the cycle engine does not follow it);
-//! * [`stats`] — load sweeps, saturation detection, latency summaries.
+//! * [`stats`] — saturation detection (one bisection over offered
+//!   load), cycle-vs-flow cross-validation, fault-recovery transients.
 
 pub mod engine;
 pub mod flow;
@@ -69,10 +71,9 @@ pub use flow::{
     FlowDemand, FlowNetwork, FlowPlan, FlowResult, FlowRouting, PlannedFlow, TrafficComponent,
 };
 pub use monitor::{
-    MetricsMonitor, MetricsReport, NoopMonitor, ShardableMonitor, SimMonitor, StallCause,
-    WatchdogDiag,
+    MetricsMonitor, MetricsReport, NoopMonitor, SimMonitor, StallCause, WatchdogDiag,
 };
 pub use negotiate::NegotiatedRoutes;
 pub use routing::{RouteTable, RoutingKind};
-pub use stats::{fluid_onset, highest_stable_offered};
+pub use stats::fluid_onset;
 pub use traffic::Pattern;

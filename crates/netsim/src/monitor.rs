@@ -1,6 +1,7 @@
-//! Simulator observability: the [`SimMonitor`] hook trait, the zero-cost
-//! [`NoopMonitor`], and the allocating [`MetricsMonitor`] /
-//! [`MetricsReport`] pair.
+//! Simulator observability: one monitor trait, [`SimMonitor`] (the
+//! engine's event hooks plus the `fork` / `absorb` pair every shard
+//! reports through), the zero-cost [`NoopMonitor`], and the allocating
+//! [`MetricsMonitor`] / [`MetricsReport`] pair.
 //!
 //! The engine is generic over its monitor, so the no-op implementation
 //! monomorphizes every hook to an empty inline body — the unmonitored
@@ -69,7 +70,7 @@ impl WatchdogDiag {
         self.zero_credit_ports += other.zero_credit_ports;
         self.total_credit_ports += other.total_credit_ports;
         self.oldest_packet_age = self.oldest_packet_age.max(other.oldest_packet_age);
-        // Keep the sample at the sequential engine's size (the 8 lowest
+        // Keep the sample at the one-shard run's size (the 8 lowest
         // router ids) so merged shard diags stay bit-identical to it.
         self.stuck_routers.extend_from_slice(&other.stuck_routers);
         self.stuck_routers.sort_unstable();
@@ -77,9 +78,25 @@ impl WatchdogDiag {
     }
 }
 
-/// Engine instrumentation hooks. Every method has an empty default, so a
-/// monitor implements only what it needs.
-pub trait SimMonitor {
+/// Engine instrumentation hooks. The engine runs every simulation as
+/// one or more router shards, each reporting into its own
+/// [`SimMonitor::fork`], folded back by [`SimMonitor::absorb`] in
+/// ascending shard order at the end of the run.
+///
+/// `on_run_start` / `on_run_end` fire only on the parent monitor; forks
+/// see just the per-event hooks, each of which has an empty default, so
+/// a monitor implements only what it needs. Because every aggregate a
+/// monitor keeps is a sum (or an element-wise sum over fixed index
+/// spaces), absorbing shard collectors in a fixed order gives the same
+/// totals at every shard count, bit for bit.
+pub trait SimMonitor: Send + Sized {
+    /// An empty collector sharing this monitor's configuration, called
+    /// once per shard after `on_run_start` ran on the parent.
+    fn fork(&self) -> Self;
+
+    /// Fold a fork's counters back into this monitor.
+    fn absorb(&mut self, shard: Self);
+
     /// Called once before the first cycle.
     fn on_run_start(&mut self, _spec: &NetworkSpec) {}
 
@@ -119,32 +136,11 @@ pub trait SimMonitor {
     fn on_run_end(&mut self, _cycles: u64) {}
 }
 
-/// A monitor the sharded engine can split across deterministic worker
-/// threads: [`ShardableMonitor::fork`] produces an empty per-shard
-/// collector (called once per shard, after `on_run_start` ran on the
-/// parent), and [`ShardableMonitor::absorb`] folds a shard's collector
-/// back into the parent in ascending shard order at the end of the run.
-///
-/// `on_run_start` / `on_run_end` fire only on the parent monitor; forks
-/// see just the per-event hooks. Because every aggregate a monitor keeps
-/// is a sum (or an element-wise sum over fixed index spaces), absorbing
-/// shard collectors in a fixed order reproduces the sequential totals
-/// bit-for-bit.
-pub trait ShardableMonitor: SimMonitor + Send + Sized {
-    /// An empty collector sharing this monitor's configuration.
-    fn fork(&self) -> Self;
-
-    /// Fold a fork's counters back into this monitor.
-    fn absorb(&mut self, shard: Self);
-}
-
 /// The do-nothing monitor behind the plain `simulate` path.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NoopMonitor;
 
-impl SimMonitor for NoopMonitor {}
-
-impl ShardableMonitor for NoopMonitor {
+impl SimMonitor for NoopMonitor {
     fn fork(&self) -> Self {
         NoopMonitor
     }
@@ -375,6 +371,64 @@ impl MetricsMonitor {
 }
 
 impl SimMonitor for MetricsMonitor {
+    fn fork(&self) -> Self {
+        MetricsMonitor {
+            port_base: self.port_base.clone(),
+            link_flits: vec![0; self.link_flits.len()],
+            vc_series: vec![Vec::new(); self.vc_series.len()],
+            ..MetricsMonitor::new(self.sample_every)
+        }
+    }
+
+    fn absorb(&mut self, shard: Self) {
+        assert_eq!(
+            self.link_flits.len(),
+            shard.link_flits.len(),
+            "absorbing a fork of a different topology"
+        );
+        for (a, b) in self.link_flits.iter_mut().zip(shard.link_flits) {
+            *a += b;
+        }
+        // Every shard samples the same cycles, so the series merge is an
+        // element-wise sum of occupancy at identical timestamps.
+        for (mine, theirs) in self.vc_series.iter_mut().zip(shard.vc_series) {
+            if mine.is_empty() {
+                *mine = theirs;
+            } else {
+                assert_eq!(mine.len(), theirs.len(), "shards sampled different cycles");
+                for (m, t) in mine.iter_mut().zip(theirs) {
+                    debug_assert_eq!(m.0, t.0);
+                    m.1 += t.1;
+                }
+            }
+        }
+        self.stall_credit += shard.stall_credit;
+        self.stall_vc += shard.stall_vc;
+        self.stall_crossbar += shard.stall_crossbar;
+        self.stall_dead_link += shard.stall_dead_link;
+        self.injection_backpressure += shard.injection_backpressure;
+        self.unroutable += shard.unroutable;
+        self.delivered += shard.delivered;
+        self.delivered_measured += shard.delivered_measured;
+        self.latency.merge(&shard.latency);
+        self.hops_sum += shard.hops_sum;
+        if shard.delivery_buckets.len() > self.delivery_buckets.len() {
+            self.delivery_buckets
+                .resize(shard.delivery_buckets.len(), (0, 0));
+        }
+        for (m, t) in self.delivery_buckets.iter_mut().zip(shard.delivery_buckets) {
+            m.0 += t.0;
+            m.1 += t.1;
+        }
+        self.cycles = self.cycles.max(shard.cycles);
+        if let Some(d) = shard.watchdog {
+            match &mut self.watchdog {
+                Some(mine) => mine.merge(&d),
+                None => self.watchdog = Some(d),
+            }
+        }
+    }
+
     fn on_run_start(&mut self, spec: &NetworkSpec) {
         let n = spec.graph.n();
         self.port_base = Vec::with_capacity(n + 1);
@@ -440,66 +494,6 @@ impl SimMonitor for MetricsMonitor {
 
     fn on_run_end(&mut self, cycles: u64) {
         self.cycles = cycles;
-    }
-}
-
-impl ShardableMonitor for MetricsMonitor {
-    fn fork(&self) -> Self {
-        MetricsMonitor {
-            port_base: self.port_base.clone(),
-            link_flits: vec![0; self.link_flits.len()],
-            vc_series: vec![Vec::new(); self.vc_series.len()],
-            ..MetricsMonitor::new(self.sample_every)
-        }
-    }
-
-    fn absorb(&mut self, shard: Self) {
-        assert_eq!(
-            self.link_flits.len(),
-            shard.link_flits.len(),
-            "absorbing a fork of a different topology"
-        );
-        for (a, b) in self.link_flits.iter_mut().zip(shard.link_flits) {
-            *a += b;
-        }
-        // Every shard samples the same cycles, so the series merge is an
-        // element-wise sum of occupancy at identical timestamps.
-        for (mine, theirs) in self.vc_series.iter_mut().zip(shard.vc_series) {
-            if mine.is_empty() {
-                *mine = theirs;
-            } else {
-                assert_eq!(mine.len(), theirs.len(), "shards sampled different cycles");
-                for (m, t) in mine.iter_mut().zip(theirs) {
-                    debug_assert_eq!(m.0, t.0);
-                    m.1 += t.1;
-                }
-            }
-        }
-        self.stall_credit += shard.stall_credit;
-        self.stall_vc += shard.stall_vc;
-        self.stall_crossbar += shard.stall_crossbar;
-        self.stall_dead_link += shard.stall_dead_link;
-        self.injection_backpressure += shard.injection_backpressure;
-        self.unroutable += shard.unroutable;
-        self.delivered += shard.delivered;
-        self.delivered_measured += shard.delivered_measured;
-        self.latency.merge(&shard.latency);
-        self.hops_sum += shard.hops_sum;
-        if shard.delivery_buckets.len() > self.delivery_buckets.len() {
-            self.delivery_buckets
-                .resize(shard.delivery_buckets.len(), (0, 0));
-        }
-        for (m, t) in self.delivery_buckets.iter_mut().zip(shard.delivery_buckets) {
-            m.0 += t.0;
-            m.1 += t.1;
-        }
-        self.cycles = self.cycles.max(shard.cycles);
-        if let Some(d) = shard.watchdog {
-            match &mut self.watchdog {
-                Some(mine) => mine.merge(&d),
-                None => self.watchdog = Some(d),
-            }
-        }
     }
 }
 
@@ -755,7 +749,7 @@ mod tests {
 
     /// Forks merge the delivery buckets by element-wise sums, so a
     /// sharded run under a live fault burst buckets exactly what the
-    /// sequential one does.
+    /// one-shard run does.
     #[test]
     fn delivery_series_is_width_invariant_under_a_live_burst() {
         use crate::engine::{SimConfig, Simulation};

@@ -1,18 +1,17 @@
-//! Load sweeps and saturation detection — how Figure 9/10 series are
-//! produced from individual simulation points.
+//! Saturation detection: the saturation-onset contract, one bisection
+//! over offered load, the cycle-vs-flow cross-validation it feeds, and
+//! the transient analysis of fault-recovery runs.
 //!
-//! Sweeps fan out across load points with rayon; each point additionally
-//! honors `SimConfig::threads`, so engine-level sharding nests inside
-//! sweep-level parallelism. Prefer rayon alone for many small runs and
-//! `threads` for few large ones (EXPERIMENTS.md has the full guidance) —
-//! results are bit-identical either way.
+//! Figure 9/10 load sweeps live in the bench crate's sweep driver; every
+//! simulated point honors `SimConfig::threads`, so engine-level sharding
+//! nests inside whatever parallelism a caller adds (EXPERIMENTS.md has
+//! the guidance) — results are bit-identical either way.
 
-use crate::engine::{SimConfig, SimResult, Simulation};
+use crate::engine::{SimConfig, Simulation};
 use crate::flow::{FlowNetwork, FlowRouting};
 use crate::routing::{RouteTable, RoutingKind};
 use crate::traffic::{engine_resolve_seed, Pattern};
 use polarstar_topo::network::NetworkSpec;
-use rayon::prelude::*;
 
 /// The repo's single saturation-onset contract — "the highest offered
 /// load the network carries in full" — with one estimator per model:
@@ -21,8 +20,8 @@ use rayon::prelude::*;
 ///   unit loads: the most-loaded link reaches capacity at offered load
 ///   `1 / max_unit_load` (capped at 1.0 — injection links saturate at
 ///   unit demand by construction under unit weights).
-/// * [`highest_stable_offered`] answers it empirically from cycle-engine
-///   sweep points: the largest offered load whose run stayed stable.
+/// * [`saturation_search`] answers it empirically from the cycle engine:
+///   the largest offered load whose run stayed stable, bisected.
 ///
 /// [`cross_validate`] checks the two models against each other (at the
 /// θ=0.97 throughput-saturation definition); keeping both behind these
@@ -37,64 +36,32 @@ pub fn fluid_onset(max_unit_load: f64) -> f64 {
 }
 
 /// Empirical half of the saturation-onset contract (see
-/// [`fluid_onset`]): the highest offered load among `points` whose run
-/// stayed stable.
-pub fn highest_stable_offered<'a, I: IntoIterator<Item = &'a SimResult>>(points: I) -> f64 {
-    points
-        .into_iter()
-        .filter(|p| p.stable)
-        .map(|p| p.offered)
-        .fold(0.0, f64::max)
-}
-
-/// One figure series: latency and throughput across offered loads.
-#[derive(Clone, Debug)]
-pub struct LoadSweep {
-    /// Topology label.
-    pub name: String,
-    /// Routing label ("MIN"/"UGAL").
-    pub routing: &'static str,
-    /// Results in ascending offered load.
-    pub points: Vec<SimResult>,
-}
-
-impl LoadSweep {
-    /// Highest offered load whose run stayed stable (the paper plots
-    /// latency "up to the highest injection rate for which simulation is
-    /// stable"). Delegates to [`highest_stable_offered`] — the shared
-    /// onset definition.
-    pub fn saturation_load(&self) -> f64 {
-        highest_stable_offered(&self.points)
-    }
-}
-
-/// Run a load sweep, parallelized across load points.
-pub fn sweep(sim: &Simulation, loads: &[f64], cfg: &SimConfig) -> LoadSweep {
-    let points: Vec<SimResult> = loads.par_iter().map(|&l| sim.run(l, cfg)).collect();
-    LoadSweep {
-        name: sim.spec.name.clone(),
-        routing: sim.kind.label(),
-        points,
-    }
-}
-
-/// Binary-search the saturation throughput to `tol` resolution.
+/// [`fluid_onset`]): the highest offered load whose cycle-engine run
+/// stays stable: the lower end of the stats bisection's bracket at
+/// `tol`.
 pub fn saturation_search(sim: &Simulation, cfg: &SimConfig, tol: f64) -> f64 {
-    let mut lo = 0.0f64;
-    let mut hi = 1.0f64;
-    // Establish that `hi` is saturated; if not, the answer is 1.0.
-    if sim.run(hi, cfg).stable {
-        return 1.0;
+    bisect(tol, |load| sim.run(load, cfg).stable).0
+}
+
+/// The one bisection over offered load in (0, 1]: `holds` must be
+/// monotone (true at low load, false past some threshold). Returns
+/// `(1, 1)` if it holds at full load, else the final `(lo, hi)` bracket,
+/// `hi − lo ≤ tol`, where it held at `lo` (or `lo` is 0) and failed at
+/// `hi`.
+fn bisect(tol: f64, mut holds: impl FnMut(f64) -> bool) -> (f64, f64) {
+    if holds(1.0) {
+        return (1.0, 1.0);
     }
+    let (mut lo, mut hi) = (0.0f64, 1.0f64);
     while hi - lo > tol {
-        let mid = (lo + hi) / 2.0;
-        if sim.run(mid, cfg).stable {
+        let mid = 0.5 * (lo + hi);
+        if holds(mid) {
             lo = mid;
         } else {
             hi = mid;
         }
     }
-    lo
+    (lo, hi)
 }
 
 /// Delivered-fraction threshold defining *throughput* saturation on
@@ -171,21 +138,10 @@ impl CrossValidation {
 }
 
 /// Smallest load in (0, 1] where `delivered(load)` (non-increasing)
-/// drops below [`XVAL_THETA`], by bisection to `tol`; 1.0 if it never
-/// does.
+/// drops below [`XVAL_THETA`]: the midpoint of [`bisect`]'s bracket to
+/// `tol`; 1.0 if it never does.
 fn throughput_sat(tol: f64, delivered: impl Fn(f64) -> f64) -> f64 {
-    if delivered(1.0) >= XVAL_THETA {
-        return 1.0;
-    }
-    let (mut lo, mut hi) = (0.0f64, 1.0f64);
-    while hi - lo > tol {
-        let mid = 0.5 * (lo + hi);
-        if delivered(mid) >= XVAL_THETA {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
+    let (lo, hi) = bisect(tol, |load| delivered(load) >= XVAL_THETA);
     0.5 * (lo + hi)
 }
 
@@ -342,16 +298,6 @@ mod tests {
             seed: 11,
             ..SimConfig::default()
         }
-    }
-
-    #[test]
-    fn sweep_shapes() {
-        let spec = NetworkSpec::uniform("k6", Graph::complete(6), 2);
-        let table = RouteTable::for_spec(&spec);
-        let sim = Simulation::new(&spec, &table, RoutingKind::MinMulti, &Pattern::Uniform);
-        let s = sweep(&sim, &[0.1, 0.3, 0.5], &cfg());
-        assert_eq!(s.points.len(), 3);
-        assert!(s.saturation_load() >= 0.3, "K6 sustains moderate load");
     }
 
     #[test]

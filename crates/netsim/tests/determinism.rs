@@ -1,6 +1,7 @@
-//! Engine determinism across thread counts: the sharded engine must be
-//! bit-identical to the sequential one for any `threads` setting — same
-//! `SimResult` (exact float equality) and same `MetricsMonitor` report.
+//! Engine determinism across thread counts: a run split into any number
+//! of shards must be bit-identical to the one-shard run (`threads`
+//! `None`) — same `SimResult` (exact float equality) and same
+//! `MetricsMonitor` report.
 //!
 //! This is the contract that makes `--engine-threads` safe to use in
 //! experiments: a result can be reproduced on any machine regardless of
@@ -10,10 +11,13 @@ use polarstar::design::best_config;
 use polarstar::network::PolarStarNetwork;
 use polarstar_netsim::routing::{RouteTable, RoutingKind};
 use polarstar_netsim::traffic::Pattern;
-use polarstar_netsim::{simulate, FaultResponse, MetricsMonitor, SimConfig, Simulation};
+use polarstar_netsim::{
+    simulate, FaultResponse, MetricsMonitor, SimConfig, SimMonitor, Simulation,
+};
 use polarstar_topo::er::ErGraph;
 use polarstar_topo::network::NetworkSpec;
 use polarstar_topo::{FaultSchedule, FaultSet};
+use std::thread::ThreadId;
 
 fn cfg(threads: Option<usize>) -> SimConfig {
     SimConfig {
@@ -46,7 +50,7 @@ fn assert_thread_invariant(spec: &NetworkSpec, kind: RoutingKind, load: f64) {
         "degenerate baseline on {}: {baseline:?}",
         spec.name
     );
-    for threads in [1usize, 2, 4] {
+    for threads in [0usize, 1, 2, 4] {
         let sharded = simulate(
             spec,
             &table,
@@ -165,11 +169,61 @@ fn metrics_monitor_totals_identical_across_thread_counts() {
         (r, mon.report())
     };
     let (base_result, base_report) = run(None);
-    for threads in [1usize, 2, 4] {
+    for threads in [0usize, 1, 2, 4] {
         let (result, report) = run(Some(threads));
         assert_eq!(base_result, result, "SimResult at threads={threads}");
         assert_eq!(base_report, report, "MetricsReport at threads={threads}");
     }
+}
+
+/// The threads deliveries were reported on, in order of first sight.
+struct DeliveryThreads(Vec<ThreadId>);
+
+impl DeliveryThreads {
+    fn note(&mut self, id: ThreadId) {
+        if !self.0.contains(&id) {
+            self.0.push(id);
+        }
+    }
+}
+
+impl SimMonitor for DeliveryThreads {
+    fn fork(&self) -> Self {
+        DeliveryThreads(Vec::new())
+    }
+
+    fn absorb(&mut self, shard: Self) {
+        for id in shard.0 {
+            self.note(id);
+        }
+    }
+
+    fn on_packet_delivered(&mut self, _now: u64, _latency: u64, _hops: u32, _measured: bool) {
+        self.note(std::thread::current().id());
+    }
+}
+
+/// Shard 0 runs on the calling thread: a one-shard run (`threads`
+/// `None`, `Some(0)`, `Some(1)`) delivers on the caller only, and a
+/// two-shard run on the caller and exactly one other thread.
+#[test]
+fn shard_zero_runs_on_the_calling_thread() {
+    let spec = er5_spec();
+    let table = RouteTable::for_spec(&spec);
+    let sim = Simulation::new(&spec, &table, RoutingKind::MinMulti, &Pattern::Uniform);
+    let delivered_on = |threads: Option<usize>| {
+        let mut mon = DeliveryThreads(Vec::new());
+        let r = sim.run_monitored(0.3, &cfg(threads), &mut mon);
+        assert!(r.measured_ejected > 0, "threads={threads:?}: {r:?}");
+        mon.0
+    };
+    let caller = std::thread::current().id();
+    for threads in [None, Some(0), Some(1)] {
+        assert_eq!(delivered_on(threads), [caller], "threads={threads:?}");
+    }
+    let two = delivered_on(Some(2));
+    assert_eq!(two.len(), 2, "{two:?}");
+    assert_eq!(two[0], caller, "shard 0 is absorbed first");
 }
 
 /// Live mid-run faults keep the contract: a failure burst plus recovery

@@ -24,8 +24,8 @@
 use polarstar::design::{PolarStarConfig, SupernodeKind};
 use polarstar::network::PolarStarNetwork;
 use polarstar_netsim::{
-    FaultResponse, MetricsMonitor, NoopMonitor, Pattern, RouteTable, RoutingKind, ShardableMonitor,
-    SimConfig, SimResult, Simulation,
+    FaultResponse, MetricsMonitor, NoopMonitor, Pattern, RouteTable, RoutingKind, SimConfig,
+    SimMonitor, SimResult, Simulation,
 };
 use polarstar_topo::dragonfly::{dragonfly, DragonflyParams};
 use polarstar_topo::network::NetworkSpec;
@@ -95,7 +95,7 @@ struct Cell {
 }
 
 impl Cell {
-    fn run<M: ShardableMonitor>(&self, threads: Option<usize>, mon: &mut M) -> SimResult {
+    fn run<M: SimMonitor>(&self, threads: Option<usize>, mon: &mut M) -> SimResult {
         let cfg = SimConfig {
             threads,
             ..self.cfg.clone()

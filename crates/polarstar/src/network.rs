@@ -6,7 +6,7 @@ use polarstar_graph::Graph;
 use polarstar_topo::er::ErGraph;
 use polarstar_topo::error::TopoError;
 use polarstar_topo::network::NetworkSpec;
-use polarstar_topo::star::star_product;
+use polarstar_topo::star::{star_product, vertex_id, vertex_parts};
 use polarstar_topo::supernode::Supernode;
 use polarstar_topo::{iq, paley};
 
@@ -51,19 +51,19 @@ impl PolarStarNetwork {
     /// Structure coordinate (supernode copy) of a router.
     #[inline]
     pub fn structure_of(&self, v: u32) -> u32 {
-        v / self.supernode.order() as u32
+        vertex_parts(v, self.supernode.order()).0
     }
 
     /// Supernode-internal coordinate of a router.
     #[inline]
     pub fn local_of(&self, v: u32) -> u32 {
-        v % self.supernode.order() as u32
+        vertex_parts(v, self.supernode.order()).1
     }
 
     /// Compose a router id from `(structure, local)` coordinates.
     #[inline]
     pub fn router_id(&self, x: u32, xp: u32) -> u32 {
-        x * self.supernode.order() as u32 + xp
+        vertex_id(x, xp, self.supernode.order())
     }
 
     /// Edge-disjoint spanning trees of the router graph, composed from

@@ -3,33 +3,27 @@
 //! Routers store only factor-graph state — the structure graph's
 //! adjacency and 𝔽_q tables for its 2-path middles, the supernode
 //! adjacency, and the bijection f — instead of a per-destination routing
-//! table. Two things are computed from that state:
+//! table. From that state this module computes one thing, **the
+//! distance kernel** [`AnalyticRouter::distance`]: 1 iff the routers are
+//! product-adjacent, 2 iff a 2-hop template hits, 3 otherwise (Theorems
+//! 4/5 bound the diameter by 3). The 2-hop templates are one enumeration
+//! (`two_hop_middle`) over every 2-walk of the star product
+//! (intra–intra, intra–cross, cross–intra, cross–cross; §9.2 cases (a),
+//! (c) and (d) among them). Its bounded form [`AnalyticRouter::within`]
+//! — is the distance ≤ h? — asks only as much as `h` needs: adjacency at
+//! 1, adjacency or a template hit at 2, nothing past 2. Neither builds
+//! anything.
 //!
-//! * **the distance kernel**, [`AnalyticRouter::distance`]: 1 iff the
-//!   routers are product-adjacent, 2 iff a 2-hop template hits, 3
-//!   otherwise (Theorems 4/5 bound the diameter by 3). The 2-hop
-//!   templates are one enumeration (`two_hop_middle`) over every 2-walk
-//!   of the star product (intra–intra, intra–cross, cross–intra,
-//!   cross–cross; §9.2 cases (a), (c) and (d) among them). Its bounded
-//!   form [`AnalyticRouter::within`] — is the distance ≤ h? — asks only
-//!   as much as `h` needs: adjacency at 1, adjacency or a template hit
-//!   at 2, nothing past 2. That is what a walk puts to each neighbor,
-//!   and what a serving oracle probes per neighbor, per query. Neither
-//!   builds anything — no `Vec`, no counter;
-//! * **one walk over it**, [`AnalyticRouter::next_hop`] /
-//!   [`AnalyticRouter::route`]: the first neighbor (ascending id) the
-//!   kernel puts one hop closer, hop after hop. That is §9.2 case (b) in
-//!   general form — take one hop, then ride a 2-hop template — and it is
-//!   exactly as minimal as the kernel is exact (the tests pin the kernel
-//!   to BFS, exhaustively on small IQ and Paley configs and sampled up to
-//!   radix 32, and `tests/kernel_exhaustive.rs` pins `within` on every
-//!   router pair of every config up to radix 28), so no backstop search
-//!   exists. The path it yields is the lexicographically first minimal
-//!   path, the one every `PathOracle`'s `path` answers.
-//!
-//! [`AnalyticRouter::routes_computed`] counts `route` calls only;
-//! `distance` and `within` probes are not counted, so a serving
-//! workload that never asks for a whole path reads 0.
+//! `within` is the probe a walk puts to each neighbor: at a router `r`
+//! hops out, a neighbor is one hop closer iff it is within `r − 1`. The
+//! walk itself — §9.2 case (b) in general form, take one hop, then ride
+//! a 2-hop template — is the serving oracle's (`polarstar_routed`'s
+//! `AnalyticOracle`), whose `path` is the lexicographically first
+//! minimal path. It is exactly as minimal as the kernel is exact: the
+//! tests pin `distance` and `within` to BFS, exhaustively on small IQ
+//! and Paley configs and sampled up to radix 32, and
+//! `tests/kernel_exhaustive.rs` pins `within` on every router pair of
+//! every config up to radix 28, so no backstop search exists.
 //!
 //! Storage: one adjacency bit row per factor vertex, ⌈|V|/64⌉ words
 //! each, so every adjacency test is one word read — 133 × 3 + 8 × 1
@@ -45,7 +39,6 @@
 
 use crate::network::PolarStarNetwork;
 use polarstar_graph::Graph;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Analytic router over a PolarStar network.
@@ -60,10 +53,9 @@ use std::sync::Arc;
 /// use polarstar::routing::AnalyticRouter;
 /// let net = PolarStarNetwork::build(best_config(9).unwrap(), 1).unwrap();
 /// let router = AnalyticRouter::new(net.clone());
-/// let path = router.route(0, 100);
-/// assert!(path.len() <= 3);                 // diameter-3 guarantee
-/// assert_eq!(*path.last().unwrap(), 100);
-/// assert_eq!(router.distance(0, 100) as usize, path.len());
+/// let d = router.distance(0, 100);
+/// assert!(d <= 3);                          // diameter-3 guarantee
+/// assert!(router.within(0, 100, d) && !router.within(0, 100, d - 1));
 /// ```
 pub struct AnalyticRouter {
     net: Arc<PolarStarNetwork>,
@@ -72,8 +64,6 @@ pub struct AnalyticRouter {
     /// Adjacency bit rows of the structure graph and of the supernode.
     structure_adj: AdjRows,
     supernode_adj: AdjRows,
-    /// Total [`AnalyticRouter::route`] calls.
-    route_count: AtomicU64,
 }
 
 /// A router's `(structure, local)` coordinates.
@@ -139,7 +129,6 @@ impl AnalyticRouter {
             supernode_adj: AdjRows::new(&net.supernode.graph),
             net,
             finv,
-            route_count: AtomicU64::new(0),
         }
     }
 
@@ -156,10 +145,13 @@ impl AnalyticRouter {
         0
     }
 
-    /// Total routes materialized by [`AnalyticRouter::route`] so far
-    /// ([`AnalyticRouter::distance`] probes are not counted).
+    /// Whole routes this router materialized: always 0. It builds none —
+    /// paths are the serving oracle's walk over [`AnalyticRouter::within`]
+    /// — and the method stays, like [`AnalyticRouter::fallbacks`],
+    /// because the `benchmark/` ledger reads it
+    /// (`analytic.routes_computed`).
     pub fn routes_computed(&self) -> u64 {
-        self.route_count.load(Ordering::Relaxed)
+        0
     }
 
     /// Resident bytes of the factor-graph routing state (f⁻¹, the two
@@ -250,7 +242,7 @@ impl AnalyticRouter {
     /// Hop distance from router `s` to router `t`, from factor state
     /// alone and without materializing a path: 1 iff product-adjacent,
     /// 2 iff a 2-hop template hits, else 3 — every PolarStar has
-    /// diameter ≤ 3 (Theorems 4/5). Allocation-free and uncounted.
+    /// diameter ≤ 3 (Theorems 4/5). Allocation-free.
     ///
     /// # Panics
     /// If `s` or `t` is not a router of the network (an id ≥ `n`).
@@ -272,7 +264,7 @@ impl AnalyticRouter {
     /// 2-hop template hit at 2, and nothing beyond 2 (Theorems 4/5).
     /// This is the probe a walk puts to each neighbor: at a router `r`
     /// hops out, a neighbor is one hop closer iff it is within `r − 1`.
-    /// Allocation-free and uncounted.
+    /// Allocation-free.
     ///
     /// # Panics
     /// If `s` or `t` is not a router of the network (an id ≥ `n`).
@@ -286,48 +278,6 @@ impl AnalyticRouter {
                 2 => self.product_adjacent(a, b) || self.two_hop_middle(a, b).is_some(),
                 _ => true,
             }
-    }
-
-    /// Destination-based incremental routing (§9.2): the next router on
-    /// a minimal path from `current` toward `dst`, or `None` when
-    /// already there — the first neighbor in ascending id order that the
-    /// kernel puts one hop closer. This is the per-hop decision an
-    /// actual PolarStar router makes from factor-graph state, so no path
-    /// state travels with the packet.
-    ///
-    /// # Panics
-    /// If `current` or `dst` is not a router of the network (an id ≥
-    /// `n`).
-    pub fn next_hop(&self, current: u32, dst: u32) -> Option<u32> {
-        let d = self.distance(current, dst);
-        match d {
-            0 => None,
-            1 => Some(dst),
-            _ => self
-                .net
-                .graph()
-                .neighbors(current)
-                .iter()
-                .copied()
-                .find(|&nb| self.within(nb, dst, d - 1)),
-        }
-    }
-
-    /// The lexicographically first minimal path from router `s` to
-    /// router `t`: [`AnalyticRouter::next_hop`] followed to `t`, as the
-    /// sequence of routers after `s` (empty when `s == t`). Length is at
-    /// most 3 (Theorems 4/5).
-    ///
-    /// # Panics
-    /// If `s` or `t` is not a router of the network (an id ≥ `n`).
-    pub fn route(&self, s: u32, t: u32) -> Vec<u32> {
-        // Refused before the self-pair's early return.
-        self.locate(s, t);
-        if s == t {
-            return Vec::new();
-        }
-        self.route_count.fetch_add(1, Ordering::Relaxed);
-        std::iter::successors(self.next_hop(s, t), |&v| self.next_hop(v, t)).collect()
     }
 
     /// Product adjacency of the routers at coordinates `(x, xp)` and
@@ -403,22 +353,10 @@ mod tests {
     use crate::network::PolarStarNetwork;
     use polarstar_graph::traversal;
 
-    fn validate_path(net: &PolarStarNetwork, s: u32, path: &[u32]) {
-        let mut cur = s;
-        for &next in path {
-            assert!(
-                net.graph().has_edge(cur, next),
-                "{}: hop {cur}→{next} is not an edge",
-                net.config.label()
-            );
-            cur = next;
-        }
-    }
-
     /// Check, on every `s_step`-th source × `t_step`-th destination,
     /// that the distance kernel equals the BFS distance and that the
-    /// walked route is a valid path of exactly that length. Returns the
-    /// number of pairs at BFS distance 2.
+    /// bounded probe `within(s, t, h)` answers `distance ≤ h` for every
+    /// h ≤ 3. Returns the number of pairs at BFS distance 2.
     fn check_pairs_minimal(net: &PolarStarNetwork, s_step: usize, t_step: usize) -> u64 {
         let router = AnalyticRouter::new(net.clone());
         let n = net.spec.routers() as u32;
@@ -430,10 +368,9 @@ mod tests {
                 let want = dist[t as usize];
                 at_two += u64::from(want == 2);
                 assert_eq!(router.distance(s, t), want, "{label}: kernel {s}→{t}");
-                let path = router.route(s, t);
-                validate_path(net, s, &path);
-                assert_eq!(path.last().copied().unwrap_or(s), t);
-                assert_eq!(path.len() as u32, want, "{label}: route {s}→{t}");
+                for h in 0..=3 {
+                    assert_eq!(router.within(s, t, h), want <= h, "{label}: {s}→{t} ≤ {h}");
+                }
             }
         }
         at_two
@@ -508,24 +445,10 @@ mod tests {
     }
 
     #[test]
-    fn distance_probes_are_not_counted_as_routes() {
-        let net = PolarStarNetwork::build(best_config(9).unwrap(), 1).unwrap();
-        let router = AnalyticRouter::new(net.clone());
-        let n = net.spec.routers() as u32;
-        for t in 0..n {
-            assert!(router.distance(0, t) <= 3);
-        }
-        assert_eq!(router.routes_computed(), 0);
-        router.route(0, n - 1);
-        assert_eq!(router.routes_computed(), 1);
-    }
-
-    #[test]
     fn out_of_range_ids_are_refused() {
         // PS-IQ, n = 1 064. Unchecked, the kernel answered
-        // distance(0, 1064) = 2, distance(5, 1067) = 3 and
-        // next_hop(5, 1067) = Some(3), and panicked on a bare bounds
-        // check for distance(1064, 0) and next_hop(0, 1064).
+        // distance(0, 1064) = 2 and distance(5, 1067) = 3, and panicked
+        // on a bare bounds check for distance(1064, 0).
         let net = PolarStarNetwork::build(best_config(15).unwrap(), 1).unwrap();
         let router = AnalyticRouter::new(net);
         let n = 1064;
@@ -541,37 +464,32 @@ mod tests {
         refused(&router, |r| r.distance(n, 0));
         refused(&router, |r| r.within(0, n, 2));
         refused(&router, |r| r.within(n, n, 0));
-        refused(&router, |r| r.next_hop(5, n + 3));
-        refused(&router, |r| r.next_hop(0, n));
-        refused(&router, |r| r.route(n, n));
         assert_eq!(router.distance(n - 1, n - 1), 0);
         assert!(router.within(0, n - 1, 3));
-        assert_eq!(router.routes_computed(), 0);
         assert!(!router.structure_adjacent(0, 133) && !router.supernode_adjacent(8, 0));
     }
 
     #[test]
-    fn incremental_next_hop_is_consistent() {
+    fn incremental_next_hops_match_bfs() {
         // §9.2: "amenable to incremental routing and therefore, suitable
-        // for destination-based routing" — following next_hop from every
-        // source must reach the destination in exactly the BFS distance.
+        // for destination-based routing" — at a router d hops out, the
+        // neighbors the kernel puts within d − 1 are exactly the BFS
+        // minimal next hops, and there is at least one.
         let cfg = best_config(10).unwrap();
         let net = PolarStarNetwork::build(cfg, 1).unwrap();
         let router = AnalyticRouter::new(net.clone());
         let n = net.spec.routers() as u32;
-        for s in (0..n).step_by(11) {
-            let dist = traversal::bfs_distances(net.graph(), s);
-            for t in (0..n).step_by(7) {
-                let mut cur = s;
+        for t in (0..n).step_by(7) {
+            let dist = traversal::bfs_distances(net.graph(), t);
+            for s in (0..n).step_by(11).filter(|&s| s != t) {
+                let d = dist[s as usize];
                 let mut hops = 0;
-                while let Some(next) = router.next_hop(cur, t) {
-                    assert!(net.graph().has_edge(cur, next));
-                    cur = next;
-                    hops += 1;
-                    assert!(hops <= 3, "{s}→{t} exceeded diameter");
+                for &nb in net.graph().neighbors(s) {
+                    let closer = router.within(nb, t, d - 1);
+                    assert_eq!(closer, dist[nb as usize] == d - 1, "{s}→{t} via {nb}");
+                    hops += u32::from(closer);
                 }
-                assert_eq!(cur, t);
-                assert_eq!(hops, dist[t as usize], "{s}→{t}");
+                assert!(hops > 0, "{s}→{t}: no minimal next hop");
             }
         }
     }
@@ -582,7 +500,7 @@ mod tests {
         // state, not per-destination tables. The whole state is the two
         // factors' bit rows, f⁻¹ and ER_q's field tables; no structure
         // pair stores a middle.
-        for (d, want) in [(15, 4_420), (32, 44_476)] {
+        for (d, want) in [(15, 4_412), (32, 44_468)] {
             let net = PolarStarNetwork::build(best_config(d).unwrap(), 1).unwrap();
             let router = AnalyticRouter::new(net.clone());
             let (n_s, n_l) = (net.er.order(), net.supernode.order());

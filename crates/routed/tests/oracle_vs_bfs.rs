@@ -1,9 +1,11 @@
 //! Ground-truth property tests: every oracle answer must equal a fresh
 //! BFS over the (possibly fault-degraded) router graph — on the ER(5)
 //! polarity graph, a pristine PolarStar, and fault-masked PolarStars
-//! drawn from random `FaultSet` seeds.
+//! drawn from random `FaultSet` seeds — and the analytic backend's
+//! `path` is the BFS-minimal, lexicographically first path on the
+//! Inductive-Quad and Paley PolarStars of degree 7–12.
 
-use polarstar::design::best_config;
+use polarstar::design::{best_config, best_config_with};
 use polarstar::network::PolarStarNetwork;
 use polarstar_graph::{traversal, Graph};
 use polarstar_routed::{Oracle, Query};
@@ -92,6 +94,43 @@ fn pristine_polarstar_matches_fresh_bfs() {
     let g = net.spec.graph.clone();
     let oracle = Oracle::new(Arc::new(net.spec));
     check_against_bfs(&oracle, &g);
+}
+
+/// The analytic backend's `path` on the largest pristine Inductive-Quad
+/// and Paley PolarStar of every degree 7–12: toward every `step`-th
+/// destination, from every source, it is the path that takes at each
+/// router the first neighbor (CSR order) one BFS hop closer — of BFS
+/// length, at most 3 hops, and lexicographically first.
+#[test]
+fn analytic_paths_are_the_first_bfs_minimal_paths_at_degree_7_to_12() {
+    let mut checked = 0;
+    for degree in 7..=12 {
+        for iq in [true, false] {
+            let Some(cfg) = best_config_with(degree, iq) else {
+                continue;
+            };
+            let net = PolarStarNetwork::build(cfg, 1).unwrap();
+            let g = net.spec.graph.clone();
+            assert!(g.max_degree() <= degree, "{}", cfg.label());
+            let oracle = Oracle::new_analytic(net);
+            let n = g.n() as u32;
+            for dst in (0..n).step_by((n as usize / 32).max(1)) {
+                let dist = traversal::bfs_distances(&g, dst);
+                for src in 0..n {
+                    let mut want = vec![src];
+                    while let Some(&cur) = want.last().filter(|&&v| v != dst) {
+                        let closer = |&nb: &u32| dist[nb as usize] + 1 == dist[cur as usize];
+                        want.push(g.neighbors(cur).iter().copied().find(closer).unwrap());
+                    }
+                    assert!(want.len() <= 4, "{}: {src}->{dst} over 3 hops", cfg.label());
+                    let got = oracle.path(src, dst);
+                    assert_eq!(got, Ok(want), "{}: path {src}->{dst}", cfg.label());
+                }
+            }
+            checked += 1;
+        }
+    }
+    assert!(checked >= 10, "only {checked} configs of degree 7–12");
 }
 
 proptest! {

@@ -8,8 +8,9 @@
 use polarstar::design::{best_config, enumerate_configs, moore_bound_d3, moore_efficiency};
 use polarstar::layout::Layout;
 use polarstar::network::PolarStarNetwork;
-use polarstar::routing::AnalyticRouter;
 use polarstar_repro::graph::traversal;
+use polarstar_repro::routed::AnalyticOracle;
+use polarstar_repro::topo::PathOracle;
 
 fn main() {
     let radix: usize = std::env::args()
@@ -47,10 +48,11 @@ fn main() {
     // 4. Route analytically — no routing tables, only factor-graph state:
     //    each hop is the first neighbor the §9.2 distance kernel puts one
     //    hop closer, so the path is the lexicographically first minimal one.
-    let router = AnalyticRouter::new(net.clone());
+    let oracle = AnalyticOracle::new(net.clone());
     let (s, t) = (0u32, net.spec.routers() as u32 - 1);
-    let path = router.route(s, t);
-    println!("analytic route {s} → {t}: {} hops via {path:?}", path.len());
+    let path = oracle.path(s, t).expect("PolarStar is connected");
+    let hops = &path[1..]; // the routers after `s`
+    println!("analytic route {s} → {t}: {} hops via {hops:?}", hops.len());
     println!(
         "moore bound at this radix: {}",
         moore_bound_d3(radix as u64)

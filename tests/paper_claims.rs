@@ -6,11 +6,12 @@ use polarstar::design::{
 };
 use polarstar::layout::Layout;
 use polarstar::network::PolarStarNetwork;
-use polarstar::routing::AnalyticRouter;
 use polarstar_repro::graph::traversal;
+use polarstar_repro::routed::AnalyticOracle;
 use polarstar_repro::topo::bundlefly;
 use polarstar_repro::topo::iq::inductive_quad;
 use polarstar_repro::topo::kautz::kautz_bidirectional;
+use polarstar_repro::topo::PathOracle;
 
 /// §1.3: largest known diameter-3 networks — PolarStar beats Bundlefly,
 /// Dragonfly and HyperX at (almost) every radix in [8, 128].
@@ -144,14 +145,14 @@ fn kautz_curve_is_constructed() {
 fn analytic_routing_is_minimal_across_families() {
     for cfg in [best_config(11).unwrap(), best_config(13).unwrap()] {
         let net = PolarStarNetwork::build(cfg, 1).unwrap();
-        let router = AnalyticRouter::new(net.clone());
+        let oracle = AnalyticOracle::new(net.clone());
         let n = net.spec.routers() as u32;
         for s in (0..n).step_by(17) {
             let dist = traversal::bfs_distances(net.graph(), s);
             for t in (0..n).step_by(5) {
-                let path = router.route(s, t);
+                let path = oracle.path(s, t).unwrap();
                 assert_eq!(
-                    path.len() as u32,
+                    path.len() as u32 - 1,
                     dist[t as usize],
                     "{}: {s}→{t}",
                     cfg.label()

@@ -47,7 +47,6 @@ fn analytic_and_table_backends_answer_alike_under_faults() {
     assert!(hit(Regime::MinimalDagIntact) > 0);
     assert!(hit(Regime::Escalated) > 0);
     assert!(hit(Regime::Unreachable) > 0, "queries touching router 17");
-    assert_eq!(backend.router().routes_computed(), 0);
 }
 
 #[test]
