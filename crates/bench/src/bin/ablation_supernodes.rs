@@ -13,7 +13,7 @@ use polarstar_topo::er::ErGraph;
 use polarstar_topo::iq::inductive_quad;
 use polarstar_topo::network::NetworkSpec;
 use polarstar_topo::paley::paley_supernode;
-use polarstar_topo::star::star_product;
+use polarstar_topo::star::StarProduct;
 use polarstar_topo::supernode::{complete_supernode, Supernode};
 
 fn supernodes(dprime: usize) -> Vec<(&'static str, Option<Supernode>)> {
@@ -46,7 +46,7 @@ fn main() {
                     Some(s) => s,
                     None => continue,
                 };
-                let g = star_product(&er.graph, &er.quadric_vertices(), &sn);
+                let g = StarProduct::new(&er.graph, &er.quadric, &sn).graph();
                 let diam = polarstar_graph::traversal::diameter(&g)
                     .map(|d| d.to_string())
                     .unwrap_or_else(|| "-".into());

@@ -4,8 +4,9 @@
 //! 4 GB/s links, linear rank mapping (§10.1). CSV
 //! `motif,topology,routing,bytes,time_us`.
 //!
-//! The grid fans out over rayon; the CSV is byte-identical at any
-//! `RAYON_NUM_THREADS` (each point is an independent seeded model).
+//! The networks fan out over rayon, each running its points in order
+//! on one model reset between points; the CSV is byte-identical at any
+//! `RAYON_NUM_THREADS`.
 //! `--quick` shrinks sizes and iterations for smoke tests;
 //! `--only <key>` restricts topologies.
 

@@ -22,6 +22,7 @@ use polarstar_topo::hyperx::hyperx;
 use polarstar_topo::lps::lps_graph;
 use polarstar_topo::megafly::{megafly, MegaflyParams};
 use polarstar_topo::network::NetworkSpec;
+use polarstar_topo::star::StarProduct;
 
 pub use manifest::RunManifest;
 
@@ -103,7 +104,7 @@ pub fn table3_polarstar(key: &str) -> Result<PolarStarNetwork, TopoError> {
 /// Edge-disjoint spanning trees for a Table 3 network — the substrate
 /// for the striped multi-tree collectives. The star-product keys
 /// (`PS-*`, `BF`) use the factor-aware composition of
-/// [`polarstar_topo::edst::star_product_edst`], which packs more trees
+/// [`StarProduct::edst`], which packs more trees
 /// than peeling the product graph blind; everything else gets the
 /// generic greedy packing. `spec` must be the network
 /// [`table3_network`] builds for `key`.
@@ -114,7 +115,7 @@ pub fn table3_edst(key: &str, spec: &NetworkSpec) -> Vec<Vec<(u32, u32)>> {
             .expect("PS factors"),
         "BF" => {
             let (structure, sn) = bundlefly_factors(BF_PARAMS).expect("BF factors");
-            polarstar_topo::edst::star_product_edst(&spec.graph, &structure, &sn)
+            StarProduct::new(&structure, &[], &sn).edst(&spec.graph)
         }
         _ => polarstar_graph::edst::greedy_edst(&spec.graph),
     }

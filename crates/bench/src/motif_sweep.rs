@@ -2,11 +2,12 @@
 //! topologies), shared between the `fig11_motifs` binary and the
 //! determinism tests.
 //!
-//! Every grid point builds its own freshly seeded [`NetModel`] from the
-//! point's spec, so points are independent and the produced rows are
-//! identical at any rayon width (the shim runs inline at
-//! `RAYON_NUM_THREADS=1`; `tests/bins_smoke.rs` compares that CSV
-//! against width 4).
+//! Each network runs its points in grid order on one [`NetModel`],
+//! [`NetModel::reset`] between points, so every point repeats a freshly
+//! seeded model while the port masks it routes on are swept once per
+//! network. Networks fan out over rayon, and the rows are identical at
+//! any rayon width (the shim runs inline at `RAYON_NUM_THREADS=1`;
+//! `tests/bins_smoke.rs` compares that CSV against width 4).
 
 use polarstar_motifs::collectives::{allreduce, sweep3d, AllreduceAlgo};
 use polarstar_motifs::netmodel::{MotifConfig, MotifError, NetModel, RoutingMode};
@@ -53,47 +54,42 @@ impl MotifSweep {
     }
 }
 
-/// One grid point, fully determined before execution.
+/// One network's grid point, fully determined before execution.
 #[derive(Clone, Debug)]
 struct Point {
     motif: &'static str,
-    net: usize,
     mode: RoutingMode,
     bytes: u64,
 }
 
-fn grid(nets: &[NetworkSpec], modes: &[RoutingMode], sweep: &MotifSweep) -> Vec<Point> {
+/// One network's points, in grid order.
+fn grid(modes: &[RoutingMode], sweep: &MotifSweep) -> Vec<Point> {
     let mut points = Vec::new();
-    for net in 0..nets.len() {
-        for &mode in modes {
-            for &bytes in &sweep.allreduce_bytes {
-                points.push(Point {
-                    motif: "allreduce",
-                    net,
-                    mode,
-                    bytes,
-                });
-            }
-            for &bytes in &sweep.sweep3d_bytes {
-                points.push(Point {
-                    motif: "sweep3d",
-                    net,
-                    mode,
-                    bytes,
-                });
-            }
+    for &mode in modes {
+        for &bytes in &sweep.allreduce_bytes {
+            points.push(Point {
+                motif: "allreduce",
+                mode,
+                bytes,
+            });
+        }
+        for &bytes in &sweep.sweep3d_bytes {
+            points.push(Point {
+                motif: "sweep3d",
+                mode,
+                bytes,
+            });
         }
     }
     points
 }
 
-fn run_point(nets: &[NetworkSpec], sweep: &MotifSweep, p: &Point) -> Result<String, MotifError> {
-    let spec = nets[p.net].clone();
-    let name = spec.name.clone();
-    let mut model = NetModel::new(spec, MotifConfig::default());
+/// Run one point on `model`, reset first so it starts as a fresh one.
+fn run_point(model: &mut NetModel, sweep: &MotifSweep, p: &Point) -> Result<String, MotifError> {
+    model.reset();
     let t_ns = match p.motif {
         "allreduce" => allreduce(
-            &mut model,
+            model,
             AllreduceAlgo::RecursiveDoubling,
             p.bytes,
             sweep.iters,
@@ -102,7 +98,7 @@ fn run_point(nets: &[NetworkSpec], sweep: &MotifSweep, p: &Point) -> Result<Stri
         _ => {
             let (px, py) = sweep.sweep3d_grid;
             sweep3d(
-                &mut model,
+                model,
                 px,
                 py,
                 p.bytes,
@@ -113,28 +109,37 @@ fn run_point(nets: &[NetworkSpec], sweep: &MotifSweep, p: &Point) -> Result<Stri
         }
     };
     Ok(format!(
-        "{},{name},{},{},{:.1}",
+        "{},{},{},{},{:.1}",
         p.motif,
+        model.spec().name,
         p.mode.label(),
         p.bytes,
         t_ns / 1000.0
     ))
 }
 
-/// Run the full grid and return one CSV row per point, in grid order.
-/// The rayon width never shows in the rows: each point is an
-/// independent seeded model, and the ordered collect restores grid
+/// Run the full grid and return one CSV row per point, in grid order
+/// (network-major). The rayon width never shows in the rows: each
+/// network's points run in order on its own model, reset to a fresh
+/// one before every point, and the ordered collect restores network
 /// order.
 pub fn run_sweep(
     nets: &[NetworkSpec],
     modes: &[RoutingMode],
     sweep: &MotifSweep,
 ) -> Result<Vec<String>, MotifError> {
-    let rows: Vec<Result<String, MotifError>> = grid(nets, modes, sweep)
+    let points = grid(modes, sweep);
+    let per_net: Vec<Vec<String>> = nets
         .par_iter()
-        .map(|p| run_point(nets, sweep, p))
-        .collect();
-    rows.into_iter().collect()
+        .map(|spec| {
+            let mut model = NetModel::new(spec.clone(), MotifConfig::default());
+            points
+                .iter()
+                .map(|p| run_point(&mut model, sweep, p))
+                .collect()
+        })
+        .collect::<Result<_, _>>()?;
+    Ok(per_net.concat())
 }
 
 /// CSV header matching [`run_sweep`] rows.

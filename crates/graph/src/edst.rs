@@ -8,7 +8,7 @@
 //! module provides the generic greedy extractor (tree peeling over
 //! dense directed-edge-id marks), the residual variant that peels
 //! around an externally-used edge set (so structure-aware constructions
-//! like `polarstar_topo::edst::star_product_edst` can top up their
+//! like `polarstar_topo::star::StarProduct::edst` can top up their
 //! composed trees), an exact validator, the standard upper bound, and
 //! the cut-crossing replacement-edge search used for online tree
 //! repair.

@@ -154,9 +154,9 @@ type Mailbox = Mutex<Vec<(u64, Ev)>>;
 /// Run the simulation over `ctx.shards()` shards and return the merged
 /// statistics and the cycle count. Shard 0 runs on the calling thread
 /// and shards 1.. on one spawned thread each, so a one-shard run spawns
-/// none: with no other shard it publishes no events, and its barrier is
-/// a counter bump. Each shard reports into a fork of `monitor`,
-/// absorbed back in shard order.
+/// none: with no other shard it publishes no events, takes no mailbox
+/// lock, and its barrier is a counter bump. Each shard reports into a
+/// fork of `monitor`, absorbed back in shard order.
 pub(super) fn run_sharded<M: SimMonitor>(
     ctx: &Ctx,
     sample_every: Option<u64>,
@@ -184,8 +184,12 @@ pub(super) fn run_sharded<M: SimMonitor>(
         let mut watch = RunWatch::new(ctx);
         for now in 0..ctx.hard_end {
             let parity = (now & 1) as usize;
-            // 1. Drain events published last cycle.
-            for inbox in &mailboxes[parity ^ 1][id] {
+            // 1. Drain events published last cycle. A shard never
+            // publishes to itself, so its own mailbox stays empty.
+            for (src, inbox) in mailboxes[parity ^ 1][id].iter().enumerate() {
+                if src == id {
+                    continue;
+                }
                 {
                     let mut slot = inbox.lock().unwrap();
                     std::mem::swap(&mut *slot, &mut scratch);

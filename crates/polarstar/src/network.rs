@@ -6,8 +6,8 @@ use polarstar_graph::Graph;
 use polarstar_topo::er::ErGraph;
 use polarstar_topo::error::TopoError;
 use polarstar_topo::network::NetworkSpec;
-use polarstar_topo::star::{star_product, vertex_id, vertex_parts};
-use polarstar_topo::supernode::Supernode;
+use polarstar_topo::star::StarProduct;
+use polarstar_topo::supernode::{complete_supernode, Supernode};
 use polarstar_topo::{iq, paley};
 
 /// A fully-constructed PolarStar network, retaining its factor graphs so
@@ -30,11 +30,13 @@ impl PolarStarNetwork {
     pub fn build(config: PolarStarConfig, p: u32) -> Result<Self, TopoError> {
         let er = ErGraph::new(config.q)?;
         let supernode = build_supernode(config.supernode)?;
-        let graph = star_product(&er.graph, &er.quadric_vertices(), &supernode);
-        let np = supernode.order();
-        let n = graph.n();
-        let group: Vec<u32> = (0..n).map(|v| (v / np) as u32).collect();
-        let spec = NetworkSpec::new(config.label(), graph, vec![p; n], group);
+        let view = StarProduct::new(&er.graph, &er.quadric, &supernode);
+        let spec = NetworkSpec::new(
+            config.label(),
+            view.graph(),
+            vec![p; view.order()],
+            view.groups(),
+        );
         Ok(PolarStarNetwork {
             config,
             er,
@@ -48,22 +50,12 @@ impl PolarStarNetwork {
         &self.spec.graph
     }
 
-    /// Structure coordinate (supernode copy) of a router.
+    /// The star product this network is: `ER_q` with its quadric
+    /// self-loops times the supernode. Router coordinates, arc crossings
+    /// and self-loop partners are read from it.
     #[inline]
-    pub fn structure_of(&self, v: u32) -> u32 {
-        vertex_parts(v, self.supernode.order()).0
-    }
-
-    /// Supernode-internal coordinate of a router.
-    #[inline]
-    pub fn local_of(&self, v: u32) -> u32 {
-        vertex_parts(v, self.supernode.order()).1
-    }
-
-    /// Compose a router id from `(structure, local)` coordinates.
-    #[inline]
-    pub fn router_id(&self, x: u32, xp: u32) -> u32 {
-        vertex_id(x, xp, self.supernode.order())
+    pub fn view(&self) -> StarProduct<'_> {
+        StarProduct::new(&self.er.graph, &self.er.quadric, &self.supernode)
     }
 
     /// Edge-disjoint spanning trees of the router graph, composed from
@@ -71,7 +63,7 @@ impl PolarStarNetwork {
     /// with a residual greedy top-up — the substrate for the striped
     /// multi-tree collectives in `crates/motifs`.
     pub fn edst_trees(&self) -> Vec<Vec<(u32, u32)>> {
-        polarstar_topo::edst::star_product_edst(self.graph(), &self.er.graph, &self.supernode)
+        self.view().edst(self.graph())
     }
 }
 
@@ -82,7 +74,7 @@ fn build_supernode(kind: SupernodeKind) -> Result<Supernode, TopoError> {
             if degree == 0 {
                 // Degenerate single-vertex supernode: PolarStar reduces to
                 // ER_q itself.
-                Ok(Supernode::new("K1", Graph::empty(1), vec![0]))
+                Ok(complete_supernode(1))
             } else {
                 paley::paley_supernode(2 * degree as u64 + 1)
             }
@@ -128,9 +120,10 @@ mod tests {
     fn coordinates_roundtrip() {
         let cfg = best_config(9).unwrap();
         let net = PolarStarNetwork::build(cfg, 1).unwrap();
+        let view = net.view();
         for v in 0..net.spec.routers() as u32 {
-            let (x, xp) = (net.structure_of(v), net.local_of(v));
-            assert_eq!(net.router_id(x, xp), v);
+            let (x, xp) = view.parts(v);
+            assert_eq!(view.router(x, xp), v);
             assert_eq!(net.spec.group[v as usize], x);
         }
     }

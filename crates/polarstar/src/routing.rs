@@ -7,12 +7,15 @@
 //! distance kernel** [`AnalyticRouter::distance`]: 1 iff the routers are
 //! product-adjacent, 2 iff a 2-hop template hits, 3 otherwise (Theorems
 //! 4/5 bound the diameter by 3). The 2-hop templates are one enumeration
-//! (`two_hop_middle`) over every 2-walk of the star product
-//! (intra–intra, intra–cross, cross–intra, cross–cross; §9.2 cases (a),
-//! (c) and (d) among them). Its bounded form [`AnalyticRouter::within`]
-//! — is the distance ≤ h? — asks only as much as `h` needs: adjacency at
-//! 1, adjacency or a template hit at 2, nothing past 2. Neither builds
-//! anything.
+//! (`two_hop`) over every 2-walk of the star product (intra–intra,
+//! intra–cross, cross–intra, cross–cross; §9.2 cases (a), (c) and (d)
+//! among them). The product rule itself — router coordinates, which of
+//! f and f⁻¹ an arc applies, a quadric copy's self-loop partners — is
+//! read from the network's [`StarProduct`] view, the one that built the
+//! graph; the kernel adds only its bit rows and the template search.
+//! Its bounded form [`AnalyticRouter::within`] — is the distance ≤ h? —
+//! asks only as much as `h` needs: adjacency at 1, adjacency or a
+//! template hit at 2, nothing past 2. Neither builds anything.
 //!
 //! `within` is the probe a walk puts to each neighbor: at a router `r`
 //! hops out, a neighbor is one hop closer iff it is within `r − 1`. The
@@ -28,14 +31,17 @@
 //! Storage: one adjacency bit row per factor vertex, ⌈|V|/64⌉ words
 //! each, so every adjacency test is one word read — 133 × 3 + 8 × 1
 //! words (3.3 KB) on PS-IQ, 40 KB at radix 32, 454 KB at radix 64 and
-//! 6.1 MB at radix 128 — plus O(|V(G')|) for f⁻¹ and the 4 · (2q² + q)
-//! bytes of field tables behind [`ErGraph::middle`]. No middle is
+//! 6.1 MB at radix 128 — plus O(|V(G')|) for f⁻¹ (held by the
+//! [`Supernode`]) and the 4 · (2q² + q) bytes of field tables behind
+//! [`ErGraph::middle`]. No middle is
 //! stored: ER_q is the polarity graph of PG(2, q), so distinct structure
 //! vertices x, y have exactly one 2-walk middle, the point x × y
 //! (Property R). PS-IQ's whole state is 4.4 KB, versus ~1 M entries for
 //! a full per-destination next-hop table (§9.3's comparison with SF/BF).
 //!
 //! [`ErGraph::middle`]: polarstar_topo::er::ErGraph::middle
+//! [`StarProduct`]: polarstar_topo::star::StarProduct
+//! [`Supernode`]: polarstar_topo::supernode::Supernode
 
 use crate::network::PolarStarNetwork;
 use polarstar_graph::Graph;
@@ -59,8 +65,6 @@ use std::sync::Arc;
 /// ```
 pub struct AnalyticRouter {
     net: Arc<PolarStarNetwork>,
-    /// Inverse of the supernode bijection.
-    finv: Vec<u32>,
     /// Adjacency bit rows of the structure graph and of the supernode.
     structure_adj: AdjRows,
     supernode_adj: AdjRows,
@@ -116,19 +120,13 @@ fn out_of_range(s: u32, t: u32, n: usize) -> ! {
 }
 
 impl AnalyticRouter {
-    /// Precompute f⁻¹ and the factors' adjacency bit rows.
+    /// Precompute the factors' adjacency bit rows.
     pub fn new(net: impl Into<Arc<PolarStarNetwork>>) -> Self {
         let net = net.into();
-        let f = &net.supernode.f;
-        let mut finv = vec![0u32; f.len()];
-        for (a, &b) in f.iter().enumerate() {
-            finv[b as usize] = a as u32;
-        }
         AnalyticRouter {
             structure_adj: AdjRows::new(&net.er.graph),
             supernode_adj: AdjRows::new(&net.supernode.graph),
             net,
-            finv,
         }
     }
 
@@ -163,7 +161,7 @@ impl AnalyticRouter {
     /// [`ErGraph::middle`]: polarstar_topo::er::ErGraph::middle
     pub fn memory_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
-            + self.finv.capacity() * std::mem::size_of::<u32>()
+            + std::mem::size_of_val(self.net.supernode.finv())
             + (self.structure_adj.bits.capacity() + self.supernode_adj.bits.capacity())
                 * std::mem::size_of::<u64>()
             + self.net.er.table_bytes()
@@ -189,54 +187,29 @@ impl AnalyticRouter {
     /// compare on the structure coordinates the kernel needs anyway.
     #[inline]
     fn locate(&self, s: u32, t: u32) -> (Coord, Coord) {
-        let net = &self.net;
-        let (x, y) = (net.structure_of(s), net.structure_of(t));
-        if x.max(y) as usize >= self.structure_adj.n {
+        let view = self.net.view();
+        let (a, b) = (view.parts(s), view.parts(t));
+        if a.0.max(b.0) as usize >= self.structure_adj.n {
             out_of_range(s, t, self.structure_adj.n * self.supernode_adj.n);
         }
-        ((x, net.local_of(s)), (y, net.local_of(t)))
-    }
-
-    /// Supernode coordinate after crossing the structure edge `x → y`
-    /// (the star product orients arcs from the smaller endpoint, so the
-    /// reverse direction applies f⁻¹). For involutions f = f⁻¹.
-    #[inline]
-    fn cross(&self, x: u32, y: u32, a: u32) -> u32 {
-        if x < y {
-            self.net.supernode.f[a as usize]
-        } else {
-            self.finv[a as usize]
-        }
+        (a, b)
     }
 
     /// Whether routers `(x, a)` and `(x, b)` are adjacent inside copy x:
-    /// a supernode edge, or a quadric self-loop edge a ~ f(a) / f(b) ~ a
-    /// (both directions matter when f is not an involution, e.g. Paley).
+    /// a supernode edge, or a self-loop partner at a quadric x.
     #[inline]
     fn copy_adjacent(&self, x: u32, a: u32, b: u32) -> bool {
-        if a == b {
-            return false;
-        }
-        self.supernode_adj.has(a, b)
-            || (self.net.er.quadric[x as usize]
-                && (self.net.supernode.f[a as usize] == b || self.net.supernode.f[b as usize] == a))
+        self.supernode_adj.has(a, b) || self.net.view().loop_partners(x, a).any(|c| c == b)
     }
 
     /// Neighbors of local coordinate `a` within copy `x`: the supernode
-    /// neighbors, then the quadric self-loop partners f(a), f⁻¹(a) not
-    /// already among them.
+    /// neighbors, then the self-loop partners not already among them.
     fn copy_neighbors(&self, x: u32, a: u32) -> impl Iterator<Item = u32> + '_ {
         let nbrs = self.net.supernode.graph.neighbors(a);
-        let mut loops = [None; 2];
-        if self.net.er.quadric[x as usize] {
-            let fresh = |c: u32| c != a && !self.supernode_adj.has(a, c);
-            let (fa, fia) = (self.net.supernode.f[a as usize], self.finv[a as usize]);
-            loops = [
-                fresh(fa).then_some(fa),
-                (fia != fa && fresh(fia)).then_some(fia),
-            ];
-        }
-        nbrs.iter().copied().chain(loops.into_iter().flatten())
+        let loops = self.net.view().loop_partners(x, a);
+        nbrs.iter()
+            .copied()
+            .chain(loops.filter(move |&c| !self.supernode_adj.has(a, c)))
     }
 
     /// Hop distance from router `s` to router `t`, from factor state
@@ -252,7 +225,7 @@ impl AnalyticRouter {
             0
         } else if self.product_adjacent(a, b) {
             1
-        } else if self.two_hop_middle(a, b).is_some() {
+        } else if self.two_hop(a, b) {
             2
         } else {
             3
@@ -275,7 +248,7 @@ impl AnalyticRouter {
             || match h {
                 0 => false,
                 1 => self.product_adjacent(a, b),
-                2 => self.product_adjacent(a, b) || self.two_hop_middle(a, b).is_some(),
+                2 => self.product_adjacent(a, b) || self.two_hop(a, b),
                 _ => true,
             }
     }
@@ -287,62 +260,38 @@ impl AnalyticRouter {
         if x == y {
             self.copy_adjacent(x, xp, yp)
         } else {
-            self.structure_adj.has(x, y) && self.cross(x, y, xp) == yp
+            self.structure_adj.has(x, y) && self.net.view().cross(x, y, xp) == yp
         }
     }
 
-    /// Local coordinates reachable by one structure-level hop of the walk
-    /// `from → to`: a crossing when the vertices differ, or a quadric
-    /// self-loop hop (both f and f⁻¹ directions) when they coincide.
-    fn hop_locals(&self, from: u32, to: u32, a: u32) -> impl Iterator<Item = u32> {
-        let (first, second) = if from == to {
-            let (fa, fia) = (self.net.supernode.f[a as usize], self.finv[a as usize]);
-            (fa, (fia != fa).then_some(fia))
-        } else {
-            (self.cross(from, to, a), None)
-        };
-        std::iter::once(first).chain(second)
-    }
-
-    /// The middle router of the first 2-hop template path `s → m → t`
-    /// between the routers at `(x, xp)` and `(y, yp)`, if any: the
-    /// distance kernel's one template enumeration. Covers every 2-walk
-    /// of the star product.
-    fn two_hop_middle(&self, (x, xp): Coord, (y, yp): Coord) -> Option<u32> {
-        let net = &self.net;
+    /// Whether a 2-hop template path joins the routers at `(x, xp)` and
+    /// `(y, yp)`: the distance kernel's one template enumeration, over
+    /// every 2-walk of the star product.
+    fn two_hop(&self, (x, xp): Coord, (y, yp): Coord) -> bool {
+        let view = self.net.view();
         if x == y {
             // Intra-supernode 2-path through a copy-internal middle.
             return self
                 .copy_neighbors(x, xp)
-                .find(|&m| self.copy_adjacent(x, m, yp))
-                .map(|m| net.router_id(x, m));
+                .any(|m| self.copy_adjacent(x, m, yp));
         }
-        if self.structure_adj.has(x, y) {
-            // §9.2 case (c): intra hop at x, then cross.
-            if let Some(m) = self
+        // §9.2 case (c): intra hop at x, then cross; case (d): cross,
+        // then intra hop at y.
+        if self.structure_adj.has(x, y)
+            && (self
                 .copy_neighbors(x, xp)
-                .find(|&m| self.cross(x, y, m) == yp)
-            {
-                return Some(net.router_id(x, m));
-            }
-            // §9.2 case (d): cross, then intra hop at y.
-            let mid = self.cross(x, y, xp);
-            if self.copy_adjacent(y, mid, yp) {
-                return Some(net.router_id(y, mid));
-            }
+                .any(|m| view.cross(x, y, m) == yp)
+                || self.copy_adjacent(y, view.cross(x, y, xp), yp))
+        {
+            return true;
         }
         // Alternating path through the one middle supernode w = x × y
         // (case (a); also the only way two non-adjacent supernodes can be
         // 2 apart). w == x or w == y is a self-loop hop at that quadric
-        // vertex, and the intermediate router sits in the looping copy.
-        let w = net.er.middle(x, y);
-        self.hop_locals(x, w, xp)
-            .find(|&h1| {
-                self.hop_locals(w, y, h1).any(|h2| h2 == yp)
-                    && (w, h1) != (x, xp)
-                    && (w, h1) != (y, yp)
-            })
-            .map(|h1| net.router_id(w, h1))
+        // endpoint, adjacent to the other: an intra hop that cases (c)
+        // and (d) already tried.
+        let w = self.net.er.middle(x, y);
+        w != x && w != y && view.cross(w, y, view.cross(x, w, xp)) == yp
     }
 }
 
@@ -500,7 +449,7 @@ mod tests {
         // state, not per-destination tables. The whole state is the two
         // factors' bit rows, f⁻¹ and ER_q's field tables; no structure
         // pair stores a middle.
-        for (d, want) in [(15, 4_412), (32, 44_468)] {
+        for (d, want) in [(15, 4_388), (32, 44_444)] {
             let net = PolarStarNetwork::build(best_config(d).unwrap(), 1).unwrap();
             let router = AnalyticRouter::new(net.clone());
             let (n_s, n_l) = (net.er.order(), net.supernode.order());

@@ -40,7 +40,7 @@ pub fn bdf_supernode(d: usize) -> Result<Supernode, TopoError> {
     }
     let n = g.n();
     let f: Vec<u32> = (0..n as u32).map(|v| v ^ 1).collect();
-    Ok(Supernode::new(format!("BDF({d})"), g, f))
+    Supernode::new(format!("BDF({d})"), g, f)
 }
 
 fn base(d: usize) -> Option<Graph> {

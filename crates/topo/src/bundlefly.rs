@@ -15,8 +15,8 @@ use crate::error::TopoError;
 use crate::mms;
 use crate::network::NetworkSpec;
 use crate::paley;
-use crate::star::star_product;
-use crate::supernode::Supernode;
+use crate::star::StarProduct;
+use crate::supernode::{complete_supernode, Supernode};
 use polarstar_gf::primes;
 use polarstar_graph::Graph;
 
@@ -52,8 +52,8 @@ impl BundleflyParams {
 /// The Bundlefly factor graphs: the MMS structure graph and the Paley
 /// supernode (a single-vertex `K1` supernode when `d' = 0`). Exposed so
 /// star-product-aware consumers — notably the EDST composition in
-/// [`crate::edst::star_product_edst`] — can work from the factors the
-/// product was built with.
+/// [`StarProduct::edst`] — can work from the factors the product was
+/// built with.
 pub fn bundlefly_factors(params: BundleflyParams) -> Result<(Graph, Supernode), TopoError> {
     if !params.is_feasible() {
         return Err(TopoError::infeasible(
@@ -68,7 +68,7 @@ pub fn bundlefly_factors(params: BundleflyParams) -> Result<(Graph, Supernode), 
         TopoError::infeasible("Bundlefly", format!("MMS({}) set search failed", params.q))
     })?;
     let supernode = if params.dprime == 0 {
-        Supernode::new("K1", Graph::empty(1), vec![0])
+        complete_supernode(1)
     } else {
         paley::paley_supernode(2 * params.dprime as u64 + 1)?
     };
@@ -79,19 +79,12 @@ pub fn bundlefly_factors(params: BundleflyParams) -> Result<(Graph, Supernode), 
 /// MMS set search fails (large q with δ ≠ 1).
 pub fn bundlefly(params: BundleflyParams) -> Result<NetworkSpec, TopoError> {
     let (structure, sn) = bundlefly_factors(params)?;
-    let graph = if params.dprime == 0 {
-        structure
-    } else {
-        star_product(&structure, &[], &sn)
-    };
-    let np = 2 * params.dprime + 1;
-    let n = graph.n();
-    let group: Vec<u32> = (0..n).map(|v| (v / np) as u32).collect();
+    let view = StarProduct::new(&structure, &[], &sn);
     Ok(NetworkSpec::new(
         format!("BF(q{},d'{})", params.q, params.dprime),
-        graph,
-        vec![params.p as u32; n],
-        group,
+        view.graph(),
+        vec![params.p as u32; view.order()],
+        view.groups(),
     ))
 }
 
@@ -200,6 +193,36 @@ mod tests {
             .is_feasible(),
             "21 not a Paley order"
         );
+    }
+
+    #[test]
+    fn view_rule_explains_the_csr() {
+        // A router pair is a link exactly when the star-product rule says
+        // so: a supernode edge or a self-loop partner inside one copy, or
+        // a structure edge whose crossing lands on the other coordinate.
+        let table3 = BundleflyParams {
+            q: 7,
+            dprime: 4,
+            p: 5,
+        };
+        let best = (1..=16u64).filter_map(best_params_for_degree);
+        for params in std::iter::once(table3).chain(best) {
+            let (structure, sn) = bundlefly_factors(params).unwrap();
+            let view = StarProduct::new(&structure, &[], &sn);
+            let graph = bundlefly(params).unwrap().graph;
+            for u in 0..view.order() as u32 {
+                let (x, a) = view.parts(u);
+                for v in 0..view.order() as u32 {
+                    let (y, b) = view.parts(v);
+                    let rule = if x == y {
+                        sn.graph.has_edge(a, b) || view.loop_partners(x, a).any(|c| c == b)
+                    } else {
+                        structure.has_edge(x, y) && view.cross(x, y, a) == b
+                    };
+                    assert_eq!(rule, graph.has_edge(u, v), "{params:?}: {u}–{v}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -28,80 +28,69 @@
 //! admit. This yields `τ + τ′ − 2` composed trees plus extras, against
 //! the generic `⌊m/(n−1)⌋ ∧ δ` ceiling.
 
-use crate::star::vertex_id;
-use crate::supernode::Supernode;
+use crate::star::StarProduct;
 use polarstar_graph::csr::{Graph, VertexId};
 use polarstar_graph::edst::{greedy_edst, greedy_edst_excluding, mark_used};
 
-/// Compose a maximal-effort EDST packing on a star product from its
-/// factors. `product` must be `star_product(structure, ·, supernode)`;
-/// on any factor mismatch (or degenerate factors) this falls back to
-/// the generic greedy peel, so it is always safe to call.
-pub fn star_product_edst(
-    product: &Graph,
-    structure: &Graph,
-    supernode: &Supernode,
-) -> Vec<Vec<(VertexId, VertexId)>> {
-    let n = structure.n();
-    let np = supernode.order();
-    if n <= 1 || np <= 1 || n * np != product.n() {
-        return greedy_edst(product);
-    }
-    let s_trees = greedy_edst(structure);
-    let t_trees = greedy_edst(&supernode.graph);
-    if s_trees.is_empty() || t_trees.is_empty() {
-        // A factor is disconnected: the lifts cannot span, but the
-        // product may still be connected through matchings/self-loops.
-        return greedy_edst(product);
-    }
-    let mut used = vec![false; product.directed_edge_count()];
-    let mut trees: Vec<Vec<(VertexId, VertexId)>> = Vec::new();
+impl StarProduct<'_> {
+    /// Compose a maximal-effort EDST packing on `product`, which must be
+    /// this view's [`StarProduct::graph`]; on a size mismatch (or
+    /// degenerate factors) this falls back to the generic greedy peel,
+    /// so it is always safe to call.
+    pub fn edst(&self, product: &Graph) -> Vec<Vec<(VertexId, VertexId)>> {
+        let (structure, supernode) = (self.structure(), self.supernode());
+        let n = structure.n();
+        let np = supernode.order();
+        if n <= 1 || np <= 1 || self.order() != product.n() {
+            return greedy_edst(product);
+        }
+        let s_trees = greedy_edst(structure);
+        let t_trees = greedy_edst(&supernode.graph);
+        if s_trees.is_empty() || t_trees.is_empty() {
+            // A factor is disconnected: the lifts cannot span, but the
+            // product may still be connected through matchings/self-loops.
+            return greedy_edst(product);
+        }
+        let mut used = vec![false; product.directed_edge_count()];
+        let mut trees: Vec<Vec<(VertexId, VertexId)>> = Vec::new();
+        // Factor tree `t` placed inside copy `x`.
+        let place = |tree: &mut Vec<_>, x: u32, t: &[(u32, u32)]| {
+            tree.extend(
+                t.iter()
+                    .map(|&(a, b)| (self.router(x, a), self.router(x, b))),
+            );
+        };
 
-    // Type B: T_j in every copy + slot-j connectors along S_1.
-    let t_last = t_trees.last().expect("nonempty");
-    for (j, t_tree) in t_trees[..t_trees.len() - 1].iter().enumerate() {
-        let slot = j as u32;
-        let mut tree = Vec::with_capacity(n * np - 1);
-        for x in 0..n as u32 {
-            for &(a, b) in t_tree {
-                tree.push((vertex_id(x, a, np), vertex_id(x, b, np)));
+        // Type B: T_j in every copy + slot-j connectors along S_1.
+        let t_last = t_trees.last().expect("nonempty");
+        for (j, t_tree) in t_trees[..t_trees.len() - 1].iter().enumerate() {
+            let mut tree = Vec::with_capacity(n * np - 1);
+            for x in 0..n as u32 {
+                place(&mut tree, x, t_tree);
             }
-        }
-        for &(u, v) in &s_trees[0] {
-            let (x, y) = if u < v { (u, v) } else { (v, u) };
-            tree.push((
-                vertex_id(x, slot, np),
-                vertex_id(y, supernode.f[slot as usize], np),
-            ));
-        }
-        commit(product, &mut used, &mut trees, tree);
-    }
-
-    // Type A: the full matching lift of S_i + T_τ′ in copy i−2.
-    for (i, s_tree) in s_trees.iter().skip(1).enumerate() {
-        if i >= n {
-            break; // out of distinct copies (cannot happen: τ − 1 ≤ δ < n)
-        }
-        let copy = i as u32;
-        let mut tree = Vec::with_capacity(n * np - 1);
-        for &(u, v) in s_tree {
-            let (x, y) = if u < v { (u, v) } else { (v, u) };
-            for w in 0..np as u32 {
-                tree.push((
-                    vertex_id(x, w, np),
-                    vertex_id(y, supernode.f[w as usize], np),
-                ));
+            for &(u, v) in &s_trees[0] {
+                tree.push(self.arc_edge(u, v, j as u32));
             }
+            commit(product, &mut used, &mut trees, tree);
         }
-        for &(a, b) in t_last {
-            tree.push((vertex_id(copy, a, np), vertex_id(copy, b, np)));
-        }
-        commit(product, &mut used, &mut trees, tree);
-    }
 
-    // Residual peel over whatever product edges remain unused.
-    trees.extend(greedy_edst_excluding(product, &mut used));
-    trees
+        // Type A: the full matching lift of S_i + T_τ′ in copy i−2.
+        for (i, s_tree) in s_trees.iter().skip(1).enumerate() {
+            if i >= n {
+                break; // out of distinct copies (cannot happen: τ − 1 ≤ δ < n)
+            }
+            let mut tree = Vec::with_capacity(n * np - 1);
+            for &(u, v) in s_tree {
+                tree.extend((0..np as u32).map(|w| self.arc_edge(u, v, w)));
+            }
+            place(&mut tree, i as u32, t_last);
+            commit(product, &mut used, &mut trees, tree);
+        }
+
+        // Residual peel over whatever product edges remain unused.
+        trees.extend(greedy_edst_excluding(product, &mut used));
+        trees
+    }
 }
 
 /// Validate a composed candidate (edges exist, unused, spanning) and
@@ -142,8 +131,7 @@ mod tests {
     use crate::er::ErGraph;
     use crate::iq::inductive_quad;
     use crate::paley::paley_supernode;
-    use crate::star::star_product;
-    use crate::supernode::complete_supernode;
+    use crate::supernode::{complete_supernode, Supernode};
     use polarstar_graph::edst::{packing_upper_bound, validate_edst};
 
     #[test]
@@ -151,8 +139,9 @@ mod tests {
         // K4 packs 2 trees per factor: 1 type-B + 1 type-A + residual.
         let structure = Graph::complete(4);
         let sn = complete_supernode(4);
-        let product = star_product(&structure, &[], &sn);
-        let trees = star_product_edst(&product, &structure, &sn);
+        let view = StarProduct::new(&structure, &[], &sn);
+        let product = view.graph();
+        let trees = view.edst(&product);
         validate_edst(&product, &trees).unwrap();
         assert!(trees.len() >= 2, "found {}", trees.len());
         assert!(trees.len() <= packing_upper_bound(&product));
@@ -163,10 +152,11 @@ mod tests {
         // ER_5 * IQ(3): the degree-9 PolarStar of the spanning tests.
         let er = ErGraph::new(5).unwrap();
         let iq = inductive_quad(3).unwrap();
-        let product = star_product(&er.graph, &er.quadric_vertices(), &iq);
+        let view = StarProduct::new(&er.graph, &er.quadric, &iq);
+        let product = view.graph();
         let s = greedy_edst(&er.graph).len();
         let t = greedy_edst(&iq.graph).len();
-        let trees = star_product_edst(&product, &er.graph, &iq);
+        let trees = view.edst(&product);
         validate_edst(&product, &trees).unwrap();
         // Floor s + t − 2 from the factor packings, plus at least one
         // residual tree.
@@ -191,8 +181,9 @@ mod tests {
         let structure = Graph::cycle(5);
         let sn = paley_supernode(9).unwrap();
         assert!(greedy_edst(&sn.graph).len() >= 2);
-        let product = star_product(&structure, &[], &sn);
-        let trees = star_product_edst(&product, &structure, &sn);
+        let view = StarProduct::new(&structure, &[], &sn);
+        let product = view.graph();
+        let trees = view.edst(&product);
         validate_edst(&product, &trees).unwrap();
         // τ = 1 (cycle), τ′ = 2 → at least one composed type-B tree.
         assert!(!trees.is_empty());
@@ -200,10 +191,10 @@ mod tests {
 
     #[test]
     fn factor_mismatch_falls_back_to_greedy() {
-        let product = star_product(&Graph::cycle(4), &[], &complete_supernode(3));
-        let wrong = Graph::cycle(7);
         let sn = complete_supernode(3);
-        let trees = star_product_edst(&product, &wrong, &sn);
+        let product = StarProduct::new(&Graph::cycle(4), &[], &sn).graph();
+        let wrong = Graph::cycle(7);
+        let trees = StarProduct::new(&wrong, &[], &sn).edst(&product);
         validate_edst(&product, &trees).unwrap();
         assert_eq!(trees.len(), greedy_edst(&product).len());
     }
@@ -212,10 +203,11 @@ mod tests {
     fn trivial_supernode_falls_back() {
         // K1 supernode: the product *is* the structure graph.
         let structure = Graph::complete(5);
-        let sn = Supernode::new("K1", Graph::empty(1), vec![0]);
-        let product = star_product(&structure, &[], &sn);
-        assert_eq!(product.m(), structure.m());
-        let trees = star_product_edst(&product, &structure, &sn);
+        let sn = Supernode::new("K1", Graph::empty(1), vec![0]).unwrap();
+        let view = StarProduct::new(&structure, &[], &sn);
+        let product = view.graph();
+        assert_eq!(product, structure);
+        let trees = view.edst(&product);
         validate_edst(&product, &trees).unwrap();
         assert_eq!(trees.len(), greedy_edst(&structure).len());
     }

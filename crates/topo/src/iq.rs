@@ -41,7 +41,7 @@ pub fn inductive_quad(d: usize) -> Result<Supernode, TopoError> {
     }
     let n = g.n();
     let f: Vec<u32> = (0..n as u32).map(|v| v ^ 1).collect();
-    Ok(Supernode::new(format!("IQ({d})"), g, f))
+    Supernode::new(format!("IQ({d})"), g, f)
 }
 
 fn base(d: usize) -> Graph {

@@ -56,7 +56,7 @@ pub fn paley_supernode(q: u64) -> Result<Supernode, TopoError> {
     let alpha = field.generator();
     debug_assert!(!field.is_square(alpha));
     let f: Vec<u32> = (0..q).map(|v| field.mul(alpha, v) as u32).collect();
-    Ok(Supernode::new(format!("Paley({q})"), g, f))
+    Supernode::new(format!("Paley({q})"), g, f)
 }
 
 #[cfg(test)]

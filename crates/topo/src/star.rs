@@ -1,127 +1,157 @@
 //! The star product of Bermond, Delorme and Farhi (Definition 1) — the
-//! mathematical construct underlying PolarStar and Bundlefly.
+//! mathematical construct underlying PolarStar and Bundlefly — and the
+//! one place that knows its rule.
 //!
-//! Vertices of `G * G'` are pairs `(x, x')`; copies of the supernode `G'`
-//! replace the vertices of the structure graph `G` (condition 2a), and a
-//! bijection per structure-arc joins neighboring copies (condition 2b).
+//! [`StarProduct`] is a borrowed description of `G * G'`: the structure
+//! graph G, which of its vertices carry a self-loop, and the
+//! [`Supernode`] G' with its bijection f. Router `(x, a)` is the vertex
+//! `x · n' + a`, and the product's edges are
 //!
-//! Two entry points:
+//! * a copy of G' in place of every vertex of G (condition 2a);
+//! * across each structure arc x → y, oriented from the smaller id, the
+//!   edges `(x, a) ~ (y, f(a))` (condition 2b), so a hop from y back to
+//!   x applies f⁻¹ ([`StarProduct::cross`]);
+//! * at a looped structure vertex x (ER_q's quadric vertices), the
+//!   copy-internal edges `(x, a) ~ (x, f(a))` of §6.1.2 (Fig. 5c),
+//!   dropping a degenerate `f(a) = a` ([`StarProduct::loop_partners`]).
 //!
-//! * [`star_product_with`] — the fully general definition with an
-//!   arbitrary bijection per arc (the Cartesian product is the special
-//!   case where every bijection is the identity);
-//! * [`star_product`] — the specialization used by PolarStar: a single
-//!   bijection `f` on every arc, plus the paper's self-loop rule (§6.1.2):
-//!   a self-loop at structure vertex `x` adds edges `(x, x') ~ (x, f(x'))`
-//!   inside that supernode (Fig. 5c), dropping degenerate `f(x') = x'`
-//!   loops.
+//! Construction ([`StarProduct::graph`]), the §9.2 distance kernel
+//! (`polarstar::routing`) and the factor-aware EDST packing
+//! ([`StarProduct::edst`]) all read the rule from here. The Cartesian
+//! product (Fig. 2a) is the view with f = id, and a one-vertex
+//! supernode gives back the structure graph.
 
-use crate::error::TopoError;
 use crate::supernode::Supernode;
 use polarstar_graph::{Graph, GraphBuilder};
 
-/// Composite vertex id for `(x, x')` given supernode order `n'`.
-#[inline]
-pub fn vertex_id(x: u32, xp: u32, supernode_order: usize) -> u32 {
-    x * supernode_order as u32 + xp
-}
-
-/// Decompose a composite vertex id into `(x, x')`.
-#[inline]
-pub fn vertex_parts(v: u32, supernode_order: usize) -> (u32, u32) {
-    (v / supernode_order as u32, v % supernode_order as u32)
-}
-
-/// General star product: `bijection(x, y)` returns the map applied across
-/// the arc `x → y` (arcs are the structure edges oriented `x < y`). Errs
-/// when a bijection does not cover the supernode vertex set.
-pub fn star_product_with<F>(
-    structure: &Graph,
-    supernode: &Graph,
-    mut bijection: F,
-) -> Result<Graph, TopoError>
-where
-    F: FnMut(u32, u32) -> Vec<u32>,
-{
-    let n = structure.n();
-    let np = supernode.n();
-    let mut b = GraphBuilder::new(n * np);
-    // Condition 2a: supernode copies.
-    for x in 0..n as u32 {
-        for (u, v) in supernode.edges() {
-            b.add_edge(vertex_id(x, u, np), vertex_id(x, v, np));
-        }
-    }
-    // Condition 2b: bijective inter-supernode links.
-    for (x, y) in structure.edges() {
-        let f = bijection(x, y);
-        if f.len() != np {
-            return Err(TopoError::InvalidSpec(format!(
-                "star product: bijection across arc ({x}, {y}) has {} entries \
-                 for a {np}-vertex supernode",
-                f.len()
-            )));
-        }
-        for xp in 0..np as u32 {
-            b.add_edge(vertex_id(x, xp, np), vertex_id(y, f[xp as usize], np));
-        }
-    }
-    Ok(b.build())
-}
-
-/// PolarStar-style star product: a single bijection `f` on every arc, and
-/// self-loops of the structure graph materialized as intra-supernode
-/// `x' ~ f(x')` edges.
-///
-/// `structure_self_loops` lists the structure vertices carrying self-loops
-/// (the quadric vertices of `ER_q`).
+/// The star product `G * G'` as a description of its factors; nothing
+/// is materialized until [`StarProduct::graph`].
 ///
 /// ```
-/// use polarstar_topo::{er::ErGraph, iq::inductive_quad, star::star_product};
+/// use polarstar_topo::{er::ErGraph, iq::inductive_quad, star::StarProduct};
 /// let er = ErGraph::new(3).unwrap();
 /// let iq = inductive_quad(3).unwrap();
-/// let g = star_product(&er.graph, &er.quadric_vertices(), &iq);
+/// let g = StarProduct::new(&er.graph, &er.quadric, &iq).graph();
 /// assert_eq!(g.n(), 13 * 8);
 /// assert!(polarstar_graph::traversal::diameter(&g).unwrap() <= 3); // Theorem 4
 /// ```
-pub fn star_product(
-    structure: &Graph,
-    structure_self_loops: &[u32],
-    supernode: &Supernode,
-) -> Graph {
-    let n = structure.n();
-    let np = supernode.order();
-    let mut b = GraphBuilder::new(n * np);
-    for x in 0..n as u32 {
-        for (u, v) in supernode.graph.edges() {
-            b.add_edge(vertex_id(x, u, np), vertex_id(x, v, np));
-        }
-    }
-    for (x, y) in structure.edges() {
-        for xp in 0..np as u32 {
-            b.add_edge(
-                vertex_id(x, xp, np),
-                vertex_id(y, supernode.f[xp as usize], np),
-            );
-        }
-    }
-    for &x in structure_self_loops {
-        for xp in 0..np as u32 {
-            let fxp = supernode.f[xp as usize];
-            if fxp != xp {
-                // GraphBuilder drops self-loops anyway, but be explicit.
-                b.add_edge(vertex_id(x, xp, np), vertex_id(x, fxp, np));
-            }
-        }
-    }
-    b.build()
+#[derive(Clone, Copy, Debug)]
+pub struct StarProduct<'a> {
+    structure: &'a Graph,
+    loops: &'a [bool],
+    supernode: &'a Supernode,
 }
 
-/// The Cartesian product `G × G'` (Fig. 2a): a star product where every
-/// bijection is the identity. Used as a baseline in tests.
-pub fn cartesian_product(g: &Graph, h: &Graph) -> Graph {
-    let id: Vec<u32> = (0..h.n() as u32).collect();
-    star_product_with(g, h, |_, _| id.clone()).expect("identity covers the vertex set")
+impl<'a> StarProduct<'a> {
+    /// The product of `structure` and `supernode`. `loops[x]` flags a
+    /// self-loop at structure vertex `x`; a vertex past the slice's end
+    /// has none, so `&[]` describes a loop-free structure graph.
+    pub fn new(structure: &'a Graph, loops: &'a [bool], supernode: &'a Supernode) -> Self {
+        StarProduct {
+            structure,
+            loops,
+            supernode,
+        }
+    }
+
+    /// The structure graph G.
+    pub fn structure(&self) -> &'a Graph {
+        self.structure
+    }
+
+    /// The supernode G' and its bijection.
+    pub fn supernode(&self) -> &'a Supernode {
+        self.supernode
+    }
+
+    /// Number of routers, |V(G)| · |V(G')|.
+    pub fn order(&self) -> usize {
+        self.structure.n() * self.supernode.order()
+    }
+
+    /// Router id of `(x, a)`: structure vertex `x`, supernode vertex `a`.
+    #[inline]
+    pub fn router(&self, x: u32, a: u32) -> u32 {
+        x * self.supernode.order() as u32 + a
+    }
+
+    /// The `(structure, supernode)` coordinates of router `v`.
+    #[inline]
+    pub fn parts(&self, v: u32) -> (u32, u32) {
+        let np = self.supernode.order() as u32;
+        (v / np, v % np)
+    }
+
+    /// The structure coordinate (supernode copy) of every router — a
+    /// [`crate::network::NetworkSpec`]'s group map.
+    pub fn groups(&self) -> Vec<u32> {
+        (0..self.order() as u32).map(|v| self.parts(v).0).collect()
+    }
+
+    /// The supernode coordinate reached from `(x, a)` across the
+    /// structure edge `{x, y}`: f(a) along the arc (`x < y`), f⁻¹(a)
+    /// against it.
+    #[inline]
+    pub fn cross(&self, x: u32, y: u32, a: u32) -> u32 {
+        if x < y {
+            self.supernode.f[a as usize]
+        } else {
+            self.supernode.finv()[a as usize]
+        }
+    }
+
+    /// The product edge across the structure edge `{x, y}` (either
+    /// order) whose smaller structure endpoint sits at coordinate `a`,
+    /// listed from that endpoint.
+    #[inline]
+    pub fn arc_edge(&self, x: u32, y: u32, a: u32) -> (u32, u32) {
+        let (x, y) = (x.min(y), x.max(y));
+        (self.router(x, a), self.router(y, self.cross(x, y, a)))
+    }
+
+    /// The self-loop partners of `(x, a)` inside copy `x`: f(a), then
+    /// f⁻¹(a), leaving out `a` itself and a repeat (f⁻¹(a) = f(a) when f
+    /// is an involution); none when `x` carries no self-loop.
+    #[inline]
+    pub fn loop_partners(&self, x: u32, a: u32) -> impl Iterator<Item = u32> {
+        let mut partners = [None; 2];
+        if self.loops.get(x as usize) == Some(&true) {
+            let (fa, fia) = (
+                self.supernode.f[a as usize],
+                self.supernode.finv()[a as usize],
+            );
+            partners = [
+                (fa != a).then_some(fa),
+                (fia != a && fia != fa).then_some(fia),
+            ];
+        }
+        partners.into_iter().flatten()
+    }
+
+    /// The product graph: the supernode copies, every structure arc's
+    /// matching through [`StarProduct::cross`], and every self-loop's
+    /// partners through [`StarProduct::loop_partners`].
+    pub fn graph(&self) -> Graph {
+        let np = self.supernode.order() as u32;
+        let mut b = GraphBuilder::new(self.order());
+        for x in 0..self.structure.n() as u32 {
+            for (a, c) in self.supernode.graph.edges() {
+                b.add_edge(self.router(x, a), self.router(x, c));
+            }
+            for a in 0..np {
+                for c in self.loop_partners(x, a) {
+                    b.add_edge(self.router(x, a), self.router(x, c));
+                }
+            }
+        }
+        for (x, y) in self.structure.edges() {
+            for a in 0..np {
+                let (u, v) = self.arc_edge(x, y, a);
+                b.add_edge(u, v);
+            }
+        }
+        b.build()
+    }
 }
 
 #[cfg(test)]
@@ -130,13 +160,19 @@ mod tests {
     use crate::er::ErGraph;
     use crate::iq::inductive_quad;
     use crate::paley::paley_supernode;
+    use crate::supernode::complete_supernode;
     use polarstar_graph::traversal;
+
+    /// The view over `structure` with no self-loops.
+    fn product(structure: &Graph, supernode: &Supernode) -> Graph {
+        StarProduct::new(structure, &[], supernode).graph()
+    }
 
     #[test]
     fn order_is_product_of_orders() {
         let g = Graph::cycle(5);
         let h = inductive_quad(3).unwrap();
-        let p = star_product(&g, &[], &h);
+        let p = product(&g, &h);
         assert_eq!(p.n(), 5 * 8);
     }
 
@@ -144,7 +180,8 @@ mod tests {
     fn cartesian_l3_c4_matches_figure_2a() {
         // Fig. 2a: L_3 × C_4 has 12 vertices, 4·2 + 3·... edges:
         // 3 copies of C4 (12 edges) + 2 matchings of 4 = 20 edges.
-        let p = cartesian_product(&Graph::path(3), &Graph::cycle(4));
+        let c4 = Supernode::new("C4", Graph::cycle(4), vec![0, 1, 2, 3]).unwrap();
+        let p = product(&Graph::path(3), &c4);
         assert_eq!(p.n(), 12);
         assert_eq!(p.m(), 20);
         // Cartesian product of diameters 2 and 2 has diameter 4.
@@ -154,16 +191,15 @@ mod tests {
     #[test]
     fn star_l3_c4_matches_figure_2b() {
         // Fig. 2b: same factors, bijection f = (01)(2)(3) on every arc.
-        let f = vec![1u32, 0, 2, 3];
-        let p = star_product_with(&Graph::path(3), &Graph::cycle(4), |_, _| f.clone()).unwrap();
+        let c4 = Supernode::new("C4", Graph::cycle(4), vec![1, 0, 2, 3]).unwrap();
+        let p = product(&Graph::path(3), &c4);
         assert_eq!(p.n(), 12);
         assert_eq!(p.m(), 20);
     }
 
     #[test]
     fn short_bijection_is_an_error() {
-        let e =
-            star_product_with(&Graph::path(2), &Graph::cycle(4), |_, _| vec![0, 1]).unwrap_err();
+        let e = Supernode::new("C4", Graph::cycle(4), vec![0, 1]).unwrap_err();
         let msg = e.to_string();
         assert!(
             msg.contains("2 entries") && msg.contains("4-vertex"),
@@ -176,7 +212,7 @@ mod tests {
         // deg(G*) ≤ deg(G) + deg(G') (§4.3 fact 2).
         let g = Graph::cycle(6);
         let h = inductive_quad(4).unwrap();
-        let p = star_product(&g, &[], &h);
+        let p = product(&g, &h);
         assert_eq!(p.max_degree(), 2 + 4);
         assert!(p.is_regular());
     }
@@ -195,7 +231,7 @@ mod tests {
         ] {
             let er = ErGraph::new(q).unwrap();
             let iq = inductive_quad(d).unwrap();
-            let p = star_product(&er.graph, &er.quadric_vertices(), &iq);
+            let p = StarProduct::new(&er.graph, &er.quadric, &iq).graph();
             assert_eq!(p.n(), er.order() * iq.order());
             let diam = traversal::diameter(&p).expect("connected");
             assert!(diam <= 3, "ER_{q} * IQ({d}) diameter {diam} > 3");
@@ -208,7 +244,7 @@ mod tests {
         for (q, qp) in [(2u64, 5u64), (3, 5), (4, 5), (5, 9), (7, 13)] {
             let er = ErGraph::new(q).unwrap();
             let pal = paley_supernode(qp).unwrap();
-            let p = star_product(&er.graph, &er.quadric_vertices(), &pal);
+            let p = StarProduct::new(&er.graph, &er.quadric, &pal).graph();
             let diam = traversal::diameter(&p).expect("connected");
             assert!(diam <= 3, "ER_{q} * Paley({qp}) diameter {diam} > 3");
         }
@@ -220,8 +256,8 @@ mod tests {
         // the product is just IQ3 plus the f-matching.
         let g = Graph::empty(1);
         let iq = inductive_quad(3).unwrap();
-        let with_loop = star_product(&g, &[0], &iq);
-        let without = star_product(&g, &[], &iq);
+        let with_loop = StarProduct::new(&g, &[true], &iq).graph();
+        let without = product(&g, &iq);
         assert_eq!(without.m(), iq.graph.m());
         assert_eq!(with_loop.m(), iq.graph.m() + 4, "4 f-pairs add 4 edges");
     }
@@ -229,10 +265,13 @@ mod tests {
     #[test]
     fn vertex_id_roundtrip() {
         for np in [1usize, 4, 8] {
+            let (g, sn) = (Graph::empty(5), complete_supernode(np));
+            let view = StarProduct::new(&g, &[], &sn);
             for x in 0..5u32 {
                 for xp in 0..np as u32 {
-                    let v = vertex_id(x, xp, np);
-                    assert_eq!(vertex_parts(v, np), (x, xp));
+                    let v = view.router(x, xp);
+                    assert_eq!(view.parts(v), (x, xp));
+                    assert_eq!(view.groups()[v as usize], x);
                 }
             }
         }
@@ -241,7 +280,8 @@ mod tests {
     #[test]
     fn cartesian_diameter_additivity() {
         // D(G × H) = D(G) + D(H) for connected factors.
-        let p = cartesian_product(&Graph::cycle(5), &Graph::path(4));
+        let p4 = Supernode::new("P4", Graph::path(4), vec![0, 1, 2, 3]).unwrap();
+        let p = product(&Graph::cycle(5), &p4);
         assert_eq!(traversal::diameter(&p), Some(2 + 3));
     }
 }

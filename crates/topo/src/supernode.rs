@@ -2,6 +2,7 @@
 //! bijection `f` that the star product applies across structure-graph arcs,
 //! plus checkers for the paper's Properties R* (§5.1.2) and R1.
 
+use crate::error::TopoError;
 use polarstar_graph::Graph;
 
 /// A supernode candidate: graph + the bijection `f` used on inter-supernode
@@ -14,30 +15,49 @@ pub struct Supernode {
     pub graph: Graph,
     /// The bijection f as a permutation array: `f[x] = f(x)`.
     pub f: Vec<u32>,
+    /// Its inverse, `finv[f(x)] = x`.
+    finv: Vec<u32>,
 }
 
 impl Supernode {
     /// Construct after validating that `f` is a permutation of the vertex
-    /// set.
-    pub fn new(name: impl Into<String>, graph: Graph, f: Vec<u32>) -> Self {
+    /// set, which also yields f⁻¹. Errs naming the supernode size when
+    /// `f` has the wrong length, or the first entry that leaves the
+    /// vertex set or repeats an earlier image.
+    pub fn new(name: impl Into<String>, graph: Graph, f: Vec<u32>) -> Result<Self, TopoError> {
+        let name = name.into();
         let n = graph.n();
-        assert_eq!(f.len(), n, "f must be defined on all vertices");
-        let mut seen = vec![false; n];
-        for &y in &f {
-            assert!(
-                (y as usize) < n && !seen[y as usize],
-                "f must be a bijection"
-            );
-            seen[y as usize] = true;
+        let bad = |why: String| Err(TopoError::InfeasibleSupernode(format!("{name}: {why}")));
+        if f.len() != n {
+            return bad(format!(
+                "f has {} entries for a {n}-vertex supernode",
+                f.len()
+            ));
         }
-        Supernode {
-            name: name.into(),
+        let mut finv = vec![u32::MAX; n];
+        for (x, &y) in f.iter().enumerate() {
+            match finv.get_mut(y as usize) {
+                Some(slot) if *slot == u32::MAX => *slot = x as u32,
+                Some(slot) => return bad(format!("f is no bijection: f({x}) = f({slot}) = {y}")),
+                None => return bad(format!("f({x}) = {y} is past the {n}-vertex supernode")),
+            }
+        }
+        Ok(Supernode {
+            name,
             graph,
             f,
-        }
+            finv,
+        })
+    }
+
+    /// The inverse bijection f⁻¹ as a permutation array.
+    #[inline]
+    pub fn finv(&self) -> &[u32] {
+        &self.finv
     }
 
     /// Number of vertices.
+    #[inline]
     pub fn order(&self) -> usize {
         self.graph.n()
     }
@@ -94,10 +114,7 @@ impl Supernode {
         }
         let n = self.order() as u32;
         // (x, y) ∈ f(E) iff (f⁻¹(x), f⁻¹(y)) ∈ E.
-        let mut finv = vec![0u32; n as usize];
-        for (x, &y) in self.f.iter().enumerate() {
-            finv[y as usize] = x as u32;
-        }
+        let finv = &self.finv;
         for x in 0..n {
             for y in (x + 1)..n {
                 let covered = self.graph.has_edge(x, y)
@@ -121,7 +138,7 @@ impl Supernode {
 /// and R1 trivially (Table 2, last row).
 pub fn complete_supernode(n: usize) -> Supernode {
     let f = (0..n as u32).collect();
-    Supernode::new(format!("K{n}"), Graph::complete(n), f)
+    Supernode::new(format!("K{n}"), Graph::complete(n), f).expect("the identity is a bijection")
 }
 
 #[cfg(test)]
@@ -144,7 +161,7 @@ mod tests {
         // C_4 with f(x) = x + 2 (mod 4): case (b) covers the two diagonal
         // pairs, edges cover the rest. A minimal nontrivial R* example.
         let g = Graph::cycle(4);
-        let s = Supernode::new("C4", g, vec![2, 3, 0, 1]);
+        let s = Supernode::new("C4", g, vec![2, 3, 0, 1]).unwrap();
         assert!(s.f_is_involution());
         assert!(s.satisfies_r_star());
     }
@@ -152,7 +169,7 @@ mod tests {
     #[test]
     fn edgeless_pair_has_r_star() {
         // IQ_0: two isolated vertices with f swapping them.
-        let s = Supernode::new("IQ0", Graph::empty(2), vec![1, 0]);
+        let s = Supernode::new("IQ0", Graph::empty(2), vec![1, 0]).unwrap();
         assert!(s.satisfies_r_star());
         assert!(s.attains_r_star_bound());
         assert!(!s.satisfies_r1(), "two isolated vertices can't cover K2");
@@ -162,19 +179,21 @@ mod tests {
     fn path_lacks_r_star() {
         // P_3 with identity f: endpoints are non-adjacent and f doesn't
         // help.
-        let s = Supernode::new("P3", Graph::path(3), vec![0, 1, 2]);
+        let s = Supernode::new("P3", Graph::path(3), vec![0, 1, 2]).unwrap();
         assert!(!s.satisfies_r_star());
     }
 
     #[test]
-    #[should_panic(expected = "bijection")]
     fn rejects_non_bijection() {
-        Supernode::new("bad", Graph::empty(2), vec![0, 0]);
+        let repeat = Supernode::new("bad", Graph::empty(2), vec![0, 0]).unwrap_err();
+        assert!(repeat.to_string().contains("f(1) = f(0) = 0"), "{repeat}");
+        let past = Supernode::new("bad", Graph::empty(2), vec![0, 2]).unwrap_err();
+        assert!(past.to_string().contains("f(1) = 2 is past"), "{past}");
     }
 
     #[test]
     fn involution_detection() {
-        let s = Supernode::new("rot", Graph::empty(3), vec![1, 2, 0]);
+        let s = Supernode::new("rot", Graph::empty(3), vec![1, 2, 0]).unwrap();
         assert!(!s.f_is_involution());
         assert!(!s.satisfies_r_star(), "R* requires an involution");
     }

@@ -8,10 +8,8 @@ use polarstar_topo::iq::inductive_quad;
 use polarstar_topo::network::NetworkSpec;
 use polarstar_topo::oracle::{masked_distance_block, masked_distance_column};
 use polarstar_topo::paley::{paley_graph, paley_supernode};
-use polarstar_topo::star::{
-    cartesian_product, star_product, star_product_with, vertex_id, vertex_parts,
-};
-use polarstar_topo::supernode::Supernode;
+use polarstar_topo::star::StarProduct;
+use polarstar_topo::supernode::{complete_supernode, Supernode};
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -43,7 +41,8 @@ proptest! {
         let h = Graph::cycle(np.max(3));
         let np = h.n();
         let f: Vec<u32> = if f.len() == np { f } else { (0..np as u32).collect() };
-        let p = star_product_with(&g, &h, |_, _| f.clone()).unwrap();
+        let sn = Supernode::new("C", h, f).unwrap();
+        let p = StarProduct::new(&g, &[], &sn).graph();
         prop_assert_eq!(p.n(), ns * np);
         prop_assert!(p.max_degree() <= 2 + 2);
         prop_assert!(p.is_regular());
@@ -58,17 +57,20 @@ proptest! {
         // identity bijections = Cartesian product meets it with equality.
         let g = Graph::cycle(ns);
         let h = Graph::cycle(np.max(3));
-        let p = cartesian_product(&g, &h);
         let dg = traversal::diameter(&g).unwrap();
         let dh = traversal::diameter(&h).unwrap();
+        let id = (0..h.n() as u32).collect();
+        let sn = Supernode::new("C", h, id).unwrap();
+        let p = StarProduct::new(&g, &[], &sn).graph();
         prop_assert_eq!(traversal::diameter(&p), Some(dg + dh));
     }
 
     #[test]
     fn vertex_id_bijective(x in 0u32..50, xp in 0u32..20, np in 1usize..21) {
         let xp = xp % np as u32;
-        let v = vertex_id(x, xp, np);
-        prop_assert_eq!(vertex_parts(v, np), (x, xp));
+        let (g, sn) = (Graph::empty(50), complete_supernode(np));
+        let view = StarProduct::new(&g, &[], &sn);
+        prop_assert_eq!(view.parts(view.router(x, xp)), (x, xp));
     }
 
     #[test]
@@ -109,7 +111,7 @@ proptest! {
         let (q, d) = [(2u64, 3usize), (3, 0), (4, 3), (5, 4)][k];
         let er = ErGraph::new(q).unwrap();
         let iq = inductive_quad(d).unwrap();
-        let p = star_product(&er.graph, &er.quadric_vertices(), &iq);
+        let p = StarProduct::new(&er.graph, &er.quadric, &iq).graph();
         prop_assert!(traversal::diameter(&p).unwrap() <= 3);
     }
 
@@ -122,7 +124,7 @@ proptest! {
         // Remove a band of 6 of the 12 edges.
         let removed: Vec<(u32, u32)> = (0..6).map(|i| edges[(kill + i) % edges.len()]).collect();
         let g2 = s.graph.without_edges(&removed);
-        let s2 = Supernode::new("mutated", g2, s.f.clone());
+        let s2 = Supernode::new("mutated", g2, s.f.clone()).unwrap();
         prop_assert!(!s2.satisfies_r_star(), "half-empty IQ3 cannot keep R*");
     }
 

@@ -4,13 +4,14 @@
 use polarstar_repro::graph::{traversal, Graph};
 use polarstar_repro::topo::er::ErGraph;
 use polarstar_repro::topo::paley::paley_supernode;
-use polarstar_repro::topo::star::{cartesian_product, star_product, star_product_with};
+use polarstar_repro::topo::star::StarProduct;
+use polarstar_repro::topo::supernode::Supernode;
 
 fn main() {
-    // Fig. 2a: the Cartesian product L3 × C4 — identity bijections.
+    // Fig. 2a: the Cartesian product L3 × C4 — the identity on every arc.
     let l3 = Graph::path(3);
-    let c4 = Graph::cycle(4);
-    let cart = cartesian_product(&l3, &c4);
+    let c4 = Supernode::new("C4", Graph::cycle(4), vec![0, 1, 2, 3]).unwrap();
+    let cart = StarProduct::new(&l3, &[], &c4).graph();
     println!(
         "L3 × C4:  {} vertices, {} edges, diameter {}",
         cart.n(),
@@ -19,8 +20,8 @@ fn main() {
     );
 
     // Fig. 2b: the star product with f = (01)(2)(3) on every arc.
-    let f = vec![1u32, 0, 2, 3];
-    let star = star_product_with(&l3, &c4, |_, _| f.clone()).unwrap();
+    let c4 = Supernode::new("C4", Graph::cycle(4), vec![1, 0, 2, 3]).unwrap();
+    let star = StarProduct::new(&l3, &[], &c4).graph();
     println!(
         "L3 * C4:  {} vertices, {} edges, diameter {}",
         star.n(),
@@ -43,7 +44,7 @@ fn main() {
         paley5.degree()
     );
 
-    let product = star_product(&er.graph, &er.quadric_vertices(), &paley5);
+    let product = StarProduct::new(&er.graph, &er.quadric, &paley5).graph();
     let diam = traversal::diameter(&product).unwrap();
     println!(
         "ER_3 * Paley(5): {} vertices, {} edges, diameter {diam}",
