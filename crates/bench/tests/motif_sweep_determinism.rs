@@ -1,7 +1,8 @@
-//! The fig11 motif sweep must produce the same rows on every run: every
-//! point is an independent freshly seeded model, and ordered collect
-//! restores grid order. (`bins_smoke.rs` compares the `fig11_motifs`
-//! CSV across `RAYON_NUM_THREADS=1` — the shim's inline path — and `=4`.)
+//! The fig11 motif sweep must produce the same rows on every run: each
+//! network's points share one model, reset to a freshly seeded one
+//! before every point, and ordered collect restores grid order.
+//! (`bins_smoke.rs` compares the `fig11_motifs` CSV across
+//! `RAYON_NUM_THREADS=1` — the shim's inline path — and `=4`.)
 
 use bench::motif_sweep::{run_sweep, MotifSweep};
 use polarstar_graph::Graph;

@@ -21,10 +21,21 @@
 //! router pairs) oracle work instead of O(flows). Every pair's DAG lives
 //! in one arena of `(CSR slot, split)` entries, addressed by a per-pair
 //! span, so a plan of a million pairs is two allocations, not a million.
-//! Pairs sharing a destination router additionally share one bulk
-//! [`PathOracle::distance_column`] when the oracle supports it, so the
-//! per-pair DAG is reconstructed from plain array scans instead of
-//! per-hop template queries.
+//! The pair index comes from a counting sort of the flows by source
+//! router and a sort of each source's run by destination, so no global
+//! sort of the flows' router pairs runs, and they are freed before the
+//! routing pass. Pairs sharing a destination router additionally share
+//! one bulk [`PathOracle::distance_column`] when the oracle supports it,
+//! so the per-pair DAG is reconstructed from the column instead of
+//! per-hop template queries: a router compares its ports with the
+//! column 64 at a time ([`column_next_hops_all`]). A router two hops out
+//! reaches the destination only through the destination's own
+//! neighbors, so a group with at least as many pairs as the destination
+//! has ports (≤ 64) first marks, per router two hops out, which of those
+//! neighbors it is adjacent to, in one word: that router's hops are then
+//! the word's set bits, a router one hop out reads its one stored slot,
+//! and under diameter 3 only the source of a three-hop pair still
+//! compares its ports.
 //!
 //! The network reads the DAGs where the plan keeps them: the arena sits
 //! behind an `Arc`, and [`FlowPlan::network`] hands the network a clone
@@ -77,7 +88,7 @@ use crate::traffic::{resolve_flows, Pattern};
 use polarstar_graph::Graph;
 use polarstar_topo::fault::{FaultMask, FaultSet};
 use polarstar_topo::network::NetworkSpec;
-use polarstar_topo::oracle::{column_next_hops, PathOracle};
+use polarstar_topo::oracle::{column_next_hops_all, PathOracle};
 use rayon::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -238,18 +249,7 @@ impl FlowPlan {
         components: &[TrafficComponent],
         routing: FlowRouting,
     ) -> FlowPlan {
-        let (mut flows, rpairs) = plan_flows(spec, components);
-        let mut pairs = rpairs.clone();
-        pairs.sort_unstable();
-        pairs.dedup();
-        // Pairs sort by source router first, so one offset per source
-        // narrows each flow's search to that router's run of pairs.
-        let rs_off = bucket_offsets(pairs.iter().map(|p| p.0), spec.graph.n());
-        for (f, &(rs, rd)) in flows.iter_mut().zip(&rpairs) {
-            let lo = rs_off[rs as usize];
-            let run = &pairs[lo as usize..rs_off[rs as usize + 1] as usize];
-            f.pair = lo + run.partition_point(|p| p.1 < rd) as u32;
-        }
+        let (flows, pairs) = index_pairs(spec, components);
         let uniform = flows.iter().all(|f| f.demand == 1.0);
         let mut plan = FlowPlan {
             name: spec.name.clone(),
@@ -399,7 +399,11 @@ impl FlowPlan {
     /// Route every pair in `subset` (ascending indices into `pairs`),
     /// appending the DAGs to the arena and pointing their spans at them.
     /// Pairs are grouped by destination router so one bulk distance
-    /// column serves a whole group when the oracle has one; the groups
+    /// column serves a whole group when the oracle has one, plus the
+    /// destination's parent masks ([`WalkScratch::load_parents`]) when
+    /// the group holds at least as many pairs as the destination has
+    /// ports, at most 64 — a fresh build's groups at scale, not an epoch
+    /// walk's handful of dirty pairs a destination; the groups
     /// of one batch ([`ROUTE_BATCH_GROUPS`]) route in parallel into
     /// group-local buffers, which are appended in group order before the
     /// next batch starts, so the arena is byte-identical at any thread
@@ -408,15 +412,19 @@ impl FlowPlan {
         let pairs = &self.pairs;
         // A stable counting sort by destination over ascending pair
         // indices: pairs sort by (rs, rd), so this is (rd, rs) order.
+        // Each entry carries its pair's source router, so the walks read
+        // `order` in sequence instead of `pairs` at random (a quarter of
+        // the walks' time at a million pairs).
         let rd_off = bucket_offsets(subset.iter().map(|&i| pairs[i as usize].1), graph.n());
         let mut cursor = rd_off.clone();
-        let mut order = vec![0u32; subset.len()];
+        let mut order = vec![(0u32, 0u32); subset.len()];
         for &i in subset {
-            let c = &mut cursor[pairs[i as usize].1 as usize];
-            order[*c as usize] = i;
+            let (rs, rd) = pairs[i as usize];
+            let c = &mut cursor[rd as usize];
+            order[*c as usize] = (i, rs);
             *c += 1;
         }
-        let groups: Vec<&[u32]> = rd_off
+        let groups: Vec<&[(u32, u32)]> = rd_off
             .windows(2)
             .filter(|w| w[0] < w[1])
             .map(|w| &order[w[0] as usize..w[1] as usize])
@@ -430,8 +438,8 @@ impl FlowPlan {
         for batch in groups.chunks(ROUTE_BATCH_GROUPS) {
             let routed: Vec<RoutedGroup> = batch
                 .par_iter()
-                .map_init(per_worker, |(col, walk), idxs: &&[u32]| {
-                    let rd = pairs[idxs[0] as usize].1;
+                .map_init(per_worker, |(col, walk), idxs: &&[(u32, u32)]| {
+                    let rd = pairs[idxs[0].0 as usize].1;
                     // The column fast path needs the oracle and the graph
                     // to agree on the router id space; otherwise fall back
                     // to per-pair queries (which bounds-check per query).
@@ -440,10 +448,16 @@ impl FlowPlan {
                     let mask = col_ok.then(|| oracle.distance_column(rd, col)).flatten();
                     let c = (col.len() == graph.n()).then_some(&col[..]).zip(mask);
                     walk.buf.clear();
+                    // The masks cost about deg² and save about deg per
+                    // distance-2 router walked: they pay once the group
+                    // holds as many pairs as the destination has ports.
+                    let deg = graph.degree(rd);
+                    if let Some((c, _)) = c.filter(|_| idxs.len() >= deg && deg <= 64) {
+                        walk.load_parents(graph, c, rd);
+                    }
                     let spans = idxs
                         .iter()
-                        .map(|&i| {
-                            let (rs, _) = pairs[i as usize];
+                        .map(|&(_, rs)| {
                             let start = walk.buf.len();
                             if route_one_pair(graph, oracle, rs, rd, routing, c, walk) {
                                 (start as u32, (walk.buf.len() - start) as u32)
@@ -452,6 +466,7 @@ impl FlowPlan {
                             }
                         })
                         .collect();
+                    walk.unload_parents(graph);
                     (walk.buf.clone(), spans)
                 })
                 .collect();
@@ -461,7 +476,7 @@ impl FlowPlan {
             for (idxs, (buf, spans)) in batch.iter().zip(routed) {
                 let base = arena.len() as u32;
                 arena.extend_from_slice(&buf);
-                for (&i, (start, len)) in idxs.iter().zip(spans) {
+                for (&(i, _), (start, len)) in idxs.iter().zip(spans) {
                     self.spans[i as usize] = (base + start, len);
                 }
             }
@@ -507,6 +522,46 @@ impl FlowPlan {
     pub fn routing(&self) -> FlowRouting {
         self.routing
     }
+}
+
+/// Resolve every component into planned flows, and index their router
+/// pairs: the unique `(src_router, dst_router)` pairs, sorted, with each
+/// flow's [`PlannedFlow::pair`] pointing into them.
+///
+/// The flows are counting-sorted into one bucket per source router, and
+/// each bucket's run is sorted by `(destination, flow)`: walking the
+/// buckets in order visits the pairs sorted, so a pair is new exactly
+/// when it differs from the last one kept. The per-flow router pairs
+/// are freed before the routing pass needs its memory.
+fn index_pairs(
+    spec: &NetworkSpec,
+    components: &[TrafficComponent],
+) -> (Vec<PlannedFlow>, Vec<(u32, u32)>) {
+    let (mut flows, rpairs) = plan_flows(spec, components);
+    checked_u32("planned flows", flows.len());
+    let rs_off = bucket_offsets(rpairs.iter().map(|p| p.0), spec.graph.n());
+    let mut cursor = rs_off.clone();
+    // `destination << 32 | flow`, so a plain sort orders a run.
+    let mut keyed = vec![0u64; rpairs.len()];
+    for (f, &(rs, rd)) in rpairs.iter().enumerate() {
+        let c = &mut cursor[rs as usize];
+        keyed[*c as usize] = u64::from(rd) << 32 | f as u64;
+        *c += 1;
+    }
+    drop((rpairs, cursor));
+    let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(keyed.len());
+    for (rs, w) in rs_off.windows(2).enumerate() {
+        let run = &mut keyed[w[0] as usize..w[1] as usize];
+        run.sort_unstable();
+        for &key in run.iter() {
+            let pair = (rs as u32, (key >> 32) as u32);
+            if pairs.last() != Some(&pair) {
+                pairs.push(pair);
+            }
+            flows[key as u32 as usize].pair = pairs.len() as u32 - 1;
+        }
+    }
+    (flows, pairs)
 }
 
 /// Resolve every component into planned flows plus their router pairs.
@@ -584,6 +639,49 @@ struct WalkScratch {
     /// Neighbors from [`PathOracle::min_next_hops`] (per-query path).
     nbs: Vec<u32>,
     buf: Vec<(u32, f32)>,
+    /// The destination whose parent masks `pmask` and `last` hold, if
+    /// any ([`WalkScratch::load_parents`]).
+    parents: Option<u32>,
+    /// Per router `u` at distance 2: bit `j` set iff the destination's
+    /// `j`-th neighbor is at distance 1 and adjacent to `u`. Zero
+    /// elsewhere, between groups too.
+    pmask: Vec<u64>,
+    /// Per router `x` at distance 1: the CSR slot `x → destination`.
+    last: Vec<u32>,
+}
+
+impl WalkScratch {
+    /// Load the destination-side parent masks of `rd` (degree ≤ 64) from
+    /// its distance column `col`: one pass over the neighbors of its
+    /// neighbors. A distance-2 router reaches `rd` only through `rd`'s
+    /// own neighbors, so its minimal next hops are the
+    /// set bits of one word, ascending — its CSR order, as neighbor
+    /// lists are sorted — and a distance-1 router's is one stored slot.
+    fn load_parents(&mut self, graph: &Graph, col: &[u32], rd: u32) {
+        self.pmask.resize(graph.n(), 0);
+        self.last.resize(graph.n(), 0);
+        for (j, &x) in graph.neighbors(rd).iter().enumerate() {
+            if col[x as usize] != 1 {
+                continue;
+            }
+            self.last[x as usize] = graph.edge_id(x, rd).expect("adjacency is symmetric");
+            for &u in graph.neighbors(x) {
+                self.pmask[u as usize] |= u64::from(col[u as usize] == 2) << j;
+            }
+        }
+        self.parents = Some(rd);
+    }
+
+    /// Zero the masks [`WalkScratch::load_parents`] set, and only those.
+    fn unload_parents(&mut self, graph: &Graph) {
+        if let Some(rd) = self.parents.take() {
+            for &x in graph.neighbors(rd) {
+                for &u in graph.neighbors(x) {
+                    self.pmask[u as usize] = 0;
+                }
+            }
+        }
+    }
 }
 
 /// Route one router pair, appending its network-link DAG entries to
@@ -594,9 +692,14 @@ struct WalkScratch {
 ///
 /// With a distance column and its mask, minimal next hops and their CSR
 /// slots come straight from the `distance_column` reconstruction
-/// contract; without one, from per-query [`PathOracle::min_next_hops`]
-/// plus [`Graph::edge_id`]. The walk itself is the exact per-flow walk,
-/// so the entries are bitwise identical either way.
+/// contract: a router one hop out probes its slot to the destination
+/// (stored when the scratch holds parent masks for `rd`), a router two
+/// hops out reads its parent mask when loaded, and any other router
+/// compares its ports word by word ([`column_next_hops_all`]). Without
+/// a column, hops come from per-query [`PathOracle::min_next_hops`]
+/// plus [`Graph::edge_id`]. Every way lists the same hops in CSR order
+/// and the walk itself is the exact per-flow walk, so the entries are
+/// bitwise identical.
 fn route_one_pair<O: PathOracle + ?Sized>(
     graph: &Graph,
     oracle: &O,
@@ -612,7 +715,11 @@ fn route_one_pair<O: PathOracle + ?Sized>(
         hops,
         nbs,
         buf: out,
+        parents,
+        pmask,
+        last,
     } = scratch;
+    let parents = *parents == Some(rd);
     let start = out.len();
     let mut walk = || -> Option<()> {
         if rs == rd {
@@ -644,14 +751,29 @@ fn route_one_pair<O: PathOracle + ?Sized>(
                         hops.clear();
                         match col {
                             // One hop from the destination, the destination
-                            // is the only minimal next hop: one probe, not a
+                            // is the only minimal next hop: one slot, not a
                             // scan of every neighbor.
                             Some((c, mask)) if c[v as usize] == 1 => {
-                                let e = graph.edge_id(v, rd).filter(|&e| !mask.link_dead(e));
-                                hops.extend(e.map(|e| (e, rd)));
+                                let e = if parents {
+                                    Some(last[v as usize])
+                                } else {
+                                    graph.edge_id(v, rd)
+                                };
+                                hops.extend(e.filter(|&e| !mask.link_dead(e)).map(|e| (e, rd)));
+                            }
+                            Some((c, mask)) if parents && c[v as usize] == 2 => {
+                                let mut bits = pmask[v as usize];
+                                while bits != 0 {
+                                    let x = graph.neighbors(rd)[bits.trailing_zeros() as usize];
+                                    bits &= bits - 1;
+                                    let e = graph.edge_id(v, x)?;
+                                    if !mask.link_dead(e) {
+                                        hops.push((e, x));
+                                    }
+                                }
                             }
                             Some((c, mask)) => {
-                                column_next_hops(graph, c, v, mask).for_each(|h| hops.push(h))
+                                column_next_hops_all(graph, c, v, mask).for_each(|h| hops.push(h))
                             }
                             None => {
                                 nbs.clear();
@@ -1527,6 +1649,32 @@ mod tests {
                 }
             }
         }
+        // PS-IQ at 40 endpoints a router: ≈ 40 pairs a destination, at
+        // least its degree (15), so the column walk reads distance-2
+        // routers off the destination-side parent masks.
+        let spec = PolarStarNetwork::build(polarstar::design::best_config(15).unwrap(), 40)
+            .unwrap()
+            .spec;
+        let g = &spec.graph;
+        let one_way = FaultSet::random_links(g, 0.05, 6);
+        let one_way = one_way
+            .failed_links()
+            .iter()
+            .copied()
+            .filter(|&(u, v)| u < v);
+        let pristine = RouteTable::for_spec(&spec);
+        let comps = [TrafficComponent::new(Pattern::Uniform, 11)];
+        for (label, faults) in [
+            ("links", FaultSet::random_links(g, 0.05, 5)),
+            ("one-way links", FaultSet::from_directed_links(one_way)),
+            ("routers", FaultSet::random_routers(g, 0.02, 7)),
+        ] {
+            let table = pristine.remask(&spec, &faults);
+            let queried = FlowPlan::build(&spec, &table, &comps, FlowRouting::EcmpSplit).network();
+            let columns =
+                FlowPlan::build(&spec, &Columns(&table), &comps, FlowRouting::EcmpSplit).network();
+            assert!(queried == columns, "PS-IQ x40 {label}");
+        }
     }
 
     #[test]
@@ -1723,6 +1871,33 @@ mod tests {
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The pair index of a multi-component plan: `pairs()` is
+        /// strictly sorted (so unique), and every planned flow points at
+        /// the pair of its own endpoints' routers.
+        #[test]
+        fn pair_index_is_sorted_and_points_at_each_flows_routers(
+            n in 2usize..40,
+            seed in 0u64..10_000,
+            endpoints in proptest::prelude::prop::collection::vec(0u32..4, 40..41),
+            scale in 1u32..8,
+        ) {
+            let g = polarstar_graph::random::gnm(n, (2 * n).min(n * (n - 1) / 2), seed);
+            let spec = NetworkSpec::new("g", g, endpoints[..n].to_vec(), (0..n as u32).collect());
+            let table = RouteTable::for_spec(&spec);
+            let comps = [
+                TrafficComponent::new(Pattern::Permutation, seed),
+                TrafficComponent::with_demand(Pattern::Uniform, seed ^ 1, FlowDemand::Scaled(f64::from(scale) / 4.0)),
+            ];
+            let plan = FlowPlan::build(&spec, &table, &comps, FlowRouting::EcmpSplit);
+            let pairs = plan.pairs();
+            proptest::prop_assert!(pairs.windows(2).all(|w| w[0] < w[1]), "{pairs:?}");
+            for f in plan.flows() {
+                let rs = spec.endpoint_router(f.src_ep as usize).0;
+                let rd = spec.endpoint_router(f.dst_ep as usize).0;
+                proptest::prop_assert_eq!(pairs[f.pair as usize], (rs, rd));
+            }
+        }
 
         /// What max-min fairness means, checked on the solve itself
         /// rather than by equality with another builder: capacities

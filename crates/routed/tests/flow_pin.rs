@@ -3,11 +3,13 @@
 //!
 //! Each digest covers, at offered loads 1.0, 0.5 and 0.1, the bits of
 //! every `rates` entry, every `link_utilization` entry and every field of
-//! the `FlowResult`, plus the flow, link and unroutable counts. The four
-//! literals were recorded at commit 58c8c0a, on the solver that popped
-//! every candidate link from one `BinaryHeap` and the plan that held one
-//! `Vec` per router pair — immediately before the DAG arena and the
-//! sorted-array fill. A flow network is a pure function of (spec, oracle,
+//! the `FlowResult`, plus the flow, link and unroutable counts. The first
+//! four literals were recorded at commit 58c8c0a, on the solver that
+//! popped every candidate link from one `BinaryHeap` and the plan that
+//! held one `Vec` per router pair — immediately before the DAG arena and
+//! the sorted-array fill; the two at 40 endpoints a router at 5c0a38d,
+//! before the pair index was bucketed by source router and the route
+//! pass walked from destination-side parent masks. A flow network is a pure function of (spec, oracle,
 //! traffic, routing), so the digests must hold at any rayon width (CI
 //! runs this suite at `RAYON_NUM_THREADS` 1 and 4).
 //!
@@ -102,17 +104,18 @@ fn assert_pinned(what: &str, fnet: &FlowNetwork, want: u64) {
     assert_eq!(got, want, "{what}: digest is {got:#018x}");
 }
 
-/// Table 3's PS-IQ: radix 15, 1 064 routers, 5 320 endpoints, served by
-/// the table-free analytic backend.
-fn psiq() -> (NetworkSpec, AnalyticOracle) {
-    let net = PolarStarNetwork::build(best_config(15).unwrap(), 5).unwrap();
+/// Table 3's PS-IQ: radix 15, 1 064 routers, `per_router` endpoints on
+/// each (5 in Table 3: 5 320 endpoints), served by the table-free
+/// analytic backend.
+fn psiq(per_router: u32) -> (NetworkSpec, AnalyticOracle) {
+    let net = PolarStarNetwork::build(best_config(15).unwrap(), per_router).unwrap();
     let spec = net.spec.clone();
     (spec, AnalyticOracle::new(net))
 }
 
 #[test]
 fn psiq_uniform_ecmp() {
-    let (spec, oracle) = psiq();
+    let (spec, oracle) = psiq(5);
     let comps = [TrafficComponent::new(Pattern::Uniform, 3)];
     let fnet = FlowPlan::build(&spec, &oracle, &comps, FlowRouting::EcmpSplit).network();
     assert_pinned("PS-IQ uniform ECMP", &fnet, 0xd2a4_f70e_5ab6_c0fb);
@@ -123,7 +126,7 @@ fn psiq_weighted_overlay() {
     // Every 4th source at 4× demand over a permutation, plus a 0.25×
     // uniform background: the weighted fill, with demands that differ
     // per flow and per component.
-    let (spec, oracle) = psiq();
+    let (spec, oracle) = psiq(5);
     let mut weights = vec![1.0f64; spec.total_endpoints()];
     for w in weights.iter_mut().step_by(4) {
         *w = 4.0;
@@ -138,7 +141,7 @@ fn psiq_weighted_overlay() {
 
 #[test]
 fn psiq_single_path() {
-    let (spec, oracle) = psiq();
+    let (spec, oracle) = psiq(5);
     let comps = [TrafficComponent::new(Pattern::AdversarialGroup, 7)];
     let fnet = FlowPlan::build(&spec, &oracle, &comps, FlowRouting::SinglePath).network();
     assert_pinned("PS-IQ single path", &fnet, 0x6117_c2fc_0898_cbac);
@@ -148,7 +151,7 @@ fn psiq_single_path() {
 fn psiq_two_epoch_walk() {
     // Nested random cable faults (same seed, so the second set contains
     // the first): both steps take the cached-DAG reuse path.
-    let (spec, oracle) = psiq();
+    let (spec, oracle) = psiq(5);
     let comps = [TrafficComponent::new(Pattern::Uniform, 3)];
     let mut plan = FlowPlan::build(&spec, &oracle, &comps, FlowRouting::EcmpSplit);
     let mut prev = FaultSet::empty();
@@ -161,5 +164,33 @@ fn psiq_two_epoch_walk() {
         "PS-IQ two-epoch walk",
         &plan.network(),
         0x3a89_ffe9_c5c5_e1ad,
+    );
+}
+
+// PS-IQ at 40 endpoints a router: uniform traffic gives ≈ 40 pairs per
+// destination router, at least its degree (15), so the routing pass
+// walks distance-2 routers off the destination-side parent masks; at 5
+// endpoints a router (≤ 5 pairs a destination) it never does. Both
+// literals were recorded at commit 5c0a38d, before those masks existed.
+
+#[test]
+fn psiq_dense_uniform_ecmp() {
+    let (spec, oracle) = psiq(40);
+    let comps = [TrafficComponent::new(Pattern::Uniform, 3)];
+    let fnet = FlowPlan::build(&spec, &oracle, &comps, FlowRouting::EcmpSplit).network();
+    assert_pinned("PS-IQ x40 uniform ECMP", &fnet, 0xbe39_19d5_a092_2ce8);
+}
+
+#[test]
+fn psiq_dense_uniform_ecmp_faulted() {
+    let (spec, oracle) = psiq(40);
+    let faults = FaultSet::random_links(&spec.graph, 0.05, 9);
+    let comps = [TrafficComponent::new(Pattern::Uniform, 3)];
+    let masked = oracle.remask(&faults);
+    let fnet = FlowPlan::build(&spec, &masked, &comps, FlowRouting::EcmpSplit).network();
+    assert_pinned(
+        "PS-IQ x40 uniform ECMP, 5 % links",
+        &fnet,
+        0xf459_1886_2e90_512f,
     );
 }

@@ -12,13 +12,26 @@
 //! phase's seconds and the process's peak RSS (`VmHWM`), and caps that
 //! peak at 300 MiB: a network that copied the plan's DAG arena, or a
 //! route pass that kept every group buffer until the end, reads ≈ 380
-//! MiB here (≈ 250 MiB on a 2-core host without either).
+//! MiB here (≈ 253 MiB on a 2-core host without either). It then pins
+//! the numbers themselves, FNV digests of `rates(1.0)` and
+//! `link_utilization(1.0)`: the one test whose destination groups hold
+//! about 100 pairs at radix 32, where the route pass walks from parent
+//! masks.
 
 use polarstar::design::best_config;
 use polarstar::network::PolarStarNetwork;
 use polarstar_netsim::{FlowPlan, FlowRouting, Pattern, TrafficComponent};
 use polarstar_routed::AnalyticOracle;
 use std::time::Instant;
+
+/// FNV-1a 64 over the bits of every entry of `xs`.
+fn digest(xs: &[f64]) -> u64 {
+    xs.iter()
+        .flat_map(|x| x.to_bits().to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
 
 /// Peak resident set of this process, in KiB (`VmHWM`).
 fn peak_kib() -> u64 {
@@ -67,5 +80,15 @@ fn ps_million_flow_build_and_solve() {
     assert!(
         peak <= 300 << 10,
         "peak RSS {peak} KiB above the 300 MiB cap"
+    );
+    // Recorded at commit 5c0a38d, before the pair index was bucketed by
+    // source router and the DAG walks read port bitmasks: the numbers
+    // at 1 000 239 pairs, not just their counts.
+    let rates = digest(&fnet.rates(1.0));
+    let util = digest(&fnet.link_utilization(1.0));
+    assert_eq!(
+        (rates, util),
+        (0x090f_a8b1_01a5_29ac, 0x7f59_2860_3df5_720c),
+        "digests of rates(1.0) and link_utilization(1.0): {rates:#018x}, {util:#018x}"
     );
 }

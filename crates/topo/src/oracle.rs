@@ -7,7 +7,9 @@
 //! and the `routed` serving oracle all implement [`PathOracle`], so
 //! analysis code, benchmarks, and the query service are generic over
 //! *how* the answers are precomputed; [`column_next_hops`] is the one
-//! masked minimal-port rule, [`masked_distance_column`] the one masked
+//! masked minimal-port rule (filtered lazily, for callers that stop at
+//! the first hop or resume a scan; [`column_next_hops_all`] drains the
+//! same rule 64 ports a word), [`masked_distance_column`] the one masked
 //! BFS, and the workspace's one block sweep,
 //! [`polarstar_graph::traversal::sweep_block`], fills
 //! [`masked_distance_block`] (the `u8` or `u16` rows a flat
@@ -23,7 +25,7 @@ use crate::fault::FaultMask;
 use polarstar_graph::traversal::sweep_block;
 use polarstar_graph::Graph;
 use std::fmt;
-use std::ops::{Add, Not};
+use std::ops::{Add, Not, Sub};
 
 /// Why a routing query could not be answered.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -252,6 +254,55 @@ where
         })
 }
 
+/// [`column_next_hops`] for callers that drain every hop: each run of up
+/// to 64 of `v`'s ports is compared with `col[v] − 1` into one word
+/// without a branch per port, and the set bits that pass
+/// [`FaultMask::link_dead`] come out in port order — the same hops, in
+/// the same order. The flow build's DAG walks take this one. A caller
+/// that stops at the first hop or resumes a scan keeps the lazy filter:
+/// with [`column_next_hops_from`] scanning by words instead, the route
+/// table's reads (`min_ports().next()` for the port cost, `k_paths`
+/// resuming a router's scan) made the `routed_table_churn` benchmark
+/// 9–10 % slower, the price of comparing every port where the filter
+/// exits early (EXPERIMENTS.md, "Probes that did not pay").
+pub fn column_next_hops_all<'a, D>(
+    graph: &'a Graph,
+    col: &'a [D],
+    v: u32,
+    mask: &'a FaultMask,
+) -> impl Iterator<Item = (u32, u32)> + 'a
+where
+    D: Copy + Eq + Default + From<u8> + Sub<Output = D>,
+{
+    let dv = col[v as usize];
+    // The destination has no hop; elsewhere a neighbour one closer is
+    // never the unreachable `MAX`, so one comparison is the whole rule.
+    let (ports, parent) = if dv == D::default() {
+        (&[][..], dv)
+    } else {
+        (graph.neighbors(v), dv - D::from(1))
+    };
+    let first = graph.edge_range(v).start;
+    ports.chunks(64).enumerate().flat_map(move |(c, run)| {
+        let word = run.iter().enumerate().fold(0u64, |w, (i, &nb)| {
+            w | u64::from(col[nb as usize] == parent) << i
+        });
+        let base = first + 64 * c as u32;
+        set_bits(word)
+            .map(move |i| (base + i, run[i as usize]))
+            .filter(|&(e, _)| !mask.link_dead(e))
+    })
+}
+
+/// The set bits of `word`, ascending.
+fn set_bits(mut word: u64) -> impl Iterator<Item = u32> {
+    std::iter::from_fn(move || {
+        let i = word.trailing_zeros();
+        word &= word.wrapping_sub(1);
+        (i < 64).then_some(i)
+    })
+}
+
 /// The masked column BFS: hop distances to `dst` over `graph` minus the
 /// cables `mask` takes out of the distance relation
 /// ([`FaultMask::edge_dead`]), into `out` (resized and overwritten;
@@ -445,6 +496,55 @@ mod tests {
                 let row = narrow(c);
                 let short: Vec<_> = column_next_hops(&g, &row, v, &pristine).collect();
                 assert_eq!(wide, short, "{c:?} at {v}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The word scan drains the hops the lazy filter yields, in the
+        /// same order: on random graphs (ports past 64 included), under
+        /// cable, one-way and router faults, for masked BFS columns and
+        /// for arbitrary ones, `u32` columns and `u16` / `u8` rows alike.
+        #[test]
+        fn column_next_hops_all_drains_the_lazy_rule(
+            n in 2usize..150,
+            fill in 1usize..100,
+            seed in 0u64..10_000,
+            dst in 0u32..150,
+            faults in 0u8..4,
+            noise in proptest::prelude::prop::collection::vec(0u8..7, 150..151),
+        ) {
+            let m = n * (n - 1) / 2 * fill / 100;
+            let g = polarstar_graph::random::gnm(n, m, seed);
+            let faults = match faults {
+                0 => FaultSet::empty(),
+                1 => FaultSet::random_links(&g, 0.1, seed),
+                2 => FaultSet::from_directed_links(
+                    FaultSet::random_links(&g, 0.1, seed).failed_links().iter().copied().filter(|&(u, v)| u < v),
+                ),
+                _ => FaultSet::random_routers(&g, 0.1, seed),
+            };
+            let mask = faults.compile(&g);
+            let mut bfs = Vec::new();
+            masked_distance_column(&g, &mask, dst % n as u32, &mut bfs);
+            // Values either side of a level, `MAX − 1` and `MAX` included.
+            let arbitrary: Vec<u32> = noise[..n]
+                .iter()
+                .map(|&x| [0, 1, 2, 3, 4, u32::MAX - 1, u32::MAX][x as usize])
+                .collect();
+            for col in [&bfs, &arbitrary] {
+                let wide: Vec<u16> = col.iter().map(|&d| d.min(0xFFFF) as u16).collect();
+                let narrow: Vec<u8> = col.iter().map(|&d| d.min(0xFF) as u8).collect();
+                for v in 0..n as u32 {
+                    let lazy: Vec<_> = column_next_hops(&g, col, v, &mask).collect();
+                    proptest::prop_assert_eq!(&lazy, &column_next_hops_all(&g, col, v, &mask).collect::<Vec<_>>());
+                    let lazy: Vec<_> = column_next_hops(&g, &wide, v, &mask).collect();
+                    proptest::prop_assert_eq!(&lazy, &column_next_hops_all(&g, &wide, v, &mask).collect::<Vec<_>>());
+                    let lazy: Vec<_> = column_next_hops(&g, &narrow, v, &mask).collect();
+                    proptest::prop_assert_eq!(&lazy, &column_next_hops_all(&g, &narrow, v, &mask).collect::<Vec<_>>());
+                }
             }
         }
     }
