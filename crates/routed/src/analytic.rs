@@ -6,8 +6,8 @@
 //! every destination to reassemble on every fault epoch that changes the
 //! mask. The analytic backend
 //! keeps only factor-graph state (the [`AnalyticRouter`]'s adjacency bit
-//! rows, bijection and the 𝔽_q tables that give each structure pair its
-//! one middle) plus the current [`FaultSet`], and resolves each query
+//! rows, whose AND gives each structure pair its 2-walk middles, and the
+//! bijection) plus the current [`FaultSet`], and resolves each query
 //! once, in one of three [`Regime`]s:
 //!
 //! * **pristine** (no faults): the distance is one probe of the
@@ -241,7 +241,8 @@ impl AnalyticOracle {
         }
     }
 
-    /// The underlying analytic router (its route counter lives there).
+    /// The underlying analytic router: the network and its distance
+    /// kernel.
     pub fn router(&self) -> &AnalyticRouter {
         &self.router
     }

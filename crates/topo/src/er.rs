@@ -7,6 +7,9 @@
 //! self-orthogonal ("quadric" points); their would-be self-loops are kept
 //! as metadata because the star product turns them into extra supernode
 //! edges (Fig. 5c) and Property R length-2 paths may traverse them.
+//!
+//! The §9.2 kernel ([`crate::star::DistanceKernel`]) reads ER_q as it
+//! reads any structure graph, through its adjacency bit rows.
 
 use polarstar_gf::Gf;
 use polarstar_graph::{Graph, GraphBuilder};
@@ -31,12 +34,6 @@ pub struct ErGraph {
     pub quadric: Vec<bool>,
     /// The field order q.
     pub q: u64,
-    /// 𝔽_q tables behind [`ErGraph::middle`], elements as `Gf` indices:
-    /// `mul[a·q + b] = a·b`, `sub[a·q + b] = a − b`, `inv[a] = a⁻¹`
-    /// (`inv[0]` unused).
-    mul: Vec<u32>,
-    sub: Vec<u32>,
-    inv: Vec<u32>,
 }
 
 impl ErGraph {
@@ -62,17 +59,11 @@ impl ErGraph {
                 }
             }
         }
-        let table = |op: &dyn Fn(u64, u64) -> u64| -> Vec<u32> {
-            (0..q * q).map(|ab| op(ab / q, ab % q) as u32).collect()
-        };
         Ok(ErGraph {
             graph: b.build(),
             points,
             quadric,
             q,
-            mul: table(&|a, b| f.mul(a, b)),
-            sub: table(&|a, b| f.sub(a, b)),
-            inv: (0..q).map(|a| f.inv(a).unwrap_or(0) as u32).collect(),
         })
     }
 
@@ -94,66 +85,36 @@ impl ErGraph {
             .collect()
     }
 
-    /// The one 2-walk middle of distinct points `x` and `y` in the
-    /// graph-with-self-loops: the point x × y, orthogonal to both. It is
-    /// their one common neighbor, unless one of them is quadric and
-    /// adjacent to the other; then it is that quadric endpoint, and the
-    /// walk takes its self-loop (two quadric points are never adjacent).
-    /// O(1): the cross product from the field tables, then the
-    /// left-normalized point's index in `projective_points`' order —
-    /// (1, a, b) ↦ a·q + b, (0, 1, b) ↦ q² + b, (0, 0, 1) ↦ q² + q.
-    ///
-    /// # Panics
-    /// If `x == y` (x × x names no point) or either id is not a vertex.
-    #[inline]
-    pub fn middle(&self, x: u32, y: u32) -> u32 {
-        let n = self.points.len();
-        if x == y || x.max(y) as usize >= n {
-            bad_middle(x, y, n);
-        }
-        let q = self.q as usize;
-        let [u, v] = [x, y].map(|p| self.points[p as usize].map(|c| c as usize));
-        let mul = |a: usize, b: usize| self.mul[a * q + b] as usize;
-        let det = |i: usize, j: usize| self.sub[mul(u[i], v[j]) * q + mul(u[j], v[i])] as usize;
-        let w = [det(1, 2), det(2, 0), det(0, 1)];
-        let scaled = |lead: usize, c: usize| mul(c, self.inv[lead] as usize);
-        (if w[0] != 0 {
-            scaled(w[0], w[1]) * q + scaled(w[0], w[2])
-        } else if w[1] != 0 {
-            q * q + scaled(w[1], w[2])
-        } else {
-            q * q + q
-        }) as u32
-    }
-
-    /// Resident bytes of the field tables behind [`ErGraph::middle`]:
-    /// 4 · (2q² + q).
-    pub fn table_bytes(&self) -> usize {
-        (self.mul.capacity() + self.sub.capacity() + self.inv.capacity())
-            * std::mem::size_of::<u32>()
-    }
-
     /// Witness for Property R: a path of length exactly 2 between `x` and
     /// `y` where self-loops may participate (Theorem 1). Returns the
-    /// middle vertex `w`; when the 2-path uses a self-loop, `w == x` or
-    /// `w == y` (and that endpoint is quadric). For distinct points that
-    /// is [`ErGraph::middle`]; for `x == y` any neighbor works. `None`
+    /// middle vertex `w`: the first common neighbor of `x` and `y` (for
+    /// `x == y`, the first neighbor), or, for an adjacent pair with no
+    /// common neighbor, its quadric endpoint, whose self-loop completes
+    /// the walk (two quadric points are never adjacent). For distinct
+    /// points that is their one 2-walk middle, the point x × y. `None`
     /// for an id that is not a vertex.
     pub fn r_path_middle(&self, x: u32, y: u32) -> Option<u32> {
         if x.max(y) as usize >= self.order() {
-            None
-        } else if x == y {
-            // Any neighbor works: x–w–x is a 2-path (w adjacent to x).
-            self.graph.neighbors(x).first().copied()
-        } else {
-            Some(self.middle(x, y))
+            return None;
         }
+        // Both neighbor lists ascend: merge them to the first shared id.
+        let g = &self.graph;
+        let mut ny = g.neighbors(y).iter().peekable();
+        let common = g.neighbors(x).iter().copied().find(|&w| {
+            while ny.next_if(|&&v| v < w).is_some() {}
+            ny.peek() == Some(&&w)
+        });
+        common.or_else(|| {
+            let looped = [x, y].into_iter().find(|&e| self.quadric[e as usize]);
+            looped.filter(|_| g.has_edge(x, y))
+        })
     }
 
     /// Check Property R directly: every (ordered) vertex pair is joined by
     /// a length-2 walk in the graph-with-self-loops, the one
     /// [`ErGraph::r_path_middle`] names. Exposed for tests and the
-    /// design-space validator. O(q⁴ log q).
+    /// design-space validator. O(q⁵): q⁴/2 pairs, a merge of two
+    /// (q + 1)-neighbor lists each.
     pub fn has_property_r(&self) -> bool {
         // A hop of the walk: an edge, or the self-loop of a quadric vertex.
         let hop = |a: u32, b: u32| {
@@ -187,14 +148,6 @@ fn projective_points(f: &Gf) -> Vec<[u64; 3]> {
     }
     pts.push([0, 0, 1]);
     pts
-}
-
-/// `middle`'s refusal of a pair that names no point, kept out of line
-/// so the check is one compare and a branch.
-#[cold]
-#[inline(never)]
-fn bad_middle(x: u32, y: u32, n: usize) -> ! {
-    panic!("ErGraph::middle: needs two distinct vertices of {n}, got ({x}, {y})")
 }
 
 #[cfg(test)]
@@ -237,9 +190,10 @@ mod tests {
 
     #[test]
     fn r_path_middles_are_valid_even_for_adjacent_pairs() {
-        // Reference for `middle`: the brute-force cell of every ordered
-        // distinct pair — common neighbors ascending, then, for an
-        // adjacent pair, the endpoints whose self-loop completes x–w–y.
+        // The brute-force cell of every ordered distinct pair — common
+        // neighbors ascending, then, for an adjacent pair, the endpoints
+        // whose self-loop completes x–w–y — holds exactly one middle
+        // (Property R), and `r_path_middle` names it.
         for q in [2u64, 3, 4, 5, 7, 8, 9] {
             let er = ErGraph::new(q).unwrap();
             let f = Gf::new(q).unwrap();
@@ -267,7 +221,7 @@ mod tests {
                     if g.has_edge(x, y) {
                         cell.extend([x, y].into_iter().filter(|&e| er.quadric[e as usize]));
                     }
-                    assert_eq!(cell, [er.middle(x, y)], "ER_{q} cell ({x}, {y})");
+                    assert_eq!(cell, [m], "ER_{q} cell ({x}, {y})");
                 }
             }
         }
@@ -277,12 +231,6 @@ mod tests {
     fn pairs_naming_no_point_are_refused() {
         let er = ErGraph::new(5).unwrap();
         let n = er.order() as u32;
-        for (x, y) in [(3, 3), (0, n), (n + 2, 1)] {
-            let err = std::panic::catch_unwind(|| er.middle(x, y))
-                .expect_err("middle must refuse a pair naming no point");
-            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-            assert!(msg.contains(&format!("({x}, {y})")), "{msg}");
-        }
         assert_eq!(er.r_path_middle(0, n), None);
         assert_eq!(er.r_path_middle(n, n), None);
         assert!(er.r_path_middle(n - 1, n - 1).is_some());

@@ -1,6 +1,7 @@
 //! The star product of Bermond, Delorme and Farhi (Definition 1) — the
 //! mathematical construct underlying PolarStar and Bundlefly — and the
-//! one place that knows its rule.
+//! one place that knows its rule, with the §9.2 distance kernel that
+//! reads it.
 //!
 //! [`StarProduct`] is a borrowed description of `G * G'`: the structure
 //! graph G, which of its vertices carry a self-loop, and the
@@ -15,11 +16,19 @@
 //!   copy-internal edges `(x, a) ~ (x, f(a))` of §6.1.2 (Fig. 5c),
 //!   dropping a degenerate `f(a) = a` ([`StarProduct::loop_partners`]).
 //!
-//! Construction ([`StarProduct::graph`]), the §9.2 distance kernel
-//! (`polarstar::routing`) and the factor-aware EDST packing
-//! ([`StarProduct::edst`]) all read the rule from here. The Cartesian
-//! product (Fig. 2a) is the view with f = id, and a one-vertex
-//! supernode gives back the structure graph.
+//! Construction ([`StarProduct::graph`]) and the factor-aware EDST
+//! packing ([`StarProduct::edst`]) read the rule from here, and so does
+//! [`DistanceKernel`], §9.2's router state: one adjacency bit row per
+//! vertex of each factor and nothing else. From those rows and the view
+//! it answers a router pair's hop distance — 1 iff product-adjacent, 2
+//! iff one of the product's 2-walks joins them, 3 otherwise — on any
+//! star product of diameter ≤ 3: ER_q * IQ/Paley (PolarStar, Theorems
+//! 4–5), ER_q * K1 (PolarFly) and MMS * Paley (Bundlefly). A 2-walk
+//! that crosses two arcs from copy x to copy y passes a copy w adjacent
+//! to both, and the set bits of `row(x) & row(y)` are exactly those w;
+//! on ER_q there is at most one (Property R). The Cartesian product
+//! (Fig. 2a) is the view with f = id, and a one-vertex supernode gives
+//! back the structure graph.
 
 use crate::supernode::Supernode;
 use polarstar_graph::{Graph, GraphBuilder};
@@ -154,9 +163,236 @@ impl<'a> StarProduct<'a> {
     }
 }
 
+/// A factor graph's adjacency as one bit row per vertex: bit `v` of
+/// row `u` is set iff `u ~ v`. One word read answers an edge test, and
+/// the AND of two rows lists their common neighbors.
+struct AdjRows {
+    /// Vertices, one row each.
+    n: usize,
+    /// Words per row, `⌈n/64⌉`.
+    words: usize,
+    bits: Vec<u64>,
+}
+
+impl AdjRows {
+    fn new(g: &Graph) -> Self {
+        let words = g.n().div_ceil(64);
+        let mut bits = vec![0u64; g.n() * words];
+        for u in 0..g.n() {
+            for &v in g.neighbors(u as u32) {
+                bits[u * words + (v >> 6) as usize] |= 1 << (v & 63);
+            }
+        }
+        AdjRows {
+            n: g.n(),
+            words,
+            bits,
+        }
+    }
+
+    /// Row `u`; `u` must be a vertex.
+    #[inline]
+    fn row(&self, u: u32) -> &[u64] {
+        &self.bits[u as usize * self.words..][..self.words]
+    }
+
+    /// Whether `u ~ v`; both must be vertices.
+    #[inline]
+    fn has(&self, u: u32, v: u32) -> bool {
+        self.row(u)[(v >> 6) as usize] >> (v & 63) & 1 != 0
+    }
+
+    /// Whether `u ~ v`, false for an id past the graph.
+    fn has_checked(&self, u: u32, v: u32) -> bool {
+        (u as usize) < self.n && (v as usize) < self.n && self.has(u, v)
+    }
+}
+
+/// A router's `(structure, local)` coordinates.
+type Coord = (u32, u32);
+
+/// The kernel's refusal of an id ≥ n, kept out of line so the probe's
+/// check is one compare and a branch.
+#[cold]
+#[inline(never)]
+fn out_of_range(s: u32, t: u32, n: usize) -> ! {
+    panic!("DistanceKernel: router id out of range ({s}, {t}) for {n} routers")
+}
+
+/// §9.2's distance kernel over a star product of diameter ≤ 3: the two
+/// factors' adjacency bit rows, ⌈|V|/64⌉ words a vertex, and nothing
+/// else. Every query takes the [`StarProduct`] the kernel was built from,
+/// which supplies coordinates, crossings and self-loop partners.
+///
+/// ```
+/// use polarstar_topo::{er::ErGraph, iq::inductive_quad, star::{DistanceKernel, StarProduct}};
+/// let (er, iq) = (ErGraph::new(3).unwrap(), inductive_quad(3).unwrap());
+/// let view = StarProduct::new(&er.graph, &er.quadric, &iq);
+/// let kernel = DistanceKernel::new(&view);
+/// let d = kernel.distance(&view, 0, 100);
+/// assert!(d <= 3);                               // Theorem 4
+/// assert!(kernel.within(&view, 0, 100, d) && !kernel.within(&view, 0, 100, d - 1));
+/// ```
+pub struct DistanceKernel {
+    structure: AdjRows,
+    supernode: AdjRows,
+}
+
+impl DistanceKernel {
+    /// Precompute both factors' bit rows.
+    pub fn new(view: &StarProduct<'_>) -> Self {
+        DistanceKernel {
+            structure: AdjRows::new(view.structure()),
+            supernode: AdjRows::new(&view.supernode().graph),
+        }
+    }
+
+    /// Heap bytes of the two factors' bit rows.
+    pub fn row_bytes(&self) -> usize {
+        (self.structure.bits.capacity() + self.supernode.bits.capacity())
+            * std::mem::size_of::<u64>()
+    }
+
+    /// Whether structure vertices `x` and `y` are adjacent, read off the
+    /// bit rows (false for an id past the structure graph).
+    pub fn structure_adjacent(&self, x: u32, y: u32) -> bool {
+        self.structure.has_checked(x, y)
+    }
+
+    /// Whether supernode vertices `a` and `b` are adjacent, read off the
+    /// bit rows (false for an id past the supernode).
+    pub fn supernode_adjacent(&self, a: u32, b: u32) -> bool {
+        self.supernode.has_checked(a, b)
+    }
+
+    /// Hop distance from router `s` to router `t`, without materializing
+    /// a path: 1 iff product-adjacent, 2 iff a 2-walk joins them, else 3,
+    /// which is exact only on a product of diameter ≤ 3. Allocation-free.
+    ///
+    /// # Panics
+    /// If `s` or `t` is not a router of the product (an id ≥ `n`).
+    pub fn distance(&self, view: &StarProduct<'_>, s: u32, t: u32) -> u32 {
+        let (a, b) = self.locate(view, s, t);
+        if s == t {
+            0
+        } else if self.product_adjacent(view, a, b) {
+            1
+        } else if self.two_hop(view, a, b) {
+            2
+        } else {
+            3
+        }
+    }
+
+    /// Whether `distance(s, t) ≤ h`, asking only as much as `h` needs:
+    /// `s == t` at 0, product adjacency at 1, adjacency or a 2-walk at 2,
+    /// and nothing beyond 2. This is the probe a walk puts to each
+    /// neighbor: at a router `r` hops out, a neighbor is one hop closer
+    /// iff it is within `r − 1`. Allocation-free.
+    ///
+    /// # Panics
+    /// If `s` or `t` is not a router of the product (an id ≥ `n`).
+    #[inline]
+    pub fn within(&self, view: &StarProduct<'_>, s: u32, t: u32, h: u32) -> bool {
+        let (a, b) = self.locate(view, s, t);
+        s == t
+            || match h {
+                0 => false,
+                1 => self.product_adjacent(view, a, b),
+                2 => self.product_adjacent(view, a, b) || self.two_hop(view, a, b),
+                _ => true,
+            }
+    }
+
+    /// The `(structure, local)` coordinates of routers `s` and `t`,
+    /// refusing an id outside the product: the arithmetic would
+    /// otherwise read another router's factor state. The check is one
+    /// compare on the structure coordinates the kernel needs anyway.
+    #[inline]
+    fn locate(&self, view: &StarProduct<'_>, s: u32, t: u32) -> (Coord, Coord) {
+        debug_assert_eq!(view.supernode().order(), self.supernode.n, "foreign view");
+        let (a, b) = (view.parts(s), view.parts(t));
+        if a.0.max(b.0) as usize >= self.structure.n {
+            out_of_range(s, t, self.structure.n * self.supernode.n);
+        }
+        (a, b)
+    }
+
+    /// Whether routers `(x, a)` and `(x, b)` are adjacent inside copy x:
+    /// a supernode edge, or a self-loop partner at a looped x.
+    #[inline]
+    fn copy_adjacent(&self, view: &StarProduct<'_>, x: u32, a: u32, b: u32) -> bool {
+        self.supernode.has(a, b) || view.loop_partners(x, a).any(|c| c == b)
+    }
+
+    /// Neighbors of local coordinate `a` within copy `x`: the supernode
+    /// neighbors, then the self-loop partners not already among them.
+    fn copy_neighbors<'v>(
+        &'v self,
+        view: &StarProduct<'v>,
+        x: u32,
+        a: u32,
+    ) -> impl Iterator<Item = u32> + 'v {
+        let nbrs = view.supernode().graph.neighbors(a);
+        let loops = view.loop_partners(x, a);
+        nbrs.iter()
+            .copied()
+            .chain(loops.filter(move |&c| !self.supernode.has(a, c)))
+    }
+
+    /// Product adjacency of the routers at coordinates `(x, xp)` and
+    /// `(y, yp)`.
+    #[inline]
+    fn product_adjacent(&self, view: &StarProduct<'_>, (x, xp): Coord, (y, yp): Coord) -> bool {
+        if x == y {
+            self.copy_adjacent(view, x, xp, yp)
+        } else {
+            self.structure.has(x, y) && view.cross(x, y, xp) == yp
+        }
+    }
+
+    /// Whether a 2-walk of the product joins the routers at `(x, xp)`
+    /// and `(y, yp)`: the kernel's one template enumeration.
+    fn two_hop(&self, view: &StarProduct<'_>, (x, xp): Coord, (y, yp): Coord) -> bool {
+        if x == y {
+            // Intra-supernode 2-path through a copy-internal middle.
+            return self
+                .copy_neighbors(view, x, xp)
+                .any(|m| self.copy_adjacent(view, x, m, yp));
+        }
+        // §9.2 case (c): intra hop at x, then cross; case (d): cross,
+        // then intra hop at y.
+        if self.structure.has(x, y)
+            && (self
+                .copy_neighbors(view, x, xp)
+                .any(|m| view.cross(x, y, m) == yp)
+                || self.copy_adjacent(view, y, view.cross(x, y, xp), yp))
+        {
+            return true;
+        }
+        // Case (a): cross to a middle copy w, then on to y — every common
+        // structure neighbor of x and y, the set bits of row(x) & row(y).
+        // The rows hold no self-loop, so w is neither x nor y; a looped
+        // endpoint's self-loop hop is an intra hop cases (c) and (d) tried.
+        let (rx, ry) = (self.structure.row(x), self.structure.row(y));
+        for (i, (&wx, &wy)) in rx.iter().zip(ry).enumerate() {
+            let mut common = wx & wy;
+            while common != 0 {
+                let w = i as u32 * 64 + common.trailing_zeros();
+                if view.cross(w, y, view.cross(x, w, xp)) == yp {
+                    return true;
+                }
+                common &= common - 1;
+            }
+        }
+        false
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bundlefly::{bundlefly_factors, BundleflyParams};
     use crate::er::ErGraph;
     use crate::iq::inductive_quad;
     use crate::paley::paley_supernode;
@@ -272,6 +508,36 @@ mod tests {
                     let v = view.router(x, xp);
                     assert_eq!(view.parts(v), (x, xp));
                     assert_eq!(view.groups()[v as usize], x);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_matches_bfs_on_bundlefly_and_polarfly() {
+        // Bundlefly's MMS structure gives a pair several middles, which
+        // case (a) must all try; PolarFly is ER_q with a one-vertex
+        // supernode, where every hop crosses or takes a self-loop.
+        let bf = BundleflyParams {
+            q: 4,
+            dprime: 2,
+            p: 1,
+        };
+        let (mms, pal) = bundlefly_factors(bf).unwrap();
+        let (er, k1) = (ErGraph::new(7).unwrap(), complete_supernode(1));
+        for view in [
+            StarProduct::new(&mms, &[], &pal),
+            StarProduct::new(&er.graph, &er.quadric, &k1),
+        ] {
+            let (g, kernel) = (view.graph(), DistanceKernel::new(&view));
+            for s in 0..g.n() as u32 {
+                let dist = traversal::bfs_distances(&g, s);
+                for t in 0..g.n() as u32 {
+                    let want = dist[t as usize];
+                    assert_eq!(kernel.distance(&view, s, t), want, "{s}→{t}");
+                    for h in 0..=3 {
+                        assert_eq!(kernel.within(&view, s, t, h), want <= h, "{s}→{t} ≤ {h}");
+                    }
                 }
             }
         }
