@@ -274,15 +274,6 @@ impl NetModel {
         e.map_or(0, |e| self.link_busy[e as usize])
     }
 
-    /// Expand a path of directed edge ids (as returned by
-    /// [`NetModel::min_path`]/[`NetModel::ecmp_path`]) into router
-    /// pairs.
-    pub fn path_links(&self, path: &[u32]) -> Vec<(u32, u32)> {
-        path.iter()
-            .map(|&e| self.spec.graph.edge_endpoints(e))
-            .collect()
-    }
-
     /// Summarize link load relative to a wall-clock `horizon` (e.g. the
     /// motif's completion time). Utilization is busy-time / horizon,
     /// clamped to 1 per link.
@@ -712,7 +703,8 @@ mod tests {
     fn min_path_follows_bfs() {
         let m = model();
         let p = m.min_path(0, 3).unwrap();
-        assert_eq!(m.path_links(&p), vec![(0, 1), (1, 2), (2, 3)]);
+        let links: Vec<_> = p.iter().map(|&e| m.spec.graph.edge_endpoints(e)).collect();
+        assert_eq!(links, vec![(0, 1), (1, 2), (2, 3)]);
         assert!(m.min_path(2, 2).unwrap().is_empty());
     }
 

@@ -386,24 +386,6 @@ impl RouteTable {
         self.min_hops(r, dst).map(move |(e, _)| (e - base) as u8)
     }
 
-    /// The neighbor reached through `port` of router `r`.
-    #[inline]
-    pub fn neighbor(&self, r: u32, port: u8) -> u32 {
-        self.graph.neighbors(r)[port as usize]
-    }
-
-    /// All neighbors of router `r`, in port order.
-    #[inline]
-    pub fn neighbors(&self, r: u32) -> &[u32] {
-        self.graph.neighbors(r)
-    }
-
-    /// Degree of router `r`.
-    #[inline]
-    pub fn degree(&self, r: u32) -> usize {
-        self.graph.degree(r)
-    }
-
     /// Directed links of the table's graph.
     pub fn num_links(&self) -> usize {
         self.graph.directed_edge_count()
@@ -722,7 +704,7 @@ mod tests {
         // Adjacent: single minimal port.
         let ports = port_list(&t, 0, 1);
         assert_eq!(ports.len(), 1);
-        assert_eq!(t.neighbor(0, ports[0]), 1);
+        assert_eq!(g.neighbors(0)[ports[0] as usize], 1);
         assert!(port_list(&t, 2, 2).is_empty());
     }
 
@@ -738,7 +720,7 @@ mod tests {
                 let d = t.distance(r, dst);
                 assert!(!port_list(&t, r, dst).is_empty(), "{r}->{dst}");
                 for p in t.min_ports(r, dst) {
-                    let nb = t.neighbor(r, p);
+                    let nb = g.neighbors(r)[p as usize];
                     assert_eq!(t.distance(nb, dst), d - 1);
                 }
             }
@@ -795,13 +777,13 @@ mod tests {
                     continue;
                 }
                 for p0 in t.min_ports(src, dst) {
-                    let mut cur = t.neighbor(src, p0);
+                    let mut cur = df.graph.neighbors(src)[p0 as usize];
                     let mut globals = usize::from(df.group[src as usize] != df.group[cur as usize]);
                     let mut hops = 1;
                     while cur != dst {
                         let ports = port_list(&t, cur, dst);
                         assert!(!ports.is_empty(), "stuck at {cur} toward {dst}");
-                        let next = t.neighbor(cur, ports[0]);
+                        let next = df.graph.neighbors(cur)[ports[0] as usize];
                         globals += usize::from(df.group[cur as usize] != df.group[next as usize]);
                         cur = next;
                         hops += 1;
@@ -865,11 +847,23 @@ mod tests {
     fn neighbors_slice_matches_graph_adjacency() {
         let g = polarstar_graph::random::random_regular(30, 5, 7).unwrap();
         let t = flat(&g);
+        // Port p of router r is the graph's p-th neighbor of r: the
+        // ports read through that slice are exactly the neighbors one
+        // hop closer, in adjacency order.
         for r in 0..30u32 {
-            assert_eq!(t.neighbors(r), g.neighbors(r));
-            assert_eq!(t.degree(r), g.degree(r));
-            for p in 0..g.degree(r) {
-                assert_eq!(t.neighbor(r, p as u8), g.neighbors(r)[p]);
+            for dst in 0..30u32 {
+                let d = t.distance(r, dst);
+                let closer: Vec<u32> = g
+                    .neighbors(r)
+                    .iter()
+                    .copied()
+                    .filter(|&nb| d > 0 && t.distance(nb, dst) + 1 == d)
+                    .collect();
+                let ports: Vec<u32> = t
+                    .min_ports(r, dst)
+                    .map(|p| g.neighbors(r)[p as usize])
+                    .collect();
+                assert_eq!(ports, closer, "{r}→{dst}");
             }
         }
     }
@@ -885,11 +879,13 @@ mod tests {
         let t = masked(&g, &f);
         assert_eq!(t.distance(0, 1), 5);
         assert!(t.is_reachable(0, 1));
-        for p in t.min_ports(0, 1) {
-            assert_ne!(t.neighbor(0, p), 1, "failed link offered as port");
-        }
-        // Pristine port numbering is preserved.
-        assert_eq!(t.neighbors(0), g.neighbors(0));
+        // Ports index the pristine adjacency: the one left toward 1 is
+        // the long way round, through 5.
+        let ports: Vec<u32> = t
+            .min_ports(0, 1)
+            .map(|p| g.neighbors(0)[p as usize])
+            .collect();
+        assert_eq!(ports, vec![5], "failed link offered as port");
     }
 
     #[test]
@@ -921,7 +917,7 @@ mod tests {
                 // No surviving pair routes through the dead router.
                 for dst in 0..5u32 {
                     for p in t.min_ports(r, dst) {
-                        assert_ne!(t.neighbor(r, p), 2);
+                        assert_ne!(g.neighbors(r)[p as usize], 2);
                     }
                 }
             }
@@ -957,7 +953,7 @@ mod tests {
                 if t.is_reachable(src, dst) {
                     assert!(!port_list(&t, src, dst).is_empty(), "{src}→{dst}");
                     for p in t.min_ports(src, dst) {
-                        let nb = t.neighbor(src, p);
+                        let nb = df.graph.neighbors(src)[p as usize];
                         assert!(!((src == u && nb == v) || (src == v && nb == u)));
                     }
                 } else {
@@ -987,7 +983,7 @@ mod tests {
     fn assert_tables_equal(a: &RouteTable, b: &RouteTable) {
         assert_eq!(a.n(), b.n());
         for r in 0..a.n() as u32 {
-            assert_eq!(a.neighbors(r), b.neighbors(r), "CSR row {r}");
+            assert_eq!(a.graph.neighbors(r), b.graph.neighbors(r), "CSR row {r}");
             for dst in 0..a.n() as u32 {
                 assert_eq!(a.distance(r, dst), b.distance(r, dst), "{r}→{dst}");
                 assert_eq!(port_list(a, r, dst), port_list(b, r, dst), "{r}→{dst}");
@@ -1193,11 +1189,8 @@ mod tests {
         let n = t.n() as u32;
         assert_eq!(n as usize, truth.graph.n(), "{what}");
         for r in 0..n {
-            assert_eq!(
-                t.neighbors(r),
-                truth.graph.neighbors(r),
-                "{what}: CSR row {r}"
-            );
+            let row = truth.graph.neighbors(r);
+            assert_eq!(t.graph.neighbors(r), row, "{what}: CSR row {r}");
         }
         for (r, dst) in (0..n).flat_map(|r| (0..n).map(move |dst| (r, dst))) {
             let want = PathOracle::distance(truth, r, dst);
@@ -1208,7 +1201,8 @@ mod tests {
             if want.is_ok() {
                 truth.min_next_hops(r, dst, &mut hops).unwrap();
             }
-            let ports: Vec<u32> = t.min_ports(r, dst).map(|p| t.neighbor(r, p)).collect();
+            let row = truth.graph.neighbors(r);
+            let ports: Vec<u32> = t.min_ports(r, dst).map(|p| row[p as usize]).collect();
             assert_eq!(ports, hops, "{what}: ports {r}→{dst}");
             if n <= 64 || (r * 31 + dst) % 97 == 0 {
                 for k in [1, 4, 64] {

@@ -13,10 +13,14 @@
 //!   Fig. 1 comparison curves for every baseline topology;
 //! * [`network`] — construction of a concrete PolarStar network
 //!   ([`PolarStarNetwork`]) from a configuration;
-//! * [`routing`] — the §9.2 analytic minimal-path computation, which
-//!   needs only structure-graph state instead of full routing tables;
 //! * [`layout`] — the hierarchical modular layout and link-bundling
 //!   analysis of §8.
+//!
+//! §9.2's analytic routing reads a network's factor graphs through its
+//! [`StarProduct`](polarstar_topo::star::StarProduct) view
+//! ([`PolarStarNetwork::view`]): the distance kernel lives beside that
+//! view in `polarstar_topo::star`, and the serving oracle that walks it
+//! under a fault mask is `polarstar_routed`'s `AnalyticOracle`.
 //!
 //! The paper's structural claims about a built network (order, degree
 //! budget, diameter ≤ 3, Properties R/R*/R1, bundle sizes, clusters) are
@@ -39,7 +43,6 @@
 pub mod design;
 pub mod layout;
 pub mod network;
-pub mod routing;
 
 pub use design::{best_config, enumerate_configs, moore_bound_d3, PolarStarConfig, SupernodeKind};
 pub use network::PolarStarNetwork;

@@ -11,7 +11,10 @@ use polarstar_topo::supernode::{complete_supernode, Supernode};
 use polarstar_topo::{iq, paley};
 
 /// A fully-constructed PolarStar network, retaining its factor graphs so
-/// the analytic router and the layout analysis can use them.
+/// the §9.2 distance kernel ([`StarProduct`]'s
+/// [`DistanceKernel`](polarstar_topo::star::DistanceKernel), served by
+/// `polarstar_routed`'s `AnalyticOracle`) and the layout analysis can
+/// read them.
 #[derive(Clone, Debug)]
 pub struct PolarStarNetwork {
     /// The configuration this network realizes.

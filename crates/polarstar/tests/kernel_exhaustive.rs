@@ -1,7 +1,7 @@
 //! The §9.2 kernel's bounded probe and its adjacency bit rows, pinned
 //! over every router pair of every feasible PolarStar and Bundlefly up
-//! to a radix bound. Release only (`#[ignore]`d; CI runs it with
-//! `-- --ignored` under its own timeout):
+//! to a radix bound. Those two tests are release only (`#[ignore]`d; CI
+//! runs them with `-- --ignored` under their own timeout):
 //!
 //! ```sh
 //! cargo test --release -p polarstar --test kernel_exhaustive -- --ignored --nocapture
@@ -24,8 +24,17 @@
 //!
 //! Each product is printed with its size and seconds, so a change to an
 //! enumeration shows up here rather than silently shrinking the check.
+//!
+//! The other tests run in every `cargo test` (debug included): the
+//! kernel's `distance` and `within` against BFS on every pair of small
+//! Inductive-Quad and Paley PolarStars and on sampled pairs of PS-IQ,
+//! the radix-32 PolarStar and a radix-12 Paley one; the incremental
+//! next hops a walk reads off `within`; and the refusal of router ids
+//! past the product.
 
-use polarstar::design::enumerate_configs;
+use polarstar::design::{
+    best_config, best_config_with, enumerate_configs, PolarStarConfig, SupernodeKind,
+};
 use polarstar::network::PolarStarNetwork;
 use polarstar_gf::primes::prime_powers_in;
 use polarstar_graph::traversal::bfs_distances;
@@ -139,5 +148,131 @@ fn within_and_bit_rows_match_bfs_on_bundlefly() {
         let (structure, supernode) = bundlefly_factors(p).expect(&label);
         let view = StarProduct::new(&structure, &[], &supernode);
         check(&label, &view, &view.graph(), t0);
+    }
+}
+
+/// Check, on every `s_step`-th source × `t_step`-th destination of
+/// `net`, that the kernel's distance equals the BFS distance and that
+/// `within(s, t, h)` answers `distance ≤ h` for every h ≤ 3. Returns the
+/// number of pairs at BFS distance 2.
+fn check_pairs_minimal(net: &PolarStarNetwork, s_step: usize, t_step: usize) -> u64 {
+    let view = net.view();
+    let kernel = DistanceKernel::new(&view);
+    let n = net.spec.routers() as u32;
+    let label = net.config.label();
+    let mut at_two = 0;
+    for s in (0..n).step_by(s_step) {
+        let dist = bfs_distances(net.graph(), s);
+        for t in (0..n).step_by(t_step) {
+            let want = dist[t as usize];
+            at_two += u64::from(want == 2);
+            assert_eq!(
+                kernel.distance(&view, s, t),
+                want,
+                "{label}: kernel {s}→{t}"
+            );
+            for h in 0..=3 {
+                let got = kernel.within(&view, s, t, h);
+                assert_eq!(got, want <= h, "{label}: {s}→{t} ≤ {h}");
+            }
+        }
+    }
+    at_two
+}
+
+#[test]
+fn iq_routing_matches_bfs_everywhere() {
+    for (q, degree) in [(2, 3), (3, 3), (4, 4), (5, 3)] {
+        let cfg = PolarStarConfig {
+            q,
+            supernode: SupernodeKind::InductiveQuad { degree },
+        };
+        let net = PolarStarNetwork::build(cfg, 1).unwrap();
+        let at_two = check_pairs_minimal(&net, 1, 1);
+        assert!(at_two > 0, "{}: no distance-2 pair checked", cfg.label());
+    }
+}
+
+#[test]
+fn paley_routing_matches_bfs_everywhere() {
+    for (q, degree) in [(3, 2), (4, 2), (5, 4)] {
+        let cfg = PolarStarConfig {
+            q,
+            supernode: SupernodeKind::Paley { degree },
+        };
+        let net = PolarStarNetwork::build(cfg, 1).unwrap();
+        let at_two = check_pairs_minimal(&net, 1, 1);
+        assert!(at_two > 0, "{}: no distance-2 pair checked", cfg.label());
+    }
+}
+
+#[test]
+fn table3_scale_sampled_pairs() {
+    // PS-IQ at Table 3 scale: sample sources, verify minimality.
+    let net = PolarStarNetwork::build(best_config(15).unwrap(), 1).unwrap();
+    assert!(check_pairs_minimal(&net, 97, 13) > 0);
+}
+
+#[test]
+fn radix32_scale_sampled_pairs() {
+    // The 9 954-router PolarStar the flow benchmarks run on.
+    let net = PolarStarNetwork::build(best_config(32).unwrap(), 1).unwrap();
+    assert!(check_pairs_minimal(&net, 1999, 17) > 0);
+}
+
+#[test]
+fn paley_variant_at_scale() {
+    let net = PolarStarNetwork::build(best_config_with(12, false).unwrap(), 1).unwrap();
+    assert!(check_pairs_minimal(&net, 41, 7) > 0);
+}
+
+#[test]
+fn out_of_range_ids_are_refused() {
+    // PS-IQ, n = 1 064. Unchecked, the kernel answered
+    // distance(0, 1064) = 2 and distance(5, 1067) = 3, and panicked
+    // on a bare bounds check for distance(1064, 0).
+    let net = PolarStarNetwork::build(best_config(15).unwrap(), 1).unwrap();
+    let view = net.view();
+    let kernel = DistanceKernel::new(&view);
+    let n = 1064;
+    fn refused<T>(kernel: &DistanceKernel, probe: impl FnOnce(&DistanceKernel) -> T) {
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| probe(kernel)))
+            .err()
+            .expect("an id ≥ n must be refused");
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(msg.contains("router id out of range"), "{msg}");
+    }
+    refused(&kernel, |k| k.distance(&view, 0, n));
+    refused(&kernel, |k| k.distance(&view, 5, n + 3));
+    refused(&kernel, |k| k.distance(&view, n, 0));
+    refused(&kernel, |k| k.within(&view, 0, n, 2));
+    refused(&kernel, |k| k.within(&view, n, n, 0));
+    assert_eq!(kernel.distance(&view, n - 1, n - 1), 0);
+    assert!(kernel.within(&view, 0, n - 1, 3));
+    assert!(!kernel.structure_adjacent(0, 133) && !kernel.supernode_adjacent(8, 0));
+}
+
+#[test]
+fn incremental_next_hops_match_bfs() {
+    // §9.2: "amenable to incremental routing and therefore, suitable
+    // for destination-based routing" — at a router d hops out, the
+    // neighbors the kernel puts within d − 1 are exactly the BFS
+    // minimal next hops, and there is at least one.
+    let net = PolarStarNetwork::build(best_config(10).unwrap(), 1).unwrap();
+    let view = net.view();
+    let kernel = DistanceKernel::new(&view);
+    let n = net.spec.routers() as u32;
+    for t in (0..n).step_by(7) {
+        let dist = bfs_distances(net.graph(), t);
+        for s in (0..n).step_by(11).filter(|&s| s != t) {
+            let d = dist[s as usize];
+            let mut hops = 0;
+            for &nb in net.graph().neighbors(s) {
+                let closer = kernel.within(&view, nb, t, d - 1);
+                assert_eq!(closer, dist[nb as usize] == d - 1, "{s}→{t} via {nb}");
+                hops += u32::from(closer);
+            }
+            assert!(hops > 0, "{s}→{t}: no minimal next hop");
+        }
     }
 }

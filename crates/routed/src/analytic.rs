@@ -1,21 +1,22 @@
-//! Table-free serving backend: the §9.2 analytic router as a
+//! Table-free serving backend: §9.2 analytic routing as a
 //! [`PathOracle`].
 //!
 //! A [`RouteTable`](polarstar_netsim::RouteTable) answers queries from
 //! a distance arena that costs O(n²) bytes to hold and a block BFS over
 //! every destination to reassemble on every fault epoch that changes the
 //! mask. The analytic backend
-//! keeps only factor-graph state (the [`AnalyticRouter`]'s adjacency bit
-//! rows, whose AND gives each structure pair its 2-walk middles, and the
-//! bijection) plus the current [`FaultSet`], and resolves each query
-//! once, in one of three [`Regime`]s:
+//! keeps only factor-graph state — the network's [`DistanceKernel`]
+//! (one adjacency bit row per factor vertex, whose AND gives each
+//! structure pair its 2-walk middles) and the bijection f⁻¹ its
+//! supernode holds — plus the current [`FaultSet`], and resolves each
+//! query once, in one of three [`Regime`]s:
 //!
-//! * **pristine** (no faults): the distance is one probe of the
-//!   router's allocation-free distance kernel; the minimal next hops of
-//!   a router `r` hops out are its neighbors within `r − 1` hops, one
-//!   [`AnalyticRouter::within`] probe each (a neighbor sits `r − 1`, `r`
-//!   or `r + 1` out), so two hops out the walk asks only adjacency and
-//!   runs the 2-hop templates only three out. The ≤ 3 levels of that
+//! * **pristine** (no faults): the distance is one
+//!   [`DistanceKernel::distance`] probe, allocation-free; the minimal
+//!   next hops of a router `r` hops out are its neighbors within `r − 1`
+//!   hops, one [`DistanceKernel::within`] probe each (a neighbor sits
+//!   `r − 1`, `r` or `r + 1` out), so two hops out the walk asks only
+//!   adjacency and runs the 2-hop templates only three out. The ≤ 3 levels of that
 //!   *pristine-minimal DAG* are walked depth-first, in ascending port
 //!   order, only as deep and as wide as the query asks (first hop, all
 //!   first hops, or `k` paths). About 1 µs a `k = 4` query on PS-IQ.
@@ -85,7 +86,7 @@
 //! the product graph one bit for the port rule (this direction or an
 //! endpoint router failed) and one for the distance relation (either
 //! direction or endpoint), plus one bit per router: 81 KB on the
-//! 9 954-router, degree-32 network, against 2.4 MB of factor-graph
+//! 9 954-router, degree-32 network, against 40 KB of factor-graph
 //! state. Every fault read is one of those bits — the walk's edge and
 //! port tests on the slots it already scans, the repair's dead-edge and
 //! live-neighbor iteration, the column's port rule; the sorted fault
@@ -96,9 +97,12 @@
 //! collapses the `RouteTable::remask` epoch-install cost
 //! (`route_table.remask_ms` in the `benchmark/` ledger) to microseconds
 //! (`analytic.remask_us`), and what keeps the backend's memory at the
-//! router's factor-graph state. A per-epoch table of answers would
-//! trade both away — it is the thing this backend exists to show is
-//! unnecessary.
+//! factor-graph state: the kernel's rows are 133 × 3 + 8 × 1 words
+//! (3.3 KB) on PS-IQ, 40 KB at radix 32, 454 KB at radix 64 and 6.1 MB
+//! at radix 128, shared by every epoch's oracle behind one [`Arc`],
+//! against ~1 M entries for a per-destination next-hop table on PS-IQ
+//! (§9.3). A per-epoch table of answers would trade both away — it is
+//! the thing this backend exists to show is unnecessary.
 //!
 //! Equivalence contract (pinned by `tests/analytic_vs_table.rs`):
 //! distances, the full ascending minimal next-hop sets, first next hops,
@@ -107,22 +111,25 @@
 //! this oracle — on every config and fault mask.
 
 use polarstar::network::PolarStarNetwork;
-use polarstar::routing::AnalyticRouter;
 use polarstar_graph::Graph;
 use polarstar_topo::fault::{FaultMask, FaultSet};
 use polarstar_topo::oracle::{column_next_hops, PathOracle, RouteError};
+use polarstar_topo::star::{DistanceKernel, StarProduct};
 use std::cell::RefCell;
 use std::sync::Arc;
 
 /// A table-free [`PathOracle`] over a PolarStar network: §9.2 analytic
 /// routing plus a fault mask.
 ///
-/// Cloning shares the router behind an [`Arc`] and copies the mask;
-/// [`AnalyticOracle::remask`] costs O(|faults|), which makes fault
-/// epochs nearly free.
+/// Cloning shares the network and its kernel behind their [`Arc`]s and
+/// copies the mask; [`AnalyticOracle::remask`] costs O(|faults|), which
+/// makes fault epochs nearly free.
 #[derive(Clone)]
 pub struct AnalyticOracle {
-    router: Arc<AnalyticRouter>,
+    net: Arc<PolarStarNetwork>,
+    /// The network's factor-graph bit rows, built once and shared by
+    /// every epoch.
+    kernel: Arc<DistanceKernel>,
     faults: FaultSet,
     /// `faults` compiled against the product graph: every fault read
     /// of a query or a column is a bit of this.
@@ -195,9 +202,10 @@ const QUEUED: u32 = 4;
 
 /// Label `out` with the pristine distances to `dst`, handing each
 /// level-2 router to `on_level2` once. The diameter-≤3 guarantee (§4;
-/// the routing tests pin the distance kernel to BFS distances on every
-/// config) lets a BFS that expands only depths 0 and 1 label the whole
-/// column: any router it never reaches sits at distance exactly 3.
+/// `polarstar`'s `kernel_exhaustive` tests pin the distance kernel to
+/// BFS distances on every config up to radix 28) lets a BFS that
+/// expands only depths 0 and 1 label the whole column: any router it
+/// never reaches sits at distance exactly 3.
 /// That is ~deg² work instead of O(E).
 fn pristine_levels(g: &Graph, dst: u32, out: &mut Vec<u32>, mut on_level2: impl FnMut(u32)) {
     out.clear();
@@ -220,36 +228,55 @@ impl AnalyticOracle {
     /// Build the oracle for a network, honoring the static fault mask
     /// its spec already carries.
     pub fn new(net: impl Into<Arc<PolarStarNetwork>>) -> Self {
-        let router = Arc::new(AnalyticRouter::new(net));
-        let faults = router.network().spec.faults().clone();
-        let mask = faults.compile(router.network().graph());
+        let net: Arc<PolarStarNetwork> = net.into();
+        let kernel = Arc::new(DistanceKernel::new(&net.view()));
+        let faults = net.spec.faults().clone();
+        let mask = faults.compile(net.graph());
         AnalyticOracle {
-            router,
+            net,
+            kernel,
             faults,
             mask,
         }
     }
 
     /// The oracle for a new cumulative fault set: clones the shared
-    /// router `Arc`, swaps the fault set and compiles it — O(|faults|)
-    /// and no BFS, the whole per-epoch cost of the table-free backend.
+    /// network and kernel `Arc`s, swaps the fault set and compiles it —
+    /// O(|faults|), no BFS and no bit row copied, the whole per-epoch
+    /// cost of the table-free backend.
     pub fn remask(&self, faults: &FaultSet) -> AnalyticOracle {
         AnalyticOracle {
-            router: Arc::clone(&self.router),
+            net: Arc::clone(&self.net),
+            kernel: Arc::clone(&self.kernel),
             faults: faults.clone(),
-            mask: faults.compile(self.network().graph()),
+            mask: faults.compile(self.net.graph()),
         }
     }
 
-    /// The underlying analytic router: the network and its distance
-    /// kernel.
-    pub fn router(&self) -> &AnalyticRouter {
-        &self.router
+    /// This oracle, under the name `benchmark/` reads its counters
+    /// through (`router().routes_computed()`, `router().fallbacks()`),
+    /// kept so those calls compile; the counters are the two below.
+    pub fn router(&self) -> &Self {
+        self
+    }
+
+    /// Routes that fell back to a backstop search: always 0, as every
+    /// query walks the exact kernel. `benchmark/` reads it
+    /// (`analytic.fallbacks`).
+    pub fn fallbacks(&self) -> u64 {
+        0
+    }
+
+    /// Whole routes materialized ahead of a query: always 0, as paths
+    /// are each query's own walk. `benchmark/` reads it
+    /// (`analytic.routes_computed`).
+    pub fn routes_computed(&self) -> u64 {
+        0
     }
 
     /// The network this oracle answers for.
     pub fn network(&self) -> &Arc<PolarStarNetwork> {
-        self.router.network()
+        &self.net
     }
 
     /// The fault mask this oracle serves.
@@ -257,11 +284,15 @@ impl AnalyticOracle {
         &self.faults
     }
 
-    /// Resident bytes of the routing state (the router's factor-graph
-    /// state, the fault set and its compiled mask) — the table-free
-    /// counterpart of `RouteTable::memory_bytes`.
+    /// Resident bytes of the routing state — this struct, the kernel
+    /// (its header behind the shared `Arc` and the two factors' bit
+    /// rows), f⁻¹, the fault lists and their compiled mask — the
+    /// table-free counterpart of `RouteTable::memory_bytes`.
     pub fn memory_bytes(&self) -> usize {
-        self.router.memory_bytes()
+        std::mem::size_of::<Self>()
+            + std::mem::size_of::<DistanceKernel>()
+            + self.kernel.row_bytes()
+            + std::mem::size_of_val(self.net.supernode.finv())
             + std::mem::size_of_val(self.faults.failed_links())
             + std::mem::size_of_val(self.faults.failed_routers())
             + self.mask.memory_bytes()
@@ -316,9 +347,11 @@ impl AnalyticOracle {
             return Err(unreachable);
         }
 
-        let pristine = self.router.distance(src, dst);
+        let view = self.net.view();
+        let pristine = self.kernel.distance(&view, src, dst);
         let mut walk = DagWalk {
             oracle: self,
+            view,
             dst,
             prefix: [src; 5],
             first_hop: None,
@@ -540,6 +573,8 @@ impl AnalyticOracle {
 /// that DAG plus one hop of slack when it is one more.
 struct DagWalk<'a> {
     oracle: &'a AnalyticOracle,
+    /// The network's star product, which every kernel probe reads.
+    view: StarProduct<'a>,
     dst: u32,
     /// Routers of the path being extended, `[src, …]`; a
     /// pristine-minimal path holds at most 4, one with a hop of slack 5.
@@ -599,7 +634,7 @@ impl DagWalk<'_> {
             // `nb` continues a walk iff its pristine distance fits the
             // r − 1 hops left. (With slack, dst itself passes at r = 2
             // and fails one level down: it has no edge to itself.)
-            if r > 1 && !oracle.router.within(nb, self.dst, r - 1) {
+            if r > 1 && !oracle.kernel.within(&self.view, nb, self.dst, r - 1) {
                 continue;
             }
             let edge_alive = !oracle.mask.edge_dead(e);
@@ -617,7 +652,7 @@ impl DagWalk<'_> {
             // longer walk from it exists. Symmetric masks never get here.
             if !edge_alive
                 && r > 1
-                && oracle.router.within(nb, self.dst, r - 2)
+                && oracle.kernel.within(&self.view, nb, self.dst, r - 2)
                 && self.descend(depth + 1, r - 2, false)
             {
                 continue;
@@ -764,7 +799,7 @@ impl PathOracle for AnalyticOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use polarstar::design::{PolarStarConfig, SupernodeKind};
+    use polarstar::design::{best_config, PolarStarConfig, SupernodeKind};
 
     fn small_net() -> PolarStarNetwork {
         let cfg = PolarStarConfig {
@@ -794,13 +829,37 @@ mod tests {
     }
 
     #[test]
+    fn route_storage_is_factor_sized() {
+        // The paper's §9.3 point: analytic routing needs factor-graph
+        // state, not per-destination tables. A pristine oracle holds the
+        // two factors' bit rows and f⁻¹ behind its own struct and the
+        // kernel's; no structure pair stores a middle, and there is no
+        // fault list or mask.
+        for (d, want) in [(15, 3_504), (32, 40_248)] {
+            let net = PolarStarNetwork::build(best_config(d).unwrap(), 1).unwrap();
+            let (n_s, n_l) = (net.er.order(), net.supernode.order());
+            let oracle = AnalyticOracle::new(net);
+            let rows = n_s * n_s.div_ceil(64) + n_l * n_l.div_ceil(64);
+            let structs =
+                std::mem::size_of::<AnalyticOracle>() + std::mem::size_of::<DistanceKernel>();
+            assert_eq!(
+                oracle.memory_bytes(),
+                structs + 8 * rows + 4 * n_l,
+                "radix {d}"
+            );
+            assert_eq!(oracle.memory_bytes(), want, "radix {d}");
+        }
+    }
+
+    #[test]
     fn remask_is_arc_shallow_and_masks() {
         let o = AnalyticOracle::new(small_net());
         // Sever every minimal continuation of some edge and check the
         // distance grows while the base oracle is untouched.
         let cut = FaultSet::from_links([(0, 1)]);
         let masked = o.remask(&cut);
-        assert!(Arc::ptr_eq(&o.router, &masked.router), "router shared");
+        assert!(Arc::ptr_eq(&o.net, &masked.net), "network shared");
+        assert!(Arc::ptr_eq(&o.kernel, &masked.kernel), "kernel shared");
         if o.network().graph().has_edge(0, 1) {
             assert_eq!(o.distance(0, 1), Ok(1));
             assert!(masked.distance(0, 1).unwrap() > 1);

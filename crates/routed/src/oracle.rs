@@ -13,12 +13,14 @@ use std::sync::Arc;
 /// The routing state behind an [`Oracle`]: either a materialized CSR
 /// table or the table-free analytic backend.
 enum Backend {
-    /// Distance arena (`RouteTable`): O(n²) memory, O(degree) query (the
-    /// port rule over one distance column), one reassembly per fault
-    /// epoch whose mask differs from the base table's.
-    Table(Arc<RouteTable>),
+    /// Distance arena (`RouteTable`) over the spec it was built for:
+    /// O(n²) memory, O(degree) query (the port rule over one distance
+    /// column), one reassembly per fault epoch whose mask differs from
+    /// the base table's.
+    Table(Arc<NetworkSpec>, Arc<RouteTable>),
     /// §9.2 analytic routing over factor-graph state: O(structure²)
     /// memory, per-query path reconstruction, O(|faults|) fault epochs.
+    /// Its spec is the network's, behind the oracle's own `Arc`.
     Analytic(AnalyticOracle),
 }
 
@@ -29,7 +31,6 @@ enum Backend {
 /// epoch) and then only read — cloning the [`Arc`]s it hands out is the
 /// whole synchronization story, so query threads never lock.
 pub struct Oracle {
-    spec: Arc<NetworkSpec>,
     backend: Backend,
     /// Fault epoch this snapshot serves (0 = the construction mask).
     epoch: u64,
@@ -41,8 +42,7 @@ impl Oracle {
     pub fn new(spec: Arc<NetworkSpec>) -> Self {
         let table = Arc::new(RouteTable::for_spec(&spec));
         Oracle {
-            spec,
-            backend: Backend::Table(table),
+            backend: Backend::Table(spec, table),
             epoch: 0,
         }
     }
@@ -52,11 +52,8 @@ impl Oracle {
     /// skips the O(n²) table assembly and fault epochs cost an `Arc`
     /// clone ([`AnalyticOracle::remask`]).
     pub fn new_analytic(net: impl Into<Arc<PolarStarNetwork>>) -> Self {
-        let analytic = AnalyticOracle::new(net);
-        let spec = Arc::new(analytic.network().spec.clone());
         Oracle {
-            spec,
-            backend: Backend::Analytic(analytic),
+            backend: Backend::Analytic(AnalyticOracle::new(net)),
             epoch: 0,
         }
     }
@@ -72,29 +69,30 @@ impl Oracle {
     /// shared either way.
     pub fn remask(&self, faults: &FaultSet, epoch: u64) -> Oracle {
         let backend = match &self.backend {
-            Backend::Table(t) if faults.compile(&self.spec.graph) == *t.mask() => {
-                Backend::Table(Arc::clone(t))
+            Backend::Table(spec, t) if faults.compile(&spec.graph) == *t.mask() => {
+                Backend::Table(Arc::clone(spec), Arc::clone(t))
             }
-            Backend::Table(t) => Backend::Table(Arc::new(t.remask(&self.spec, faults))),
+            Backend::Table(spec, t) => {
+                Backend::Table(Arc::clone(spec), Arc::new(t.remask(spec, faults)))
+            }
             Backend::Analytic(a) => Backend::Analytic(a.remask(faults)),
         };
-        Oracle {
-            spec: Arc::clone(&self.spec),
-            backend,
-            epoch,
-        }
+        Oracle { backend, epoch }
     }
 
     /// The network this oracle serves.
     pub fn spec(&self) -> &NetworkSpec {
-        &self.spec
+        match &self.backend {
+            Backend::Table(spec, _) => spec,
+            Backend::Analytic(a) => &a.network().spec,
+        }
     }
 
     /// The route table snapshot, when this oracle runs on the table
     /// backend (`None` for the table-free analytic backend).
     pub fn table(&self) -> Option<&RouteTable> {
         match &self.backend {
-            Backend::Table(t) => Some(t),
+            Backend::Table(_, t) => Some(t),
             Backend::Analytic(_) => None,
         }
     }
@@ -102,7 +100,7 @@ impl Oracle {
     /// The analytic backend, when this oracle is table-free.
     pub fn analytic(&self) -> Option<&AnalyticOracle> {
         match &self.backend {
-            Backend::Table(_) => None,
+            Backend::Table(..) => None,
             Backend::Analytic(a) => Some(a),
         }
     }
@@ -110,7 +108,7 @@ impl Oracle {
     /// Resident bytes of the routing state this snapshot queries.
     pub fn memory_bytes(&self) -> usize {
         match &self.backend {
-            Backend::Table(t) => t.memory_bytes(),
+            Backend::Table(_, t) => t.memory_bytes(),
             Backend::Analytic(a) => a.memory_bytes(),
         }
     }
@@ -128,7 +126,7 @@ impl Oracle {
         k: usize,
     ) -> Result<(u32, u32, Vec<Vec<u32>>), RouteError> {
         match &self.backend {
-            Backend::Table(t) => {
+            Backend::Table(_, t) => {
                 let distance = PathOracle::distance(&**t, src, dst)?;
                 let paths = t.k_paths(src, dst, k)?;
                 let next_hop = match paths.first() {
@@ -153,42 +151,42 @@ impl Oracle {
 impl PathOracle for Oracle {
     fn num_routers(&self) -> usize {
         match &self.backend {
-            Backend::Table(t) => t.n(),
+            Backend::Table(_, t) => t.n(),
             Backend::Analytic(a) => a.num_routers(),
         }
     }
 
     fn distance(&self, src: u32, dst: u32) -> Result<u32, RouteError> {
         match &self.backend {
-            Backend::Table(t) => PathOracle::distance(&**t, src, dst),
+            Backend::Table(_, t) => PathOracle::distance(&**t, src, dst),
             Backend::Analytic(a) => a.distance(src, dst),
         }
     }
 
     fn min_next_hops(&self, src: u32, dst: u32, out: &mut Vec<u32>) -> Result<(), RouteError> {
         match &self.backend {
-            Backend::Table(t) => t.min_next_hops(src, dst, out),
+            Backend::Table(_, t) => t.min_next_hops(src, dst, out),
             Backend::Analytic(a) => a.min_next_hops(src, dst, out),
         }
     }
 
     fn next_hop(&self, src: u32, dst: u32) -> Result<u32, RouteError> {
         match &self.backend {
-            Backend::Table(t) => t.next_hop(src, dst),
+            Backend::Table(_, t) => t.next_hop(src, dst),
             Backend::Analytic(a) => a.next_hop(src, dst),
         }
     }
 
     fn path(&self, src: u32, dst: u32) -> Result<Vec<u32>, RouteError> {
         match &self.backend {
-            Backend::Table(t) => t.path(src, dst),
+            Backend::Table(_, t) => t.path(src, dst),
             Backend::Analytic(a) => a.path(src, dst),
         }
     }
 
     fn k_paths(&self, src: u32, dst: u32, k: usize) -> Result<Vec<Vec<u32>>, RouteError> {
         match &self.backend {
-            Backend::Table(t) => t.k_paths(src, dst, k),
+            Backend::Table(_, t) => t.k_paths(src, dst, k),
             Backend::Analytic(a) => a.k_paths(src, dst, k),
         }
     }
@@ -198,7 +196,7 @@ impl PathOracle for Oracle {
             // A hierarchical table judges global ports on its pure-local
             // `far` arena, which one distance column cannot carry, so
             // the table backend stays on the per-pair path.
-            Backend::Table(_) => None,
+            Backend::Table(..) => None,
             Backend::Analytic(a) => a.distance_column(dst, out),
         }
     }
