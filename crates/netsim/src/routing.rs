@@ -26,6 +26,7 @@ use polarstar_topo::oracle::{
 };
 use rayon::prelude::*;
 use std::ops::{Add, Not};
+use std::sync::Arc;
 
 /// How packets pick output ports.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -72,14 +73,15 @@ impl RoutingKind {
 /// [`RouteTable::min_ports`] applies the one masked port rule
 /// ([`column_next_hops_from`]) to that column on every read: no port is
 /// stored. A router at distance 1 reads one slot, the link to the
-/// destination, since no other neighbor can be minimal; the `k_paths`
-/// walk resumes each router's scan after the child it took instead of
-/// rescanning it for every child.
+/// destination, since no other neighbor can be minimal; the k-path
+/// walk ([`RouteTable::k_paths_into`]) resumes each router's scan after
+/// the child it took instead of rescanning it for every child.
 #[derive(Clone)]
 pub struct RouteTable {
     /// The pristine router graph: port `p` of router `r` is CSR slot
     /// `edge_range(r).start + p`, the slot the mask is indexed by.
-    graph: Graph,
+    /// Shared by every table re-masked from this one.
+    graph: Arc<Graph>,
     /// The distance arenas, at the narrowest width every finite
     /// distance fits.
     arena: Arenas,
@@ -176,7 +178,8 @@ impl RouteTable {
     pub const UNREACHABLE: u16 = u16::MAX;
 
     /// Build the table a spec asks for — one of the two ways a table is
-    /// made; the other is [`RouteTable::remask`] of an existing one. The
+    /// made; the other is [`RouteTable::remask`] (or
+    /// [`RouteTable::remask_compiled`]) of an existing one. The
     /// spec's [`RoutingPolicy`] picks between flat and hierarchical
     /// (over `spec.group`) minimal tables, and its [`FaultSet`] masks
     /// failed links/routers out of both distances and minimal-port
@@ -197,7 +200,7 @@ impl RouteTable {
             n < RouteTable::UNREACHABLE as usize,
             "distances are stored as u16: {n} routers could reach the sentinel"
         );
-        Self::assemble(graph.clone(), spec, spec.faults().compile(graph))
+        Self::assemble(Arc::new(graph.clone()), spec, spec.faults().compile(graph))
     }
 
     /// The table for a new cumulative fault set over this table's
@@ -209,7 +212,7 @@ impl RouteTable {
     /// (a recovery back to it, faults naming no link of the graph) is
     /// this table again and costs one copy; any other reruns the
     /// assembler's distance sweep — a few milliseconds at 1 064
-    /// routers — over the cloned graph, so port indices stay valid
+    /// routers — over the shared graph, so port indices stay valid
     /// across the switch. Holders of a shared table compare
     /// [`RouteTable::mask`] themselves and skip even the copy. The
     /// policy and group structure come from `spec` (which must be the
@@ -225,11 +228,24 @@ impl RouteTable {
             self.routes(&spec.graph),
             "spec does not match this table's graph"
         );
-        let mask = faults.compile(&self.graph);
+        self.remask_compiled(spec, faults.compile(&self.graph))
+    }
+
+    /// [`RouteTable::remask`] for a fault set its holder has already
+    /// compiled on this table's graph — to compare it with
+    /// [`RouteTable::mask`] first — with `spec` the very spec the table
+    /// was built from, held beside it since. Release builds skip the
+    /// O(E) graph comparison that guards `remask` (debug builds keep
+    /// it): the caller vouches for the pair, so hand this nothing else.
+    pub fn remask_compiled(&self, spec: &NetworkSpec, mask: FaultMask) -> RouteTable {
+        debug_assert!(
+            self.routes(&spec.graph),
+            "spec does not match this table's graph"
+        );
         if mask == self.mask {
             return self.clone();
         }
-        Self::assemble(self.graph.clone(), spec, mask)
+        Self::assemble(Arc::clone(&self.graph), spec, mask)
     }
 
     /// The one table assembler: distances over `graph` minus the cables
@@ -253,7 +269,7 @@ impl RouteTable {
     /// into `u16` arenas, which hold every distance `for_spec` admits.
     /// The sweeps skip the slots the mask takes out: no degraded copy of
     /// the graph is built.
-    fn assemble(graph: Graph, spec: &NetworkSpec, mask: FaultMask) -> Self {
+    fn assemble(graph: Arc<Graph>, spec: &NetworkSpec, mask: FaultMask) -> Self {
         let n = graph.n();
         // The link classes of the port rule; flat tables have none.
         let group = match spec.routing_policy() {
@@ -394,7 +410,7 @@ impl RouteTable {
     /// Whether `graph` is the graph this table was built on, the one its
     /// ports are offsets into: equal CSR, not only equal counts. O(E).
     pub(crate) fn routes(&self, graph: &Graph) -> bool {
-        self.graph == *graph
+        *self.graph == *graph
     }
 
     /// The compiled fault epoch this table was assembled under (bitless
@@ -558,57 +574,110 @@ impl PathOracle for RouteTable {
         Ok(path)
     }
 
+    /// The walk of [`RouteTable::k_paths_into`], each path collected
+    /// into a `Vec` of its own.
     fn k_paths(&self, src: u32, dst: u32, k: usize) -> Result<Vec<Vec<u32>>, RouteError> {
-        let hops = PathOracle::distance(self, src, dst)? as usize;
-        if k == 0 {
-            return Ok(Vec::new());
-        }
-        if src == dst {
-            return Ok(vec![vec![src]]);
-        }
-        Ok(match &self.arena {
-            Arenas::Narrow(a) => self.k_paths_in(a, src, dst, k, hops),
-            Arenas::Wide(a) => self.k_paths_in(a, src, dst, k, hops),
-        })
+        let mut paths = Vec::new();
+        self.k_paths_into(src, dst, k, &mut paths)?;
+        Ok(paths)
     }
 }
 
 impl RouteTable {
-    /// The [`PathOracle::k_paths`] walk of a reachable pair `src ≠ dst`,
-    /// `hops` apart, over the arena at its width: one dispatch per
-    /// walk, not one per step.
-    fn k_paths_in<D: Width>(
+    /// The [`PathOracle::k_paths`] answer written as the walk finds it:
+    /// up to `k` minimal router paths `src → dst` in lexicographic
+    /// next-hop order, each made into a `P` straight from the walk's
+    /// router slice and appended to `paths`, which grows by what is
+    /// found, never by `k` up front. Returns the hop distance. A path
+    /// type held inline (the route service's answers) thus costs no
+    /// allocation per path, and the walk itself none below 8 hops.
+    ///
+    /// # Errors
+    /// As [`PathOracle::distance`]; `paths` is then untouched.
+    pub fn k_paths_into<P>(
+        &self,
+        src: u32,
+        dst: u32,
+        k: usize,
+        paths: &mut Vec<P>,
+    ) -> Result<u32, RouteError>
+    where
+        P: for<'p> From<&'p [u32]>,
+    {
+        let hops = PathOracle::distance(self, src, dst)?;
+        if k == 0 {
+            return Ok(hops);
+        }
+        if src == dst {
+            paths.push(P::from(&[src]));
+            return Ok(hops);
+        }
+        match &self.arena {
+            Arenas::Narrow(a) => self.k_paths_in(a, src, dst, k, hops as usize, paths),
+            Arenas::Wide(a) => self.k_paths_in(a, src, dst, k, hops as usize, paths),
+        }
+        Ok(hops)
+    }
+
+    /// The walk of [`RouteTable::k_paths_into`] for a reachable pair
+    /// `src ≠ dst`, `hops` apart, over the arena at its width: one
+    /// dispatch per walk, not one per step.
+    fn k_paths_in<D: Width, P>(
         &self,
         arena: &Arena<D>,
         src: u32,
         dst: u32,
         k: usize,
         hops: usize,
-    ) -> Vec<Vec<u32>> {
-        // Depth-first over the minimal-path DAG in port order: the stack
-        // is the current prefix, each router with the CSR slot its scan
-        // resumes at, the one after the child it took last — so a frame
-        // reads its router's neighbors once, not once per child.
-        let first_slot = |r: u32| self.graph.edge_range(r).start as usize;
-        let mut out = Vec::new();
-        let mut stack: Vec<(u32, usize)> = Vec::with_capacity(hops);
-        stack.push((src, first_slot(src)));
-        while let Some((r, from)) = stack.last_mut() {
-            let Some((e, next)) = self.arena_hops(arena, *r, dst, *from as u32).next() else {
-                stack.pop();
+        paths: &mut Vec<P>,
+    ) where
+        P: for<'p> From<&'p [u32]>,
+    {
+        // Depth-first over the minimal-path DAG in port order:
+        // `routers[..=depth]` is the current prefix and `resume[i]` the
+        // CSR slot where `routers[i]`'s scan resumes, the one after the
+        // child it took last — so a router's neighbors are read once,
+        // not once per child. Every hop lowers the distance-column value
+        // the next read is judged on, so no prefix outgrows `hops + 1`
+        // routers: on the stack below 8 hops (every pristine diameter-3
+        // path, and every faulted one the PS-IQ churn masks produce),
+        // on the heap beyond.
+        const ON_STACK: usize = 8;
+        let first_slot = |r: u32| self.graph.edge_range(r).start;
+        let (mut routers_on_stack, mut resume_on_stack) = ([0; ON_STACK], [0; ON_STACK]);
+        let mut spilled = Vec::new();
+        let (routers, resume) = if hops < ON_STACK {
+            (&mut routers_on_stack[..=hops], &mut resume_on_stack[..hops])
+        } else {
+            spilled.resize(2 * hops + 1, 0);
+            spilled.split_at_mut(hops + 1)
+        };
+        (routers[0], resume[0]) = (src, first_slot(src));
+        let (mut depth, mut found) = (0, 0);
+        loop {
+            let Some((e, next)) = self
+                .arena_hops(arena, routers[depth], dst, resume[depth])
+                .next()
+            else {
+                if depth == 0 {
+                    return;
+                }
+                depth -= 1;
                 continue;
             };
-            *from = e as usize + 1;
+            resume[depth] = e + 1;
+            routers[depth + 1] = next;
             if next != dst {
-                stack.push((next, first_slot(next)));
+                depth += 1;
+                resume[depth] = first_slot(next);
                 continue;
             }
-            out.push(stack.iter().map(|&(r, _)| r).chain([dst]).collect());
-            if out.len() == k {
-                break;
+            paths.push(P::from(&routers[..depth + 2]));
+            found += 1;
+            if found == k {
+                return;
             }
         }
-        out
     }
 }
 
@@ -998,7 +1067,12 @@ mod tests {
         let spec = polarstar_topo::NetworkSpec::uniform("rr24", g.clone(), 1);
         let pristine = RouteTable::for_spec(&spec);
         let f = FaultSet::random_links(&g, 0.1, 5);
-        assert_tables_equal(&pristine.remask(&spec, &f), &masked(&g, &f));
+        let remasked = pristine.remask(&spec, &f);
+        assert_tables_equal(&remasked, &masked(&g, &f));
+        // A mask compiled by the holder is the same table, and every
+        // epoch shares the pristine graph rather than a copy of it.
+        assert_tables_equal(&pristine.remask_compiled(&spec, f.compile(&g)), &remasked);
+        assert!(Arc::ptr_eq(&remasked.graph, &pristine.graph));
         // Remasking back to the empty set restores the pristine table.
         assert_tables_equal(&pristine.remask(&spec, &FaultSet::empty()), &pristine);
     }

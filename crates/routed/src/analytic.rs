@@ -52,8 +52,11 @@
 //! lists a query's first walk scans are the source's and, three hops
 //! out, those of its level-2 neighbors, each exactly once (a level-1
 //! router costs one edge probe), and every scan yields survivability
-//! and paths together. The only heap allocations of the walks are the
-//! answer's own vectors. The column borrows a thread-local distance
+//! and paths together. The walks allocate nothing but the paths they
+//! emit: each is made from the prefix in place into the caller's path
+//! type — an inline [`crate::Path`] for the route service's answers, so
+//! there only the answer's `alternatives` vector, a `Vec` for
+//! [`PathOracle::k_paths`]. The column borrows a thread-local distance
 //! column and the repair's work lists, overwritten by the next column
 //! on that thread.
 //!
@@ -155,15 +158,20 @@ pub enum Regime {
     Unreachable,
 }
 
-/// One resolved query.
-pub(crate) struct Resolved {
+/// One resolved query, its paths made into `P`s (`Vec<u32>` for
+/// [`PathOracle::k_paths`], [`crate::Path`] for the route service's
+/// answers).
+pub(crate) struct Resolved<P> {
     pub distance: u32,
     /// First minimal next hop (`dst` itself for the self-pair).
     pub next_hop: u32,
     pub regime: Regime,
     /// Up to the `k` asked-for minimal paths, lexicographic.
-    pub paths: Vec<Vec<u32>>,
+    pub paths: Vec<P>,
 }
+
+/// What a query that asks for no path resolves to.
+type NoPaths = Resolved<Vec<u32>>;
 
 /// Work lists of one column repair, reused by every faulted column a
 /// thread computes. Scratch only: each repair clears what it reads.
@@ -301,8 +309,8 @@ impl AnalyticOracle {
     /// Which regime answers `(src, dst)` under the current mask. Pure:
     /// touches no counter (the self-pair is trivially intact).
     pub fn regime(&self, src: u32, dst: u32) -> Regime {
-        self.resolve(src, dst, 0, None)
-            .map_or(Regime::Unreachable, |r| r.regime)
+        let resolved: Result<NoPaths, _> = self.resolve(src, dst, 0, None);
+        resolved.map_or(Regime::Unreachable, |r| r.regime)
     }
 
     fn check(&self, r: u32) -> Result<(), RouteError> {
@@ -314,19 +322,23 @@ impl AnalyticOracle {
     }
 
     /// Resolve one query: distance, first minimal next hop, up to `k`
-    /// lexicographic minimal paths, and — appended to `hops` when given
+    /// lexicographic minimal paths, each made into a `P` from the walk's
+    /// router slice as it is found, and — appended to `hops` when given
     /// — every minimal next hop out of `src`. One masked DAG walk at
     /// the pristine distance `d`; if the mask severed that DAG, the
     /// same walk again with a budget of `d + 1`; only if that fails too
     /// (the degraded distance is `d + 2` or more, or infinite), the
     /// destination's repaired distance column.
-    pub(crate) fn resolve(
+    pub(crate) fn resolve<P>(
         &self,
         src: u32,
         dst: u32,
         k: usize,
         hops: Option<&mut Vec<u32>>,
-    ) -> Result<Resolved, RouteError> {
+    ) -> Result<Resolved<P>, RouteError>
+    where
+        P: for<'p> From<&'p [u32]>,
+    {
         self.check(src)?;
         self.check(dst)?;
         let intact = if self.mask.is_empty() {
@@ -339,7 +351,11 @@ impl AnalyticOracle {
                 distance: 0,
                 next_hop: dst,
                 regime: intact,
-                paths: if k > 0 { vec![vec![src]] } else { Vec::new() },
+                paths: if k > 0 {
+                    vec![P::from(&[src])]
+                } else {
+                    Vec::new()
+                },
             });
         }
         let unreachable = RouteError::Unreachable { src, dst };
@@ -389,11 +405,12 @@ impl AnalyticOracle {
                 out.push(next_hop);
                 out.extend(ports);
             }
+            let paths = degraded.k_paths(src, dst, k)?;
             Ok(Resolved {
                 distance,
                 next_hop,
                 regime: Regime::Escalated,
-                paths: degraded.k_paths(src, dst, k)?,
+                paths: paths.iter().map(|p| P::from(p)).collect(),
             })
         })
     }
@@ -570,8 +587,9 @@ impl AnalyticOracle {
 /// One query's depth-first walk toward `dst`, masked by the oracle's
 /// faults, over the routers whose pristine distance fits the hops left:
 /// the pristine-minimal DAG when the budget is the pristine distance,
-/// that DAG plus one hop of slack when it is one more.
-struct DagWalk<'a> {
+/// that DAG plus one hop of slack when it is one more. Each path found
+/// is made into a `P` from the prefix in place.
+struct DagWalk<'a, P> {
     oracle: &'a AnalyticOracle,
     /// The network's star product, which every kernel probe reads.
     view: StarProduct<'a>,
@@ -585,10 +603,13 @@ struct DagWalk<'a> {
     hops: Option<&'a mut Vec<u32>>,
     /// Paths asked for, and the ones found so far.
     k: usize,
-    paths: Vec<Vec<u32>>,
+    paths: Vec<P>,
 }
 
-impl DagWalk<'_> {
+impl<P> DagWalk<'_, P>
+where
+    P: for<'p> From<&'p [u32]>,
+{
     /// Scan `v = prefix[depth]` once, with `r` hops left to `dst`.
     /// Returns whether a live walk of exactly `r` hops leads from `v`
     /// to `dst` through routers whose pristine distance fits the hops
@@ -607,7 +628,7 @@ impl DagWalk<'_> {
     fn descend(&mut self, depth: usize, r: u32, emit: bool) -> bool {
         if r == 0 {
             if emit {
-                self.paths.push(self.prefix[..=depth].to_vec());
+                self.paths.push(P::from(&self.prefix[..=depth]));
             }
             return true;
         }
@@ -726,19 +747,24 @@ impl PathOracle for AnalyticOracle {
     }
 
     fn distance(&self, src: u32, dst: u32) -> Result<u32, RouteError> {
-        Ok(self.resolve(src, dst, 0, None)?.distance)
+        let resolved: NoPaths = self.resolve(src, dst, 0, None)?;
+        Ok(resolved.distance)
     }
 
     /// Pristine neighbor order is ascending router id — the same port
     /// order `RouteTable` reads its ports in, so the sets match verbatim.
     fn min_next_hops(&self, src: u32, dst: u32, out: &mut Vec<u32>) -> Result<(), RouteError> {
-        self.resolve(src, dst, 0, Some(out)).map(|_| ())
+        let resolved: Result<NoPaths, _> = self.resolve(src, dst, 0, Some(out));
+        resolved.map(|_| ())
     }
 
     fn next_hop(&self, src: u32, dst: u32) -> Result<u32, RouteError> {
-        Ok(self.resolve(src, dst, 0, None)?.next_hop)
+        let resolved: NoPaths = self.resolve(src, dst, 0, None)?;
+        Ok(resolved.next_hop)
     }
 
+    /// The same walk as the route service's answers, each path
+    /// collected into a `Vec` of its own.
     fn k_paths(&self, src: u32, dst: u32, k: usize) -> Result<Vec<Vec<u32>>, RouteError> {
         Ok(self.resolve(src, dst, k, None)?.paths)
     }
@@ -791,7 +817,8 @@ impl PathOracle for AnalyticOracle {
     /// masked DAG walk, or the repaired column when escalated) instead
     /// of a min-next-hop query per hop.
     fn path(&self, src: u32, dst: u32) -> Result<Vec<u32>, RouteError> {
-        let first = self.resolve(src, dst, 1, None)?.paths.into_iter().next();
+        let resolved: Resolved<Vec<u32>> = self.resolve(src, dst, 1, None)?;
+        let first = resolved.paths.into_iter().next();
         first.ok_or(RouteError::Unreachable { src, dst })
     }
 }

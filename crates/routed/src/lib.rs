@@ -17,15 +17,22 @@
 //!   ([`polarstar_topo::oracle::RouteError`]). Sequential and
 //!   rayon-sharded batch paths are byte-identical for a fixed (seed,
 //!   batch) at any thread count;
+//! * [`Path`] — an answer's router path, inline up to
+//!   [`Path::INLINE`] routers: either backend's walk writes each path
+//!   it finds straight into one, so an answer holds one heap block (its
+//!   `alternatives`), and [`PathOracle::k_paths`] runs the same walk
+//!   collecting `Vec`s;
 //! * [`EpochSwapper`] — epoch-aware serving: the next fault epoch's
-//!   oracle is prepared off-thread (`RouteTable::remask` reuses the
-//!   pristine graph; an epoch back on the base table's mask
-//!   shares that table outright) and atomically published arc-swap
-//!   style, so queries never block on re-masking and never observe a
-//!   torn table.
+//!   oracle is prepared off-thread (the fault set is compiled once and
+//!   the re-masked table shares the pristine graph; an epoch back on the
+//!   base table's mask shares that table outright) and atomically
+//!   published arc-swap style, so queries never block on re-masking and
+//!   never observe a torn table.
 //!
 //! Throughput and install latency on Table-3 PS-IQ (1064 routers) are
 //! the `routed_{table,analytic}_churn` workloads of `benchmark/`.
+//!
+//! [`PathOracle::k_paths`]: polarstar_topo::oracle::PathOracle::k_paths
 
 pub mod analytic;
 pub mod batch;
@@ -33,6 +40,6 @@ pub mod oracle;
 pub mod swap;
 
 pub use analytic::{AnalyticOracle, Regime};
-pub use batch::{Query, QueryBatch, RouteAnswer};
+pub use batch::{Path, Query, QueryBatch, RouteAnswer};
 pub use oracle::Oracle;
 pub use swap::EpochSwapper;

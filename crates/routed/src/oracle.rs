@@ -3,6 +3,7 @@
 //! answering.
 
 use crate::analytic::AnalyticOracle;
+use crate::batch::Path;
 use polarstar::network::PolarStarNetwork;
 use polarstar_netsim::RouteTable;
 use polarstar_topo::fault::{FaultMask, FaultSet};
@@ -60,20 +61,24 @@ impl Oracle {
 
     /// Re-mask this oracle for a new cumulative fault set — the
     /// per-epoch path of [`crate::EpochSwapper`]. The table backend
-    /// reassembles its distances over the pristine graph
-    /// (`RouteTable::remask`: a block BFS, a few milliseconds at 1 064
-    /// routers) — unless the set
-    /// compiles to the mask this table already serves (a recovery back
-    /// to it), in which case the new snapshot shares the allocation.
-    /// The analytic backend just swaps the fault mask. The spec is
-    /// shared either way.
+    /// compiles the set once and reassembles its distances over the
+    /// shared pristine graph (`RouteTable::remask_compiled`: a block
+    /// BFS, a few milliseconds at 1 064 routers) — unless it compiles to
+    /// the mask this table already serves (a recovery back to it), in
+    /// which case the new snapshot shares the allocation. It skips
+    /// `RouteTable::remask`'s O(E) graph comparison: [`Oracle::new`]
+    /// built the table from this very spec. The analytic backend just
+    /// swaps the fault mask. The spec is shared either way.
     pub fn remask(&self, faults: &FaultSet, epoch: u64) -> Oracle {
         let backend = match &self.backend {
-            Backend::Table(spec, t) if faults.compile(&spec.graph) == *t.mask() => {
-                Backend::Table(Arc::clone(spec), Arc::clone(t))
-            }
             Backend::Table(spec, t) => {
-                Backend::Table(Arc::clone(spec), Arc::new(t.remask(spec, faults)))
+                let mask = faults.compile(&spec.graph);
+                let table = if mask == *t.mask() {
+                    Arc::clone(t)
+                } else {
+                    Arc::new(t.remask_compiled(spec, mask))
+                };
+                Backend::Table(Arc::clone(spec), table)
             }
             Backend::Analytic(a) => Backend::Analytic(a.remask(faults)),
         };
@@ -114,21 +119,21 @@ impl Oracle {
     }
 
     /// Distance, first minimal next hop and up to `k` minimal paths of
-    /// one pair — what [`Oracle::answer`] reports. The analytic backend
-    /// resolves all three in one walk; on the table they are a distance
-    /// read and one walk over the destination's column, whose first path
-    /// starts with the first next hop (a `next_hop` read of its own only
-    /// when `k == 0`).
+    /// one pair — what [`Oracle::answer`] reports. Either backend
+    /// resolves all three in one walk, which writes each path it finds
+    /// into a [`Path`]: on the table a walk over the destination's
+    /// column, whose first path starts with the first next hop (a
+    /// `next_hop` read of its own only when `k == 0`).
     pub(crate) fn resolve(
         &self,
         src: u32,
         dst: u32,
         k: usize,
-    ) -> Result<(u32, u32, Vec<Vec<u32>>), RouteError> {
+    ) -> Result<(u32, u32, Vec<Path>), RouteError> {
         match &self.backend {
             Backend::Table(_, t) => {
-                let distance = PathOracle::distance(&**t, src, dst)?;
-                let paths = t.k_paths(src, dst, k)?;
+                let mut paths: Vec<Path> = Vec::new();
+                let distance = t.k_paths_into(src, dst, k, &mut paths)?;
                 let next_hop = match paths.first() {
                     Some(path) => path.get(1).copied().unwrap_or(dst),
                     None => t.next_hop(src, dst)?,
