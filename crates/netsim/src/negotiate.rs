@@ -393,7 +393,6 @@ impl PathOracle for NegotiatedRoutes {
     }
 
     fn min_next_hops(&self, src: u32, dst: u32, out: &mut Vec<u32>) -> Result<(), RouteError> {
-        out.clear();
         self.check(src)?;
         self.check(dst)?;
         if src == dst {
@@ -418,6 +417,14 @@ impl PathOracle for NegotiatedRoutes {
             Some(i) if self.path_of(i).len() >= 2 => Ok(self.path_of(i).to_vec()),
             _ => Err(RouteError::Unreachable { src, dst }),
         }
+    }
+
+    /// The one negotiated path, for any `k ≥ 1`: the provided walk
+    /// would ask `min_next_hops` of pairs past the first hop, which are
+    /// not negotiated pairs.
+    fn k_paths(&self, src: u32, dst: u32, k: usize) -> Result<Vec<Vec<u32>>, RouteError> {
+        let path = self.path(src, dst)?;
+        Ok(if k == 0 { Vec::new() } else { vec![path] })
     }
 }
 
@@ -498,6 +505,7 @@ mod tests {
         let (table, plan) = plan_for(&spec, Pattern::Permutation, 1);
         let neg = NegotiatedRoutes::negotiate(&spec, &table, &plan, 0);
         assert_eq!(neg.num_routers(), spec.graph.n());
+        let mut multi_hop = 0;
         for i in 0..neg.num_pairs() {
             let (rs, rd) = neg.pairs()[i];
             let p = neg.path_of(i);
@@ -518,10 +526,17 @@ mod tests {
             }
             assert_eq!(neg.path(rs, rd).unwrap(), p);
             assert_eq!(neg.distance(rs, rd).unwrap() as usize, p.len() - 1);
-            let mut hops = Vec::new();
+            // Appended after what the buffer held.
+            let mut hops = vec![999];
             neg.min_next_hops(rs, rd, &mut hops).unwrap();
-            assert_eq!(hops, vec![p[1]]);
+            assert_eq!(hops, vec![999, p[1]]);
+            for k in [1, 4, usize::MAX] {
+                assert_eq!(neg.k_paths(rs, rd, k).unwrap(), vec![p.to_vec()], "k = {k}");
+            }
+            assert!(neg.k_paths(rs, rd, 0).unwrap().is_empty());
+            multi_hop += usize::from(p.len() > 2);
         }
+        assert!(multi_hop > 0, "no pair past the first hop was checked");
         // A pair outside the matrix is unreachable; out-of-range ids are
         // typed errors.
         let absent = (0..spec.graph.n() as u32)

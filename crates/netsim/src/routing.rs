@@ -22,7 +22,7 @@ use polarstar_graph::Graph;
 use polarstar_topo::fault::{FaultMask, FaultSet};
 use polarstar_topo::network::{NetworkSpec, RoutingPolicy};
 use polarstar_topo::oracle::{
-    column_next_hops_from, masked_distance_block, PathOracle, RouteError,
+    column_k_paths, column_next_hops_from, masked_distance_block, PathOracle, RouteError,
 };
 use rayon::prelude::*;
 use std::ops::{Add, Not};
@@ -74,8 +74,9 @@ impl RoutingKind {
 /// ([`column_next_hops_from`]) to that column on every read: no port is
 /// stored. A router at distance 1 reads one slot, the link to the
 /// destination, since no other neighbor can be minimal; the k-path
-/// walk ([`RouteTable::k_paths_into`]) resumes each router's scan after
-/// the child it took instead of rescanning it for every child.
+/// walk ([`RouteTable::k_paths_into`], the workspace's one
+/// [`column_k_paths`]) resumes each router's scan after the child it
+/// took instead of rescanning it for every child.
 #[derive(Clone)]
 pub struct RouteTable {
     /// The pristine router graph: port `p` of router `r` is CSR slot
@@ -439,6 +440,44 @@ impl RouteTable {
             + self.num_links() * size_of::<u32>()
             + self.mask.memory_bytes()
     }
+
+    /// The [`PathOracle::k_paths`] answer written as the walk finds it:
+    /// up to `k` minimal router paths `src → dst` in lexicographic
+    /// next-hop order, each made into a `P` straight from the walk's
+    /// router slice and appended to `paths`, which grows by what is
+    /// found, never by `k` up front. Returns the hop distance. A path
+    /// type held inline (the route service's answers) thus costs no
+    /// allocation per path, and the walk itself none below 8 hops. The
+    /// walk is [`column_k_paths`] with the table's port rule at the
+    /// arena's width as its hop source: one dispatch per walk, not one
+    /// per step.
+    ///
+    /// # Errors
+    /// As [`PathOracle::distance`]; `paths` is then untouched.
+    pub fn k_paths_into<P>(
+        &self,
+        src: u32,
+        dst: u32,
+        k: usize,
+        paths: &mut Vec<P>,
+    ) -> Result<u32, RouteError>
+    where
+        P: for<'p> From<&'p [u32]>,
+    {
+        let hops = PathOracle::distance(self, src, dst)?;
+        let g = &self.graph;
+        match &self.arena {
+            Arenas::Narrow(a) => {
+                let hop_from = |r, from| self.arena_hops(a, r, dst, from).next();
+                column_k_paths(g, src, dst, hops, k, hop_from, paths)
+            }
+            Arenas::Wide(a) => {
+                let hop_from = |r, from| self.arena_hops(a, r, dst, from).next();
+                column_k_paths(g, src, dst, hops, k, hop_from, paths)
+            }
+        }
+        Ok(hops)
+    }
 }
 
 /// The minimal next hops of one table read: the one probed hop of a
@@ -560,18 +599,11 @@ impl PathOracle for RouteTable {
         Ok(nb)
     }
 
+    /// The first path of [`RouteTable::k_paths_into`].
     fn path(&self, src: u32, dst: u32) -> Result<Vec<u32>, RouteError> {
-        let hops = PathOracle::distance(self, src, dst)? as usize;
-        let mut path = Vec::with_capacity(hops + 1);
-        path.push(src);
-        let mut cur = src;
-        while cur != dst {
-            (_, cur) = self
-                .first_hop(cur, dst)
-                .ok_or(RouteError::Unreachable { src, dst })?;
-            path.push(cur);
-        }
-        Ok(path)
+        let mut paths = Vec::with_capacity(1);
+        self.k_paths_into(src, dst, 1, &mut paths)?;
+        paths.pop().ok_or(RouteError::Unreachable { src, dst })
     }
 
     /// The walk of [`RouteTable::k_paths_into`], each path collected
@@ -580,104 +612,6 @@ impl PathOracle for RouteTable {
         let mut paths = Vec::new();
         self.k_paths_into(src, dst, k, &mut paths)?;
         Ok(paths)
-    }
-}
-
-impl RouteTable {
-    /// The [`PathOracle::k_paths`] answer written as the walk finds it:
-    /// up to `k` minimal router paths `src → dst` in lexicographic
-    /// next-hop order, each made into a `P` straight from the walk's
-    /// router slice and appended to `paths`, which grows by what is
-    /// found, never by `k` up front. Returns the hop distance. A path
-    /// type held inline (the route service's answers) thus costs no
-    /// allocation per path, and the walk itself none below 8 hops.
-    ///
-    /// # Errors
-    /// As [`PathOracle::distance`]; `paths` is then untouched.
-    pub fn k_paths_into<P>(
-        &self,
-        src: u32,
-        dst: u32,
-        k: usize,
-        paths: &mut Vec<P>,
-    ) -> Result<u32, RouteError>
-    where
-        P: for<'p> From<&'p [u32]>,
-    {
-        let hops = PathOracle::distance(self, src, dst)?;
-        if k == 0 {
-            return Ok(hops);
-        }
-        if src == dst {
-            paths.push(P::from(&[src]));
-            return Ok(hops);
-        }
-        match &self.arena {
-            Arenas::Narrow(a) => self.k_paths_in(a, src, dst, k, hops as usize, paths),
-            Arenas::Wide(a) => self.k_paths_in(a, src, dst, k, hops as usize, paths),
-        }
-        Ok(hops)
-    }
-
-    /// The walk of [`RouteTable::k_paths_into`] for a reachable pair
-    /// `src ≠ dst`, `hops` apart, over the arena at its width: one
-    /// dispatch per walk, not one per step.
-    fn k_paths_in<D: Width, P>(
-        &self,
-        arena: &Arena<D>,
-        src: u32,
-        dst: u32,
-        k: usize,
-        hops: usize,
-        paths: &mut Vec<P>,
-    ) where
-        P: for<'p> From<&'p [u32]>,
-    {
-        // Depth-first over the minimal-path DAG in port order:
-        // `routers[..=depth]` is the current prefix and `resume[i]` the
-        // CSR slot where `routers[i]`'s scan resumes, the one after the
-        // child it took last — so a router's neighbors are read once,
-        // not once per child. Every hop lowers the distance-column value
-        // the next read is judged on, so no prefix outgrows `hops + 1`
-        // routers: on the stack below 8 hops (every pristine diameter-3
-        // path, and every faulted one the PS-IQ churn masks produce),
-        // on the heap beyond.
-        const ON_STACK: usize = 8;
-        let first_slot = |r: u32| self.graph.edge_range(r).start;
-        let (mut routers_on_stack, mut resume_on_stack) = ([0; ON_STACK], [0; ON_STACK]);
-        let mut spilled = Vec::new();
-        let (routers, resume) = if hops < ON_STACK {
-            (&mut routers_on_stack[..=hops], &mut resume_on_stack[..hops])
-        } else {
-            spilled.resize(2 * hops + 1, 0);
-            spilled.split_at_mut(hops + 1)
-        };
-        (routers[0], resume[0]) = (src, first_slot(src));
-        let (mut depth, mut found) = (0, 0);
-        loop {
-            let Some((e, next)) = self
-                .arena_hops(arena, routers[depth], dst, resume[depth])
-                .next()
-            else {
-                if depth == 0 {
-                    return;
-                }
-                depth -= 1;
-                continue;
-            };
-            resume[depth] = e + 1;
-            routers[depth + 1] = next;
-            if next != dst {
-                depth += 1;
-                resume[depth] = first_slot(next);
-                continue;
-            }
-            paths.push(P::from(&routers[..depth + 2]));
-            found += 1;
-            if found == k {
-                return;
-            }
-        }
     }
 }
 

@@ -43,8 +43,10 @@
 //!   - *the column*: only if the degraded distance is `d + 2` or more
 //!     (or infinite), the query computes the destination's degraded
 //!     distance column once — by the column repair below, not a graph
-//!     sweep — and reads distance, ports and paths off it: 7–21 µs a
-//!     query on those masks, the failed slack walk included.
+//!     sweep — and reads distance and ports off it by the table's port
+//!     rule, paths by the table's own k-path walk
+//!     ([`polarstar_topo::oracle::column_k_paths`]): 7–21 µs a query on
+//!     those masks, the failed slack walk included.
 //!
 //! What is kept per query: the ≤ 5 routers of the path being extended
 //! and one survivability flag per level of the recursion — fixed stack
@@ -52,13 +54,13 @@
 //! lists a query's first walk scans are the source's and, three hops
 //! out, those of its level-2 neighbors, each exactly once (a level-1
 //! router costs one edge probe), and every scan yields survivability
-//! and paths together. The walks allocate nothing but the paths they
-//! emit: each is made from the prefix in place into the caller's path
-//! type — an inline [`crate::Path`] for the route service's answers, so
-//! there only the answer's `alternatives` vector, a `Vec` for
-//! [`PathOracle::k_paths`]. The column borrows a thread-local distance
-//! column and the repair's work lists, overwritten by the next column
-//! on that thread.
+//! and paths together. The walks — the column's too, below 8 hops —
+//! allocate nothing but the paths they emit: each is made from the
+//! prefix in place into the caller's path type — an inline
+//! [`crate::Path`] for the route service's answers, so there only the
+//! answer's `alternatives` vector, a `Vec` for [`PathOracle::k_paths`].
+//! The column borrows a thread-local distance column and the repair's
+//! work lists, overwritten by the next column on that thread.
 //!
 //! **Faulted distance columns** (the escalated query and
 //! [`PathOracle::distance_column`], which the class-batched flow build
@@ -116,7 +118,9 @@
 use polarstar::network::PolarStarNetwork;
 use polarstar_graph::Graph;
 use polarstar_topo::fault::{FaultMask, FaultSet};
-use polarstar_topo::oracle::{column_next_hops, PathOracle, RouteError};
+use polarstar_topo::oracle::{
+    column_k_paths, column_next_hops, column_next_hops_from, PathOracle, RouteError,
+};
 use polarstar_topo::star::{DistanceKernel, StarProduct};
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -393,38 +397,41 @@ impl AnalyticOracle {
             }
         }
 
-        // Two or more hops longer than pristine, or cut off.
-        let hops = walk.hops;
-        self.with_degraded_column(dst, |degraded| {
-            let distance = degraded.distance(src, dst)?;
+        // Two or more hops longer than pristine, or cut off: distance,
+        // ports and paths off the repaired column, by the table's rule
+        // and walk.
+        let (g, hops) = (self.network().graph(), walk.hops);
+        self.with_repaired_column(dst, |col| {
+            let distance = match col[src as usize] {
+                u32::MAX => return Err(unreachable),
+                d => d,
+            };
             // A finite degraded distance comes with a live edge toward
             // dst, and a live edge is a usable port.
-            let mut ports = degraded.ports(src);
+            let mut ports = column_next_hops(g, col, src, &self.mask).map(|(_, nb)| nb);
             let next_hop = ports.next().ok_or(unreachable)?;
             if let Some(out) = hops {
                 out.push(next_hop);
                 out.extend(ports);
             }
-            let paths = degraded.k_paths(src, dst, k)?;
+            let mut paths = Vec::new();
+            let hop_from = |r, from| column_next_hops_from(g, col, r, from, &self.mask).next();
+            column_k_paths(g, src, dst, distance, k, hop_from, &mut paths);
             Ok(Resolved {
                 distance,
                 next_hop,
                 regime: Regime::Escalated,
-                paths: paths.iter().map(|p| P::from(p)).collect(),
+                paths,
             })
         })
     }
 
     /// Run `f` on `dst`'s repaired distance column, computed into this
     /// thread's scratch buffers.
-    fn with_degraded_column<R>(&self, dst: u32, f: impl FnOnce(&DegradedColumn) -> R) -> R {
+    fn with_repaired_column<R>(&self, dst: u32, f: impl FnOnce(&[u32]) -> R) -> R {
         COLUMN_SCRATCH.with_borrow_mut(|scratch| {
             self.repaired_column_into(dst, &mut scratch.dist, &mut scratch.repair);
-            f(&DegradedColumn {
-                oracle: self,
-                dst,
-                dist: &scratch.dist,
-            })
+            f(&scratch.dist)
         })
     }
 
@@ -433,12 +440,14 @@ impl AnalyticOracle {
     /// distance, and the first port the column's port rule reads.
     #[cfg(debug_assertions)]
     fn debug_check_slack_walk(&self, src: u32, dst: u32, distance: u32, next_hop: u32) {
-        let want = self.with_degraded_column(dst, |degraded| {
-            (degraded.distance(src, dst), degraded.ports(src).next())
+        let g = self.network().graph();
+        let want = self.with_repaired_column(dst, |col| {
+            let port = column_next_hops(g, col, src, &self.mask).next();
+            (col[src as usize], port.map(|(_, nb)| nb))
         });
         assert_eq!(
             want,
-            (Ok(distance), Some(next_hop)),
+            (distance, Some(next_hop)),
             "slack walk {src}→{dst} against the repaired column"
         );
     }
@@ -700,44 +709,6 @@ where
             }
         }
         alive
-    }
-}
-
-/// One destination's degraded distance column, served as a
-/// [`PathOracle`] so the escalated regime reads its `k_paths` off the
-/// trait's generic walk. Answers queries toward `dst` only.
-struct DegradedColumn<'a> {
-    oracle: &'a AnalyticOracle,
-    dst: u32,
-    dist: &'a [u32],
-}
-
-impl DegradedColumn<'_> {
-    /// Live minimal ports of `v` toward `dst`, ascending: the masked
-    /// table's rule read off the column.
-    fn ports(&self, v: u32) -> impl Iterator<Item = u32> + '_ {
-        let g = self.oracle.network().graph();
-        column_next_hops(g, self.dist, v, &self.oracle.mask).map(|(_, nb)| nb)
-    }
-}
-
-impl PathOracle for DegradedColumn<'_> {
-    fn num_routers(&self) -> usize {
-        self.dist.len()
-    }
-
-    fn distance(&self, src: u32, dst: u32) -> Result<u32, RouteError> {
-        debug_assert_eq!(dst, self.dst, "column of another destination");
-        match self.dist[src as usize] {
-            u32::MAX => Err(RouteError::Unreachable { src, dst }),
-            d => Ok(d),
-        }
-    }
-
-    fn min_next_hops(&self, src: u32, dst: u32, out: &mut Vec<u32>) -> Result<(), RouteError> {
-        self.distance(src, dst)?;
-        out.extend(self.ports(src));
-        Ok(())
     }
 }
 

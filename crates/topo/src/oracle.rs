@@ -9,8 +9,9 @@
 //! *how* the answers are precomputed; [`column_next_hops`] is the one
 //! masked minimal-port rule (filtered lazily, for callers that stop at
 //! the first hop or resume a scan; [`column_next_hops_all`] drains the
-//! same rule 64 ports a word), [`masked_distance_column`] the one masked
-//! BFS, and the workspace's one block sweep,
+//! same rule 64 ports a word), [`column_k_paths`] the one k-path walk
+//! over it, [`masked_distance_column`] the one masked BFS, and the
+//! workspace's one block sweep,
 //! [`polarstar_graph::traversal::sweep_block`], fills
 //! [`masked_distance_block`] (the `u8` or `u16` rows a flat
 //! `RouteTable` holds) — all reading a compiled [`FaultMask`]. The
@@ -254,6 +255,79 @@ where
         })
 }
 
+/// The workspace's one column k-path walk: up to `k` minimal router
+/// paths `src → dst`, `hops` apart, in lexicographic next-hop order,
+/// each made into a `P` straight from the walk's router slice and
+/// appended to `paths` — `[src]` for `src == dst`, nothing for `k = 0`.
+/// `hop_from(r, from)` is the hop source: the `(CSR slot, neighbor)` of
+/// router `r`'s first minimal hop toward `dst` at or after slot `from`
+/// of `graph` ([`column_next_hops_from`]`(..).next()` over a distance
+/// column, or a table's own port rule), each hop one closer to `dst`.
+///
+/// Depth-first in port order: each router's scan resumes after the
+/// child it took last, so a query reads a router's neighbors once, not
+/// once per child. No prefix outgrows `hops + 1` routers: on the stack
+/// below 8 hops (every pristine diameter-3 path, and every faulted one
+/// the PS-IQ churn masks produce), on the heap beyond.
+///
+/// # Panics
+/// If the hop source leads a path past `hops` hops.
+#[inline]
+pub fn column_k_paths<P>(
+    graph: &Graph,
+    src: u32,
+    dst: u32,
+    hops: u32,
+    k: usize,
+    mut hop_from: impl FnMut(u32, u32) -> Option<(u32, u32)>,
+    paths: &mut Vec<P>,
+) where
+    P: for<'p> From<&'p [u32]>,
+{
+    if k == 0 {
+        return;
+    }
+    if src == dst {
+        paths.push(P::from(&[src]));
+        return;
+    }
+    // `routers[..=depth]` is the current prefix and `resume[i]` the CSR
+    // slot where `routers[i]`'s scan resumes.
+    const ON_STACK: usize = 8;
+    let hops = hops as usize;
+    let (mut routers_on_stack, mut resume_on_stack) = ([0; ON_STACK], [0; ON_STACK]);
+    let mut spilled = Vec::new();
+    let (routers, resume) = if hops < ON_STACK {
+        (&mut routers_on_stack[..=hops], &mut resume_on_stack[..hops])
+    } else {
+        spilled.resize(2 * hops + 1, 0);
+        spilled.split_at_mut(hops + 1)
+    };
+    (routers[0], resume[0]) = (src, graph.edge_range(src).start);
+    let (mut depth, mut found) = (0, 0);
+    loop {
+        let Some((e, next)) = hop_from(routers[depth], resume[depth]) else {
+            if depth == 0 {
+                return;
+            }
+            depth -= 1;
+            continue;
+        };
+        resume[depth] = e + 1;
+        routers[depth + 1] = next;
+        if next != dst {
+            depth += 1;
+            resume[depth] = graph.edge_range(next).start;
+            continue;
+        }
+        paths.push(P::from(&routers[..depth + 2]));
+        found += 1;
+        if found == k {
+            return;
+        }
+    }
+}
+
 /// [`column_next_hops`] for callers that drain every hop: each run of up
 /// to 64 of `v`'s ports is compared with `col[v] − 1` into one word
 /// without a branch per port, and the set bits that pass
@@ -427,6 +501,91 @@ mod tests {
                 }
             }
             Ok(())
+        }
+    }
+
+    /// One destination's distance column served through the two required
+    /// methods, so its walks are the provided ones.
+    struct Column<'a> {
+        graph: &'a Graph,
+        col: &'a [u32],
+        mask: &'a FaultMask,
+    }
+
+    impl PathOracle for Column<'_> {
+        fn num_routers(&self) -> usize {
+            self.col.len()
+        }
+
+        fn distance(&self, src: u32, dst: u32) -> Result<u32, RouteError> {
+            match self.col[src as usize] {
+                u32::MAX => Err(RouteError::Unreachable { src, dst }),
+                d => Ok(d),
+            }
+        }
+
+        fn min_next_hops(&self, src: u32, dst: u32, out: &mut Vec<u32>) -> Result<(), RouteError> {
+            self.distance(src, dst)?;
+            out.extend(column_next_hops(self.graph, self.col, src, self.mask).map(|(_, nb)| nb));
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn column_k_paths_walks_as_the_provided_k_paths() {
+        // Six diamonds in a row: 12 hops end to end with 2⁶ minimal
+        // paths, so the walk's prefix spills past the 8 on the stack.
+        let edges: Vec<(u32, u32)> = (0..6)
+            .flat_map(|i| {
+                let (a, b) = (3 * i, 3 * i + 3);
+                [(a, a + 1), (a, a + 2), (a + 1, b), (a + 2, b)]
+            })
+            .collect();
+        let (g, dst) = (Graph::from_edges(19, &edges), 18);
+        fn walk<D>(
+            g: &Graph,
+            col: &[D],
+            mask: &FaultMask,
+            src: u32,
+            hops: u32,
+            k: usize,
+        ) -> Vec<Vec<u32>>
+        where
+            D: Copy + Eq + Default + From<u8> + Not<Output = D> + Add<Output = D>,
+        {
+            let mut paths = Vec::new();
+            let hop_from = |r, from| column_next_hops_from(g, col, r, from, mask).next();
+            column_k_paths(g, src, 18, hops, k, hop_from, &mut paths);
+            paths
+        }
+        // Pristine, then with the one way 4 → 6 of the second diamond
+        // down: half the paths from 0 go.
+        for (dead, all_from_0) in [(&[][..], 64), (&[(4, 6)][..], 32)] {
+            let mask = FaultSet::from_directed_links(dead.iter().copied()).compile(&g);
+            let mut col = Vec::new();
+            masked_distance_column(&g, &mask, dst, &mut col);
+            let (mut narrow, mut wide) = ([0u8; 19], [0u16; 19]);
+            assert!(masked_distance_block(&g, &mask, dst, &mut narrow));
+            assert!(masked_distance_block(&g, &mask, dst, &mut wide));
+            let oracle = Column {
+                graph: &g,
+                col: &col,
+                mask: &mask,
+            };
+            assert_eq!(
+                oracle.k_paths(0, dst, usize::MAX).unwrap().len(),
+                all_from_0
+            );
+            for src in 0..19 {
+                let hops = oracle.distance(src, dst).unwrap();
+                for k in [0, 1, 2, usize::MAX] {
+                    let want = oracle.k_paths(src, dst, k).unwrap();
+                    let what = format!("{dead:?}: {src}, k = {k}");
+                    assert_eq!(walk(&g, &col, &mask, src, hops, k), want, "{what}");
+                    assert_eq!(walk(&g, &narrow, &mask, src, hops, k), want, "{what}, u8");
+                    assert_eq!(walk(&g, &wide, &mask, src, hops, k), want, "{what}, u16");
+                }
+            }
         }
     }
 

@@ -8,13 +8,14 @@
 //! * [`graph`] — CSR graphs, traversal, partitioning, random graphs;
 //! * [`topo`] — every topology construction (ER_q, IQ, Paley, star
 //!   products, Dragonfly, HyperX, Bundlefly, Spectralfly, Fat-tree, …);
-//! * [`polarstar`] — the PolarStar design space, construction, analytic
-//!   routing and layout;
+//! * [`polarstar`] — the PolarStar design space, construction and
+//!   layout;
 //! * [`netsim`] — the cycle-level network simulator;
 //! * [`motifs`] — the message-level motif simulator;
 //! * [`analysis`] — bisection and fault-tolerance studies;
 //! * [`routed`] — the path-oracle query service (batched k-path/ECMP
-//!   answers with epoch-swapped fault masking).
+//!   answers with epoch-swapped fault masking) and §9.2's table-free
+//!   analytic routing.
 
 pub use polarstar;
 pub use polarstar_analysis as analysis;
