@@ -355,6 +355,26 @@ fn fig11_quick_rows_do_not_depend_on_the_rayon_width() {
 
 #[test]
 #[cfg_attr(debug_assertions, ignore = "runs the quick sweeps; use --release")]
+fn edst_sweep_and_fault_recovery_quick_rows_do_not_depend_on_the_rayon_width() {
+    // Each builds a model per point on clones of one spec, and those
+    // models share the spec's port masks across rayon workers.
+    for exe in [
+        env!("CARGO_BIN_EXE_edst_sweep"),
+        env!("CARGO_BIN_EXE_fault_recovery"),
+    ] {
+        let narrow = run(exe, &["--quick"], Some("1"));
+        assert!(narrow.status.success(), "{exe}: {:?}", narrow.status);
+        assert!(!narrow.stdout.is_empty(), "{exe}");
+        let wide = run(exe, &["--quick"], Some("4"));
+        assert!(
+            narrow.stdout == wide.stdout,
+            "{exe} differs at rayon width 4"
+        );
+    }
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "runs the quick sweeps; use --release")]
 fn table3_and_channel_load_print_the_committed_csvs() {
     let results = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
     for (exe, file) in [

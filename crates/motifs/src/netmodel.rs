@@ -6,14 +6,11 @@
 //! serialization on every link of its path, while its head advances with
 //! per-hop router + link latency (virtual cut-through).
 
-use polarstar_graph::traversal::sweep_block;
-use polarstar_graph::Graph;
 use polarstar_topo::fault::{FaultMask, FaultSet};
 use polarstar_topo::network::NetworkSpec;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::fmt;
-use std::sync::OnceLock;
 
 /// Picoseconds.
 pub type Time = u64;
@@ -159,18 +156,23 @@ impl RoutingMode {
 /// The contention-aware network model.
 ///
 /// All hot-path state is dense and indexed by the spec graph's
-/// directed edge ids ([`Graph::edge_id`]): paths are runs of edge ids
-/// in buffers the model reuses, link reservations live in flat arrays,
-/// each hop is read off one minimal-port mask of the router it leaves
-/// — no hash maps, no allocation from `send_routers` to `reserve`.
+/// directed edge ids
+/// ([`Graph::edge_id`](polarstar_graph::Graph::edge_id)): paths are
+/// runs of edge ids in buffers the model reuses, link reservations live
+/// in flat arrays, each hop is read off one minimal-port mask of the
+/// router it leaves — no hash maps, no allocation from `send_routers` to
+/// `reserve`.
+///
+/// The model holds no routing state of its own. Its hops read the
+/// spec's [`PortMasks`](polarstar_topo::oracle::PortMasks)
+/// ([`NetworkSpec::port_masks`]): one mask per (router, destination)
+/// under the spec's static faults, swept a block of 64 destinations at a
+/// time on first use. Every model on the spec's clones shares that one
+/// set, which lives as long as the last clone — so a sweep that builds a
+/// model per point fills each block once.
+/// Faults that change over time are a [`FaultEpochs`](crate::FaultEpochs)
+/// timeline the striped collectives lay over the model.
 pub struct NetModel {
-    /// All the routing state: one minimal-port mask per (router,
-    /// destination) under the spec's static fault mask, swept a block
-    /// of 64 destinations at a time on first use — a private cache, not
-    /// a route backend: faults that change over time are a
-    /// [`FaultEpochs`](crate::FaultEpochs) timeline the striped
-    /// collectives lay over the model.
-    ports: PortMasks,
     /// The path a message will reserve and the detour being weighed
     /// against it, reused across messages.
     paths: [Vec<u32>; 2],
@@ -180,11 +182,10 @@ pub struct NetModel {
     link_busy: Vec<Time>,
     /// Messages that crossed each directed edge id.
     link_msgs: Vec<u64>,
-    /// Routing runs on `spec.graph` (pristine) under `mask`, so
-    /// directed edge ids are the pristine CSR slots.
+    /// Routing runs on `spec.graph` (pristine) under the spec's port
+    /// masks and their compiled static faults, so directed edge ids are
+    /// the pristine CSR slots.
     spec: NetworkSpec,
-    /// `spec.faults()` compiled against `spec.graph`, once.
-    mask: FaultMask,
     cfg: MotifConfig,
     rng: ChaCha8Rng,
 }
@@ -216,17 +217,20 @@ pub struct LinkHotEntry {
 }
 
 impl NetModel {
-    /// Build a model over a network.
-    pub fn new(spec: NetworkSpec, cfg: MotifConfig) -> Self {
+    /// Build a model over a network. It routes on the spec's port masks,
+    /// shared with every clone of the spec, after one O(E) check that
+    /// they were swept on `spec.graph`
+    /// ([`NetworkSpec::checked_port_masks`]): a clone whose graph was
+    /// replaced gets masks of its own.
+    pub fn new(mut spec: NetworkSpec, cfg: MotifConfig) -> Self {
+        spec.checked_port_masks();
         let rng = ChaCha8Rng::seed_from_u64(cfg.seed);
         let edges = spec.graph.directed_edge_count();
         NetModel {
-            ports: PortMasks::new(&spec.graph),
             paths: Default::default(),
             free_at: vec![0; edges],
             link_busy: vec![0; edges],
             link_msgs: vec![0; edges],
-            mask: spec.faults().compile(&spec.graph),
             spec,
             cfg,
             rng,
@@ -240,8 +244,9 @@ impl NetModel {
 
     /// Back to the idle network [`NetModel::new`] built — reservations
     /// and load accounting cleared, the path RNG reseeded — so what
-    /// follows repeats on a fresh model. Port masks stay: their fault
-    /// mask does.
+    /// follows repeats on a fresh model. Port masks stay: they belong to
+    /// the spec, shared by every model on its clones until the last clone
+    /// goes, and their fault mask does not change.
     pub fn reset(&mut self) {
         self.free_at.fill(0);
         self.link_busy.fill(0);
@@ -250,13 +255,19 @@ impl NetModel {
     }
 
     /// Bytes of port masks swept so far — all the routing state the
-    /// model holds: `⌈max degree / 8⌉ · 64 · n` per swept block, so
+    /// model reads: `⌈max degree / 8⌉ · 64 · n` per swept block, so
     /// `⌈max degree / 8⌉ · 64 · n · ⌈n/64⌉` once every router has been a
     /// destination — `8 · directed links · ⌈n/64⌉` on a degree-32
-    /// regular network.
+    /// regular network. The masks are the spec's, shared by every model
+    /// on its clones and kept until the last clone goes, so the count
+    /// includes blocks other models swept.
     pub fn port_mask_bytes(&self) -> usize {
-        let swept = self.ports.blocks.iter().filter_map(OnceLock::get);
-        swept.map(|block| block.len()).sum()
+        self.spec.port_masks().swept_bytes()
+    }
+
+    /// The spec's static faults, compiled against its graph.
+    fn mask(&self) -> &FaultMask {
+        self.spec.port_masks().faults()
     }
 
     /// The static fault mask routing applies (the spec's).
@@ -352,19 +363,17 @@ impl NetModel {
     /// reaches `ROUTER_LIMIT`. Not a method, so `ecmp_into` can lend
     /// `self.rng`.
     fn walk(
-        ports: &PortMasks,
-        graph: &Graph,
-        mask: &FaultMask,
+        spec: &NetworkSpec,
         (src, dst): (u32, u32),
         mut pick: impl FnMut(usize) -> usize,
         path: &mut Vec<u32>,
     ) -> bool {
+        let (graph, ports) = (&spec.graph, spec.port_masks());
         let n = graph.n();
         if src.max(dst) as usize >= n || n >= ROUTER_LIMIT {
             return false;
         }
-        let (block, width) = (ports.block(graph, mask, dst & !63), ports.width);
-        let row = &block[(dst & 63) as usize * n * width..][..n * width];
+        let (row, width) = (ports.destination(dst), ports.width());
         let mut cur = src;
         while cur != dst {
             let minimal = &row[cur as usize * width..][..width];
@@ -382,17 +391,17 @@ impl NetModel {
 
     /// [`NetModel::walk`] drawing every choice uniformly from `self.rng`.
     fn ecmp_into(&mut self, src: u32, dst: u32, path: &mut Vec<u32>) -> bool {
-        let (rng, graph) = (&mut self.rng, &self.spec.graph);
+        let rng = &mut self.rng;
         let pick = |k| rng.gen_range(0..k);
-        Self::walk(&self.ports, graph, &self.mask, (src, dst), pick, path)
+        Self::walk(&self.spec, (src, dst), pick, path)
     }
 
     /// The deterministic minimal router path `src → dst` (first ECMP
     /// choice at every hop) as directed edge ids; see
     /// [`NetModel::ecmp_path`] for `None`.
     pub fn min_path(&self, src: u32, dst: u32) -> Option<Vec<u32>> {
-        let (graph, mut path) = (&self.spec.graph, Vec::new());
-        let found = Self::walk(&self.ports, graph, &self.mask, (src, dst), |_| 0, &mut path);
+        let mut path = Vec::new();
+        let found = Self::walk(&self.spec, (src, dst), |_| 0, &mut path);
         found.then_some(path)
     }
 
@@ -467,7 +476,7 @@ impl NetModel {
             let reason = format!("{n} routers, routing needs fewer than {ROUTER_LIMIT}");
             return Err(MotifError::InvalidConfig { reason });
         }
-        if self.mask.router_dead(src) || self.mask.router_dead(dst) {
+        if self.mask().router_dead(src) || self.mask().router_dead(dst) {
             return Err(disconnected);
         }
         if src == dst {
@@ -533,15 +542,16 @@ impl NetModel {
         };
         self.check_routers(u, v)?;
         match self.spec.graph.edge_id(u, v) {
-            Some(e) if !self.mask.edge_dead(e) => Ok(self.send_slot(e, bytes, start)),
+            Some(e) if !self.mask().edge_dead(e) => Ok(self.send_slot(e, bytes, start)),
             _ => Err(disconnected),
         }
     }
 
-    /// Reserve CSR slot `e` ([`Graph::edge_id`]) for `bytes` at `start`
-    /// and return the delivery time: [`NetModel::send_link`] past its
-    /// checks, for a caller that resolved the slot and its liveness
-    /// itself.
+    /// Reserve CSR slot `e`
+    /// ([`Graph::edge_id`](polarstar_graph::Graph::edge_id)) for `bytes`
+    /// at `start` and return the delivery time: [`NetModel::send_link`]
+    /// past its checks, for a caller that resolved the slot and its
+    /// liveness itself.
     pub(crate) fn send_slot(&mut self, e: u32, bytes: u64, start: Time) -> Time {
         self.reserve(&[e], self.cost(bytes), start)
     }
@@ -591,61 +601,6 @@ struct SendCost {
     serial: Time,
 }
 
-/// The routing state of a [`NetModel`]: per block of 64 consecutive
-/// destinations, one `width`-byte mask per (destination, router), the
-/// block's `64 · n` masks destination-major — the mask of (`v`, `64·b +
-/// i`) starts at byte `(i·n + v) · width` of block `b`. Bit `p` of it
-/// (byte `p / 8`, bit `p % 8`) says "port `p` of `v`, CSR slot
-/// `edge_range(v).start + p`, is a minimal next hop toward `64·b + i`"
-/// under the model's static fault mask — `column_next_hops` over
-/// `masked_distance_column` (`topo::oracle`), for 64 destinations in one
-/// sweep. `OnceLock` so [`NetModel::min_path`] can populate a block
-/// through `&self`.
-struct PortMasks {
-    /// Bytes of one mask: ⌈max degree / 8⌉.
-    width: usize,
-    blocks: Vec<OnceLock<Box<[u8]>>>,
-}
-
-impl PortMasks {
-    fn new(graph: &Graph) -> Self {
-        let blocks = graph.n().div_ceil(64);
-        PortMasks {
-            width: graph.max_degree().div_ceil(8),
-            blocks: (0..blocks).map(|_| OnceLock::new()).collect(),
-        }
-    }
-
-    /// The masks toward destinations `first ..` (`first` a multiple of
-    /// 64), filled on first use by one [`sweep_block`] over the cables
-    /// `mask` leaves: when `v` is first reached by the destination bits
-    /// `fresh`, each live port `p` to `u` takes bit `p` for `fresh & prev[u]`.
-    fn block(&self, graph: &Graph, mask: &FaultMask, first: u32) -> &[u8] {
-        self.blocks[first as usize / 64].get_or_init(|| {
-            let (width, row) = (self.width, graph.n() * self.width);
-            let mut masks = vec![0u8; 64 * row];
-            let dsts: Vec<u32> = (first..graph.n() as u32).take(64).collect();
-            let live = |_, e, _| !mask.edge_dead(e);
-            sweep_block(graph, &dsts, &[], u32::MAX, live, |_, v, fresh, prev| {
-                let slots = graph.edge_range(v).zip(graph.neighbors(v));
-                for (p, (e, &u)) in slots.enumerate() {
-                    let mut hops = fresh & prev[u as usize];
-                    if hops == 0 || mask.link_dead(e) {
-                        continue;
-                    }
-                    // Port p's byte in v's mask of the block's first row.
-                    let (port, bit) = (&mut masks[v as usize * width + p / 8..], 1 << (p % 8));
-                    while hops != 0 {
-                        port[hops.trailing_zeros() as usize * row] |= bit;
-                        hops &= hops - 1;
-                    }
-                }
-            });
-            masks.into_boxed_slice()
-        })
-    }
-}
-
 /// A mask as 64-port words: bit `p` of word `c` is port `64·c + p`.
 fn port_words(mask: &[u8]) -> impl Iterator<Item = u64> + '_ {
     let word = |bytes: &[u8]| bytes.iter().rev().fold(0, |w, &b| w << 8 | u64::from(b));
@@ -691,8 +646,6 @@ impl NetModel {
 mod tests {
     use super::*;
     use polarstar_graph::Graph;
-    use polarstar_topo::oracle::{column_next_hops, masked_distance_column};
-    use proptest::prelude::*;
 
     fn model() -> NetModel {
         let spec = NetworkSpec::uniform("path4", Graph::path(4), 1);
@@ -1091,77 +1044,5 @@ mod tests {
         let m = model();
         // 4000 bytes at 4 B/ns = 1000 ns serialization + 100 ns overhead.
         assert_eq!(m.sender_busy(4000), ns(1100.0));
-    }
-
-    /// Whether bit `p` of a mask is set.
-    fn has_port(mask: &[u8], p: usize) -> bool {
-        mask[p / 8] >> (p % 8) & 1 != 0
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-
-        #[test]
-        fn port_masks_are_the_scalar_port_rule(
-            size in 0usize..5,
-            density in 1usize..5,
-            cut in 0u32..40,
-            seed in 0u64..10_000,
-        ) {
-            // Block boundaries on either side of one word of
-            // destinations, and a single router; a hub cabled to every
-            // even router has more ports than a word has bits (masks of
-            // 9 bytes and more) once n = 150.
-            let n = [1usize, 63, 64, 65, 150][size];
-            let nn = n as u32;
-            let hub = seed as u32 % nn;
-            let random = polarstar_graph::random::gnm(n, (n * density / 2).min(n * (n - 1) / 2), seed);
-            let mut edges: Vec<(u32, u32)> = random.edges().collect();
-            edges.extend((0..nn).step_by(2).filter(|&v| v != hub).map(|v| (hub, v)));
-            let g = Graph::from_edges(n, &edges);
-            prop_assert!(n < 150 || g.degree(hub) > 64);
-            let cables = FaultSet::random_links(&g, cut as f64 / 100.0, seed);
-            let one_way = FaultSet::from_directed_links(
-                g.edges().filter(|&(u, v)| (u ^ v ^ seed as u32).is_multiple_of(5)).map(|(u, v)| (v, u)),
-            );
-            let dead = FaultSet::from_routers([(seed as u32 / 7) % nn]);
-            for faults in [
-                FaultSet::empty(),
-                cables.clone(),
-                one_way.union(&dead),
-                cables.union(&one_way).union(&dead),
-            ] {
-                let mask = faults.compile(&g);
-                let ports = PortMasks::new(&g);
-                let (width, row) = (ports.width, n * ports.width);
-                let blocks: Vec<&[u8]> = (0..nn.div_ceil(64)).map(|b| ports.block(&g, &mask, b * 64)).collect();
-                for (b, masks) in blocks.iter().enumerate() {
-                    prop_assert_eq!(masks.len(), 64 * row);
-                    for i in 0..64 {
-                        let masks = &masks[i * row..][..row];
-                        if 64 * b + i >= n {
-                            prop_assert!(masks.iter().all(|&m| m == 0), "row {} of block {}", i, b);
-                            continue;
-                        }
-                        for v in 0..nn {
-                            let m = &masks[v as usize * width..][..width];
-                            let past = (g.degree(v)..8 * width).find(|&p| has_port(m, p));
-                            prop_assert_eq!(past, None, "{} → {} of {}", v, 64 * b + i, n);
-                        }
-                    }
-                }
-                let mut col = Vec::new();
-                for dst in 0..nn {
-                    masked_distance_column(&g, &mask, dst, &mut col);
-                    let masks = &blocks[dst as usize / 64][(dst as usize % 64) * row..][..row];
-                    for v in 0..nn {
-                        let scalar: Vec<u32> = column_next_hops(&g, &col, v, &mask).map(|(e, _)| e).collect();
-                        let (m, start) = (&masks[v as usize * width..][..width], g.edge_range(v).start);
-                        let bits: Vec<u32> = (0..g.degree(v)).filter(|&p| has_port(m, p)).map(|p| start + p as u32).collect();
-                        prop_assert_eq!(bits, scalar, "{} → {} of {}", v, dst, n);
-                    }
-                }
-            }
-        }
     }
 }

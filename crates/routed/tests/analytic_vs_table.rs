@@ -236,8 +236,8 @@ proptest! {
 #[test]
 fn unbounded_k_on_an_escalated_pair_lists_every_minimal_path() {
     // `k = u32::MAX` means "all of them": the escalated regime reads its
-    // paths off the trait's provided walk, which must size its output by
-    // what it finds rather than by `k`.
+    // paths off `topo::oracle::column_k_paths` over the repaired column,
+    // which must size its output by what it finds rather than by `k`.
     let net = PolarStarNetwork::build(best_config(9).unwrap(), 1).unwrap();
     let g = net.spec.graph.clone();
     let (src, dst) = (0, g.neighbors(0)[0]);

@@ -3,8 +3,9 @@
 
 use crate::error::TopoError;
 use crate::fault::FaultSet;
+use crate::oracle::PortMasks;
 use polarstar_graph::Graph;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// How minimal routing tables should be built for a topology — carried on
 /// the spec so consumers (the cycle simulator, figure binaries) no longer
@@ -39,10 +40,19 @@ impl RoutingPolicy {
 ///   total). Used by hierarchical traffic patterns (bit shuffle locality,
 ///   adversarial supernode-pair traffic of §9.6).
 ///
-/// Endpoint-id lookups cache the prefix-sum offsets (and whether every
-/// router carries the same count) on first use; mutate `endpoints` only
-/// before the first call to [`NetworkSpec::endpoint_router`] /
-/// [`NetworkSpec::endpoint_offsets`].
+/// Two pieces of derived state are built on first use:
+///
+/// * the endpoint index — the prefix-sum offsets and whether every
+///   router carries the same count — which a clone rebuilds; mutate
+///   `endpoints` only before the first call to
+///   [`NetworkSpec::endpoint_router`] / [`NetworkSpec::endpoint_offsets`];
+/// * the minimal-port masks ([`NetworkSpec::port_masks`]), which clones
+///   share behind one `Arc`, so every clone's consumers fill one set,
+///   and which [`NetworkSpec::with_faults`] starts afresh. They are swept
+///   on the graph of whichever clone asked first; since `graph` is a
+///   public field, a holder that may have replaced it reads them through
+///   [`NetworkSpec::checked_port_masks`], whose O(E) comparison with
+///   `graph` gives a clone with a different graph masks of its own.
 #[derive(Debug)]
 pub struct NetworkSpec {
     /// Short display name, e.g. `"PS-IQ"`.
@@ -62,6 +72,8 @@ pub struct NetworkSpec {
     faults: FaultSet,
     /// Lazily-built endpoint lookup.
     ep_index: OnceLock<EndpointIndex>,
+    /// Minimal-port masks under `faults`, shared with every clone.
+    port_masks: Arc<OnceLock<PortMasks>>,
 }
 
 /// What [`NetworkSpec::endpoint_router`] reads, built once from
@@ -84,8 +96,10 @@ impl Clone for NetworkSpec {
             group: self.group.clone(),
             routing_policy: self.routing_policy,
             faults: self.faults.clone(),
-            // The clone recomputes its offsets on first use.
+            // The clone recomputes its offsets on first use...
             ep_index: OnceLock::new(),
+            // ...and shares the masks.
+            port_masks: Arc::clone(&self.port_masks),
         }
     }
 }
@@ -106,6 +120,7 @@ impl NetworkSpec {
             routing_policy: RoutingPolicy::FlatMinimal,
             faults: FaultSet::empty(),
             ep_index: OnceLock::new(),
+            port_masks: Arc::default(),
         }
     }
 
@@ -129,14 +144,38 @@ impl NetworkSpec {
 
     /// Apply a fault mask (builder style). Replaces any previous mask;
     /// compose masks with [`FaultSet::union`] first if both should apply.
+    /// The spec starts a fresh set of port masks, which its clones from
+    /// here on share.
     pub fn with_faults(mut self, faults: FaultSet) -> Self {
         self.faults = faults;
+        self.port_masks = Arc::default();
         self
     }
 
     /// The fault mask this network carries (empty for a pristine spec).
     pub fn faults(&self) -> &FaultSet {
         &self.faults
+    }
+
+    /// The minimal-port masks of this network under its faults, created
+    /// on the first call (each block swept when first read) and shared
+    /// with every clone: they live as long as the last clone does.
+    /// They were swept on the graph of the clone that asked first — see
+    /// [`NetworkSpec::checked_port_masks`] if `graph` may have been
+    /// replaced since.
+    pub fn port_masks(&self) -> &PortMasks {
+        self.port_masks
+            .get_or_init(|| PortMasks::new(self.graph.clone(), self.faults.compile(&self.graph)))
+    }
+
+    /// [`NetworkSpec::port_masks`] after one O(E) check that they were
+    /// swept on `graph`: a clone whose `graph` was replaced stops sharing
+    /// and starts masks of its own.
+    pub fn checked_port_masks(&mut self) -> &PortMasks {
+        if !self.port_masks().routes(&self.graph) {
+            self.port_masks = Arc::default();
+        }
+        self.port_masks()
     }
 
     /// Whether this network carries any faults.
@@ -325,6 +364,24 @@ mod tests {
         let mut t = s.clone();
         t.endpoints = vec![0, 0, 2];
         assert_eq!(t.endpoint_router(0), (2, 0));
+    }
+
+    #[test]
+    fn clones_share_port_masks_until_faults_or_a_graph_change() {
+        let s = NetworkSpec::uniform("c70", Graph::cycle(70), 1);
+        let t = s.clone();
+        t.port_masks().destination(0); // one block through the clone
+        let block = 64 * 70; // one byte a mask at degree 2
+        assert_eq!(s.port_masks().swept_bytes(), block);
+        let f = s.clone().with_faults(FaultSet::from_links([(0, 1)]));
+        assert_eq!(f.port_masks().swept_bytes(), 0);
+        let mut g = s.clone();
+        g.graph = Graph::path(70);
+        assert!(!g.port_masks().routes(&g.graph));
+        g.checked_port_masks();
+        assert!(g.port_masks().routes(&g.graph));
+        assert_eq!(g.port_masks().swept_bytes(), 0);
+        assert_eq!(t.port_masks().swept_bytes(), block);
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //! workspace's one block sweep,
 //! [`polarstar_graph::traversal::sweep_block`], fills
 //! [`masked_distance_block`] (the `u8` or `u16` rows a flat
-//! `RouteTable` holds) — all reading a compiled [`FaultMask`]. The
-//! motif model runs the same sweep to fill its per-router port masks,
-//! that rule for 64 destinations at once.
+//! `RouteTable` holds) — all reading a compiled [`FaultMask`]. The same
+//! sweep fills [`PortMasks`], that rule for 64 destinations at once,
+//! which a `NetworkSpec` holds for the motif model.
 //!
 //! Unreachable pairs answer with a typed [`RouteError::Unreachable`]
 //! instead of an empty port slice — callers can no longer mistake a
@@ -27,6 +27,7 @@ use polarstar_graph::traversal::sweep_block;
 use polarstar_graph::Graph;
 use std::fmt;
 use std::ops::{Add, Not, Sub};
+use std::sync::OnceLock;
 
 /// Why a routing query could not be answered.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -445,6 +446,119 @@ where
     })
 }
 
+/// The minimal-port masks of a graph under a compiled [`FaultMask`]: per
+/// block of 64 consecutive destinations, one `width`-byte mask per
+/// (destination, router), the block's `64 · n` masks destination-major —
+/// the mask of (`v`, `64·b + i`) starts at byte `(i·n + v) · width` of
+/// block `b`. Bit `p` of it (byte `p / 8`, bit `p % 8`) says "port `p` of
+/// `v`, CSR slot `edge_range(v).start + p`, is a minimal next hop toward
+/// `64·b + i`" — [`column_next_hops`] over [`masked_distance_column`],
+/// for 64 destinations in one sweep. A block is filled on first use,
+/// through a `OnceLock`, so readers on several threads share one fill.
+///
+/// A [`NetworkSpec`](crate::NetworkSpec) holds one set for its graph and
+/// faults, shared by its clones ([`NetworkSpec::port_masks`](crate::NetworkSpec::port_masks)).
+pub struct PortMasks {
+    /// The graph the masks were swept on: their ports are its CSR slots.
+    graph: Graph,
+    /// The static faults the masks route around.
+    mask: FaultMask,
+    /// Bytes of one mask: ⌈max degree / 8⌉.
+    width: usize,
+    blocks: Vec<OnceLock<Box<[u8]>>>,
+}
+
+impl PortMasks {
+    /// No block swept yet.
+    pub(crate) fn new(graph: Graph, mask: FaultMask) -> Self {
+        PortMasks {
+            width: graph.max_degree().div_ceil(8),
+            blocks: (0..graph.n().div_ceil(64))
+                .map(|_| OnceLock::new())
+                .collect(),
+            graph,
+            mask,
+        }
+    }
+
+    /// Whether these masks were swept on `graph`: equal CSR, not only
+    /// equal counts. O(E).
+    pub(crate) fn routes(&self, graph: &Graph) -> bool {
+        self.graph == *graph
+    }
+
+    /// The static fault mask the masks route around.
+    pub fn faults(&self) -> &FaultMask {
+        &self.mask
+    }
+
+    /// Bytes of one mask: ⌈max degree / 8⌉.
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// The `n` masks toward `dst`, `width` bytes each, router-major: the
+    /// mask of router `v` is bytes `v · width ..` of the slice. Sweeps
+    /// `dst`'s block on first use. An id past the last router but inside
+    /// its block reads masks with no bit set.
+    ///
+    /// # Panics
+    /// If `dst` lies past the last router's block.
+    pub fn destination(&self, dst: u32) -> &[u8] {
+        let row = self.graph.n() * self.width;
+        &self.block(dst & !63)[(dst & 63) as usize * row..][..row]
+    }
+
+    /// Bytes of the blocks swept so far: `width · 64 · n` each, so
+    /// `width · 64 · n · ⌈n/64⌉` once every router has been a
+    /// destination.
+    pub fn swept_bytes(&self) -> usize {
+        let swept = self.blocks.iter().filter_map(OnceLock::get);
+        swept.map(|block| block.len()).sum()
+    }
+
+    /// The masks toward destinations `first ..` (`first` a multiple of
+    /// 64), filled on first use by one [`sweep_block`] over the cables
+    /// the fault mask leaves: when `v` is first reached by the
+    /// destination bits `fresh`, each live port `p` to `u` takes bit `p`
+    /// for `fresh & prev[u]`.
+    fn block(&self, first: u32) -> &[u8] {
+        self.blocks[first as usize / 64].get_or_init(|| {
+            let (graph, mask) = (&self.graph, &self.mask);
+            let (width, row) = (self.width, graph.n() * self.width);
+            let mut masks = vec![0u8; 64 * row];
+            let dsts: Vec<u32> = (first..graph.n() as u32).take(64).collect();
+            let live = |_, e, _| !mask.edge_dead(e);
+            sweep_block(graph, &dsts, &[], u32::MAX, live, |_, v, fresh, prev| {
+                let slots = graph.edge_range(v).zip(graph.neighbors(v));
+                for (p, (e, &u)) in slots.enumerate() {
+                    let mut hops = fresh & prev[u as usize];
+                    if hops == 0 || mask.link_dead(e) {
+                        continue;
+                    }
+                    // Port p's byte in v's mask of the block's first row.
+                    let (port, bit) = (&mut masks[v as usize * width + p / 8..], 1 << (p % 8));
+                    while hops != 0 {
+                        port[hops.trailing_zeros() as usize * row] |= bit;
+                        hops &= hops - 1;
+                    }
+                }
+            });
+            masks.into_boxed_slice()
+        })
+    }
+}
+
+impl fmt::Debug for PortMasks {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PortMasks")
+            .field("routers", &self.graph.n())
+            .field("width", &self.width)
+            .field("swept_bytes", &self.swept_bytes())
+            .finish()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -704,6 +818,79 @@ mod tests {
                     let lazy: Vec<_> = column_next_hops(&g, &narrow, v, &mask).collect();
                     proptest::prop_assert_eq!(&lazy, &column_next_hops_all(&g, &narrow, v, &mask).collect::<Vec<_>>());
                 }
+            }
+        }
+    }
+
+    /// Whether bit `p` of a mask is set.
+    fn has_port(mask: &[u8], p: usize) -> bool {
+        mask[p / 8] >> (p % 8) & 1 != 0
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn port_masks_are_the_scalar_port_rule(
+            size in 0usize..5,
+            density in 1usize..5,
+            cut in 0u32..40,
+            seed in 0u64..10_000,
+        ) {
+            // Block boundaries on either side of one word of
+            // destinations, and a single router; a hub cabled to every
+            // even router has more ports than a word has bits (masks of
+            // 9 bytes and more) once n = 150.
+            let n = [1usize, 63, 64, 65, 150][size];
+            let nn = n as u32;
+            let hub = seed as u32 % nn;
+            let random = polarstar_graph::random::gnm(n, (n * density / 2).min(n * (n - 1) / 2), seed);
+            let mut edges: Vec<(u32, u32)> = random.edges().collect();
+            edges.extend((0..nn).step_by(2).filter(|&v| v != hub).map(|v| (hub, v)));
+            let g = Graph::from_edges(n, &edges);
+            proptest::prop_assert!(n < 150 || g.degree(hub) > 64);
+            let cables = FaultSet::random_links(&g, cut as f64 / 100.0, seed);
+            let one_way = FaultSet::from_directed_links(
+                g.edges().filter(|&(u, v)| (u ^ v ^ seed as u32).is_multiple_of(5)).map(|(u, v)| (v, u)),
+            );
+            let dead = FaultSet::from_routers([(seed as u32 / 7) % nn]);
+            for faults in [
+                FaultSet::empty(),
+                cables.clone(),
+                one_way.union(&dead),
+                cables.union(&one_way).union(&dead),
+            ] {
+                let mask = faults.compile(&g);
+                let ports = PortMasks::new(g.clone(), mask.clone());
+                let (width, row) = (ports.width(), n * ports.width());
+                let blocks: Vec<&[u8]> = (0..nn.div_ceil(64)).map(|b| ports.block(b * 64)).collect();
+                for (b, masks) in blocks.iter().enumerate() {
+                    proptest::prop_assert_eq!(masks.len(), 64 * row);
+                    for i in 0..64 {
+                        let masks = &masks[i * row..][..row];
+                        if 64 * b + i >= n {
+                            proptest::prop_assert!(masks.iter().all(|&m| m == 0), "row {} of block {}", i, b);
+                            continue;
+                        }
+                        for v in 0..nn {
+                            let m = &masks[v as usize * width..][..width];
+                            let past = (g.degree(v)..8 * width).find(|&p| has_port(m, p));
+                            proptest::prop_assert_eq!(past, None, "{} → {} of {}", v, 64 * b + i, n);
+                        }
+                    }
+                }
+                let mut col = Vec::new();
+                for dst in 0..nn {
+                    masked_distance_column(&g, &mask, dst, &mut col);
+                    let masks = ports.destination(dst);
+                    for v in 0..nn {
+                        let scalar: Vec<u32> = column_next_hops(&g, &col, v, &mask).map(|(e, _)| e).collect();
+                        let (m, start) = (&masks[v as usize * width..][..width], g.edge_range(v).start);
+                        let bits: Vec<u32> = (0..g.degree(v)).filter(|&p| has_port(m, p)).map(|p| start + p as u32).collect();
+                        proptest::prop_assert_eq!(bits, scalar, "{} → {} of {}", v, dst, n);
+                    }
+                }
+                proptest::prop_assert_eq!(ports.swept_bytes(), blocks.len() * 64 * row);
             }
         }
     }
