@@ -14,12 +14,18 @@
 //! * **pristine** (no faults): the distance is one
 //!   [`DistanceKernel::distance`] probe, allocation-free; the minimal
 //!   next hops of a router `r` hops out are its neighbors within `r − 1`
-//!   hops, one [`DistanceKernel::within`] probe each (a neighbor sits
-//!   `r − 1`, `r` or `r + 1` out), so two hops out the walk asks only
-//!   adjacency and runs the 2-hop templates only three out. The ≤ 3 levels of that
-//!   *pristine-minimal DAG* are walked depth-first, in ascending port
-//!   order, only as deep and as wide as the query asks (first hop, all
-//!   first hops, or `k` paths). About 1 µs a `k = 4` query on PS-IQ.
+//!   hops of `dst` (a neighbor sits `r − 1`, `r` or `r + 1` out). Every
+//!   such probe names the same `dst`, so the query marks `dst` and its
+//!   neighbors once in a thread-local bit set: two hops out a probe is
+//!   one bit test, and three hops out it is a scan of the neighbor's
+//!   own list for a marked router — where its degree is at most
+//!   `SCAN_MAX_DEGREE` (24); past that, the scan costs more than the
+//!   kernel's 2-hop templates ([`DistanceKernel::within`]), which answer
+//!   instead. The ≤ 3 levels of that *pristine-minimal DAG* are walked
+//!   depth-first, in ascending port order, only as deep and as wide as
+//!   the query asks (first hop, all first hops, or `k` paths). About
+//!   0.5–0.6 µs a `k = 4` route-service query on PS-IQ, 1.4–1.5 µs at
+//!   radix 32 and 4.3–6.3 µs at radix 64 (one core of a 2-core host).
 //! * **faulted, minimal DAG intact**: the same single walk, with every
 //!   edge tested against the mask. A router keeps its pristine distance
 //!   iff an undirected-live edge leads to a neighbor that keeps its
@@ -50,11 +56,15 @@
 //!
 //! What is kept per query: the ≤ 5 routers of the path being extended
 //! and one survivability flag per level of the recursion — fixed stack
-//! state. Nothing more is needed for a single pass: the only neighbor
+//! state — plus the marks on `dst` and its neighbors, set after the
+//! query's early returns and cleared on every exit, O(degree) each way.
+//! Nothing more is needed for a single pass: the only neighbor
 //! lists a query's first walk scans are the source's and, three hops
 //! out, those of its level-2 neighbors, each exactly once (a level-1
 //! router costs one edge probe), and every scan yields survivability
-//! and paths together. The walks — the column's too, below 8 hops —
+//! and paths together; at degree ≤ 24 the probes three hops out also
+//! read the lists of the source's neighbors, up to the first marked
+//! router. The walks — the column's too, below 8 hops —
 //! allocate nothing but the paths they emit: each is made from the
 //! prefix in place into the caller's path type — an inline
 //! [`crate::Path`] for the route service's answers, so there only the
@@ -122,7 +132,7 @@ use polarstar_topo::oracle::{
     column_k_paths, column_next_hops, column_next_hops_from, PathOracle, RouteError,
 };
 use polarstar_topo::star::{DistanceKernel, StarProduct};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 
 /// A table-free [`PathOracle`] over a PolarStar network: §9.2 analytic
@@ -206,6 +216,73 @@ struct ColumnScratch {
 
 thread_local! {
     static COLUMN_SCRATCH: RefCell<ColumnScratch> = RefCell::default();
+    /// One bit per router id, all clear between queries: the bits of
+    /// [`NearDst`], taken out for the length of one query's walks.
+    static DST_MARKS: Cell<Vec<u64>> = const { Cell::new(Vec::new()) };
+}
+
+/// Largest neighbor count at which a walk answers "within 2 hops of
+/// `dst`" by scanning the probed router's neighbor list against
+/// [`NearDst`]'s bits rather than by the kernel's 2-hop templates. The
+/// scan is one bit test per neighbor up to the first hit, but each list
+/// is a fresh cache line or more, while the templates read factor rows
+/// that stay cached. Per `k = 4` query with every probe forced one way,
+/// the scan is 8–28 % faster at radix 15, level with the templates at
+/// radix 20–28, 1–4 % slower at radix 32 and 2.2–2.7× slower at radix 64
+/// (EXPERIMENTS.md, "Route serving").
+const SCAN_MAX_DEGREE: usize = 24;
+
+/// A query's destination and its pristine neighbors, marked in this
+/// thread's [`DST_MARKS`] while its walks run: every "within 1 hop of
+/// `dst`" probe of the walks is a bit test, and a "within 2 hops" probe
+/// can be a scan of the probed router's neighbor list. Marking and clearing cost
+/// O(deg(dst)) a query; the bits are never zeroed in bulk, so they stay
+/// cheap at any network size. Dropping clears the marks and hands the
+/// bits back, unwinding included, so no query sees another's marks.
+struct NearDst<'g> {
+    g: &'g Graph,
+    dst: u32,
+    bits: Vec<u64>,
+}
+
+impl<'g> NearDst<'g> {
+    fn mark(g: &'g Graph, dst: u32) -> Self {
+        let mut bits = DST_MARKS.take();
+        let words = g.n().div_ceil(64);
+        if bits.len() < words {
+            bits.resize(words, 0);
+        }
+        for &v in g.neighbors(dst).iter().chain([&dst]) {
+            bits[v as usize / 64] |= 1 << (v % 64);
+        }
+        NearDst { g, dst, bits }
+    }
+
+    /// Whether `v` is `dst` or one of its neighbors.
+    #[inline]
+    fn marked(&self, v: u32) -> bool {
+        self.bits[v as usize / 64] >> (v % 64) & 1 != 0
+    }
+
+    /// Whether `v` is within 2 hops of `dst`: marked itself, or next to
+    /// a marked router.
+    #[inline]
+    fn within_two(&self, v: u32) -> bool {
+        self.marked(v) || self.g.neighbors(v).iter().any(|&w| self.marked(w))
+    }
+}
+
+impl Drop for NearDst<'_> {
+    fn drop(&mut self) {
+        let dst = self.dst;
+        for &v in self.g.neighbors(dst).iter().chain([&dst]) {
+            self.bits[v as usize / 64] = 0;
+        }
+        let bits = std::mem::take(&mut self.bits);
+        // Only fails while the thread's locals are torn down, and then
+        // the bits are dropped, not kept.
+        let _ = DST_MARKS.try_with(|marks| marks.set(bits));
+    }
 }
 
 /// Set on a suspect's pristine level while it waits in
@@ -369,10 +446,11 @@ impl AnalyticOracle {
 
         let view = self.net.view();
         let pristine = self.kernel.distance(&view, src, dst);
+        let near = NearDst::mark(self.network().graph(), dst);
         let mut walk = DagWalk {
             oracle: self,
             view,
-            dst,
+            near: &near,
             prefix: [src; 5],
             first_hop: None,
             hops,
@@ -602,7 +680,8 @@ struct DagWalk<'a, P> {
     oracle: &'a AnalyticOracle,
     /// The network's star product, which every kernel probe reads.
     view: StarProduct<'a>,
-    dst: u32,
+    /// `dst` and its neighbors, which answer most probes.
+    near: &'a NearDst<'a>,
     /// Routers of the path being extended, `[src, …]`; a
     /// pristine-minimal path holds at most 4, one with a hop of slack 5.
     prefix: [u32; 5],
@@ -634,6 +713,28 @@ where
     /// `k` in all); they and the ports reported for `src` are taken
     /// back if `v` turns out cut off, since a directed-usable port
     /// alone does not hold the distance.
+    /// Whether `nb`'s pristine distance to `dst` is at most `h`, as
+    /// [`DistanceKernel::within`] says: one bit test at `h = 1`, and at
+    /// `h = 2` a scan of `nb`'s neighbor list where it has at most
+    /// [`SCAN_MAX_DEGREE`] entries. The kernel answers the rest, and
+    /// debug builds check every answer of the bits against it.
+    #[inline]
+    fn within(&self, nb: u32, h: u32) -> bool {
+        let near = self.near;
+        let by_bits = match h {
+            1 => near.marked(nb),
+            2 if near.g.degree(nb) <= SCAN_MAX_DEGREE => near.within_two(nb),
+            _ => return self.oracle.kernel.within(&self.view, nb, near.dst, h),
+        };
+        debug_assert_eq!(
+            by_bits,
+            self.oracle.kernel.within(&self.view, nb, near.dst, h),
+            "within({nb}, {}, {h}) by the destination's marks",
+            near.dst
+        );
+        by_bits
+    }
+
     fn descend(&mut self, depth: usize, r: u32, emit: bool) -> bool {
         if r == 0 {
             if emit {
@@ -646,7 +747,7 @@ where
         let v = self.prefix[depth];
         // One hop out, the only continuation is dst itself.
         let slots = if r == 1 {
-            let Some(e) = g.edge_id(v, self.dst) else {
+            let Some(e) = g.edge_id(v, self.near.dst) else {
                 return false;
             };
             e..e + 1
@@ -664,7 +765,7 @@ where
             // `nb` continues a walk iff its pristine distance fits the
             // r − 1 hops left. (With slack, dst itself passes at r = 2
             // and fails one level down: it has no edge to itself.)
-            if r > 1 && !oracle.kernel.within(&self.view, nb, self.dst, r - 1) {
+            if r > 1 && !self.within(nb, r - 1) {
                 continue;
             }
             let edge_alive = !oracle.mask.edge_dead(e);
@@ -682,7 +783,7 @@ where
             // longer walk from it exists. Symmetric masks never get here.
             if !edge_alive
                 && r > 1
-                && oracle.kernel.within(&self.view, nb, self.dst, r - 2)
+                && self.within(nb, r - 2)
                 && self.descend(depth + 1, r - 2, false)
             {
                 continue;
